@@ -1,13 +1,16 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check tier1 race fuzz-smoke trace-smoke cluster-smoke remote-smoke cluster-trace-smoke tknp-smoke fmt-check bench-steady bench-cluster bench-tknp
+.PHONY: check tier1 race bench-selftest fuzz-smoke trace-smoke cluster-smoke remote-smoke cluster-trace-smoke tknp-smoke fmt-check bench bench-trace bench-compare bench-tknp
 
-# check runs everything a PR must pass: tier-1 build+tests, the race
-# tier (see ROADMAP.md), gofmt enforcement, a short fuzz smoke of both
-# fuzz targets, the trace-out round-trip smoke, and the cluster smokes
-# (in-process, remote-transport, and distributed-tracing).
-check: tier1 race fmt-check fuzz-smoke trace-smoke cluster-smoke remote-smoke cluster-trace-smoke tknp-smoke
+# check runs everything a PR must pass: tier-1 build+tests (which include
+# the zero-allocation guards of the driver's per-iteration path:
+# TestSteadyStateAllocationFree in kvcache, TestScheduleCompleteAllocationFree
+# in sched), the race tier (see ROADMAP.md), gofmt enforcement, the
+# benchmark's self-test, a short fuzz smoke of both fuzz targets, the
+# trace-out round-trip smoke, and the cluster smokes (in-process,
+# remote-transport, and distributed-tracing).
+check: tier1 race fmt-check bench-selftest fuzz-smoke trace-smoke cluster-smoke remote-smoke cluster-trace-smoke tknp-smoke
 
 tier1:
 	$(GO) build ./...
@@ -16,6 +19,11 @@ tier1:
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/sched/... ./internal/runtime/... ./internal/server/... ./internal/metrics/... ./internal/obs/... ./internal/cluster/... ./internal/engine/...
+
+# bench-selftest runs the benchmark's own tests (benchmark/ is its own
+# module, so tier1's ./... never sees them).
+bench-selftest:
+	$(GO) test -C benchmark .
 
 # fmt-check fails when any file needs gofmt.
 fmt-check:
@@ -26,18 +34,22 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzKVAllocFree -fuzztime=$(FUZZTIME) ./internal/kvcache
 	$(GO) test -run='^$$' -fuzz=FuzzThrottleSchedule -fuzztime=$(FUZZTIME) ./internal/sched
 
-# bench-steady runs the steady-state serving benchmark (tokens/sec and
-# allocs/token over the live HTTP -> runtime -> SSE path) and rewrites
-# results/BENCH_steady_state.json from the median of its runs. The
-# allocs/token regression guards (TestSteadyStateAllocsPerToken and
-# TestServeSteadyStateAllocsPerToken) run in tier1/race via `make check`;
-# this target is the timed measurement.
-bench-steady:
-	@out=$$($(GO) test ./internal/server/ -run '^$$' -bench BenchmarkServeSteadyState -benchmem -benchtime=200000x -count=3); \
-	echo "$$out"; \
-	echo "$$out" | awk -v date=$$(date +%F) -v cores=$$(nproc) \
-		-f scripts/steady_bench_json.awk > results/BENCH_steady_state.json && \
-	echo "wrote results/BENCH_steady_state.json"
+# bench runs the repo's one benchmark (BENCHMARK.json, benchmark/README.md):
+# all four workloads, end-to-end metrics only. bench-trace adds the
+# per-layer ledger, the budget tables and out/trace_<workload>.json.
+# BENCH_ARGS passes flags through, e.g.
+#   make bench BENCH_ARGS='-workload long_prompt -seed 101 -out a.json'
+bench:
+	$(GO) run -C benchmark . $(BENCH_ARGS)
+
+bench-trace:
+	$(GO) run -C benchmark . -trace 1 $(BENCH_ARGS)
+
+# bench-compare A=before.json B=after.json prints the verdict table for two
+# result sets written with -out (paths relative to benchmark/).
+bench-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=before.json B=after.json"; exit 2; }
+	$(GO) run -C benchmark . -compare $(A) $(B)
 
 # cluster-smoke boots a 3-replica cluster on a loopback port, replays
 # multi-turn prefix-group traffic over the full HTTP/SSE path, drains a
@@ -56,13 +68,6 @@ remote-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/gllm-server ./cmd/gllm-server && \
 	$(GO) run ./cmd/gllm-cluster -selfcheck-remote -server-bin $$tmp/gllm-server
-
-# bench-cluster regenerates results/BENCH_cluster_routing.json: the four
-# routing policies compared on one seeded synthetic day of diurnal
-# multi-turn chat traffic over live replica runtimes (time-compressed).
-# Takes ~15 minutes of wall clock.
-bench-cluster:
-	$(GO) run ./cmd/gllm-experiments -run cluster -scale paper -out results/
 
 # tknp-smoke runs the quick token-parallel regime sweep and fails unless
 # TKNP wins the largest batch x longest context cell on decode throughput.

@@ -7,7 +7,6 @@
 package gllm_test
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -209,43 +208,6 @@ func BenchmarkTable1Equivalence(b *testing.B) {
 		}
 	}
 	b.ReportMetric(match, "outputs-match")
-}
-
-// BenchmarkParallelSweep measures the experiment harness's worker-pool grid
-// runner: the same Figure 10 sweep (3 systems x 3 rates) executed with
-// workers=1 and workers=GOMAXPROCS, reporting the wall-clock speedup as a
-// custom metric (expect ~min(GOMAXPROCS, cells)x on idle cores, 1x on a
-// single-core machine). Both runs share a pre-warmed trace cache so the
-// comparison isolates simulation work.
-func BenchmarkParallelSweep(b *testing.B) {
-	workers := runtime.GOMAXPROCS(0)
-	rates := []float64{1, 2, 4}
-	runOnce := func(sc experiments.Scale) {
-		if _, err := experiments.Fig10(sc, model.Qwen25_14B, workload.ShareGPT, rates); err != nil {
-			b.Fatal(err)
-		}
-	}
-	seq := benchScale()
-	seq.Workers = 1
-	par := benchScale()
-	par.Workers = workers
-	runOnce(seq) // warm the trace cache
-	var seqT, parT time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		runOnce(seq)
-		seqT += time.Since(t0)
-		t0 = time.Now()
-		runOnce(par)
-		parT += time.Since(t0)
-	}
-	b.ReportMetric(float64(workers), "workers")
-	b.ReportMetric(seqT.Seconds()/float64(b.N), "seq-s/op")
-	b.ReportMetric(parT.Seconds()/float64(b.N), "par-s/op")
-	if parT > 0 {
-		b.ReportMetric(seqT.Seconds()/parT.Seconds(), "seq/par-speedup")
-	}
 }
 
 // --- Ablation benches (DESIGN.md §5) ---

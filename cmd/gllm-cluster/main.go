@@ -12,6 +12,7 @@
 //	curl -s localhost:8000/cluster/stats | jq .
 //	curl -s -X POST 'localhost:8000/cluster/drain?id=r1'
 //	curl -s -X POST 'localhost:8000/cluster/replace?id=r2'
+//	gllm-cluster -pprof                  # /debug/pprof/ profiling endpoints
 //
 // -selfcheck boots a 3-replica cluster on a loopback port, runs concurrent
 // multi-turn prefix-group traffic through the full HTTP/SSE path, drains a
@@ -41,6 +42,7 @@ import (
 	"gllm/internal/model"
 	"gllm/internal/network"
 	"gllm/internal/obs"
+	"gllm/internal/profiling"
 	"gllm/internal/runtime"
 	"gllm/internal/sched"
 	"gllm/internal/server"
@@ -85,6 +87,8 @@ func main() {
 			"path to a gllm-server binary for -selfcheck-remote / -selfcheck-trace")
 		traceOut = flag.String("trace-out", "",
 			"write the merged cross-process request trace (Chrome trace JSON) here on exit")
+		pprofOn = flag.Bool("pprof", false,
+			"expose net/http/pprof profiling handlers under /debug/pprof/")
 		selfcheckTrace = flag.Bool("selfcheck-trace", false,
 			"spawn 2 gllm-server processes (-server-bin), route one traced request through the full HTTP path, write the merged trace to -trace-out, verify the federated /metrics, exit")
 	)
@@ -107,7 +111,7 @@ func main() {
 		drainTimeout: *drainTimeout, seed: *seed, logLevel: *logLevel, selfcheck: *selfcheck,
 		remotes: remotes, probeInterval: *probeInterval, probeFailures: *probeFailures,
 		connectTimeout: *connectTimeout, selfcheckRemote: *selfcheckRemote, serverBin: *serverBin,
-		traceOut: *traceOut, selfcheckTrace: *selfcheckTrace,
+		traceOut: *traceOut, selfcheckTrace: *selfcheckTrace, pprofOn: *pprofOn,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "gllm-cluster:", err)
 		os.Exit(1)
@@ -140,6 +144,7 @@ type clusterOptions struct {
 	serverBin       string
 	traceOut        string
 	selfcheckTrace  bool
+	pprofOn         bool
 }
 
 // remoteConfig renders the shared remote-transport settings for one
@@ -441,7 +446,12 @@ func run(o clusterOptions) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: fmt.Sprintf(":%d", o.port), Handler: a.handler(o.modelPath)}
+	handler := a.handler(o.modelPath)
+	if o.pprofOn {
+		handler = profiling.WithPprof(handler)
+		logger.Info("pprof enabled", "path", "/debug/pprof/")
+	}
+	httpSrv := &http.Server{Addr: fmt.Sprintf(":%d", o.port), Handler: handler}
 
 	// First signal: graceful — drain every replica (in-flight streams keep
 	// delivering) up to -drain-timeout. Second signal: abort immediately.

@@ -10,8 +10,10 @@
 // paper scale with: make bench-tknp).
 //
 // The "cluster" experiment (routing-policy comparison over live replicas,
-// results/BENCH_cluster_routing.json) replays arrivals in wall-clock time,
-// so it is only run when requested explicitly — never as part of "all".
+// written to BENCH_cluster_routing.json under -out) replays arrivals in
+// wall-clock time, so it is only run when requested explicitly — never as
+// part of "all". It is pacing-bound; the throughput yardstick for the
+// router is the benchmark/ workload cluster_chat.
 package main
 
 import (
@@ -393,7 +395,9 @@ func clusterArtifact(res *experiments.ClusterResult) ([]byte, error) {
 			"arrival pacing shrink uniformly. TTFT/E2E are client-side (submit to first/last " +
 			"token, retry backoff included); kv_hit_rate is prefix-cache tokens over all prompt " +
 			"tokens; the cross-replica audit (stream/token conservation, KV-leak freedom) must " +
-			"pass for every policy. Regenerate with: make bench-cluster",
+			"pass for every policy. Pacing-bound by design; the repo's throughput yardstick is " +
+			"benchmark/ (workload cluster_chat). Regenerate with: " +
+			"gllm-experiments -run cluster -scale paper -out <dir>",
 		Recorded: time.Now().Format("2006-01-02"),
 		Host: map[string]any{
 			"cores":      runtime.NumCPU(),

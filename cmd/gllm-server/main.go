@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -32,6 +31,7 @@ import (
 	"gllm/internal/model"
 	"gllm/internal/network"
 	"gllm/internal/obs"
+	"gllm/internal/profiling"
 	"gllm/internal/runtime"
 	"gllm/internal/sched"
 	"gllm/internal/server"
@@ -179,14 +179,7 @@ func run(port int, modelPath string, pp int, gpuName string, memUtil float64,
 	srv.EnableRequestTracing(reqSpans, obs.SideReplica)
 	handler := http.Handler(srv)
 	if opts.pprofOn {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", handler)
-		handler = mux
+		handler = profiling.WithPprof(handler)
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	addr := fmt.Sprintf(":%d", port)

@@ -5,7 +5,8 @@
 // engine combination, and a trace shrinker (Shrink) that reduces failures
 // to minimal reproducers. Its own test suite proves the detector works by
 // mutation: intentionally broken scheduler doubles (over-budget batches,
-// leaked KV blocks, reordered FIFO admission) must each be flagged.
+// leaked KV blocks, reordered FIFO admission, an eviction that forgets the
+// #WP counter) must each be flagged.
 //
 // # Invariant catalogue
 //
@@ -61,6 +62,13 @@
 // no-starvation — No resident request goes entirely unserved for more than
 // Options.StarveRounds consecutive non-empty batches (FIFO schedulers
 // only; Orca-style cohort policies starve by design and are exempt).
+//
+// waiting-prefill — The pool's #WP (sched.Pool.WaitingPrefillTokens, an
+// incrementally maintained counter) equals the sum of RemainingPrefill
+// over the prefill queue at every batch boundary. #WP is the input of the
+// waiting-tokens throttle (eq. 1), so a missed update at any of its
+// mutation sites — admission, chunk scheduling, prefix attach, eviction,
+// preemption, abort — would silently mis-budget every later batch.
 //
 // monotonic-time — Virtual time observed at the hooks never decreases,
 // end to end across every schedule/complete cycle of internal/sim's event

@@ -20,6 +20,7 @@ const (
 	InvKVLeak             = "kv-leak"
 	InvPrefillFIFO        = "prefill-fifo"
 	InvNoStarvation       = "no-starvation"
+	InvWaitingPrefill     = "waiting-prefill"
 	InvMonotonicTime      = "monotonic-time"
 )
 
@@ -223,6 +224,7 @@ func (c *Checker) sync(now time.Duration) {
 func (c *Checker) BeforeSchedule(now time.Duration) {
 	c.observeTime(now)
 	c.sync(now)
+	c.checkWaitingPrefill(now)
 	c.preBound = -1
 	if c.bounded != nil {
 		c.preBound = c.bounded.BatchTokenBound(c.pool.CoreState())
@@ -299,6 +301,7 @@ func (c *Checker) AfterSchedule(b *sched.Batch, now time.Duration) {
 		c.checkStarvation(served, now)
 	}
 	c.checkKV(now)
+	c.checkWaitingPrefill(now)
 	c.havePre = false
 }
 
@@ -423,6 +426,19 @@ func (c *Checker) checkKV(now time.Duration) {
 	}
 }
 
+// checkWaitingPrefill re-derives #WP from the prefill queue: the pool keeps
+// it as an incrementally maintained counter, and the throttle's prefill
+// budget (eq. 1–3) is only as right as that counter.
+func (c *Checker) checkWaitingPrefill(now time.Duration) {
+	want := 0
+	for _, r := range c.pool.PrefillQueue() {
+		want += r.RemainingPrefill()
+	}
+	if got := c.pool.WaitingPrefillTokens(); got != want {
+		c.violate(InvWaitingPrefill, now, "pool reports #WP = %d, the prefill queue holds %d", got, want)
+	}
+}
+
 // AfterComplete audits the commit of a retired batch: chunk and decode
 // completions, lifecycle transitions, and finish-time conservation.
 func (c *Checker) AfterComplete(b *sched.Batch, finished []*request.Request, now time.Duration) {
@@ -512,6 +528,7 @@ func (c *Checker) AfterComplete(b *sched.Batch, finished []*request.Request, now
 
 	c.sync(now)
 	c.checkKV(now)
+	c.checkWaitingPrefill(now)
 	c.prune()
 }
 

@@ -102,11 +102,35 @@ func (fifoBreaker) Schedule(p *sched.Pool, now time.Duration) *sched.Batch {
 			if err := p.KV.Allocate(id, chunk); err != nil {
 				panic(err)
 			}
-			r.ScheduleChunk(chunk, now)
+			p.ScheduleChunk(r, chunk, now)
 			b.Chunks = append(b.Chunks, sched.Chunk{Req: r, Tokens: chunk, CtxStart: ctx})
 		}
 	}
 	return b
+}
+
+// wpForgetter schedules legally, but once evicts a mid-prefill request by
+// hand — freeing its KV and restarting its prefill exactly as Pool.evict
+// does — without telling the pool, so the committed tokens that wait again
+// never return to #WP.
+type wpForgetter struct {
+	inner *sched.Sarathi
+	done  bool
+}
+
+func (w *wpForgetter) Name() string { return "mutant-wp-forgotten-on-evict" }
+func (w *wpForgetter) Schedule(p *sched.Pool, now time.Duration) *sched.Batch {
+	if !w.done {
+		for _, r := range p.PrefillQueue() {
+			if r.State() == request.StatePrefilling && r.InFlightChunks() == 0 && r.PrefillDone() > 0 {
+				p.KV.Free(kvcache.SeqID(r.ID))
+				r.ResetPrefill()
+				w.done = true
+				break
+			}
+		}
+	}
+	return w.inner.Schedule(p, now)
 }
 
 func runMutant(t *testing.T, mk func() sched.Scheduler, seed uint64) error {
@@ -155,7 +179,16 @@ func TestMutationFIFOReorderDetected(t *testing.T) {
 	wantViolation(t, err, InvPrefillFIFO)
 }
 
-// TestMutationsDetectedOnTokenParallel re-runs all three mutants on the
+func TestMutationForgottenWaitingPrefillDetected(t *testing.T) {
+	// A 32-token budget splits most prompts into several chunks, so a
+	// mid-prefill request between chunks exists within the first batches.
+	err := runMutant(t, func() sched.Scheduler {
+		return &wpForgetter{inner: sched.NewSarathi(32)}
+	}, 14)
+	wantViolation(t, err, InvWaitingPrefill)
+}
+
+// TestMutationsDetectedOnTokenParallel re-runs all four mutants on the
 // TKNP engine: the checker's token-conservation, KV-residency and FIFO
 // oracles must hold over the fourth engine's scheduling loop too.
 func TestMutationsDetectedOnTokenParallel(t *testing.T) {
@@ -171,6 +204,11 @@ func TestMutationsDetectedOnTokenParallel(t *testing.T) {
 
 	err = runMutantOn(t, "tokenpar", func() sched.Scheduler { return fifoBreaker{} }, 23)
 	wantViolation(t, err, InvPrefillFIFO)
+
+	err = runMutantOn(t, "tokenpar", func() sched.Scheduler {
+		return &wpForgetter{inner: sched.NewSarathi(32)}
+	}, 24)
+	wantViolation(t, err, InvWaitingPrefill)
 }
 
 // TestShrinkMinimizesMutantTrace: the FIFO mutant's 120-request failing

@@ -4,6 +4,12 @@
 // rate (KV_free in the gLLM paper) to throttle prefill admission. Page
 // tables are shared across pipeline stages, so a single manager accounts
 // for the whole replica, exactly as the paper's driver worker does.
+//
+// The driver calls into the manager several times per token, so every
+// operation does one map lookup per call — never one per block: a
+// sequence's token count, page table and prefix-registration watermark
+// live in one struct behind map[SeqID]*seq, and the prefix cache is one
+// slice per group plus a dense per-block reverse index (see prefix.go).
 package kvcache
 
 import (
@@ -14,25 +20,43 @@ import (
 // SeqID identifies a sequence in the cache.
 type SeqID int64
 
+// seq is one resident sequence.
+type seq struct {
+	tokens int
+	blocks []int // ordered block IDs (the page table)
+
+	// Prefix-registration watermark (see RegisterPrefix): the leading
+	// registered blocks are already published under regGroup as this
+	// sequence's own blocks, so later registrations skip them.
+	regGroup   int64
+	registered int
+}
+
+// maxRecycledSeqs bounds the seq structs (and their page-table capacity)
+// kept for reuse. Steady-state serving frees and admits in alternation, so
+// a short list already makes Allocate/Free allocation-free (16 and 64 gave
+// the same allocations per request with 2 048 residents); an unbounded one
+// would pin the page tables of the largest burst for as long as the
+// manager lives.
+const maxRecycledSeqs = 16
+
 // Manager allocates KV-cache blocks to sequences. It is not safe for
 // concurrent use; in the simulated engines it lives on the driver and in
 // the concurrent runtime it is owned by the driver goroutine.
 type Manager struct {
 	blockSize   int
 	totalBlocks int
-	freeList    []int           // LIFO free block IDs
-	tables      map[SeqID][]int // seq -> ordered block IDs
-	tokens      map[SeqID]int   // seq -> token count
+	freeList    []int          // LIFO free block IDs
+	seqs        map[SeqID]*seq // resident sequences
+	recycled    []*seq         // freed structs awaiting reuse (≤ maxRecycledSeqs)
+	peakUsed    int
 
-	allocs   int // completed Allocate calls
-	frees    int // completed Free calls
-	peakUsed int
-
-	// Prefix-cache state (lazily initialized; see prefix.go).
-	refs      []int             // per-block reference count (0 = free)
-	cache     map[prefixKey]int // (group, idx) -> cached block
-	cachedKey map[int]prefixKey // reverse index
-	cacheOnly int               // cached blocks with no sequence reference (evictable)
+	// Prefix-cache state (allocated by initPrefix; see prefix.go).
+	refs      []int            // per-block reference count (0 = free)
+	chains    map[int64]*chain // group -> cached blocks by index
+	cachedAt  []blockKey       // per-block reverse index (group 0 = not cached)
+	cached    int              // blocks registered in the cache
+	cacheOnly int              // cached blocks with no sequence reference (evictable)
 	hits      int
 	hitTokens int64
 	evictions int
@@ -65,8 +89,7 @@ func New(capacityTokens int64, blockSize int) *Manager {
 		blockSize:   blockSize,
 		totalBlocks: nblocks,
 		freeList:    make([]int, nblocks),
-		tables:      make(map[SeqID][]int),
-		tokens:      make(map[SeqID]int),
+		seqs:        make(map[SeqID]*seq),
 	}
 	// Hand out low block IDs first for deterministic page tables.
 	for i := range m.freeList {
@@ -92,11 +115,14 @@ func (m *Manager) UsedBlocks() int { return m.totalBlocks - m.FreeBlocks() }
 // PeakUsedBlocks returns the high-water mark of used blocks.
 func (m *Manager) PeakUsedBlocks() int { return m.peakUsed }
 
-// Allocs returns the number of successful Allocate calls.
-func (m *Manager) Allocs() int { return m.allocs }
-
-// Frees returns the number of Free calls that released a sequence.
-func (m *Manager) Frees() int { return m.frees }
+// notePeak raises the high-water mark; every operation that can lower
+// FreeBlocks (claiming blocks, re-referencing a cache-only block) ends
+// here.
+func (m *Manager) notePeak() {
+	if used := m.UsedBlocks(); used > m.peakUsed {
+		m.peakUsed = used
+	}
+}
 
 // CapacityTokens returns the total token slots managed.
 func (m *Manager) CapacityTokens() int64 {
@@ -113,22 +139,21 @@ func (m *Manager) FreeRate() float64 {
 	return float64(m.FreeBlocks()) / float64(m.totalBlocks)
 }
 
-// UsedRate returns 1 - FreeRate.
-func (m *Manager) UsedRate() float64 { return 1 - m.FreeRate() }
-
 // Has reports whether the sequence owns cache blocks.
-func (m *Manager) Has(id SeqID) bool {
-	_, ok := m.tokens[id]
-	return ok
-}
+func (m *Manager) Has(id SeqID) bool { return m.seqs[id] != nil }
 
 // TokensOf returns the number of cached tokens of a sequence (0 if absent).
-func (m *Manager) TokensOf(id SeqID) int { return m.tokens[id] }
+func (m *Manager) TokensOf(id SeqID) int {
+	if s := m.seqs[id]; s != nil {
+		return s.tokens
+	}
+	return 0
+}
 
 // Sequences returns the resident sequence IDs in ascending order.
 func (m *Manager) Sequences() []SeqID {
-	out := make([]SeqID, 0, len(m.tokens))
-	for id := range m.tokens {
+	out := make([]SeqID, 0, len(m.seqs))
+	for id := range m.seqs {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -143,11 +168,18 @@ func (m *Manager) blocksFor(n int) int {
 // BlocksNeeded returns how many new blocks appending extra tokens to the
 // sequence would require (0 if the trailing block has room).
 func (m *Manager) BlocksNeeded(id SeqID, extra int) int {
+	return m.blocksNeeded(m.seqs[id], extra)
+}
+
+func (m *Manager) blocksNeeded(s *seq, extra int) int {
 	if extra < 0 {
 		panic(fmt.Sprintf("kvcache: negative token count %d", extra))
 	}
-	cur := m.tokens[id]
-	return m.blocksFor(cur+extra) - m.blocksFor(cur)
+	if s == nil {
+		return m.blocksFor(extra)
+	}
+	// A page table always holds exactly blocksFor(tokens) blocks.
+	return m.blocksFor(s.tokens+extra) - len(s.blocks)
 }
 
 // CanAllocate reports whether appending extra tokens to the sequence would
@@ -161,31 +193,59 @@ func (m *Manager) CanAllocate(id SeqID, extra int) bool {
 // cannot hold them. Allocating zero tokens for an unknown sequence creates
 // an empty page table.
 func (m *Manager) Allocate(id SeqID, extra int) error {
-	need := m.BlocksNeeded(id, extra)
-	if free := m.FreeBlocks(); need > free {
-		return fmt.Errorf("kvcache: need %d blocks for seq %d, only %d free", need, id, free)
+	if !m.TryAllocate(id, extra) {
+		return fmt.Errorf("kvcache: need %d blocks for seq %d, only %d free",
+			m.BlocksNeeded(id, extra), id, m.FreeBlocks())
 	}
-	if _, ok := m.tokens[id]; !ok {
-		m.tokens[id] = 0
-		m.tables[id] = nil
+	return nil
+}
+
+// TryAllocate is Allocate reporting success as a bool: the per-token decode
+// path, where "no room" is an expected answer (it triggers preemption) and
+// must not format an error. Appending into a trailing block with room
+// costs one map lookup and an add.
+func (m *Manager) TryAllocate(id SeqID, extra int) bool {
+	s := m.seqs[id]
+	if s != nil && extra >= 0 && s.tokens+extra <= len(s.blocks)*m.blockSize {
+		s.tokens += extra // the trailing block has room
+		return true
+	}
+	need := m.blocksNeeded(s, extra)
+	if need > m.FreeBlocks() {
+		return false
+	}
+	if s == nil {
+		s = m.newSeq(id)
 	}
 	for i := 0; i < need; i++ {
 		if len(m.freeList) == 0 && !m.evictOne() {
-			panic("kvcache: free accounting out of sync") // CanAllocate said yes
+			panic("kvcache: free accounting out of sync") // FreeBlocks said yes
 		}
 		b := m.freeList[len(m.freeList)-1]
 		m.freeList = m.freeList[:len(m.freeList)-1]
 		if m.refs != nil {
 			m.refs[b] = 1
 		}
-		m.tables[id] = append(m.tables[id], b)
+		s.blocks = append(s.blocks, b)
 	}
-	m.tokens[id] += extra
-	m.allocs++
-	if used := m.UsedBlocks(); used > m.peakUsed {
-		m.peakUsed = used
+	s.tokens += extra
+	m.notePeak()
+	return true
+}
+
+// newSeq makes id resident with an empty page table, reusing a recycled
+// struct (and its page-table capacity) when one is available.
+func (m *Manager) newSeq(id SeqID) *seq {
+	var s *seq
+	if n := len(m.recycled); n > 0 {
+		s = m.recycled[n-1]
+		m.recycled[n-1] = nil
+		m.recycled = m.recycled[:n-1]
+	} else {
+		s = new(seq)
 	}
-	return nil
+	m.seqs[id] = s
+	return s
 }
 
 // Free releases every block of the sequence (request completion or
@@ -193,33 +253,37 @@ func (m *Manager) Allocate(id SeqID, extra int) error {
 // the free list once their last reference drops. Freeing an absent
 // sequence is a no-op.
 func (m *Manager) Free(id SeqID) {
-	blocks, ok := m.tables[id]
-	if !ok {
+	s := m.seqs[id]
+	if s == nil {
 		return
 	}
 	if m.refs == nil {
-		m.freeList = append(m.freeList, blocks...)
+		m.freeList = append(m.freeList, s.blocks...)
 	} else {
-		for _, b := range blocks {
+		for _, b := range s.blocks {
 			m.refs[b]--
 			if m.refs[b] == 0 {
 				m.freeList = append(m.freeList, b)
-			} else if m.refs[b] == 1 {
-				if _, cached := m.cachedKey[b]; cached {
-					m.cacheOnly++ // only the cache references it now
-					m.pushEvict(b)
-				}
+			} else if m.refs[b] == 1 && m.cachedAt[b].group != 0 {
+				m.cacheOnly++ // only the cache references it now
+				m.pushEvict(b)
 			}
 		}
 	}
-	delete(m.tables, id)
-	delete(m.tokens, id)
-	m.frees++
+	delete(m.seqs, id)
+	if len(m.recycled) < maxRecycledSeqs {
+		// A reused SeqID (preempt-and-recompute) starts with no watermark.
+		*s = seq{blocks: s.blocks[:0]}
+		m.recycled = append(m.recycled, s)
+	}
 }
 
 // PageTable returns a copy of the sequence's ordered block IDs.
 func (m *Manager) PageTable(id SeqID) []int {
-	return append([]int(nil), m.tables[id]...)
+	if s := m.seqs[id]; s != nil {
+		return append([]int(nil), s.blocks...)
+	}
+	return nil
 }
 
 // checkInvariants returns an error when internal accounting is broken.
@@ -228,32 +292,39 @@ func (m *Manager) PageTable(id SeqID) []int {
 // the prefix cache registers it.
 func (m *Manager) checkInvariants() error {
 	expectedRefs := make([]int, m.totalBlocks)
-	for id, blocks := range m.tables {
-		if m.blocksFor(m.tokens[id]) != len(blocks) {
-			return fmt.Errorf("kvcache: seq %d has %d tokens but %d blocks", id, m.tokens[id], len(blocks))
+	lastSeq := make([]int, m.totalBlocks) // ordinal of the last sequence holding the block
+	ordinal := 0
+	for id, s := range m.seqs {
+		ordinal++
+		if m.blocksFor(s.tokens) != len(s.blocks) {
+			return fmt.Errorf("kvcache: seq %d has %d tokens but %d blocks", id, s.tokens, len(s.blocks))
 		}
-		seenInSeq := make(map[int]bool, len(blocks))
-		for _, b := range blocks {
+		if s.registered < 0 || s.registered > len(s.blocks) || (s.registered > 0 && m.refs == nil) {
+			return fmt.Errorf("kvcache: seq %d registered watermark %d outside its %d blocks",
+				id, s.registered, len(s.blocks))
+		}
+		for idx, b := range s.blocks {
 			if b < 0 || b >= m.totalBlocks {
 				return fmt.Errorf("kvcache: block %d out of range", b)
 			}
-			if seenInSeq[b] {
+			if lastSeq[b] == ordinal {
 				return fmt.Errorf("kvcache: block %d twice in seq %d", b, id)
 			}
-			seenInSeq[b] = true
+			lastSeq[b] = ordinal
 			expectedRefs[b]++
+			if idx < s.registered && m.cachedAt[b] != (blockKey{s.regGroup, idx}) {
+				return fmt.Errorf("kvcache: seq %d block %d below watermark %d is not its group's entry %d",
+					id, b, s.registered, idx)
+			}
 		}
 	}
-	for key, b := range m.cache {
-		if got, ok := m.cachedKey[b]; !ok || got != key {
-			return fmt.Errorf("kvcache: cache index inconsistent for block %d", b)
-		}
-		expectedRefs[b]++
+	if len(m.recycled) > maxRecycledSeqs {
+		return fmt.Errorf("kvcache: %d recycled seq structs exceed bound %d", len(m.recycled), maxRecycledSeqs)
 	}
-	if len(m.cache) != len(m.cachedKey) {
-		return fmt.Errorf("kvcache: cache maps out of sync (%d vs %d)", len(m.cache), len(m.cachedKey))
+	if err := m.checkPrefixInvariants(expectedRefs); err != nil {
+		return err
 	}
-	inFree := make(map[int]bool, len(m.freeList))
+	inFree := make([]bool, m.totalBlocks)
 	for _, b := range m.freeList {
 		if inFree[b] {
 			return fmt.Errorf("kvcache: block %d twice in free list", b)
@@ -276,19 +347,6 @@ func (m *Manager) checkInvariants() error {
 	}
 	if referenced+len(m.freeList) != m.totalBlocks {
 		return fmt.Errorf("kvcache: %d referenced + %d free != %d total", referenced, len(m.freeList), m.totalBlocks)
-	}
-	if got := len(m.evictableBlocks()); got != m.cacheOnly {
-		return fmt.Errorf("kvcache: cacheOnly counter %d, actual evictable %d", m.cacheOnly, got)
-	}
-	// The lazy heap must hold (at least) every currently evictable block,
-	// or evictOne would wrongly report an exhausted cache.
-	for _, b := range m.evictableBlocks() {
-		if !m.inEvictHeap[b] {
-			return fmt.Errorf("kvcache: evictable block %d missing from evict heap", b)
-		}
-	}
-	if len(m.evictHeap) > m.totalBlocks {
-		return fmt.Errorf("kvcache: evict heap %d entries exceeds %d blocks", len(m.evictHeap), m.totalBlocks)
 	}
 	return nil
 }

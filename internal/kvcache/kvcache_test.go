@@ -125,16 +125,16 @@ func TestFreeRateMovesWithUsage(t *testing.T) {
 	if got := m.FreeRate(); got != 0.5 {
 		t.Fatalf("free rate = %v", got)
 	}
-	if got := m.UsedRate(); got != 0.5 {
-		t.Fatalf("used rate = %v", got)
+	if got := m.UsedBlocks(); got != 5 {
+		t.Fatalf("used blocks = %d", got)
 	}
 }
 
 func TestFreeUnknownSeqNoop(t *testing.T) {
 	m := New(16, 16)
 	m.Free(99) // must not panic
-	if m.Frees() != 0 {
-		t.Fatal("noop free counted")
+	if m.FreeBlocks() != 1 || m.Verify() != nil {
+		t.Fatal("noop free disturbed the cache")
 	}
 }
 
@@ -197,8 +197,31 @@ func TestPeakUsage(t *testing.T) {
 	if m.PeakUsedBlocks() != 7 {
 		t.Fatalf("peak = %d", m.PeakUsedBlocks())
 	}
-	if m.Allocs() != 2 || m.Frees() != 1 {
-		t.Fatalf("allocs/frees = %d/%d", m.Allocs(), m.Frees())
+}
+
+// Re-referencing cache-only blocks lowers FreeBlocks without claiming
+// anything from the free list; the high-water mark must see that too.
+func TestPeakUsageCountsAttachedPrefix(t *testing.T) {
+	m := New(10*16, 16)
+	if err := m.Allocate(1, 6*16); err != nil {
+		t.Fatal(err)
+	}
+	m.RegisterPrefix(1, 3, 6*16)
+	m.Free(1) // six cache-only blocks: nothing is used
+	if m.UsedBlocks() != 0 || m.PeakUsedBlocks() != 6 {
+		t.Fatalf("used/peak = %d/%d, want 0/6", m.UsedBlocks(), m.PeakUsedBlocks())
+	}
+	if err := m.Allocate(2, 3*16); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.AttachPrefix(4, 3, 6*16); got != 6*16 {
+		t.Fatalf("attached = %d", got)
+	}
+	if m.UsedBlocks() != 9 {
+		t.Fatalf("used = %d, want 9", m.UsedBlocks())
+	}
+	if m.PeakUsedBlocks() != 9 {
+		t.Fatalf("peak = %d, want 9 (reached through AttachPrefix)", m.PeakUsedBlocks())
 	}
 }
 
@@ -291,8 +314,8 @@ func TestFreeRateCountsEvictableCacheAsFree(t *testing.T) {
 	if got := m.FreeRate(); got != 1 {
 		t.Fatalf("FreeRate = %v with a fully evictable cache, want 1", got)
 	}
-	if got := m.UsedRate(); got != 0 {
-		t.Fatalf("UsedRate = %v, want 0", got)
+	if got := m.UsedBlocks(); got != 0 {
+		t.Fatalf("UsedBlocks = %d, want 0", got)
 	}
 	// A live sequence's blocks are genuinely used; the cache remainder is not.
 	if err := m.Allocate(2, 16*16); err != nil {
@@ -347,6 +370,19 @@ func TestEvictHeapMatchesAscendingOrder(t *testing.T) {
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// evictableBlocks returns cached blocks whose only reference is the cache
+// itself, in ascending block id order — the full scan evictOne's lazy heap
+// replaces.
+func (m *Manager) evictableBlocks() []int {
+	var out []int
+	for b, key := range m.cachedAt {
+		if key.group != 0 && m.refs[b] == 1 {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // Eviction order equivalence under random load: interleave allocs, prefix

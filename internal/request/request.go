@@ -94,6 +94,12 @@ type Request struct {
 	// KV, not tokens), so emitted ≤ generated always holds.
 	emitted int
 
+	// Owner is the serving driver's per-request state (the runtime hangs
+	// its submission here so token delivery reaches it without a map lookup
+	// per token). Opaque to the schedulers and engines, which never touch
+	// it; nil outside a live runtime and after the request terminates.
+	Owner any
+
 	// SchedMark is batch-membership scratch stamped by sched.Pool's batch
 	// builders; treat as opaque. It replaces a per-call membership map on
 	// the scheduling hot path.

@@ -104,6 +104,7 @@ func (rt *Runtime) driverLoop() {
 		} else {
 			close(sub.events)
 		}
+		sub.req.Owner = nil
 		delete(subs, sub.req.ID)
 		delete(pendingCancels, sub.req.ID)
 		rt.resident.Store(int64(len(subs)))
@@ -162,9 +163,9 @@ func (rt *Runtime) driverLoop() {
 	// get one slab append + wakeup, per-token channels are buffered for the
 	// full output.
 	emit := func(r *request.Request) {
-		sub := subs[r.ID]
+		sub, _ := r.Owner.(*submission)
 		if sub == nil {
-			return
+			return // already terminated
 		}
 		gen := r.Generated()
 		pre := r.Emitted()
@@ -275,6 +276,7 @@ func (rt *Runtime) driverLoop() {
 			return
 		}
 		subs[sub.req.ID] = sub
+		sub.req.Owner = sub
 		rt.resident.Store(int64(len(subs)))
 		pool.Add(sub.req)
 		rt.logEvent(slog.LevelDebug, "request admitted",

@@ -62,7 +62,7 @@ func (p *Pool) buildPrefillFiltered(b *Batch, budget int, now time.Duration, all
 			panic(fmt.Sprintf("sched: legacy prefill alloc: %v", err))
 		}
 		ctxStart := r.PrefillDone()
-		r.ScheduleChunk(chunk, now)
+		p.ScheduleChunk(r, chunk, now)
 		b.Chunks = append(b.Chunks, Chunk{Req: r, Tokens: chunk, CtxStart: ctxStart})
 		r.SchedMark = epoch
 		budget -= chunk
@@ -78,18 +78,18 @@ func (p *Pool) buildDecodeFiltered(b *Batch, maxSeqs int, allow func(*request.Re
 	if maxSeqs <= 0 {
 		return
 	}
-	p.decodeScratch = append(p.decodeScratch[:0], p.decoding...)
-	candidates := p.decodeScratch
+	w := decodeWalk{p: p, list: p.decoding}
 	scheduled := 0
-	for _, r := range candidates {
+	for i := 0; i < len(w.list); i++ {
+		r := w.list[i]
 		if scheduled >= maxSeqs {
 			return
 		}
 		if !allow(r) || r.State() != request.StateDecoding || r.DecodeBusy() {
 			continue
 		}
-		if !p.ensureDecodeSlot(r) {
-			continue
+		if !w.reserve(r) {
+			continue // r was preempted (self) or cannot proceed this round
 		}
 		r.ScheduleDecode()
 		b.Decodes = append(b.Decodes, r)

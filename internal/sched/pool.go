@@ -48,6 +48,14 @@ type Pool struct {
 	prefillQ []*request.Request // waiting or mid-prefill, FIFO; preempted at front
 	decoding []*request.Request // decoding, in prefill-completion order
 
+	// waitingPrefill is #WP, Σ RemainingPrefill over prefillQ, maintained at
+	// every site that changes either side of that sum (Add, ScheduleChunk,
+	// a prefix attach, evict, preempt, Abort) so the throttle and the
+	// driver's gauges read it in O(1) instead of rescanning a FIFO that is
+	// thousands deep under load. internal/invariant re-derives the sum at
+	// every batch boundary.
+	waitingPrefill int
+
 	// watermark is the minimum number of KV blocks prefill admission must
 	// leave free (vLLM's watermark). Without it, prefill can fill the very
 	// last block and a lone block-aligned decoder would self-preempt and
@@ -55,11 +63,13 @@ type Pool struct {
 	watermark   int
 	preemptions int
 
-	// decodeScratch is the reusable snapshot buffer for the decode builders
-	// (preemption mutates p.decoding mid-iteration); valid only within one
-	// build call. Capacity is retained so steady-state scheduling never
-	// allocates.
-	decodeScratch []*request.Request
+	// queueScratch is the reusable snapshot buffer the batch builders copy
+	// the queue they are walking into just before a preemption mutates it
+	// in place; valid only within one build call. Capacity is retained so
+	// steady-state scheduling never allocates.
+	queueScratch []*request.Request
+	// finished is Complete's reusable result buffer.
+	finished []*request.Request
 	// freeBatches recycles retired batches handed back via PutBatch.
 	freeBatches []*Batch
 }
@@ -86,16 +96,19 @@ func (p *Pool) Add(r *request.Request) {
 		panic(fmt.Sprintf("sched: adding %v in state %s", r, r.State()))
 	}
 	p.prefillQ = append(p.prefillQ, r)
+	p.waitingPrefill += r.RemainingPrefill()
 }
 
 // WaitingPrefillTokens returns #WP: remaining (unscheduled) prefill tokens
-// across the queue.
-func (p *Pool) WaitingPrefillTokens() int {
-	n := 0
-	for _, r := range p.prefillQ {
-		n += r.RemainingPrefill()
-	}
-	return n
+// across the queue. O(1): the pool maintains the sum incrementally.
+func (p *Pool) WaitingPrefillTokens() int { return p.waitingPrefill }
+
+// ScheduleChunk marks n prefill tokens of a queued request as in flight.
+// Schedulers that assemble batches themselves must go through it rather
+// than r.ScheduleChunk, or #WP drifts from the queue it summarizes.
+func (p *Pool) ScheduleChunk(r *request.Request, n int, now time.Duration) {
+	r.ScheduleChunk(n, now)
+	p.waitingPrefill -= n
 }
 
 // RunningDecode returns #RD: the number of sequences in the decode phase
@@ -201,8 +214,12 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 	for _, c := range b.Chunks {
 		c.Req.SchedMark = epoch
 	}
-	queue := p.prefillQ // snapshot: evictions may rebuild p.prefillQ
-	for _, r := range queue {
+	// Preempting a decoding victim (below) shifts p.prefillQ in place; the
+	// walk continues over a copy taken just before the first such shift, so
+	// it sees the admission order this call started with.
+	queue, snapped := p.prefillQ, false
+	for i := 0; i < len(queue); i++ {
+		r := queue[i]
 		if budget <= 0 {
 			return
 		}
@@ -228,6 +245,7 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 			}
 			if attached := p.KV.AttachPrefix(id, r.PrefixGroup, maxShare); attached > 0 {
 				r.SkipPrefill(attached)
+				p.waitingPrefill -= attached
 			}
 		}
 		chunk := r.RemainingPrefill()
@@ -242,6 +260,10 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 				victim := p.youngestHolderYoungerThan(r)
 				if victim == nil {
 					break
+				}
+				if !snapped && victim.State() == request.StateDecoding {
+					p.queueScratch = append(p.queueScratch[:0], queue...)
+					queue, snapped = p.queueScratch, true
 				}
 				p.evict(victim)
 				fit = p.maxPrefillAllocatableFor(id)
@@ -261,11 +283,36 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 		// The chunk attends over everything committed plus earlier in-flight
 		// chunks (identical when pipelining is off: nothing is in flight).
 		ctxStart := r.PrefillDone() + r.InFlightPrefill()
-		r.ScheduleChunk(chunk, now)
+		p.ScheduleChunk(r, chunk, now)
 		b.Chunks = append(b.Chunks, Chunk{Req: r, Tokens: chunk, CtxStart: ctxStart})
 		r.SchedMark = epoch
 		budget -= chunk
 	}
+}
+
+// decodeWalk iterates the decoding set for one build call, reserving one KV
+// slot per scheduled sequence. The common case — the token fits, nobody is
+// preempted — walks p.decoding itself and costs one KV lookup per sequence;
+// only when a reservation has to preempt (which removes entries from
+// p.decoding in place) does the walk switch to a snapshot, taken before the
+// first mutation and therefore identical to what it was iterating.
+type decodeWalk struct {
+	p       *Pool
+	list    []*request.Request
+	snapped bool
+}
+
+// reserve makes room for one more token of r, preempting younger KV holders
+// as needed. It reports whether r can decode this iteration.
+func (w *decodeWalk) reserve(r *request.Request) bool {
+	if w.p.KV.TryAllocate(kvSeq(r), 1) {
+		return true
+	}
+	if !w.snapped {
+		w.p.queueScratch = append(w.p.queueScratch[:0], w.list...)
+		w.list, w.snapped = w.p.queueScratch, true
+	}
+	return w.p.ensureDecodeSlot(r)
 }
 
 // buildDecode schedules up to maxSeqs available (non-busy) decoding
@@ -273,27 +320,7 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 // trigger preemption-by-recompute of the lowest-priority (latest) non-busy
 // sequence; if no victim exists the sequence preempts itself.
 func (p *Pool) buildDecode(b *Batch, maxSeqs int) {
-	if maxSeqs <= 0 {
-		return
-	}
-	// Snapshot: preemption mutates p.decoding while we iterate.
-	p.decodeScratch = append(p.decodeScratch[:0], p.decoding...)
-	candidates := p.decodeScratch
-	scheduled := 0
-	for _, r := range candidates {
-		if scheduled >= maxSeqs {
-			return
-		}
-		if r.State() != request.StateDecoding || r.DecodeBusy() {
-			continue
-		}
-		if !p.ensureDecodeSlot(r) {
-			continue // r was preempted (self) or cannot proceed this round
-		}
-		r.ScheduleDecode()
-		b.Decodes = append(b.Decodes, r)
-		scheduled++
-	}
+	p.buildDecodeFiltered(b, maxSeqs, nil)
 }
 
 // buildDecodeWeighted schedules available decoding sequences in FIFO order
@@ -305,17 +332,17 @@ func (p *Pool) buildDecodeWeighted(b *Batch, target float64, weight func(*reques
 	if target <= 0 {
 		return
 	}
-	p.decodeScratch = append(p.decodeScratch[:0], p.decoding...)
-	candidates := p.decodeScratch
+	w := decodeWalk{p: p, list: p.decoding}
 	acc := 0.0
-	for _, r := range candidates {
+	for i := 0; i < len(w.list); i++ {
+		r := w.list[i]
 		if acc >= target {
 			return
 		}
 		if r.State() != request.StateDecoding || r.DecodeBusy() {
 			continue
 		}
-		if !p.ensureDecodeSlot(r) {
+		if !w.reserve(r) {
 			continue
 		}
 		r.ScheduleDecode()
@@ -324,11 +351,12 @@ func (p *Pool) buildDecodeWeighted(b *Batch, target float64, weight func(*reques
 	}
 }
 
-// ensureDecodeSlot makes room for one more token of r, preempting younger
-// KV holders as needed. It reports whether r can decode this iteration.
+// ensureDecodeSlot is the slow path of decodeWalk.reserve: the cache cannot
+// take one more token of r, so younger KV holders are preempted until it
+// can — or r itself is, when it is the youngest.
 func (p *Pool) ensureDecodeSlot(r *request.Request) bool {
-	id := kvcache.SeqID(r.ID)
-	for !p.KV.CanAllocate(id, 1) {
+	id := kvSeq(r)
+	for !p.KV.TryAllocate(id, 1) {
 		victim := p.youngestHolderYoungerThan(r)
 		if victim == nil {
 			// r is the youngest holder: preempt r itself (recompute later).
@@ -336,9 +364,6 @@ func (p *Pool) ensureDecodeSlot(r *request.Request) bool {
 			return false
 		}
 		p.evict(victim)
-	}
-	if err := p.KV.Allocate(id, 1); err != nil {
-		panic(fmt.Sprintf("sched: decode alloc after CanAllocate: %v", err))
 	}
 	return true
 }
@@ -390,6 +415,7 @@ func (p *Pool) evict(r *request.Request) {
 		p.preempt(r)
 	case request.StatePrefilling:
 		p.KV.Free(kvcache.SeqID(r.ID))
+		p.waitingPrefill += r.PrefillDone() // nothing in flight: all of it waits again
 		r.ResetPrefill()
 		p.preemptions++
 	default:
@@ -403,7 +429,10 @@ func (p *Pool) preempt(r *request.Request) {
 	p.KV.Free(kvcache.SeqID(r.ID))
 	r.Preempt()
 	p.removeDecoding(r)
-	p.prefillQ = append([]*request.Request{r}, p.prefillQ...)
+	p.prefillQ = append(p.prefillQ, nil)
+	copy(p.prefillQ[1:], p.prefillQ)
+	p.prefillQ[0] = r
+	p.waitingPrefill += r.RemainingPrefill()
 	p.preemptions++
 }
 
@@ -431,9 +460,11 @@ func (p *Pool) removePrefill(r *request.Request) {
 // committed (possibly transitioning requests to decode or finishing
 // single-token outputs), decode steps emit their tokens, and finished
 // requests release their KV. It returns the requests that finished in this
-// batch, in batch order.
+// batch, in batch order; the slice is pool-owned scratch, valid until the
+// next Complete.
 func (p *Pool) Complete(b *Batch, now time.Duration) []*request.Request {
-	var finished []*request.Request
+	clear(p.finished) // keep no finished request of the previous batch alive
+	finished := p.finished[:0]
 	for _, c := range b.Chunks {
 		c.Req.CompleteChunk(now)
 		switch c.Req.State() {
@@ -456,6 +487,7 @@ func (p *Pool) Complete(b *Batch, now time.Duration) []*request.Request {
 			finished = append(finished, r)
 		}
 	}
+	p.finished = finished
 	return finished
 }
 
@@ -472,6 +504,7 @@ func (p *Pool) Abort(r *request.Request) {
 			panic(fmt.Sprintf("sched: aborting %v with %d chunks in flight", r, r.InFlightChunks()))
 		}
 		p.removePrefill(r)
+		p.waitingPrefill -= r.RemainingPrefill()
 	case request.StateDecoding:
 		if r.DecodeBusy() {
 			panic(fmt.Sprintf("sched: aborting busy %v", r))

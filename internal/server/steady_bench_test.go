@@ -69,8 +69,8 @@ func benchRuntime(b *testing.B) *runtime.Runtime {
 // runtime submit → scheduler → pipelined micro-batch steps → token delivery
 // → SSE encode — with streaming completions and reports steady-state
 // tokens/sec and allocs/token. b.N counts delivered tokens, so ns/op and
-// allocs/op read directly as per-token figures. Results are recorded in
-// results/BENCH_steady_state.json (regenerate with `make bench-steady`).
+// allocs/op read directly as per-token figures. The committed yardstick for
+// this regime is the benchmark/ workload decode_stream (`make bench`).
 func BenchmarkServeSteadyState(b *testing.B) {
 	const (
 		streams   = 16  // concurrent SSE clients
