@@ -93,8 +93,12 @@ cluster-trace-smoke:
 	$$tmp/gllm-tracecheck -requests $$tmp/req.json
 
 # trace-smoke round-trips a short simulation's -trace-out file through the
-# obs Chrome-trace decoder (gllm-tracecheck exits nonzero on a bad trace).
+# obs Chrome-trace decoder for each engine gllm-sim drives — pipeline (4
+# stage lanes), tensor (one fused device) and token-parallel (one lane per
+# rank); gllm-tracecheck exits nonzero on a bad trace or a lane mismatch.
 trace-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) run ./cmd/gllm-sim -rate 2 -window 5s -trace-out $$tmp/spans.json >/dev/null && \
-	$(GO) run ./cmd/gllm-tracecheck -stages 4 $$tmp/spans.json
+	for run in pp:4 tp:1 tknp:4; do \
+		$(GO) run ./cmd/gllm-sim -parallelism $${run%:*} -rate 2 -window 5s -trace-out $$tmp/spans.json >/dev/null && \
+		$(GO) run ./cmd/gllm-tracecheck -stages $${run#*:} $$tmp/spans.json || exit 1; \
+	done

@@ -7,7 +7,7 @@
 //	gllm-sim -model Qwen2.5-14B -sched sarathi -runtime vllm -rate 8 -dataset azure
 //	gllm-sim -model Llama3.1-100B -gpu A800-80GB -nodes 4 -gpus-per-node 1 -rate 0.5
 //	gllm-sim -parallelism tp -sched sarathi -runtime sglang -rate 2
-//	gllm-sim -sched gllm -rate 4 -chrome-trace trace.json -iters-csv iters.csv
+//	gllm-sim -sched gllm -rate 4 -trace-out trace.json -iters-csv iters.csv
 package main
 
 import (
@@ -49,7 +49,6 @@ func main() {
 		maxP        = flag.Int("maxp", 2048, "gLLM #MaxP")
 		minP        = flag.Int("minp", 32, "gLLM #MinP")
 		kvThresh    = flag.Float64("kvthresh", 0.05, "gLLM KV_thresh")
-		chromeTrace = flag.String("chrome-trace", "", "write a Chrome trace JSON of the pipeline timeline")
 		itersCSV    = flag.String("iters-csv", "", "write per-iteration token counts as CSV")
 		utilCSV     = flag.String("util-csv", "", "write per-stage utilization samples as CSV")
 		sloTTFT     = flag.Duration("slo-ttft", 0, "report SLO attainment with this TTFT limit")
@@ -73,7 +72,7 @@ func main() {
 	if err := run(*modelName, *gpuName, *nodes, *gpusPerNode, *parallelism, *rootTP, *schedName,
 		*runtimeName, *datasetName, *tracePath, *rate, *window, *seed, *memUtil, *budget,
 		core.Params{IterT: *iterT, MaxP: *maxP, MinP: *minP, KVThresh: *kvThresh},
-		*chromeTrace, *itersCSV, *utilCSV, *sloTTFT, *sloTPOT, opts); err != nil {
+		*itersCSV, *utilCSV, *sloTTFT, *sloTPOT, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "gllm-sim:", err)
 		os.Exit(1)
 	}
@@ -92,7 +91,7 @@ type simOptions struct {
 func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, rootTP int,
 	schedName, runtimeName, datasetName, tracePath string, rate float64, window time.Duration,
 	seed uint64, memUtil float64, budget int, params core.Params,
-	chromeTrace, itersCSV, utilCSV string, sloTTFT, sloTPOT time.Duration,
+	itersCSV, utilCSV string, sloTTFT, sloTPOT time.Duration,
 	opts simOptions) error {
 
 	if parallelism == "tokenpar" {
@@ -172,7 +171,6 @@ func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, 
 		MemUtil:           memUtil,
 		Scheduler:         s,
 		Runtime:           rt,
-		EnableTrace:       chromeTrace != "",
 		EnableCPP:         opts.enableCPP,
 		EnablePrefixCache: opts.prefixCache,
 	}
@@ -244,17 +242,6 @@ func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, 
 		acc := rec.AccountOver(res.Makespan)
 		fmt.Printf("trace-out: %s (%d spans, %d dropped)\n", opts.traceOut, acc.Spans, acc.Dropped)
 		fmt.Print(acc.String())
-	}
-	if chromeTrace != "" && res.Trace != nil {
-		f, err := os.Create(chromeTrace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := res.Trace.WriteChrome(f); err != nil {
-			return err
-		}
-		fmt.Printf("chrome trace: %s (%d spans)\n", chromeTrace, res.Trace.Len())
 	}
 	if itersCSV != "" {
 		f, err := os.Create(itersCSV)

@@ -8,7 +8,10 @@
 // attention over it, queries scatter and attention outputs gather each
 // layer). All engines share the scheduler framework, the paged KV cache,
 // the GPU roofline cost model and the network link model, and differ only
-// in how a scheduled micro-batch maps onto hardware time.
+// in how a scheduled micro-batch maps onto hardware time: kernel.go owns
+// the one iteration loop, and each engine file supplies the strategy that
+// prices a batch shape onto sim.Resources and records its spans (DESIGN.md
+// §9).
 package engine
 
 import (
@@ -24,8 +27,6 @@ import (
 	"gllm/internal/request"
 	"gllm/internal/sched"
 	"gllm/internal/stats"
-	"gllm/internal/trace"
-	"gllm/internal/workload"
 )
 
 // BatchObserver receives the engine's scheduling-loop callbacks, one
@@ -164,10 +165,8 @@ type Config struct {
 	// GPUs. A nil recorder costs nothing on the micro-batch path.
 	Spans *obs.Recorder
 
-	// EnableTrace records per-stage spans (Chrome-trace exportable).
-	EnableTrace bool
 	// UtilSampleEvery, when positive, samples per-stage utilization on that
-	// period (Figure 4's time series).
+	// period (Figure 4's time series), one series per Result.StageBusy entry.
 	UtilSampleEvery time.Duration
 	// MaxVirtualTime aborts runs exceeding this much simulated time
 	// (default 4h): a guard against scheduling deadlocks.
@@ -225,9 +224,7 @@ type Result struct {
 	Iterations    []IterRecord
 	// StageUtil holds one utilization time series per stage when sampling
 	// was enabled.
-	StageUtil []*stats.TimeSeries
-	// Trace holds per-stage spans when tracing was enabled.
-	Trace       *trace.Trace
+	StageUtil   []*stats.TimeSeries
 	Preemptions int
 	Injections  int
 	// Makespan is the virtual time of the last request completion.
@@ -274,27 +271,4 @@ func (r *Result) DecodePerIteration() []float64 {
 		out[i] = float64(it.Decode)
 	}
 	return out
-}
-
-// validateWorkload rejects traces the deployment can never serve (a single
-// request larger than the KV cache would deadlock any scheduler; real
-// engines reject these at admission).
-func validateWorkload(items []workload.Item, kvCapacity int64) error {
-	if err := workload.Validate(items); err != nil {
-		return err
-	}
-	for i, it := range items {
-		if need := int64(it.PromptLen + it.OutputLen); need > kvCapacity {
-			return fmt.Errorf("engine: request %d needs %d KV tokens, capacity %d: %w", i, need, kvCapacity, ErrModelDoesNotFit)
-		}
-	}
-	return nil
-}
-
-// newRequest builds the engine-side request for a trace item.
-func newRequest(id int64, it workload.Item) *request.Request {
-	r := request.New(id, it.Arrival, it.PromptLen, it.OutputLen)
-	r.PrefixGroup = it.PrefixGroup
-	r.SharedPrefixLen = it.SharedPrefixLen
-	return r
 }

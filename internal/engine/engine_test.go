@@ -7,6 +7,7 @@ import (
 	"gllm/internal/gpu"
 	"gllm/internal/model"
 	"gllm/internal/network"
+	"gllm/internal/obs"
 	"gllm/internal/sched"
 	"gllm/internal/stats"
 	"gllm/internal/workload"
@@ -164,20 +165,24 @@ func TestUtilizationSampling(t *testing.T) {
 
 func TestTraceRecording(t *testing.T) {
 	cfg := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
-	cfg.EnableTrace = true
+	rec := obs.NewRecorder(cfg.Topo.GPUs(), 0)
+	cfg.Spans = rec
 	items := workload.Uniform(5, 200, 20, time.Second)
 	res, err := RunPipeline(cfg, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Trace.Len() == 0 {
-		t.Fatal("no trace recorded")
-	}
 	// Every injection crosses all 4 stages exactly once.
-	if res.Trace.Len() != res.Injections*4 {
-		t.Fatalf("spans = %d, want %d", res.Trace.Len(), res.Injections*4)
+	execSpans := 0
+	for _, s := range rec.Spans() {
+		if s.Kind == obs.KindExec {
+			execSpans++
+		}
 	}
-	if bf := res.Trace.BubbleFraction(); bf < 0 || bf >= 1 {
+	if execSpans == 0 || execSpans != res.Injections*4 {
+		t.Fatalf("exec spans = %d, want %d", execSpans, res.Injections*4)
+	}
+	if bf := rec.AccountOver(res.Makespan).BubbleRate; bf < 0 || bf >= 1 {
 		t.Fatalf("trace bubble fraction = %v", bf)
 	}
 }

@@ -45,13 +45,25 @@ func TestRunTensorModelDoesNotFit(t *testing.T) {
 
 func TestOversizedRequestIsCapacityError(t *testing.T) {
 	// The model fits, but one request exceeds the whole KV capacity: same
-	// capacity class, same sentinel.
-	_, err := RunPipeline(tinyCfg(model.Qwen25_14B, 4), []workload.Item{{PromptLen: 1 << 24, OutputLen: 8}})
-	if err == nil {
-		t.Fatal("oversized request accepted")
-	}
-	if !errors.Is(err, ErrModelDoesNotFit) {
-		t.Fatalf("error not ErrModelDoesNotFit: %v", err)
+	// capacity class, same sentinel, on every engine.
+	cfg := tinyCfg(model.Qwen25_14B, 4)
+	huge := []workload.Item{{PromptLen: 1 << 24, OutputLen: 8}}
+	for _, tc := range []struct {
+		engine string
+		run    func() (*Result, error)
+	}{
+		{"pipeline", func() (*Result, error) { return RunPipeline(cfg, huge) }},
+		{"tensor", func() (*Result, error) { return RunTensor(cfg, huge) }},
+		{"tokenpar", func() (*Result, error) { return RunTokenParallel(TokenParallelConfig{Config: cfg, RootTP: 2}, huge) }},
+		{"disagg", func() (*Result, error) { return RunDisaggregated(DisaggConfig{Config: cfg, PrefillGPUs: 2}, huge) }},
+	} {
+		_, err := tc.run()
+		if err == nil {
+			t.Fatalf("%s: oversized request accepted", tc.engine)
+		}
+		if !errors.Is(err, ErrModelDoesNotFit) {
+			t.Fatalf("%s: error not ErrModelDoesNotFit: %v", tc.engine, err)
+		}
 	}
 }
 

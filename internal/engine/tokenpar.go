@@ -5,11 +5,8 @@ import (
 	"time"
 
 	"gllm/internal/gpu"
-	"gllm/internal/kvcache"
-	"gllm/internal/metrics"
 	"gllm/internal/network"
 	"gllm/internal/obs"
-	"gllm/internal/sched"
 	"gllm/internal/sim"
 	"gllm/internal/workload"
 )
@@ -26,35 +23,6 @@ type TokenParallelConfig struct {
 	// RootTP is the tensor-parallel degree of the weight-holding root
 	// group (default 1: a single root rank).
 	RootTP int
-}
-
-// tokenParRun is the live state of one token-parallel simulation. Like the
-// tensor engine it runs one whole-model iteration at a time (pipeline
-// depth 1); the per-iteration price decomposes into root compute, scatter,
-// partitioned attention, and gather.
-type tokenParRun struct {
-	cfg       TokenParallelConfig
-	eng       *sim.Engine
-	cost      gpu.CostModel
-	pool      *sched.Pool
-	obs       BatchObserver
-	group     *sim.Resource
-	driverCPU *sim.Resource
-
-	running    bool
-	injections int
-	collector  metrics.Collector
-	iterations []IterRecord
-	commBytes  int64
-
-	rootBusy time.Duration // per-root-rank exec time (projections + MLP)
-	peerBusy time.Duration // per-rank attention exec time
-
-	pendingArrivals int
-	finishedCount   int
-	totalRequests   int
-	lastFinish      time.Duration
-	aborted         error
 }
 
 // tknpIterCost is the per-iteration price breakdown of one scheduled batch.
@@ -108,8 +76,8 @@ func tokenParallelIterationTime(cost gpu.CostModel, topo network.Topology, rootT
 // deployment spanning all GPUs in cfg.Topo. The scheduler sees a pipeline
 // depth of 1: one in-flight batch over the whole model per iteration.
 func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, error) {
-	cfg.applyDefaults()
-	if err := cfg.validate(); err != nil {
+	r, err := newRun(&cfg.Config)
+	if err != nil {
 		return nil, err
 	}
 	n := cfg.Topo.GPUs()
@@ -119,178 +87,66 @@ func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, 
 	if cfg.RootTP < 1 || cfg.RootTP > n {
 		return nil, fmt.Errorf("engine: TKNP root TP degree %d out of [1,%d]", cfg.RootTP, n)
 	}
-	cost := gpu.NewCostModel(cfg.Model, cfg.GPU)
-	kvCap := cost.KVCapacityTokensTKNP(n, cfg.RootTP, cfg.MemUtil)
+	kvCap := r.cost.KVCapacityTokensTKNP(n, cfg.RootTP, cfg.MemUtil)
 	if kvCap < int64(cfg.KVBlockSize) {
 		return nil, fmt.Errorf("engine: %s on %d x %s under TKNP (root TP %d, KV capacity %d tokens): %w",
 			cfg.Model.Name, n, cfg.GPU.Name, cfg.RootTP, kvCap, ErrModelDoesNotFit)
 	}
-	if err := validateWorkload(items, kvCap); err != nil {
-		return nil, err
-	}
-
-	r := &tokenParRun{
-		cfg:             cfg,
-		eng:             sim.New(),
-		cost:            cost,
-		pool:            sched.NewPool(kvcache.New(kvCap, cfg.KVBlockSize), 1),
-		pendingArrivals: len(items),
-		totalRequests:   len(items),
-	}
-	r.group = sim.NewResource(r.eng, "tknp-group")
-	r.driverCPU = sim.NewResource(r.eng, "driver-cpu")
-
-	r.pool.EnablePrefixCache = cfg.EnablePrefixCache
-	r.pool.AllowPipelinedChunks = cfg.EnableCPP
-	if cfg.Observer != nil {
-		r.obs = cfg.Observer(r.pool, cfg.Scheduler)
-	}
-	for i, it := range items {
-		id := int64(i)
-		item := it
-		r.eng.At(item.Arrival, func() {
-			r.pendingArrivals--
-			r.pool.Add(newRequest(id, item))
-			r.tryInject()
-		})
-	}
-
-	r.eng.Run()
-	if r.aborted != nil {
-		return nil, r.aborted
-	}
-	if r.finishedCount != r.totalRequests {
-		return nil, fmt.Errorf("engine: only %d/%d requests finished (scheduling deadlock?)",
-			r.finishedCount, r.totalRequests)
-	}
-	if r.obs != nil {
-		if err := r.obs.Final(r.eng.Now()); err != nil {
-			return nil, err
-		}
-	}
-
-	makespan := r.lastFinish
-	stageBusy := make([]time.Duration, n)
-	var busySum time.Duration
-	for s := range stageBusy {
-		busy := r.peerBusy
-		if s < cfg.RootTP {
-			busy += r.rootBusy
-		}
-		stageBusy[s] = busy
-		busySum += busy
-	}
-	res := &Result{
-		SchedulerName:    cfg.Scheduler.Name(),
-		RuntimeName:      cfg.Runtime.Name,
-		Requests:         r.totalRequests,
-		Report:           r.collector.Report(makespan),
-		Collector:        &r.collector,
-		Iterations:       r.iterations,
-		Preemptions:      r.pool.Preemptions(),
-		Injections:       r.injections,
-		Makespan:         makespan,
-		KVCapacityTokens: kvCap,
-		StageBusy:        stageBusy,
-		TknpCommBytes:    r.commBytes,
-	}
-	if makespan > 0 {
-		res.BubbleFraction = 1 - float64(busySum)/(float64(makespan)*float64(n))
-	}
-	return res, nil
+	r.addLoop(kvCap, 1, cfg.Scheduler, &tknpGroup{ranks: n, rootTP: cfg.RootTP, group: sim.NewResource(r.eng, "tknp-group")})
+	return r.serve(items, cfg.Scheduler.Name(), kvCap)
 }
 
-func (r *tokenParRun) tryInject() {
-	if r.aborted != nil || r.running {
-		return
-	}
-	if r.eng.Now() > r.cfg.MaxVirtualTime {
-		r.aborted = fmt.Errorf("engine: exceeded MaxVirtualTime %v (deadlock or overload)", r.cfg.MaxVirtualTime)
-		return
-	}
-	if r.obs != nil {
-		r.obs.BeforeSchedule(r.eng.Now())
-	}
-	b := r.cfg.Scheduler.Schedule(r.pool, r.eng.Now())
-	if r.obs != nil {
-		r.obs.AfterSchedule(b, r.eng.Now())
-		if err := r.obs.Err(); err != nil {
-			r.aborted = err
-			return
-		}
-	}
-	if b.Empty() {
-		return
-	}
-	r.running = true
-	r.injections++
-	shape := b.Shape()
-	r.iterations = append(r.iterations, IterRecord{
-		Time:    r.eng.Now(),
-		Prefill: b.PrefillTokens(),
-		Decode:  b.DecodeTokens(),
+// tknpGroup is the token-parallel strategy. Like the tensor engine it runs
+// one whole-model iteration at a time on one fused resource; rank busy time
+// is booked from the iteration's price breakdown as it ends.
+type tknpGroup struct {
+	ranks, rootTP int
+	group         *sim.Resource
+	rootBusy      time.Duration // per-root-rank exec time (projections + MLP)
+	peerBusy      time.Duration // per-rank attention exec time
+}
+
+func (g *tknpGroup) execute(mb *microBatch) {
+	r := mb.loop.run
+	iter := tokenParallelIterationTime(r.cost, r.cfg.Topo, g.rootTP, mb.shape)
+	g.group.Submit(iter.total, func() {
+		g.recordSpans(r.cfg.Spans, mb.seq, mb.shape.Tokens(), r.eng.Now(), iter)
+		g.rootBusy += iter.root
+		g.peerBusy += iter.peer
+		r.tknpCommBytes += iter.bytes
+		mb.loop.retire(mb)
 	})
-	iter := tokenParallelIterationTime(r.cost, r.cfg.Topo, r.cfg.RootTP, shape)
-	seq := r.injections
-	run := func() {
-		r.group.Submit(iter.total, func() {
-			if r.aborted != nil {
-				return
-			}
-			now := r.eng.Now()
-			r.recordSpans(seq, shape.Tokens(), now, iter)
-			r.rootBusy += iter.root
-			r.peerBusy += iter.peer
-			r.commBytes += iter.bytes
-			finished := r.pool.Complete(b, r.eng.Now())
-			for _, f := range finished {
-				r.collector.Observe(f)
-				r.finishedCount++
-				r.lastFinish = r.eng.Now()
-			}
-			r.running = false
-			if r.obs != nil {
-				r.obs.AfterComplete(b, finished, r.eng.Now())
-				if err := r.obs.Err(); err != nil {
-					r.aborted = err
-					return
-				}
-			}
-			r.tryInject()
-		})
+}
+
+// stageBusy reports one entry per rank: every rank runs attention over its
+// KV partition, the root ranks the projections and MLP on top.
+func (g *tknpGroup) stageBusy(dst []time.Duration) []time.Duration {
+	for s := 0; s < g.ranks; s++ {
+		busy := g.peerBusy
+		if s < g.rootTP {
+			busy += g.rootBusy
+		}
+		dst = append(dst, busy)
 	}
-	prep := r.cfg.Runtime.PrepTime(len(b.Chunks)+len(b.Decodes), b.Tokens())
-	if r.cfg.Runtime.Coupled {
-		r.driverCPU.Submit(prep, func() {
-			now := r.eng.Now()
-			r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, seq, shape.Tokens(), now-prep, now)
-			run()
-		})
-	} else if prep > 0 {
-		now := r.eng.Now()
-		r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, seq, shape.Tokens(), now, now+prep)
-		r.eng.After(prep, run)
-	} else {
-		run()
-	}
+	return dst
 }
 
 // recordSpans emits the iteration's spans: root exec on the weight-holding
 // ranks, one transfer span for the scatter/gather traffic, and a
 // partitioned-attention exec span on every rank. The segments tile the
 // iteration window exactly (total == root + comm + peer).
-func (r *tokenParRun) recordSpans(seq, tokens int, end time.Duration, iter tknpIterCost) {
-	if r.cfg.Spans == nil {
+func (g *tknpGroup) recordSpans(spans *obs.Recorder, seq, tokens int, end time.Duration, iter tknpIterCost) {
+	if spans == nil {
 		return
 	}
 	start := end - iter.total
 	rootEnd := start + iter.root
 	commEnd := rootEnd + iter.comm
-	for s := 0; s < r.cfg.RootTP; s++ {
-		r.cfg.Spans.Record(s, obs.KindExec, seq, tokens, start, rootEnd)
+	for s := 0; s < g.rootTP; s++ {
+		spans.Record(s, obs.KindExec, seq, tokens, start, rootEnd)
 	}
-	r.cfg.Spans.Record(0, obs.KindXfer, seq, tokens, rootEnd, commEnd)
-	for s := 0; s < r.cfg.Topo.GPUs(); s++ {
-		r.cfg.Spans.Record(s, obs.KindExec, seq, tokens, commEnd, end)
+	spans.Record(0, obs.KindXfer, seq, tokens, rootEnd, commEnd)
+	for s := 0; s < g.ranks; s++ {
+		spans.Record(s, obs.KindExec, seq, tokens, commEnd, end)
 	}
 }

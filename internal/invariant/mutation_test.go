@@ -133,16 +133,19 @@ func (w *wpForgetter) Schedule(p *sched.Pool, now time.Duration) *sched.Batch {
 	return w.inner.Schedule(p, now)
 }
 
-func runMutant(t *testing.T, mk func() sched.Scheduler, seed uint64) error {
-	t.Helper()
-	return runMutantOn(t, "pipeline", mk, seed)
-}
-
-func runMutantOn(t *testing.T, eng string, mk func() sched.Scheduler, seed uint64) error {
+// detectOnEveryLoop plants one mutant under each engine whose scheduler the
+// caller chooses — pipeline (depth slots), tensor and tokenpar (one slot) —
+// and demands the named invariant from all three. The disaggregated engine
+// fixes its replicas' policy, so no mutant can reach it.
+func detectOnEveryLoop(t *testing.T, seed uint64, invariant string, mk func() sched.Scheduler) {
 	t.Helper()
 	items := Workload(stats.NewRNG(seed), 120, 96, 48)
-	_, err := RunCombo(Combo{Engine: eng, Make: mk}, items, Options{})
-	return err
+	for _, eng := range []string{"pipeline", "tensor", "tokenpar"} {
+		t.Run(eng, func(t *testing.T) {
+			_, err := RunCombo(Combo{Engine: eng, Make: mk}, items, Options{})
+			wantViolation(t, err, invariant)
+		})
+	}
 }
 
 func wantViolation(t *testing.T, err error, invariant string) Violation {
@@ -161,54 +164,27 @@ func wantViolation(t *testing.T, err error, invariant string) Violation {
 }
 
 func TestMutationOverBudgetDetected(t *testing.T) {
-	err := runMutant(t, func() sched.Scheduler {
+	detectOnEveryLoop(t, 11, InvBatchBudget, func() sched.Scheduler {
 		return &overBudget{inner: sched.NewSarathi(256), declared: 64}
-	}, 11)
-	wantViolation(t, err, InvBatchBudget)
+	})
 }
 
 func TestMutationKVLeakDetected(t *testing.T) {
-	err := runMutant(t, func() sched.Scheduler {
+	detectOnEveryLoop(t, 12, InvKVOwnership, func() sched.Scheduler {
 		return &kvLeaker{inner: sched.NewSarathi(256), leakAt: 3}
-	}, 12)
-	wantViolation(t, err, InvKVOwnership)
+	})
 }
 
 func TestMutationFIFOReorderDetected(t *testing.T) {
-	err := runMutant(t, func() sched.Scheduler { return fifoBreaker{} }, 13)
-	wantViolation(t, err, InvPrefillFIFO)
+	detectOnEveryLoop(t, 13, InvPrefillFIFO, func() sched.Scheduler { return fifoBreaker{} })
 }
 
 func TestMutationForgottenWaitingPrefillDetected(t *testing.T) {
 	// A 32-token budget splits most prompts into several chunks, so a
 	// mid-prefill request between chunks exists within the first batches.
-	err := runMutant(t, func() sched.Scheduler {
+	detectOnEveryLoop(t, 14, InvWaitingPrefill, func() sched.Scheduler {
 		return &wpForgetter{inner: sched.NewSarathi(32)}
-	}, 14)
-	wantViolation(t, err, InvWaitingPrefill)
-}
-
-// TestMutationsDetectedOnTokenParallel re-runs all four mutants on the
-// TKNP engine: the checker's token-conservation, KV-residency and FIFO
-// oracles must hold over the fourth engine's scheduling loop too.
-func TestMutationsDetectedOnTokenParallel(t *testing.T) {
-	err := runMutantOn(t, "tokenpar", func() sched.Scheduler {
-		return &overBudget{inner: sched.NewSarathi(256), declared: 64}
-	}, 21)
-	wantViolation(t, err, InvBatchBudget)
-
-	err = runMutantOn(t, "tokenpar", func() sched.Scheduler {
-		return &kvLeaker{inner: sched.NewSarathi(256), leakAt: 3}
-	}, 22)
-	wantViolation(t, err, InvKVOwnership)
-
-	err = runMutantOn(t, "tokenpar", func() sched.Scheduler { return fifoBreaker{} }, 23)
-	wantViolation(t, err, InvPrefillFIFO)
-
-	err = runMutantOn(t, "tokenpar", func() sched.Scheduler {
-		return &wpForgetter{inner: sched.NewSarathi(32)}
-	}, 24)
-	wantViolation(t, err, InvWaitingPrefill)
+	})
 }
 
 // TestShrinkMinimizesMutantTrace: the FIFO mutant's 120-request failing

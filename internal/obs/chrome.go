@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -102,16 +103,16 @@ func (d *DecodedTrace) Account(window time.Duration) Accounting {
 	return AccountSpans(d.Spans, max(d.Stages, 1), window)
 }
 
-// ReadChrome decodes and validates Chrome trace-event JSON produced by
-// WriteChrome (the trace-smoke round-trip in `make check`). It accepts both
-// the bare-array format and the {"traceEvents": [...]} object format, and
-// rejects events that violate the schema: unknown phases, negative
-// timestamps or durations, exec/xfer spans missing stage/kind args, or
-// kind/lane mismatches.
-func ReadChrome(rd io.Reader) (*DecodedTrace, error) {
+// readChromeEvents is the decode both trace readers share. It accepts the
+// bare-array format and the {"traceEvents": [...]} object format, decodes
+// each event strictly (unknown fields are errors), skips lane metadata,
+// rejects unknown phases and missing, negative or NaN ts/dur, and hands every
+// complete ("X") event to visit with its interval in nanoseconds. Errors,
+// visit's included, are reported under the event's index.
+func readChromeEvents(rd io.Reader, visit func(ev chromeEvent, start, end time.Duration) error) error {
 	raw, err := io.ReadAll(rd)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var events []json.RawMessage
 	if err := json.Unmarshal(raw, &events); err != nil {
@@ -119,78 +120,90 @@ func ReadChrome(rd io.Reader) (*DecodedTrace, error) {
 			TraceEvents []json.RawMessage `json:"traceEvents"`
 		}
 		if err2 := json.Unmarshal(raw, &obj); err2 != nil || obj.TraceEvents == nil {
-			return nil, fmt.Errorf("obs: not a trace-event array or object: %v", err)
+			return fmt.Errorf("obs: not a trace-event array or object: %v", err)
 		}
 		events = obj.TraceEvents
 	}
-
-	out := &DecodedTrace{}
 	for i, rawEv := range events {
 		var ev chromeEvent
 		dec := json.NewDecoder(bytes.NewReader(rawEv))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ev); err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
-		}
-		switch ev.Ph {
-		case "M":
+		err := dec.Decode(&ev)
+		switch {
+		case err != nil:
+		case ev.Ph == "M":
 			continue // lane metadata
-		case "X":
+		case ev.Ph != "X":
+			err = fmt.Errorf("unsupported phase %q", ev.Ph)
+		case ev.Ts < 0 || math.IsNaN(ev.Ts):
+			err = fmt.Errorf("bad ts %v", ev.Ts)
+		case ev.Dur == nil || *ev.Dur < 0 || math.IsNaN(*ev.Dur):
+			err = errors.New("missing or negative dur")
 		default:
-			return nil, fmt.Errorf("obs: event %d: unsupported phase %q", i, ev.Ph)
+			// Round, don't truncate: ts/dur are float microseconds, and two
+			// spans sharing an endpoint take different float paths (ts+dur
+			// each), so truncation can land them 1ns apart. The float error
+			// is far below 0.5ns, so rounding recovers the exact original ns.
+			err = visit(ev,
+				time.Duration(math.Round(ev.Ts*float64(time.Microsecond))),
+				time.Duration(math.Round((ev.Ts+*ev.Dur)*float64(time.Microsecond))))
 		}
+		if err != nil {
+			return fmt.Errorf("obs: event %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// ReadChrome decodes and validates Chrome trace-event JSON produced by
+// WriteChrome (the trace-smoke round-trip in `make check`). On top of
+// readChromeEvents' checks it rejects exec/xfer spans missing stage/kind
+// args and kind/lane mismatches.
+func ReadChrome(rd io.Reader) (*DecodedTrace, error) {
+	out := &DecodedTrace{}
+	err := readChromeEvents(rd, func(ev chromeEvent, start, end time.Duration) error {
 		if ev.Name == "" {
-			return nil, fmt.Errorf("obs: event %d: empty name", i)
-		}
-		if ev.Ts < 0 || math.IsNaN(ev.Ts) {
-			return nil, fmt.Errorf("obs: event %d: bad ts %v", i, ev.Ts)
-		}
-		if ev.Dur == nil || *ev.Dur < 0 || math.IsNaN(*ev.Dur) {
-			return nil, fmt.Errorf("obs: event %d: missing or negative dur", i)
+			return errors.New("empty name")
 		}
 		kindName, ok := ev.Args["kind"].(string)
 		if !ok {
-			return nil, fmt.Errorf("obs: event %d: missing args.kind", i)
+			return errors.New("missing args.kind")
 		}
 		kind, err := KindByName(kindName)
 		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
+			return err
 		}
 		stage, err := argInt(ev.Args, "stage")
 		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
+			return err
 		}
 		seq, err := argInt(ev.Args, "seq")
 		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
+			return err
 		}
 		tokens, err := argInt(ev.Args, "tokens")
 		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
+			return err
 		}
 		if kind == KindPrep {
 			if stage != PrepStage {
-				return nil, fmt.Errorf("obs: event %d: prep span on stage %d", i, stage)
+				return fmt.Errorf("prep span on stage %d", stage)
 			}
 		} else if stage < 0 {
-			return nil, fmt.Errorf("obs: event %d: %v span on stage %d", i, kind, stage)
+			return fmt.Errorf("%v span on stage %d", kind, stage)
 		}
-		s := Span{
-			Start:  time.Duration(ev.Ts * float64(time.Microsecond)),
-			End:    time.Duration((ev.Ts + *ev.Dur) * float64(time.Microsecond)),
-			Seq:    int32(seq),
-			Tokens: int32(tokens),
-			Stage:  int16(stage),
-			Kind:   kind,
-		}
+		s := Span{Start: start, End: end, Seq: int32(seq), Tokens: int32(tokens), Stage: int16(stage), Kind: kind}
 		if want := spanTid(s); ev.Tid != want {
-			return nil, fmt.Errorf("obs: event %d: %v span for stage %d on tid %d, want %d",
-				i, kind, stage, ev.Tid, want)
+			return fmt.Errorf("%v span for stage %d on tid %d, want %d", kind, stage, ev.Tid, want)
 		}
 		out.Spans = append(out.Spans, s)
 		if kind != KindPrep && stage+1 > out.Stages {
 			out.Stages = stage + 1
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(out.Spans) == 0 {
 		return nil, fmt.Errorf("obs: trace contains no spans")

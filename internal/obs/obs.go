@@ -215,7 +215,7 @@ func (r *Recorder) Spans() []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total <= uint64(len(r.ring)) {
+	if r.total < uint64(len(r.ring)) {
 		return append([]Span(nil), r.ring[:r.next]...)
 	}
 	out := make([]Span, 0, len(r.ring))

@@ -181,6 +181,35 @@ func TestChromeRoundTrip(t *testing.T) {
 	}
 }
 
+// Odd-nanosecond spans must survive the float-microsecond wire format
+// exactly: the decoder rounds, it does not truncate (about one start in 170
+// and one end in 17 would otherwise come back 1ns early).
+func TestReadChromeExactNanosecondRoundTrip(t *testing.T) {
+	const n = 2000
+	r := NewRecorder(2, n) // filled exactly: next wraps to 0 with nothing dropped
+	for i := 0; i < n; i++ {
+		start := time.Duration(i*997 + 1)
+		r.Record(i%2, KindExec, i, 1, start, start+777)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := ReadChrome(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.Spans() // recorded in start order, which WriteChrome keeps
+	if len(dec.Spans) != len(want) {
+		t.Fatalf("decoded %d spans, want %d", len(dec.Spans), len(want))
+	}
+	for i, got := range dec.Spans {
+		if got != want[i] {
+			t.Fatalf("span %d decoded as %+v, recorded as %+v", i, got, want[i])
+		}
+	}
+}
+
 func TestReadChromeObjectFormat(t *testing.T) {
 	r := NewRecorder(1, 4)
 	r.Record(0, KindExec, 1, 8, 0, time.Millisecond)

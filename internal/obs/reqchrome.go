@@ -1,11 +1,10 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -133,94 +132,51 @@ func (d *DecodedReqTrace) Traces() []TraceID {
 // enforced at decode time — a trace pinned to two lanes, or two traces
 // sharing one lane, is a hard error.
 func ReadChromeRequests(rd io.Reader) (*DecodedReqTrace, error) {
-	raw, err := io.ReadAll(rd)
-	if err != nil {
-		return nil, err
-	}
-	var events []json.RawMessage
-	if err := json.Unmarshal(raw, &events); err != nil {
-		var obj struct {
-			TraceEvents []json.RawMessage `json:"traceEvents"`
-		}
-		if err2 := json.Unmarshal(raw, &obj); err2 != nil || obj.TraceEvents == nil {
-			return nil, fmt.Errorf("obs: not a trace-event array or object: %v", err)
-		}
-		events = obj.TraceEvents
-	}
-
 	out := &DecodedReqTrace{
 		Lanes: make(map[TraceID]int),
 		ByID:  make(map[TraceID][]ReqSpan),
 	}
 	laneOwner := make(map[int]TraceID)
-	for i, rawEv := range events {
-		var ev chromeEvent
-		dec := json.NewDecoder(bytes.NewReader(rawEv))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&ev); err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
-		}
-		switch ev.Ph {
-		case "M":
-			continue
-		case "X":
-		default:
-			return nil, fmt.Errorf("obs: event %d: unsupported phase %q", i, ev.Ph)
-		}
-		if ev.Ts < 0 || math.IsNaN(ev.Ts) {
-			return nil, fmt.Errorf("obs: event %d: bad ts %v", i, ev.Ts)
-		}
-		if ev.Dur == nil || *ev.Dur < 0 || math.IsNaN(*ev.Dur) {
-			return nil, fmt.Errorf("obs: event %d: missing or negative dur", i)
-		}
+	err := readChromeEvents(rd, func(ev chromeEvent, start, end time.Duration) error {
 		traceStr, ok := ev.Args["trace"].(string)
 		if !ok {
-			return nil, fmt.Errorf("obs: event %d: missing args.trace", i)
+			return errors.New("missing args.trace")
 		}
 		trace, ok := ParseTraceID(traceStr)
 		if !ok {
-			return nil, fmt.Errorf("obs: event %d: bad trace ID %q", i, traceStr)
+			return fmt.Errorf("bad trace ID %q", traceStr)
 		}
 		name, ok := ev.Args["name"].(string)
 		if !ok || name == "" {
-			return nil, fmt.Errorf("obs: event %d: missing args.name", i)
+			return errors.New("missing args.name")
 		}
 		side, ok := ev.Args["side"].(string)
 		if !ok || (side != SideRouter && side != SideReplica) {
-			return nil, fmt.Errorf("obs: event %d: bad args.side %v", i, ev.Args["side"])
+			return fmt.Errorf("bad args.side %v", ev.Args["side"])
 		}
 		attempt, err := argInt(ev.Args, "attempt")
 		if err != nil {
-			return nil, fmt.Errorf("obs: event %d: %w", i, err)
+			return err
 		}
 		detail, _ := ev.Args["detail"].(string)
 		if ev.Tid < reqTidBase {
-			return nil, fmt.Errorf("obs: event %d: request span on non-request lane tid %d", i, ev.Tid)
+			return fmt.Errorf("request span on non-request lane tid %d", ev.Tid)
 		}
 		if prev, seen := out.Lanes[trace]; seen && prev != ev.Tid {
-			return nil, fmt.Errorf("obs: trace %s split across lanes %d and %d", trace, prev, ev.Tid)
+			return fmt.Errorf("trace %s split across lanes %d and %d", trace, prev, ev.Tid)
 		}
 		if owner, seen := laneOwner[ev.Tid]; seen && owner != trace {
-			return nil, fmt.Errorf("obs: lane %d shared by traces %s and %s", ev.Tid, owner, trace)
+			return fmt.Errorf("lane %d shared by traces %s and %s", ev.Tid, owner, trace)
 		}
 		out.Lanes[trace] = ev.Tid
 		laneOwner[ev.Tid] = trace
-		s := ReqSpan{
-			Trace:   trace,
-			Name:    name,
-			Side:    side,
-			Detail:  detail,
-			Attempt: int32(attempt),
-			// Round, don't truncate: ts/dur are float microseconds, and
-			// two spans sharing a wall-clock endpoint take different
-			// float paths (ts+dur each), so truncation can land them 1ns
-			// apart and break root containment. The float error is far
-			// below 0.5ns, so rounding recovers the exact original ns.
-			Start: time.Duration(math.Round(ev.Ts * float64(time.Microsecond))),
-			End:   time.Duration(math.Round((ev.Ts + *ev.Dur) * float64(time.Microsecond))),
-		}
+		s := ReqSpan{Trace: trace, Name: name, Side: side, Detail: detail, Attempt: int32(attempt), Start: start, End: end}
 		out.Spans = append(out.Spans, s)
 		out.ByID[trace] = append(out.ByID[trace], s)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(out.Spans) == 0 {
 		return nil, fmt.Errorf("obs: trace contains no request spans")
