@@ -279,13 +279,7 @@ func (a *admin) close() {
 type clusterBackend struct{ r *cluster.Router }
 
 func (b clusterBackend) Submit(ctx context.Context, req server.SubmitRequest) (*runtime.Handle, error) {
-	h, _, err := b.r.Submit(ctx, cluster.Request{
-		PromptLen:       req.PromptLen,
-		MaxTokens:       req.MaxTokens,
-		PrefixGroup:     req.PrefixGroup,
-		SharedPrefixLen: req.SharedPrefixLen,
-		Trace:           req.Trace,
-	})
+	h, _, err := b.r.Submit(ctx, req)
 	return h, err
 }
 func (b clusterBackend) Stats() runtime.Snapshot { return b.r.Stats() }

@@ -38,7 +38,8 @@ func main() {
 	fmt.Printf("runtime up: %s across 4 stages, KV capacity %d tokens\n\n",
 		model.Qwen25_32B.Name, rt.KVCapacityTokens())
 
-	// 2. Submit requests; each handle streams its tokens on a channel.
+	// 2. Submit requests; each handle streams its tokens in batches, one per
+	// micro-batch the request took part in.
 	prompts := []struct {
 		text      string
 		maxTokens int
@@ -52,8 +53,10 @@ func main() {
 		h      *runtime.Handle
 	}
 	var inflight []pending
+	ctx := context.Background()
 	for _, p := range prompts {
-		h, err := rt.Submit(runtime.TokenizeLen(p.text), p.maxTokens)
+		h, err := rt.SubmitBatchedSpec(ctx, runtime.SubmitSpec{
+			PromptLen: runtime.TokenizeLen(p.text), MaxTokens: p.maxTokens})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,16 +68,18 @@ func main() {
 	for _, p := range inflight {
 		fmt.Printf("prompt:  %q\n", p.prompt)
 		fmt.Print("output:  ")
-		for ev := range p.h.Events {
-			fmt.Print(ev.Text)
+		for evs := p.h.Next(ctx); evs != nil; evs = p.h.Next(ctx) {
+			for _, ev := range evs {
+				fmt.Print(ev.Text)
+			}
 		}
 		fmt.Println()
 	}
 
 	// 4. Inspect serving metrics.
-	rep := rt.Report()
+	sc := rt.Metrics().Scrape()
 	st := rt.Stats()
-	fmt.Printf("\nserved %d requests in %d iterations\n", rep.Requests, st.Iterations)
+	fmt.Printf("\nserved %d requests in %d iterations\n", sc.ByReason["length"], st.Iterations)
 	fmt.Printf("mean TTFT %.1f ms, mean TPOT %.2f ms, %d preemptions\n",
-		rep.TTFT.Mean*1e3, rep.TPOT.Mean*1e3, st.Preemptions)
+		sc.TTFT.Sum/float64(sc.TTFT.Count)*1e3, sc.TPOT.Sum/float64(sc.TPOT.Count)*1e3, st.Preemptions)
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"gllm/internal/metrics"
+	"gllm/internal/server"
 	"gllm/internal/sse"
 	"gllm/internal/workload"
 )
@@ -173,22 +174,17 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 // start is the run's epoch: Record.Arrival is the send time relative to
 // it, so arrival/queue-delay columns derived downstream are meaningful.
 func sendOne(ctx context.Context, httpc *http.Client, opts Options, id int64, item workload.Item, start time.Time) (metrics.Record, error) {
-	body := map[string]interface{}{
-		"model":      opts.Model,
-		"max_tokens": item.OutputLen,
-		"stream":     true,
-	}
+	body := server.CompletionRequest{Model: opts.Model, MaxTokens: item.OutputLen, Stream: true}
 	if opts.PromptMode.synthetic(item.PromptLen) {
-		body["prompt_len"] = item.PromptLen
-		body["prompt"] = ""
+		body.PromptLen = item.PromptLen
 	} else {
-		body["prompt"] = strings.TrimSpace(strings.Repeat("tok ", item.PromptLen))
+		body.Prompt = strings.TrimSpace(strings.Repeat("tok ", item.PromptLen))
 	}
 	if item.PrefixGroup != 0 {
 		// Conversation identity rides along so prefix-caching servers (and
 		// prefix-affinity cluster routers) can reuse the shared-context KV.
-		body["prefix_group"] = item.PrefixGroup
-		body["shared_prefix_len"] = item.SharedPrefixLen
+		body.PrefixGroup = item.PrefixGroup
+		body.SharedPrefixLen = item.SharedPrefixLen
 	}
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -213,15 +209,6 @@ func sendOne(ctx context.Context, httpc *http.Client, opts Options, id int64, it
 		return metrics.Record{}, fmt.Errorf("status %s", resp.Status)
 	}
 
-	// sseChunk is the subset of a streamed completion chunk the client
-	// inspects: the token text (empty on the synthetic abort terminator) and
-	// the finish reason.
-	type sseChunk struct {
-		Choices []struct {
-			Text         string `json:"text"`
-			FinishReason string `json:"finish_reason"`
-		} `json:"choices"`
-	}
 	var (
 		firstToken time.Time
 		tokens     int
@@ -239,7 +226,7 @@ func sendOne(ctx context.Context, httpc *http.Client, opts Options, id int64, it
 		if payload == "[DONE]" {
 			break
 		}
-		var chunk sseChunk
+		var chunk server.CompletionChunk
 		if err := json.Unmarshal([]byte(payload), &chunk); err != nil {
 			return metrics.Record{}, fmt.Errorf("bad SSE chunk: %w", err)
 		}

@@ -117,11 +117,7 @@ func (a *Audit) Verify(submitted int64, reps []*Replica) error {
 				"replica %s: KV leak: %d of %d blocks free after drain (%d prefix-cached)",
 				rep.ID, st.KVFreeBlocks, st.KVTotalBlocks, st.KVCachedBlocks))
 		}
-		for _, rec := range rep.Engine().Metrics().Records() {
-			if rec.Completed() {
-				outputTokens += int64(rec.OutputTokens)
-			}
-		}
+		outputTokens += rep.Engine().Metrics().Scrape().CompletedOutputTokens
 	}
 	if finished != a.completed {
 		errs = append(errs, fmt.Errorf(

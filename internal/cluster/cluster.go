@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,23 +47,16 @@ type Engine interface {
 	MatchPrefix(group int64, maxTokens int) int
 	Pressure() runtime.Pressure
 	Stats() runtime.Snapshot
-	Metrics() *metrics.Collector
+	Metrics() *metrics.Live
 	Shutdown(ctx context.Context) error
 	Close() error
 }
 
-// Request is one generation to route: lengths plus optional conversation
-// identity (PrefixGroup/SharedPrefixLen) for prefix-affinity routing and
-// KV reuse on the chosen replica. Trace, when non-zero, is the distributed
-// trace context: the router records its pick/backoff attempts under it and
-// forwards it to the chosen replica.
-type Request struct {
-	PromptLen       int
-	MaxTokens       int
-	PrefixGroup     int64
-	SharedPrefixLen int
-	Trace           obs.TraceID
-}
+// Request is one generation to route — the runtime's own submission spec,
+// handed unchanged to the chosen replica. The router reads its
+// conversation identity (PrefixGroup/SharedPrefixLen) for prefix-affinity
+// routing and records its pick/backoff attempts under a non-zero Trace.
+type Request = runtime.SubmitSpec
 
 // Replica wraps one engine with routing state and counters.
 type Replica struct {
@@ -197,7 +189,7 @@ type Router struct {
 
 	mu       sync.RWMutex
 	replicas []*Replica
-	retired  []*Replica // drained/removed: kept for records & monotone metrics
+	retired  []*Replica // drained/removed: kept for audits & monotone metrics
 
 	retries429 atomic.Int64 // rejected attempts that were retried
 	gaveUp     atomic.Int64 // submissions that exhausted the retry budget
@@ -269,7 +261,7 @@ func (c *Router) Replicas() []*Replica {
 	return append([]*Replica(nil), c.replicas...)
 }
 
-// Retired returns drained/removed replicas (kept for their records).
+// Retired returns drained/removed replicas (kept for their counters).
 func (c *Router) Retired() []*Replica {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -480,14 +472,7 @@ func (c *Router) Submit(ctx context.Context, req Request) (*runtime.Handle, *Rep
 		rep, err := c.pick(req)
 		if err == nil {
 			var h *runtime.Handle
-			spec := runtime.SubmitSpec{
-				PromptLen:       req.PromptLen,
-				MaxTokens:       req.MaxTokens,
-				PrefixGroup:     req.PrefixGroup,
-				SharedPrefixLen: req.SharedPrefixLen,
-				Trace:           req.Trace,
-			}
-			h, err = rep.eng.SubmitBatchedSpec(ctx, spec)
+			h, err = rep.eng.SubmitBatchedSpec(ctx, req)
 			c.recordSpan(req.Trace, obs.SpanPick, rep.ID, attempt, pickStart, time.Now())
 			if err == nil {
 				rep.routed.Add(1)
@@ -659,18 +644,6 @@ func (r *Replica) ProbeState() (ProbeState, bool) {
 		return ps.ProbeState(), true
 	}
 	return ProbeState{}, false
-}
-
-// Records concatenates every replica's request records (active and
-// retired, so scrape-derived counters stay monotone across drains),
-// ordered by arrival offset within each replica.
-func (c *Router) Records() []metrics.Record {
-	var out []metrics.Record
-	for _, rep := range append(c.Replicas(), c.Retired()...) {
-		out = append(out, rep.eng.Metrics().Records()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
-	return out
 }
 
 func (c *Router) logEvent(level slog.Level, msg string, args ...any) {

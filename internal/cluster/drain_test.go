@@ -46,8 +46,11 @@ func TestDrainReplaceZeroDroppedTokens(t *testing.T) {
 		conversations = 18
 		turnsPer      = 3
 	)
+	// Round-robin under the affinity policy makes placement a count, not a
+	// race on instantaneous load: b homes exactly a third of the
+	// conversations, and a third of those it orphans re-home on d.
 	r := New(Config{
-		Policy: NewPrefixAffinity(nil),
+		Policy: NewPrefixAffinity(NewRoundRobin()),
 		Retry: RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond,
 			MaxDelay: 10 * time.Millisecond, Budget: time.Minute},
 		Seed: seed,
@@ -79,18 +82,30 @@ func TestDrainReplaceZeroDroppedTokens(t *testing.T) {
 		traces[c] = turns
 	}
 
+	// Every conversation's last turn waits for the replacement, so d is
+	// routable while a third of the run is still to be placed: at
+	// TimeScale=0 all 54 tiny streams could otherwise finish before Replace
+	// returns, and whether d ever took traffic was a race.
+	replaced := make(chan struct{})
 	var (
 		audit     Audit
 		submitted atomic.Int64
+		placed    atomic.Int64 // conversations whose first turn has a home
 		wg        sync.WaitGroup
 	)
 	for _, turns := range traces {
 		wg.Add(1)
 		go func(turns []Request) {
 			defer wg.Done()
-			for _, req := range turns {
+			for i, req := range turns {
+				if i == len(turns)-1 {
+					<-replaced
+				}
 				submitted.Add(1)
 				h, _, err := r.Submit(context.Background(), req)
+				if i == 0 {
+					placed.Add(1)
+				}
 				if err != nil {
 					if !errors.Is(err, runtime.ErrQueueFull) {
 						t.Errorf("submit: %v", err)
@@ -110,14 +125,16 @@ func TestDrainReplaceZeroDroppedTokens(t *testing.T) {
 		}(turns)
 	}
 
-	// Once the run is underway, roll replica b out for a fresh d — the
-	// zero-downtime replace. In-flight streams on b keep delivering.
-	for submitted.Load() < conversations {
+	// Once every conversation has a home, roll replica b out for a fresh d
+	// — the zero-downtime replace. In-flight streams on b keep delivering.
+	for placed.Load() < conversations {
 		time.Sleep(time.Millisecond)
 	}
 	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if _, err := r.Replace(drainCtx, "b", "d", startReplica(t, nil)); err != nil {
+	_, err := r.Replace(drainCtx, "b", "d", startReplica(t, nil))
+	close(replaced)
+	if err != nil {
 		t.Fatalf("replace: %v", err)
 	}
 
@@ -143,14 +160,8 @@ func TestDrainReplaceZeroDroppedTokens(t *testing.T) {
 	if rep := r.Retired(); len(rep) != 4 {
 		t.Fatalf("retired = %d replicas after shutdown, want 4", len(rep))
 	}
-	var nRecords int64
-	for _, rec := range r.Records() {
-		if rec.Completed() {
-			nRecords++
-		}
-	}
-	if nRecords != completed {
-		t.Fatalf("completed records = %d, want %d", nRecords, completed)
+	if n := int64(r.Scrape().ByReason["length"]); n != completed {
+		t.Fatalf("completed records = %d, want %d", n, completed)
 	}
 	d := func() *Replica {
 		for _, rep := range all {

@@ -20,7 +20,6 @@ import (
 
 	"gllm/internal/metrics"
 	"gllm/internal/obs"
-	"gllm/internal/runtime"
 )
 
 // FamilyScraper is the optional Engine extension for replicas that serve
@@ -30,23 +29,6 @@ type FamilyScraper interface {
 	ScrapeFamilies(ctx context.Context) ([]metrics.Family, error)
 }
 
-// snapshotGauges derives a replica's gauge block from its snapshot.
-func snapshotGauges(st runtime.Snapshot) metrics.Gauges {
-	return metrics.Gauges{
-		Rejected:             st.Rejected,
-		Iterations:           int64(st.Iterations),
-		Preemptions:          int64(st.Preemptions),
-		StageBusySeconds:     st.StageBusySeconds,
-		BubbleRate:           st.BubbleRate,
-		KVFreeRate:           st.KVFreeRate,
-		RunningDecode:        st.RunningDecode,
-		WaitingPrefillTokens: st.WaitingPrefill,
-		Resident:             st.Resident,
-		Healthy:              st.Health == runtime.HealthOK,
-		UptimeSeconds:        st.Uptime.Seconds(),
-	}
-}
-
 // replicaFamilies renders one replica's exposition: the remote's own
 // /metrics page when the engine scrapes one, the local scrape state
 // otherwise. The error return is nil for local replicas.
@@ -54,7 +36,7 @@ func replicaFamilies(ctx context.Context, rep *Replica) ([]metrics.Family, error
 	if fs, ok := rep.eng.(FamilyScraper); ok {
 		return fs.ScrapeFamilies(ctx)
 	}
-	return metrics.Exposition(rep.eng.Metrics().Scrape(), snapshotGauges(rep.eng.Stats())), nil
+	return metrics.Exposition(rep.eng.Metrics().Scrape(), rep.eng.Stats().Gauges()), nil
 }
 
 // RouterFamilies renders the router-level series from a stats snapshot.

@@ -3,7 +3,7 @@
 // machines exactly like in-process ones. The transport adapts the server's
 // wire surface back into the Engine contract:
 //
-//   - SubmitBatchedPrefix POSTs /v1/completions (stream=true) and pumps the
+//   - SubmitBatchedSpec POSTs /v1/completions (stream=true) and pumps the
 //     SSE response into a runtime proxy handle, so consumers drain remote
 //     tokens through the same Handle.Next slab path as local ones;
 //   - Pressure is served from a cache maintained by a background prober
@@ -35,6 +35,7 @@ import (
 	"gllm/internal/metrics"
 	"gllm/internal/obs"
 	"gllm/internal/runtime"
+	"gllm/internal/server"
 	"gllm/internal/sse"
 )
 
@@ -108,7 +109,7 @@ type Remote struct {
 
 	ids       atomic.Int64
 	start     time.Time
-	collector metrics.Collector
+	collector metrics.Live
 
 	pmu      sync.Mutex
 	pressure runtime.Pressure // cached by the prober; zero until first success
@@ -265,37 +266,6 @@ func (r *Remote) Pressure() runtime.Pressure {
 	return r.pressure
 }
 
-// remoteRequest mirrors the server's accepted completion-request subset.
-type remoteRequest struct {
-	Model           string `json:"model"`
-	Prompt          string `json:"prompt"`
-	PromptLen       int    `json:"prompt_len,omitempty"`
-	MaxTokens       int    `json:"max_tokens"`
-	Stream          bool   `json:"stream"`
-	PrefixGroup     int64  `json:"prefix_group,omitempty"`
-	SharedPrefixLen int    `json:"shared_prefix_len,omitempty"`
-}
-
-// remoteChunk is the subset of a streamed completion chunk the pump
-// inspects (same shape the benchmark client parses).
-type remoteChunk struct {
-	Choices []struct {
-		Text         string `json:"text"`
-		FinishReason string `json:"finish_reason"`
-	} `json:"choices"`
-}
-
-// SubmitBatchedPrefix adapts the legacy positional submit surface onto
-// SubmitBatchedSpec (no trace context).
-func (r *Remote) SubmitBatchedPrefix(ctx context.Context, promptLen, maxTokens int, group int64, sharedLen int) (*runtime.Handle, error) {
-	return r.SubmitBatchedSpec(ctx, runtime.SubmitSpec{
-		PromptLen:       promptLen,
-		MaxTokens:       maxTokens,
-		PrefixGroup:     group,
-		SharedPrefixLen: sharedLen,
-	})
-}
-
 // SubmitBatchedSpec opens one streaming completion against the remote
 // server and returns a proxy handle fed by a pump goroutine parsing the
 // SSE response. A traced spec propagates its ID to the remote server in a
@@ -308,7 +278,7 @@ func (r *Remote) SubmitBatchedSpec(ctx context.Context, spec runtime.SubmitSpec)
 	if r.draining.Load() {
 		return nil, fmt.Errorf("cluster: remote %s draining: %w", r.base, runtime.ErrStopped)
 	}
-	body, err := json.Marshal(remoteRequest{
+	body, err := json.Marshal(server.CompletionRequest{
 		Model:           r.cfg.Model,
 		PromptLen:       spec.PromptLen,
 		MaxTokens:       spec.MaxTokens,
@@ -413,7 +383,7 @@ func (r *Remote) pump(streamCtx, parent context.Context, id int64, st *remoteStr
 			readErr = io.ErrUnexpectedEOF
 			break
 		}
-		var chunk remoteChunk
+		var chunk server.CompletionChunk
 		if err := json.Unmarshal([]byte(payload), &chunk); err != nil {
 			readErr = fmt.Errorf("bad SSE chunk: %w", err)
 			break
@@ -461,8 +431,8 @@ func (r *Remote) pump(streamCtx, parent context.Context, id int64, st *remoteStr
 	}
 
 	// Record before closing the handle: a consumer that sees the stream end
-	// must already find this stream in Metrics() (the audit reads records
-	// right after the last stream closes).
+	// must already find this stream in Metrics() (the audit reads the
+	// counters right after the last stream closes).
 	end := time.Now()
 	rec := metrics.Record{
 		ID:           id,
@@ -591,11 +561,10 @@ func (r *Remote) MatchPrefix(group int64, maxTokens int) int {
 	return out.Match
 }
 
-// Metrics returns the transport-side collector: one record per stream this
+// Metrics returns the transport-side collector: every stream this
 // transport carried, with client-observed latencies and delivered token
-// counts. Router.Records and the cluster audit consume it exactly like a
-// local replica's collector.
-func (r *Remote) Metrics() *metrics.Collector { return &r.collector }
+// counts. The cluster audit consumes it exactly like a local replica's.
+func (r *Remote) Metrics() *metrics.Live { return &r.collector }
 
 // ScrapeFamilies fetches and parses the remote server's own /metrics page
 // — the authoritative server-side view (queue delays, bubble rate, stage

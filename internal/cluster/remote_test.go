@@ -132,7 +132,7 @@ func TestRemoteStreamsAgainstLiveServer(t *testing.T) {
 	}
 
 	const want = 32
-	h, err := rem.SubmitBatchedPrefix(context.Background(), 64, want, 9, 16)
+	h, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 64, MaxTokens: want, PrefixGroup: 9, SharedPrefixLen: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,16 +150,12 @@ func TestRemoteStreamsAgainstLiveServer(t *testing.T) {
 		t.Fatalf("MatchPrefix over HTTP = %d, direct = %d", got, direct)
 	}
 
-	recs := rem.Metrics().Records()
-	if len(recs) != 1 {
-		t.Fatalf("records = %d, want 1", len(recs))
+	sc := rem.Metrics().Scrape()
+	if sc.ByReason["length"] != 1 || sc.CompletedOutputTokens != want || sc.PromptTokens != 64 {
+		t.Fatalf("scrape = %+v", sc)
 	}
-	rec := recs[0]
-	if !rec.Completed() || rec.OutputTokens != want {
-		t.Fatalf("record = %+v", rec)
-	}
-	if rec.Arrival <= 0 || rec.TTFT <= 0 || rec.E2E < rec.TTFT {
-		t.Fatalf("latency fields not measured: %+v", rec)
+	if sc.TTFT.Count != 1 || sc.TTFT.Sum <= 0 || sc.E2E.Sum < sc.TTFT.Sum {
+		t.Fatalf("latency fields not measured: %+v", sc)
 	}
 }
 
@@ -294,7 +290,7 @@ func TestRemoteUnreachableThenRecovers(t *testing.T) {
 	waitRemote(t, "unreachable after server death", func() bool {
 		return rem.Pressure().Health == HealthUnreachable
 	})
-	if _, err := rem.SubmitBatchedPrefix(context.Background(), 8, 4, 0, 0); !errors.Is(err, runtime.ErrStopped) {
+	if _, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 4}); !errors.Is(err, runtime.ErrStopped) {
 		t.Fatalf("submit to dead remote: %v, want ErrStopped (re-pick)", err)
 	}
 
@@ -315,7 +311,7 @@ func TestRemoteUnreachableThenRecovers(t *testing.T) {
 	waitRemote(t, "recovery after restart", func() bool {
 		return rem.Pressure().Health == runtime.HealthOK
 	})
-	h, err := rem.SubmitBatchedPrefix(context.Background(), 8, 4, 0, 0)
+	h, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +340,7 @@ func TestRemoteSubmitErrorMapping(t *testing.T) {
 			srv := httptest.NewServer(tc.handler)
 			defer srv.Close()
 			rem := newRemote(t, fastProbe(srv.URL))
-			_, err := rem.SubmitBatchedPrefix(context.Background(), 8, 4, 0, 0)
+			_, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 4})
 			if !errors.Is(err, tc.wantIs) {
 				t.Fatalf("err = %v, want %v", err, tc.wantIs)
 			}
@@ -356,7 +352,7 @@ func TestRemoteSubmitErrorMapping(t *testing.T) {
 		url := srv.URL
 		srv.Close()
 		rem := newRemote(t, fastProbe(url))
-		_, err := rem.SubmitBatchedPrefix(context.Background(), 8, 4, 0, 0)
+		_, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 4})
 		if !errors.Is(err, runtime.ErrStopped) {
 			t.Fatalf("err = %v, want ErrStopped", err)
 		}
@@ -366,7 +362,7 @@ func TestRemoteSubmitErrorMapping(t *testing.T) {
 		srv := httptest.NewServer(status(http.StatusTeapot))
 		defer srv.Close()
 		rem := newRemote(t, fastProbe(srv.URL))
-		_, err := rem.SubmitBatchedPrefix(context.Background(), 8, 4, 0, 0)
+		_, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 4})
 		if err == nil || errors.Is(err, runtime.ErrQueueFull) || errors.Is(err, runtime.ErrStopped) {
 			t.Fatalf("err = %v, want terminal non-retryable", err)
 		}
@@ -391,7 +387,7 @@ func TestRemoteConnectTimeout(t *testing.T) {
 	cfg.ConnectTimeout = 50 * time.Millisecond
 	rem := newRemote(t, cfg)
 	start := time.Now()
-	_, err := rem.SubmitBatchedPrefix(context.Background(), 8, 4, 0, 0)
+	_, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 4})
 	if !errors.Is(err, runtime.ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
@@ -416,7 +412,7 @@ func TestRemoteCancelMidStream(t *testing.T) {
 	defer stub.Close()
 	rem := newRemote(t, fastProbe(stub.URL))
 
-	h, err := rem.SubmitBatchedPrefix(context.Background(), 8, 1<<20, 0, 0)
+	h, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,9 +428,8 @@ func TestRemoteCancelMidStream(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server handler never unblocked after cancel")
 	}
-	recs := rem.Metrics().Records()
-	if len(recs) != 1 || recs[0].FinishReason != string(runtime.FinishCancelled) {
-		t.Fatalf("records = %+v", recs)
+	if by := rem.Metrics().ByReason(); len(by) != 1 || by[string(runtime.FinishCancelled)] != 1 {
+		t.Fatalf("finish reasons = %v", by)
 	}
 }
 
@@ -447,7 +442,7 @@ func TestRemoteShutdownDrainSemantics(t *testing.T) {
 		stub := newStubRemote(time.Millisecond)
 		defer stub.Close()
 		rem := newRemote(t, fastProbe(stub.URL))
-		h, err := rem.SubmitBatchedPrefix(context.Background(), 8, 20, 0, 0)
+		h, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 20})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -464,7 +459,7 @@ func TestRemoteShutdownDrainSemantics(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rem.SubmitBatchedPrefix(context.Background(), 8, 4, 0, 0); !errors.Is(err, runtime.ErrStopped) {
+		if _, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 4}); !errors.Is(err, runtime.ErrStopped) {
 			t.Fatalf("submit after drain: %v, want ErrStopped", err)
 		}
 	})
@@ -473,7 +468,7 @@ func TestRemoteShutdownDrainSemantics(t *testing.T) {
 		stub := newStubRemote(2 * time.Millisecond)
 		defer stub.Close()
 		rem := newRemote(t, fastProbe(stub.URL))
-		h, err := rem.SubmitBatchedPrefix(context.Background(), 8, 1<<20, 0, 0)
+		h, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 1 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}

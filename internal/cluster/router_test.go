@@ -111,13 +111,13 @@ func TestStatsHealthTransitions(t *testing.T) {
 	}
 }
 
-// Records concatenates every replica's records — retired included — in
-// arrival order.
+// The router's scrape sums every replica's counters — retired included, so
+// they stay monotone across drains.
 func TestRecordsIncludeRetired(t *testing.T) {
 	a, b := newFakeEngine(okPressure()), newFakeEngine(okPressure())
-	a.collector.Add(metrics.Record{ID: 1, Arrival: 30 * time.Millisecond, OutputTokens: 3})
-	b.collector.Add(metrics.Record{ID: 2, Arrival: 10 * time.Millisecond, OutputTokens: 5})
-	b.collector.Add(metrics.Record{ID: 3, Arrival: 50 * time.Millisecond, OutputTokens: 7})
+	a.collector.Add(metrics.Record{ID: 1, OutputTokens: 3})
+	b.collector.Add(metrics.Record{ID: 2, OutputTokens: 5})
+	b.collector.Add(metrics.Record{ID: 3, OutputTokens: 7, FinishReason: "cancelled"})
 	r := New(Config{})
 	if _, err := r.Add("a", a); err != nil {
 		t.Fatal(err)
@@ -128,12 +128,12 @@ func TestRecordsIncludeRetired(t *testing.T) {
 	if err := r.Drain(context.Background(), "b"); err != nil {
 		t.Fatal(err)
 	}
-	recs := r.Records()
-	if len(recs) != 3 {
-		t.Fatalf("Records = %d, want 3 (retired replica dropped?)", len(recs))
+	sc := r.Scrape()
+	if sc.ByReason["length"] != 2 || sc.ByReason["cancelled"] != 1 {
+		t.Fatalf("ByReason = %v, want 2 length + 1 cancelled (retired replica dropped?)", sc.ByReason)
 	}
-	if recs[0].ID != 2 || recs[1].ID != 1 || recs[2].ID != 3 {
-		t.Fatalf("records not in arrival order: %v", []int64{recs[0].ID, recs[1].ID, recs[2].ID})
+	if sc.OutputTokens != 15 || sc.CompletedOutputTokens != 8 {
+		t.Fatalf("output tokens = %d (%d completed), want 15 (8)", sc.OutputTokens, sc.CompletedOutputTokens)
 	}
 }
 

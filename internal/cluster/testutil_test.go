@@ -23,7 +23,7 @@ type fakeEngine struct {
 	match       map[int64]int // group -> resident prefix tokens
 	rejectFirst int           // reject this many submissions with ErrQueueFull
 	delegate    *runtime.Runtime
-	collector   metrics.Collector
+	collector   metrics.Live
 	snap        *runtime.Snapshot // Stats override (nil: derive from pressure)
 	submits     int
 	matchCalls  int
@@ -82,7 +82,7 @@ func (f *fakeEngine) Stats() runtime.Snapshot {
 	return runtime.Snapshot{KVFreeRate: p.KVFree, Resident: p.Resident, Health: p.Health}
 }
 
-func (f *fakeEngine) Metrics() *metrics.Collector { return &f.collector }
+func (f *fakeEngine) Metrics() *metrics.Live { return &f.collector }
 
 func (f *fakeEngine) Shutdown(ctx context.Context) error {
 	if f.delegate != nil {

@@ -279,7 +279,7 @@ func (l *loop) retire(mb *microBatch) {
 	now, b := r.eng.Now(), mb.batch
 	finished := l.pool.Complete(b, now)
 	for _, f := range finished {
-		r.col.Observe(f)
+		r.col.Add(metrics.Observe(f))
 		r.finished++
 		r.lastFinish = now
 	}

@@ -63,9 +63,10 @@ func Table1Equivalence(seed uint64, n int, srcRoot string) (*Table1Result, error
 			defer cancel()
 			_ = rt.Shutdown(ctx)
 		}()
+		ctx := context.Background()
 		handles := make([]*runtime.Handle, len(items))
 		for i, it := range items {
-			h, err := rt.Submit(it.PromptLen, it.OutputLen)
+			h, err := rt.SubmitBatchedSpec(ctx, runtime.SubmitSpec{PromptLen: it.PromptLen, MaxTokens: it.OutputLen})
 			if err != nil {
 				return 0, err
 			}
@@ -75,13 +76,15 @@ func Table1Equivalence(seed uint64, n int, srcRoot string) (*Table1Result, error
 		// differs across schedulers, content must not.
 		d := fnv.New64a()
 		for _, h := range handles {
-			for ev := range h.Events {
-				var buf [8]byte
-				for i := 0; i < 8; i++ {
-					buf[i] = byte(ev.Token >> (8 * i))
-				}
-				if _, err := d.Write(buf[:]); err != nil {
-					return 0, err
+			for evs := h.Next(ctx); evs != nil; evs = h.Next(ctx) {
+				for _, ev := range evs {
+					var buf [8]byte
+					for i := 0; i < 8; i++ {
+						buf[i] = byte(ev.Token >> (8 * i))
+					}
+					if _, err := d.Write(buf[:]); err != nil {
+						return 0, err
+					}
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"io"
 	"sort"
 	"sync"
 )
@@ -14,7 +13,7 @@ import (
 // snapshot is O(buckets) regardless of how many requests ever finished.
 
 // histCore is the lock-free accumulation core; the owner provides
-// synchronization (Collector holds its mutex, Hist wraps one).
+// synchronization (Live holds its mutex, Hist wraps one).
 type histCore struct {
 	bounds []float64
 	counts []uint64 // per-bucket (NOT cumulative); last entry is +Inf
@@ -121,17 +120,4 @@ func (h *Hist) Snapshot() HistSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.c.snapshot()
-}
-
-// WriteHistogramSnapshot emits a full histogram family from an
-// incremental snapshot — the O(buckets) counterpart of WriteHistogram.
-func WriteHistogramSnapshot(w io.Writer, name, help string, s HistSnapshot) {
-	WriteHeader(w, name, help, "histogram")
-	cum := s.Cumulative()
-	for i, b := range s.Bounds {
-		WriteSample(w, name+"_bucket", []Label{{Name: "le", Value: formatValue(b)}}, float64(cum[i]))
-	}
-	WriteSample(w, name+"_bucket", []Label{{Name: "le", Value: "+Inf"}}, float64(s.Count))
-	WriteSample(w, name+"_sum", nil, s.Sum)
-	WriteSample(w, name+"_count", nil, float64(s.Count))
 }

@@ -35,33 +35,42 @@ func (r Record) Completed() bool {
 	return r.FinishReason == "" || r.FinishReason == "length"
 }
 
-// Collector accumulates terminated-request records. All methods are safe
-// for concurrent use.
-//
-// Alongside the append-only record list (reports, audits), the
-// collector maintains incremental scrape state — per-reason counts,
-// token totals, and bucketed latency histograms updated at Add time —
-// so a /metrics scrape (Scrape) costs O(buckets), not O(records).
-type Collector struct {
-	mu      sync.Mutex
-	records []Record
-
+// Live is the fixed-size collector a serving component holds for the life
+// of the process (a runtime, a remote transport): per-reason counts, token
+// totals and the bucketed latency histograms, all updated at Add time, so
+// its memory and every method's cost are O(buckets) however many requests
+// have been served. All methods are safe for concurrent use.
+type Live struct {
+	mu        sync.Mutex
+	n         int
 	byReason  map[string]uint64
 	promptTok int64
 	outputTok int64
-	ttft      histCore
-	tpot      histCore
-	e2e       histCore
-	queue     histCore
+	// completedTok counts the output tokens of completed generations only:
+	// the replica side of the cluster audit's token-conservation check.
+	completedTok int64
+	ttft         histCore
+	tpot         histCore
+	e2e          histCore
+	queue        histCore
 }
 
-// Observe records a completed request. It panics when the request has not
-// finished — collecting partial requests would corrupt every average.
-func (c *Collector) Observe(r *request.Request) {
+// Collector is Live plus the record rows, for runs that end (the
+// virtual-time engines, the benchmark client): Records, Report and
+// SLOAttainment stay exact at the price of one Record per request.
+type Collector struct {
+	Live
+	records []Record
+}
+
+// Observe builds the record of a completed request. It panics when the
+// request has not finished — collecting partial requests would corrupt
+// every average.
+func Observe(r *request.Request) Record {
 	if !r.Finished() {
 		panic(fmt.Sprintf("metrics: observing unfinished %v", r))
 	}
-	c.Add(Record{
+	return Record{
 		ID:           r.ID,
 		Arrival:      r.Arrival,
 		TTFT:         r.TTFT(),
@@ -72,16 +81,16 @@ func (c *Collector) Observe(r *request.Request) {
 		OutputTokens: r.Generated(),
 		Preemptions:  r.Preemptions,
 		FinishReason: "length",
-	})
+	}
 }
 
-// ObserveAborted records a request terminated before completion with its
-// real terminal reason ("cancelled", "timeout", "shutdown"). It panics on a
-// completed request — that is Observe's job. Aborted records contribute
-// token counts but are excluded from latency summaries (TTFT is kept when
-// the request got a first token before dying; TPOT/E2E are undefined and
-// left zero).
-func (c *Collector) ObserveAborted(r *request.Request, reason string) {
+// ObserveAborted builds the record of a request terminated before
+// completion with its real terminal reason ("cancelled", "timeout",
+// "shutdown"). It panics on a completed request — that is Observe's job.
+// Aborted records contribute token counts but are excluded from latency
+// summaries (TTFT is kept when the request got a first token before dying;
+// TPOT/E2E are undefined and left zero).
+func ObserveAborted(r *request.Request, reason string) Record {
 	if r.Finished() {
 		panic(fmt.Sprintf("metrics: ObserveAborted on finished %v", r))
 	}
@@ -102,30 +111,44 @@ func (c *Collector) ObserveAborted(r *request.Request, reason string) {
 	if r.HasFirstToken() {
 		rec.TTFT = r.TTFT()
 	}
-	c.Add(rec)
+	return rec
 }
 
-// Add records a raw record (used by the HTTP benchmark client, which has no
-// *request.Request).
-func (c *Collector) Add(rec Record) {
-	c.mu.Lock()
-	c.records = append(c.records, rec)
-	if c.byReason == nil {
-		c.byReason = make(map[string]uint64)
+// add folds one record into the fixed-size state; the caller holds l.mu.
+// It allocates only the first time a finish reason is seen.
+func (l *Live) add(rec *Record) {
+	if l.byReason == nil {
+		l.byReason = make(map[string]uint64)
 	}
 	reason := rec.FinishReason
 	if reason == "" {
 		reason = "length"
 	}
-	c.byReason[reason]++
-	c.promptTok += int64(rec.PromptTokens)
-	c.outputTok += int64(rec.OutputTokens)
-	c.queue.observe(rec.Queue.Seconds())
+	l.n++
+	l.byReason[reason]++
+	l.promptTok += int64(rec.PromptTokens)
+	l.outputTok += int64(rec.OutputTokens)
+	l.queue.observe(rec.Queue.Seconds())
 	if rec.Completed() {
-		c.ttft.observe(rec.TTFT.Seconds())
-		c.tpot.observe(rec.TPOT.Seconds())
-		c.e2e.observe(rec.E2E.Seconds())
+		l.completedTok += int64(rec.OutputTokens)
+		l.ttft.observe(rec.TTFT.Seconds())
+		l.tpot.observe(rec.TPOT.Seconds())
+		l.e2e.observe(rec.E2E.Seconds())
 	}
+}
+
+// Add records one terminated request.
+func (l *Live) Add(rec Record) {
+	l.mu.Lock()
+	l.add(&rec)
+	l.mu.Unlock()
+}
+
+// Add records one terminated request and keeps its row.
+func (c *Collector) Add(rec Record) {
+	c.mu.Lock()
+	c.add(&rec)
+	c.records = append(c.records, rec)
 	c.mu.Unlock()
 }
 
@@ -134,32 +157,36 @@ func (c *Collector) Add(rec Record) {
 // records. Latency histograms cover completed generations only; the
 // queue-delay histogram and token totals cover every terminated
 // request — exactly the series the exposition always emitted.
+// CompletedOutputTokens is not exposed as a series; the cluster audit
+// reads it.
 type Scrape struct {
-	ByReason     map[string]uint64
-	PromptTokens int64
-	OutputTokens int64
-	TTFT         HistSnapshot
-	TPOT         HistSnapshot
-	E2E          HistSnapshot
-	Queue        HistSnapshot
+	ByReason              map[string]uint64
+	PromptTokens          int64
+	OutputTokens          int64
+	CompletedOutputTokens int64
+	TTFT                  HistSnapshot
+	TPOT                  HistSnapshot
+	E2E                   HistSnapshot
+	Queue                 HistSnapshot
 }
 
 // Scrape snapshots the incremental exposition state.
-func (c *Collector) Scrape() Scrape {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	by := make(map[string]uint64, len(c.byReason))
-	for k, v := range c.byReason {
+func (l *Live) Scrape() Scrape {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	by := make(map[string]uint64, len(l.byReason))
+	for k, v := range l.byReason {
 		by[k] = v
 	}
 	return Scrape{
-		ByReason:     by,
-		PromptTokens: c.promptTok,
-		OutputTokens: c.outputTok,
-		TTFT:         c.ttft.snapshot(),
-		TPOT:         c.tpot.snapshot(),
-		E2E:          c.e2e.snapshot(),
-		Queue:        c.queue.snapshot(),
+		ByReason:              by,
+		PromptTokens:          l.promptTok,
+		OutputTokens:          l.outputTok,
+		CompletedOutputTokens: l.completedTok,
+		TTFT:                  l.ttft.snapshot(),
+		TPOT:                  l.tpot.snapshot(),
+		E2E:                   l.e2e.snapshot(),
+		Queue:                 l.queue.snapshot(),
 	}
 }
 
@@ -174,6 +201,7 @@ func (s *Scrape) Merge(o Scrape) {
 	}
 	s.PromptTokens += o.PromptTokens
 	s.OutputTokens += o.OutputTokens
+	s.CompletedOutputTokens += o.CompletedOutputTokens
 	s.TTFT.Merge(o.TTFT)
 	s.TPOT.Merge(o.TPOT)
 	s.E2E.Merge(o.E2E)
@@ -181,10 +209,22 @@ func (s *Scrape) Merge(o Scrape) {
 }
 
 // Count returns the number of recorded requests (completed and aborted).
-func (c *Collector) Count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.records)
+func (l *Live) Count() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
+}
+
+// ByReason returns how many records terminated with each finish reason
+// (completed generations count under "length").
+func (l *Live) ByReason() map[string]int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]int, len(l.byReason))
+	for k, v := range l.byReason {
+		out[k] = int(v)
+	}
+	return out
 }
 
 // Records returns a snapshot copy of the collected records.
@@ -192,20 +232,6 @@ func (c *Collector) Records() []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Record(nil), c.records...)
-}
-
-// ByReason returns how many records terminated with each finish reason
-// (completed generations count under "length").
-func (c *Collector) ByReason() map[string]int {
-	out := make(map[string]int)
-	for _, r := range c.Records() {
-		reason := r.FinishReason
-		if reason == "" {
-			reason = "length"
-		}
-		out[reason]++
-	}
-	return out
 }
 
 // Report summarizes the collected requests over the given elapsed serving

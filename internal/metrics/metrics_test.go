@@ -26,8 +26,8 @@ func finishedRequest(t *testing.T, id int64, arrival time.Duration, prompt, out 
 
 func TestObserveAndReport(t *testing.T) {
 	var c Collector
-	c.Observe(finishedRequest(t, 1, 0, 100, 5, time.Second))
-	c.Observe(finishedRequest(t, 2, time.Second, 200, 3, time.Second))
+	c.Add(Observe(finishedRequest(t, 1, 0, 100, 5, time.Second)))
+	c.Add(Observe(finishedRequest(t, 2, time.Second, 200, 3, time.Second)))
 	if c.Count() != 2 {
 		t.Fatalf("count = %d", c.Count())
 	}
@@ -65,15 +65,15 @@ func TestObserveUnfinishedPanics(t *testing.T) {
 		}
 	}()
 	var c Collector
-	c.Observe(request.New(1, 0, 10, 5))
+	c.Add(Observe(request.New(1, 0, 10, 5)))
 }
 
 func TestSLOAttainment(t *testing.T) {
 	var c Collector
 	// Fast request: TTFT 2s, TPOT 1s.
-	c.Observe(finishedRequest(t, 1, 0, 10, 5, time.Second))
+	c.Add(Observe(finishedRequest(t, 1, 0, 10, 5, time.Second)))
 	// Slow request: TTFT 20s, TPOT 10s.
-	c.Observe(finishedRequest(t, 2, 0, 10, 5, 10*time.Second))
+	c.Add(Observe(finishedRequest(t, 2, 0, 10, 5, 10*time.Second)))
 
 	if got := c.SLOAttainment(5*time.Second, 2*time.Second); got != 0.5 {
 		t.Fatalf("attainment = %v, want 0.5", got)

@@ -9,9 +9,9 @@ import (
 )
 
 // Prometheus text exposition (format version 0.0.4) helpers. The server
-// builds its /metrics page from Collector snapshots at scrape time, so
-// histogram buckets and counters derive from an append-only record list and
-// are monotone across scrapes by construction.
+// builds its /metrics page from Scrape snapshots, whose counters and
+// histogram buckets only ever grow, so every series is monotone across
+// scrapes by construction.
 
 // DefaultLatencyBuckets are the histogram bounds (seconds) used for
 // TTFT/TPOT/E2EL/queue-delay series: 1 ms to ~2 min in roughly 2.5×/2×
@@ -80,22 +80,4 @@ func CumulativeCounts(observations []float64, bounds []float64) []uint64 {
 		counts[i] = running
 	}
 	return counts
-}
-
-// WriteHistogram emits a full histogram family — HELP/TYPE, cumulative
-// _bucket series for each bound plus +Inf, _sum and _count — from raw
-// observations in seconds.
-func WriteHistogram(w io.Writer, name, help string, bounds, observations []float64) {
-	WriteHeader(w, name, help, "histogram")
-	counts := CumulativeCounts(observations, bounds)
-	for i, b := range bounds {
-		WriteSample(w, name+"_bucket", []Label{{Name: "le", Value: formatValue(b)}}, float64(counts[i]))
-	}
-	WriteSample(w, name+"_bucket", []Label{{Name: "le", Value: "+Inf"}}, float64(counts[len(bounds)]))
-	var sum float64
-	for _, v := range observations {
-		sum += v
-	}
-	WriteSample(w, name+"_sum", nil, sum)
-	WriteSample(w, name+"_count", nil, float64(len(observations)))
 }

@@ -17,7 +17,7 @@ func TestObserveAbortedPropagatesReason(t *testing.T) {
 	r.ScheduleDecode()
 	r.CompleteDecode(4 * time.Second)
 	r.Abort()
-	c.ObserveAborted(r, "cancelled")
+	c.Add(ObserveAborted(r, "cancelled"))
 
 	recs := c.Records()
 	if len(recs) != 1 {
@@ -56,12 +56,12 @@ func TestObserveAbortedPropagatesReason(t *testing.T) {
 func TestObserveAbortedPanics(t *testing.T) {
 	cases := map[string]func(c *Collector){
 		"finished request": func(c *Collector) {
-			c.ObserveAborted(finishedRequest(t, 1, 0, 10, 5, time.Second), "timeout")
+			c.Add(ObserveAborted(finishedRequest(t, 1, 0, 10, 5, time.Second), "timeout"))
 		},
 		"completion reason": func(c *Collector) {
 			r := request.New(2, 0, 10, 5)
 			r.Abort()
-			c.ObserveAborted(r, "length")
+			c.Add(ObserveAborted(r, "length"))
 		},
 	}
 	for name, fn := range cases {
@@ -79,7 +79,7 @@ func TestObserveAbortedPanics(t *testing.T) {
 
 func TestObserveRecordsQueueDelay(t *testing.T) {
 	var c Collector
-	c.Observe(finishedRequest(t, 1, 2*time.Second, 10, 3, time.Second))
+	c.Add(Observe(finishedRequest(t, 1, 2*time.Second, 10, 3, time.Second)))
 	if got := c.Records()[0].Queue; got != time.Second {
 		t.Fatalf("queue = %v", got)
 	}
@@ -139,8 +139,12 @@ func TestCumulativeCounts(t *testing.T) {
 }
 
 func TestWriteHistogramFormat(t *testing.T) {
+	h := NewHist([]float64{0.1, 1})
+	for _, v := range []float64{0.05, 0.5, 5} {
+		h.Observe(v)
+	}
 	var sb strings.Builder
-	WriteHistogram(&sb, "gllm_test_seconds", "test metric", []float64{0.1, 1}, []float64{0.05, 0.5, 5})
+	WriteFamilies(&sb, []Family{HistogramFamily("gllm_test_seconds", "test metric", h.Snapshot())})
 	out := sb.String()
 	for _, want := range []string{
 		"# HELP gllm_test_seconds test metric",

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func TestScrapeMatchesRecordRebuild(t *testing.T) {
 
 	records := c.Records()
 	byReason := map[string]uint64{}
-	var promptTok, outputTok int64
+	var promptTok, outputTok, completedTok int64
 	var ttft, tpot, e2e, queue []float64
 	for _, r := range records {
 		byReason[r.FinishReason]++
@@ -50,6 +51,7 @@ func TestScrapeMatchesRecordRebuild(t *testing.T) {
 		if !r.Completed() {
 			continue
 		}
+		completedTok += int64(r.OutputTokens)
 		ttft = append(ttft, r.TTFT.Seconds())
 		tpot = append(tpot, r.TPOT.Seconds())
 		e2e = append(e2e, r.E2E.Seconds())
@@ -57,6 +59,10 @@ func TestScrapeMatchesRecordRebuild(t *testing.T) {
 	if sc.PromptTokens != promptTok || sc.OutputTokens != outputTok {
 		t.Fatalf("token totals: scrape %d/%d, rebuild %d/%d",
 			sc.PromptTokens, sc.OutputTokens, promptTok, outputTok)
+	}
+	if sc.CompletedOutputTokens != completedTok || c.Count() != len(records) {
+		t.Fatalf("completed output tokens %d (rebuild %d), count %d (rebuild %d)",
+			sc.CompletedOutputTokens, completedTok, c.Count(), len(records))
 	}
 	if len(sc.ByReason) != len(byReason) {
 		t.Fatalf("reasons: %v vs %v", sc.ByReason, byReason)
@@ -103,13 +109,41 @@ func TestScrapeMerge(t *testing.T) {
 	fillCollector(&both, 100)
 	fillCollector(&both, 50)
 	want := both.Scrape()
-	if merged.PromptTokens != want.PromptTokens || merged.Queue.Count != want.Queue.Count {
+	if merged.PromptTokens != want.PromptTokens || merged.Queue.Count != want.Queue.Count ||
+		merged.CompletedOutputTokens != want.CompletedOutputTokens {
 		t.Fatalf("merged scrape %+v != combined %+v", merged, want)
 	}
 	for i := range want.TTFT.Counts {
 		if merged.TTFT.Counts[i] != want.TTFT.Counts[i] {
 			t.Fatalf("ttft bucket %d: merged %d, combined %d", i, merged.TTFT.Counts[i], want.TTFT.Counts[i])
 		}
+	}
+}
+
+// TestLiveAddAllocatesNothing states the live path's memory bound as a
+// test: a Live fed the same records scrapes exactly like a Collector, and
+// once every finish reason has been seen Add allocates nothing — so what a
+// serving replica holds does not grow with the requests it has served.
+func TestLiveAddAllocatesNothing(t *testing.T) {
+	var c Collector
+	fillCollector(&c, 1000)
+	var l Live
+	for _, rec := range c.Records() {
+		l.Add(rec)
+	}
+	if got, want := l.Scrape(), c.Scrape(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("live scrape %+v != collector scrape %+v", got, want)
+	}
+	if l.Count() != c.Count() || !reflect.DeepEqual(l.ByReason(), c.ByReason()) {
+		t.Fatalf("live count/reasons %d %v, collector %d %v", l.Count(), l.ByReason(), c.Count(), c.ByReason())
+	}
+	recs := c.Records()[:14] // both finish reasons
+	if n := testing.AllocsPerRun(100, func() {
+		for _, rec := range recs {
+			l.Add(rec)
+		}
+	}); n != 0 {
+		t.Fatalf("Live.Add allocates %v objects per %d records, want 0", n, len(recs))
 	}
 }
 

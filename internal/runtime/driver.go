@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gllm/internal/kvcache"
+	"gllm/internal/metrics"
 	"gllm/internal/obs"
 	"gllm/internal/request"
 	"gllm/internal/sched"
@@ -17,11 +18,11 @@ import (
 //
 // It is also the single authority over request termination: every admitted
 // submission leaves through finishSub exactly once (normal completion,
-// cancellation, timeout, or shutdown), which closes its done and events
-// channels and releases its admission accounting. Cancellation is
-// cooperative — requests with work in an executing micro-batch are parked
-// in pendingCancels and aborted at the next batch boundary, so a freed KV
-// sequence is never referenced by in-flight compute.
+// cancellation, timeout, or shutdown), which ends its stream and releases
+// its admission accounting. Cancellation is cooperative — requests with
+// work in an executing micro-batch are parked in pendingCancels and aborted
+// at the next batch boundary, so a freed KV sequence is never referenced by
+// in-flight compute.
 func (rt *Runtime) driverLoop() {
 	defer close(rt.stopped)
 
@@ -90,20 +91,10 @@ func (rt *Runtime) driverLoop() {
 	}
 
 	// finishSub finalizes a submission: exactly once per request, after its
-	// last event was sent. Closing done before the delivery transport lets
-	// FinishReason observe the reason as soon as the stream drains.
+	// last event was delivered.
 	finishSub := func(sub *submission, reason FinishReason) {
-		sub.reason = reason
 		recordReqSpans(sub.req, reason)
-		close(sub.done)
-		if sub.batched {
-			sub.dmu.Lock()
-			sub.dclosed = true
-			sub.dmu.Unlock()
-			sub.notifyDelivery()
-		} else {
-			close(sub.events)
-		}
+		sub.terminate(reason)
 		sub.req.Owner = nil
 		delete(subs, sub.req.ID)
 		delete(pendingCancels, sub.req.ID)
@@ -113,34 +104,22 @@ func (rt *Runtime) driverLoop() {
 			rt.cancelled.Add(1)
 			// Record the abort with its real terminal reason so it never
 			// pollutes completion latency stats.
-			rt.collector.ObserveAborted(sub.req, string(reason))
+			rt.collector.Add(metrics.ObserveAborted(sub.req, string(reason)))
 			rt.logEvent(slog.LevelInfo, "request aborted",
 				"id", sub.req.ID, "reason", string(reason), "generated", sub.req.Generated())
 		}
 	}
 
 	// abortEvent terminates a request early: one synthetic, empty-Text
-	// terminal event carrying the reason, then finalization. Never blocks:
-	// slabs grow as needed, and an unfinished per-token request has emitted
-	// at most OutputLen-1 tokens into an OutputLen-sized buffer.
+	// terminal event carrying the reason, then finalization.
 	abortEvent := func(sub *submission, reason FinishReason) {
-		ev := TokenEvent{
+		sub.deliver(TokenEvent{
 			ReqID:    sub.req.ID,
 			Index:    sub.req.Generated(),
 			Finished: true,
 			Reason:   reason,
-		}
-		if sub.batched {
-			sub.dmu.Lock()
-			if sub.pending == nil {
-				sub.pending = slabPool.Get().(*eventSlab)
-			}
-			sub.pending.evs = append(sub.pending.evs, ev)
-			sub.dmu.Unlock()
-		} else {
-			sub.events <- ev
-		}
-		finishSub(sub, reason) // closes the stream and wakes batched waiters
+		})
+		finishSub(sub, reason)
 	}
 
 	// abortResident removes an admitted, quiescent request from the pool,
@@ -159,9 +138,8 @@ func (rt *Runtime) driverLoop() {
 	// emit streams the tokens a request gained since its last delivery
 	// (indices Emitted..Generated-1). Idempotent within a batch — the
 	// emitted watermark on the request replaces the per-batch progress map
-	// this used to allocate. Never blocks the driver: batched submissions
-	// get one slab append + wakeup, per-token channels are buffered for the
-	// full output.
+	// this used to allocate. Never blocks the driver: one slab append and
+	// one wakeup per request per retired batch.
 	emit := func(r *request.Request) {
 		sub, _ := r.Owner.(*submission)
 		if sub == nil {
@@ -173,48 +151,27 @@ func (rt *Runtime) driverLoop() {
 		if pre == gen && !fin {
 			return
 		}
-		if sub.batched {
-			sub.dmu.Lock()
-			s := sub.pending
-			if s == nil {
-				s = slabPool.Get().(*eventSlab)
-				sub.pending = s
+		sub.dmu.Lock()
+		s := sub.slab()
+		for i := pre; i < gen; i++ {
+			tok := TokenValue(r.ID, i)
+			ev := TokenEvent{
+				ReqID:    r.ID,
+				Index:    i,
+				Token:    tok,
+				Text:     TokenText(tok),
+				Finished: fin && i == gen-1,
 			}
-			for i := pre; i < gen; i++ {
-				tok := TokenValue(r.ID, i)
-				ev := TokenEvent{
-					ReqID:    r.ID,
-					Index:    i,
-					Token:    tok,
-					Text:     TokenText(tok),
-					Finished: fin && i == gen-1,
-				}
-				if ev.Finished {
-					ev.Reason = FinishLength
-				}
-				s.evs = append(s.evs, ev)
+			if ev.Finished {
+				ev.Reason = FinishLength
 			}
-			sub.dmu.Unlock()
-			sub.notifyDelivery()
-		} else {
-			for i := pre; i < gen; i++ {
-				tok := TokenValue(r.ID, i)
-				ev := TokenEvent{
-					ReqID:    r.ID,
-					Index:    i,
-					Token:    tok,
-					Text:     TokenText(tok),
-					Finished: fin && i == gen-1,
-				}
-				if ev.Finished {
-					ev.Reason = FinishLength
-				}
-				sub.events <- ev
-			}
+			s.evs = append(s.evs, ev)
 		}
+		sub.dmu.Unlock()
+		sub.notifyDelivery()
 		r.MarkEmitted(gen)
 		if fin {
-			rt.collector.Observe(r)
+			rt.collector.Add(metrics.Observe(r))
 			finishSub(sub, FinishLength)
 		}
 	}
@@ -325,16 +282,22 @@ func (rt *Runtime) driverLoop() {
 		rt.inFlight.Store(int64(inFlight))
 	}
 
-	// shutdownExit terminates every outstanding handle and stops the
-	// pipeline. Precondition: inFlight == 0, so every resident request is
-	// quiescent. Setting stopping under the write lock fences the frontend:
-	// any Submit that already passed the check has completed its channel
-	// send (it holds the read lock across the send), so the sweep below
-	// provably catches every queued submission — no handle leaks.
-	shutdownExit := func() {
+	// fence closes the frontend the moment the driver learns it is stopping.
+	// Once stopping is set under the write lock, any submission that already
+	// passed the check has completed its channel send (it holds the read
+	// lock across the send), so a later sweep of submitCh provably sees
+	// every accepted submission: a graceful drain admits and serves them
+	// all, a kill aborts them all — no handle leaks either way.
+	fence := func() {
 		rt.subMu.Lock()
 		rt.stopping = true
 		rt.subMu.Unlock()
+	}
+
+	// shutdownExit terminates every outstanding handle and stops the
+	// pipeline. Preconditions: the frontend is fenced, and inFlight == 0, so
+	// every resident request is quiescent.
+	shutdownExit := func() {
 		for {
 			select {
 			case sub := <-rt.submitCh:
@@ -391,12 +354,14 @@ func (rt *Runtime) driverLoop() {
 	onStop := func() {
 		stopCh = nil
 		draining = true
+		fence()
 		rt.logEvent(slog.LevelInfo, "drain started",
 			"resident", len(subs), "in_flight", inFlight)
 	}
 	onKill := func() {
 		killCh = nil
 		killed = true
+		fence()
 		rt.logEvent(slog.LevelWarn, "kill requested",
 			"resident", len(subs), "in_flight", inFlight)
 	}

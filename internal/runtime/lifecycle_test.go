@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,18 +238,20 @@ func TestCancelFreesKV(t *testing.T) {
 	})
 }
 
-// SubmitCtx with a deadline aborts the request with FinishTimeout.
+// A submission context's deadline aborts the request with FinishTimeout.
 func TestSubmitCtxDeadline(t *testing.T) {
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.StageFault = stallStage(3 * time.Millisecond)
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	h, err := rt.SubmitCtx(ctx, 256, 10_000)
+	h, err := rt.SubmitBatchedSpec(ctx, SubmitSpec{PromptLen: 256, MaxTokens: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range h.Events {
+	events := collectBatched(t, h)
+	if last := events[len(events)-1]; !last.Finished || last.Reason != FinishTimeout || last.Text != "" {
+		t.Fatalf("terminal event = %+v", last)
 	}
 	if reason := h.FinishReason(); reason != FinishTimeout {
 		t.Fatalf("finish reason = %q, want %q", reason, FinishTimeout)
@@ -259,9 +262,14 @@ func TestSubmitCtxDeadline(t *testing.T) {
 // The KV-headroom admission gate rejects submissions beyond the configured
 // demand with ErrQueueFull, and releases the budget when requests finish.
 func TestAdmissionControlRejects(t *testing.T) {
+	// The stall keeps every request resident through the admission checks
+	// (100 output tokens take seconds) yet lets the cancelled request's
+	// micro-batch retire: a cancel that lands after the driver injected it
+	// is honoured at the next batch boundary, and with an hour-long stall
+	// that boundary never came — the test hung once in ~2 000 runs.
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.AdmitKVTokens = 300
-		cfg.StageFault = stallStage(time.Hour)
+		cfg.StageFault = stallStage(20 * time.Millisecond)
 	})
 	h, err := rt.Submit(100, 100) // demand 200 of 300
 	if err != nil {
@@ -396,5 +404,45 @@ func TestFinishReasonBeforeTerminal(t *testing.T) {
 	}
 	h.Cancel()
 	for range h.Events {
+	}
+}
+
+// A submission accepted while a graceful Shutdown begins is queued work like
+// any other: it must be served, not swept up by the driver's exit and
+// aborted with FinishShutdown. Submitters race the drain; whoever gets a
+// handle gets a full generation.
+func TestGracefulShutdownServesRacingSubmissions(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		rt := startRuntime(t, nil)
+		var wg sync.WaitGroup
+		var served atomic.Int64
+		for g := 0; g < 16; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					h, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: 16, MaxTokens: 2})
+					if err != nil {
+						if !errors.Is(err, ErrStopped) {
+							t.Errorf("submit: %v", err)
+						}
+						return
+					}
+					<-h.Done()
+					if reason := h.FinishReason(); reason != FinishLength {
+						t.Errorf("round %d: accepted request %d finished %q during a graceful drain", round, h.ID, reason)
+						return
+					}
+					served.Add(1)
+				}
+			}()
+		}
+		waitFor(t, "traffic to flow", func() bool { return served.Load() >= 16 })
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := rt.Shutdown(ctx); err != nil {
+			t.Fatalf("graceful shutdown: %v", err)
+		}
+		cancel()
+		wg.Wait()
 	}
 }

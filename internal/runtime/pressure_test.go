@@ -44,7 +44,7 @@ func TestPressureAndKVGauges(t *testing.T) {
 
 // TestMatchPrefixReportsResidency proves the driver-answered query sees the
 // prefix blocks a finished conversation turn registered, and that a
-// follow-up submitted with SubmitBatchedPrefix reuses them (PrefixHits).
+// follow-up declaring the same prefix group reuses them (PrefixHits).
 func TestMatchPrefixReportsResidency(t *testing.T) {
 	rt, err := Start(Config{
 		Model:             model.Qwen25_14B,
@@ -63,7 +63,7 @@ func TestMatchPrefixReportsResidency(t *testing.T) {
 	if got := rt.MatchPrefix(group, prompt); got != 0 {
 		t.Fatalf("cold MatchPrefix = %d, want 0", got)
 	}
-	h, err := rt.SubmitBatchedPrefix(context.Background(), prompt, out, group, 0)
+	h, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: prompt, MaxTokens: out, PrefixGroup: group})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestMatchPrefixReportsResidency(t *testing.T) {
 		t.Fatalf("MatchPrefix after first turn = %d, want > 0", got)
 	}
 	// Follow-up turn sharing the first turn's context: must hit the cache.
-	h2, err := rt.SubmitBatchedPrefix(context.Background(), prompt+64, out, group, prompt)
+	h2, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: prompt + 64, MaxTokens: out, PrefixGroup: group, SharedPrefixLen: prompt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,18 +16,14 @@ type ProxyFeeder struct {
 	closeOnce sync.Once
 }
 
-// NewProxyHandle returns a batched-delivery Handle whose events are
-// supplied by the returned feeder instead of a local driver. onCancel,
-// when non-nil, is invoked at most once — from the first Handle.Cancel
-// call — with the abort reason; the feeder side is then expected to
-// terminate the stream and Close the handle.
+// NewProxyHandle returns a Handle whose events are supplied by the
+// returned feeder instead of a local driver. onCancel, when non-nil, is
+// invoked at most once — from the first Handle.Cancel call — with the
+// abort reason; the feeder side is then expected to terminate the stream
+// and Close the handle.
 func NewProxyHandle(id int64, onCancel func(FinishReason)) (*Handle, *ProxyFeeder) {
-	sub := &submission{
-		done:     make(chan struct{}),
-		batched:  true,
-		notify:   make(chan struct{}, 1),
-		onCancel: onCancel,
-	}
+	sub := newSubmission(nil, 0)
+	sub.onCancel = onCancel
 	return &Handle{ID: id, sub: sub}, &ProxyFeeder{sub: sub}
 }
 
@@ -35,39 +31,16 @@ func NewProxyHandle(id int64, onCancel func(FinishReason)) (*Handle, *ProxyFeede
 // never blocks on the consumer (slabs grow as needed, exactly like the
 // driver's emit path) and is a no-op after Close.
 func (f *ProxyFeeder) Deliver(evs ...TokenEvent) {
-	if len(evs) == 0 {
-		return
+	if len(evs) > 0 {
+		f.sub.deliver(evs...)
 	}
-	sub := f.sub
-	sub.dmu.Lock()
-	if sub.dclosed {
-		sub.dmu.Unlock()
-		return
-	}
-	s := sub.pending
-	if s == nil {
-		s = slabPool.Get().(*eventSlab)
-		sub.pending = s
-	}
-	s.evs = append(s.evs, evs...)
-	sub.dmu.Unlock()
-	sub.notifyDelivery()
 }
 
 // Close terminates the stream with the given reason: pending events remain
 // drainable, then Handle.Next returns nil and Handle.FinishReason reports
-// the reason (Done is closed first, matching the driver's finishSub
-// ordering). Idempotent — the first reason wins.
+// the reason. Idempotent — the first reason wins.
 func (f *ProxyFeeder) Close(reason FinishReason) {
-	f.closeOnce.Do(func() {
-		sub := f.sub
-		sub.reason = reason
-		close(sub.done)
-		sub.dmu.Lock()
-		sub.dclosed = true
-		sub.dmu.Unlock()
-		sub.notifyDelivery()
-	})
+	f.closeOnce.Do(func() { f.sub.terminate(reason) })
 }
 
 // Abort terminates a stream early exactly like the driver does: one

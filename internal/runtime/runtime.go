@@ -1,17 +1,16 @@
 // Package runtime implements the gLLM asynchronous serving runtime (§3.3)
 // as a real concurrent system: a driver goroutine that owns scheduling and
 // the KV cache, one worker goroutine per pipeline stage, and a decoupled
-// frontend (Submit returns immediately; tokens stream back on a channel,
-// or — via SubmitBatched — as pooled per-micro-batch event slabs drained
-// with Handle.Next, the zero-alloc steady-state path the HTTP frontend
-// uses).
+// frontend (SubmitBatchedSpec returns immediately; tokens stream back as
+// pooled per-micro-batch event slabs drained with Handle.Next, the
+// zero-alloc steady-state path every frontend uses).
 //
 // The paper's three design principles map directly onto Go concurrency:
 //
 //  1. Non-blocking pipeline operations — workers receive work over
 //     channels and never spin-wait; the driver never blocks on emission.
-//  2. Decoupled frontend/backend — Submit is safe from any goroutine and
-//     communicates with the driver only through a channel.
+//  2. Decoupled frontend/backend — submitting is safe from any goroutine
+//     and communicates with the driver only through a channel.
 //  3. Preemptive (dual-phase) metadata scheduling — in async mode the
 //     driver broadcasts a metadata packet to every stage as soon as a
 //     micro-batch is scheduled; each worker prepares its inputs from the
@@ -27,28 +26,28 @@
 //
 // # Request lifecycle, shutdown, and backpressure
 //
-// Every submitted request terminates in exactly one way, and its Events
-// channel is always closed afterwards — handles never leak:
+// Every submitted request terminates in exactly one way, and its stream
+// always ends afterwards (Handle.Next returns nil) — handles never leak:
 //
 //   - FinishLength: every requested token was generated (the happy path).
 //   - FinishCancelled / FinishTimeout: the submitter's context was
-//     cancelled or its deadline expired (SubmitCtx), or Handle.Cancel was
-//     called. The driver aborts the request at the next micro-batch
-//     boundary and releases its KV blocks.
+//     cancelled or its deadline expired, or Handle.Cancel was called. The
+//     driver aborts the request at the next micro-batch boundary and
+//     releases its KV blocks.
 //   - FinishShutdown: the runtime was drained or closed before the request
 //     completed.
 //
 // Shutdown has two modes. Shutdown(ctx) drains gracefully: new submissions
 // are refused with ErrStopped, but queued AND in-flight work keeps being
 // scheduled until it completes; when ctx expires the remainder is aborted
-// (FinishShutdown) with properly closed channels. Close aborts immediately,
+// (FinishShutdown) with properly ended streams. Close aborts immediately,
 // cutting emulated GPU sleeps short. Both are idempotent and safe to call
 // concurrently.
 //
 // Admission control bounds the work the runtime will buffer: when the
 // submit queue is saturated, or the projected KV demand (prompt + output
 // tokens summed over every admitted, unfinished request) exceeds
-// Config.AdmitKVFactor times the KV capacity, Submit fails fast with
+// Config.AdmitKVFactor times the KV capacity, submission fails fast with
 // ErrQueueFull instead of queueing unboundedly.
 //
 // A watchdog goroutine observes driver progress: when micro-batches are in
@@ -165,7 +164,7 @@ func (c *Config) applyDefaults() {
 // FinishReason classifies how a request reached its terminal state.
 type FinishReason string
 
-// Terminal reasons. Every handle's Events channel closes with exactly one.
+// Terminal reasons. Every handle's stream ends with exactly one.
 const (
 	// FinishLength: every requested output token was generated.
 	FinishLength FinishReason = "length"
@@ -205,13 +204,9 @@ type TokenEvent struct {
 // Handle tracks one submitted request.
 type Handle struct {
 	ID int64
-	// Events delivers every generated token; it is closed after the final
-	// (Finished) event. The channel is buffered for the full output, so
-	// slow consumers never stall the driver. Aborted requests receive one
-	// final empty-Text event carrying the abort reason before the close.
-	//
-	// Events is nil for handles obtained via SubmitBatched — those deliver
-	// through Handle.Next instead.
+	// Events is set only on handles returned by the Submit shim: every
+	// event Next would have returned, one at a time, closed after the
+	// terminal one. Every other handle delivers through Next.
 	Events <-chan TokenEvent
 
 	rt  *Runtime
@@ -239,7 +234,7 @@ func (h *Handle) Cancel() {
 }
 
 // FinishReason reports how the request terminated. It returns "" until the
-// request is terminal (Events closed / Done fired).
+// request is terminal (Done fired, which happens before the stream ends).
 func (h *Handle) FinishReason() FinishReason {
 	select {
 	case <-h.sub.done:
@@ -249,18 +244,19 @@ func (h *Handle) FinishReason() FinishReason {
 	}
 }
 
-// Next returns the next batch of token events for a handle obtained via
-// SubmitBatched. It blocks until the driver delivers events, and returns
-// nil when the stream is complete (every event, including the terminal one,
-// has been returned by earlier calls) or when ctx is done (check ctx.Err()
-// to distinguish). The returned slice is owned by the runtime and valid
-// only until the following Next call, which recycles its slab; callers
-// must not retain it. Next must not be called concurrently with itself and
-// panics on per-token (channel) handles.
+// Next returns the next batch of token events. It blocks until the driver
+// delivers events, and returns nil when the stream is complete (every
+// event, including the terminal one — an aborted request's is synthetic:
+// empty Text, the abort reason — has been returned by earlier calls) or
+// when ctx is done (check ctx.Err() to distinguish). The returned slice is
+// owned by the runtime and valid only until the following Next call, which
+// recycles its slab; callers must not retain it. Next must not be called
+// concurrently with itself, and panics on a Submit-shim handle, whose pump
+// goroutine is already the stream's one consumer.
 func (h *Handle) Next(ctx context.Context) []TokenEvent {
 	sub := h.sub
-	if !sub.batched {
-		panic("runtime: Handle.Next on a per-token (channel) handle; range over Events instead")
+	if h.Events != nil {
+		panic("runtime: Handle.Next on a Submit handle; range over Events instead")
 	}
 	if h.cur != nil {
 		h.cur.evs = h.cur.evs[:0]
@@ -334,6 +330,25 @@ type Snapshot struct {
 	PrefixHitTokens int64
 }
 
+// Gauges is the snapshot's half of a /metrics page in the metrics package's
+// terms: the one conversion behind the standalone exposition and each
+// replica's block of the cluster federation.
+func (s Snapshot) Gauges() metrics.Gauges {
+	return metrics.Gauges{
+		Rejected:             s.Rejected,
+		Iterations:           int64(s.Iterations),
+		Preemptions:          int64(s.Preemptions),
+		StageBusySeconds:     s.StageBusySeconds,
+		BubbleRate:           s.BubbleRate,
+		KVFreeRate:           s.KVFreeRate,
+		RunningDecode:        s.RunningDecode,
+		WaitingPrefillTokens: s.WaitingPrefill,
+		Resident:             s.Resident,
+		Healthy:              s.Health == HealthOK,
+		UptimeSeconds:        s.Uptime.Seconds(),
+	}
+}
+
 // RetryAfterHint derives a client backoff hint from the snapshot's load:
 // a 1 s floor, +1 s per eighth of the KV cache in use beyond half, and
 // +1 s per 256 resident requests, capped at 30 s. The HTTP frontend sends
@@ -401,7 +416,7 @@ type Runtime struct {
 
 	workers []*worker
 
-	collector metrics.Collector
+	collector metrics.Live
 
 	// Scalar progress counters are atomics written inline by the driver
 	// (and read lock-free by Stats and the watchdog); the pool-derived
@@ -458,11 +473,10 @@ var slabPool = sync.Pool{New: func() any { return &eventSlab{evs: make([]TokenEv
 
 type submission struct {
 	req      *request.Request
-	events   chan TokenEvent // per-token transport; nil when batched
 	done     chan struct{}
 	kvDemand int64
-	// reason is written by the driver before done/events close; readers
-	// must wait on either channel first (Handle.FinishReason does).
+	// reason is written before done closes; readers must wait on done
+	// first (Handle.FinishReason does).
 	reason FinishReason
 	// abortReason is the externally requested abort reason (CAS winner
 	// sends the submission to cancelCh exactly once).
@@ -471,15 +485,56 @@ type submission struct {
 	// abort reason in place of the driver's cancelCh path.
 	onCancel func(FinishReason)
 
-	// Batched (slab) delivery, used instead of the events channel when
-	// batched is set: the driver appends to pending under dmu — a short
-	// critical section, so it never blocks on a slow consumer — and pokes
-	// notify (capacity 1, non-blocking) once per delivery.
-	batched bool
+	// Slab delivery: the feeding side (the driver, or a ProxyFeeder)
+	// appends to pending under dmu — a short critical section, so it never
+	// blocks on a slow consumer — and pokes notify (capacity 1,
+	// non-blocking) once per delivery.
 	dmu     sync.Mutex
 	pending *eventSlab
 	dclosed bool
 	notify  chan struct{}
+}
+
+func newSubmission(req *request.Request, kvDemand int64) *submission {
+	return &submission{req: req, kvDemand: kvDemand,
+		done: make(chan struct{}), notify: make(chan struct{}, 1)}
+}
+
+// slab returns the slab the next events are appended to, taking one from
+// the pool when the consumer has swapped the last one out. The caller
+// holds dmu.
+func (sub *submission) slab() *eventSlab {
+	if sub.pending == nil {
+		sub.pending = slabPool.Get().(*eventSlab)
+	}
+	return sub.pending
+}
+
+// deliver appends events for the consumer's next Handle.Next call and
+// wakes it. It never blocks on the consumer (slabs grow as needed) and is
+// a no-op once the stream is terminated.
+func (sub *submission) deliver(evs ...TokenEvent) {
+	sub.dmu.Lock()
+	if sub.dclosed {
+		sub.dmu.Unlock()
+		return
+	}
+	s := sub.slab()
+	s.evs = append(s.evs, evs...)
+	sub.dmu.Unlock()
+	sub.notifyDelivery()
+}
+
+// terminate ends the stream with its reason; the feeding side calls it
+// exactly once, after the last event. Done closes before the stream does,
+// so FinishReason is valid as soon as a consumer sees Next return nil.
+func (sub *submission) terminate(reason FinishReason) {
+	sub.reason = reason
+	close(sub.done)
+	sub.dmu.Lock()
+	sub.dclosed = true
+	sub.dmu.Unlock()
+	sub.notifyDelivery()
 }
 
 // notifyDelivery wakes a Handle.Next waiter; never blocks (capacity-1
@@ -501,13 +556,13 @@ type microBatch struct {
 
 var mbPool = sync.Pool{New: func() any { return new(microBatch) }}
 
-// ErrStopped is returned by Submit after Shutdown or Close.
+// ErrStopped is returned by SubmitBatchedSpec after Shutdown or Close.
 var ErrStopped = errors.New("runtime: stopped")
 
-// ErrQueueFull is returned by Submit when admission control refuses the
-// request: the submit queue is saturated or the projected KV demand of
-// admitted work exceeds the configured headroom. Callers should shed load
-// or retry later (the HTTP frontend maps it to 429 + Retry-After).
+// ErrQueueFull is returned by SubmitBatchedSpec when admission control
+// refuses the request: the submit queue is saturated or the projected KV
+// demand of admitted work exceeds the configured headroom. Callers should
+// shed load or retry later (the HTTP frontend maps it to 429 + Retry-After).
 var ErrQueueFull = errors.New("runtime: queue full")
 
 // Start validates the configuration, spawns the driver and stage workers,
@@ -574,74 +629,23 @@ func Start(cfg Config) (*Runtime, error) {
 // KVCapacityTokens returns the derived KV capacity of the deployment.
 func (rt *Runtime) KVCapacityTokens() int64 { return rt.kvCapacity }
 
-// Submit enqueues a request with the given prompt and output lengths and
-// returns a handle streaming its tokens. It is safe for concurrent use.
-func (rt *Runtime) Submit(promptLen, maxTokens int) (*Handle, error) {
-	return rt.submit(context.Background(), promptLen, maxTokens, 0, 0)
-}
-
-// SubmitCtx is Submit bound to a context: when ctx is cancelled or its
-// deadline expires, the request is aborted at the next micro-batch
-// boundary, its KV blocks are released, and its handle terminates with
-// FinishCancelled or FinishTimeout.
-func (rt *Runtime) SubmitCtx(ctx context.Context, promptLen, maxTokens int) (*Handle, error) {
-	return rt.submit(ctx, promptLen, maxTokens, 0, 0)
-}
-
-// SubmitWithPrefix is Submit for a request whose first sharedLen prompt
-// tokens are shared content of the given prefix group (requires
-// Config.EnablePrefixCache for reuse to occur).
-func (rt *Runtime) SubmitWithPrefix(promptLen, maxTokens int, group int64, sharedLen int) (*Handle, error) {
-	return rt.submit(context.Background(), promptLen, maxTokens, group, sharedLen)
-}
-
-// SubmitCtxWithPrefix combines SubmitCtx and SubmitWithPrefix.
-func (rt *Runtime) SubmitCtxWithPrefix(ctx context.Context, promptLen, maxTokens int, group int64, sharedLen int) (*Handle, error) {
-	return rt.submit(ctx, promptLen, maxTokens, group, sharedLen)
-}
-
-// SubmitBatched is SubmitCtx with slab-based token delivery: the driver
-// appends each retired micro-batch's tokens to a pooled event slab and the
-// consumer drains whole slabs via Handle.Next — the allocation-free
-// steady-state path the HTTP frontend streams from. The returned handle's
-// Events channel is nil; lifecycle semantics (Done, Cancel, FinishReason,
-// terminal abort events) are identical to Submit.
-func (rt *Runtime) SubmitBatched(ctx context.Context, promptLen, maxTokens int) (*Handle, error) {
-	return rt.submitMode(ctx, SubmitSpec{PromptLen: promptLen, MaxTokens: maxTokens}, true)
-}
-
-// SubmitBatchedPrefix is SubmitBatched for a request whose first sharedLen
-// prompt tokens are shared content of the given prefix group — the path the
-// HTTP frontend and the cluster router submit conversation follow-ups
-// through (group 0 behaves exactly like SubmitBatched).
-func (rt *Runtime) SubmitBatchedPrefix(ctx context.Context, promptLen, maxTokens int, group int64, sharedLen int) (*Handle, error) {
-	return rt.SubmitBatchedSpec(ctx, SubmitSpec{
-		PromptLen: promptLen, MaxTokens: maxTokens,
-		PrefixGroup: group, SharedPrefixLen: sharedLen,
-	})
-}
-
-// SubmitSpec fully describes one submission — the extensible submit
-// surface. The positional Submit* helpers build specs; new per-request
-// context (like the distributed trace ID) rides here without another
-// signature permutation.
+// SubmitSpec fully describes one submission; the HTTP frontend and the
+// cluster router use it as their request type too (server.SubmitRequest,
+// cluster.Request), so per-request context — like the distributed trace
+// ID — is added in one place.
 type SubmitSpec struct {
 	PromptLen int
 	MaxTokens int
-	// PrefixGroup/SharedPrefixLen declare a shared conversation prefix
-	// (see SubmitWithPrefix).
+	// PrefixGroup (non-zero) marks the first SharedPrefixLen prompt tokens
+	// as shared content of that group: reusable across requests when
+	// Config.EnablePrefixCache is set, and what prefix-affinity routing
+	// keys on.
 	PrefixGroup     int64
 	SharedPrefixLen int
 	// Trace is the distributed request-trace context (zero = untraced).
 	// The driver records queue/prefill/decode lifecycle spans for traced
 	// requests into Config.ReqSpans at termination.
 	Trace obs.TraceID
-}
-
-// SubmitBatchedSpec is the spec-based batched submit — what the HTTP
-// frontend and the cluster router call.
-func (rt *Runtime) SubmitBatchedSpec(ctx context.Context, spec SubmitSpec) (*Handle, error) {
-	return rt.submitMode(ctx, spec, true)
 }
 
 // MatchPrefix reports how many leading tokens of a prompt in the given
@@ -663,14 +667,12 @@ func (rt *Runtime) MatchPrefix(group int64, maxTokens int) int {
 	}
 }
 
-func (rt *Runtime) submit(ctx context.Context, promptLen, maxTokens int, group int64, sharedLen int) (*Handle, error) {
-	return rt.submitMode(ctx, SubmitSpec{
-		PromptLen: promptLen, MaxTokens: maxTokens,
-		PrefixGroup: group, SharedPrefixLen: sharedLen,
-	}, false)
-}
-
-func (rt *Runtime) submitMode(ctx context.Context, spec SubmitSpec, batched bool) (*Handle, error) {
+// SubmitBatchedSpec enqueues a request and returns a handle streaming its
+// tokens through Handle.Next. It is safe for concurrent use. When ctx is
+// cancelled or its deadline expires, the request is aborted at the next
+// micro-batch boundary, its KV blocks are released, and its handle
+// terminates with FinishCancelled or FinishTimeout.
+func (rt *Runtime) SubmitBatchedSpec(ctx context.Context, spec SubmitSpec) (*Handle, error) {
 	promptLen, maxTokens := spec.PromptLen, spec.MaxTokens
 	if promptLen <= 0 || maxTokens <= 0 {
 		return nil, fmt.Errorf("runtime: invalid lengths %d/%d", promptLen, maxTokens)
@@ -715,17 +717,7 @@ func (rt *Runtime) submitMode(ctx context.Context, spec SubmitSpec, batched bool
 	req.PrefixGroup = spec.PrefixGroup
 	req.SharedPrefixLen = spec.SharedPrefixLen
 	req.Trace = spec.Trace
-	sub := &submission{
-		req:      req,
-		done:     make(chan struct{}),
-		kvDemand: demand,
-		batched:  batched,
-	}
-	if batched {
-		sub.notify = make(chan struct{}, 1)
-	} else {
-		sub.events = make(chan TokenEvent, maxTokens)
-	}
+	sub := newSubmission(req, demand)
 	select {
 	case rt.submitCh <- sub:
 	default:
@@ -748,7 +740,31 @@ func (rt *Runtime) submitMode(ctx context.Context, spec SubmitSpec, batched bool
 			}
 		}()
 	}
-	return &Handle{ID: id, Events: sub.events, rt: rt, sub: sub}, nil
+	return &Handle{ID: id, rt: rt, sub: sub}, nil
+}
+
+// Submit is SubmitBatchedSpec behind a per-token channel, kept because the
+// frozen benchmark's runtime.chan_ns_per_token probe calls it: one pump
+// goroutine drains Next into Handle.Events and exits when the stream ends.
+// The channel holds the whole stream — at most maxTokens events, since an
+// abort terminator replaces at least one ungenerated token — so the pump
+// never blocks on a slow consumer.
+func (rt *Runtime) Submit(promptLen, maxTokens int) (*Handle, error) {
+	ctx := context.Background()
+	h, err := rt.SubmitBatchedSpec(ctx, SubmitSpec{PromptLen: promptLen, MaxTokens: maxTokens})
+	if err != nil {
+		return nil, err
+	}
+	events := make(chan TokenEvent, maxTokens)
+	go func() {
+		defer close(events)
+		for evs := h.Next(ctx); evs != nil; evs = h.Next(ctx) {
+			for _, ev := range evs {
+				events <- ev
+			}
+		}
+	}()
+	return &Handle{ID: h.ID, Events: events, rt: rt, sub: h.sub}, nil
 }
 
 // proxyCancel records the abort reason (first writer wins) and invokes the
@@ -864,14 +880,9 @@ func (rt *Runtime) isDraining() bool {
 	}
 }
 
-// Report summarizes all finished requests so far.
-func (rt *Runtime) Report() metrics.Report {
-	return rt.collector.Report(time.Since(rt.start))
-}
-
-// Metrics exposes the runtime's collector (safe for concurrent use; the
-// server builds its /metrics page from Records snapshots).
-func (rt *Runtime) Metrics() *metrics.Collector { return &rt.collector }
+// Metrics exposes the runtime's fixed-size collector (safe for concurrent
+// use; the server builds its /metrics page from its Scrape).
+func (rt *Runtime) Metrics() *metrics.Live { return &rt.collector }
 
 // Start returns the runtime's wall-clock start time (span timestamps in
 // Config.Spans are relative to it).

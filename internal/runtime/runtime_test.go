@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -117,9 +118,8 @@ func TestConcurrentSubmitters(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no tokens at all")
 	}
-	rep := rt.Report()
-	if rep.Requests != n {
-		t.Fatalf("report requests = %d, want %d", rep.Requests, n)
+	if got := rt.Metrics().Scrape().ByReason["length"]; got != n {
+		t.Fatalf("completed requests = %d, want %d", got, n)
 	}
 }
 
@@ -343,28 +343,28 @@ func TestConversationWithPrefixCache(t *testing.T) {
 	for turn := 0; turn < 4; turn++ {
 		prompt := ctxLen + 50
 		out := 20
-		h, err := rt.SubmitWithPrefix(prompt, out, 7, ctxLen)
+		h, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{
+			PromptLen: prompt, MaxTokens: out, PrefixGroup: 7, SharedPrefixLen: ctxLen})
 		if err != nil {
 			t.Fatalf("turn %d: %v", turn, err)
 		}
-		if got := len(collect(t, h)); got != out {
+		if got := len(collectBatched(t, h)); got != out {
 			t.Fatalf("turn %d produced %d tokens", turn, got)
 		}
 		ctxLen = prompt + out
 	}
-	rep := rt.Report()
-	if rep.Requests != 4 {
-		t.Fatalf("finished %d/4 turns", rep.Requests)
+	if got := rt.Metrics().Scrape().ByReason["length"]; got != 4 {
+		t.Fatalf("finished %d/4 turns", got)
 	}
 }
 
 func TestSubmitWithPrefixValidation(t *testing.T) {
 	rt := testRuntime(t, true)
-	if _, err := rt.SubmitWithPrefix(10, 5, 1, -1); err == nil {
-		t.Fatal("negative shared prefix accepted")
-	}
-	if _, err := rt.SubmitWithPrefix(10, 5, 1, 11); err == nil {
-		t.Fatal("shared prefix > prompt accepted")
+	for _, shared := range []int{-1, 11} {
+		spec := SubmitSpec{PromptLen: 10, MaxTokens: 5, PrefixGroup: 1, SharedPrefixLen: shared}
+		if _, err := rt.SubmitBatchedSpec(context.Background(), spec); err == nil {
+			t.Fatalf("shared prefix %d of a 10-token prompt accepted", shared)
+		}
 	}
 }
 
@@ -412,7 +412,50 @@ func TestSyncRuntimeServesConcurrentLoad(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if rep := rt.Report(); rep.Requests != 12 {
-		t.Fatalf("finished %d/12", rep.Requests)
+	if got := rt.Metrics().Scrape().ByReason["length"]; got != 12 {
+		t.Fatalf("finished %d/12", got)
 	}
+}
+
+// Submit is a shim: one pump goroutine between slab delivery and Events.
+// The pump must not outlive the stream even when nobody reads Events (the
+// channel holds the whole stream, abort terminator included), Done closes
+// no later than Events, and Next on the shim's handle — which would race
+// the pump for slabs — panics.
+func TestSubmitShimPumpExits(t *testing.T) {
+	rt := testRuntime(t, true)
+	baseline := goruntime.NumGoroutine()
+	handles := make([]*Handle, 8)
+	for i := range handles {
+		h, err := rt.Submit(64, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			h.Cancel() // may lose the race against completion; either way the stream ends
+		}
+		handles[i] = h
+	}
+	for _, h := range handles {
+		<-h.Done()
+	}
+	waitFor(t, "every pump to exit with nobody reading Events", func() bool {
+		return goruntime.NumGoroutine() <= baseline
+	})
+	for i, h := range handles {
+		events := collect(t, h)
+		last := events[len(events)-1]
+		if !last.Finished || last.Reason != h.FinishReason() {
+			t.Fatalf("handle %d: terminal event %+v, FinishReason %q", i, last, h.FinishReason())
+		}
+		if last.Reason == FinishLength && len(events) != 16 {
+			t.Fatalf("handle %d: completed with %d events, want 16", i, len(events))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Next on a Submit handle did not panic")
+		}
+	}()
+	handles[0].Next(context.Background())
 }

@@ -23,24 +23,18 @@ import (
 	"gllm/internal/runtime"
 )
 
-// SubmitRequest carries one generation request into a Backend. PrefixGroup
-// (non-zero) marks the first SharedPrefixLen prompt tokens as shared
-// conversation context, enabling prefix-cache reuse and prefix-affinity
-// routing. Trace is the distributed trace context parsed from the
-// traceparent header (zero = untraced); the cluster router forwards it to
-// the chosen replica so both sides record spans under one ID.
-type SubmitRequest struct {
-	PromptLen       int
-	MaxTokens       int
-	PrefixGroup     int64
-	SharedPrefixLen int
-	Trace           obs.TraceID
-}
+// SubmitRequest carries one generation request into a Backend — the
+// runtime's own submission spec, so backends pass it on unchanged. Trace is
+// the distributed trace context parsed from the traceparent header (zero =
+// untraced); the cluster router forwards it to the chosen replica so both
+// sides record spans under one ID.
+type SubmitRequest = runtime.SubmitSpec
 
 // Backend is what the HTTP frontend serves: a single runtime or a cluster
-// router. Submit must return a batched (slab-delivery) handle; errors are
-// mapped to HTTP statuses (runtime.ErrQueueFull → 429 with a derived
-// Retry-After, runtime.ErrStopped → 503). Scrape snapshots the incremental
+// router. Submit returns the request's handle, which the frontend drains
+// with Handle.Next; errors are mapped to HTTP statuses
+// (runtime.ErrQueueFull → 429 with a derived Retry-After,
+// runtime.ErrStopped → 503). Scrape snapshots the incremental
 // counter/histogram state feeding /metrics — O(buckets) per call, never
 // O(finished requests).
 type Backend interface {
@@ -68,13 +62,7 @@ type PrefixMatchBackend interface {
 type runtimeBackend struct{ rt *runtime.Runtime }
 
 func (b runtimeBackend) Submit(ctx context.Context, req SubmitRequest) (*runtime.Handle, error) {
-	return b.rt.SubmitBatchedSpec(ctx, runtime.SubmitSpec{
-		PromptLen:       req.PromptLen,
-		MaxTokens:       req.MaxTokens,
-		PrefixGroup:     req.PrefixGroup,
-		SharedPrefixLen: req.SharedPrefixLen,
-		Trace:           req.Trace,
-	})
+	return b.rt.SubmitBatchedSpec(ctx, req)
 }
 func (b runtimeBackend) Stats() runtime.Snapshot              { return b.rt.Stats() }
 func (b runtimeBackend) Scrape() metrics.Scrape               { return b.rt.Metrics().Scrape() }
@@ -144,8 +132,10 @@ func (s *Server) recordSpan(trace obs.TraceID, name, detail string, start, end t
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// completionRequest is the accepted subset of the OpenAI completions API.
-type completionRequest struct {
+// CompletionRequest is the accepted subset of the OpenAI completions API:
+// the one declaration of the /v1/completions request body, which the
+// remote-replica transport and the benchmark client encode.
+type CompletionRequest struct {
 	Model     string `json:"model"`
 	Prompt    string `json:"prompt"`
 	PromptLen int    `json:"prompt_len,omitempty"` // benchmark extension: synthetic prompt length
@@ -157,6 +147,16 @@ type completionRequest struct {
 	// cluster routing.
 	PrefixGroup     int64 `json:"prefix_group,omitempty"`
 	SharedPrefixLen int   `json:"shared_prefix_len,omitempty"`
+}
+
+// CompletionChunk is the subset of a streamed completion chunk (as
+// appendChunk encodes it) that stream consumers inspect: the token text —
+// empty on the synthetic abort terminator — and the finish reason.
+type CompletionChunk struct {
+	Choices []struct {
+		Text         string `json:"text"`
+		FinishReason string `json:"finish_reason"`
+	} `json:"choices"`
 }
 
 type completionChoice struct {
@@ -208,7 +208,7 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req completionRequest
+	var req CompletionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid JSON: %v", err))
 		return
@@ -564,28 +564,11 @@ func (s *Server) handleMatchPrefix(w http.ResponseWriter, r *http.Request) {
 // is O(metric families), independent of how many requests have finished —
 // and gauges reflect the instantaneous Stats snapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	fams := metrics.Exposition(s.be.Scrape(), s.gauges())
+	g := s.be.Stats().Gauges()
+	g.UptimeSeconds = time.Since(s.started).Seconds() // this frontend's uptime, not its backend's
+	fams := metrics.Exposition(s.be.Scrape(), g)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	metrics.WriteFamilies(w, fams)
-}
-
-// gauges derives the instantaneous-gauge block of the exposition from the
-// backend's stats snapshot.
-func (s *Server) gauges() metrics.Gauges {
-	st := s.be.Stats()
-	return metrics.Gauges{
-		Rejected:             st.Rejected,
-		Iterations:           int64(st.Iterations),
-		Preemptions:          int64(st.Preemptions),
-		StageBusySeconds:     st.StageBusySeconds,
-		BubbleRate:           st.BubbleRate,
-		KVFreeRate:           st.KVFreeRate,
-		RunningDecode:        st.RunningDecode,
-		WaitingPrefillTokens: st.WaitingPrefill,
-		Resident:             st.Resident,
-		Healthy:              st.Health == runtime.HealthOK,
-		UptimeSeconds:        time.Since(s.started).Seconds(),
-	}
 }
 
 // handleTraceSpans exports the recorded request spans (with this

@@ -180,7 +180,7 @@ func TestDisconnectLeaksNoGoroutines(t *testing.T) {
 
 // TestServeSteadyStateAllocsPerToken guards the full HTTP serving path
 // (wired into `make check`): with warm pools, streaming a completion through
-// ServeHTTP → SubmitBatched → slab delivery → hand-rolled SSE encoding must
+// ServeHTTP → SubmitBatchedSpec → slab delivery → hand-rolled SSE encoding must
 // cost less than one allocation per token — per-request setup (request
 // parsing, handle, header map) is real but amortizes out. The seed path cost
 // ~10 allocations per token.
