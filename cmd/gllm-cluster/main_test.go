@@ -4,48 +4,12 @@ import (
 	"io"
 	"log/slog"
 	"testing"
-	"time"
-
-	"gllm/internal/cluster"
 )
-
-// The selfcheck is the binary's own end-to-end proof (make cluster-smoke);
-// running it under go test keeps it from rotting between smoke runs.
-func TestSelfCheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots three replica runtimes and replays a trace over HTTP")
-	}
-	o := clusterOptions{
-		replicas: 3, policy: "prefix", modelPath: "Qwen2.5-14B",
-		pp: 2, gpuName: "L20-48GB", memUtil: 0.9,
-		schedName: "gllm", budget: 2048, prefixCache: true,
-		retry: cluster.RetryPolicy{
-			MaxAttempts: 4, BaseDelay: 5 * time.Millisecond,
-			MaxDelay: time.Second, Budget: 10 * time.Second, HonorRetryAfter: true,
-		},
-		drainTimeout: 30 * time.Second, seed: 20250704,
-	}
-	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	if err := selfCheck(o, logger); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for _, s := range []string{"debug", "info", "warn", "error"} {
-		if _, err := parseLevel(s); err != nil {
-			t.Errorf("parseLevel(%q): %v", s, err)
-		}
-	}
-	if _, err := parseLevel("loud"); err == nil {
-		t.Error("parseLevel must reject unknown levels")
-	}
-}
 
 func TestBuildClusterRejectsBadPolicy(t *testing.T) {
 	o := clusterOptions{replicas: 1, policy: "nope", modelPath: "Qwen2.5-14B",
 		pp: 2, gpuName: "L20-48GB", memUtil: 0.9, schedName: "gllm", budget: 2048}
-	if _, err := buildCluster(o, slog.New(slog.NewTextHandler(io.Discard, nil))); err == nil {
+	if _, _, err := buildCluster(o, slog.New(slog.NewTextHandler(io.Discard, nil))); err == nil {
 		t.Fatal("unknown policy must fail")
 	}
 }

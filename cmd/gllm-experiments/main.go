@@ -38,51 +38,12 @@ func main() {
 		out      = flag.String("out", "", "directory for CSV/series output (optional)")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0),
 			"worker goroutines per experiment grid (1 = sequential; results are identical at any setting)")
-		selfcheck = flag.Bool("selfcheck", false,
-			"run the quick TKNP regime sweep and fail unless token parallelism wins the largest batch x longest context cell")
 	)
 	flag.Parse()
-	if *selfcheck {
-		if err := tknpSelfCheck(*parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "gllm-experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := mainErr(*run, *scale, *out, *parallel); err != nil {
 		fmt.Fprintln(os.Stderr, "gllm-experiments:", err)
 		os.Exit(1)
 	}
-}
-
-// tknpSelfCheck is the smoke for the token-parallel stack: the quick sweep
-// must reproduce the regime the engine exists for — a nonzero decode-
-// throughput win over both TP and PP in the largest batch x longest
-// context cell.
-func tknpSelfCheck(parallel int) error {
-	sc := experiments.QuickScale()
-	sc.Workers = parallel
-	res, err := experiments.TknpRegimesQuick(sc)
-	if err != nil {
-		return fmt.Errorf("selfcheck: %w", err)
-	}
-	batch, ctx := res.LargestCell()
-	tknp, ok := res.Row("tknp", batch, ctx)
-	if !ok || tknp.DecodeTput <= 0 {
-		return fmt.Errorf("selfcheck: no live tknp cell at B=%d ctx=%d", batch, ctx)
-	}
-	for _, rival := range []string{"tp", "pp"} {
-		row, ok := res.Row(rival, batch, ctx)
-		if !ok {
-			return fmt.Errorf("selfcheck: missing %s cell at B=%d ctx=%d", rival, batch, ctx)
-		}
-		if tknp.DecodeTput <= row.DecodeTput {
-			return fmt.Errorf("selfcheck: tknp decode %.1f tok/s does not beat %s %.1f tok/s at B=%d ctx=%d",
-				tknp.DecodeTput, rival, row.DecodeTput, batch, ctx)
-		}
-	}
-	fmt.Printf("selfcheck ok: B=%d ctx=%d tknp %.1f tok/s beats tp/pp\n", batch, ctx, tknp.DecodeTput)
-	return nil
 }
 
 func mainErr(run, scaleName, out string, parallel int) error {

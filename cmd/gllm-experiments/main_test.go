@@ -29,12 +29,6 @@ func TestMainErrTknpArtifact(t *testing.T) {
 	}
 }
 
-func TestTknpSelfCheck(t *testing.T) {
-	if err := tknpSelfCheck(2); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMainErrErrors(t *testing.T) {
 	if err := mainErr("fig99", "quick", "", 0); err == nil {
 		t.Fatal("unknown experiment accepted")

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -42,7 +43,7 @@ import (
 type srvOptions struct {
 	traceOut string
 	pprofOn  bool
-	logLevel string
+	logLevel slog.Level
 }
 
 func main() {
@@ -79,11 +80,11 @@ func main() {
 			"write per-stage exec/xfer/prep spans as Chrome trace-event JSON on shutdown")
 		pprofOn = flag.Bool("pprof", false,
 			"expose net/http/pprof profiling handlers under /debug/pprof/")
-		logLevel = flag.String("log-level", "info",
-			"structured log level: debug, info, warn, error")
 	)
+	var logLevel slog.Level
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "structured log level: debug, info, warn, error")
 	flag.Parse()
-	opts := srvOptions{traceOut: *traceOut, pprofOn: *pprofOn, logLevel: *logLevel}
+	opts := srvOptions{traceOut: *traceOut, pprofOn: *pprofOn, logLevel: logLevel}
 	if err := run(*port, *modelPath, *pp, *gpuName, *memUtil, *schedName, *naive, *budget,
 		core.Params{IterT: *iterT, MaxP: *maxP, MinP: *minP, KVThresh: *kvThresh},
 		*timeScale, *syncRuntime, *enableCPP, *prefixCache,
@@ -94,32 +95,13 @@ func main() {
 	}
 }
 
-// parseLevel maps the -log-level flag onto a slog.Level.
-func parseLevel(s string) (slog.Level, error) {
-	switch s {
-	case "debug":
-		return slog.LevelDebug, nil
-	case "info":
-		return slog.LevelInfo, nil
-	case "warn":
-		return slog.LevelWarn, nil
-	case "error":
-		return slog.LevelError, nil
-	}
-	return 0, fmt.Errorf("unknown log level %q (want debug, info, warn, or error)", s)
-}
-
 func run(port int, modelPath string, pp int, gpuName string, memUtil float64,
 	schedName string, naive bool, budget int, params core.Params,
 	timeScale float64, syncRuntime, enableCPP, prefixCache bool,
 	drainTimeout, watchdogTimeout time.Duration, admitKVFactor float64,
 	stallStage int, stallDuration time.Duration, opts srvOptions) error {
 
-	level, err := parseLevel(opts.logLevel)
-	if err != nil {
-		return err
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: opts.logLevel}))
 
 	m, err := model.ByName(modelPath)
 	if err != nil {
@@ -185,31 +167,30 @@ func run(port int, modelPath string, pp int, gpuName string, memUtil float64,
 	addr := fmt.Sprintf(":%d", port)
 	httpSrv := &http.Server{Addr: addr, Handler: handler}
 
-	// First signal: graceful — stop accepting connections, drain queued and
-	// in-flight generation up to -drain-timeout. Second signal: abort
-	// immediately.
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		logger.Info("draining", "timeout", drainTimeout)
-		go func() {
-			<-sigCh
-			logger.Warn("aborting")
-			_ = rt.Close()
-		}()
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := rt.Shutdown(ctx); err != nil {
-			logger.Warn("drain incomplete", "err", err)
-		}
-		_ = httpSrv.Shutdown(ctx)
-	}()
-
 	logger.Info("serving",
 		"model", m.Name, "pp", pp, "scheduler", s.Name(), "async", !syncRuntime,
 		"addr", addr, "kv_capacity_tokens", rt.KVCapacityTokens())
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	// First signal: graceful — drain queued and in-flight generation up to
+	// -drain-timeout, then stop the HTTP server once its handlers have
+	// written their last bytes. Second signal: abort immediately.
+	err = server.ServeUntilSignal(httpSrv, ln, sigCh, drainTimeout,
+		func(ctx context.Context) {
+			logger.Info("draining", "timeout", drainTimeout)
+			if err := rt.Shutdown(ctx); err != nil {
+				logger.Warn("drain incomplete", "err", err)
+			}
+		},
+		func() {
+			logger.Warn("aborting")
+			_ = rt.Close()
+		})
+	if err != nil {
 		return err
 	}
 	if rec != nil {

@@ -17,23 +17,6 @@ import (
 	"gllm/internal/sched"
 )
 
-func TestParseLevel(t *testing.T) {
-	for name, want := range map[string]slog.Level{
-		"debug": slog.LevelDebug,
-		"info":  slog.LevelInfo,
-		"warn":  slog.LevelWarn,
-		"error": slog.LevelError,
-	} {
-		got, err := parseLevel(name)
-		if err != nil || got != want {
-			t.Fatalf("parseLevel(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseLevel("verbose"); err == nil {
-		t.Fatal("parseLevel accepted an unknown level")
-	}
-}
-
 func TestWriteTrace(t *testing.T) {
 	rec := obs.NewRecorder(4, 0)
 	rt, err := runtime.Start(runtime.Config{

@@ -62,10 +62,24 @@ func TestRunTraceOut(t *testing.T) {
 }
 
 func TestRunTensorParallel(t *testing.T) {
+	// The fused TP device is one lane in a span trace, whatever the degree.
+	out := filepath.Join(t.TempDir(), "spans.json")
 	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "tp", 1, "sarathi", "sglang", "sharegpt", "",
-		1, 5*time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
+		1, 5*time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{traceOut: out})
 	if err != nil {
 		t.Fatal(err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec, err := obs.ReadChrome(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Stages != 1 || len(dec.Spans) == 0 {
+		t.Fatalf("decoded %d spans over %d stages, want one lane", len(dec.Spans), dec.Stages)
 	}
 }
 

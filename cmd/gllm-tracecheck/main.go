@@ -7,12 +7,12 @@
 //	gllm-tracecheck -stages 4 spans.json
 //
 // With -requests it instead validates a merged request trace produced by
-// gllm-cluster -trace-out / -selfcheck-trace: per-request lanes holding
-// router- and replica-side lifecycle spans, checked for lane integrity,
-// series overlap, and router-root enclosure (up to -skew of cross-process
-// clock drift):
+// gllm-cluster -trace-out (written on exit) or saved from a running
+// cluster's /cluster/trace: per-request lanes holding router- and
+// replica-side lifecycle spans, checked for lane integrity, series overlap,
+// and router-root enclosure (up to -skew of cross-process clock drift):
 //
-//	gllm-cluster -selfcheck-trace -server-bin gllm-server -trace-out req.json
+//	curl -s localhost:8000/cluster/trace > req.json
 //	gllm-tracecheck -requests req.json
 package main
 

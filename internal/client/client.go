@@ -18,7 +18,6 @@ import (
 
 	"gllm/internal/metrics"
 	"gllm/internal/server"
-	"gllm/internal/sse"
 	"gllm/internal/workload"
 )
 
@@ -214,29 +213,19 @@ func sendOne(ctx context.Context, httpc *http.Client, opts Options, id int64, it
 		tokens     int
 		finish     string
 	)
-	rd := sse.NewReader(resp.Body)
+	chunks := server.NewChunkReader(resp.Body)
 	for {
-		payload, err := rd.Next()
+		text, reason, err := chunks.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return metrics.Record{}, err
 		}
-		if payload == "[DONE]" {
-			break
+		if reason != "" {
+			finish = reason
 		}
-		var chunk server.CompletionChunk
-		if err := json.Unmarshal([]byte(payload), &chunk); err != nil {
-			return metrics.Record{}, fmt.Errorf("bad SSE chunk: %w", err)
-		}
-		if len(chunk.Choices) == 0 {
-			continue
-		}
-		if chunk.Choices[0].FinishReason != "" {
-			finish = chunk.Choices[0].FinishReason
-		}
-		if chunk.Choices[0].Text == "" {
+		if text == "" {
 			continue // abort terminator carries a reason but no token
 		}
 		if tokens == 0 {

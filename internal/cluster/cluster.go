@@ -293,6 +293,13 @@ func (c *Router) retire(id string) {
 	}
 }
 
+// ErrUnknownReplica is returned by Drain and Replace when the id names no
+// active replica, so admin surfaces can tell "not found" from a drain that
+// found its replica and ran out of time.
+var ErrUnknownReplica = errors.New("cluster: no replica")
+
+func unknownReplica(id string) error { return fmt.Errorf("%w %q", ErrUnknownReplica, id) }
+
 // Drain takes a replica out of rotation and gracefully shuts it down:
 // new submissions stop flowing to it immediately, while its queued and
 // in-flight generations keep streaming to their consumers until they
@@ -302,7 +309,7 @@ func (c *Router) retire(id string) {
 func (c *Router) Drain(ctx context.Context, id string) error {
 	rep := c.Replica(id)
 	if rep == nil {
-		return fmt.Errorf("cluster: no replica %q", id)
+		return unknownReplica(id)
 	}
 	rep.draining.Store(true)
 	c.drains.Add(1)
@@ -316,17 +323,20 @@ func (c *Router) Drain(ctx context.Context, id string) error {
 // Replace adds a fresh replica and then drains an old one — the
 // zero-downtime rolling-update step. In-flight streams on the old
 // replica complete; new work immediately becomes routable to the
-// replacement.
+// replacement. An unknown oldID fails before anything is registered: the
+// replica set is untouched and eng is not retained. A non-nil replica
+// returned with an error means the replacement is registered and serving;
+// the error is the old replica's drain (retired, but not within ctx).
 func (c *Router) Replace(ctx context.Context, oldID, newID string, eng Engine) (*Replica, error) {
+	if c.Replica(oldID) == nil {
+		return nil, unknownReplica(oldID)
+	}
 	rep, err := c.Add(newID, eng)
 	if err != nil {
 		return nil, err
 	}
 	c.replaces.Add(1)
-	if err := c.Drain(ctx, oldID); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, c.Drain(ctx, oldID)
 }
 
 // Shutdown drains every active replica concurrently (graceful; bounded by

@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,20 +18,11 @@ import (
 // (non-empty Text) and the terminal reason.
 func drainCount(t *testing.T, h *runtime.Handle) (int, runtime.FinishReason) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	n := 0
-	for evs := h.Next(ctx); evs != nil; evs = h.Next(ctx) {
-		for _, ev := range evs {
-			if ev.Text != "" {
-				n++
-			}
-		}
+	n, reason, err := drainStream(h, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ctx.Err() != nil {
-		t.Fatalf("timed out draining handle %d after %d tokens", h.ID, n)
-	}
-	return n, h.FinishReason()
+	return n, reason
 }
 
 // TestDrainReplaceZeroDroppedTokens is the deterministic (seeded)
@@ -173,5 +166,67 @@ func TestDrainReplaceZeroDroppedTokens(t *testing.T) {
 	}()
 	if d == nil || d.Routed() == 0 {
 		t.Fatal("replacement replica d never took traffic")
+	}
+}
+
+// A submission the transport admitted before a drain began is in flight
+// even while its POST is still connecting. Shutdown must wait for it and
+// let it stream whole; Close must abort it once it connects instead of
+// leaving it running behind a closed transport. (Admission used to be a
+// flag check with inflight.Add after the connect, so both returned early —
+// the WaitGroup misuse the race detector reports.)
+func TestRemoteDrainCoversConnectingSubmission(t *testing.T) {
+	for _, graceful := range []bool{true, false} {
+		stub := newStubRemote(2 * time.Millisecond)
+		entered, gate := make(chan struct{}), make(chan struct{})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/completions" {
+				close(entered)
+				<-gate
+			}
+			stub.Config.Handler.ServeHTTP(w, r)
+		}))
+		rem := newRemote(t, fastProbe(srv.URL))
+
+		type submitted struct {
+			h   *runtime.Handle
+			err error
+		}
+		sub := make(chan submitted, 1)
+		go func() {
+			h, err := rem.SubmitBatchedSpec(context.Background(), runtime.SubmitSpec{PromptLen: 8, MaxTokens: 200})
+			sub <- submitted{h, err}
+		}()
+		<-entered
+		stopped := make(chan error, 1)
+		go func() {
+			if graceful {
+				stopped <- rem.Shutdown(context.Background())
+			} else {
+				stopped <- rem.Close()
+			}
+		}()
+		select {
+		case <-stopped:
+			t.Fatalf("graceful=%v: transport stopped with an admitted submission still connecting", graceful)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(gate)
+		s := <-sub
+		if s.err != nil {
+			t.Fatal(s.err)
+		}
+		tokens, reason := drainHandle(t, s.h, 10*time.Second)
+		if graceful && (tokens != 200 || reason != runtime.FinishLength) {
+			t.Fatalf("drained stream delivered %d/200 tokens (%q)", tokens, reason)
+		}
+		if !graceful && reason != runtime.FinishShutdown {
+			t.Fatalf("stream that connected after Close finished %q after %d tokens, want shutdown", reason, tokens)
+		}
+		if err := <-stopped; err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		stub.Close()
 	}
 }

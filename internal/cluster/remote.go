@@ -36,7 +36,6 @@ import (
 	"gllm/internal/obs"
 	"gllm/internal/runtime"
 	"gllm/internal/server"
-	"gllm/internal/sse"
 )
 
 // HealthUnreachable is the cluster-side health state for a remote replica
@@ -116,9 +115,10 @@ type Remote struct {
 	failures int              // consecutive probe/submit failures
 	probeSt  ProbeState       // transition history (observability surface)
 
-	draining atomic.Bool
-	inflight sync.WaitGroup
-	smu      sync.Mutex
+	inflight sync.WaitGroup // submissions from admission to the end of their pump
+	smu      sync.Mutex     // guards draining, aborted and streams
+	draining bool
+	aborted  bool // abortAll ran: a stream registered after it aborts itself
 	streams  map[int64]*remoteStream
 
 	probeStop chan struct{}
@@ -170,29 +170,39 @@ func (r *Remote) probeLoop() {
 	}
 }
 
+// get issues one GET against the remote server, bounded by ConnectTimeout,
+// and hands the body of a 200 response to decode. Every other outcome — no
+// connection, another status, an undecodable body — is an error; what that
+// means (a failed probe, a zeroed snapshot, no affinity) is the caller's.
+func (r *Remote) get(ctx context.Context, path string, decode func(io.Reader) error) error {
+	ctx, cancel := context.WithTimeout(ctx, r.cfg.ConnectTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+path, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := r.httpc.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("cluster: remote %s %s: %s", r.base, path, resp.Status)
+	}
+	return decode(resp.Body)
+}
+
+// jsonInto decodes a response body into v.
+func jsonInto(v any) func(io.Reader) error {
+	return func(body io.Reader) error { return json.NewDecoder(body).Decode(v) }
+}
+
 // probe refreshes the cached Pressure from GET /pressure. One success
 // resets the failure streak (auto-recovery); failures accumulate toward
 // HealthUnreachable in noteFailure.
 func (r *Remote) probe() {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ConnectTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/pressure", nil)
-	if err != nil {
-		r.noteFailure(err)
-		return
-	}
-	resp, err := r.httpc.Do(req)
-	if err != nil {
-		r.noteFailure(err)
-		return
-	}
-	defer resp.Body.Close()
 	var p runtime.Pressure
-	if resp.StatusCode != http.StatusOK {
-		r.noteFailure(fmt.Errorf("status %s", resp.Status))
-		return
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+	if err := r.get(context.Background(), "/pressure", jsonInto(&p)); err != nil {
 		r.noteFailure(err)
 		return
 	}
@@ -275,9 +285,28 @@ func (r *Remote) Pressure() runtime.Pressure {
 // runtime.ErrStopped. ctx governs the stream's lifetime exactly like a
 // local submission: cancelling it aborts the remote generation.
 func (r *Remote) SubmitBatchedSpec(ctx context.Context, spec runtime.SubmitSpec) (*runtime.Handle, error) {
-	if r.draining.Load() {
+	// Admission and inflight.Add are one step under smu, so a drain that
+	// has set draining waits for every submission that got in — including
+	// one still connecting — and Add never races its Wait.
+	r.smu.Lock()
+	draining := r.draining
+	if !draining {
+		r.inflight.Add(1)
+	}
+	r.smu.Unlock()
+	if draining {
 		return nil, fmt.Errorf("cluster: remote %s draining: %w", r.base, runtime.ErrStopped)
 	}
+	h, err := r.submit(ctx, spec)
+	if err != nil {
+		r.inflight.Done() // no pump was started to do it
+	}
+	return h, err
+}
+
+// submit is SubmitBatchedSpec past admission: connect, classify the
+// response, and start the pump that owns the stream from then on.
+func (r *Remote) submit(ctx context.Context, spec runtime.SubmitSpec) (*runtime.Handle, error) {
 	body, err := json.Marshal(server.CompletionRequest{
 		Model:           r.cfg.Model,
 		PromptLen:       spec.PromptLen,
@@ -341,8 +370,11 @@ func (r *Remote) SubmitBatchedSpec(ctx context.Context, spec runtime.SubmitSpec)
 
 	r.smu.Lock()
 	r.streams[id] = st
+	aborted := r.aborted
 	r.smu.Unlock()
-	r.inflight.Add(1)
+	if aborted {
+		st.abort(runtime.FinishShutdown) // admitted before Close, connected after it
+	}
 	go r.pump(streamCtx, ctx, id, st, feeder, resp.Body, spec.PromptLen, spec.Trace)
 	return h, nil
 }
@@ -370,36 +402,26 @@ func (r *Remote) pump(streamCtx, parent context.Context, id int64, st *remoteStr
 		submitTime = time.Now()
 		readErr    error
 	)
-	rd := sse.NewReader(body)
+	chunks := server.NewChunkReader(body)
 	for terminal == "" {
-		payload, err := rd.Next()
+		text, finish, err := chunks.Next()
+		if err == io.EOF {
+			// The stream ended — even with [DONE] — before a terminal chunk:
+			// incomplete on the wire; the abort classification below names it.
+			err = io.ErrUnexpectedEOF
+		}
 		if err != nil {
 			readErr = err
 			break
 		}
-		if payload == "[DONE]" {
-			// [DONE] without a terminal chunk: the stream is incomplete on
-			// the wire; fall through to the abort classification below.
-			readErr = io.ErrUnexpectedEOF
-			break
-		}
-		var chunk server.CompletionChunk
-		if err := json.Unmarshal([]byte(payload), &chunk); err != nil {
-			readErr = fmt.Errorf("bad SSE chunk: %w", err)
-			break
-		}
-		if len(chunk.Choices) == 0 {
-			continue
-		}
-		c := chunk.Choices[0]
-		ev := runtime.TokenEvent{ReqID: id, Index: idx, Text: c.Text}
-		if c.FinishReason != "" {
-			terminal = runtime.FinishReason(c.FinishReason)
+		ev := runtime.TokenEvent{ReqID: id, Index: idx, Text: text}
+		if finish != "" {
+			terminal = runtime.FinishReason(finish)
 			ev.Finished = true
 			ev.Reason = terminal
 		}
 		idx++
-		if c.Text != "" {
+		if text != "" {
 			if tokens == 0 {
 				firstTok = time.Now()
 			}
@@ -467,18 +489,26 @@ func (r *Remote) pump(streamCtx, parent context.Context, id int64, st *remoteStr
 	r.smu.Unlock()
 }
 
-// abortAll cancels every in-flight stream with the given reason (their
-// pumps then terminate the handles).
-func (r *Remote) abortAll(reason runtime.FinishReason) {
+// abortAll cancels every in-flight stream with FinishShutdown (their pumps
+// then terminate the handles), and every stream still to be registered.
+func (r *Remote) abortAll() {
 	r.smu.Lock()
+	r.aborted = true
 	streams := make([]*remoteStream, 0, len(r.streams))
 	for _, st := range r.streams {
 		streams = append(streams, st)
 	}
 	r.smu.Unlock()
 	for _, st := range streams {
-		st.abort(reason)
+		st.abort(runtime.FinishShutdown)
 	}
+}
+
+// refuse stops admission: later submissions fail with ErrStopped.
+func (r *Remote) refuse() {
+	r.smu.Lock()
+	r.draining = true
+	r.smu.Unlock()
 }
 
 func (r *Remote) stopProber() {
@@ -492,13 +522,13 @@ func (r *Remote) stopProber() {
 // runtime.Shutdown semantics). The remote process itself keeps running —
 // draining a transport detaches it, it does not stop the server.
 func (r *Remote) Shutdown(ctx context.Context) error {
-	r.draining.Store(true)
+	r.refuse()
 	done := make(chan struct{})
 	go func() { r.inflight.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-ctx.Done():
-		r.abortAll(runtime.FinishShutdown)
+		r.abortAll()
 		<-done
 	}
 	r.stopProber()
@@ -507,8 +537,8 @@ func (r *Remote) Shutdown(ctx context.Context) error {
 
 // Close detaches immediately: in-flight streams abort with FinishShutdown.
 func (r *Remote) Close() error {
-	r.draining.Store(true)
-	r.abortAll(runtime.FinishShutdown)
+	r.refuse()
+	r.abortAll()
 	r.inflight.Wait()
 	r.stopProber()
 	return nil
@@ -518,19 +548,8 @@ func (r *Remote) Close() error {
 // unreachable server yields a zeroed snapshot with HealthUnreachable so
 // aggregation and admin surfaces degrade gracefully instead of erroring.
 func (r *Remote) Stats() runtime.Snapshot {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ConnectTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/stats", nil)
-	if err != nil {
-		return runtime.Snapshot{Health: HealthUnreachable}
-	}
-	resp, err := r.httpc.Do(req)
-	if err != nil {
-		return runtime.Snapshot{Health: HealthUnreachable}
-	}
-	defer resp.Body.Close()
 	var st runtime.Snapshot
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
+	if r.get(context.Background(), "/stats", jsonInto(&st)) != nil {
 		return runtime.Snapshot{Health: HealthUnreachable}
 	}
 	return st
@@ -540,22 +559,11 @@ func (r *Remote) Stats() runtime.Snapshot {
 // are resident in its KV cache (GET /matchprefix) — the prefix-affinity
 // routing signal. Unreachable or erroring replicas report 0 (no affinity).
 func (r *Remote) MatchPrefix(group int64, maxTokens int) int {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ConnectTimeout)
-	defer cancel()
-	u := fmt.Sprintf("%s/matchprefix?group=%d&max_tokens=%d", r.base, group, maxTokens)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return 0
-	}
-	resp, err := r.httpc.Do(req)
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
 	var out struct {
 		Match int `json:"match"`
 	}
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&out) != nil {
+	path := fmt.Sprintf("/matchprefix?group=%d&max_tokens=%d", group, maxTokens)
+	if r.get(context.Background(), path, jsonInto(&out)) != nil {
 		return 0
 	}
 	return out.Match
@@ -571,45 +579,20 @@ func (r *Remote) Metrics() *metrics.Live { return &r.collector }
 // busy time the transport cannot observe). The metrics federator relabels
 // these families with the replica's ID.
 func (r *Remote) ScrapeFamilies(ctx context.Context) ([]metrics.Family, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.ConnectTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: remote %s /metrics: %s", r.base, resp.Status)
-	}
-	return metrics.ParseExposition(resp.Body)
+	var fams []metrics.Family
+	err := r.get(ctx, "/metrics", func(body io.Reader) (err error) {
+		fams, err = metrics.ParseExposition(body)
+		return err
+	})
+	return fams, err
 }
 
 // TraceExport fetches the remote server's recorded request spans
 // (GET /tracespans) for cross-process trace merging.
 func (r *Remote) TraceExport(ctx context.Context) (obs.ReqExport, error) {
-	ctx, cancel := context.WithTimeout(ctx, r.cfg.ConnectTimeout)
-	defer cancel()
 	var exp obs.ReqExport
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/tracespans", nil)
-	if err != nil {
-		return exp, err
-	}
-	resp, err := r.httpc.Do(req)
-	if err != nil {
-		return exp, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return exp, fmt.Errorf("cluster: remote %s /tracespans: %s", r.base, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&exp); err != nil {
-		return exp, err
-	}
-	return exp, nil
+	err := r.get(ctx, "/tracespans", jsonInto(&exp))
+	return exp, err
 }
 
 func (r *Remote) logEvent(level slog.Level, msg string, args ...any) {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -33,8 +34,8 @@ func TestAddValidation(t *testing.T) {
 
 func TestDrainUnknownReplica(t *testing.T) {
 	r := New(Config{})
-	if err := r.Drain(context.Background(), "ghost"); err == nil {
-		t.Fatal("draining an unknown replica must error")
+	if err := r.Drain(context.Background(), "ghost"); !errors.Is(err, ErrUnknownReplica) {
+		t.Fatalf("draining an unknown replica = %v, want ErrUnknownReplica", err)
 	}
 }
 
@@ -164,5 +165,32 @@ func TestReplaceOrdering(t *testing.T) {
 	}
 	if r.Replica("new") == nil {
 		t.Fatal("failed Replace must not drain the incumbent")
+	}
+}
+
+// Replacing an id that names no replica must fail before anything is
+// registered: the replacement used to be added first, so a typo in
+// /cluster/replace left a stopped replica in every admin surface for good.
+func TestReplaceUnknownLeavesReplicaSetUntouched(t *testing.T) {
+	r := New(Config{})
+	if _, err := r.Add("a", newFakeEngine(okPressure())); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Replace(context.Background(), "nope", "b", newFakeEngine(okPressure()))
+	if !errors.Is(err, ErrUnknownReplica) || rep != nil {
+		t.Fatalf("Replace(nope) = %v, %v; want nil, ErrUnknownReplica", rep, err)
+	}
+	if reps := r.Replicas(); len(reps) != 1 || reps[0].ID != "a" {
+		t.Fatalf("replica set after failed replace = %v, want [a]", replicaRows(reps))
+	}
+	if len(r.Retired()) != 0 {
+		t.Fatalf("failed replace retired %v", replicaRows(r.Retired()))
+	}
+	if st := r.RouterStats(); st.Replaces != 0 || st.Drains != 0 {
+		t.Fatalf("failed replace counted: replaces=%d drains=%d", st.Replaces, st.Drains)
+	}
+	// The id is still free: the engine of the failed call was not retained.
+	if _, err := r.Replace(context.Background(), "a", "b", newFakeEngine(okPressure())); err != nil {
+		t.Fatal(err)
 	}
 }

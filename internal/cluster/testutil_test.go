@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -166,4 +167,24 @@ func (c *fakeClock) recorded() []time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]time.Duration(nil), c.sleeps...)
+}
+
+// drainStream drains a handle within timeout and returns the real
+// (non-empty Text) tokens and the terminal reason; an error means it hung.
+// It never fails the test itself, so stream goroutines can use it.
+func drainStream(h *runtime.Handle, timeout time.Duration) (int, runtime.FinishReason, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	tokens := 0
+	for evs := h.Next(ctx); evs != nil; evs = h.Next(ctx) {
+		for _, ev := range evs {
+			if ev.Text != "" {
+				tokens++
+			}
+		}
+	}
+	if ctx.Err() != nil {
+		return tokens, "", fmt.Errorf("stream %d hung (%d tokens within %v)", h.ID, tokens, timeout)
+	}
+	return tokens, h.FinishReason(), nil
 }

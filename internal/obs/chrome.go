@@ -156,7 +156,7 @@ func readChromeEvents(rd io.Reader, visit func(ev chromeEvent, start, end time.D
 }
 
 // ReadChrome decodes and validates Chrome trace-event JSON produced by
-// WriteChrome (the trace-smoke round-trip in `make check`). On top of
+// WriteChrome (the -trace-out round-trip gllm-sim's tests make). On top of
 // readChromeEvents' checks it rejects exec/xfer spans missing stage/kind
 // args and kind/lane mismatches.
 func ReadChrome(rd io.Reader) (*DecodedTrace, error) {

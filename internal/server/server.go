@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -21,6 +22,7 @@ import (
 	"gllm/internal/metrics"
 	"gllm/internal/obs"
 	"gllm/internal/runtime"
+	"gllm/internal/sse"
 )
 
 // SubmitRequest carries one generation request into a Backend — the
@@ -157,6 +159,37 @@ type CompletionChunk struct {
 		Text         string `json:"text"`
 		FinishReason string `json:"finish_reason"`
 	} `json:"choices"`
+}
+
+// ChunkReader decodes a streamed /v1/completions response body — the
+// consumer side of appendChunk, shared by the remote-replica transport and
+// the benchmark client.
+type ChunkReader struct{ rd *sse.Reader }
+
+// NewChunkReader reads completion chunks from an SSE response body.
+func NewChunkReader(body io.Reader) *ChunkReader { return &ChunkReader{rd: sse.NewReader(body)} }
+
+// Next returns the first choice of the next chunk: its token text (empty on
+// the abort terminator) and its finish reason (empty until the last chunk).
+// Chunks without choices are skipped. The [DONE] sentinel and the end of
+// the body both read as io.EOF; a payload that is not a chunk is an error.
+func (cr *ChunkReader) Next() (text, finish string, err error) {
+	for {
+		payload, err := cr.rd.Next()
+		if err != nil {
+			return "", "", err
+		}
+		if payload == "[DONE]" {
+			return "", "", io.EOF
+		}
+		var chunk CompletionChunk
+		if err := json.Unmarshal([]byte(payload), &chunk); err != nil {
+			return "", "", fmt.Errorf("bad SSE chunk: %w", err)
+		}
+		if len(chunk.Choices) > 0 {
+			return chunk.Choices[0].Text, chunk.Choices[0].FinishReason, nil
+		}
+	}
 }
 
 type completionChoice struct {
