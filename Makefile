@@ -7,7 +7,7 @@ FUZZTIME ?= 10s
 # the zero-allocation guards of the driver's per-iteration path:
 # TestSteadyStateAllocationFree in kvcache, TestScheduleCompleteAllocationFree
 # in sched), the race tier (see ROADMAP.md), gofmt enforcement, the
-# benchmark's self-test and a short fuzz smoke of both fuzz targets. The
+# benchmark's self-test and a short fuzz smoke of every fuzz target. The
 # end-to-end cluster smokes (drain mid-flight, kill and revive a remote
 # gllm-server process, merged cross-process traces) are Go tests in
 # internal/cluster, so tier-1 and the race tier both run them.
@@ -26,14 +26,24 @@ race:
 bench-selftest:
 	$(GO) test -C benchmark .
 
-# fmt-check fails when any file needs gofmt.
+# fmt-check fails when any file needs gofmt, or when the newest CHANGES.md
+# entry (the last line starting "PR <n>" through the end of the file) is
+# more than a reader can scan: 6144 bytes. Older entries are exempt.
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+	@n=$$(LC_ALL=C awk '/^PR [0-9]+/ {n = 0} {n += length($$0) + 1} END {print n}' CHANGES.md); \
+	if [ "$$n" -gt 6144 ]; then echo "CHANGES.md: newest entry is $$n bytes, budget 6144"; exit 1; fi
 
-# -run='^$$' skips the regular tests so only the fuzz engine runs.
+# Ten seconds of each fuzz target (target:package). -run='^$$' skips the
+# regular tests so only the fuzz engine runs; the seeds run in tier1.
+FUZZ_TARGETS = FuzzKVAllocFree:./internal/kvcache FuzzThrottleSchedule:./internal/sched \
+	FuzzParseExposition:./internal/metrics FuzzChunkReader:./internal/server
+
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzKVAllocFree -fuzztime=$(FUZZTIME) ./internal/kvcache
-	$(GO) test -run='^$$' -fuzz=FuzzThrottleSchedule -fuzztime=$(FUZZTIME) ./internal/sched
+	@for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t%%:*} ($${t#*:})"; \
+		$(GO) test -run='^$$' -fuzz="$${t%%:*}" -fuzztime=$(FUZZTIME) "$${t#*:}" || exit 1; \
+	done
 
 # bench runs the repo's one benchmark (BENCHMARK.json, benchmark/README.md):
 # all four workloads, end-to-end metrics only. bench-trace adds the

@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -30,8 +32,24 @@ func TestMainErrTknpArtifact(t *testing.T) {
 }
 
 func TestMainErrErrors(t *testing.T) {
-	if err := mainErr("fig99", "quick", "", 0); err == nil {
-		t.Fatal("unknown experiment accepted")
+	// An id the steps table does not hold is a usage error naming it and
+	// the valid ids, even beside a valid one, and nothing runs: a typo must
+	// not surface hours later as a missing CSV.
+	for _, run := range []string{"fig99", "fig11,fig51", "cluster", ""} {
+		dir := filepath.Join(t.TempDir(), "out")
+		err := mainErr(run, "quick", dir, 0)
+		if err == nil {
+			t.Fatalf("-run %q accepted", run)
+		}
+		bad := run[strings.LastIndex(run, ",")+1:]
+		for _, want := range []string{strconv.Quote(bad), "all, fig1, ", "evolution, disagg, tknp, table1"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("-run %q: error %q does not mention %s", run, err, want)
+			}
+		}
+		if _, statErr := os.Stat(dir); statErr == nil {
+			t.Fatalf("-run %q created the output directory before failing", run)
+		}
 	}
 	if err := mainErr("fig1", "huge", "", 0); err == nil {
 		t.Fatal("unknown scale accepted")

@@ -18,13 +18,14 @@
 //	internal/server      OpenAI-compatible REST frontend
 //	internal/client      open-loop benchmark client
 //	internal/experiments per-figure/table reproduction drivers
-//	internal/{sim,gpu,model,network,kvcache,request,workload,metrics,stats,trace}
+//	internal/cluster     multi-replica router and its HTTP frontend
+//	internal/{sim,gpu,model,network,kvcache,request,workload,metrics,stats,obs}
 //	                     substrates
-//	cmd/                 gllm-sim, gllm-server, gllm-bench, gllm-experiments, gllm-loc
-//	examples/            runnable walkthroughs of the public surface
+//	cmd/                 gllm-sim, gllm-server, gllm-cluster, gllm-bench,
+//	                     gllm-experiments, gllm-tracecheck, gllm-loc
+//	benchmark/           the repo benchmark (its own module; make bench)
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
-// The root-level benchmarks in bench_test.go regenerate each figure's
-// headline number as a benchmark metric.
+// The quickstart is the checked-output Example in internal/runtime.
 package gllm

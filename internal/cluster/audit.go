@@ -75,13 +75,6 @@ func (a *Audit) Streams() (streams, completed, aborted, rejected int64) {
 	return a.streams + a.rejected, a.completed, a.aborted, a.rejected
 }
 
-// DeliveredTokens returns the tokens consumers drained across all streams.
-func (a *Audit) DeliveredTokens() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.delivered
-}
-
 // Verify checks the cluster invariants against the (drained) replicas.
 // submitted is the number of submissions the traffic source attempted;
 // reps should cover every replica that served the run, retired ones

@@ -36,9 +36,6 @@ func ByName(name string, seed uint64) (Policy, error) {
 	return nil, fmt.Errorf("cluster: unknown policy %q (want random, round-robin, least-kv, prefix)", name)
 }
 
-// PolicyNames lists the built-in policies in comparison order.
-func PolicyNames() []string { return []string{"random", "round-robin", "least-kv", "prefix"} }
-
 // Random routes uniformly at random (seeded, so runs are reproducible).
 type Random struct {
 	mu  sync.Mutex
@@ -143,13 +140,6 @@ func NewPrefixAffinity(fallback Policy) *PrefixAffinity {
 }
 
 func (p *PrefixAffinity) Name() string { return "prefix" }
-
-// Assignments returns how many prefix groups currently have a home.
-func (p *PrefixAffinity) Assignments() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.assign)
-}
 
 func (p *PrefixAffinity) Pick(req Request, cands []*Replica) int {
 	if req.PrefixGroup == 0 {

@@ -1,13 +1,18 @@
 package cluster
 
 import (
+	"context"
+	"sync"
 	"testing"
+	"time"
 
 	"gllm/internal/runtime"
+	"gllm/internal/stats"
+	"gllm/internal/workload"
 )
 
 func TestByName(t *testing.T) {
-	for _, name := range PolicyNames() {
+	for _, name := range []string{"random", "round-robin", "least-kv", "prefix"} {
 		p, err := ByName(name, 1)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -142,7 +147,7 @@ func TestPrefixAffinity(t *testing.T) {
 		if got := p.Pick(Request{}, reps); got != 1 {
 			t.Fatalf("Pick = %d, want fallback choice 1", got)
 		}
-		if p.Assignments() != 0 {
+		if len(p.assign) != 0 {
 			t.Fatal("ungrouped request must not create an assignment")
 		}
 	})
@@ -154,8 +159,8 @@ func TestPrefixAffinity(t *testing.T) {
 		if first != 1 {
 			t.Fatalf("cold start Pick = %d, want fallback choice 1", first)
 		}
-		if p.Assignments() != 1 {
-			t.Fatalf("Assignments = %d, want 1", p.Assignments())
+		if len(p.assign) != 1 {
+			t.Fatalf("assignments = %d, want 1", len(p.assign))
 		}
 		// The prefix is now resident on b; a now has more free KV, but the
 		// follow-up must stick with its home anyway.
@@ -216,4 +221,72 @@ func TestPrefixAffinity(t *testing.T) {
 			t.Fatal("re-homed group must stick to replica c")
 		}
 	})
+}
+
+// Prefix affinity beats random on KV reuse over live replicas: the same
+// seeded conversation set is replayed unpaced (TimeScale 0, one goroutine
+// per conversation so a follow-up is sent once its previous turn has
+// finished) through three prefix-caching replicas once per policy. Both
+// runs serve every request and pass the cluster audit; only where the
+// follow-ups land differs.
+func TestPrefixAffinityBeatsRandomOnKVReuse(t *testing.T) {
+	trace := workload.Conversations(stats.NewRNG(smokeSeed), workload.ConversationSpec{
+		Dataset: workload.ShareGPT, Rate: 40, Window: time.Second,
+		MaxTurns: 4, ThinkMean: 100 * time.Millisecond, FollowUpLen: 24, MaxContext: 2048,
+	})
+	convs := map[int64][]workload.Item{}
+	for _, it := range trace {
+		convs[it.PrefixGroup] = append(convs[it.PrefixGroup], it)
+	}
+	hitTokens := func(policy string) int64 {
+		pol, err := ByName(policy, smokeSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(Config{Policy: pol, Seed: smokeSeed})
+		for _, id := range []string{"r0", "r1", "r2"} {
+			if _, err := r.Add(id, startReplica(t, nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var (
+			audit Audit
+			wg    sync.WaitGroup
+		)
+		for _, turns := range convs {
+			wg.Add(1)
+			go func(turns []workload.Item) {
+				defer wg.Done()
+				for _, it := range turns {
+					h, _, err := r.Submit(context.Background(), Request{
+						PromptLen: it.PromptLen, MaxTokens: it.OutputLen,
+						PrefixGroup: it.PrefixGroup, SharedPrefixLen: it.SharedPrefixLen,
+					})
+					if err != nil {
+						t.Errorf("%s: submit: %v", policy, err)
+						audit.RejectedSubmit()
+						continue
+					}
+					n, reason, err := drainStream(h, smokeDrain)
+					if err != nil {
+						t.Errorf("%s: %v", policy, err)
+					}
+					audit.StreamDone(h.ID, n, it.OutputLen, reason)
+				}
+			}(turns)
+		}
+		wg.Wait()
+		shutdown(t, r)
+		if err := audit.Verify(int64(len(trace)), r.Retired()); err != nil {
+			t.Fatalf("%s: audit: %v", policy, err)
+		}
+		if _, completed, _, _ := audit.Streams(); completed != int64(len(trace)) {
+			t.Fatalf("%s: completed %d of %d requests", policy, completed, len(trace))
+		}
+		return r.Stats().PrefixHitTokens
+	}
+	random, prefix := hitTokens("random"), hitTokens("prefix")
+	if prefix <= random {
+		t.Fatalf("prefix-affinity reused %d prompt tokens from KV, random %d: affinity must win", prefix, random)
+	}
 }

@@ -34,10 +34,6 @@ type Params struct {
 	// KVThresh is the KV-cache idle-rate threshold below which prefill is
 	// suspended to protect running decodes from preemption.
 	KVThresh float64
-	// DecodeDivisor overrides eq. 4's divisor when positive (an ablation
-	// knob; the paper divides by the pipeline depth, and the
-	// BenchmarkAblationDecodeDivisor harness sweeps alternatives).
-	DecodeDivisor int
 }
 
 // DefaultParams returns the paper's evaluated setting.
@@ -58,8 +54,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: MinP %d > MaxP %d", p.MinP, p.MaxP)
 	case p.KVThresh < 0 || p.KVThresh >= 1:
 		return fmt.Errorf("core: KVThresh = %g, want in [0,1)", p.KVThresh)
-	case p.DecodeDivisor < 0:
-		return fmt.Errorf("core: DecodeDivisor = %d, want >= 0", p.DecodeDivisor)
 	}
 	return nil
 }
@@ -208,16 +202,5 @@ func (p Params) DecodeBudget(st State) int {
 	if st.RunningDecode == 0 {
 		return 0
 	}
-	div := st.PipelineDepth
-	if p.DecodeDivisor > 0 {
-		div = p.DecodeDivisor
-	}
-	return ceilDiv(st.RunningDecode, div)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return ceilDiv(st.RunningDecode, st.PipelineDepth)
 }

@@ -46,6 +46,19 @@ var (
 	}
 )
 
+// ChatLite is a short-turn chat corpus for cluster-scale runs: prompts and
+// outputs an order of magnitude shorter than ShareGPT so a synthetic day
+// of millions of requests replays in minutes of wall clock. The shape
+// (log-normal, multi-turn accumulation) matches the full corpora; only the
+// scale differs.
+var ChatLite = workload.Dataset{
+	Name: "chatlite",
+	InMu: 4.0, InSigma: 0.8,
+	OutMu: 2.4, OutSigma: 0.6,
+	InMin: 8, InMax: 512,
+	OutMin: 2, OutMax: 64,
+}
+
 // System is one serving system under comparison.
 type System struct {
 	Name string

@@ -180,19 +180,6 @@ func (r *TknpResult) Best(batch, ctx int) (TknpRow, bool) {
 	return best, found
 }
 
-// LargestCell returns the maximum batch and context present in the sweep.
-func (r *TknpResult) LargestCell() (batch, ctx int) {
-	for _, row := range r.Rows {
-		if row.Batch > batch {
-			batch = row.Batch
-		}
-		if row.Ctx > ctx {
-			ctx = row.Ctx
-		}
-	}
-	return batch, ctx
-}
-
 // String renders the sweep grouped by grid cell.
 func (r *TknpResult) String() string {
 	out := fmt.Sprintf("TKNP regime sweep (%d x A100-40G NVLink, Qwen2.5-14B, root TP %d)\n",

@@ -17,7 +17,7 @@ func TestTknpRegimesWinsLargestCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, ctx := res.LargestCell()
+	batch, ctx := TknpBatchesQuick[len(TknpBatchesQuick)-1], TknpCtxsQuick[len(TknpCtxsQuick)-1]
 	tknp, ok := res.Row("tknp", batch, ctx)
 	if !ok {
 		t.Fatalf("no tknp row for B=%d ctx=%d", batch, ctx)

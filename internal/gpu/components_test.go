@@ -27,7 +27,7 @@ func randShape(rng *stats.RNG) BatchShape {
 
 // The tentpole equivalence: across the full model catalog, every GPU and
 // randomized batch shapes, the aggregate layer cost must be the EXACT sum
-// of its attention and MLP components — FLOPs, bytes and time alike.
+// of its attention and MLP components — FLOPs and bytes alike.
 func TestComponentSumsExactAcrossCatalog(t *testing.T) {
 	rng := stats.NewRNG(7)
 	for _, m := range model.Catalog() {
@@ -42,14 +42,6 @@ func TestComponentSumsExactAcrossCatalog(t *testing.T) {
 				if bytes := cm.AttnBytes(b) + cm.MLPBytes(b); bytes != cm.LayerBytes(b) {
 					t.Fatalf("%s/%s %+v: AttnBytes+MLPBytes = %g != LayerBytes %g",
 						m.Name, g.Name, b, bytes, cm.LayerBytes(b))
-				}
-				at, mt, lt := cm.AttnTime(b), cm.MLPTime(b), cm.LayerTime(b)
-				if at+mt != lt {
-					t.Fatalf("%s/%s %+v: AttnTime %v + MLPTime %v != LayerTime %v",
-						m.Name, g.Name, b, at, mt, lt)
-				}
-				if at < 0 || mt < 0 {
-					t.Fatalf("%s/%s %+v: negative component time %v/%v", m.Name, g.Name, b, at, mt)
 				}
 			}
 		}
@@ -88,33 +80,6 @@ func TestAggregatesMatchLegacyFormulas(t *testing.T) {
 	}
 }
 
-// Satellite regression: a mixed prefill+decode batch can be compute-bound
-// in aggregate while its attention component is KV-I/O bound — the exact
-// blind spot the aggregate ComputeBound used to hide, and the regime that
-// motivates sharding attention differently from the MLP.
-func TestMixedBatchComponentBoundsDiffer(t *testing.T) {
-	cm := testCM() // Qwen2.5-32B on L20
-	mix := BatchShape{
-		PrefillTokens: 2048,
-		PrefillCtxSum: PrefillChunkCtxSum(0, 2048),
-		DecodeTokens:  64,
-		DecodeCtxSum:  64 * 30000,
-	}
-	if !cm.ComputeBound(mix) {
-		t.Fatal("mixed batch should be compute-bound in aggregate (pinned pre-refactor)")
-	}
-	if cm.AttnComputeBound(mix) {
-		t.Fatal("attention component should be memory-bound: KV reads over 64x30k contexts dominate")
-	}
-	if !cm.MLPComputeBound(mix) {
-		t.Fatal("MLP component should be compute-bound: 2112 tokens through the FFN")
-	}
-	// Empty batches are classified as memory-bound (nothing to compute).
-	if cm.AttnComputeBound(BatchShape{}) || cm.MLPComputeBound(BatchShape{}) {
-		t.Fatal("empty batch classified compute-bound")
-	}
-}
-
 // Satellite regression: grouped-query attention has only NumKVHeads KV
 // heads, so tensor parallelism past that degree replicates KV and per-rank
 // KV traffic stops shrinking. The naive everything/tp division understated
@@ -147,31 +112,6 @@ func TestTensorParallelKVShardClampedByKVHeads(t *testing.T) {
 	// But extra ranks still help the non-KV terms: no slower than tp=8.
 	if t8 := cm.TensorParallelLayerTime(b, 8); t16 > t8 {
 		t.Fatalf("tp=16 (%v) slower than tp=8 (%v)", t16, t8)
-	}
-}
-
-// ComponentParallelLayerTime: equal degrees reduce to plain TP exactly;
-// boosting only the attention degree must speed up a KV-bound decode batch
-// while boosting only the MLP degree barely moves it.
-func TestComponentParallelLayerTime(t *testing.T) {
-	cm := NewCostModel(model.Qwen25_14B, A100_40G)
-	b := BatchShape{DecodeTokens: 64, DecodeCtxSum: 64 * 16384}
-	for _, d := range []int{1, 2, 4} {
-		if got, want := cm.ComponentParallelLayerTime(b, d, d), cm.TensorParallelLayerTime(b, d); got != want {
-			t.Fatalf("equal degrees %d: %v != %v", d, got, want)
-		}
-	}
-	base := cm.ComponentParallelLayerTime(b, 1, 1)
-	attnBoost := cm.ComponentParallelLayerTime(b, 8, 1)
-	mlpBoost := cm.ComponentParallelLayerTime(b, 1, 8)
-	if attnBoost >= base {
-		t.Fatalf("attention sharding did not speed up KV-bound decode: %v vs %v", attnBoost, base)
-	}
-	if base-mlpBoost >= base-attnBoost {
-		t.Fatalf("MLP sharding (%v) helped a KV-bound batch as much as attention sharding (%v)", mlpBoost, attnBoost)
-	}
-	if cm.ComponentParallelLayerTime(BatchShape{}, 2, 4) != 0 {
-		t.Fatal("empty batch not free")
 	}
 }
 
@@ -229,7 +169,6 @@ func TestKVCapacityTokensTKNP(t *testing.T) {
 		func() { cm.KVCapacityTokensTKNP(4, 2, 0) },
 		func() { cm.TokenParallelRootLayerTime(BatchShape{DecodeTokens: 1}, 0) },
 		func() { cm.TokenParallelPeerLayerTime(BatchShape{DecodeTokens: 1}, 0) },
-		func() { cm.ComponentParallelLayerTime(BatchShape{DecodeTokens: 1}, 0, 1) },
 	} {
 		func() {
 			defer func() {

@@ -222,32 +222,6 @@ func (cm CostModel) LayerTime(b BatchShape) time.Duration {
 	return cm.roofline(cm.LayerFLOPs(b), cm.LayerBytes(b)) + cm.GPU.KernelOverhead
 }
 
-// AttnTime returns the attention component's share of LayerTime,
-// apportioned along the binding dimension of the aggregate roofline
-// (FLOPs when compute-bound, bytes when memory-bound) so that
-// LayerTime == AttnTime + MLPTime holds exactly.
-func (cm CostModel) AttnTime(b BatchShape) time.Duration {
-	if b.Empty() {
-		return 0
-	}
-	var share float64
-	if cm.ComputeBound(b) {
-		share = cm.AttnFLOPs(b) / cm.LayerFLOPs(b)
-	} else {
-		share = cm.AttnBytes(b) / cm.LayerBytes(b)
-	}
-	return time.Duration(float64(cm.LayerTime(b)) * share)
-}
-
-// MLPTime returns the MLP component's share of LayerTime; by construction
-// AttnTime + MLPTime == LayerTime exactly.
-func (cm CostModel) MLPTime(b BatchShape) time.Duration {
-	if b.Empty() {
-		return 0
-	}
-	return cm.LayerTime(b) - cm.AttnTime(b)
-}
-
 // StageTime returns the execution time of `layers` consecutive decoder
 // layers on one GPU (one pipeline stage).
 func (cm CostModel) StageTime(b BatchShape, layers int) time.Duration {
@@ -262,39 +236,13 @@ func (cm CostModel) StageTime(b BatchShape, layers int) time.Duration {
 
 // ComputeBound reports whether the batch is compute-limited (rather than
 // bandwidth-limited) on this model/GPU pair, judged on the aggregate layer
-// roofline. A mixed prefill+decode batch can be compute-bound in aggregate
-// while its attention component stays KV-I/O bound — use AttnComputeBound
-// and MLPComputeBound for per-component classification.
+// roofline.
 func (cm CostModel) ComputeBound(b BatchShape) bool {
 	if b.Empty() {
 		return false
 	}
 	compute := cm.LayerFLOPs(b) / (cm.GPU.PeakFLOPS * cm.MFUMax)
 	mem := cm.LayerBytes(b) / (cm.GPU.MemBandwidth * cm.BandwidthEff)
-	return compute >= mem
-}
-
-// AttnComputeBound reports whether the attention component alone is
-// compute-limited. Decode-heavy batches are typically memory-bound here
-// (KV reads dominate) even when the aggregate batch is compute-bound —
-// the regime TKNP exploits.
-func (cm CostModel) AttnComputeBound(b BatchShape) bool {
-	if b.Empty() {
-		return false
-	}
-	compute := cm.AttnFLOPs(b) / (cm.GPU.PeakFLOPS * cm.MFUMax)
-	mem := cm.AttnBytes(b) / (cm.GPU.MemBandwidth * cm.BandwidthEff)
-	return compute >= mem
-}
-
-// MLPComputeBound reports whether the MLP component alone is
-// compute-limited.
-func (cm CostModel) MLPComputeBound(b BatchShape) bool {
-	if b.Empty() {
-		return false
-	}
-	compute := cm.MLPFLOPs(b) / (cm.GPU.PeakFLOPS * cm.MFUMax)
-	mem := cm.MLPBytes(b) / (cm.GPU.MemBandwidth * cm.BandwidthEff)
 	return compute >= mem
 }
 
@@ -335,28 +283,6 @@ func (cm CostModel) TensorParallelLayerTime(b BatchShape, tpDegree int) time.Dur
 	kv := cm.KVBytes(b)
 	flops := cm.LayerFLOPs(b) / float64(tpDegree)
 	bytes := (cm.LayerBytes(b)-kv)/float64(tpDegree) + kv/float64(kvShard)
-	return cm.roofline(flops, bytes) + cm.GPU.KernelOverhead
-}
-
-// ComponentParallelLayerTime generalizes TensorParallelLayerTime to
-// different sharding degrees per component: attention (projections, scores,
-// KV traffic) splits attnDegree ways while the MLP splits mlpDegree ways.
-// Equal degrees reduce to plain tensor parallelism exactly.
-func (cm CostModel) ComponentParallelLayerTime(b BatchShape, attnDegree, mlpDegree int) time.Duration {
-	if attnDegree < 1 || mlpDegree < 1 {
-		panic(fmt.Sprintf("gpu: invalid component degrees attn=%d mlp=%d", attnDegree, mlpDegree))
-	}
-	if attnDegree == mlpDegree {
-		return cm.TensorParallelLayerTime(b, attnDegree)
-	}
-	if b.Empty() {
-		return 0
-	}
-	kv := cm.KVBytes(b)
-	flops := cm.AttnFLOPs(b)/float64(attnDegree) + cm.MLPFLOPs(b)/float64(mlpDegree)
-	bytes := (cm.AttnBytes(b)-kv)/float64(attnDegree) +
-		kv/float64(cm.kvShard(attnDegree)) +
-		cm.MLPBytes(b)/float64(mlpDegree)
 	return cm.roofline(flops, bytes) + cm.GPU.KernelOverhead
 }
 

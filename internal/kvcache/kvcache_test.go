@@ -432,31 +432,3 @@ func TestEvictHeapEquivalenceRandom(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkSaturatedCacheAllocate measures allocation when every block is
-// cache-only (a prefix cache grown across the whole pool): each Allocate
-// must evict. The lazy heap makes this O(log n) per block; the old
-// full-scan-and-sort was O(n log n) per block and collapsed day-scale runs.
-func BenchmarkSaturatedCacheAllocate(b *testing.B) {
-	const blocks = 16384
-	m := New(blocks*16, 16)
-	for i := 0; i < blocks; i++ {
-		id := SeqID(i + 1)
-		if err := m.Allocate(id, 16); err != nil {
-			b.Fatal(err)
-		}
-		m.RegisterPrefix(id, int64(i+1), 16)
-		m.Free(id)
-	}
-	if m.CachedBlocks() != blocks {
-		b.Fatalf("setup: %d cached", m.CachedBlocks())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := SeqID(blocks + 1 + i)
-		if err := m.Allocate(id, 8*16); err != nil {
-			b.Fatal(err)
-		}
-		m.Free(id)
-	}
-}

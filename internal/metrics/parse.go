@@ -53,19 +53,22 @@ func ParseExposition(r io.Reader) ([]Family, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			fields := strings.SplitN(line, " ", 4)
-			if len(fields) < 3 {
+			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
 				continue // free-form comment
 			}
-			switch fields[1] {
-			case "HELP":
-				f := family(fields[2])
-				if len(fields) == 4 {
-					f.Help = fields[3]
-				}
-			case "TYPE":
-				if len(fields) >= 4 {
-					family(fields[2]).Type = fields[3]
-				}
+			if !validName(fields[2], true) {
+				return nil, fmt.Errorf("metrics: line %d: invalid metric name %q", lineNo, fields[2])
+			}
+			f := family(fields[2])
+			switch {
+			case len(fields) < 4: // bare "# HELP name": declares the family, says nothing
+			case fields[1] == "HELP":
+				f.Help = fields[3]
+			case len(f.Samples) > 0:
+				// Histogram suffixes were resolved against the old type.
+				return nil, fmt.Errorf("metrics: line %d: TYPE of %q after its samples", lineNo, f.Name)
+			default:
+				f.Type = fields[3]
 			}
 			continue
 		}
@@ -82,6 +85,23 @@ func ParseExposition(r io.Reader) ([]Family, error) {
 	return fams, nil
 }
 
+// validName reports whether s is a metric name, [a-zA-Z_:][a-zA-Z0-9_:]*,
+// or with colon false a label name, the same without the colon. Anything
+// else — whitespace and braces above all — would not survive WriteFamilies
+// and a second parse as the same name.
+func validName(s string, colon bool) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':' && colon:
+		case c >= '0' && c <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return s != ""
+}
+
 // parseSampleLine decodes `name{l1="v1",l2="v2"} value [timestamp]`.
 func parseSampleLine(line string) (Sample, error) {
 	var s Sample
@@ -92,8 +112,8 @@ func parseSampleLine(line string) (Sample, error) {
 		s.Name = rest[:i]
 		rest = rest[i:]
 	}
-	if s.Name == "" {
-		return s, fmt.Errorf("sample %q has empty name", line)
+	if !validName(s.Name, true) {
+		return s, fmt.Errorf("sample %q has an invalid name", line)
 	}
 	if strings.HasPrefix(rest, "{") {
 		end, labels, err := parseLabelSet(rest)
@@ -136,6 +156,9 @@ func parseLabelSet(s string) (int, []Label, error) {
 			return 0, nil, fmt.Errorf("label without '='")
 		}
 		name := strings.TrimSpace(s[i : i+eq])
+		if !validName(name, false) {
+			return 0, nil, fmt.Errorf("invalid label name %q", name)
+		}
 		i += eq + 1
 		if i >= len(s) || s[i] != '"' {
 			return 0, nil, fmt.Errorf("unquoted label value")

@@ -265,20 +265,3 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 		t.Fatalf("enabled path allocates %v per span", n)
 	}
 }
-
-func BenchmarkRecordDisabled(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Record(0, KindExec, i, 32, 0, time.Millisecond)
-	}
-}
-
-func BenchmarkRecordEnabled(b *testing.B) {
-	r := NewRecorder(4, DefaultCapacity)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		start := time.Duration(i) * time.Microsecond
-		r.Record(i%4, KindExec, i, 32, start, start+time.Microsecond)
-	}
-}

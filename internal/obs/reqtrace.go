@@ -165,14 +165,6 @@ func NewReqRecorder(capacity int) *ReqRecorder {
 	}
 }
 
-// Origin returns the recorder's wall-clock anchor (zero on nil).
-func (r *ReqRecorder) Origin() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return r.origin
-}
-
 // Record captures one span from absolute timestamps. Nil recorders and
 // zero trace IDs are no-ops; an end before start is clamped to a
 // zero-length span (wall-clock callers may race the anchor by

@@ -65,7 +65,7 @@ func TestReqRecorderNilAndZeroSafe(t *testing.T) {
 
 func TestReqRecorderRingAndClamp(t *testing.T) {
 	rr := NewReqRecorder(4)
-	base := rr.Origin()
+	base := rr.origin
 	for i := 0; i < 6; i++ {
 		rr.Record(TraceID(i+1), SpanPick, SideRouter, "", i,
 			base.Add(time.Duration(i)*time.Millisecond),
@@ -156,7 +156,7 @@ func TestWriteReadChromeRequestsRoundTrip(t *testing.T) {
 func TestValidateCatchesSeriesOverlap(t *testing.T) {
 	trace := TraceID(7)
 	rr := NewReqRecorder(16)
-	o := rr.Origin()
+	o := rr.origin
 	rr.Record(trace, SpanRequest, SideRouter, "", 0, o, o.Add(100*time.Millisecond))
 	rr.Record(trace, SpanPick, SideRouter, "a", 0, o.Add(1*time.Millisecond), o.Add(10*time.Millisecond))
 	rr.Record(trace, SpanPick, SideRouter, "b", 1, o.Add(5*time.Millisecond), o.Add(20*time.Millisecond))
@@ -177,7 +177,7 @@ func TestValidateCatchesSeriesOverlap(t *testing.T) {
 func TestValidateCatchesEscapedReplicaSpan(t *testing.T) {
 	trace := TraceID(9)
 	rr := NewReqRecorder(16)
-	o := rr.Origin()
+	o := rr.origin
 	rr.Record(trace, SpanRequest, SideRouter, "", 0, o, o.Add(50*time.Millisecond))
 	rr.Record(trace, SpanDecode, SideReplica, "length", 0,
 		o.Add(40*time.Millisecond), o.Add(80*time.Millisecond))
@@ -202,7 +202,7 @@ func TestValidateCatchesEscapedReplicaSpan(t *testing.T) {
 func TestValidateRequiresSingleRouterRoot(t *testing.T) {
 	trace := TraceID(11)
 	rr := NewReqRecorder(16)
-	o := rr.Origin()
+	o := rr.origin
 	rr.Record(trace, SpanPick, SideRouter, "a", 0, o, o.Add(time.Millisecond))
 
 	var buf bytes.Buffer
@@ -234,7 +234,7 @@ func TestReadChromeRequestsRejectsSharedLane(t *testing.T) {
 
 func TestReqRecordAllocs(t *testing.T) {
 	rr := NewReqRecorder(1 << 10)
-	o := rr.Origin()
+	o := rr.origin
 	n := testing.AllocsPerRun(100, func() {
 		rr.Record(42, SpanPick, SideRouter, "rep", 1, o, o.Add(time.Millisecond))
 	})

@@ -167,9 +167,6 @@ func (r *Request) DecodeBusy() bool { return r.decodeBusy }
 // prefill target by a preemption (for decode, this is the KV length).
 func (r *Request) ContextLen() int { return r.prefillDone + r.generated - r.genInTarget }
 
-// RemainingOutput returns output tokens still to generate.
-func (r *Request) RemainingOutput() int { return r.OutputLen - r.generated }
-
 // ScheduleChunk marks n prefill tokens as in flight. Multiple chunks may
 // be in flight simultaneously (chunked pipeline parallelism: each chunk
 // rides one micro-batch behind its predecessor); chunks complete FIFO. The

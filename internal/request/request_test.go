@@ -372,9 +372,6 @@ func TestAccessorsAndString(t *testing.T) {
 	if r.DecodeBusy() {
 		t.Fatal("fresh request decode-busy")
 	}
-	if r.RemainingOutput() != 5 {
-		t.Fatalf("remaining output = %d", r.RemainingOutput())
-	}
 	if s := r.String(); s == "" {
 		t.Fatal("empty String()")
 	}
@@ -385,9 +382,6 @@ func TestAccessorsAndString(t *testing.T) {
 		t.Fatal("scheduled decode not busy")
 	}
 	r.CompleteDecode(2 * time.Second)
-	if r.RemainingOutput() != 3 {
-		t.Fatalf("remaining output = %d", r.RemainingOutput())
-	}
 }
 
 func TestSkipPrefillSemantics(t *testing.T) {

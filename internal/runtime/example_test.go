@@ -1,14 +1,10 @@
-// Quickstart: start an in-process gLLM runtime (Qwen2.5-32B on an emulated
-// 4 x L20 pipeline), stream a few completions, and print the serving
-// metrics — the 60-second tour of the public API.
-//
-//	go run ./examples/quickstart
-package main
+package runtime_test
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"gllm/internal/gpu"
@@ -18,7 +14,10 @@ import (
 	"gllm/internal/sched"
 )
 
-func main() {
+// The quickstart: start an in-process gLLM runtime (Qwen2.5-32B on an
+// emulated 4 x L20 pipeline), stream a few completions, read the serving
+// metrics.
+func Example() {
 	// 1. Deploy: model + GPUs + topology + the Token Throttling scheduler.
 	rt, err := runtime.Start(runtime.Config{
 		Model:     model.Qwen25_32B,
@@ -35,7 +34,7 @@ func main() {
 		defer cancel()
 		_ = rt.Shutdown(ctx)
 	}()
-	fmt.Printf("runtime up: %s across 4 stages, KV capacity %d tokens\n\n",
+	fmt.Printf("runtime up: %s across 4 stages, KV capacity %d tokens\n",
 		model.Qwen25_32B.Name, rt.KVCapacityTokens())
 
 	// 2. Submit requests; each handle streams its tokens in batches, one per
@@ -48,38 +47,41 @@ func main() {
 		{"Why do pipeline bubbles hurt GPU utilization?", 16},
 		{"What does token throttling balance?", 12},
 	}
-	type pending struct {
-		prompt string
-		h      *runtime.Handle
-	}
-	var inflight []pending
 	ctx := context.Background()
+	var inflight []*runtime.Handle
 	for _, p := range prompts {
 		h, err := rt.SubmitBatchedSpec(ctx, runtime.SubmitSpec{
 			PromptLen: runtime.TokenizeLen(p.text), MaxTokens: p.maxTokens})
 		if err != nil {
 			log.Fatal(err)
 		}
-		inflight = append(inflight, pending{p.text, h})
+		inflight = append(inflight, h)
 	}
 
 	// 3. Consume the streams (they interleave in real serving; here we
 	// read them request by request).
-	for _, p := range inflight {
-		fmt.Printf("prompt:  %q\n", p.prompt)
-		fmt.Print("output:  ")
-		for evs := p.h.Next(ctx); evs != nil; evs = p.h.Next(ctx) {
+	for i, h := range inflight {
+		var out strings.Builder
+		for evs := h.Next(ctx); evs != nil; evs = h.Next(ctx) {
 			for _, ev := range evs {
-				fmt.Print(ev.Text)
+				out.WriteString(ev.Text) // "word " per token
 			}
 		}
-		fmt.Println()
+		fmt.Printf("prompt: %q\noutput: %s\n", prompts[i].text, strings.TrimSpace(out.String()))
 	}
 
 	// 4. Inspect serving metrics.
 	sc := rt.Metrics().Scrape()
-	st := rt.Stats()
-	fmt.Printf("\nserved %d requests in %d iterations\n", sc.ByReason["length"], st.Iterations)
-	fmt.Printf("mean TTFT %.1f ms, mean TPOT %.2f ms, %d preemptions\n",
-		sc.TTFT.Sum/float64(sc.TTFT.Count)*1e3, sc.TPOT.Sum/float64(sc.TPOT.Count)*1e3, st.Preemptions)
+	fmt.Printf("served %d requests, %d TTFT samples, %d preemptions\n",
+		sc.ByReason["length"], sc.TTFT.Count, rt.Stats().Preemptions)
+
+	// Output:
+	// runtime up: Qwen2.5-32B across 4 stages, KV capacity 469708 tokens
+	// prompt: "Explain pipeline parallelism in one paragraph"
+	// output: rate more one an more there stage first there may this for are is word unit core flow may has stage model run word
+	// prompt: "Why do pipeline bubbles hurt GPU utilization?"
+	// output: page token flow run as scale token core depth queue page rate block block would run
+	// prompt: "What does token throttling balance?"
+	// output: split or that flow load flow model in if may by will
+	// served 3 requests, 3 TTFT samples, 0 preemptions
 }

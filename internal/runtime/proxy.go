@@ -50,11 +50,3 @@ func (f *ProxyFeeder) Abort(reqID int64, index int, reason FinishReason) {
 	f.Deliver(TokenEvent{ReqID: reqID, Index: index, Finished: true, Reason: reason})
 	f.Close(reason)
 }
-
-// Closed reports whether Close has run (the stream reached a terminal
-// state on the feeding side).
-func (f *ProxyFeeder) Closed() bool {
-	f.sub.dmu.Lock()
-	defer f.sub.dmu.Unlock()
-	return f.sub.dclosed
-}

@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	goruntime "runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -264,19 +263,6 @@ func TestTokenDeterminism(t *testing.T) {
 	}
 	if TokenValue(3, 7) == TokenValue(3, 8) || TokenValue(3, 7) == TokenValue(4, 7) {
 		t.Fatal("TokenValue collisions across adjacent inputs")
-	}
-}
-
-func TestDetokenize(t *testing.T) {
-	text := Detokenize(1, 5)
-	if text == "" {
-		t.Fatal("empty detokenization")
-	}
-	if words := strings.Fields(text); len(words) != 5 {
-		t.Fatalf("detokenized %d words, want 5", len(words))
-	}
-	if Detokenize(1, 5) != Detokenize(1, 5) {
-		t.Fatal("Detokenize not deterministic")
 	}
 }
 

@@ -54,12 +54,3 @@ func TokenizeLen(prompt string) int {
 	}
 	return n
 }
-
-// Detokenize renders the first n output tokens of a request as text.
-func Detokenize(reqID int64, n int) string {
-	var sb strings.Builder
-	for i := 0; i < n; i++ {
-		sb.WriteString(TokenText(TokenValue(reqID, i)))
-	}
-	return strings.TrimSpace(sb.String())
-}

@@ -40,9 +40,6 @@ func NewTDPipe(budget int, depth int) *TDPipe {
 // Name implements Scheduler.
 func (t *TDPipe) Name() string { return "td-pipe" }
 
-// PhaseSwitches reports how many times the schedule flipped phase.
-func (t *TDPipe) PhaseSwitches() int { return t.switches }
-
 // Schedule implements Scheduler.
 func (t *TDPipe) Schedule(p *Pool, now time.Duration) *Batch {
 	wp := p.WaitingPrefillTokens()

@@ -42,8 +42,8 @@ func TestTDPipePhaseAlternation(t *testing.T) {
 	if !sawPrefillOnly || !sawDecodeOnly {
 		t.Fatalf("phases missing: prefill-only %v decode-only %v", sawPrefillOnly, sawDecodeOnly)
 	}
-	if s.PhaseSwitches() < 2 {
-		t.Fatalf("phase switches = %d", s.PhaseSwitches())
+	if s.switches < 2 {
+		t.Fatalf("phase switches = %d", s.switches)
 	}
 }
 

@@ -151,6 +151,15 @@ type CompletionRequest struct {
 	SharedPrefixLen int   `json:"shared_prefix_len,omitempty"`
 }
 
+// maxBodyBytes caps a /v1/completions request body, so one client cannot
+// make a replica — or the cluster frontend in front of all of them —
+// buffer an arbitrarily large prompt. gllm-bench -prompt-mode real renders
+// a prompt as "tok " per token, 4 bytes: the longest generated prompt
+// (Azure, InMax 8192 tokens) is 32 KiB, and 1 MiB holds a replayed trace
+// row of 256 Ki tokens, twice the longest context window (128 Ki) of the
+// models served, plus the few hundred bytes of JSON around it.
+const maxBodyBytes = 1 << 20
+
 // CompletionChunk is the subset of a streamed completion chunk (as
 // appendChunk encodes it) that stream consumers inspect: the token text —
 // empty on the synthetic abort terminator — and the finish reason.
@@ -242,7 +251,13 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompletionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid JSON: %v", err))
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,6 +213,55 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized status = %s", resp.Status)
+	}
+}
+
+// countingBackend counts the submissions that get past the handler.
+type countingBackend struct {
+	runtimeBackend
+	submits atomic.Int32
+}
+
+func (b *countingBackend) Submit(ctx context.Context, req SubmitRequest) (*runtime.Handle, error) {
+	b.submits.Add(1)
+	return b.runtimeBackend.Submit(ctx, req)
+}
+
+// A body of exactly maxBodyBytes is served; one byte more is answered 413
+// before anything is submitted.
+func TestCompletionBodyCap(t *testing.T) {
+	_, rt := testServer(t)
+	be := &countingBackend{runtimeBackend: runtimeBackend{rt}}
+	ts := httptest.NewServer(NewBackend(be, "Qwen2.5-14B"))
+	defer ts.Close()
+
+	const envelope = `{"max_tokens":2,"prompt":""}`
+	for _, tc := range []struct {
+		size, status int
+		submits      int32
+	}{
+		{maxBodyBytes, http.StatusOK, 1},
+		{maxBodyBytes + 1, http.StatusRequestEntityTooLarge, 1},
+	} {
+		body := `{"max_tokens":2,"prompt":"` + strings.Repeat("a", tc.size-len(envelope)) + `"}`
+		resp, err := http.Post(ts.URL+"/v1/completions", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Error struct{ Type string } `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("%d-byte body: status %s, want %d", tc.size, resp.Status, tc.status)
+		}
+		if tc.status != http.StatusOK && out.Error.Type != "invalid_request_error" {
+			t.Fatalf("%d-byte body: error type %q", tc.size, out.Error.Type)
+		}
+		if got := be.submits.Load(); got != tc.submits {
+			t.Fatalf("%d-byte body: %d submissions reached the backend, want %d", tc.size, got, tc.submits)
+		}
 	}
 }
 

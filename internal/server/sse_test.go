@@ -178,6 +178,31 @@ func TestDisconnectLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
+// countingWriter is a minimal streaming ResponseWriter: it counts delivered
+// token chunks and otherwise discards the bytes. The real net/http chunked
+// encoder allocates per flush, which would mask the serving path's own
+// allocation behaviour, so the guard drives Server.ServeHTTP directly.
+type countingWriter struct {
+	header http.Header
+	tokens *atomic.Int64
+}
+
+func (w *countingWriter) Header() http.Header {
+	if w.header == nil {
+		w.header = make(http.Header)
+	}
+	return w.header
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	// Every delivered token renders exactly one "text" field; [DONE] none.
+	w.tokens.Add(int64(bytes.Count(p, []byte(`"text":`))))
+	return len(p), nil
+}
+
+func (w *countingWriter) WriteHeader(int) {}
+func (w *countingWriter) Flush()          {}
+
 // TestServeSteadyStateAllocsPerToken guards the full HTTP serving path
 // (wired into `make check`): with warm pools, streaming a completion through
 // ServeHTTP → SubmitBatchedSpec → slab delivery → hand-rolled SSE encoding must
@@ -197,7 +222,7 @@ func TestServeSteadyStateAllocsPerToken(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := &benchWriter{tokens: &delivered}
+		w := &countingWriter{tokens: &delivered}
 		srv.ServeHTTP(w, req)
 	}
 	for i := 0; i < 4; i++ {

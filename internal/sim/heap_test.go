@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
@@ -111,92 +110,5 @@ func TestEngineReset(t *testing.T) {
 	}
 	if e.Now() != time.Second || e.Executed() != 50 {
 		t.Fatalf("post-reset run: now=%v executed=%d", e.Now(), e.Executed())
-	}
-}
-
-// --- container/heap baseline for the micro-benchmarks ---
-//
-// boxedHeap is the kernel's previous event heap: a binary heap driven
-// through container/heap, which boxes every event into an interface{} on
-// Push. Kept here as the benchmark baseline for the monomorphic 4-ary heap.
-
-type boxedHeap []event
-
-func (h boxedHeap) Len() int { return len(h) }
-func (h boxedHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h boxedHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *boxedHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *boxedHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// benchSchedule is a deterministic scrambled (at, seq) workload shared by
-// both heap benchmarks.
-func benchSchedule(n int) []event {
-	evs := make([]event, n)
-	for i := range evs {
-		evs[i] = event{at: time.Duration((i*7919)%257) * time.Microsecond, seq: uint64(i + 1)}
-	}
-	return evs
-}
-
-// BenchmarkEventHeap4ary measures the monomorphic 4-ary heap: push a
-// scrambled schedule, drain it. Expect zero allocs/op in steady state (the
-// backing array is reused across iterations).
-func BenchmarkEventHeap4ary(b *testing.B) {
-	evs := benchSchedule(1024)
-	var h eventHeap
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, e := range evs {
-			h.push(e)
-		}
-		for h.len() > 0 {
-			h.pop()
-		}
-	}
-}
-
-// BenchmarkEventHeapContainerHeap measures the previous container/heap
-// implementation on the identical schedule: every Push boxes the event,
-// costing one allocation per scheduled event.
-func BenchmarkEventHeapContainerHeap(b *testing.B) {
-	evs := benchSchedule(1024)
-	h := make(boxedHeap, 0, len(evs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, e := range evs {
-			heap.Push(&h, e)
-		}
-		for h.Len() > 0 {
-			heap.Pop(&h)
-		}
-	}
-}
-
-// BenchmarkEngineReuse measures a full schedule-and-drain cycle through the
-// Engine API with Reset-based reuse (no per-run heap growth).
-func BenchmarkEngineReuse(b *testing.B) {
-	e := New()
-	noop := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		for j := 0; j < 1024; j++ {
-			e.At(time.Duration((j*7919)%257)*time.Microsecond, noop)
-		}
-		e.Run()
 	}
 }

@@ -13,7 +13,6 @@ type Resource struct {
 	queue     []job
 	busySince time.Duration
 	totalBusy time.Duration
-	served    int
 }
 
 type job struct {
@@ -34,9 +33,6 @@ func (r *Resource) Busy() bool { return r.busy }
 
 // QueueLen returns the number of jobs waiting (excluding the one in service).
 func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// Served returns the number of completed jobs.
-func (r *Resource) Served() int { return r.served }
 
 // Submit enqueues a job requiring dur of service; done (may be nil) runs at
 // completion. Zero-duration jobs are legal and complete via a zero-delay
@@ -59,7 +55,6 @@ func (r *Resource) start(j job) {
 	r.eng.After(j.dur, func() {
 		r.totalBusy += r.eng.Now() - r.busySince
 		r.busy = false
-		r.served++
 		if j.done != nil {
 			j.done()
 		}

@@ -166,9 +166,6 @@ func TestResourceFIFOService(t *testing.T) {
 	if e.Now() != 16*time.Millisecond {
 		t.Fatalf("makespan = %v, want 16ms", e.Now())
 	}
-	if r.Served() != 3 {
-		t.Fatalf("served = %d", r.Served())
-	}
 }
 
 func TestResourceBusyTime(t *testing.T) {

@@ -107,30 +107,6 @@ func TestTimeSeriesRecordAndValues(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesResample(t *testing.T) {
-	ts := NewTimeSeries("x")
-	ts.Record(100*time.Millisecond, 10)
-	ts.Record(200*time.Millisecond, 20)
-	ts.Record(1100*time.Millisecond, 40)
-	got := ts.Resample(time.Second)
-	if len(got) != 2 {
-		t.Fatalf("resample windows = %d (%v)", len(got), got)
-	}
-	if got[0] != 15 || got[1] != 40 {
-		t.Fatalf("resample = %v", got)
-	}
-}
-
-func TestTimeSeriesResampleEmpty(t *testing.T) {
-	ts := NewTimeSeries("x")
-	if got := ts.Resample(time.Second); got != nil {
-		t.Fatalf("resample of empty = %v", got)
-	}
-	if got := ts.Resample(0); got != nil {
-		t.Fatalf("resample with zero window = %v", got)
-	}
-}
-
 func TestTimeSeriesCSV(t *testing.T) {
 	ts := NewTimeSeries("util")
 	ts.Record(time.Second, 0.5)

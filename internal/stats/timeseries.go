@@ -42,33 +42,6 @@ func (ts *TimeSeries) Values() []float64 {
 // Summary summarizes the observation values.
 func (ts *TimeSeries) Summary() Summary { return Summarize(ts.Values()) }
 
-// Resample buckets the series into fixed windows of width w starting at 0
-// and returns the mean value per window. Empty windows yield 0.
-func (ts *TimeSeries) Resample(w time.Duration) []float64 {
-	if w <= 0 || len(ts.Points) == 0 {
-		return nil
-	}
-	last := ts.Points[len(ts.Points)-1].T
-	n := int(last/w) + 1
-	sums := make([]float64, n)
-	counts := make([]int, n)
-	for _, p := range ts.Points {
-		i := int(p.T / w)
-		if i >= n {
-			i = n - 1
-		}
-		sums[i] += p.V
-		counts[i]++
-	}
-	out := make([]float64, n)
-	for i := range out {
-		if counts[i] > 0 {
-			out[i] = sums[i] / float64(counts[i])
-		}
-	}
-	return out
-}
-
 // CSV renders the series as "seconds,value" rows with a header.
 func (ts *TimeSeries) CSV() string {
 	var sb strings.Builder

@@ -106,34 +106,3 @@ func Conversations(r *stats.RNG, spec ConversationSpec) []Item {
 	Sort(items)
 	return items
 }
-
-// PrefixStats summarizes how much of a trace's prompt volume is shared
-// prefix (reusable under prefix caching).
-type PrefixStats struct {
-	Requests     int
-	MultiTurn    int
-	PromptTokens int64
-	SharedTokens int64
-}
-
-// SharedFraction is SharedTokens / PromptTokens (0 for an empty trace).
-func (ps PrefixStats) SharedFraction() float64 {
-	if ps.PromptTokens == 0 {
-		return 0
-	}
-	return float64(ps.SharedTokens) / float64(ps.PromptTokens)
-}
-
-// AnalyzePrefix computes a trace's prefix-sharing profile.
-func AnalyzePrefix(items []Item) PrefixStats {
-	var ps PrefixStats
-	ps.Requests = len(items)
-	for _, it := range items {
-		ps.PromptTokens += int64(it.PromptLen)
-		if it.SharedPrefixLen > 0 {
-			ps.MultiTurn++
-			ps.SharedTokens += int64(it.SharedPrefixLen)
-		}
-	}
-	return ps
-}

@@ -112,31 +112,14 @@ func TestConversationsPanics(t *testing.T) {
 	}
 }
 
-func TestAnalyzePrefix(t *testing.T) {
-	items := []Item{
-		{PromptLen: 100, OutputLen: 10},
-		{PromptLen: 200, OutputLen: 10, PrefixGroup: 1, SharedPrefixLen: 110},
-	}
-	ps := AnalyzePrefix(items)
-	if ps.Requests != 2 || ps.MultiTurn != 1 {
-		t.Fatalf("stats = %+v", ps)
-	}
-	if ps.PromptTokens != 300 || ps.SharedTokens != 110 {
-		t.Fatalf("tokens = %+v", ps)
-	}
-	want := 110.0 / 300.0
-	if ps.SharedFraction() != want {
-		t.Fatalf("fraction = %v", ps.SharedFraction())
-	}
-	if (PrefixStats{}).SharedFraction() != 0 {
-		t.Fatal("empty fraction not 0")
-	}
-}
-
 func TestConversationsShareSubstantialVolume(t *testing.T) {
 	items := Conversations(stats.NewRNG(11), convSpec(4, 120*time.Second))
-	ps := AnalyzePrefix(items)
-	if ps.SharedFraction() < 0.2 {
-		t.Fatalf("shared fraction = %.2f, conversations should reuse plenty", ps.SharedFraction())
+	var prompt, shared float64
+	for _, it := range items {
+		prompt += float64(it.PromptLen)
+		shared += float64(it.SharedPrefixLen)
+	}
+	if shared/prompt < 0.2 {
+		t.Fatalf("shared fraction = %.2f, conversations should reuse plenty", shared/prompt)
 	}
 }
