@@ -24,41 +24,67 @@ import (
 	"gllm/internal/workload"
 )
 
+// benchOptions is the parsed command line.
+type benchOptions struct {
+	host        string
+	port        int
+	modelName   string
+	datasetName string
+	azureCSV    string
+	rate        float64
+	duration    time.Duration
+	seed        uint64
+	goodput     string
+	parallel    int
+	histOut     string
+	promptMode  string
+}
+
 func main() {
-	var (
-		host        = flag.String("host", "127.0.0.1", "server host")
-		port        = flag.Int("port", 8000, "server port")
-		modelName   = flag.String("model", "Qwen2.5-32B", "model name")
-		datasetName = flag.String("dataset-name", "sharegpt", "sharegpt or azure (paper flag --dataset-name)")
-		datasetPath = flag.String("dataset-path", "", "JSON trace to replay instead of synthesizing")
-		azureCSV    = flag.String("splitwise-path", "", "Azure LLM inference CSV trace to replay (paper flag)")
-		rate        = flag.Float64("request-rate", 4, "request rate (req/s)")
-		duration    = flag.Duration("duration", 128*time.Second, "request send window (paper: 128 s)")
-		numPrompts  = flag.Int("num-prompts", 0, "cap on request count (0 = rate x duration)")
-		seed        = flag.Uint64("seed", 20250704, "workload seed")
-		speedup     = flag.Float64("speedup", 1, "replay speedup factor")
-		goodput     = flag.String("goodput", "", `SLO spec like "ttft:2000 tpot:100" (milliseconds)`)
-		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0),
-			"cap on concurrent in-flight requests (0 = unlimited; arrivals stay open-loop)")
-		histOut = flag.String("hist-out", "",
-			"write client-side TTFT/TPOT/E2EL/queue-delay histograms as CSV (metric,kind,value rows)")
-		promptMode = flag.String("prompt-mode", "synthetic",
-			"prompt rendering: synthetic (prompt_len only), real (full prompt string), auto (real below 4096 tokens)")
-	)
+	var o benchOptions
+	flag.StringVar(&o.host, "host", "127.0.0.1", "server host")
+	flag.IntVar(&o.port, "port", 8000, "server port")
+	flag.StringVar(&o.modelName, "model", "Qwen2.5-32B", "model name")
+	flag.StringVar(&o.datasetName, "dataset-name", "sharegpt", "sharegpt or azure (paper flag --dataset-name)")
+	flag.StringVar(&o.azureCSV, "splitwise-path", "", "Azure LLM inference CSV trace to replay instead of synthesizing (paper flag)")
+	flag.Float64Var(&o.rate, "request-rate", 4, "request rate (req/s)")
+	flag.DurationVar(&o.duration, "duration", 128*time.Second, "request send window (paper: 128 s)")
+	flag.Uint64Var(&o.seed, "seed", 20250704, "workload seed")
+	flag.StringVar(&o.goodput, "goodput", "", `SLO spec like "ttft:2000 tpot:100" (milliseconds)`)
+	flag.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0),
+		"cap on concurrent in-flight requests (0 = unlimited; arrivals stay open-loop)")
+	flag.StringVar(&o.histOut, "hist-out", "",
+		"write client-side TTFT/TPOT/E2EL/queue-delay histograms as CSV (metric,kind,value rows)")
+	flag.StringVar(&o.promptMode, "prompt-mode", "synthetic",
+		"prompt rendering: synthetic (prompt_len only), real (full prompt string), auto (real below 4096 tokens)")
 	flag.Parse()
-	if err := run(*host, *port, *modelName, *datasetName, *datasetPath, *azureCSV,
-		*rate, *duration, *numPrompts, *seed, *speedup, *goodput, *parallel, *histOut, *promptMode); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "gllm-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(host string, port int, modelName, datasetName, datasetPath, azureCSV string,
-	rate float64, duration time.Duration, numPrompts int, seed uint64,
-	speedup float64, goodput string, parallel int, histOut, promptMode string) error {
+// loadWorkload returns the trace to replay: the recorded Azure CSV when
+// -splitwise-path names one, else a seeded Poisson synthesis.
+func loadWorkload(o benchOptions) ([]workload.Item, error) {
+	if o.azureCSV != "" {
+		f, err := os.Open(o.azureCSV)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return workload.LoadAzureCSV(f)
+	}
+	ds, err := workload.ByName(o.datasetName)
+	if err != nil {
+		return nil, err
+	}
+	return workload.Poisson(stats.NewRNG(o.seed), ds, o.rate, o.duration), nil
+}
 
+func run(o benchOptions) error {
 	var mode client.PromptMode
-	switch promptMode {
+	switch o.promptMode {
 	case "synthetic":
 		mode = client.PromptSynthetic
 	case "real":
@@ -66,55 +92,23 @@ func run(host string, port int, modelName, datasetName, datasetPath, azureCSV st
 	case "auto":
 		mode = client.PromptAuto
 	default:
-		return fmt.Errorf("unknown -prompt-mode %q (synthetic, real, auto)", promptMode)
+		return fmt.Errorf("unknown -prompt-mode %q (synthetic, real, auto)", o.promptMode)
 	}
-
-	var items []workload.Item
-	switch {
-	case datasetPath != "":
-		f, err := os.Open(datasetPath)
-		if err != nil {
-			return err
-		}
-		items, err = workload.LoadJSON(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	case azureCSV != "":
-		f, err := os.Open(azureCSV)
-		if err != nil {
-			return err
-		}
-		var err2 error
-		items, err2 = workload.LoadAzureCSV(f)
-		f.Close()
-		if err2 != nil {
-			return err2
-		}
-	default:
-		ds, err := workload.ByName(datasetName)
-		if err != nil {
-			return err
-		}
-		items = workload.Poisson(stats.NewRNG(seed), ds, rate, duration)
-	}
-	if numPrompts > 0 && len(items) > numPrompts {
-		items = items[:numPrompts]
+	items, err := loadWorkload(o)
+	if err != nil {
+		return err
 	}
 	if len(items) == 0 {
 		return fmt.Errorf("empty workload")
 	}
-	fmt.Printf("gllm-bench: %d requests, %d tokens, replaying at %gx\n",
-		len(items), workload.TotalTokens(items), speedup)
+	fmt.Printf("gllm-bench: %d requests, %d tokens\n", len(items), workload.TotalTokens(items))
 
 	res, err := client.Run(context.Background(), client.Options{
-		BaseURL:     fmt.Sprintf("http://%s:%d", host, port),
-		Model:       modelName,
+		BaseURL:     fmt.Sprintf("http://%s:%d", o.host, o.port),
+		Model:       o.modelName,
 		Items:       items,
-		SpeedUp:     speedup,
 		PromptMode:  mode,
-		MaxInFlight: parallel,
+		MaxInFlight: o.parallel,
 	})
 	if err != nil {
 		return err
@@ -128,8 +122,8 @@ func run(host string, port int, modelName, datasetName, datasetPath, azureCSV st
 		fmt.Printf("  rejected=%d (server backpressure)\n", res.Rejected)
 	}
 
-	if histOut != "" {
-		f, err := os.Create(histOut)
+	if o.histOut != "" {
+		f, err := os.Create(o.histOut)
 		if err != nil {
 			return err
 		}
@@ -140,10 +134,10 @@ func run(host string, port int, modelName, datasetName, datasetPath, azureCSV st
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("  histograms: %s\n", histOut)
+		fmt.Printf("  histograms: %s\n", o.histOut)
 	}
-	if goodput != "" {
-		ttft, tpot, err := parseGoodput(goodput)
+	if o.goodput != "" {
+		ttft, tpot, err := parseGoodput(o.goodput)
 		if err != nil {
 			return err
 		}

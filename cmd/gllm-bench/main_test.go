@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -93,5 +95,28 @@ func TestParseGoodputErrors(t *testing.T) {
 		if _, _, err := parseGoodput(spec); err == nil {
 			t.Errorf("%q parsed", spec)
 		}
+	}
+}
+
+// -splitwise-path replays a recorded Azure CSV in place of the synthesized
+// trace; without it the dataset name decides.
+func TestLoadWorkloadSplitwisePath(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "azure.csv")
+	csv := "TIMESTAMP,ContextTokens,GeneratedTokens\n100.0,500,20\n100.5,1000,50\n"
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	items, err := loadWorkload(benchOptions{azureCSV: path, datasetName: "ignored"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 2 || items[1].PromptLen != 1000 || items[1].Arrival != 500*time.Millisecond {
+		t.Fatalf("replayed trace = %+v", items)
+	}
+	if _, err := loadWorkload(benchOptions{azureCSV: path + ".missing"}); err == nil {
+		t.Fatal("missing CSV accepted")
+	}
+	if _, err := loadWorkload(benchOptions{datasetName: "pile", rate: 1, duration: time.Second}); err == nil {
+		t.Fatal("unknown dataset accepted")
 	}
 }

@@ -70,8 +70,6 @@ func main() {
 			"health-probe period for remote replicas")
 		probeFailures = flag.Int("probe-failures", 3,
 			"consecutive probe failures before a remote replica reads unreachable")
-		connectTimeout = flag.Duration("connect-timeout", 2*time.Second,
-			"per-attempt connect timeout for remote submissions and probes")
 		traceOut = flag.String("trace-out", "",
 			"write the merged cross-process request trace (Chrome trace JSON) here on exit")
 		pprofOn = flag.Bool("pprof", false,
@@ -97,7 +95,7 @@ func main() {
 		},
 		drainTimeout: *drainTimeout, seed: *seed, logLevel: logLevel,
 		remotes: remotes, probeInterval: *probeInterval, probeFailures: *probeFailures,
-		connectTimeout: *connectTimeout, traceOut: *traceOut, pprofOn: *pprofOn,
+		traceOut: *traceOut, pprofOn: *pprofOn,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "gllm-cluster:", err)
 		os.Exit(1)
@@ -121,12 +119,11 @@ type clusterOptions struct {
 	seed         uint64
 	logLevel     slog.Level
 
-	remotes        []string // remote replica base URLs (-replica, repeatable)
-	probeInterval  time.Duration
-	probeFailures  int
-	connectTimeout time.Duration
-	traceOut       string
-	pprofOn        bool
+	remotes       []string // remote replica base URLs (-replica, repeatable)
+	probeInterval time.Duration
+	probeFailures int
+	traceOut      string
+	pprofOn       bool
 }
 
 // replicaFactory builds one fresh replica runtime per call; each gets its
@@ -197,7 +194,7 @@ func buildCluster(o clusterOptions, logger *slog.Logger) (*cluster.Router, *clus
 	}
 	for i, baseURL := range o.remotes {
 		rem, err := cluster.NewRemote(cluster.RemoteConfig{
-			BaseURL: baseURL, Model: o.modelPath, ConnectTimeout: o.connectTimeout,
+			BaseURL: baseURL, Model: o.modelPath,
 			ProbeInterval: o.probeInterval, FailureThreshold: o.probeFailures,
 			Logger: logger, ReqSpans: reqSpans,
 		})

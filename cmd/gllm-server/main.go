@@ -38,99 +38,101 @@ import (
 	"gllm/internal/server"
 )
 
-// srvOptions carries the observability toggles so run's positional list
-// stops growing.
+// srvOptions is the parsed command line.
 type srvOptions struct {
+	port        int
+	modelPath   string
+	pp          int
+	gpuName     string
+	memUtil     float64
+	schedName   string
+	budget      int
+	params      core.Params
+	timeScale   float64
+	syncRuntime bool
+	enableCPP   bool
+	prefixCache bool
+
+	drainTimeout    time.Duration
+	watchdogTimeout time.Duration
+	admitKVFactor   float64
+	stallStage      int
+	stallDuration   time.Duration
+
 	traceOut string
 	pprofOn  bool
 	logLevel slog.Level
 }
 
 func main() {
-	var (
-		port        = flag.Int("port", 8000, "listen port")
-		modelPath   = flag.String("model-path", "Qwen2.5-32B", "model name (paper flag --model-path)")
-		pp          = flag.Int("pp", 4, "pipeline parallel degree (paper flag --pp)")
-		gpuName     = flag.String("gpu", "L20-48GB", "GPU type")
-		memUtil     = flag.Float64("gpu-memory-util", 0.9, "GPU memory utilization")
-		schedName   = flag.String("sched", "gllm", "scheduler: gllm, sarathi, gllm-no-wt, gllm-no-ut, gllm-ck")
-		naive       = flag.Bool("use-naive-schedule", false, "use the Sarathi-Serve policy (paper flag)")
-		budget      = flag.Int("token-budget", 2048, "Sarathi token budget")
-		iterT       = flag.Int("iterp", 8, "gLLM #T")
-		maxP        = flag.Int("maxp", 2048, "gLLM #MaxP")
-		minP        = flag.Int("minp", 32, "gLLM #MinP")
-		kvThresh    = flag.Float64("kvthresh", 0.05, "gLLM KV_thresh")
-		timeScale   = flag.Float64("time-scale", 0, "emulated GPU time scale (0 = no sleeping, 1 = modeled real time)")
-		syncRuntime = flag.Bool("sync-runtime", false, "use the coupled (vLLM-like) runtime instead of async")
-		enableCPP   = flag.Bool("enable-cpp", false, "pipeline prompt chunks across micro-batches")
-		prefixCache = flag.Bool("enable-prefix-cache", false, "reuse KV across requests sharing a prefix group")
+	var o srvOptions
+	flag.IntVar(&o.port, "port", 8000, "listen port")
+	flag.StringVar(&o.modelPath, "model-path", "Qwen2.5-32B", "model name (paper flag --model-path)")
+	flag.IntVar(&o.pp, "pp", 4, "pipeline parallel degree (paper flag --pp)")
+	flag.StringVar(&o.gpuName, "gpu", "L20-48GB", "GPU type")
+	flag.Float64Var(&o.memUtil, "gpu-memory-util", 0.9, "GPU memory utilization, in (0,1]")
+	flag.StringVar(&o.schedName, "sched", "gllm", "scheduler: gllm, sarathi, gllm-no-wt, gllm-no-ut, gllm-ck")
+	flag.IntVar(&o.budget, "token-budget", 2048, "Sarathi token budget")
+	flag.IntVar(&o.params.IterT, "iterp", 8, "gLLM #T")
+	flag.IntVar(&o.params.MaxP, "maxp", 2048, "gLLM #MaxP")
+	flag.IntVar(&o.params.MinP, "minp", 32, "gLLM #MinP")
+	flag.Float64Var(&o.params.KVThresh, "kvthresh", 0.05, "gLLM KV_thresh")
+	flag.Float64Var(&o.timeScale, "time-scale", 0, "emulated GPU time scale (0 = no sleeping, 1 = modeled real time)")
+	flag.BoolVar(&o.syncRuntime, "sync-runtime", false, "use the coupled (vLLM-like) runtime instead of async")
+	flag.BoolVar(&o.enableCPP, "enable-cpp", false, "pipeline prompt chunks across micro-batches")
+	flag.BoolVar(&o.prefixCache, "enable-prefix-cache", false, "reuse KV across requests sharing a prefix group")
 
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second,
-			"graceful-shutdown drain window before in-flight requests are aborted")
-		watchdogTimeout = flag.Duration("watchdog-timeout", 30*time.Second,
-			"flag /healthz degraded when in-flight work stops retiring for this long (negative disables)")
-		admitKVFactor = flag.Float64("admit-kv-factor", 0,
-			"reject submissions (HTTP 429) when projected KV demand exceeds this multiple of KV capacity (0 = default 8, negative disables)")
-		stallStage = flag.Int("stall-stage", -1,
-			"fault injection: pipeline stage to stall (-1 disables)")
-		stallDuration = flag.Duration("stall-duration", 0,
-			"fault injection: wall-clock stall per micro-batch at -stall-stage")
+	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second,
+		"graceful-shutdown drain window before in-flight requests are aborted")
+	flag.DurationVar(&o.watchdogTimeout, "watchdog-timeout", 30*time.Second,
+		"flag /healthz degraded when in-flight work stops retiring for this long (negative disables)")
+	flag.Float64Var(&o.admitKVFactor, "admit-kv-factor", 0,
+		"reject submissions (HTTP 429) when projected KV demand exceeds this multiple of KV capacity (0 = default 8, negative disables)")
+	flag.IntVar(&o.stallStage, "stall-stage", -1,
+		"fault injection: pipeline stage to stall (-1 disables)")
+	flag.DurationVar(&o.stallDuration, "stall-duration", 0,
+		"fault injection: wall-clock stall per micro-batch at -stall-stage")
 
-		traceOut = flag.String("trace-out", "",
-			"write per-stage exec/xfer/prep spans as Chrome trace-event JSON on shutdown")
-		pprofOn = flag.Bool("pprof", false,
-			"expose net/http/pprof profiling handlers under /debug/pprof/")
-	)
-	var logLevel slog.Level
-	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "structured log level: debug, info, warn, error")
+	flag.StringVar(&o.traceOut, "trace-out", "",
+		"write per-stage exec/xfer/prep spans as Chrome trace-event JSON on shutdown")
+	flag.BoolVar(&o.pprofOn, "pprof", false,
+		"expose net/http/pprof profiling handlers under /debug/pprof/")
+	flag.TextVar(&o.logLevel, "log-level", slog.LevelInfo, "structured log level: debug, info, warn, error")
 	flag.Parse()
-	opts := srvOptions{traceOut: *traceOut, pprofOn: *pprofOn, logLevel: logLevel}
-	if err := run(*port, *modelPath, *pp, *gpuName, *memUtil, *schedName, *naive, *budget,
-		core.Params{IterT: *iterT, MaxP: *maxP, MinP: *minP, KVThresh: *kvThresh},
-		*timeScale, *syncRuntime, *enableCPP, *prefixCache,
-		*drainTimeout, *watchdogTimeout, *admitKVFactor, *stallStage, *stallDuration,
-		opts); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "gllm-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(port int, modelPath string, pp int, gpuName string, memUtil float64,
-	schedName string, naive bool, budget int, params core.Params,
-	timeScale float64, syncRuntime, enableCPP, prefixCache bool,
-	drainTimeout, watchdogTimeout time.Duration, admitKVFactor float64,
-	stallStage int, stallDuration time.Duration, opts srvOptions) error {
+func run(o srvOptions) error {
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: opts.logLevel}))
-
-	m, err := model.ByName(modelPath)
+	m, err := model.ByName(o.modelPath)
 	if err != nil {
 		return err
 	}
-	g, err := gpu.ByName(gpuName)
+	g, err := gpu.ByName(o.gpuName)
 	if err != nil {
 		return err
 	}
-	if naive {
-		schedName = "sarathi"
-	}
-	s, err := sched.ByName(schedName, budget, params)
+	s, err := sched.ByName(o.schedName, o.budget, o.params)
 	if err != nil {
 		return err
 	}
 	var fault func(stage, seq int) time.Duration
-	if stallStage >= 0 && stallDuration > 0 {
+	if o.stallStage >= 0 && o.stallDuration > 0 {
 		fault = func(stage, seq int) time.Duration {
-			if stage == stallStage {
-				return stallDuration
+			if stage == o.stallStage {
+				return o.stallDuration
 			}
 			return 0
 		}
-		logger.Warn("fault injection enabled", "stage", stallStage, "stall", stallDuration)
+		logger.Warn("fault injection enabled", "stage", o.stallStage, "stall", o.stallDuration)
 	}
 	var rec *obs.Recorder
-	if opts.traceOut != "" {
-		rec = obs.NewRecorder(pp, 0)
+	if o.traceOut != "" {
+		rec = obs.NewRecorder(o.pp, 0)
 	}
 	// Request-span recording is always on: spans land in a fixed ring
 	// (alloc-free record path) and export at GET /tracespans, so a cluster
@@ -139,15 +141,15 @@ func run(port int, modelPath string, pp int, gpuName string, memUtil float64,
 	rt, err := runtime.Start(runtime.Config{
 		Model:             m,
 		GPU:               g,
-		Topo:              network.IntraNode(pp, network.PCIe),
-		MemUtil:           memUtil,
+		Topo:              network.IntraNode(o.pp, network.PCIe),
+		MemUtil:           o.memUtil,
 		Scheduler:         s,
-		Async:             !syncRuntime,
-		TimeScale:         timeScale,
-		EnableCPP:         enableCPP,
-		EnablePrefixCache: prefixCache,
-		AdmitKVFactor:     admitKVFactor,
-		WatchdogTimeout:   watchdogTimeout,
+		Async:             !o.syncRuntime,
+		TimeScale:         o.timeScale,
+		EnableCPP:         o.enableCPP,
+		EnablePrefixCache: o.prefixCache,
+		AdmitKVFactor:     o.admitKVFactor,
+		WatchdogTimeout:   o.watchdogTimeout,
 		StageFault:        fault,
 		Spans:             rec,
 		ReqSpans:          reqSpans,
@@ -160,17 +162,17 @@ func run(port int, modelPath string, pp int, gpuName string, memUtil float64,
 	srv := server.New(rt, m.Name)
 	srv.EnableRequestTracing(reqSpans, obs.SideReplica)
 	handler := http.Handler(srv)
-	if opts.pprofOn {
+	if o.pprofOn {
 		handler = profiling.WithPprof(handler)
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	addr := fmt.Sprintf(":%d", port)
+	addr := fmt.Sprintf(":%d", o.port)
 	httpSrv := &http.Server{Addr: addr, Handler: handler}
 
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	logger.Info("serving",
-		"model", m.Name, "pp", pp, "scheduler", s.Name(), "async", !syncRuntime,
+		"model", m.Name, "pp", o.pp, "scheduler", s.Name(), "async", !o.syncRuntime,
 		"addr", addr, "kv_capacity_tokens", rt.KVCapacityTokens())
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -179,9 +181,9 @@ func run(port int, modelPath string, pp int, gpuName string, memUtil float64,
 	// First signal: graceful — drain queued and in-flight generation up to
 	// -drain-timeout, then stop the HTTP server once its handlers have
 	// written their last bytes. Second signal: abort immediately.
-	err = server.ServeUntilSignal(httpSrv, ln, sigCh, drainTimeout,
+	err = server.ServeUntilSignal(httpSrv, ln, sigCh, o.drainTimeout,
 		func(ctx context.Context) {
-			logger.Info("draining", "timeout", drainTimeout)
+			logger.Info("draining", "timeout", o.drainTimeout)
 			if err := rt.Shutdown(ctx); err != nil {
 				logger.Warn("drain incomplete", "err", err)
 			}
@@ -194,27 +196,17 @@ func run(port int, modelPath string, pp int, gpuName string, memUtil float64,
 		return err
 	}
 	if rec != nil {
-		if err := writeTrace(opts.traceOut, rec, rt, logger); err != nil {
-			return err
-		}
+		return writeTrace(o.traceOut, rec, rt, logger)
 	}
 	return nil
 }
 
 // writeTrace dumps the span recorder once the runtime has drained.
 func writeTrace(path string, rec *obs.Recorder, rt *runtime.Runtime, logger *slog.Logger) error {
-	f, err := os.Create(path)
+	acc, err := rec.WriteChromeFile(path, rt.Stats().Uptime)
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	acc := rec.AccountOver(rt.Stats().Uptime)
 	logger.Info("trace written",
 		"path", path, "spans", acc.Spans, "dropped", acc.Dropped,
 		"bubble_rate", fmt.Sprintf("%.3f", acc.BubbleRate))

@@ -6,9 +6,11 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"gllm/internal/core"
 	"gllm/internal/gpu"
 	"gllm/internal/model"
 	"gllm/internal/network"
@@ -64,5 +66,15 @@ func TestWriteTrace(t *testing.T) {
 	}
 	if !bytes.Contains(logBuf.Bytes(), []byte("trace written")) {
 		t.Fatalf("log missing trace written line: %s", logBuf.String())
+	}
+}
+
+// A bad -gpu-memory-util is a usage error from run, not a goroutine trace
+// from the cost model.
+func TestRunRejectsMemUtil(t *testing.T) {
+	err := run(srvOptions{modelPath: "Qwen2.5-14B", pp: 2, gpuName: "L20-48GB", memUtil: 2,
+		schedName: "gllm", budget: 2048, params: core.DefaultParams()})
+	if err == nil || !strings.Contains(err.Error(), "MemUtil 2 out of (0,1]") {
+		t.Fatalf("run with -gpu-memory-util 2 = %v, want the range error", err)
 	}
 }

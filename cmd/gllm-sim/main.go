@@ -28,58 +28,27 @@ import (
 	"gllm/internal/workload"
 )
 
-func main() {
-	var (
-		modelName   = flag.String("model", "Qwen2.5-32B", "model: Qwen2.5-14B, Qwen2.5-32B, Llama3.1-100B, Mixtral-8x7B")
-		gpuName     = flag.String("gpu", "L20-48GB", "GPU: L20-48GB, A100-40GB, A800-80GB")
-		nodes       = flag.Int("nodes", 1, "number of nodes (cross-node uses the 73.28 Gbps simulated net)")
-		gpusPerNode = flag.Int("gpus-per-node", 4, "GPUs per node (PCIe inside a node)")
-		parallelism = flag.String("parallelism", "pp", "pp (pipeline), tp (tensor) or tknp (token parallel; tokenpar is an alias)")
-		rootTP      = flag.Int("root-tp", 1, "token-parallel root group width: the first N ranks hold the weights (tknp only)")
-		schedName   = flag.String("sched", "gllm", "scheduler: gllm, sarathi, vllm-ve, td-pipe, orca, batch-level, gllm-no-wt, gllm-no-ut, gllm-ck")
-		runtimeName = flag.String("runtime", "", "runtime model: gllm, vllm, sglang (default: matches scheduler)")
-		datasetName = flag.String("dataset", "sharegpt", "workload: sharegpt or azure")
-		tracePath   = flag.String("trace-file", "", "replay a JSON trace instead of synthesizing (see workload.LoadJSON)")
-		rate        = flag.Float64("rate", 4, "request rate (req/s)")
-		window      = flag.Duration("window", 128*time.Second, "request send window")
-		seed        = flag.Uint64("seed", 20250704, "workload seed")
-		memUtil     = flag.Float64("gpu-memory-util", 0.9, "GPU memory utilization fraction")
-		budget      = flag.Int("token-budget", 2048, "Sarathi token budget")
-		iterT       = flag.Int("iterp", 8, "gLLM #T")
-		maxP        = flag.Int("maxp", 2048, "gLLM #MaxP")
-		minP        = flag.Int("minp", 32, "gLLM #MinP")
-		kvThresh    = flag.Float64("kvthresh", 0.05, "gLLM KV_thresh")
-		itersCSV    = flag.String("iters-csv", "", "write per-iteration token counts as CSV")
-		utilCSV     = flag.String("util-csv", "", "write per-stage utilization samples as CSV")
-		sloTTFT     = flag.Duration("slo-ttft", 0, "report SLO attainment with this TTFT limit")
-		sloTPOT     = flag.Duration("slo-tpot", 0, "TPOT limit for -slo-ttft")
-		enableCPP   = flag.Bool("enable-cpp", false, "pipeline a request's prompt chunks across micro-batches")
-		prefixCache = flag.Bool("enable-prefix-cache", false, "reuse KV across requests sharing a prefix group")
-		costAware   = flag.Bool("cost-aware", false, "attention-aware decode balancing (gLLM scheduler only)")
-		convs       = flag.Bool("conversations", false, "synthesize multi-turn conversations instead of independent requests")
-		checkInv    = flag.Bool("check-invariants", false, "audit every scheduling cycle against the invariant catalogue (see internal/invariant)")
-		traceOut    = flag.String("trace-out", "", "write the obs span recorder as Chrome trace-event JSON (per-stage exec/xfer/prep lanes) and print per-stage bubble accounting")
-	)
-	flag.Parse()
-	opts := simOptions{
-		enableCPP:   *enableCPP,
-		prefixCache: *prefixCache,
-		costAware:   *costAware,
-		convs:       *convs,
-		checkInv:    *checkInv,
-		traceOut:    *traceOut,
-	}
-	if err := run(*modelName, *gpuName, *nodes, *gpusPerNode, *parallelism, *rootTP, *schedName,
-		*runtimeName, *datasetName, *tracePath, *rate, *window, *seed, *memUtil, *budget,
-		core.Params{IterT: *iterT, MaxP: *maxP, MinP: *minP, KVThresh: *kvThresh},
-		*itersCSV, *utilCSV, *sloTTFT, *sloTPOT, opts); err != nil {
-		fmt.Fprintln(os.Stderr, "gllm-sim:", err)
-		os.Exit(1)
-	}
-}
-
-// simOptions carries the optional feature toggles.
+// simOptions is the parsed command line.
 type simOptions struct {
+	modelName   string
+	gpuName     string
+	nodes       int
+	gpusPerNode int
+	parallelism string
+	rootTP      int
+	schedName   string
+	runtimeName string
+	datasetName string
+	tracePath   string
+	rate        float64
+	window      time.Duration
+	seed        uint64
+	memUtil     float64
+	budget      int
+	params      core.Params
+	itersCSV    string
+	sloTTFT     time.Duration
+	sloTPOT     time.Duration
 	enableCPP   bool
 	prefixCache bool
 	costAware   bool
@@ -88,48 +57,77 @@ type simOptions struct {
 	traceOut    string
 }
 
-func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, rootTP int,
-	schedName, runtimeName, datasetName, tracePath string, rate float64, window time.Duration,
-	seed uint64, memUtil float64, budget int, params core.Params,
-	itersCSV, utilCSV string, sloTTFT, sloTPOT time.Duration,
-	opts simOptions) error {
-
-	if parallelism == "tokenpar" {
-		parallelism = "tknp"
+func main() {
+	var o simOptions
+	flag.StringVar(&o.modelName, "model", "Qwen2.5-32B", "model: Qwen2.5-14B, Qwen2.5-32B, Llama3.1-100B, Mixtral-8x7B")
+	flag.StringVar(&o.gpuName, "gpu", "L20-48GB", "GPU: L20-48GB, A100-40GB, A800-80GB")
+	flag.IntVar(&o.nodes, "nodes", 1, "number of nodes (cross-node uses the 73.28 Gbps simulated net)")
+	flag.IntVar(&o.gpusPerNode, "gpus-per-node", 4, "GPUs per node (PCIe inside a node)")
+	flag.StringVar(&o.parallelism, "parallelism", "pp", "pp (pipeline), tp (tensor) or tknp (token parallel)")
+	flag.IntVar(&o.rootTP, "root-tp", 1, "token-parallel root group width: the first N ranks hold the weights (tknp only)")
+	flag.StringVar(&o.schedName, "sched", "gllm", "scheduler: gllm, sarathi, vllm-ve, td-pipe, orca, batch-level, gllm-no-wt, gllm-no-ut, gllm-ck")
+	flag.StringVar(&o.runtimeName, "runtime", "", "runtime model: gllm, vllm, sglang (default: matches scheduler)")
+	flag.StringVar(&o.datasetName, "dataset", "sharegpt", "workload: sharegpt or azure")
+	flag.StringVar(&o.tracePath, "trace-file", "", "replay a JSON trace instead of synthesizing (see workload.LoadJSON)")
+	flag.Float64Var(&o.rate, "rate", 4, "request rate (req/s)")
+	flag.DurationVar(&o.window, "window", 128*time.Second, "request send window")
+	flag.Uint64Var(&o.seed, "seed", 20250704, "workload seed")
+	flag.Float64Var(&o.memUtil, "gpu-memory-util", 0.9, "GPU memory utilization fraction")
+	flag.IntVar(&o.budget, "token-budget", 2048, "Sarathi token budget")
+	flag.IntVar(&o.params.IterT, "iterp", 8, "gLLM #T")
+	flag.IntVar(&o.params.MaxP, "maxp", 2048, "gLLM #MaxP")
+	flag.IntVar(&o.params.MinP, "minp", 32, "gLLM #MinP")
+	flag.Float64Var(&o.params.KVThresh, "kvthresh", 0.05, "gLLM KV_thresh")
+	flag.StringVar(&o.itersCSV, "iters-csv", "", "write per-iteration token counts as CSV")
+	flag.DurationVar(&o.sloTTFT, "slo-ttft", 0, "report SLO attainment with this TTFT limit")
+	flag.DurationVar(&o.sloTPOT, "slo-tpot", 0, "TPOT limit for -slo-ttft")
+	flag.BoolVar(&o.enableCPP, "enable-cpp", false, "pipeline a request's prompt chunks across micro-batches")
+	flag.BoolVar(&o.prefixCache, "enable-prefix-cache", false, "reuse KV across requests sharing a prefix group")
+	flag.BoolVar(&o.costAware, "cost-aware", false, "attention-aware decode balancing (gLLM scheduler only)")
+	flag.BoolVar(&o.convs, "conversations", false, "synthesize multi-turn conversations instead of independent requests")
+	flag.BoolVar(&o.checkInv, "check-invariants", false, "audit every scheduling cycle against the invariant catalogue (see internal/invariant)")
+	flag.StringVar(&o.traceOut, "trace-out", "", "write the obs span recorder as Chrome trace-event JSON (per-stage exec/xfer/prep lanes) and print per-stage bubble accounting")
+	flag.Parse()
+	if err := run(o); err != nil {
+		fmt.Fprintln(os.Stderr, "gllm-sim:", err)
+		os.Exit(1)
 	}
-	m, err := model.ByName(modelName)
+}
+
+func run(o simOptions) error {
+	m, err := model.ByName(o.modelName)
 	if err != nil {
 		return err
 	}
-	g, err := gpu.ByName(gpuName)
+	g, err := gpu.ByName(o.gpuName)
 	if err != nil {
 		return err
 	}
 	var topo network.Topology
-	if nodes > 1 {
-		topo = network.CrossNode(nodes, gpusPerNode, network.PCIe, network.SimulatedNet)
+	if o.nodes > 1 {
+		topo = network.CrossNode(o.nodes, o.gpusPerNode, network.PCIe, network.SimulatedNet)
 	} else {
-		topo = network.IntraNode(gpusPerNode, network.PCIe)
+		topo = network.IntraNode(o.gpusPerNode, network.PCIe)
 	}
-	s, err := sched.ByName(schedName, budget, params)
+	s, err := sched.ByName(o.schedName, o.budget, o.params)
 	if err != nil {
 		return err
 	}
-	if opts.costAware {
+	if o.costAware {
 		if _, ok := s.(*sched.Throttle); !ok {
-			return fmt.Errorf("-cost-aware requires a gLLM scheduler, got %q", schedName)
+			return fmt.Errorf("-cost-aware requires a gLLM scheduler, got %q", o.schedName)
 		}
-		s = sched.NewCostAwareThrottle(params, m)
+		s = sched.NewCostAwareThrottle(o.params, m)
 	}
-	if runtimeName == "" {
-		if schedName == "sarathi" {
-			runtimeName = "vllm"
+	if o.runtimeName == "" {
+		if o.schedName == "sarathi" {
+			o.runtimeName = "vllm"
 		} else {
-			runtimeName = "gllm"
+			o.runtimeName = "gllm"
 		}
 	}
 	var rt engine.RuntimeModel
-	switch runtimeName {
+	switch o.runtimeName {
 	case "gllm":
 		rt = engine.GLLMRuntime
 	case "vllm":
@@ -137,12 +135,12 @@ func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, 
 	case "sglang":
 		rt = engine.SGLangRuntime
 	default:
-		return fmt.Errorf("unknown runtime %q", runtimeName)
+		return fmt.Errorf("unknown runtime %q", o.runtimeName)
 	}
 
 	var items []workload.Item
-	if tracePath != "" {
-		f, err := os.Open(tracePath)
+	if o.tracePath != "" {
+		f, err := os.Open(o.tracePath)
 		if err != nil {
 			return err
 		}
@@ -152,14 +150,14 @@ func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, 
 			return err
 		}
 	} else {
-		ds, err := workload.ByName(datasetName)
+		ds, err := workload.ByName(o.datasetName)
 		if err != nil {
 			return err
 		}
-		if opts.convs {
-			items = workload.Conversations(stats.NewRNG(seed), workload.DefaultConversationSpec(ds, rate, window))
+		if o.convs {
+			items = workload.Conversations(stats.NewRNG(o.seed), workload.DefaultConversationSpec(ds, o.rate, o.window))
 		} else {
-			items = workload.Poisson(stats.NewRNG(seed), ds, rate, window)
+			items = workload.Poisson(stats.NewRNG(o.seed), ds, o.rate, o.window)
 		}
 	}
 	fmt.Printf("workload: %d requests, %d total tokens\n", len(items), workload.TotalTokens(items))
@@ -168,24 +166,21 @@ func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, 
 		Model:             m,
 		GPU:               g,
 		Topo:              topo,
-		MemUtil:           memUtil,
+		MemUtil:           o.memUtil,
 		Scheduler:         s,
 		Runtime:           rt,
-		EnableCPP:         opts.enableCPP,
-		EnablePrefixCache: opts.prefixCache,
-	}
-	if utilCSV != "" {
-		cfg.UtilSampleEvery = 250 * time.Millisecond
+		EnableCPP:         o.enableCPP,
+		EnablePrefixCache: o.prefixCache,
 	}
 	var col *invariant.Collector
-	if opts.checkInv {
+	if o.checkInv {
 		col = invariant.NewCollector(invariant.Options{})
 		cfg.Observer = col.Observer
 	}
 	var rec *obs.Recorder
-	if opts.traceOut != "" {
+	if o.traceOut != "" {
 		stages := topo.GPUs()
-		if parallelism == "tp" {
+		if o.parallelism == "tp" {
 			stages = 1 // the TP engine is one fused device
 		}
 		// tknp keeps one lane per rank: roots and KV peers diverge.
@@ -194,27 +189,27 @@ func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, 
 	}
 
 	var res *engine.Result
-	switch parallelism {
+	switch o.parallelism {
 	case "pp":
 		res, err = engine.RunPipeline(cfg, items)
 	case "tp":
 		res, err = engine.RunTensor(cfg, items)
 	case "tknp":
-		res, err = engine.RunTokenParallel(engine.TokenParallelConfig{Config: cfg, RootTP: rootTP}, items)
+		res, err = engine.RunTokenParallel(engine.TokenParallelConfig{Config: cfg, RootTP: o.rootTP}, items)
 	default:
-		return fmt.Errorf("unknown parallelism %q", parallelism)
+		return fmt.Errorf("unknown parallelism %q", o.parallelism)
 	}
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("deployment: %s on %s (%s, %s parallelism, %s scheduler, %s runtime)\n",
-		m.Name, topo.Name, g.Name, parallelism, res.SchedulerName, res.RuntimeName)
+		m.Name, topo.Name, g.Name, o.parallelism, res.SchedulerName, res.RuntimeName)
 	fmt.Printf("KV capacity: %d tokens; injections: %d; preemptions: %d; bubble fraction: %.3f\n",
 		res.KVCapacityTokens, res.Injections, res.Preemptions, res.BubbleFraction)
-	if parallelism == "tknp" {
+	if o.parallelism == "tknp" {
 		fmt.Printf("token-parallel: root TP %d, scatter/gather volume %.2f GB\n",
-			rootTP, float64(res.TknpCommBytes)/1e9)
+			o.rootTP, float64(res.TknpCommBytes)/1e9)
 	}
 	fmt.Print(res.Report.String())
 	if col != nil {
@@ -222,29 +217,21 @@ func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, 
 		// reaching this point means every audited cycle was clean.
 		fmt.Printf("invariants: ok (%d audited cycles)\n", col.Cycles())
 	}
-	if sloTTFT > 0 {
-		att := res.Collector.SLOAttainment(sloTTFT, sloTPOT)
-		fmt.Printf("  SLO attainment (ttft<=%v, tpot<=%v): %.1f%%\n", sloTTFT, sloTPOT, att*100)
+	if o.sloTTFT > 0 {
+		att := res.Collector.SLOAttainment(o.sloTTFT, o.sloTPOT)
+		fmt.Printf("  SLO attainment (ttft<=%v, tpot<=%v): %.1f%%\n", o.sloTTFT, o.sloTPOT, att*100)
 	}
 
 	if rec != nil {
-		f, err := os.Create(opts.traceOut)
+		acc, err := rec.WriteChromeFile(o.traceOut, res.Makespan)
 		if err != nil {
 			return err
 		}
-		if err := rec.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		acc := rec.AccountOver(res.Makespan)
-		fmt.Printf("trace-out: %s (%d spans, %d dropped)\n", opts.traceOut, acc.Spans, acc.Dropped)
+		fmt.Printf("trace-out: %s (%d spans, %d dropped)\n", o.traceOut, acc.Spans, acc.Dropped)
 		fmt.Print(acc.String())
 	}
-	if itersCSV != "" {
-		f, err := os.Create(itersCSV)
+	if o.itersCSV != "" {
+		f, err := os.Create(o.itersCSV)
 		if err != nil {
 			return err
 		}
@@ -253,31 +240,7 @@ func run(modelName, gpuName string, nodes, gpusPerNode int, parallelism string, 
 			fmt.Fprintf(f, "%.6f,%d,%d\n", it.Time.Seconds(), it.Prefill, it.Decode)
 		}
 		f.Close()
-		fmt.Printf("iteration CSV: %s (%d rows)\n", itersCSV, len(res.Iterations))
-	}
-	if utilCSV != "" && len(res.StageUtil) > 0 {
-		f, err := os.Create(utilCSV)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(f, "seconds")
-		for i := range res.StageUtil {
-			fmt.Fprintf(f, ",stage%d", i)
-		}
-		fmt.Fprintln(f)
-		for row := 0; row < len(res.StageUtil[0].Points); row++ {
-			fmt.Fprintf(f, "%.3f", res.StageUtil[0].Points[row].T.Seconds())
-			for _, ts := range res.StageUtil {
-				v := 0.0
-				if row < len(ts.Points) {
-					v = ts.Points[row].V
-				}
-				fmt.Fprintf(f, ",%.4f", v)
-			}
-			fmt.Fprintln(f)
-		}
-		f.Close()
-		fmt.Printf("utilization CSV: %s\n", utilCSV)
+		fmt.Printf("iteration CSV: %s (%d rows)\n", o.itersCSV, len(res.Iterations))
 	}
 	return nil
 }

@@ -12,39 +12,25 @@ import (
 	"gllm/internal/workload"
 )
 
-func params() core.Params { return core.DefaultParams() }
-
-func TestRunSmoke(t *testing.T) {
-	dir := t.TempDir()
-	iters := filepath.Join(dir, "iters.csv")
-	util := filepath.Join(dir, "util.csv")
-	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
-		2, 10*time.Second, 7, 0.9, 2048, params(),
-		iters, util, 2*time.Second, 100*time.Millisecond, simOptions{})
-	if err != nil {
-		t.Fatal(err)
+// opts is a short pipeline run on the standard test deployment, adjusted by
+// mutate.
+func opts(mutate func(*simOptions)) simOptions {
+	o := simOptions{
+		modelName: "Qwen2.5-14B", gpuName: "L20-48GB", nodes: 1, gpusPerNode: 4,
+		parallelism: "pp", rootTP: 1, schedName: "gllm", datasetName: "sharegpt",
+		rate: 1, window: 5 * time.Second, seed: 7, memUtil: 0.9, budget: 2048,
+		params: core.DefaultParams(),
 	}
-	for _, f := range []string{iters, util} {
-		st, err := os.Stat(f)
-		if err != nil {
-			t.Fatalf("%s missing: %v", f, err)
-		}
-		if st.Size() == 0 {
-			t.Fatalf("%s empty", f)
-		}
+	if mutate != nil {
+		mutate(&o)
 	}
+	return o
 }
 
-func TestRunTraceOut(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "spans.json")
-	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
-		2, 5*time.Second, 7, 0.9, 2048, params(),
-		"", "", 0, 0, simOptions{traceOut: out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(out)
+// readTrace decodes the Chrome trace run wrote to path.
+func readTrace(t *testing.T, path string) *obs.DecodedTrace {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +39,34 @@ func TestRunTraceOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return dec
+}
+
+func TestRunSmoke(t *testing.T) {
+	iters := filepath.Join(t.TempDir(), "iters.csv")
+	err := run(opts(func(o *simOptions) {
+		o.rate, o.window = 2, 10*time.Second
+		o.itersCSV = iters
+		o.sloTTFT, o.sloTPOT = 2*time.Second, 100*time.Millisecond
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(iters)
+	if err != nil {
+		t.Fatalf("%s missing: %v", iters, err)
+	}
+	if st.Size() == 0 {
+		t.Fatalf("%s empty", iters)
+	}
+}
+
+func TestRunTraceOut(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "spans.json")
+	if err := run(opts(func(o *simOptions) { o.rate, o.traceOut = 2, out })); err != nil {
+		t.Fatal(err)
+	}
+	dec := readTrace(t, out)
 	if dec.Stages != 4 {
 		t.Fatalf("decoded stages = %d", dec.Stages)
 	}
@@ -64,65 +78,47 @@ func TestRunTraceOut(t *testing.T) {
 func TestRunTensorParallel(t *testing.T) {
 	// The fused TP device is one lane in a span trace, whatever the degree.
 	out := filepath.Join(t.TempDir(), "spans.json")
-	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "tp", 1, "sarathi", "sglang", "sharegpt", "",
-		1, 5*time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{traceOut: out})
+	err := run(opts(func(o *simOptions) {
+		o.parallelism, o.schedName, o.runtimeName, o.traceOut = "tp", "sarathi", "sglang", out
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	dec, err := obs.ReadChrome(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Stages != 1 || len(dec.Spans) == 0 {
+	if dec := readTrace(t, out); dec.Stages != 1 || len(dec.Spans) == 0 {
 		t.Fatalf("decoded %d spans over %d stages, want one lane", len(dec.Spans), dec.Stages)
 	}
 }
 
 func TestRunTokenParallel(t *testing.T) {
-	// "tokenpar" aliases "tknp"; a span trace gets one lane per rank.
-	dir := t.TempDir()
-	out := filepath.Join(dir, "spans.json")
-	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "tokenpar", 2, "sarathi", "gllm", "sharegpt", "",
-		1, 5*time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{traceOut: out})
-	if err != nil {
+	// A span trace gets one lane per rank.
+	out := filepath.Join(t.TempDir(), "spans.json")
+	tknp := func(o *simOptions) {
+		o.parallelism, o.rootTP, o.schedName, o.runtimeName, o.traceOut = "tknp", 2, "sarathi", "gllm", out
+	}
+	if err := run(opts(tknp)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	dec, err := obs.ReadChrome(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Stages != 4 {
+	if dec := readTrace(t, out); dec.Stages != 4 {
 		t.Fatalf("decoded stages = %d, want one lane per rank", dec.Stages)
 	}
 	// Root TP wider than the deployment must be rejected.
-	if err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "tknp", 5, "sarathi", "gllm", "sharegpt", "",
-		1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{}); err == nil {
+	if err := run(opts(func(o *simOptions) { tknp(o); o.rootTP, o.traceOut = 5, "" })); err == nil {
 		t.Fatal("root TP 5 on 4 GPUs accepted")
 	}
 }
 
 func TestRunFeatureToggles(t *testing.T) {
-	err := run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
-		1, 8*time.Second, 7, 0.9, 2048, params(), "", "", 0, 0,
-		simOptions{enableCPP: true, prefixCache: true, costAware: true, convs: true})
+	err := run(opts(func(o *simOptions) {
+		o.window = 8 * time.Second
+		o.enableCPP, o.prefixCache, o.costAware, o.convs = true, true, true, true
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunTraceReplay(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	f, err := os.Create(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -132,54 +128,31 @@ func TestRunTraceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	err = run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "", tracePath,
-		0, 0, 0, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
+	// -trace-file replaces the synthesized workload: no dataset, rate or window.
+	err = run(opts(func(o *simOptions) {
+		o.tracePath, o.datasetName, o.rate, o.window, o.seed = tracePath, "", 0, 0, 0
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		fn   func() error
-	}{
-		{"bad model", func() error {
-			return run("GPT-9", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
-		}},
-		{"bad gpu", func() error {
-			return run("Qwen2.5-14B", "H900", 1, 4, "pp", 1, "gllm", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
-		}},
-		{"bad sched", func() error {
-			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "fcfs", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
-		}},
-		{"bad runtime", func() error {
-			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "rust", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
-		}},
-		{"bad dataset", func() error {
-			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "pile", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
-		}},
-		{"bad parallelism", func() error {
-			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "dp", 1, "gllm", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
-		}},
-		{"cost-aware on sarathi", func() error {
-			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "sarathi", "", "sharegpt", "",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{costAware: true})
-		}},
-		{"missing trace file", func() error {
-			return run("Qwen2.5-14B", "L20-48GB", 1, 4, "pp", 1, "gllm", "", "", "/nonexistent.json",
-				1, time.Second, 7, 0.9, 2048, params(), "", "", 0, 0, simOptions{})
-		}},
+	cases := map[string]func(*simOptions){
+		"bad model":             func(o *simOptions) { o.modelName = "GPT-9" },
+		"bad gpu":               func(o *simOptions) { o.gpuName = "H900" },
+		"bad sched":             func(o *simOptions) { o.schedName = "fcfs" },
+		"bad runtime":           func(o *simOptions) { o.runtimeName = "rust" },
+		"bad dataset":           func(o *simOptions) { o.datasetName = "pile" },
+		"bad parallelism":       func(o *simOptions) { o.parallelism = "dp" },
+		"retired alias":         func(o *simOptions) { o.parallelism = "tokenpar" },
+		"cost-aware on sarathi": func(o *simOptions) { o.schedName, o.costAware = "sarathi", true },
+		"missing trace file":    func(o *simOptions) { o.tracePath = "/nonexistent.json" },
+		"memory util above 1":   func(o *simOptions) { o.memUtil = 2 },
 	}
-	for _, tc := range cases {
-		if err := tc.fn(); err == nil {
-			t.Errorf("%s: no error", tc.name)
+	for name, mutate := range cases {
+		if err := run(opts(func(o *simOptions) { mutate(o); o.window = time.Second })); err == nil {
+			t.Errorf("%s: no error", name)
 		}
 	}
 }

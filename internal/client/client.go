@@ -59,8 +59,6 @@ type Options struct {
 	Model string
 	// Items is the trace to replay (sorted by arrival).
 	Items []workload.Item
-	// SpeedUp divides arrival gaps (2 = replay twice as fast). Default 1.
-	SpeedUp float64
 	// HTTPClient overrides the default client.
 	HTTPClient *http.Client
 	// PromptMode selects synthetic (prompt_len) vs real prompt strings.
@@ -98,12 +96,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if err := workload.Validate(opts.Items); err != nil {
 		return nil, err
 	}
-	if opts.SpeedUp == 0 {
-		opts.SpeedUp = 1
-	}
-	if opts.SpeedUp < 0 {
-		return nil, fmt.Errorf("client: negative SpeedUp")
-	}
 	httpc := opts.HTTPClient
 	if httpc == nil {
 		httpc = &http.Client{}
@@ -125,9 +117,8 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		wg.Add(1)
 		go func(id int, item workload.Item) {
 			defer wg.Done()
-			at := time.Duration(float64(item.Arrival) / opts.SpeedUp)
 			select {
-			case <-time.After(at - time.Since(start)):
+			case <-time.After(item.Arrival - time.Since(start)):
 			case <-ctx.Done():
 				mu.Lock()
 				errs = append(errs, ctx.Err())

@@ -42,14 +42,13 @@ func benchTarget(t *testing.T) *httptest.Server {
 
 func TestEndToEndBenchmark(t *testing.T) {
 	ts := benchTarget(t)
-	items := workload.Poisson(stats.NewRNG(5), workload.ShareGPT, 20, 2*time.Second)
+	items := workload.Poisson(stats.NewRNG(5), workload.ShareGPT, 80, 500*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	res, err := Run(ctx, Options{
 		BaseURL:    ts.URL,
 		Model:      "Qwen2.5-14B",
 		Items:      items,
-		SpeedUp:    4,
 		PromptMode: PromptSynthetic,
 	})
 	if err != nil {
@@ -109,9 +108,6 @@ func TestOptionValidation(t *testing.T) {
 		Items:   []workload.Item{{PromptLen: 0, OutputLen: 1}},
 	}); err == nil {
 		t.Fatal("invalid trace accepted")
-	}
-	if _, err := Run(context.Background(), Options{BaseURL: "http://x", SpeedUp: -1}); err == nil {
-		t.Fatal("negative speedup accepted")
 	}
 }
 

@@ -13,9 +13,8 @@ import (
 // replicas, because the router may place any stream anywhere and drains
 // move work off replicas mid-run.
 //
-// Consumers record every routed stream's outcome with StreamDone (and
-// terminal router rejections with RejectedSubmit); Verify then asserts,
-// against the replicas' own accounting:
+// Consumers record every routed stream's outcome with StreamDone; Verify
+// then asserts, against the replicas' own accounting:
 //
 //   - stream conservation: every submitted stream reached a terminal
 //     state — completed, aborted, or rejected — and none was dropped;
@@ -57,22 +56,6 @@ func (a *Audit) StreamDone(id int64, delivered, want int, reason runtime.FinishR
 	default:
 		a.aborted++
 	}
-}
-
-// RejectedSubmit records a submission the router terminally rejected
-// (retry budget exhausted). The stream never existed, so it participates
-// only in stream conservation.
-func (a *Audit) RejectedSubmit() {
-	a.mu.Lock()
-	a.rejected++
-	a.mu.Unlock()
-}
-
-// Streams returns (submitted, completed, aborted, rejected) so far.
-func (a *Audit) Streams() (streams, completed, aborted, rejected int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.streams + a.rejected, a.completed, a.aborted, a.rejected
 }
 
 // Verify checks the cluster invariants against the (drained) replicas.

@@ -84,3 +84,19 @@ func TestAuditDetectsPlantedFaults(t *testing.T) {
 		})
 	}
 }
+
+// RejectedSubmit records a submission the router terminally rejected
+// (retry budget exhausted). The stream never existed, so it participates
+// only in stream conservation.
+func (a *Audit) RejectedSubmit() {
+	a.mu.Lock()
+	a.rejected++
+	a.mu.Unlock()
+}
+
+// Streams returns (submitted, completed, aborted, rejected) so far.
+func (a *Audit) Streams() (streams, completed, aborted, rejected int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.streams + a.rejected, a.completed, a.aborted, a.rejected
+}

@@ -136,16 +136,6 @@ func (p Params) PrefillBudgetWT(waiting int) int {
 	return min(b, waiting)
 }
 
-// PrefillBudgetUT applies eq. 2 in isolation: scale the ceiling by the KV
-// free rate, floored at MinP.
-func (p Params) PrefillBudgetUT(kvFree float64) int {
-	b := int(math.Floor(float64(p.MaxP) * kvFree))
-	if b < p.MinP {
-		b = p.MinP
-	}
-	return b
-}
-
 // PrefillBudget computes the batched prefill token count for the next
 // micro-batch under the given ablation variant. It returns 0 when nothing
 // waits, and (for variants with UT) when the KV idle rate is at or below

@@ -62,20 +62,6 @@ func TestPrefillBudgetWTEquation1(t *testing.T) {
 	}
 }
 
-func TestPrefillBudgetUTEquation2(t *testing.T) {
-	p := DefaultParams()
-	if got := p.PrefillBudgetUT(1.0); got != 2048 {
-		t.Fatalf("UT(1.0) = %d", got)
-	}
-	if got := p.PrefillBudgetUT(0.5); got != 1024 {
-		t.Fatalf("UT(0.5) = %d", got)
-	}
-	// Floor at MinP.
-	if got := p.PrefillBudgetUT(0.0); got != 32 {
-		t.Fatalf("UT(0) = %d", got)
-	}
-}
-
 func TestPrefillBudgetFullEquation3(t *testing.T) {
 	p := DefaultParams()
 	// Plenty of KV, WT term limits: 8000/8 = 1000 < UT term 2048.

@@ -84,32 +84,6 @@ func DisaggRatio(sc Scale, rate float64) (*DisaggResult, error) {
 	return &out, nil
 }
 
-// Best returns the deployment with the highest throughput for a workload.
-func (r *DisaggResult) Best(workloadName string) (DisaggRow, bool) {
-	var best DisaggRow
-	found := false
-	for _, row := range r.Rows {
-		if row.Workload != workloadName {
-			continue
-		}
-		if !found || row.Throughput > best.Throughput {
-			best = row
-			found = true
-		}
-	}
-	return best, found
-}
-
-// Row returns a specific (deployment, workload) row.
-func (r *DisaggResult) Row(deployment, workloadName string) (DisaggRow, bool) {
-	for _, row := range r.Rows {
-		if row.Deployment == deployment && row.Workload == workloadName {
-			return row, true
-		}
-	}
-	return DisaggRow{}, false
-}
-
 // String renders the comparison grouped by workload.
 func (r *DisaggResult) String() string {
 	out := "Prefill/decode disaggregation vs unified Token Throttling (4 x L20, 14B)\n"

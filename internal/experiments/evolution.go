@@ -73,16 +73,6 @@ func SchedulingEvolution(sc Scale, rate float64, ds workload.Dataset) (*Evolutio
 	return &out, nil
 }
 
-// Row returns the named policy's row.
-func (r *EvolutionResult) Row(policy string) (EvolutionRow, bool) {
-	for _, row := range r.Rows {
-		if row.Policy == policy {
-			return row, true
-		}
-	}
-	return EvolutionRow{}, false
-}
-
 // String renders the lineage table.
 func (r *EvolutionResult) String() string {
 	out := "Scheduling evolution (§2.2 lineage, identical engine/workload)\n" +

@@ -385,3 +385,49 @@ func TestSweepCSV(t *testing.T) {
 		t.Fatalf("single sweep csv:\n%s", one)
 	}
 }
+
+// Row returns the named policy's row.
+func (r *EvolutionResult) Row(policy string) (EvolutionRow, bool) {
+	for _, row := range r.Rows {
+		if row.Policy == policy {
+			return row, true
+		}
+	}
+	return EvolutionRow{}, false
+}
+
+// Row returns a specific (deployment, workload) row.
+func (r *DisaggResult) Row(deployment, workloadName string) (DisaggRow, bool) {
+	for _, row := range r.Rows {
+		if row.Deployment == deployment && row.Workload == workloadName {
+			return row, true
+		}
+	}
+	return DisaggRow{}, false
+}
+
+// Row returns the named variant's row.
+func (r *Fig15Result) Row(system string) (Fig15Row, bool) {
+	for _, row := range r.Rows {
+		if row.System == system {
+			return row, true
+		}
+	}
+	return Fig15Row{}, false
+}
+
+// Best returns the deployment with the highest throughput for a workload.
+func (r *DisaggResult) Best(workloadName string) (DisaggRow, bool) {
+	var best DisaggRow
+	found := false
+	for _, row := range r.Rows {
+		if row.Workload != workloadName {
+			continue
+		}
+		if !found || row.Throughput > best.Throughput {
+			best = row
+			found = true
+		}
+	}
+	return best, found
+}

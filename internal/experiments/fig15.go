@@ -85,16 +85,6 @@ func Fig15AblationOn(cluster Cluster, sc Scale, rate float64, ds workload.Datase
 	return &Fig15Result{Rows: rows}, nil
 }
 
-// Row returns the named variant's row.
-func (r *Fig15Result) Row(system string) (Fig15Row, bool) {
-	for _, row := range r.Rows {
-		if row.System == system {
-			return row, true
-		}
-	}
-	return Fig15Row{}, false
-}
-
 // String renders the ablation table (normalized, gLLM = 1.00).
 func (r *Fig15Result) String() string {
 	out := "Figure 15 — ablation (normalized to gLLM; lower is better except tput)\n" +

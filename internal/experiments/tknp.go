@@ -154,32 +154,6 @@ func TknpRegimesPaper(sc Scale) (*TknpResult, error) {
 	return TknpRegimes(sc, TknpBatchesPaper, TknpCtxsPaper, 256)
 }
 
-// Row returns a specific (engine, batch, ctx) cell.
-func (r *TknpResult) Row(eng string, batch, ctx int) (TknpRow, bool) {
-	for _, row := range r.Rows {
-		if row.Engine == eng && row.Batch == batch && row.Ctx == ctx {
-			return row, true
-		}
-	}
-	return TknpRow{}, false
-}
-
-// Best returns the engine with the highest decode throughput in one cell.
-func (r *TknpResult) Best(batch, ctx int) (TknpRow, bool) {
-	var best TknpRow
-	found := false
-	for _, row := range r.Rows {
-		if row.Batch != batch || row.Ctx != ctx {
-			continue
-		}
-		if !found || row.DecodeTput > best.DecodeTput {
-			best = row
-			found = true
-		}
-	}
-	return best, found
-}
-
 // String renders the sweep grouped by grid cell.
 func (r *TknpResult) String() string {
 	out := fmt.Sprintf("TKNP regime sweep (%d x A100-40G NVLink, Qwen2.5-14B, root TP %d)\n",

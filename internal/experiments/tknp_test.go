@@ -115,3 +115,29 @@ func TestTknpRegimesRejectsBadGrids(t *testing.T) {
 		t.Fatal("zero output length accepted")
 	}
 }
+
+// Row returns a specific (engine, batch, ctx) cell.
+func (r *TknpResult) Row(eng string, batch, ctx int) (TknpRow, bool) {
+	for _, row := range r.Rows {
+		if row.Engine == eng && row.Batch == batch && row.Ctx == ctx {
+			return row, true
+		}
+	}
+	return TknpRow{}, false
+}
+
+// Best returns the engine with the highest decode throughput in one cell.
+func (r *TknpResult) Best(batch, ctx int) (TknpRow, bool) {
+	var best TknpRow
+	found := false
+	for _, row := range r.Rows {
+		if row.Batch != batch || row.Ctx != ctx {
+			continue
+		}
+		if !found || row.DecodeTput > best.DecodeTput {
+			best = row
+			found = true
+		}
+	}
+	return best, found
+}

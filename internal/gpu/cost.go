@@ -234,18 +234,6 @@ func (cm CostModel) StageTime(b BatchShape, layers int) time.Duration {
 	return time.Duration(layers) * cm.LayerTime(b)
 }
 
-// ComputeBound reports whether the batch is compute-limited (rather than
-// bandwidth-limited) on this model/GPU pair, judged on the aggregate layer
-// roofline.
-func (cm CostModel) ComputeBound(b BatchShape) bool {
-	if b.Empty() {
-		return false
-	}
-	compute := cm.LayerFLOPs(b) / (cm.GPU.PeakFLOPS * cm.MFUMax)
-	mem := cm.LayerBytes(b) / (cm.GPU.MemBandwidth * cm.BandwidthEff)
-	return compute >= mem
-}
-
 // kvShard clamps a head-sharded parallelism degree to the model's KV head
 // count: grouped-query attention has only NumKVHeads KV heads to split, so
 // beyond that degree every extra rank holds a replica of some KV head and

@@ -55,10 +55,18 @@ func TestEmptyBatchCostsZero(t *testing.T) {
 	}
 }
 
+// computeBound reports whether the batch is compute-limited (rather than
+// bandwidth-limited) on the aggregate layer roofline.
+func computeBound(cm CostModel, b BatchShape) bool {
+	compute := cm.LayerFLOPs(b) / (cm.GPU.PeakFLOPS * cm.MFUMax)
+	mem := cm.LayerBytes(b) / (cm.GPU.MemBandwidth * cm.BandwidthEff)
+	return compute >= mem
+}
+
 func TestPrefillIsComputeBound(t *testing.T) {
 	cm := testCM()
 	b := BatchShape{PrefillTokens: 2048, PrefillCtxSum: PrefillChunkCtxSum(0, 2048)}
-	if !cm.ComputeBound(b) {
+	if !computeBound(cm, b) {
 		t.Fatal("large prefill batch should be compute-bound")
 	}
 }
@@ -68,7 +76,7 @@ func TestSmallDecodeIsMemoryBound(t *testing.T) {
 	// A handful of decode tokens over long contexts: weight streaming and
 	// KV reads dominate.
 	b := BatchShape{DecodeTokens: 8, DecodeCtxSum: 8 * 2000}
-	if cm.ComputeBound(b) {
+	if computeBound(cm, b) {
 		t.Fatal("small decode batch should be memory-bound")
 	}
 }

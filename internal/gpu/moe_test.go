@@ -91,7 +91,7 @@ func TestMoEDecodeStaysMemoryBoundLonger(t *testing.T) {
 	// similar ACTIVE compute (Qwen 14B is close to Mixtral's 13B active).
 	crossover := func(cm CostModel) int {
 		for b := 1; b <= 1<<14; b *= 2 {
-			if cm.ComputeBound(BatchShape{DecodeTokens: b, DecodeCtxSum: float64(b) * 500}) {
+			if computeBound(cm, BatchShape{DecodeTokens: b, DecodeCtxSum: float64(b) * 500}) {
 				return b
 			}
 		}

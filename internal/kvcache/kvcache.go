@@ -49,7 +49,6 @@ type Manager struct {
 	freeList    []int          // LIFO free block IDs
 	seqs        map[SeqID]*seq // resident sequences
 	recycled    []*seq         // freed structs awaiting reuse (≤ maxRecycledSeqs)
-	peakUsed    int
 
 	// Prefix-cache state (allocated by initPrefix; see prefix.go).
 	refs      []int            // per-block reference count (0 = free)
@@ -111,18 +110,6 @@ func (m *Manager) FreeBlocks() int { return len(m.freeList) + m.cacheOnly }
 
 // UsedBlocks returns totalBlocks - FreeBlocks().
 func (m *Manager) UsedBlocks() int { return m.totalBlocks - m.FreeBlocks() }
-
-// PeakUsedBlocks returns the high-water mark of used blocks.
-func (m *Manager) PeakUsedBlocks() int { return m.peakUsed }
-
-// notePeak raises the high-water mark; every operation that can lower
-// FreeBlocks (claiming blocks, re-referencing a cache-only block) ends
-// here.
-func (m *Manager) notePeak() {
-	if used := m.UsedBlocks(); used > m.peakUsed {
-		m.peakUsed = used
-	}
-}
 
 // CapacityTokens returns the total token slots managed.
 func (m *Manager) CapacityTokens() int64 {
@@ -229,7 +216,6 @@ func (m *Manager) TryAllocate(id SeqID, extra int) bool {
 		s.blocks = append(s.blocks, b)
 	}
 	s.tokens += extra
-	m.notePeak()
 	return true
 }
 
@@ -276,14 +262,6 @@ func (m *Manager) Free(id SeqID) {
 		*s = seq{blocks: s.blocks[:0]}
 		m.recycled = append(m.recycled, s)
 	}
-}
-
-// PageTable returns a copy of the sequence's ordered block IDs.
-func (m *Manager) PageTable(id SeqID) []int {
-	if s := m.seqs[id]; s != nil {
-		return append([]int(nil), s.blocks...)
-	}
-	return nil
 }
 
 // checkInvariants returns an error when internal accounting is broken.

@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -138,23 +139,13 @@ func TestFreeUnknownSeqNoop(t *testing.T) {
 	}
 }
 
-func TestPageTableDeterministicAndOwned(t *testing.T) {
+func TestAllocateLowBlockIDsFirst(t *testing.T) {
 	m := New(8*16, 16)
 	if err := m.Allocate(1, 48); err != nil {
 		t.Fatal(err)
 	}
-	pt := m.PageTable(1)
-	if len(pt) != 3 {
+	if pt := m.seqs[1].blocks; !slices.Equal(pt, []int{0, 1, 2}) {
 		t.Fatalf("page table = %v", pt)
-	}
-	// Low block IDs first, in order.
-	if pt[0] != 0 || pt[1] != 1 || pt[2] != 2 {
-		t.Fatalf("page table = %v", pt)
-	}
-	// Mutating the copy must not affect the manager.
-	pt[0] = 99
-	if m.PageTable(1)[0] != 0 {
-		t.Fatal("PageTable returned internal slice")
 	}
 }
 
@@ -182,46 +173,6 @@ func TestSequencesSorted(t *testing.T) {
 	got := m.Sequences()
 	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
 		t.Fatalf("Sequences = %v", got)
-	}
-}
-
-func TestPeakUsage(t *testing.T) {
-	m := New(10*16, 16)
-	if err := m.Allocate(1, 7*16); err != nil {
-		t.Fatal(err)
-	}
-	m.Free(1)
-	if err := m.Allocate(2, 2*16); err != nil {
-		t.Fatal(err)
-	}
-	if m.PeakUsedBlocks() != 7 {
-		t.Fatalf("peak = %d", m.PeakUsedBlocks())
-	}
-}
-
-// Re-referencing cache-only blocks lowers FreeBlocks without claiming
-// anything from the free list; the high-water mark must see that too.
-func TestPeakUsageCountsAttachedPrefix(t *testing.T) {
-	m := New(10*16, 16)
-	if err := m.Allocate(1, 6*16); err != nil {
-		t.Fatal(err)
-	}
-	m.RegisterPrefix(1, 3, 6*16)
-	m.Free(1) // six cache-only blocks: nothing is used
-	if m.UsedBlocks() != 0 || m.PeakUsedBlocks() != 6 {
-		t.Fatalf("used/peak = %d/%d, want 0/6", m.UsedBlocks(), m.PeakUsedBlocks())
-	}
-	if err := m.Allocate(2, 3*16); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.AttachPrefix(4, 3, 6*16); got != 6*16 {
-		t.Fatalf("attached = %d", got)
-	}
-	if m.UsedBlocks() != 9 {
-		t.Fatalf("used = %d, want 9", m.UsedBlocks())
-	}
-	if m.PeakUsedBlocks() != 9 {
-		t.Fatalf("peak = %d, want 9 (reached through AttachPrefix)", m.PeakUsedBlocks())
 	}
 }
 

@@ -22,9 +22,8 @@ type oracleManager struct {
 	tables      map[SeqID][]int // seq -> ordered block IDs
 	tokens      map[SeqID]int   // seq -> token count
 
-	allocs   int // completed Allocate calls
-	frees    int // completed Free calls
-	peakUsed int
+	allocs int // completed Allocate calls
+	frees  int // completed Free calls
 
 	// Prefix-cache state (lazily initialized; see prefix.go).
 	refs      []int                   // per-block reference count (0 = free)
@@ -86,9 +85,6 @@ func (m *oracleManager) FreeBlocks() int { return len(m.freeList) + m.cacheOnly 
 
 // UsedBlocks returns totalBlocks - FreeBlocks().
 func (m *oracleManager) UsedBlocks() int { return m.totalBlocks - m.FreeBlocks() }
-
-// PeakUsedBlocks returns the high-water mark of used blocks.
-func (m *oracleManager) PeakUsedBlocks() int { return m.peakUsed }
 
 // Allocs returns the number of successful Allocate calls.
 func (m *oracleManager) Allocs() int { return m.allocs }
@@ -180,9 +176,6 @@ func (m *oracleManager) Allocate(id SeqID, extra int) error {
 	}
 	m.tokens[id] += extra
 	m.allocs++
-	if used := m.UsedBlocks(); used > m.peakUsed {
-		m.peakUsed = used
-	}
 	return nil
 }
 
@@ -213,11 +206,6 @@ func (m *oracleManager) Free(id SeqID) {
 	delete(m.tables, id)
 	delete(m.tokens, id)
 	m.frees++
-}
-
-// PageTable returns a copy of the sequence's ordered block IDs.
-func (m *oracleManager) PageTable(id SeqID) []int {
-	return append([]int(nil), m.tables[id]...)
 }
 
 // checkInvariants returns an error when internal accounting is broken.

@@ -159,7 +159,6 @@ func (m *Manager) AttachPrefix(id SeqID, group int64, maxTokens int) int {
 	s.regGroup, s.registered = group, n
 	m.hits++
 	m.hitTokens += int64(s.tokens)
-	m.notePeak()
 	return s.tokens
 }
 

@@ -49,7 +49,7 @@ func TestPrefixRegisterAndAttach(t *testing.T) {
 		t.Fatal("attach consumed free blocks")
 	}
 	// Shared page table: seq 2's first two blocks == seq 1's.
-	p1, p2 := m.PageTable(1), m.PageTable(2)
+	p1, p2 := m.seqs[1].blocks, m.seqs[2].blocks
 	if p1[0] != p2[0] || p1[1] != p2[1] {
 		t.Fatalf("tables not shared: %v vs %v", p1[:2], p2)
 	}

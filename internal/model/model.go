@@ -181,13 +181,6 @@ func (c Config) LinearFLOPsPerTokenPerLayer() float64 {
 	return c.AttnLinearFLOPsPerTokenPerLayer() + c.MLPLinearFLOPsPerTokenPerLayer()
 }
 
-// AttnFLOPsPerTokenPerLayer returns the attention-score FLOPs one token
-// costs in one layer when attending over ctx previous tokens:
-// QK^T plus attention-weighted V, each 2*heads*headDim*ctx.
-func (c Config) AttnFLOPsPerTokenPerLayer(ctx int) float64 {
-	return 4 * float64(c.NumHeads) * float64(c.HeadDim) * float64(ctx)
-}
-
 // StageLayers splits the model's layers across ppDepth pipeline stages as
 // evenly as possible (earlier stages take the remainder). It panics when
 // ppDepth is out of [1, NumLayers].

@@ -112,18 +112,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	}
 }
 
-func TestAttnFLOPsScaleWithContext(t *testing.T) {
-	c := Qwen25_14B
-	if c.AttnFLOPsPerTokenPerLayer(0) != 0 {
-		t.Fatal("zero context should cost zero attention FLOPs")
-	}
-	f1 := c.AttnFLOPsPerTokenPerLayer(100)
-	f2 := c.AttnFLOPsPerTokenPerLayer(200)
-	if f2 != 2*f1 {
-		t.Fatalf("attention FLOPs not linear in ctx: %v vs %v", f1, f2)
-	}
-}
-
 func TestLinearFLOPsAreTwicePerParam(t *testing.T) {
 	c := Qwen25_32B
 	if got, want := c.LinearFLOPsPerTokenPerLayer(), 2*float64(c.ParamsPerLayer()); got != want {

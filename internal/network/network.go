@@ -98,9 +98,6 @@ func (l Link) ScatterTime(bytes int64, n int) time.Duration {
 	return l.Latency + time.Duration(wire/l.Bandwidth*float64(time.Second))
 }
 
-// Gbps returns the link bandwidth in gigabits per second (for reports).
-func (l Link) Gbps() float64 { return l.Bandwidth * 8 / 1e9 }
-
 // Topology describes how the GPUs hosting one model replica are wired:
 // which link connects consecutive pipeline stages (or TP peers).
 // StageLink[i] is the link between stage i and stage i+1; for TP all

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"time"
 )
@@ -49,6 +50,20 @@ func spanTid(s Span) int {
 // format), sorted by start time, preceded by thread-name metadata.
 func (r *Recorder) WriteChrome(w io.Writer) error {
 	return writeChromeSpans(w, r.Spans(), r.Stages())
+}
+
+// WriteChromeFile writes the Chrome trace to path and returns the
+// recorder's accounting over [0, window].
+func (r *Recorder) WriteChromeFile(path string, window time.Duration) (Accounting, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return Accounting{}, err
+	}
+	if err := r.WriteChrome(f); err != nil {
+		f.Close()
+		return Accounting{}, err
+	}
+	return r.AccountOver(window), f.Close()
 }
 
 func writeChromeSpans(w io.Writer, spans []Span, stages int) error {

@@ -268,7 +268,9 @@ func TestAdmissionControlRejects(t *testing.T) {
 	// is honoured at the next batch boundary, and with an hour-long stall
 	// that boundary never came — the test hung once in ~2 000 runs.
 	rt := startRuntime(t, func(cfg *Config) {
-		cfg.AdmitKVTokens = 300
+		// A cap of 300 tokens, as a fraction of the deployment's capacity.
+		kvCap := gpu.NewCostModel(cfg.Model, cfg.GPU).KVCapacityTokensPP(cfg.Model.StageLayers(cfg.Topo.GPUs()), 0.9)
+		cfg.AdmitKVFactor = 300.5 / float64(kvCap)
 		cfg.StageFault = stallStage(20 * time.Millisecond)
 	})
 	h, err := rt.Submit(100, 100) // demand 200 of 300
@@ -444,5 +446,82 @@ func TestGracefulShutdownServesRacingSubmissions(t *testing.T) {
 		}
 		cancel()
 		wg.Wait()
+	}
+}
+
+// countingScheduler counts Schedule calls: VirtualEngines, TDPipe and
+// BatchLevel mutate state on every one, so when the driver calls is part of
+// its contract.
+type countingScheduler struct {
+	sched.Scheduler
+	calls atomic.Int64
+}
+
+func (c *countingScheduler) Schedule(p *sched.Pool, now time.Duration) *sched.Batch {
+	c.calls.Add(1)
+	return c.Scheduler.Schedule(p, now)
+}
+
+// The driver schedules after a submit, a cancel or a retire — never after a
+// MatchPrefix query or a stop signal. A lone request is held mid-decode by a
+// stalled batch; queries and a Shutdown arriving meanwhile must leave the
+// scheduler's call count where it was until that batch retires.
+func TestQueryAndStopDoNotSchedule(t *testing.T) {
+	held, release := make(chan struct{}), make(chan struct{})
+	unstall := sync.OnceFunc(func() { close(release) })
+	defer unstall() // before startRuntime's Close, which waits for the batch
+	cs := &countingScheduler{Scheduler: sched.NewDefaultThrottle()}
+	rt := startRuntime(t, func(cfg *Config) {
+		cfg.Scheduler = cs
+		cfg.StageFault = func(stage, seq int) time.Duration {
+			if stage == 0 && seq == 3 { // prefill, one decode, then this one
+				close(held)
+				<-release
+			}
+			return 0
+		}
+	})
+	h, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: 64, MaxTokens: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("third micro-batch never reached stage 0")
+	}
+	// A query is answered only from the driver's select, so one round trip
+	// is a barrier: the fill that injected the stalled batch has returned.
+	const group = int64(7)
+	rt.MatchPrefix(group, 64)
+	before := cs.calls.Load()
+	for range 32 {
+		rt.MatchPrefix(group, 64)
+	}
+	stopped := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		stopped <- rt.Shutdown(ctx)
+	}()
+	waitFor(t, "the driver to observe the stop", func() bool {
+		rt.subMu.RLock()
+		defer rt.subMu.RUnlock()
+		return rt.stopping
+	})
+	rt.MatchPrefix(group, 64)
+	if got := cs.calls.Load(); got != before {
+		t.Fatalf("Schedule ran %d times across 33 queries and a stop with the batch still in flight", got-before)
+	}
+	unstall()
+	if err := <-stopped; err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+	drainBatched(t, h)
+	if reason := h.FinishReason(); reason != FinishLength {
+		t.Fatalf("finish reason = %q, want the drain to serve the request", reason)
+	}
+	if got := cs.calls.Load(); got <= before {
+		t.Fatal("retiring the stalled batch did not schedule")
 	}
 }

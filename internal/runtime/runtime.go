@@ -80,11 +80,9 @@ type Config struct {
 	Model model.Config
 	GPU   gpu.Spec
 	Topo  network.Topology
-	// MemUtil is the KV memory fraction (default 0.9).
-	MemUtil float64
-	// KVBlockSize is tokens per KV block (default 16).
-	KVBlockSize int
-	Scheduler   sched.Scheduler
+	// MemUtil is the KV memory fraction in (0,1] (default 0.9).
+	MemUtil   float64
+	Scheduler sched.Scheduler
 	// Async selects the gLLM dual-phase runtime; false gives the coupled
 	// (vLLM-like) baseline.
 	Async bool
@@ -93,24 +91,17 @@ type Config struct {
 	EnablePrefixCache bool
 	// EnableCPP turns on chunked pipeline parallelism for long prompts.
 	EnableCPP bool
-	// Prep prices the control-plane CPU work (defaults: engine.VLLMRuntime
-	// when coupled, engine.GLLMRuntime when async).
-	Prep engine.RuntimeModel
 	// TimeScale converts modeled GPU time into wall-clock sleeps
 	// (e.g. 0.001 = 1000x faster than modeled). Zero disables sleeping.
 	TimeScale float64
 	// QueueDepth bounds the submit channel (default 1024). A full queue
 	// rejects submissions with ErrQueueFull.
 	QueueDepth int
-	// AdmitKVTokens, when positive, caps the projected KV demand (prompt +
-	// output tokens summed over every admitted, unfinished request); Submit
-	// beyond the cap fails with ErrQueueFull. Zero derives the cap from
-	// AdmitKVFactor.
-	AdmitKVTokens int64
-	// AdmitKVFactor expresses the admission cap as a multiple of the
-	// deployment's KV capacity (default 8: the queue may hold roughly
-	// eight cache-fulls of future work). Negative disables KV-headroom
-	// admission control entirely.
+	// AdmitKVFactor caps the projected KV demand (prompt + output tokens
+	// summed over every admitted, unfinished request) at this multiple of
+	// the deployment's KV capacity; a submission beyond the cap fails with
+	// ErrQueueFull. Default 8: the queue may hold roughly eight cache-fulls
+	// of future work. Negative disables KV-headroom admission control.
 	AdmitKVFactor float64
 	// WatchdogTimeout flags the runtime degraded when micro-batches are in
 	// flight but none has retired for this long (wall clock). Default 30s;
@@ -140,9 +131,6 @@ func (c *Config) applyDefaults() {
 	if c.MemUtil == 0 {
 		c.MemUtil = 0.9
 	}
-	if c.KVBlockSize == 0 {
-		c.KVBlockSize = 16
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 1024
 	}
@@ -151,13 +139,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.WatchdogTimeout == 0 {
 		c.WatchdogTimeout = 30 * time.Second
-	}
-	if c.Prep.Name == "" {
-		if c.Async {
-			c.Prep = engine.GLLMRuntime
-		} else {
-			c.Prep = engine.VLLMRuntime
-		}
 	}
 }
 
@@ -546,15 +527,17 @@ func (sub *submission) notifyDelivery() {
 	}
 }
 
-// microBatch is the unit passed through the pipeline. Retired batches are
-// recycled through mbPool by the driver.
+// microBatch is the unit passed through the pipeline: one scheduled batch
+// with its frozen cost shape. The driver owns one per pipeline slot and
+// reuses it once its batch has retired.
 type microBatch struct {
 	seq   int
 	batch *sched.Batch
 	shape gpu.BatchShape
 }
 
-var mbPool = sync.Pool{New: func() any { return new(microBatch) }}
+// kvBlockSize is tokens per KV block.
+const kvBlockSize = 16
 
 // ErrStopped is returned by SubmitBatchedSpec after Shutdown or Close.
 var ErrStopped = errors.New("runtime: stopped")
@@ -582,11 +565,15 @@ func Start(cfg Config) (*Runtime, error) {
 	if depth < 1 || depth > cfg.Model.NumLayers {
 		return nil, fmt.Errorf("runtime: invalid pipeline depth %d", depth)
 	}
+	if cfg.MemUtil <= 0 || cfg.MemUtil > 1 {
+		return nil, fmt.Errorf("runtime: MemUtil %g out of (0,1]", cfg.MemUtil)
+	}
 	cost := gpu.NewCostModel(cfg.Model, cfg.GPU)
 	stageLayers := cfg.Model.StageLayers(depth)
 	kvCap := cost.KVCapacityTokensPP(stageLayers, cfg.MemUtil)
-	if kvCap < int64(cfg.KVBlockSize) {
-		return nil, fmt.Errorf("runtime: %s does not fit on %d x %s", cfg.Model.Name, depth, cfg.GPU.Name)
+	if kvCap < kvBlockSize {
+		return nil, fmt.Errorf("runtime: %s on %d x %s (KV capacity %d tokens): %w",
+			cfg.Model.Name, depth, cfg.GPU.Name, kvCap, engine.ErrModelDoesNotFit)
 	}
 
 	rt := &Runtime{
@@ -603,10 +590,7 @@ func Start(cfg Config) (*Runtime, error) {
 		stopped:     make(chan struct{}),
 		start:       time.Now(),
 	}
-	switch {
-	case cfg.AdmitKVTokens > 0:
-		rt.admitLimit = cfg.AdmitKVTokens
-	case cfg.AdmitKVFactor > 0:
+	if cfg.AdmitKVFactor > 0 {
 		rt.admitLimit = int64(cfg.AdmitKVFactor * float64(kvCap))
 	}
 	rt.lastBeat.Store(time.Now().UnixNano())
@@ -619,7 +603,7 @@ func Start(cfg Config) (*Runtime, error) {
 	for i, w := range rt.workers {
 		w.start(i+1 < depth)
 	}
-	go rt.driverLoop()
+	go newDriver(rt).run()
 	if cfg.WatchdogTimeout > 0 {
 		go rt.watchdogLoop()
 	}

@@ -2,11 +2,13 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"gllm/internal/engine"
 	"gllm/internal/gpu"
 	"gllm/internal/model"
 	"gllm/internal/network"
@@ -161,6 +163,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// Start rejects every bad deployment with an error — MemUtil arrives from a
+// flag and used to reach a panic in the cost model — and a pure capacity
+// failure carries the engines' sentinel.
 func TestStartValidation(t *testing.T) {
 	base := Config{
 		Model:     model.Qwen25_14B,
@@ -168,16 +173,32 @@ func TestStartValidation(t *testing.T) {
 		Topo:      network.IntraNode(4, network.PCIe),
 		Scheduler: sched.NewDefaultThrottle(),
 	}
-	noSched := base
-	noSched.Scheduler = nil
-	if _, err := Start(noSched); err == nil {
-		t.Fatal("nil scheduler accepted")
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		is     error // when non-nil, the error must wrap it
+	}{
+		{"nil scheduler", func(c *Config) { c.Scheduler = nil }, nil},
+		{"no model", func(c *Config) { c.Model = model.Config{} }, nil},
+		{"no GPU", func(c *Config) { c.GPU = gpu.Spec{} }, nil},
+		{"deeper than the model", func(c *Config) { c.Topo = network.IntraNode(c.Model.NumLayers+1, network.PCIe) }, nil},
+		{"MemUtil above 1", func(c *Config) { c.MemUtil = 2 }, nil},
+		{"negative MemUtil", func(c *Config) { c.MemUtil = -0.1 }, nil},
+		{"oversized model", func(c *Config) {
+			c.Model = model.Llama31_100B
+			c.Topo = network.IntraNode(2, network.PCIe)
+		}, engine.ErrModelDoesNotFit},
 	}
-	tooBig := base
-	tooBig.Model = model.Llama31_100B
-	tooBig.Topo = network.IntraNode(2, network.PCIe)
-	if _, err := Start(tooBig); err == nil {
-		t.Fatal("oversized model accepted")
+	for _, tc := range cases {
+		cfg := base
+		tc.mutate(&cfg)
+		rt, err := Start(cfg)
+		if err == nil {
+			rt.Close()
+			t.Errorf("%s: accepted", tc.name)
+		} else if tc.is != nil && !errors.Is(err, tc.is) {
+			t.Errorf("%s: error %q does not wrap %q", tc.name, err, tc.is)
+		}
 	}
 }
 

@@ -451,7 +451,9 @@ func TestClientDisconnectNonStreaming(t *testing.T) {
 // OpenAI rate-limit error type.
 func TestQueueFullGives429(t *testing.T) {
 	ts, rt := testServerCfg(t, func(cfg *runtime.Config) {
-		cfg.AdmitKVTokens = 200
+		// A cap of 200 tokens, as a fraction of the deployment's capacity.
+		kvCap := gpu.NewCostModel(cfg.Model, cfg.GPU).KVCapacityTokensPP(cfg.Model.StageLayers(cfg.Topo.GPUs()), 0.9)
+		cfg.AdmitKVFactor = 200.5 / float64(kvCap)
 		cfg.StageFault = func(stage, seq int) time.Duration { return time.Hour }
 	})
 	// First request occupies 128 of the 200-token admission budget and

@@ -84,13 +84,13 @@ func TestEngineReset(t *testing.T) {
 	ran := 0
 	e.After(time.Second, func() { ran++ })
 	e.After(2*time.Second, func() { ran++ })
-	e.RunUntil(time.Second)
-	if ran != 1 || e.Executed() != 1 || e.Pending() != 1 {
-		t.Fatalf("pre-reset state: ran=%d executed=%d pending=%d", ran, e.Executed(), e.Pending())
+	e.Step()
+	if ran != 1 || e.Executed() != 1 || e.Now() != time.Second {
+		t.Fatalf("pre-reset state: ran=%d executed=%d now=%v", ran, e.Executed(), e.Now())
 	}
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Executed() != 0 {
-		t.Fatalf("post-reset state: now=%v pending=%d executed=%d", e.Now(), e.Pending(), e.Executed())
+	if e.Now() != 0 || e.Executed() != 0 {
+		t.Fatalf("post-reset state: now=%v executed=%d", e.Now(), e.Executed())
 	}
 	// The dropped event must never fire; the reused engine behaves like new,
 	// including FIFO tie-breaking (seq restarts).

@@ -75,12 +75,3 @@ func (r *Resource) BusyTime() time.Duration {
 	}
 	return t
 }
-
-// Utilization returns BusyTime divided by total elapsed virtual time,
-// or 0 at time zero.
-func (r *Resource) Utilization() float64 {
-	if r.eng.Now() == 0 {
-		return 0
-	}
-	return float64(r.BusyTime()) / float64(r.eng.Now())
-}

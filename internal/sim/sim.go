@@ -107,9 +107,6 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of scheduled-but-unexecuted events.
-func (e *Engine) Pending() int { return e.events.len() }
-
 // Executed returns the total number of events run so far.
 func (e *Engine) Executed() uint64 { return e.ran }
 
@@ -161,18 +158,3 @@ func (e *Engine) Run() {
 	for e.Step() {
 	}
 }
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to deadline (even if idle). Events scheduled during execution are
-// honored if they fall inside the window.
-func (e *Engine) RunUntil(deadline time.Duration) {
-	for e.events.len() > 0 && e.events.a[0].at <= deadline {
-		e.Step()
-	}
-	if deadline > e.now {
-		e.now = deadline
-	}
-}
-
-// RunFor is RunUntil(Now()+d).
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }

@@ -48,27 +48,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + w*(float64(i)+0.5)
 }
 
-// Fraction returns the share of samples that fell into bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Bins[i]) / float64(h.total)
-}
-
-// CDF returns the cumulative fraction of samples at or below the upper edge
-// of bin i.
-func (h *Histogram) CDF(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	c := 0
-	for j := 0; j <= i && j < len(h.Bins); j++ {
-		c += h.Bins[j]
-	}
-	return float64(c) / float64(h.total)
-}
-
 // Render draws a textual bar chart, one row per bin, with bars scaled to
 // width characters. Useful for experiment logs (e.g. Figure 11).
 func (h *Histogram) Render(width int) string {

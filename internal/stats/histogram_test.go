@@ -31,26 +31,14 @@ func TestHistogramClamping(t *testing.T) {
 	}
 }
 
-func TestHistogramFractionsAndCDF(t *testing.T) {
-	h := NewHistogram(0, 4, 4)
-	for _, x := range []float64{0.5, 1.5, 1.6, 3.5} {
-		h.Add(x)
-	}
-	if got := h.Fraction(1); got != 0.5 {
-		t.Fatalf("Fraction(1) = %v", got)
-	}
-	if got := h.CDF(1); got != 0.75 {
-		t.Fatalf("CDF(1) = %v", got)
-	}
-	if got := h.CDF(3); got != 1.0 {
-		t.Fatalf("CDF(3) = %v", got)
-	}
-}
-
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram(0, 1, 3)
-	if h.Fraction(0) != 0 || h.CDF(2) != 0 {
-		t.Fatal("empty histogram fractions should be 0")
+	if h.Total() != 0 {
+		t.Fatalf("empty Total = %d", h.Total())
+	}
+	// No sample to scale by: three rows, no bars.
+	if out := h.Render(10); strings.Count(out, "\n") != 3 || strings.Contains(out, "#") {
+		t.Fatalf("empty render:\n%s", out)
 	}
 }
 

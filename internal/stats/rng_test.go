@@ -151,19 +151,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestShufflePermutes(t *testing.T) {
-	r := NewRNG(23)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make(map[int]bool)
-	for _, x := range xs {
-		seen[x] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
 func TestQuickFloat64AlwaysInRange(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
 		r := NewRNG(seed)

@@ -27,11 +27,6 @@ type ConversationSpec struct {
 	// conversations stop growing (and stop) once the next prompt would
 	// exceed it.
 	MaxContext int
-	// Envelope, when non-nil, shapes the conversation start rate over the
-	// window (instantaneous rate = Rate * Envelope(t), via thinning) —
-	// e.g. DiurnalEnvelope for a synthetic day. Nil means a flat Poisson
-	// process with an RNG stream identical to pre-envelope traces.
-	Envelope Envelope
 }
 
 // DefaultConversationSpec returns chat-like defaults over a dataset.
@@ -60,21 +55,13 @@ func Conversations(r *stats.RNG, spec ConversationSpec) []Item {
 	if spec.MaxTurns < 1 || spec.FollowUpLen < 1 || spec.MaxContext < 1 {
 		panic(fmt.Sprintf("workload: Conversations spec %+v", spec))
 	}
-	startRate, envMax := spec.Rate, 1.0
-	if spec.Envelope != nil {
-		envMax = envelopeMax(spec.Envelope, spec.Window)
-		startRate = spec.Rate * envMax
-	}
 	var items []Item
 	start := time.Duration(0)
 	group := int64(0)
 	for {
-		start += time.Duration(r.Exp(startRate) * float64(time.Second))
+		start += time.Duration(r.Exp(spec.Rate) * float64(time.Second))
 		if start >= spec.Window {
 			break
-		}
-		if spec.Envelope != nil && r.Float64()*envMax > spec.Envelope(start) {
-			continue // thinned out: off-peak start
 		}
 		group++
 		turns := r.IntRange(1, spec.MaxTurns)

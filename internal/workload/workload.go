@@ -91,18 +91,6 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// MeanLengths estimates the dataset's mean prompt/output lengths from n
-// samples with a derived RNG stream (deterministic per seed).
-func (d Dataset) MeanLengths(seed uint64, n int) (in, out float64) {
-	r := stats.NewRNG(seed)
-	for i := 0; i < n; i++ {
-		p, o := d.Sample(r)
-		in += float64(p)
-		out += float64(o)
-	}
-	return in / float64(n), out / float64(n)
-}
-
 // Poisson generates an open-loop trace: arrivals follow a Poisson process
 // with `rate` requests/s over `window` (the paper fixes a 128 s send
 // window), lengths drawn from d. The result is sorted by arrival.

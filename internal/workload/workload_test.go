@@ -29,8 +29,18 @@ func TestDatasetSampleBounds(t *testing.T) {
 func TestAzureToShareGPTRatiosMatchPaper(t *testing.T) {
 	// Paper Figure 11: Azure has 5.21x mean input and 1.66x mean output of
 	// ShareGPT. Allow generous tolerance — the claim is the shape.
-	sIn, sOut := ShareGPT.MeanLengths(42, 40000)
-	aIn, aOut := Azure.MeanLengths(42, 40000)
+	means := func(d Dataset) (in, out float64) {
+		const n = 40000
+		r := stats.NewRNG(42)
+		for range n {
+			p, o := d.Sample(r)
+			in += float64(p)
+			out += float64(o)
+		}
+		return in / n, out / n
+	}
+	sIn, sOut := means(ShareGPT)
+	aIn, aOut := means(Azure)
 	inRatio := aIn / sIn
 	outRatio := aOut / sOut
 	if inRatio < 4.2 || inRatio > 6.2 {
