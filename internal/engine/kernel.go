@@ -34,12 +34,24 @@ type strategy interface {
 
 // microBatch is one scheduled batch in flight with its frozen cost shape. A
 // loop owns one per slot and reuses it once its batch has retired, so an
-// injection allocates no carrier and its closures capture one pointer.
+// injection allocates no carrier — and no closure: every callback the clock
+// is handed for the slot is bound once (prepped by addLoop, the rest by the
+// strategy on first execute) and reads its arguments from the fields below.
 type microBatch struct {
 	loop  *loop
-	batch *sched.Batch
+	batch *sched.Batch // the loop's from Schedule until retire hands it back
 	shape gpu.BatchShape
 	seq   int // injection ordinal across the run, for span labels
+
+	prep    time.Duration // this injection's prep charge
+	prepped func()        // the prep charge has elapsed: record it, execute
+
+	// The strategy's: where the batch is on the hardware and what the clock
+	// calls when it leaves there.
+	stage   int
+	dur     time.Duration
+	ran     func() // the stage (or whole iteration) finished
+	arrived func() // the activations reached the next stage
 }
 
 // run is the live state of one simulation.
@@ -100,7 +112,9 @@ func newRun(cfg *Config) (*run, error) {
 func (r *run) addLoop(kvCap int64, slots int, s sched.Scheduler, exec strategy) *loop {
 	l := &loop{run: r, pool: sched.NewPool(kvcache.New(kvCap, r.cfg.KVBlockSize), slots), sched: s, exec: exec}
 	for range slots {
-		l.free = append(l.free, &microBatch{loop: l})
+		mb := &microBatch{loop: l}
+		mb.prepped = func() { l.prepped(mb) }
+		l.free = append(l.free, mb)
 	}
 	l.pool.EnablePrefixCache = r.cfg.EnablePrefixCache
 	l.pool.AllowPipelinedChunks = r.cfg.EnableCPP
@@ -243,34 +257,43 @@ func (l *loop) fill() {
 			}
 		}
 		if b.Empty() {
+			l.pool.PutBatch(b)
 			return
 		}
 		mb := l.free[len(l.free)-1]
 		l.free = l.free[:len(l.free)-1]
 		r.injections++
 		mb.batch, mb.shape, mb.seq = b, b.Shape(), r.injections
-		r.iterations = append(r.iterations, IterRecord{Time: now, Prefill: b.PrefillTokens(), Decode: b.DecodeTokens()})
+		r.iterations = append(r.iterations, IterRecord{Time: now, Prefill: mb.shape.PrefillTokens, Decode: mb.shape.DecodeTokens})
 		// A coupled runtime queues its prep on the one driver CPU; a
 		// decoupled one delays only this batch by its residual.
-		prep := r.cfg.Runtime.PrepTime(len(b.Chunks)+len(b.Decodes), b.Tokens())
+		mb.prep = r.cfg.Runtime.PrepTime(len(b.Chunks)+len(b.Decodes), mb.shape.Tokens())
 		switch {
 		case r.cfg.Runtime.Coupled:
-			r.driverCPU.Submit(prep, func() {
-				end := r.eng.Now()
-				r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), end-prep, end)
-				l.exec.execute(mb)
-			})
-		case prep > 0:
-			r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), now, now+prep)
-			r.eng.After(prep, func() { l.exec.execute(mb) })
+			r.driverCPU.Submit(mb.prep, mb.prepped)
+		case mb.prep > 0:
+			r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), now, now+mb.prep)
+			r.eng.After(mb.prep, mb.prepped)
 		default:
 			l.exec.execute(mb)
 		}
 	}
 }
 
+// prepped runs when mb's prep charge has elapsed: a coupled runtime's span
+// is known only now (the driver CPU may have queued it), a decoupled one's
+// was recorded at injection.
+func (l *loop) prepped(mb *microBatch) {
+	if r := l.run; r.cfg.Runtime.Coupled {
+		end := r.eng.Now()
+		r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), end-mb.prep, end)
+	}
+	l.exec.execute(mb)
+}
+
 // retire commits a batch that left the hardware: tokens are committed,
-// finished requests observed, the slot freed and the loops refilled.
+// finished requests observed, the slot freed, the batch handed back to the
+// pool once the hooks have seen it, and the loops refilled.
 func (l *loop) retire(mb *microBatch) {
 	r := l.run
 	if r.aborted != nil {
@@ -293,6 +316,8 @@ func (l *loop) retire(mb *microBatch) {
 			return
 		}
 	}
+	mb.batch = nil
+	l.pool.PutBatch(b)
 	r.refill(l)
 }
 

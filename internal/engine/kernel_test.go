@@ -2,10 +2,14 @@ package engine
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"gllm/internal/core"
+	"gllm/internal/request"
 	"gllm/internal/sched"
+	"gllm/internal/sim"
 )
 
 // A kept Result must not keep its run alive: the collector it hands out is
@@ -35,5 +39,70 @@ func TestResultDoesNotPinRun(t *testing.T) {
 	}
 	if res.Collector.Count() != res.Requests {
 		t.Fatalf("collector holds %d records, want %d", res.Collector.Count(), res.Requests)
+	}
+}
+
+// The simulator's counterpart of the live driver's
+// TestSteadyStateAllocationFree: once every resident decodes, an iteration —
+// Schedule, prep, every stage and hop, Complete, retire — allocates nothing,
+// under every policy and on both strategies. The arithmetic of the bound:
+// the batch and its slices are recycled through Pool.PutBatch (0), the
+// slot's callbacks were bound by its first batch (0), sim.Resource starts
+// and queues jobs in place (0), the event heap has reached its size (0),
+// the per-token KV append lands in a page table that 1 030 prompt tokens
+// grew to 128 blocks of capacity, enough for 1 018 more (0), and the one
+// thing an iteration does append to for good, the run's IterRecord log, is
+// pre-sized here (its growth is on ROADMAP item 6's ledger). At the parent
+// of the change that added this test the same 256 iterations cost 4 544
+// allocations on the pipeline (a batch and its slices, three closures per
+// stage, one per prep) and 2 048 on the token-parallel group.
+func TestSteadyStateIterationAllocationFree(t *testing.T) {
+	const residents, prompt, warm, measured = 32, 1030, 64, 256
+	strategies := map[string]func(r *run, layers []int) strategy{
+		"pipeline": func(r *run, layers []int) strategy { return newChain(r, "stage", 0, layers) },
+		"tokenpar": func(r *run, _ []int) strategy {
+			return &tknpGroup{ranks: 4, rootTP: 2, group: sim.NewResource(r.eng, "tknp-group")}
+		},
+	}
+	for _, name := range []string{"sarathi", "vllm-ve", "td-pipe", "orca", "batch-level", "gllm", "gllm-no-wt", "gllm-no-ut"} {
+		for engine, build := range strategies {
+			for _, rt := range []RuntimeModel{GLLMRuntime, VLLMRuntime} {
+				s, err := sched.ByName(name, 2048, core.DefaultParams())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := testConfig(s, rt)
+				r, err := newRun(&cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				layers := cfg.Model.StageLayers(4)
+				slots := 4
+				if engine == "tokenpar" {
+					slots = 1
+				}
+				l := r.addLoop(r.cost.KVCapacityTokensPP(layers, cfg.MemUtil), slots, s, build(r, layers))
+				r.total = residents
+				for i := 0; i < residents; i++ {
+					l.pool.Add(request.New(int64(i), 0, prompt, 1<<20))
+				}
+				iterate := func(n int) {
+					for target := r.injections + n; r.injections < target; {
+						if !r.eng.Step() {
+							t.Fatalf("%s/%s/%s: clock ran dry after %d injections: %v", engine, name, rt.Name, r.injections, r.aborted)
+						}
+					}
+				}
+				l.fill()
+				for l.pool.PrefillQueueLen() > 0 {
+					iterate(1)
+				}
+				iterate(warm)
+				r.iterations = slices.Grow(r.iterations, 4*measured)
+				if avg := testing.AllocsPerRun(2, func() { iterate(measured) }); avg != 0 {
+					t.Errorf("%s/%s/%s: %.0f allocations per %d steady-state iterations, want 0", engine, name, rt.Name, avg, measured)
+				}
+			}
+		}
 	}
 }

@@ -52,25 +52,34 @@ func newChain(r *run, name string, first int, layers []int) *chain {
 	return c
 }
 
-func (c *chain) execute(mb *microBatch) { c.stage(0, mb) }
+func (c *chain) execute(mb *microBatch) {
+	if mb.ran == nil { // the slot's first batch: bind its two callbacks, once
+		mb.ran = func() { c.ran(mb) }
+		mb.arrived = func() { c.enter(mb.stage+1, mb) }
+	}
+	c.enter(0, mb)
+}
 
-// stage enqueues the batch on stage i; on completion it forwards the
-// activations or retires the batch.
-func (c *chain) stage(i int, mb *microBatch) {
-	dur := c.price(mb.shape, i)
-	c.stages[i].Submit(dur, func() {
-		r := mb.loop.run
-		now, hop, tokens := r.eng.Now(), c.first+i, mb.shape.Tokens()
-		r.cfg.Spans.Record(hop, obs.KindExec, mb.seq, tokens, now-dur, now)
-		if i+1 == len(c.stages) {
-			mb.loop.retire(mb)
-			return
-		}
-		actBytes := int64(tokens) * r.cfg.Model.ActivationBytesPerToken()
-		xfer := r.cfg.Topo.Hop(hop).TransferTime(actBytes)
-		r.cfg.Spans.Record(hop, obs.KindXfer, mb.seq, tokens, now, now+xfer)
-		r.eng.After(xfer, func() { c.stage(i+1, mb) })
-	})
+// enter enqueues the batch on stage i.
+func (c *chain) enter(i int, mb *microBatch) {
+	mb.stage, mb.dur = i, c.price(mb.shape, i)
+	c.stages[i].Submit(mb.dur, mb.ran)
+}
+
+// ran runs when the batch leaves its stage: it forwards the activations or,
+// after the last stage, retires the batch.
+func (c *chain) ran(mb *microBatch) {
+	r := mb.loop.run
+	now, hop, tokens := r.eng.Now(), c.first+mb.stage, mb.shape.Tokens()
+	r.cfg.Spans.Record(hop, obs.KindExec, mb.seq, tokens, now-mb.dur, now)
+	if mb.stage+1 == len(c.stages) {
+		mb.loop.retire(mb)
+		return
+	}
+	actBytes := int64(tokens) * r.cfg.Model.ActivationBytesPerToken()
+	xfer := r.cfg.Topo.Hop(hop).TransferTime(actBytes)
+	r.cfg.Spans.Record(hop, obs.KindXfer, mb.seq, tokens, now, now+xfer)
+	r.eng.After(xfer, mb.arrived)
 }
 
 func (c *chain) stageBusy(dst []time.Duration) []time.Duration {

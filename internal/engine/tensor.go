@@ -29,7 +29,7 @@ func RunTensor(cfg Config, items []workload.Item) (*Result, error) {
 	r.addLoop(kvCap, 1, cfg.Scheduler, &chain{
 		stages: []*sim.Resource{sim.NewResource(r.eng, "tp-device")},
 		price: func(shape gpu.BatchShape, _ int) time.Duration {
-			return tensorIterationTime(r.cost, cfg.Topo, shape)
+			return tensorIterationTime(&r.cost, cfg.Topo, shape)
 		},
 	})
 	return r.serve(items, cfg.Scheduler.Name(), kvCap)
@@ -37,7 +37,7 @@ func RunTensor(cfg Config, items []workload.Item) (*Result, error) {
 
 // tensorIterationTime prices one TP iteration: per-layer sharded compute plus
 // two ring all-reduces of the activation tensor per layer over the TP link.
-func tensorIterationTime(cost gpu.CostModel, topo network.Topology, shape gpu.BatchShape) time.Duration {
+func tensorIterationTime(cost *gpu.CostModel, topo network.Topology, shape gpu.BatchShape) time.Duration {
 	tp := topo.GPUs()
 	layer := cost.TensorParallelLayerTime(shape, tp)
 	actBytes := int64(shape.Tokens()) * cost.Model.ActivationBytesPerToken()

@@ -39,7 +39,7 @@ type tknpIterCost struct {
 // every token (plus its own all-reduces when RootTP > 1), scatters queries
 // and fresh KV entries to the partition owners, all N ranks run attention
 // over their KV slice, and the attention outputs are gathered back.
-func tokenParallelIterationTime(cost gpu.CostModel, topo network.Topology, rootTP int, shape gpu.BatchShape) tknpIterCost {
+func tokenParallelIterationTime(cost *gpu.CostModel, topo network.Topology, rootTP int, shape gpu.BatchShape) tknpIterCost {
 	n := topo.GPUs()
 	layers := cost.Model.NumLayers
 	tokens := int64(shape.Tokens())
@@ -102,20 +102,29 @@ func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, 
 type tknpGroup struct {
 	ranks, rootTP int
 	group         *sim.Resource
+	iter          tknpIterCost  // the iteration in flight (the loop has one slot)
 	rootBusy      time.Duration // per-root-rank exec time (projections + MLP)
 	peerBusy      time.Duration // per-rank attention exec time
 }
 
 func (g *tknpGroup) execute(mb *microBatch) {
+	if mb.ran == nil { // the slot's first batch: bind its callback, once
+		mb.ran = func() { g.ran(mb) }
+	}
 	r := mb.loop.run
-	iter := tokenParallelIterationTime(r.cost, r.cfg.Topo, g.rootTP, mb.shape)
-	g.group.Submit(iter.total, func() {
-		g.recordSpans(r.cfg.Spans, mb.seq, mb.shape.Tokens(), r.eng.Now(), iter)
-		g.rootBusy += iter.root
-		g.peerBusy += iter.peer
-		r.tknpCommBytes += iter.bytes
-		mb.loop.retire(mb)
-	})
+	g.iter = tokenParallelIterationTime(&r.cost, r.cfg.Topo, g.rootTP, mb.shape)
+	g.group.Submit(g.iter.total, mb.ran)
+}
+
+// ran books the finished iteration, then retires its batch — which may
+// execute the next one and overwrite g.iter.
+func (g *tknpGroup) ran(mb *microBatch) {
+	r := mb.loop.run
+	g.recordSpans(r.cfg.Spans, mb.seq, mb.shape.Tokens(), r.eng.Now(), g.iter)
+	g.rootBusy += g.iter.root
+	g.peerBusy += g.iter.peer
+	r.tknpCommBytes += g.iter.bytes
+	mb.loop.retire(mb)
 }
 
 // stageBusy reports one entry per rank: every rank runs attention over its

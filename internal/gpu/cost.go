@@ -101,31 +101,31 @@ func NewCostModel(m model.Config, g Spec) CostModel {
 
 // AttnProjFLOPs returns the attention projection FLOPs (QKV and output
 // GEMMs) of one decoder layer for the batch.
-func (cm CostModel) AttnProjFLOPs(b BatchShape) float64 {
+func (cm *CostModel) AttnProjFLOPs(b BatchShape) float64 {
 	return cm.Model.AttnLinearFLOPsPerTokenPerLayer() * float64(b.Tokens())
 }
 
 // AttnScoreFLOPs returns the attention score FLOPs (QK^T plus
 // attention-weighted V over the attended context) of one layer.
-func (cm CostModel) AttnScoreFLOPs(b BatchShape) float64 {
+func (cm *CostModel) AttnScoreFLOPs(b BatchShape) float64 {
 	return 4 * float64(cm.Model.NumHeads) * float64(cm.Model.HeadDim) * b.CtxSum()
 }
 
 // AttnFLOPs returns the attention-component FLOPs of one decoder layer:
 // QKV/output projections plus attention scores.
-func (cm CostModel) AttnFLOPs(b BatchShape) float64 {
+func (cm *CostModel) AttnFLOPs(b BatchShape) float64 {
 	return cm.AttnProjFLOPs(b) + cm.AttnScoreFLOPs(b)
 }
 
 // MLPFLOPs returns the FFN-component FLOPs of one decoder layer (active
 // experts plus router under MoE).
-func (cm CostModel) MLPFLOPs(b BatchShape) float64 {
+func (cm *CostModel) MLPFLOPs(b BatchShape) float64 {
 	return cm.Model.MLPLinearFLOPsPerTokenPerLayer() * float64(b.Tokens())
 }
 
 // LayerFLOPs returns the forward FLOPs of one decoder layer for the batch.
 // It is the exact sum of the attention and MLP components.
-func (cm CostModel) LayerFLOPs(b BatchShape) float64 {
+func (cm *CostModel) LayerFLOPs(b BatchShape) float64 {
 	return cm.AttnFLOPs(b) + cm.MLPFLOPs(b)
 }
 
@@ -133,8 +133,8 @@ func (cm CostModel) LayerFLOPs(b BatchShape) float64 {
 // of the given token count activates in one MoE layer under uniform top-k
 // routing: E·(1−(1−k/E)^tokens). Dense models activate none (their single
 // FFN is accounted as ordinary layer weights).
-func (cm CostModel) ActivatedExperts(tokens int) float64 {
-	m := cm.Model
+func (cm *CostModel) ActivatedExperts(tokens int) float64 {
+	m := &cm.Model
 	if !m.IsMoE() || tokens <= 0 {
 		return 0
 	}
@@ -146,7 +146,7 @@ func (cm CostModel) ActivatedExperts(tokens int) float64 {
 // streamedAttnWeightBytes returns the attention projection weights a batch
 // reads from HBM: always the full QKV/O slice (attention weights are never
 // expert-gated).
-func (cm CostModel) streamedAttnWeightBytes() float64 {
+func (cm *CostModel) streamedAttnWeightBytes() float64 {
 	return float64(cm.Model.AttnWeightBytesPerLayer())
 }
 
@@ -155,8 +155,8 @@ func (cm CostModel) streamedAttnWeightBytes() float64 {
 // experts for MoE layers. This is why MoE decode batches are
 // disproportionally memory-bound — a handful of tokens can still touch
 // most experts (the paper's §6 future-work observation).
-func (cm CostModel) streamedMLPWeightBytes(tokens int) float64 {
-	m := cm.Model
+func (cm *CostModel) streamedMLPWeightBytes(tokens int) float64 {
+	m := &cm.Model
 	if !m.IsMoE() {
 		return float64(m.MLPWeightBytesPerLayer())
 	}
@@ -167,14 +167,14 @@ func (cm CostModel) streamedMLPWeightBytes(tokens int) float64 {
 
 // streamedWeightBytes returns the layer weights a batch actually reads:
 // the attention slice plus the streamed FFN slice.
-func (cm CostModel) streamedWeightBytes(tokens int) float64 {
+func (cm *CostModel) streamedWeightBytes(tokens int) float64 {
 	return cm.streamedAttnWeightBytes() + cm.streamedMLPWeightBytes(tokens)
 }
 
 // KVBytes returns the KV-cache traffic of one decoder layer for the batch:
 // reads over the attended context plus writes for every new token. This is
 // the I/O a TKNP peer pays for its KV partition.
-func (cm CostModel) KVBytes(b BatchShape) float64 {
+func (cm *CostModel) KVBytes(b BatchShape) float64 {
 	kvPerTok := float64(cm.Model.KVBytesPerTokenPerLayer())
 	return kvPerTok*b.CtxSum() + kvPerTok*float64(b.Tokens())
 }
@@ -182,14 +182,14 @@ func (cm CostModel) KVBytes(b BatchShape) float64 {
 // AttnBytes returns the attention-component HBM traffic of one decoder
 // layer: QKV/O weight streaming, KV-cache reads and writes, and the
 // attention share of intermediate activation traffic.
-func (cm CostModel) AttnBytes(b BatchShape) float64 {
+func (cm *CostModel) AttnBytes(b BatchShape) float64 {
 	act := cm.AttnActivationRW * float64(cm.Model.ActivationBytesPerToken()) * float64(b.Tokens())
 	return cm.streamedAttnWeightBytes() + cm.KVBytes(b) + act
 }
 
 // MLPBytes returns the FFN-component HBM traffic of one decoder layer:
 // streamed FFN weights plus the MLP share of activation traffic.
-func (cm CostModel) MLPBytes(b BatchShape) float64 {
+func (cm *CostModel) MLPBytes(b BatchShape) float64 {
 	mlpAct := cm.ActivationRWFactor - cm.AttnActivationRW
 	act := mlpAct * float64(cm.Model.ActivationBytesPerToken()) * float64(b.Tokens())
 	return cm.streamedMLPWeightBytes(b.Tokens()) + act
@@ -197,13 +197,13 @@ func (cm CostModel) MLPBytes(b BatchShape) float64 {
 
 // LayerBytes returns the HBM traffic of one decoder layer for the batch.
 // It is the exact sum of the attention and MLP components.
-func (cm CostModel) LayerBytes(b BatchShape) float64 {
+func (cm *CostModel) LayerBytes(b BatchShape) float64 {
 	return cm.AttnBytes(b) + cm.MLPBytes(b)
 }
 
 // roofline converts a FLOP count and a byte count into execution time on
 // this GPU (whichever limiter dominates), without kernel overhead.
-func (cm CostModel) roofline(flops, bytes float64) time.Duration {
+func (cm *CostModel) roofline(flops, bytes float64) time.Duration {
 	compute := flops / (cm.GPU.PeakFLOPS * cm.MFUMax)
 	mem := bytes / (cm.GPU.MemBandwidth * cm.BandwidthEff)
 	t := compute
@@ -215,7 +215,7 @@ func (cm CostModel) roofline(flops, bytes float64) time.Duration {
 
 // LayerTime returns the roofline execution time of one decoder layer.
 // An empty batch costs zero.
-func (cm CostModel) LayerTime(b BatchShape) time.Duration {
+func (cm *CostModel) LayerTime(b BatchShape) time.Duration {
 	if b.Empty() {
 		return 0
 	}
@@ -224,7 +224,7 @@ func (cm CostModel) LayerTime(b BatchShape) time.Duration {
 
 // StageTime returns the execution time of `layers` consecutive decoder
 // layers on one GPU (one pipeline stage).
-func (cm CostModel) StageTime(b BatchShape, layers int) time.Duration {
+func (cm *CostModel) StageTime(b BatchShape, layers int) time.Duration {
 	if layers < 0 {
 		panic(fmt.Sprintf("gpu: negative layer count %d", layers))
 	}
@@ -239,7 +239,7 @@ func (cm CostModel) StageTime(b BatchShape, layers int) time.Duration {
 // beyond that degree every extra rank holds a replica of some KV head and
 // per-rank KV traffic (and residency) stops shrinking. Token-partitioned
 // schemes (TKNP) are exempt — they split KV by sequence, not by head.
-func (cm CostModel) kvShard(degree int) int {
+func (cm *CostModel) kvShard(degree int) int {
 	if kv := cm.Model.NumKVHeads; degree > kv {
 		return kv
 	}
@@ -251,7 +251,7 @@ func (cm CostModel) kvShard(degree int) int {
 // network model). FLOPs and bytes split evenly — except KV-cache traffic,
 // which under grouped-query attention can shard at most NumKVHeads ways;
 // past that the per-rank KV I/O stops shrinking.
-func (cm CostModel) TensorParallelLayerTime(b BatchShape, tpDegree int) time.Duration {
+func (cm *CostModel) TensorParallelLayerTime(b BatchShape, tpDegree int) time.Duration {
 	if tpDegree < 1 {
 		panic(fmt.Sprintf("gpu: invalid TP degree %d", tpDegree))
 	}
@@ -279,7 +279,7 @@ func (cm CostModel) TensorParallelLayerTime(b BatchShape, tpDegree int) time.Dur
 // projections and the MLP for the whole batch (split rootTP ways when the
 // root group is itself tensor-parallel), streaming all layer weights and
 // activation traffic but none of the KV cache — peers own that.
-func (cm CostModel) TokenParallelRootLayerTime(b BatchShape, rootTP int) time.Duration {
+func (cm *CostModel) TokenParallelRootLayerTime(b BatchShape, rootTP int) time.Duration {
 	if rootTP < 1 {
 		panic(fmt.Sprintf("gpu: invalid root TP degree %d", rootTP))
 	}
@@ -296,7 +296,7 @@ func (cm CostModel) TokenParallelRootLayerTime(b BatchShape, rootTP int) time.Du
 // partition spanning groupSize ranks: each rank computes attention scores
 // for its 1/groupSize slice of the batch's context, reading and writing
 // only its own KV partition. No weights are streamed — peers hold none.
-func (cm CostModel) TokenParallelPeerLayerTime(b BatchShape, groupSize int) time.Duration {
+func (cm *CostModel) TokenParallelPeerLayerTime(b BatchShape, groupSize int) time.Duration {
 	if groupSize < 1 {
 		panic(fmt.Sprintf("gpu: invalid TKNP group size %d", groupSize))
 	}
@@ -314,7 +314,7 @@ func (cm CostModel) TokenParallelPeerLayerTime(b BatchShape, groupSize int) time
 // paper's --gpu-memory-util knob). The cluster capacity is the minimum
 // across stages because page tables are shared (every sequence occupies
 // the same token slots on every stage).
-func (cm CostModel) KVCapacityTokensPP(stageLayers []int, memUtil float64) int64 {
+func (cm *CostModel) KVCapacityTokensPP(stageLayers []int, memUtil float64) int64 {
 	if memUtil <= 0 || memUtil > 1 {
 		panic(fmt.Sprintf("gpu: memUtil %g out of (0,1]", memUtil))
 	}
@@ -344,7 +344,7 @@ func (cm CostModel) KVCapacityTokensPP(stageLayers []int, memUtil float64) int64
 // the given degree: weights shard tpDegree ways, but KV residency shards at
 // most NumKVHeads ways (grouped-query attention replicates KV heads on the
 // extra ranks, so per-rank KV bytes per token stop shrinking past that).
-func (cm CostModel) KVCapacityTokensTP(tpDegree int, memUtil float64) int64 {
+func (cm *CostModel) KVCapacityTokensTP(tpDegree int, memUtil float64) int64 {
 	if tpDegree < 1 {
 		panic(fmt.Sprintf("gpu: invalid TP degree %d", tpDegree))
 	}
@@ -368,7 +368,7 @@ func (cm CostModel) KVCapacityTokensTP(tpDegree int, memUtil float64) int64 {
 // groupSize ranks where the first rootTP ranks each hold a 1/rootTP slice
 // of the full model weights (plus embeddings) and every rank — roots
 // included — contributes its remaining memory to the sharded KV pool.
-func (cm CostModel) KVCapacityTokensTKNP(groupSize, rootTP int, memUtil float64) int64 {
+func (cm *CostModel) KVCapacityTokensTKNP(groupSize, rootTP int, memUtil float64) int64 {
 	if groupSize < 1 || rootTP < 1 || rootTP > groupSize {
 		panic(fmt.Sprintf("gpu: invalid TKNP group %d/root %d", groupSize, rootTP))
 	}

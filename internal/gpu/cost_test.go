@@ -262,8 +262,8 @@ func TestQuickLayerTimePositiveAndAdditive(t *testing.T) {
 
 func TestFasterGPUFasterStage(t *testing.T) {
 	b := BatchShape{PrefillTokens: 1024, PrefillCtxSum: PrefillChunkCtxSum(0, 1024)}
-	l20 := NewCostModel(model.Qwen25_14B, L20).StageTime(b, 12)
-	a100 := NewCostModel(model.Qwen25_14B, A100_40G).StageTime(b, 12)
+	slow, fast := NewCostModel(model.Qwen25_14B, L20), NewCostModel(model.Qwen25_14B, A100_40G)
+	l20, a100 := slow.StageTime(b, 12), fast.StageTime(b, 12)
 	if a100 >= l20 {
 		t.Fatalf("A100 (%v) not faster than L20 (%v)", a100, l20)
 	}

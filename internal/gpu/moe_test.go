@@ -78,7 +78,8 @@ func TestActivatedExpertsCurve(t *testing.T) {
 		t.Fatalf("large batch activates only %v experts", big)
 	}
 	// Dense models never report expert activation.
-	if got := NewCostModel(model.Qwen25_14B, L20).ActivatedExperts(100); got != 0 {
+	dense := NewCostModel(model.Qwen25_14B, L20)
+	if got := dense.ActivatedExperts(100); got != 0 {
 		t.Fatalf("dense activation = %v", got)
 	}
 }

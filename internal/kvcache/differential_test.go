@@ -18,20 +18,25 @@ type twin struct {
 	m      *Manager
 	o      *oracleManager
 	groups []int64
+	// handles holds one Handle per SeqID, never cleared: across Free, SeqID
+	// reuse and struct recycling each goes as stale as a Handle can, and
+	// append must still land where the oracle's by-ID Allocate does.
+	handles map[SeqID]*Handle
 }
 
 func newTwin(t testing.TB, capacityTokens int64, blockSize int, groups ...int64) *twin {
 	return &twin{
-		t:      t,
-		m:      New(capacityTokens, blockSize),
-		o:      newOracle(capacityTokens, blockSize),
-		groups: groups,
+		t:       t,
+		m:       New(capacityTokens, blockSize),
+		o:       newOracle(capacityTokens, blockSize),
+		groups:  groups,
+		handles: make(map[SeqID]*Handle),
 	}
 }
 
-// allocate applies Allocate to both sides (after CanAllocate, whose verdict
-// must match the outcome) and reports whether it succeeded.
-func (w *twin) allocate(id SeqID, extra int) bool {
+// canAllocate compares the two sides' BlocksNeeded and CanAllocate and
+// returns the verdict the growth that follows must match.
+func (w *twin) canAllocate(id SeqID, extra int) bool {
 	w.t.Helper()
 	if got, want := w.m.BlocksNeeded(id, extra), w.o.BlocksNeeded(id, extra); got != want {
 		w.t.Fatalf("BlocksNeeded(%d,%d) = %d, oracle %d", id, extra, got, want)
@@ -40,6 +45,14 @@ func (w *twin) allocate(id SeqID, extra int) bool {
 	if want := w.o.CanAllocate(id, extra); can != want {
 		w.t.Fatalf("CanAllocate(%d,%d) = %v, oracle %v", id, extra, can, want)
 	}
+	return can
+}
+
+// allocate applies Allocate to both sides (after CanAllocate, whose verdict
+// must match the outcome) and reports whether it succeeded.
+func (w *twin) allocate(id SeqID, extra int) bool {
+	w.t.Helper()
+	can := w.canAllocate(id, extra)
 	err, oerr := w.m.Allocate(id, extra), w.o.Allocate(id, extra)
 	if (err == nil) != (oerr == nil) || (err == nil) != can {
 		w.t.Fatalf("Allocate(%d,%d): %v, oracle %v, CanAllocate %v", id, extra, err, oerr, can)
@@ -48,6 +61,26 @@ func (w *twin) allocate(id SeqID, extra int) bool {
 		w.t.Fatalf("Allocate(%d,%d) error %q, oracle %q", id, extra, err, oerr)
 	}
 	return err == nil
+}
+
+// append is allocate with the manager's side going through the SeqID's
+// long-lived handle; the oracle knows sequences by ID only.
+func (w *twin) append(id SeqID, extra int) bool {
+	w.t.Helper()
+	can := w.canAllocate(id, extra)
+	h := w.handles[id]
+	if h == nil {
+		h = new(Handle)
+		w.handles[id] = h
+	}
+	ok, oerr := w.m.TryAppend(h, id, extra), w.o.Allocate(id, extra)
+	if ok != (oerr == nil) || ok != can {
+		w.t.Fatalf("TryAppend(%d,%d) = %v, oracle %v, CanAllocate %v", id, extra, ok, oerr, can)
+	}
+	if ok && h.s != w.m.seqs[id] {
+		w.t.Fatalf("TryAppend(%d,%d) left its handle on another struct than seqs[%d]", id, extra, id)
+	}
+	return ok
 }
 
 func (w *twin) free(id SeqID) {
@@ -69,6 +102,16 @@ func (w *twin) attach(id SeqID, group int64, maxTokens int) int {
 		w.t.Fatalf("AttachPrefix(%d,%d,%d) = %d, oracle %d", id, group, maxTokens, got, want)
 	}
 	return got
+}
+
+// grow is the n-th operation's growth: by ID and through the handle in
+// alternation.
+func (w *twin) grow(n int, id SeqID, extra int) bool {
+	w.t.Helper()
+	if n%2 == 0 {
+		return w.append(id, extra)
+	}
+	return w.allocate(id, extra)
 }
 
 // check compares every observable of the two managers.
@@ -120,9 +163,10 @@ func (w *twin) check(label string) {
 }
 
 // TestDifferentialOracle replays seeded random serving traffic — admit
-// with prefix attach, chunked growth, registration at arbitrary points,
-// release, SeqID reuse — over a cache small enough to stay saturated, and
-// compares the rebuilt manager with the old one after every operation.
+// with prefix attach, chunked growth (every other one through a handle that
+// outlives its sequence), registration at arbitrary points, release, SeqID
+// reuse — over a cache small enough to stay saturated, and compares the
+// rebuilt manager with the old one after every operation.
 func TestDifferentialOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := stats.NewRNG(seed)
@@ -151,13 +195,13 @@ func TestDifferentialOracle(t *testing.T) {
 				want := rng.IntRange(1, 12*bs)
 				got := w.attach(id, group, rng.IntRange(0, want))
 				if rest := want - got; rest > 0 {
-					w.allocate(id, rest)
+					w.grow(op, id, rest)
 				}
 				if w.m.Has(id) {
 					live[id] = group
 				}
 			case k < 5 && len(live) > 0: // grow (a prefill chunk or a decode token)
-				w.allocate(pick(), rng.IntRange(1, 2*bs))
+				w.grow(op, pick(), rng.IntRange(1, 2*bs))
 			case k < 7 && len(live) > 0: // register, mostly under the group it serves
 				id := pick()
 				group := live[id]

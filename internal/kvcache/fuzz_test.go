@@ -10,10 +10,11 @@ import (
 // map-based oracle (oracle_test.go) over a 32-block cache, small enough
 // that three reused prefix groups keep it saturated and evicting. Each
 // byte pair is one operation: the first byte selects op and sequence, the
-// second sizes it. After every op both implementations must Verify and
-// agree on every page table, TokensOf, FreeBlocks, CachedBlocks,
+// second sizes it; half the growth goes through TryAppend and a per-SeqID
+// Handle that is never cleared. After every op both implementations must
+// Verify and agree on every page table, TokensOf, FreeBlocks, CachedBlocks,
 // Evictions, PrefixHits and MatchPrefix of every group (twin.check), and
-// CanAllocate's verdict must agree with Allocate's outcome.
+// CanAllocate's verdict must agree with Allocate's (or TryAppend's) outcome.
 func FuzzKVAllocFree(f *testing.F) {
 	f.Add([]byte("A2B3A5C1D4"))                 // two seqs allocated, queried, grown
 	f.Add([]byte("A9E0B9F0A1B1"))               // alloc/free churn on both seqs
@@ -34,10 +35,12 @@ func FuzzKVAllocFree(f *testing.F) {
 			id := SeqID(op / 8 % 6)
 			group := int64(1 + arg%3)
 			switch op % 8 {
-			case 0, 3: // grow by 1..16 tokens (two opcodes: growth twice as likely)
+			case 0: // grow by 1..16 tokens, by ID
 				w.allocate(id, 1+arg%(2*blockSize))
+			case 3: // and through the handle (two opcodes: growth twice as likely)
+				w.append(id, 1+arg%(2*blockSize))
 			case 6: // a whole prompt: 1..32 blocks, enough to force eviction
-				w.allocate(id, blockSize*(1+arg%32))
+				w.grow(arg/32, id, blockSize*(1+arg%32))
 			case 1, 7: // free (absent sequences must be a no-op)
 				w.free(id)
 			case 2: // pure queries must not disturb state

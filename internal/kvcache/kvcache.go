@@ -10,18 +10,25 @@
 // sequence's token count, page table and prefix-registration watermark
 // live in one struct behind map[SeqID]*seq, and the prefix cache is one
 // slice per group plus a dense per-block reverse index (see prefix.go).
+// The per-decode-token append does none: TryAppend reaches the struct
+// through a Handle the caller keeps beside its sequence.
 package kvcache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SeqID identifies a sequence in the cache.
 type SeqID int64
 
-// seq is one resident sequence.
+// seq is one resident sequence. owner and id say where: s is m.seqs[id]
+// exactly when s.owner == m && s.id == id — newSeq sets both, Free clears
+// owner before the struct is recycled or dropped — which is what lets a
+// Handle be validated without touching the map.
 type seq struct {
+	owner  *Manager
+	id     SeqID
 	tokens int
 	blocks []int // ordered block IDs (the page table)
 
@@ -143,7 +150,7 @@ func (m *Manager) Sequences() []SeqID {
 	for id := range m.seqs {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -187,19 +194,49 @@ func (m *Manager) Allocate(id SeqID, extra int) error {
 	return nil
 }
 
-// TryAllocate is Allocate reporting success as a bool: the per-token decode
-// path, where "no room" is an expected answer (it triggers preemption) and
-// must not format an error. Appending into a trailing block with room
-// costs one map lookup and an add.
+// TryAllocate is Allocate reporting success as a bool, for callers to whom
+// "no room" is an expected answer and must not format an error.
 func (m *Manager) TryAllocate(id SeqID, extra int) bool {
-	s := m.seqs[id]
+	return m.tryAllocate(m.seqs[id], id, extra) != nil
+}
+
+// Handle remembers which struct holds a sequence, so TryAppend can skip the
+// seqs[id] lookup. The zero Handle knows nothing. A Handle can go stale —
+// its sequence freed, the struct recycled under another ID, the ID made
+// resident again in another struct or another Manager — and still never
+// misdirects an append: TryAppend uses it only while it names this
+// manager's resident struct for that ID (see seq), and looks the ID up
+// otherwise. Clearing one when its sequence is freed only stops it from
+// keeping a dropped struct's page table alive.
+type Handle struct{ s *seq }
+
+// TryAppend is TryAllocate for the per-token decode path: it reaches the
+// sequence through h when h is current, by ID when it is not, and leaves h
+// naming the sequence on success. Appending into a trailing block with room
+// costs two compares and an add.
+func (m *Manager) TryAppend(h *Handle, id SeqID, extra int) bool {
+	s := h.s
+	if s == nil || s.owner != m || s.id != id {
+		s = m.seqs[id]
+	}
+	if s = m.tryAllocate(s, id, extra); s == nil {
+		return false
+	}
+	h.s = s
+	return true
+}
+
+// tryAllocate appends extra token slots to id's sequence, s (nil when id is
+// not resident), and returns the sequence — nil, with nothing claimed, when
+// the cache cannot hold them.
+func (m *Manager) tryAllocate(s *seq, id SeqID, extra int) *seq {
 	if s != nil && extra >= 0 && s.tokens+extra <= len(s.blocks)*m.blockSize {
 		s.tokens += extra // the trailing block has room
-		return true
+		return s
 	}
 	need := m.blocksNeeded(s, extra)
 	if need > m.FreeBlocks() {
-		return false
+		return nil
 	}
 	if s == nil {
 		s = m.newSeq(id)
@@ -216,7 +253,7 @@ func (m *Manager) TryAllocate(id SeqID, extra int) bool {
 		s.blocks = append(s.blocks, b)
 	}
 	s.tokens += extra
-	return true
+	return s
 }
 
 // newSeq makes id resident with an empty page table, reusing a recycled
@@ -230,6 +267,7 @@ func (m *Manager) newSeq(id SeqID) *seq {
 	} else {
 		s = new(seq)
 	}
+	s.owner, s.id = m, id
 	m.seqs[id] = s
 	return s
 }
@@ -257,6 +295,7 @@ func (m *Manager) Free(id SeqID) {
 		}
 	}
 	delete(m.seqs, id)
+	s.owner = nil // a Handle still naming s stops validating
 	if len(m.recycled) < maxRecycledSeqs {
 		// A reused SeqID (preempt-and-recompute) starts with no watermark.
 		*s = seq{blocks: s.blocks[:0]}
@@ -274,6 +313,9 @@ func (m *Manager) checkInvariants() error {
 	ordinal := 0
 	for id, s := range m.seqs {
 		ordinal++
+		if s.owner != m || s.id != id {
+			return fmt.Errorf("kvcache: seq %d resident in a struct naming seq %d of manager %p", id, s.id, s.owner)
+		}
 		if m.blocksFor(s.tokens) != len(s.blocks) {
 			return fmt.Errorf("kvcache: seq %d has %d tokens but %d blocks", id, s.tokens, len(s.blocks))
 		}
@@ -298,6 +340,11 @@ func (m *Manager) checkInvariants() error {
 	}
 	if len(m.recycled) > maxRecycledSeqs {
 		return fmt.Errorf("kvcache: %d recycled seq structs exceed bound %d", len(m.recycled), maxRecycledSeqs)
+	}
+	for _, s := range m.recycled {
+		if s.owner != nil {
+			return fmt.Errorf("kvcache: recycled struct still names seq %d", s.id)
+		}
 	}
 	if err := m.checkPrefixInvariants(expectedRefs); err != nil {
 		return err

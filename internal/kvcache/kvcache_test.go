@@ -383,3 +383,84 @@ func TestEvictHeapEquivalenceRandom(t *testing.T) {
 		}
 	}
 }
+
+// A Handle is a hint, never an authority: each way one can go stale, the
+// append must land in the struct seqs[id] names — in the manager it was
+// called on — and nowhere else.
+func TestStaleHandleNeverMisdirects(t *testing.T) {
+	const bs = 16
+	m, other := New(64*bs, bs), New(64*bs, bs)
+	mustAppend := func(m *Manager, h *Handle, id SeqID, n int) {
+		t.Helper()
+		if !m.TryAppend(h, id, n) {
+			t.Fatalf("TryAppend(%d,%d) failed", id, n)
+		}
+		if h.s != m.seqs[id] {
+			t.Fatalf("handle of %d not left on seqs[%d]", id, id)
+		}
+		if err := m.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tokens := func(m *Manager, want map[SeqID]int) {
+		t.Helper()
+		for id, n := range want {
+			if got := m.TokensOf(id); got != n {
+				t.Fatalf("TokensOf(%d) = %d, want %d", id, got, n)
+			}
+		}
+	}
+
+	// The struct recycled under another ID.
+	var h3 Handle
+	mustAppend(m, &h3, 3, 10)
+	held := h3.s
+	m.Free(3)
+	if held.owner != nil {
+		t.Fatal("a freed struct still names its manager")
+	}
+	if err := m.Allocate(5, 20); err != nil {
+		t.Fatal(err)
+	}
+	if m.seqs[5] != held {
+		t.Fatal("setup: seq 5 did not reuse the recycled struct")
+	}
+	mustAppend(m, &h3, 3, 7) // h3 names seq 5's struct now
+	tokens(m, map[SeqID]int{3: 7, 5: 20})
+
+	// The ID resident again in another struct (preempt-and-recompute).
+	h3.s = held // as left behind by the first residency
+	mustAppend(m, &h3, 3, 1)
+	tokens(m, map[SeqID]int{3: 8, 5: 20})
+
+	// The same ID resident in two managers (a disaggregated hand-off).
+	if err := other.Allocate(3, 100); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(other, &h3, 3, 1) // h3 names m's struct
+	tokens(m, map[SeqID]int{3: 8})
+	tokens(other, map[SeqID]int{3: 101})
+	mustAppend(m, &h3, 3, 1) // and now other's
+	tokens(m, map[SeqID]int{3: 9})
+	tokens(other, map[SeqID]int{3: 101})
+
+	// A struct the recycler dropped, reached only through the handle.
+	var hs [2 * maxRecycledSeqs]Handle
+	for i := range hs {
+		mustAppend(m, &hs[i], SeqID(100+i), 1)
+	}
+	for i := range hs {
+		m.Free(SeqID(100 + i))
+	}
+	for i := range hs {
+		if hs[i].s.owner != nil {
+			t.Fatalf("freed struct %d still names its manager", i)
+		}
+	}
+	last := len(hs) - 1
+	dropped := hs[last].s // freed after the recycle list filled
+	mustAppend(m, &hs[last], SeqID(100+last), 3)
+	if dropped.tokens != 1 || hs[last].s == dropped {
+		t.Fatalf("append reached the dropped struct (tokens %d)", dropped.tokens)
+	}
+}

@@ -30,10 +30,10 @@ type Config struct {
 }
 
 // IsMoE reports whether the model uses mixture-of-experts FFNs.
-func (c Config) IsMoE() bool { return c.NumExperts > 0 }
+func (c *Config) IsMoE() bool { return c.NumExperts > 0 }
 
 // Validate reports a descriptive error for inconsistent configurations.
-func (c Config) Validate() error {
+func (c *Config) Validate() error {
 	switch {
 	case c.NumLayers <= 0:
 		return fmt.Errorf("model %s: NumLayers = %d", c.Name, c.NumLayers)
@@ -63,7 +63,7 @@ func (c Config) Validate() error {
 
 // AttnParamsPerLayer counts attention projection parameters of one layer
 // (Q, K, V and output projections under grouped-query attention).
-func (c Config) AttnParamsPerLayer() int64 {
+func (c *Config) AttnParamsPerLayer() int64 {
 	h := int64(c.HiddenSize)
 	q := h * int64(c.NumHeads*c.HeadDim)
 	kv := 2 * h * int64(c.NumKVHeads*c.HeadDim)
@@ -73,12 +73,12 @@ func (c Config) AttnParamsPerLayer() int64 {
 
 // ExpertParams counts one expert FFN's parameters (gate, up and down
 // projections; for dense models, the single FFN).
-func (c Config) ExpertParams() int64 {
+func (c *Config) ExpertParams() int64 {
 	return 3 * int64(c.HiddenSize) * int64(c.IntermediateSize)
 }
 
 // RouterParams counts the MoE router (0 for dense models).
-func (c Config) RouterParams() int64 {
+func (c *Config) RouterParams() int64 {
 	if !c.IsMoE() {
 		return 0
 	}
@@ -87,7 +87,7 @@ func (c Config) RouterParams() int64 {
 
 // MLPParamsPerLayer counts all FFN parameters of one layer: one FFN for
 // dense models, every expert plus the router for MoE.
-func (c Config) MLPParamsPerLayer() int64 {
+func (c *Config) MLPParamsPerLayer() int64 {
 	if !c.IsMoE() {
 		return c.ExpertParams()
 	}
@@ -96,14 +96,14 @@ func (c Config) MLPParamsPerLayer() int64 {
 
 // ParamsPerLayer counts all parameters of one decoder layer (total,
 // i.e. memory footprint; see ActiveParamsPerToken for compute).
-func (c Config) ParamsPerLayer() int64 {
+func (c *Config) ParamsPerLayer() int64 {
 	return c.AttnParamsPerLayer() + c.MLPParamsPerLayer()
 }
 
 // ActiveMLPParamsPerTokenPerLayer counts the FFN parameters one token's
 // forward pass touches in one layer: the whole FFN for dense models, TopK
 // experts plus the router under MoE.
-func (c Config) ActiveMLPParamsPerTokenPerLayer() int64 {
+func (c *Config) ActiveMLPParamsPerTokenPerLayer() int64 {
 	if !c.IsMoE() {
 		return c.ExpertParams()
 	}
@@ -113,78 +113,78 @@ func (c Config) ActiveMLPParamsPerTokenPerLayer() int64 {
 // ActiveParamsPerTokenPerLayer counts the parameters one token's forward
 // pass touches in one layer: everything for dense models, but only TopK
 // experts (plus attention and the router) under MoE.
-func (c Config) ActiveParamsPerTokenPerLayer() int64 {
+func (c *Config) ActiveParamsPerTokenPerLayer() int64 {
 	return c.AttnParamsPerLayer() + c.ActiveMLPParamsPerTokenPerLayer()
 }
 
 // EmbeddingParams counts the input embedding plus the LM head.
-func (c Config) EmbeddingParams() int64 {
+func (c *Config) EmbeddingParams() int64 {
 	return 2 * int64(c.VocabSize) * int64(c.HiddenSize)
 }
 
 // TotalParams counts all model parameters.
-func (c Config) TotalParams() int64 {
+func (c *Config) TotalParams() int64 {
 	return int64(c.NumLayers)*c.ParamsPerLayer() + c.EmbeddingParams()
 }
 
 // AttnWeightBytesPerLayer returns the bytes of one layer's attention
 // projection weights (Q, K, V, O).
-func (c Config) AttnWeightBytesPerLayer() int64 {
+func (c *Config) AttnWeightBytesPerLayer() int64 {
 	return c.AttnParamsPerLayer() * int64(c.DTypeBytes)
 }
 
 // MLPWeightBytesPerLayer returns the bytes of one layer's FFN weights
 // (all experts plus the router under MoE).
-func (c Config) MLPWeightBytesPerLayer() int64 {
+func (c *Config) MLPWeightBytesPerLayer() int64 {
 	return c.MLPParamsPerLayer() * int64(c.DTypeBytes)
 }
 
 // WeightBytesPerLayer returns the bytes of one decoder layer's weights.
-func (c Config) WeightBytesPerLayer() int64 {
+func (c *Config) WeightBytesPerLayer() int64 {
 	return c.AttnWeightBytesPerLayer() + c.MLPWeightBytesPerLayer()
 }
 
 // KVBytesPerTokenPerLayer returns the KV-cache bytes one token occupies in
 // one layer (key + value across KV heads).
-func (c Config) KVBytesPerTokenPerLayer() int64 {
+func (c *Config) KVBytesPerTokenPerLayer() int64 {
 	return 2 * int64(c.NumKVHeads) * int64(c.HeadDim) * int64(c.DTypeBytes)
 }
 
 // KVBytesPerToken returns the KV-cache bytes one token occupies across all
 // layers of the full model.
-func (c Config) KVBytesPerToken() int64 {
+func (c *Config) KVBytesPerToken() int64 {
 	return int64(c.NumLayers) * c.KVBytesPerTokenPerLayer()
 }
 
 // ActivationBytesPerToken returns the inter-stage activation footprint of a
 // single token (the hidden state passed between pipeline stages).
-func (c Config) ActivationBytesPerToken() int64 {
+func (c *Config) ActivationBytesPerToken() int64 {
 	return int64(c.HiddenSize) * int64(c.DTypeBytes)
 }
 
 // AttnLinearFLOPsPerTokenPerLayer returns the attention projection FLOPs
 // (QKV + output) one token costs in one layer: 2 FLOPs per parameter.
-func (c Config) AttnLinearFLOPsPerTokenPerLayer() float64 {
+func (c *Config) AttnLinearFLOPsPerTokenPerLayer() float64 {
 	return 2 * float64(c.AttnParamsPerLayer())
 }
 
 // MLPLinearFLOPsPerTokenPerLayer returns the FFN FLOPs one token costs in
 // one layer: 2 FLOPs per active parameter (TopK experts + router for MoE).
-func (c Config) MLPLinearFLOPsPerTokenPerLayer() float64 {
+func (c *Config) MLPLinearFLOPsPerTokenPerLayer() float64 {
 	return 2 * float64(c.ActiveMLPParamsPerTokenPerLayer())
 }
 
 // LinearFLOPsPerTokenPerLayer returns the projection FLOPs one token costs
 // in one layer: 2 FLOPs per parameter visited (active parameters only —
 // MoE tokens compute through TopK experts, not all of them).
-func (c Config) LinearFLOPsPerTokenPerLayer() float64 {
+func (c *Config) LinearFLOPsPerTokenPerLayer() float64 {
 	return c.AttnLinearFLOPsPerTokenPerLayer() + c.MLPLinearFLOPsPerTokenPerLayer()
 }
 
 // StageLayers splits the model's layers across ppDepth pipeline stages as
 // evenly as possible (earlier stages take the remainder). It panics when
 // ppDepth is out of [1, NumLayers].
-func (c Config) StageLayers(ppDepth int) []int {
+func (c *Config) StageLayers(ppDepth int) []int {
 	if ppDepth < 1 || ppDepth > c.NumLayers {
 		panic(fmt.Sprintf("model %s: invalid pipeline depth %d for %d layers", c.Name, ppDepth, c.NumLayers))
 	}
@@ -201,6 +201,6 @@ func (c Config) StageLayers(ppDepth int) []int {
 }
 
 // String implements fmt.Stringer.
-func (c Config) String() string {
+func (c *Config) String() string {
 	return fmt.Sprintf("%s(%dL h=%d params=%.1fB)", c.Name, c.NumLayers, c.HiddenSize, float64(c.TotalParams())/1e9)
 }

@@ -190,7 +190,8 @@ func TestValidateMoreBadConfigs(t *testing.T) {
 		func(c Config) Config { c.NumKVHeads = 0; return c },
 	}
 	for i, mutate := range cases {
-		if err := mutate(base).Validate(); err == nil {
+		c := mutate(base)
+		if err := c.Validate(); err == nil {
 			t.Errorf("case %d validated", i)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"gllm/internal/kvcache"
 	"gllm/internal/obs"
 )
 
@@ -73,6 +74,7 @@ type Request struct {
 	inFlightChunks []int // prefill chunks scheduled in in-flight micro-batches (FIFO)
 	generated      int   // output tokens produced
 	decodeBusy     bool
+	hasFirstToken  bool // beside decodeBusy: the struct stays in the 208-byte size class
 
 	// On preemption the full context (prompt + generated) must be
 	// recomputed; prefillTarget tracks the current prefill goal and
@@ -85,7 +87,6 @@ type Request struct {
 	FirstSchedule time.Duration
 	FirstToken    time.Duration
 	Finish        time.Duration
-	hasFirstToken bool
 	Preemptions   int
 
 	// emitted counts generated tokens already delivered to the submitter's
@@ -104,6 +105,15 @@ type Request struct {
 	// builders; treat as opaque. It replaces a per-call membership map on
 	// the scheduling hot path.
 	SchedMark uint64
+	// SchedStamp belongs to the Scheduler the way SchedMark belongs to the
+	// Pool: a policy that partitions requests (a cohort, a virtual engine)
+	// stamps its members here and filters on the word instead of keeping a
+	// map keyed by request. Zero means never stamped.
+	SchedStamp uint64
+	// KVSeq is sched.Pool's handle on the request's KV sequence, so the
+	// per-token decode append skips the cache's lookup by ID; treat as
+	// opaque (DESIGN.md §8).
+	KVSeq kvcache.Handle
 }
 
 // New creates a waiting request. It panics on non-positive prompt or output
@@ -196,7 +206,9 @@ func (r *Request) CompleteChunk(now time.Duration) {
 		panic(fmt.Sprintf("request %d: CompleteChunk in state %s inflight %d", r.ID, r.state, len(r.inFlightChunks)))
 	}
 	r.prefillDone += r.inFlightChunks[0]
-	r.inFlightChunks = r.inFlightChunks[1:]
+	// Shift down rather than reslice, so the next ScheduleChunk appends into
+	// the same array instead of allocating one per chunk.
+	r.inFlightChunks = r.inFlightChunks[:copy(r.inFlightChunks, r.inFlightChunks[1:])]
 	if r.prefillDone < r.prefillTarget || len(r.inFlightChunks) > 0 {
 		return
 	}

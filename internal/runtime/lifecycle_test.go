@@ -269,7 +269,8 @@ func TestAdmissionControlRejects(t *testing.T) {
 	// that boundary never came — the test hung once in ~2 000 runs.
 	rt := startRuntime(t, func(cfg *Config) {
 		// A cap of 300 tokens, as a fraction of the deployment's capacity.
-		kvCap := gpu.NewCostModel(cfg.Model, cfg.GPU).KVCapacityTokensPP(cfg.Model.StageLayers(cfg.Topo.GPUs()), 0.9)
+		cost := gpu.NewCostModel(cfg.Model, cfg.GPU)
+		kvCap := cost.KVCapacityTokensPP(cfg.Model.StageLayers(cfg.Topo.GPUs()), 0.9)
 		cfg.AdmitKVFactor = 300.5 / float64(kvCap)
 		cfg.StageFault = stallStage(20 * time.Millisecond)
 	})

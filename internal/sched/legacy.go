@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gllm/internal/request"
@@ -13,16 +14,10 @@ import (
 // policies are implemented here so the whole lineage can be compared on
 // one workload (the SchedulingEvolution experiment).
 
-// allowAll is the nil-filter default.
-func allowAll(*request.Request) bool { return true }
-
 // buildPrefillFiltered is buildPrefill restricted to requests accepted by
 // allow, optionally disabling chunking (whole prompts only — the
 // pre-Sarathi behavior).
 func (p *Pool) buildPrefillFiltered(b *Batch, budget int, now time.Duration, allow func(*request.Request) bool, wholePrompts bool) {
-	if allow == nil {
-		allow = allowAll
-	}
 	// Same epoch-stamped membership scheme as buildPrefill.
 	epoch := batchEpoch.Add(1)
 	for _, c := range b.Chunks {
@@ -70,11 +65,8 @@ func (p *Pool) buildPrefillFiltered(b *Batch, budget int, now time.Duration, all
 }
 
 // buildDecodeFiltered is buildDecode restricted to requests accepted by
-// allow.
+// allow (nil accepts all).
 func (p *Pool) buildDecodeFiltered(b *Batch, maxSeqs int, allow func(*request.Request) bool) {
-	if allow == nil {
-		allow = allowAll
-	}
 	if maxSeqs <= 0 {
 		return
 	}
@@ -85,7 +77,7 @@ func (p *Pool) buildDecodeFiltered(b *Batch, maxSeqs int, allow func(*request.Re
 		if scheduled >= maxSeqs {
 			return
 		}
-		if !allow(r) || r.State() != request.StateDecoding || r.DecodeBusy() {
+		if allow != nil && !allow(r) || r.State() != request.StateDecoding || r.DecodeBusy() {
 			continue
 		}
 		if !w.reserve(r) {
@@ -169,7 +161,11 @@ type BatchLevel struct {
 	// MaxSeqs is the cohort size.
 	MaxSeqs int
 
-	cohort map[*request.Request]bool
+	// cohort holds the admitted requests that have not finished; each
+	// carries stamp in its SchedStamp, which is what the batch builders
+	// filter on.
+	cohort []*request.Request
+	stamp  uint64
 }
 
 // NewBatchLevel returns the FasterTransformer-style baseline.
@@ -177,7 +173,7 @@ func NewBatchLevel(maxSeqs int) *BatchLevel {
 	if maxSeqs < 1 {
 		panic(fmt.Sprintf("sched: batch-level MaxSeqs %d", maxSeqs))
 	}
-	return &BatchLevel{MaxSeqs: maxSeqs, cohort: make(map[*request.Request]bool)}
+	return &BatchLevel{MaxSeqs: maxSeqs}
 }
 
 // Name implements Scheduler.
@@ -186,20 +182,18 @@ func (s *BatchLevel) Name() string { return "batch-level" }
 // Schedule implements Scheduler.
 func (s *BatchLevel) Schedule(p *Pool, now time.Duration) *Batch {
 	// Drop finished cohort members; admit a fresh cohort only when empty.
-	for r := range s.cohort {
-		if r.Finished() {
-			delete(s.cohort, r)
-		}
-	}
+	s.cohort = slices.DeleteFunc(s.cohort, (*request.Request).Finished)
 	if len(s.cohort) == 0 {
+		s.stamp = batchEpoch.Add(1)
 		for _, r := range p.prefillQ {
 			if len(s.cohort) >= s.MaxSeqs {
 				break
 			}
-			s.cohort[r] = true
+			r.SchedStamp = s.stamp
+			s.cohort = append(s.cohort, r)
 		}
 	}
-	inCohort := func(r *request.Request) bool { return s.cohort[r] }
+	inCohort := func(r *request.Request) bool { return r.SchedStamp == s.stamp }
 	b := p.GetBatch()
 	p.buildDecodeFiltered(b, s.MaxSeqs, inCohort)
 	p.buildPrefillFiltered(b, 1<<30, now, inCohort, true)

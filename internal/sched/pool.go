@@ -21,7 +21,9 @@ import (
 // batch builders used to make. Globally monotone (one counter across every
 // pool) so a request migrating between pools — disaggregation adopts
 // decoding requests from other replicas — can never carry a stale mark that
-// collides with another pool's current epoch.
+// collides with another pool's current epoch. The partitioning schedulers
+// draw their request.SchedStamp values from the same counter, for the same
+// reason: a stamp left by one scheduler never reads as another's.
 var batchEpoch atomic.Uint64
 
 // Pool is the serving state every scheduler reads and mutates: the prefill
@@ -126,6 +128,13 @@ func (p *Pool) PrefillQueue() []*request.Request { return p.prefillQ }
 
 // kvSeq maps a request to its KV-cache sequence ID.
 func kvSeq(r *request.Request) kvcache.SeqID { return kvcache.SeqID(r.ID) }
+
+// freeKV releases r's KV residency in this pool and drops the handle that
+// pointed into it.
+func (p *Pool) freeKV(r *request.Request) {
+	p.KV.Free(kvSeq(r))
+	r.KVSeq = kvcache.Handle{}
+}
 
 // GetBatch returns an empty batch, reusing one recycled via PutBatch when
 // available (slice capacity retained, so a steady-state driver schedules
@@ -292,7 +301,8 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 
 // decodeWalk iterates the decoding set for one build call, reserving one KV
 // slot per scheduled sequence. The common case — the token fits, nobody is
-// preempted — walks p.decoding itself and costs one KV lookup per sequence;
+// preempted — walks p.decoding itself and reaches each sequence through the
+// request's handle (r.KVSeq, set by the first append after every prefill);
 // only when a reservation has to preempt (which removes entries from
 // p.decoding in place) does the walk switch to a snapshot, taken before the
 // first mutation and therefore identical to what it was iterating.
@@ -305,7 +315,7 @@ type decodeWalk struct {
 // reserve makes room for one more token of r, preempting younger KV holders
 // as needed. It reports whether r can decode this iteration.
 func (w *decodeWalk) reserve(r *request.Request) bool {
-	if w.p.KV.TryAllocate(kvSeq(r), 1) {
+	if w.p.KV.TryAppend(&r.KVSeq, kvSeq(r), 1) {
 		return true
 	}
 	if !w.snapped {
@@ -356,7 +366,7 @@ func (p *Pool) buildDecodeWeighted(b *Batch, target float64, weight func(*reques
 // can — or r itself is, when it is the youngest.
 func (p *Pool) ensureDecodeSlot(r *request.Request) bool {
 	id := kvSeq(r)
-	for !p.KV.TryAllocate(id, 1) {
+	for !p.KV.TryAppend(&r.KVSeq, id, 1) {
 		victim := p.youngestHolderYoungerThan(r)
 		if victim == nil {
 			// r is the youngest holder: preempt r itself (recompute later).
@@ -414,7 +424,7 @@ func (p *Pool) evict(r *request.Request) {
 	case request.StateDecoding:
 		p.preempt(r)
 	case request.StatePrefilling:
-		p.KV.Free(kvcache.SeqID(r.ID))
+		p.freeKV(r)
 		p.waitingPrefill += r.PrefillDone() // nothing in flight: all of it waits again
 		r.ResetPrefill()
 		p.preemptions++
@@ -426,7 +436,7 @@ func (p *Pool) evict(r *request.Request) {
 // preempt evicts a decoding sequence: its KV is freed and it rejoins the
 // FRONT of the prefill queue for full recompute (vLLM recompute semantics).
 func (p *Pool) preempt(r *request.Request) {
-	p.KV.Free(kvcache.SeqID(r.ID))
+	p.freeKV(r)
 	r.Preempt()
 	p.removeDecoding(r)
 	p.prefillQ = append(p.prefillQ, nil)
@@ -475,7 +485,7 @@ func (p *Pool) Complete(b *Batch, now time.Duration) []*request.Request {
 		case request.StateFinished:
 			p.registerPrefix(c.Req)
 			p.removePrefill(c.Req)
-			p.KV.Free(kvcache.SeqID(c.Req.ID))
+			p.freeKV(c.Req)
 			finished = append(finished, c.Req)
 		}
 	}
@@ -483,7 +493,7 @@ func (p *Pool) Complete(b *Batch, now time.Duration) []*request.Request {
 		if r.CompleteDecode(now) {
 			p.registerPrefix(r)
 			p.removeDecoding(r)
-			p.KV.Free(kvcache.SeqID(r.ID))
+			p.freeKV(r)
 			finished = append(finished, r)
 		}
 	}
@@ -513,19 +523,21 @@ func (p *Pool) Abort(r *request.Request) {
 	default:
 		panic(fmt.Sprintf("sched: aborting %v in state %s", r, r.State()))
 	}
-	p.KV.Free(kvSeq(r))
+	p.freeKV(r)
 	r.Abort()
 }
 
 // ReleaseDecoding removes a decoding request from this pool WITHOUT
 // freeing its KV or touching its state — the caller is migrating it to
 // another replica (prefill/decode disaggregation). The caller must free
-// this pool's KV for the sequence separately once its transfer completes.
+// this pool's KV for the sequence separately once its transfer completes;
+// the request leaves without its handle into that KV.
 func (p *Pool) ReleaseDecoding(r *request.Request) {
 	if r.State() != request.StateDecoding || r.DecodeBusy() {
 		panic(fmt.Sprintf("sched: releasing %v in state %s busy %v", r, r.State(), r.DecodeBusy()))
 	}
 	p.removeDecoding(r)
+	r.KVSeq = kvcache.Handle{}
 }
 
 // AdoptDecoding admits a decoding request migrated from another replica.
@@ -538,6 +550,7 @@ func (p *Pool) AdoptDecoding(r *request.Request) {
 	if p.KV.TokensOf(kvcache.SeqID(r.ID)) == 0 {
 		panic(fmt.Sprintf("sched: adopting %v without KV residency", r))
 	}
+	r.KVSeq = kvcache.Handle{} // whatever it named is not in this pool's cache
 	p.decoding = append(p.decoding, r)
 }
 

@@ -21,21 +21,21 @@ type VirtualEngines struct {
 	// depth).
 	Engines int
 
-	next       int                      // which engine schedules next (drives the slot rotation)
-	assignment map[*request.Request]int // request -> engine
-	rr         int                      // round-robin admission cursor
+	next int    // which engine schedules next (drives the slot rotation)
+	base uint64 // the stamps (base, base+Engines] are this scheduler's alone
+	rr   int    // round-robin admission cursor
 }
+
+// stamp is the request.SchedStamp of the requests assigned to engine e.
+func (v *VirtualEngines) stamp(e int) uint64 { return v.base + 1 + uint64(e) }
 
 // NewVirtualEngines returns the vLLM-layout scheduler.
 func NewVirtualEngines(budget, engines int) *VirtualEngines {
 	if budget < 1 || engines < 1 {
 		panic(fmt.Sprintf("sched: virtual engines budget=%d engines=%d", budget, engines))
 	}
-	return &VirtualEngines{
-		Budget:     budget,
-		Engines:    engines,
-		assignment: make(map[*request.Request]int),
-	}
+	n := uint64(engines)
+	return &VirtualEngines{Budget: budget, Engines: engines, base: batchEpoch.Add(n) - n}
 }
 
 // Name implements Scheduler.
@@ -46,17 +46,9 @@ func (v *VirtualEngines) Name() string { return "vllm-ve" }
 func (v *VirtualEngines) Schedule(p *Pool, now time.Duration) *Batch {
 	// Admit unassigned requests round-robin.
 	for _, r := range p.PrefillQueue() {
-		if _, ok := v.assignment[r]; !ok {
-			v.assignment[r] = v.rr % v.Engines
+		if r.SchedStamp < v.stamp(0) || r.SchedStamp > v.stamp(v.Engines-1) {
+			r.SchedStamp = v.stamp(v.rr % v.Engines)
 			v.rr++
-		}
-	}
-	// Garbage-collect finished assignments occasionally.
-	if len(v.assignment) > 4*len(p.PrefillQueue())+4*p.RunningDecode()+64 {
-		for r := range v.assignment {
-			if r.Finished() {
-				delete(v.assignment, r)
-			}
 		}
 	}
 
@@ -65,7 +57,8 @@ func (v *VirtualEngines) Schedule(p *Pool, now time.Duration) *Batch {
 	// the others).
 	for attempt := 0; attempt < v.Engines; attempt++ {
 		e := (v.next + attempt) % v.Engines
-		mine := func(r *request.Request) bool { return v.assignment[r] == e }
+		stamp := v.stamp(e)
+		mine := func(r *request.Request) bool { return r.SchedStamp == stamp }
 		b := p.GetBatch()
 		p.buildDecodeFiltered(b, v.Budget, mine)
 		if rest := v.Budget - b.DecodeTokens(); rest > 0 {

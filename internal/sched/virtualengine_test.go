@@ -71,7 +71,7 @@ func TestVirtualEnginesIdleEngineSkipped(t *testing.T) {
 	}
 }
 
-func TestVirtualEnginesDrainAndGC(t *testing.T) {
+func TestVirtualEnginesDrain(t *testing.T) {
 	p := newPool(t, 1<<16, 4)
 	s := NewVirtualEngines(2048, 4)
 	for i := 0; i < 120; i++ {
@@ -92,9 +92,6 @@ func TestVirtualEnginesDrainAndGC(t *testing.T) {
 	}
 	if finished != 120 {
 		t.Fatalf("finished %d/120", finished)
-	}
-	if len(s.assignment) > 120 {
-		t.Fatalf("assignment map not GCed: %d entries", len(s.assignment))
 	}
 }
 

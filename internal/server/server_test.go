@@ -452,7 +452,8 @@ func TestClientDisconnectNonStreaming(t *testing.T) {
 func TestQueueFullGives429(t *testing.T) {
 	ts, rt := testServerCfg(t, func(cfg *runtime.Config) {
 		// A cap of 200 tokens, as a fraction of the deployment's capacity.
-		kvCap := gpu.NewCostModel(cfg.Model, cfg.GPU).KVCapacityTokensPP(cfg.Model.StageLayers(cfg.Topo.GPUs()), 0.9)
+		cost := gpu.NewCostModel(cfg.Model, cfg.GPU)
+		kvCap := cost.KVCapacityTokensPP(cfg.Model.StageLayers(cfg.Topo.GPUs()), 0.9)
 		cfg.AdmitKVFactor = 200.5 / float64(kvCap)
 		cfg.StageFault = func(stage, seq int) time.Duration { return time.Hour }
 	})

@@ -10,7 +10,9 @@ type Resource struct {
 	eng       *Engine
 	name      string
 	busy      bool
-	queue     []job
+	cur       job    // in service while busy
+	finish    func() // r.complete, bound once: starting a job allocates nothing
+	queue     []job  // waiting jobs, oldest first
 	busySince time.Duration
 	totalBusy time.Duration
 }
@@ -22,7 +24,9 @@ type job struct {
 
 // NewResource creates a resource bound to eng.
 func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, name: name}
+	r := &Resource{eng: eng, name: name}
+	r.finish = r.complete
+	return r
 }
 
 // Name returns the resource's label.
@@ -52,18 +56,31 @@ func (r *Resource) Submit(dur time.Duration, done func()) {
 func (r *Resource) start(j job) {
 	r.busy = true
 	r.busySince = r.eng.Now()
-	r.eng.After(j.dur, func() {
-		r.totalBusy += r.eng.Now() - r.busySince
-		r.busy = false
-		if j.done != nil {
-			j.done()
-		}
-		if len(r.queue) > 0 && !r.busy {
-			next := r.queue[0]
-			r.queue = r.queue[1:]
-			r.start(next)
-		}
-	})
+	r.cur = j
+	r.eng.After(j.dur, r.finish)
+}
+
+// complete ends the job in service, runs its done callback and starts the
+// next waiting job unless done already put one in service.
+func (r *Resource) complete() {
+	r.totalBusy += r.eng.Now() - r.busySince
+	r.busy = false
+	done := r.cur.done
+	r.cur = job{}
+	if done != nil {
+		done()
+	}
+	if len(r.queue) > 0 && !r.busy {
+		next := r.queue[0]
+		// Shift down rather than reslice: the queue keeps its array (no
+		// regrowth at steady state) and no popped job's closure stays
+		// reachable in a dead prefix. Queues are as short as the batches
+		// in flight, so the copy is a few words.
+		n := copy(r.queue, r.queue[1:])
+		r.queue[n] = job{}
+		r.queue = r.queue[:n]
+		r.start(next)
+	}
 }
 
 // BusyTime returns the cumulative time spent in service, including the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -201,4 +202,49 @@ func TestResourceSubmitFromCompletion(t *testing.T) {
 	if e.Now() != 3*time.Millisecond {
 		t.Fatalf("now = %v", e.Now())
 	}
+}
+
+// A resource at steady state — jobs queue behind the one in service and
+// complete in turn — reuses its queue's array and its one bound completion
+// callback, so the cycle allocates nothing once the caller's done callback
+// exists.
+func TestResourceSteadyStateAllocationFree(t *testing.T) {
+	e := New()
+	r := NewResource(e, "gpu0")
+	done := func() {}
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			r.Submit(time.Millisecond, done)
+		}
+		e.Run()
+	}
+	cycle() // grow the queue and the event heap once
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("%.1f allocations per 4-job cycle, want 0", avg)
+	}
+}
+
+// Neither the queue nor the resource may keep a completed job's callback
+// reachable: whatever the callback captured must be collectable as soon as
+// it has run, not when the queue next regrows.
+func TestResourceReleasesCompletedJobs(t *testing.T) {
+	e := New()
+	r := NewResource(e, "gpu0")
+	freed := make(chan struct{}, 3)
+	for i := 0; i < 3; i++ { // one in service, two queued
+		payload := new([64]byte)
+		runtime.SetFinalizer(payload, func(*[64]byte) { freed <- struct{}{} })
+		r.Submit(time.Millisecond, func() { payload[0]++ })
+	}
+	e.Run()
+	for got := 0; got < 3; {
+		runtime.GC() // finalizers run on their own goroutine after a cycle
+		select {
+		case <-freed:
+			got++
+		case <-time.After(2 * time.Second):
+			t.Fatalf("only %d of 3 completed jobs' captures were collected; queue cap %d", got, cap(r.queue))
+		}
+	}
+	runtime.KeepAlive(r)
 }

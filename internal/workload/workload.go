@@ -7,9 +7,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"gllm/internal/stats"
@@ -148,7 +149,7 @@ func Uniform(n, promptLen, outputLen int, gap time.Duration) []Item {
 
 // Sort orders items by arrival (stable), in place.
 func Sort(items []Item) {
-	sort.SliceStable(items, func(i, j int) bool { return items[i].Arrival < items[j].Arrival })
+	slices.SortStableFunc(items, func(a, b Item) int { return cmp.Compare(a.Arrival, b.Arrival) })
 }
 
 // Validate checks that a trace is usable by the engines.

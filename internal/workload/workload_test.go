@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -163,6 +165,25 @@ func TestSortStable(t *testing.T) {
 	Sort(items)
 	if items[0].PromptLen != 2 || items[1].PromptLen != 3 || items[2].PromptLen != 1 {
 		t.Fatalf("sort wrong: %+v", items)
+	}
+}
+
+// A stable sort has one answer: Sort must give sort.SliceStable's on traces
+// where many items share an arrival.
+func TestSortMatchesSliceStable(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := stats.NewRNG(seed)
+		items := make([]Item, 500+rng.Intn(500))
+		for i := range items {
+			// ~25 distinct arrivals; PromptLen tells tied items apart.
+			items[i] = Item{Arrival: time.Duration(rng.Intn(25)) * time.Second, PromptLen: i + 1, OutputLen: 1}
+		}
+		want := slices.Clone(items)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Arrival < want[j].Arrival })
+		Sort(items)
+		if !slices.Equal(items, want) {
+			t.Fatalf("seed %d: Sort differs from sort.SliceStable", seed)
+		}
 	}
 }
 
