@@ -453,9 +453,9 @@ func (c *Router) notePick(id string) {
 }
 
 // recordSpan records one router-side request span (no-op when the router
-// has no recorder or the request is untraced). Spans use wall-clock time,
-// not the injected retry Clock: they are merged against other processes'
-// recorders, which only share the wall clock.
+// has no recorder or the request is untraced). Spans use wall-clock time
+// (c.reqSpans.Now), not the injected retry Clock: they are merged against
+// other processes' recorders, which only share the wall clock.
 func (c *Router) recordSpan(trace obs.TraceID, name, detail string, attempt int, start, end time.Time) {
 	c.reqSpans.Record(trace, name, obs.SideRouter, detail, attempt, start, end)
 }
@@ -478,12 +478,12 @@ func (c *Router) Submit(ctx context.Context, req Request) (*runtime.Handle, *Rep
 		}
 		attempts++
 		var hint time.Duration
-		pickStart := time.Now()
+		pickStart := c.reqSpans.Now(req.Trace)
 		rep, err := c.pick(req)
 		if err == nil {
 			var h *runtime.Handle
 			h, err = rep.eng.SubmitBatchedSpec(ctx, req)
-			c.recordSpan(req.Trace, obs.SpanPick, rep.ID, attempt, pickStart, time.Now())
+			c.recordSpan(req.Trace, obs.SpanPick, rep.ID, attempt, pickStart, c.reqSpans.Now(req.Trace))
 			if err == nil {
 				rep.routed.Add(1)
 				c.notePick(rep.ID)
@@ -497,7 +497,7 @@ func (c *Router) Submit(ctx context.Context, req Request) (*runtime.Handle, *Rep
 				hint = rep.Pressure().RetryAfterHint()
 			}
 		} else {
-			c.recordSpan(req.Trace, obs.SpanPick, "none", attempt, pickStart, time.Now())
+			c.recordSpan(req.Trace, obs.SpanPick, "none", attempt, pickStart, c.reqSpans.Now(req.Trace))
 		}
 		lastErr = err
 		if attempt == c.retry.MaxAttempts-1 {
@@ -511,11 +511,11 @@ func (c *Router) Submit(ctx context.Context, req Request) (*runtime.Handle, *Rep
 		reason := retryReason(lastErr)
 		c.noteRetry(reason)
 		c.backoff.Observe(delay.Seconds())
-		sleepStart := time.Now()
+		sleepStart := c.reqSpans.Now(req.Trace)
 		if err := c.clock.Sleep(ctx, delay); err != nil {
 			return nil, nil, err
 		}
-		c.recordSpan(req.Trace, obs.SpanBackoff, reason, attempt, sleepStart, time.Now())
+		c.recordSpan(req.Trace, obs.SpanBackoff, reason, attempt, sleepStart, c.reqSpans.Now(req.Trace))
 	}
 	c.gaveUp.Add(1)
 	c.logEvent(slog.LevelWarn, "submission gave up",

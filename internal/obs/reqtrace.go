@@ -165,6 +165,16 @@ func NewReqRecorder(capacity int) *ReqRecorder {
 	}
 }
 
+// Now reads the wall clock for a bound of a span Record would keep (the
+// recorder is non-nil and the request traced) and returns the zero time
+// otherwise, so an untraced request pays for no reading.
+func (r *ReqRecorder) Now(trace TraceID) time.Time {
+	if r == nil || trace == 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // Record captures one span from absolute timestamps. Nil recorders and
 // zero trace IDs are no-ops; an end before start is clamped to a
 // zero-length span (wall-clock callers may race the anchor by

@@ -85,14 +85,14 @@ func (d *driver) run() {
 		select {
 		case sub := <-rt.submitCh:
 			d.admit(sub)
-			d.fill()
+			d.fill(time.Since(rt.start))
 		case sub := <-rt.cancelCh:
 			d.cancel(sub)
-			d.fill() // an abort releases KV, which may unblock scheduling
+			d.fill(time.Since(rt.start)) // an abort releases KV, which may unblock scheduling
 		case q := <-rt.queryCh:
 			q.reply <- d.pool.KV.MatchPrefix(q.group, q.maxTokens)
 		case mb := <-rt.doneCh:
-			d.retire(mb)
+			d.retire(mb, time.Since(rt.start))
 		case <-d.stopCh:
 			d.stopCh, d.draining = nil, true
 			d.fence(slog.LevelInfo, "drain started")
@@ -122,7 +122,7 @@ func (d *driver) drained() bool {
 		// idle pipeline it never will (its decisions depend only on pool
 		// state), so the remainder is aborted rather than stalled.
 		d.sweep()
-		d.fill()
+		d.fill(time.Since(d.rt.start))
 	}
 	return d.inFlight() == 0
 }
@@ -167,11 +167,6 @@ func (d *driver) exit() {
 			reason = *rp
 		}
 		d.abort(sub, reason)
-	}
-	if rt.cfg.Async {
-		for _, w := range rt.workers {
-			close(w.metaCh)
-		}
 	}
 	close(rt.workers[0].workCh)
 	d.publishGauges()
@@ -219,14 +214,16 @@ func quiescent(r *request.Request) bool {
 }
 
 // fill schedules fresh batches into the free slots: schedule → prep →
-// inject. A killed driver schedules nothing more.
-func (d *driver) fill() {
+// inject. now is the event's one reading of the runtime clock; it feeds
+// Schedule, the heartbeat and the prep span, and is read again only after
+// an emulated prep sleep. A killed driver schedules nothing more.
+func (d *driver) fill(now time.Duration) {
 	rt := d.rt
 	if d.killed {
 		return
 	}
 	for len(d.free) > 0 {
-		b := rt.cfg.Scheduler.Schedule(d.pool, time.Since(rt.start))
+		b := rt.cfg.Scheduler.Schedule(d.pool, now)
 		if b.Empty() {
 			d.pool.PutBatch(b)
 			return
@@ -237,31 +234,36 @@ func (d *driver) fill() {
 		mb.seq, mb.batch, mb.shape = d.seq, b, b.Shape()
 		rt.iterations.Add(1)
 		rt.inFlight.Store(int64(d.inFlight()))
-		rt.beat()
-		prep := d.prep.PrepTime(len(b.Chunks)+len(b.Decodes), b.Tokens())
-		prepStart := time.Since(rt.start)
+		rt.beat(now)
+		prepStart := now
 		if rt.cfg.Async {
 			// Dual-phase: metadata first, to every stage, so workers prepare
 			// inputs while earlier batches still compute; only the Token
 			// Throttling residual stays on the driver. The coupled runtime
 			// pays its whole input preparation here, on the critical path.
+			// No stage parks on metaCh, so these sends wake nothing: each
+			// stage drains them the next time it is awake.
 			for _, w := range rt.workers {
 				w.metaCh <- mb
 			}
 		}
-		rt.sleepScaled(prep)
-		rt.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(),
-			prepStart, time.Since(rt.start))
+		if rt.emulates() {
+			prep := d.prep.PrepTime(len(b.Chunks)+len(b.Decodes), b.Tokens())
+			if rt.sleepScaled(prep) > 0 {
+				now = time.Since(rt.start)
+			}
+		}
+		rt.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), prepStart, now)
 		rt.workers[0].workCh <- mb
 	}
 }
 
 // retire commits a batch that left the last stage: tokens are committed
 // and streamed, the slot freed, quiescent cancels reaped and the slots
-// refilled.
-func (d *driver) retire(mb *microBatch) {
+// refilled. now is the event's one reading of the runtime clock.
+func (d *driver) retire(mb *microBatch, now time.Duration) {
 	rt := d.rt
-	fin := len(d.pool.Complete(mb.batch, time.Since(rt.start)))
+	fin := len(d.pool.Complete(mb.batch, now))
 	// Each request's emitted watermark marks where this batch's tokens
 	// start; a request appears at most once per batch (chunks and decodes
 	// are disjoint phases).
@@ -275,7 +277,7 @@ func (d *driver) retire(mb *microBatch) {
 	d.pool.PutBatch(mb.batch)
 	mb.batch = nil
 	d.free = append(d.free, mb)
-	rt.beat()
+	rt.beat(now)
 	// Cancel-requested requests this batch was holding are quiescent now.
 	for _, sub := range d.pendingCancels {
 		if quiescent(sub.req) {
@@ -290,7 +292,7 @@ func (d *driver) retire(mb *microBatch) {
 	}
 	rt.finished.Add(int64(fin))
 	rt.inFlight.Store(int64(d.inFlight()))
-	d.fill()
+	d.fill(now)
 }
 
 // emit streams the tokens a request gained since its last delivery

@@ -107,9 +107,14 @@ func TestSnapshotBubbleAccounting(t *testing.T) {
 	if s.Uptime <= 0 {
 		t.Fatalf("uptime = %v", s.Uptime)
 	}
-	// TimeScale 0 ⇒ no emulated occupancy ⇒ bubble rate ≈ 1.
-	if s.BubbleRate < 0.9 || s.BubbleRate > 1 {
-		t.Fatalf("bubble rate = %v", s.BubbleRate)
+	// TimeScale 0 ⇒ nothing is emulated ⇒ no stage was ever busy.
+	for i, busy := range s.StageBusySeconds {
+		if busy != 0 {
+			t.Fatalf("stage %d busy %v s with nothing emulated", i, busy)
+		}
+	}
+	if s.BubbleRate != 1 {
+		t.Fatalf("bubble rate = %v, want 1", s.BubbleRate)
 	}
 }
 

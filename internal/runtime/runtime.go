@@ -13,11 +13,11 @@
 //     and communicates with the driver only through a channel.
 //  3. Preemptive (dual-phase) metadata scheduling — in async mode the
 //     driver broadcasts a metadata packet to every stage as soon as a
-//     micro-batch is scheduled; each worker prepares its inputs from the
-//     metadata in a side goroutine, overlapping preparation with the
-//     compute of earlier batches. In sync mode (the vLLM-like baseline)
-//     metadata travels with the activations and preparation sits on the
-//     critical path.
+//     micro-batch is scheduled; each stage worker drains the metadata
+//     whenever it is awake (after forwarding a batch), so inputs are
+//     prepared while later stages compute earlier batches. In sync mode
+//     (the vLLM-like baseline) metadata travels with the activations and
+//     preparation sits on the critical path.
 //
 // GPU compute is emulated: stage execution occupies the worker for the
 // duration given by the same gpu.CostModel the discrete-event engine uses,
@@ -294,7 +294,7 @@ type Snapshot struct {
 	// Uptime is the wall-clock time since the runtime started.
 	Uptime time.Duration
 	// StageBusySeconds is each stage worker's cumulative execute time
-	// (emulated compute occupancy; zero when TimeScale is 0).
+	// (emulated compute occupancy, as slept; zero when TimeScale is 0).
 	StageBusySeconds []float64
 	// BubbleRate is the aggregate pipeline bubble rate over the uptime:
 	// 1 − Σ_s busy_s / (stages × uptime), the paper's §3 quantity.
@@ -416,7 +416,7 @@ type Runtime struct {
 	admittedKV atomic.Int64 // projected KV tokens of admitted, unfinished requests
 	rejected   atomic.Int64
 	degraded   atomic.Bool
-	lastBeat   atomic.Int64 // UnixNano of the driver's last scheduling progress
+	lastBeat   atomic.Int64 // driver's last scheduling progress, ns since start (monotonic)
 
 	nextID atomic.Int64
 	start  time.Time
@@ -593,7 +593,6 @@ func Start(cfg Config) (*Runtime, error) {
 	if cfg.AdmitKVFactor > 0 {
 		rt.admitLimit = int64(cfg.AdmitKVFactor * float64(kvCap))
 	}
-	rt.lastBeat.Store(time.Now().UnixNano())
 	rt.gauges = poolGauges{kvFreeRate: 1} // empty cache until the driver's first pass
 	rt.workers = make([]*worker, depth)
 	for i := range rt.workers {
@@ -923,12 +922,12 @@ func (rt *Runtime) watchdogLoop() {
 			return
 		case <-t.C:
 			inFlight := int(rt.inFlight.Load())
-			beat := time.Unix(0, rt.lastBeat.Load())
-			cur := inFlight > 0 && time.Since(beat) > timeout
+			stalled := time.Since(rt.start) - time.Duration(rt.lastBeat.Load())
+			cur := inFlight > 0 && stalled > timeout
 			if prev := rt.degraded.Swap(cur); prev != cur {
 				if cur {
 					rt.logEvent(slog.LevelWarn, "health degraded",
-						"in_flight", inFlight, "stalled_for", time.Since(beat))
+						"in_flight", inFlight, "stalled_for", stalled)
 				} else {
 					rt.logEvent(slog.LevelInfo, "health recovered")
 				}
@@ -937,26 +936,44 @@ func (rt *Runtime) watchdogLoop() {
 	}
 }
 
-// beat records driver scheduling progress for the watchdog.
-func (rt *Runtime) beat() { rt.lastBeat.Store(time.Now().UnixNano()) }
+// beat records driver scheduling progress for the watchdog; now is the
+// driver's reading of the runtime clock for the current event.
+func (rt *Runtime) beat(now time.Duration) { rt.lastBeat.Store(int64(now)) }
 
-// sleepScaled emulates occupancy of modeled duration d.
-func (rt *Runtime) sleepScaled(d time.Duration) {
-	if rt.cfg.TimeScale <= 0 || d <= 0 {
-		return
+// emulates reports whether modeled time is slept at all; when it is not,
+// nothing needs pricing.
+func (rt *Runtime) emulates() bool { return rt.cfg.TimeScale > 0 }
+
+// spanClock reads the runtime clock for a span bound, and only when there
+// is a span recorder to receive it.
+func (rt *Runtime) spanClock() time.Duration {
+	if rt.cfg.Spans == nil {
+		return 0
 	}
-	rt.sleepWall(time.Duration(float64(d) * rt.cfg.TimeScale))
+	return time.Since(rt.start)
 }
 
-// sleepWall sleeps for wall-clock duration d, cut short by Close.
-func (rt *Runtime) sleepWall(d time.Duration) {
-	if d <= 0 {
-		return
+// sleepScaled emulates occupancy of modeled duration d and returns the wall
+// time actually slept.
+func (rt *Runtime) sleepScaled(d time.Duration) time.Duration {
+	if !rt.emulates() || d <= 0 {
+		return 0
 	}
+	return rt.sleepWall(time.Duration(float64(d) * rt.cfg.TimeScale))
+}
+
+// sleepWall sleeps for wall-clock duration d, cut short by Close, and
+// returns the wall time actually slept.
+func (rt *Runtime) sleepWall(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	start := time.Now()
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-rt.killCh:
 	}
+	return time.Since(start)
 }

@@ -324,6 +324,55 @@ func TestScaledClockRuns(t *testing.T) {
 	if got := len(collect(t, h)); got != 4 {
 		t.Fatalf("events = %d", got)
 	}
+	// Emulated compute is slept, so every stage accrued busy time.
+	for i, busy := range rt.Stats().StageBusySeconds {
+		if busy <= 0 {
+			t.Fatalf("stage %d busy %v s with compute emulated", i, busy)
+		}
+	}
+}
+
+// An async runtime is the driver plus one goroutine per stage: metadata is
+// prepared by the stage goroutine itself, so a per-stage helper goroutine
+// coming back (four more wake-ups per batch at PP-4) fails here.
+func TestAsyncGoroutineBudget(t *testing.T) {
+	settled := func() int {
+		n := goruntime.NumGoroutine()
+		for {
+			time.Sleep(5 * time.Millisecond)
+			m := goruntime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+	}
+	baseline := settled()
+	rt, err := Start(Config{
+		Model:           model.Qwen25_14B,
+		GPU:             gpu.L20,
+		Topo:            network.IntraNode(4, network.PCIe),
+		Scheduler:       sched.NewDefaultThrottle(),
+		Async:           true,
+		WatchdogTimeout: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := goruntime.NumGoroutine()-baseline, 4+1; got != want {
+		t.Errorf("PP-4 async runtime added %d goroutines, want %d (driver + one per stage)", got, want)
+	}
+	h, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: 64, MaxTokens: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(collectBatched(t, h)); got != 8 {
+		t.Fatalf("tokens = %d", got)
+	}
+	rt.Close()
+	waitFor(t, "every runtime goroutine to exit", func() bool {
+		return goruntime.NumGoroutine() <= baseline
+	})
 }
 
 func TestConversationWithPrefixCache(t *testing.T) {

@@ -1,18 +1,18 @@
 package runtime
 
 import (
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"gllm/internal/obs"
 )
 
-// worker is one pipeline-stage worker process. In async mode it runs two
-// goroutines: a metadata loop that prepares input descriptors as soon as
-// the driver's broadcast arrives (overlapping preparation with compute of
-// earlier batches — the paper's "preemptive metadata scheduling"), and a
-// compute loop that executes micro-batches and forwards activations.
+// worker is one pipeline-stage worker process: one goroutine that executes
+// micro-batches in arrival order and forwards activations. In async mode it
+// also prepares input descriptors from the driver's metadata broadcast
+// (metaCh) whenever it is awake anyway — right after forwarding a batch,
+// while earlier batches still compute downstream — so inputs are usually
+// ready before the activations arrive (the paper's "preemptive metadata
+// scheduling"). A metadata send wakes nothing; the activations do.
 type worker struct {
 	rt     *Runtime
 	idx    int
@@ -24,44 +24,35 @@ type worker struct {
 
 	// prepSeq is the highest micro-batch seq whose inputs this stage has
 	// prepared. The driver hands seqs out strictly increasing and metaCh is
-	// FIFO, so a single watermark (guarded by prepMu, signalled through
-	// prepCond) replaces the per-batch channel+map the prep handshake used
-	// to allocate.
-	prepMu   sync.Mutex
-	prepCond *sync.Cond
-	prepSeq  int
-	// inputs is the stage's reusable input-descriptor scratch; only the
-	// goroutine that builds inputs touches it (metaLoop in async mode, the
-	// compute loop otherwise).
+	// FIFO, so one watermark, touched only by the stage goroutine, says
+	// which batches are ready.
+	prepSeq int
+	// inputs is the stage's reusable input-descriptor scratch.
 	inputs []inputDesc
-	// PreparedEarly counts batches whose inputs were ready before the
+	// preparedEarly counts batches whose inputs were ready before the
 	// activations arrived (observability for the overlap design).
 	preparedEarly atomic.Int64
-	computed      atomic.Int64
-	// busyNanos is the stage's cumulative execute wall-clock time (the
-	// numerator of Snapshot.BubbleRate).
+	// busyNanos is the stage's cumulative emulated execute time, as slept
+	// on the wall clock (the numerator of Snapshot.BubbleRate).
 	busyNanos atomic.Int64
 }
 
 func newWorker(rt *Runtime, idx int) *worker {
-	w := &worker{
+	return &worker{
 		rt:     rt,
 		idx:    idx,
 		layers: rt.stageLayers[idx],
+		// Both exceed the ≤ depth batches in flight, so the driver's sends
+		// never block.
 		metaCh: make(chan *microBatch, 2*len(rt.stageLayers)+4),
 		workCh: make(chan *microBatch, 2*len(rt.stageLayers)+4),
 	}
-	w.prepCond = sync.NewCond(&w.prepMu)
-	return w
 }
 
-// start wires the worker to its successor and spawns its goroutines.
+// start wires the worker to its successor and spawns its goroutine.
 func (w *worker) start(hasNext bool) {
 	if hasNext {
 		w.next = w.rt.workers[w.idx+1]
-	}
-	if w.rt.cfg.Async {
-		go w.metaLoop()
 	}
 	go w.computeLoop()
 }
@@ -75,8 +66,8 @@ type inputDesc struct {
 }
 
 // buildInputs constructs the stage's input descriptors from a metadata
-// packet into the worker's reusable scratch. This is the work that the
-// async runtime hides off the critical path.
+// packet into the worker's reusable scratch and advances the watermark.
+// This is the work that the async runtime hides off the critical path.
 func (w *worker) buildInputs(mb *microBatch) {
 	ins := w.inputs[:0]
 	for _, c := range mb.batch.Chunks {
@@ -86,67 +77,79 @@ func (w *worker) buildInputs(mb *microBatch) {
 		ins = append(ins, inputDesc{reqID: d.ID, tokens: 1, ctx: d.ContextLen()})
 	}
 	w.inputs = ins
+	w.prepSeq = mb.seq
 }
 
-// metaLoop receives metadata broadcasts and prepares inputs ahead of the
-// activations, advancing the prepared watermark.
-func (w *worker) metaLoop() {
-	for mb := range w.metaCh {
-		w.buildInputs(mb)
-		w.prepMu.Lock()
-		w.prepSeq = mb.seq
-		w.prepMu.Unlock()
-		w.prepCond.Broadcast()
+// prepareAhead prepares every metadata packet the driver has already
+// published, without waiting for more.
+func (w *worker) prepareAhead() {
+	for {
+		select {
+		case mb := <-w.metaCh:
+			w.buildInputs(mb)
+		default:
+			return
+		}
+	}
+}
+
+// prepareUpTo catches the watermark up to seq. The driver publishes a
+// batch's metadata before it injects its activations, so the packet is
+// already queued and the receive does not park.
+func (w *worker) prepareUpTo(seq int) {
+	if w.prepSeq >= seq {
+		w.preparedEarly.Add(1)
+		return
+	}
+	for w.prepSeq < seq {
+		w.buildInputs(<-w.metaCh)
 	}
 }
 
 // computeLoop executes micro-batches in arrival order and forwards
 // activations downstream (or retires the batch to the driver at the last
-// stage).
+// stage). The clock is read only around an emulated sleep or for a span.
 func (w *worker) computeLoop() {
+	rt := w.rt
+	async, spans := rt.cfg.Async, rt.cfg.Spans
 	defer func() {
 		if w.next != nil {
 			close(w.next.workCh)
 		}
 	}()
 	for mb := range w.workCh {
-		if w.rt.cfg.Async {
-			w.prepMu.Lock()
-			if w.prepSeq >= mb.seq {
-				w.prepMu.Unlock()
-				w.preparedEarly.Add(1)
-			} else {
-				for w.prepSeq < mb.seq {
-					w.prepCond.Wait()
-				}
-				w.prepMu.Unlock()
-			}
+		if async {
+			w.prepareUpTo(mb.seq)
 		} else {
 			// Coupled runtime: metadata travels with activations and inputs
 			// are built on the critical path.
 			w.buildInputs(mb)
 		}
-		if fault := w.rt.cfg.StageFault; fault != nil {
+		if fault := rt.cfg.StageFault; fault != nil {
 			// Injected stall (wall clock, not modeled time); Close cuts it
 			// short via sleepWall's kill select.
 			if d := fault(w.idx, mb.seq); d > 0 {
-				w.rt.sleepWall(d)
+				rt.sleepWall(d)
 			}
 		}
-		execStart := time.Since(w.rt.start)
-		w.rt.sleepScaled(w.rt.cost.StageTime(mb.shape, w.layers))
-		execEnd := time.Since(w.rt.start)
-		w.busyNanos.Add(int64(execEnd - execStart))
-		w.rt.cfg.Spans.Record(w.idx, obs.KindExec, mb.seq, mb.shape.Tokens(), execStart, execEnd)
-		w.computed.Add(1)
-		if w.next != nil {
-			actBytes := int64(mb.shape.Tokens()) * w.rt.cfg.Model.ActivationBytesPerToken()
-			w.rt.sleepScaled(w.rt.cfg.Topo.Hop(w.idx).TransferTime(actBytes))
-			w.rt.cfg.Spans.Record(w.idx, obs.KindXfer, mb.seq, mb.shape.Tokens(),
-				execEnd, time.Since(w.rt.start))
-			w.next.workCh <- mb
-			continue
+		execStart := rt.spanClock()
+		if rt.emulates() {
+			w.busyNanos.Add(int64(rt.sleepScaled(rt.cost.StageTime(mb.shape, w.layers))))
 		}
-		w.rt.doneCh <- mb
+		execEnd := rt.spanClock()
+		spans.Record(w.idx, obs.KindExec, mb.seq, mb.shape.Tokens(), execStart, execEnd)
+		if w.next == nil {
+			rt.doneCh <- mb
+		} else {
+			if rt.emulates() {
+				actBytes := int64(mb.shape.Tokens()) * rt.cfg.Model.ActivationBytesPerToken()
+				rt.sleepScaled(rt.cfg.Topo.Hop(w.idx).TransferTime(actBytes))
+			}
+			spans.Record(w.idx, obs.KindXfer, mb.seq, mb.shape.Tokens(), execEnd, rt.spanClock())
+			w.next.workCh <- mb
+		}
+		if async {
+			w.prepareAhead()
+		}
 	}
 }

@@ -126,9 +126,7 @@ func (s *Server) EnableRequestTracing(rr *obs.ReqRecorder, side string) {
 
 // recordSpan records one request-lifecycle span when tracing is enabled.
 func (s *Server) recordSpan(trace obs.TraceID, name, detail string, start, end time.Time) {
-	if s.reqSpans != nil {
-		s.reqSpans.Record(trace, name, s.traceSide, detail, 0, start, end)
-	}
+	s.reqSpans.Record(trace, name, s.traceSide, detail, 0, start, end)
 }
 
 // ServeHTTP implements http.Handler.
@@ -277,16 +275,16 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	// (the cluster router propagating its trace to this replica); a
 	// missing or malformed header never rejects — when tracing is on we
 	// mint a fresh ID instead.
-	reqStart := time.Now()
 	trace, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader))
 	if trace == 0 && s.reqSpans != nil {
 		trace = obs.NewTraceID()
 	}
+	reqStart := s.reqSpans.Now(trace)
 	// The request context binds the generation's lifetime to the client
 	// connection: a disconnect cancels the runtime request and frees its KV.
 	// Batched (slab) delivery keeps the serving hot path allocation-free;
 	// tokens are drained with Handle.Next below.
-	submitStart := time.Now()
+	submitStart := s.reqSpans.Now(trace)
 	h, err := s.be.Submit(r.Context(), SubmitRequest{
 		PromptLen:       promptLen,
 		MaxTokens:       req.MaxTokens,
@@ -311,21 +309,21 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 		default:
 			writeError(w, http.StatusBadRequest, err.Error())
 		}
-		now := time.Now()
+		now := s.reqSpans.Now(trace)
 		s.recordSpan(trace, obs.SpanAdmit, detail, submitStart, now)
 		s.recordSpan(trace, obs.SpanRequest, detail, reqStart, now)
 		return
 	}
-	s.recordSpan(trace, obs.SpanAdmit, "", submitStart, time.Now())
+	streamStart := s.reqSpans.Now(trace)
+	s.recordSpan(trace, obs.SpanAdmit, "", submitStart, streamStart)
 	id := fmt.Sprintf("cmpl-%d", h.ID)
-	streamStart := time.Now()
 	var finish string
 	if req.Stream {
 		finish = s.streamCompletion(w, r, id, h)
 	} else {
 		finish = s.bufferedCompletion(w, r, id, promptLen, h)
 	}
-	end := time.Now()
+	end := s.reqSpans.Now(trace)
 	s.recordSpan(trace, obs.SpanStream, finish, streamStart, end)
 	s.recordSpan(trace, obs.SpanRequest, finish, reqStart, end)
 }
