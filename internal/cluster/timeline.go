@@ -9,6 +9,8 @@ package cluster
 import (
 	"sync"
 	"time"
+
+	"gllm/internal/ring"
 )
 
 // TimelineSample is one replica's state at one sampling instant.
@@ -31,10 +33,8 @@ type Timeline struct {
 	router   *Router
 	interval time.Duration
 
-	mu    sync.Mutex
-	ring  []TimelineSample
-	next  int
-	total uint64
+	mu   sync.Mutex
+	ring ring.Buffer[TimelineSample]
 
 	stop chan struct{}
 	done chan struct{}
@@ -54,7 +54,7 @@ func NewTimeline(r *Router, interval time.Duration, capacity int) *Timeline {
 	t := &Timeline{
 		router:   r,
 		interval: interval,
-		ring:     make([]TimelineSample, capacity),
+		ring:     ring.New[TimelineSample](capacity),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -97,12 +97,7 @@ func (t *Timeline) sampleOnce(now time.Time) {
 	}
 	t.mu.Lock()
 	for _, s := range samples {
-		t.ring[t.next] = s
-		t.next++
-		if t.next == len(t.ring) {
-			t.next = 0
-		}
-		t.total++
+		t.ring.Push(s)
 	}
 	t.mu.Unlock()
 }
@@ -111,19 +106,14 @@ func (t *Timeline) sampleOnce(now time.Time) {
 func (t *Timeline) Samples() []TimelineSample {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.total <= uint64(len(t.ring)) {
-		return append([]TimelineSample(nil), t.ring[:t.next]...)
-	}
-	out := make([]TimelineSample, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	return append(out, t.ring[:t.next]...)
+	return t.ring.Snapshot()
 }
 
 // Total returns how many samples were ever recorded.
 func (t *Timeline) Total() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.total
+	return t.ring.Total()
 }
 
 // Stop halts the sampler (idempotent; blocks until the loop exits).

@@ -60,6 +60,30 @@ func TestTimelineSamplesEveryReplica(t *testing.T) {
 	}
 }
 
+// A ring filled exactly to capacity retains every sample (Samples once
+// returned none in this state), for each tick count that lands on it.
+func TestTimelineFullAtCapacity(t *testing.T) {
+	r := New(Config{Policy: NewRoundRobin(), Seed: 1})
+	for _, id := range []string{"a", "b"} {
+		if _, err := r.Add(id, newFakeEngine(okPressure())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct{ capacity, ticks int }{
+		{2, 1}, // the construction sample alone fills it
+		{4, 2},
+		{6, 3},
+	} {
+		tl := newIdleTimeline(t, r, tc.capacity)
+		for i := 1; i < tc.ticks; i++ {
+			tl.sampleOnce(time.Now())
+		}
+		if got := len(tl.Samples()); got != tc.capacity {
+			t.Errorf("capacity %d after %d ticks: %d samples, want %d", tc.capacity, tc.ticks, got, tc.capacity)
+		}
+	}
+}
+
 // The ring drops oldest samples once full; Samples stays oldest-first
 // and bounded by capacity while Total keeps counting.
 func TestTimelineRingWraps(t *testing.T) {

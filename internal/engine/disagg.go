@@ -63,7 +63,7 @@ func RunDisaggregated(cfg DisaggConfig, items []workload.Item) (*Result, error) 
 	replica := func(name string, first, depth, budget int) (*loop, error) {
 		layers := cfg.Model.StageLayers(depth)
 		kvCap := r.cost.KVCapacityTokensPP(layers, cfg.MemUtil)
-		if kvCap < int64(cfg.KVBlockSize) {
+		if kvCap < kvBlockSize {
 			return nil, fmt.Errorf("engine: %s on %d x %s (%s replica): %w",
 				cfg.Model.Name, depth, cfg.GPU.Name, name, ErrModelDoesNotFit)
 		}

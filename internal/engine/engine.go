@@ -137,11 +137,9 @@ type Config struct {
 	Topo network.Topology
 	// MemUtil is the --gpu-memory-util knob (fraction of device memory the
 	// engine may use, weights first).
-	MemUtil float64
-	// KVBlockSize is tokens per KV block (vLLM default 16).
-	KVBlockSize int
-	Scheduler   sched.Scheduler
-	Runtime     RuntimeModel
+	MemUtil   float64
+	Scheduler sched.Scheduler
+	Runtime   RuntimeModel
 
 	// EnablePrefixCache turns on cross-request KV reuse for requests that
 	// declare a prefix group (off by default, matching the paper's
@@ -168,20 +166,19 @@ type Config struct {
 	// UtilSampleEvery, when positive, samples per-stage utilization on that
 	// period (Figure 4's time series), one series per Result.StageBusy entry.
 	UtilSampleEvery time.Duration
-	// MaxVirtualTime aborts runs exceeding this much simulated time
-	// (default 4h): a guard against scheduling deadlocks.
-	MaxVirtualTime time.Duration
 }
 
+const (
+	// kvBlockSize is tokens per KV block (vLLM's default).
+	kvBlockSize = 16
+	// maxVirtualTime aborts a run that simulates longer than this: a guard
+	// against scheduling deadlocks and livelocks.
+	maxVirtualTime = 4 * time.Hour
+)
+
 func (c *Config) applyDefaults() {
-	if c.KVBlockSize == 0 {
-		c.KVBlockSize = 16
-	}
 	if c.MemUtil == 0 {
 		c.MemUtil = 0.9
-	}
-	if c.MaxVirtualTime == 0 {
-		c.MaxVirtualTime = 4 * time.Hour
 	}
 }
 
@@ -197,9 +194,6 @@ func (c *Config) validate() error {
 	}
 	if c.MemUtil <= 0 || c.MemUtil > 1 {
 		return fmt.Errorf("engine: MemUtil %g out of (0,1]", c.MemUtil)
-	}
-	if c.KVBlockSize < 1 {
-		return fmt.Errorf("engine: KVBlockSize %d", c.KVBlockSize)
 	}
 	if c.Scheduler == nil {
 		return fmt.Errorf("engine: nil scheduler")

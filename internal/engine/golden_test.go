@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gllm/internal/core"
 	"gllm/internal/model"
 	"gllm/internal/obs"
 	"gllm/internal/sched"
@@ -23,6 +24,10 @@ import (
 // loops that preceded the shared kernel (kernel.go); the file uses only API
 // that exists on both sides, so it can be dropped onto that commit and
 // passes unchanged. A refactor of the engines must not move any of them.
+// The seven per-policy kv-pressure cells came later, captured before the
+// pool's five batch builders became one prefill and one decode walk; only
+// vllm-ve's moved then, because its walk began evicting younger KV holders
+// for a blocked continuation (196 → 174 preemptions, DESIGN.md §8).
 //
 // On a mismatch the failure prints the table line to paste; only do that
 // for a change that is meant to alter what the engines simulate.
@@ -46,6 +51,13 @@ var goldenDigests = map[string]string{
 	"disagg-1p3d/nil-scheduler":            "cd2ec24d2c1833cbe0de81da3d1f1eff81d369872d5245104e6d3eb0989c9475",
 	"disagg-3p1d/nil-scheduler":            "86ed2b357e12704a0b968827b6eb37140bb82bd203ba0702d3dac3f1eb3809dd",
 	"pipeline/kv-pressure":                 "b286f8179c25a26cde91c2160c28e04dd6d97c4de81f44fd8c7ca045fbc964c8",
+	"pipeline/gllm-ck/kv-pressure":         "b286f8179c25a26cde91c2160c28e04dd6d97c4de81f44fd8c7ca045fbc964c8",
+	"pipeline/vllm-ve/kv-pressure":         "3ea7e97d2b27dd5dd4caeaaaf206a97c092735d978dc5622f866e230717fd4d7",
+	"pipeline/td-pipe/kv-pressure":         "498bbd11c66803ddb281dc96da2bd26c0faa39363a1d9db79c3197cf61cec49a",
+	"pipeline/orca/kv-pressure":            "b951cdc042b6919dee0bcb780c95598a5ccc363568a8b1874fc604f4b86df329",
+	"pipeline/batch-level/kv-pressure":     "d34c497d92f5265e489c207c66babc8ee26507d7396031d4bf654abbf14febb5",
+	"pipeline/gllm-no-wt/kv-pressure":      "6ca8c771106b83149f377c16c8da8809cf00fb58af7036888ce1f474384d907a",
+	"pipeline/gllm-no-ut/kv-pressure":      "37c7a70d7c2b0741fcb48ece2ec0809dd92bbfd7ae5c7152aed5a0a242064845",
 	"pipeline/conversations+cpp+prefix":    "84ead69176bc8911244c180efa69a956e69836a5d4cd021b1298524a0aa2b8df",
 	"tokenpar/conversations+cpp+prefix":    "147375df6f036ec66bcece3530cb74b64b8aa2339893f5c85cdf9c583b6985d3",
 	"disagg-2p2d/conversations+cpp+prefix": "359d22db725ae05333c4a1a8931e975364ebad2e3c790931e880c57b318e21d2",
@@ -110,16 +122,30 @@ func goldenCells() []goldenCell {
 			},
 		})
 	}
-	cells = append(cells,
-		goldenCell{name: "pipeline/kv-pressure", spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
-			c := testConfig(sched.NewSarathi(2048), VLLMRuntime)
+	kvPressure := func(name string, mk func() sched.Scheduler) goldenCell {
+		return goldenCell{name: name, spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
+			c := testConfig(mk(), VLLMRuntime)
 			c.Model, c.MemUtil, c.Spans = model.Qwen25_32B, 0.315, rec
 			res, err := RunPipeline(c, pressure)
 			if err == nil && res.Preemptions == 0 {
 				err = fmt.Errorf("setup failed: no preemptions under derated memory")
 			}
 			return res, err
-		}},
+		}}
+	}
+	cells = append(cells, kvPressure("pipeline/kv-pressure", func() sched.Scheduler { return sched.NewSarathi(2048) }))
+	// Every other policy under the same pressure, so each walk rule that
+	// only KV exhaustion reaches is pinned for every caller.
+	for _, name := range []string{"gllm-ck", "vllm-ve", "td-pipe", "orca", "batch-level", "gllm-no-wt", "gllm-no-ut"} {
+		cells = append(cells, kvPressure("pipeline/"+name+"/kv-pressure", func() sched.Scheduler {
+			s, err := sched.ByName(name, 2048, core.DefaultParams())
+			if err != nil {
+				panic(err)
+			}
+			return s
+		}))
+	}
+	cells = append(cells,
 		goldenCell{name: "pipeline/conversations+cpp+prefix", spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
 			c := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
 			c.EnableCPP, c.EnablePrefixCache, c.Spans = true, true, rec

@@ -110,7 +110,7 @@ func newRun(cfg *Config) (*run, error) {
 // addLoop adds a scheduler pool over kvCap tokens of KV cache whose batches,
 // at most slots at a time, run on exec.
 func (r *run) addLoop(kvCap int64, slots int, s sched.Scheduler, exec strategy) *loop {
-	l := &loop{run: r, pool: sched.NewPool(kvcache.New(kvCap, r.cfg.KVBlockSize), slots), sched: s, exec: exec}
+	l := &loop{run: r, pool: sched.NewPool(kvcache.New(kvCap, kvBlockSize), slots), sched: s, exec: exec}
 	for range slots {
 		mb := &microBatch{loop: l}
 		mb.prepped = func() { l.prepped(mb) }
@@ -241,8 +241,8 @@ func (l *loop) fill() {
 		return
 	}
 	now := r.eng.Now()
-	if now > r.cfg.MaxVirtualTime {
-		r.aborted = fmt.Errorf("engine: exceeded MaxVirtualTime %v (deadlock or overload)", r.cfg.MaxVirtualTime)
+	if now > maxVirtualTime {
+		r.aborted = fmt.Errorf("engine: exceeded %v of simulated time (deadlock, livelock or overload)", maxVirtualTime)
 		return
 	}
 	for len(l.free) > 0 {

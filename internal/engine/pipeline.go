@@ -23,7 +23,7 @@ func RunPipeline(cfg Config, items []workload.Item) (*Result, error) {
 	}
 	stageLayers := cfg.Model.StageLayers(depth)
 	kvCap := r.cost.KVCapacityTokensPP(stageLayers, cfg.MemUtil)
-	if kvCap < int64(cfg.KVBlockSize) {
+	if kvCap < kvBlockSize {
 		return nil, fmt.Errorf("engine: %s on %d x %s (KV capacity %d tokens): %w",
 			cfg.Model.Name, depth, cfg.GPU.Name, kvCap, ErrModelDoesNotFit)
 	}

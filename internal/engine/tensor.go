@@ -20,7 +20,7 @@ func RunTensor(cfg Config, items []workload.Item) (*Result, error) {
 	}
 	tp := cfg.Topo.GPUs()
 	kvCap := r.cost.KVCapacityTokensTP(tp, cfg.MemUtil)
-	if kvCap < int64(cfg.KVBlockSize) {
+	if kvCap < kvBlockSize {
 		return nil, fmt.Errorf("engine: %s on %d x %s under TP (KV capacity %d tokens): %w",
 			cfg.Model.Name, tp, cfg.GPU.Name, kvCap, ErrModelDoesNotFit)
 	}

@@ -88,7 +88,7 @@ func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, 
 		return nil, fmt.Errorf("engine: TKNP root TP degree %d out of [1,%d]", cfg.RootTP, n)
 	}
 	kvCap := r.cost.KVCapacityTokensTKNP(n, cfg.RootTP, cfg.MemUtil)
-	if kvCap < int64(cfg.KVBlockSize) {
+	if kvCap < kvBlockSize {
 		return nil, fmt.Errorf("engine: %s on %d x %s under TKNP (root TP %d, KV capacity %d tokens): %w",
 			cfg.Model.Name, n, cfg.GPU.Name, cfg.RootTP, kvCap, ErrModelDoesNotFit)
 	}

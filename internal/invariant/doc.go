@@ -30,9 +30,10 @@
 // Batch.Tokens() never exceeds the bound computed from the pre-schedule
 // pool state: the fixed budget for Sarathi-style policies, the eq. 1–4
 // throttling budgets (prefill: min of #WT and #UT throttles; decode:
-// ceil(#RD / #PP_depth)) for gLLM. This is the paper's central claim (§3.2,
-// §3.3): token throttling keeps every micro-batch under its feedback-driven
-// budget.
+// ceil(#RD / #PP_depth)) for gLLM; when the KV gate closes the prefill
+// term, the larger of the decode budget and eq. 1 alone (the stalled-pool
+// fallback). This is the paper's central claim (§3.2, §3.3): token
+// throttling keeps every micro-batch under its feedback-driven budget.
 //
 // kv-residency — Each pool-resident request holds exactly the KV tokens
 // its lifecycle position implies: committed plus in-flight prefill while
@@ -55,9 +56,11 @@
 //
 // prefill-fifo — For schedulers promising FCFS admission
 // (sched.FIFOPrefill), no request receives a prefill chunk while an
-// earlier, eligible request in the pre-schedule queue goes unserved.
-// Motivated by §3.2: throttling must preserve first-come first-served
-// fairness while rebalancing token counts.
+// earlier, eligible request in the pre-schedule queue goes unserved. A
+// request evicted during the same Schedule call is not eligible, nor is one
+// holding no KV when that call found the pool stalled with every block held
+// (the stall rule, DESIGN.md §8). Motivated by §3.2: throttling must
+// preserve first-come first-served fairness while rebalancing token counts.
 //
 // no-starvation — No resident request goes entirely unserved for more than
 // Options.StarveRounds consecutive non-empty batches (FIFO schedulers

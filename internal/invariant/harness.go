@@ -101,7 +101,6 @@ func RunCombo(c Combo, items []workload.Item, opts Options) (cycles int64, err e
 		GPU:               HarnessGPU(),
 		Topo:              network.IntraNode(4, network.PCIe),
 		MemUtil:           0.5,
-		KVBlockSize:       16,
 		Scheduler:         s,
 		Runtime:           engine.GLLMRuntime,
 		Observer:          col.Observer,

@@ -2,9 +2,52 @@ package invariant
 
 import (
 	"testing"
+	"time"
 
+	"gllm/internal/core"
+	"gllm/internal/engine"
+	"gllm/internal/gpu"
+	"gllm/internal/model"
+	"gllm/internal/network"
+	"gllm/internal/sched"
 	"gllm/internal/stats"
+	"gllm/internal/workload"
 )
+
+// TestKVExhaustionDoesNotStall replays a seeded Azure trace whose every
+// request fits the 602-block KV cache, but whose long prompts fill it with
+// partial prefills until nothing decodes and nothing is in flight. Without
+// the pool's stall rule (DESIGN.md §8) Sarathi finished 5 of the 20
+// requests and the throttle 7, then waited forever. Every policy but
+// gllm-no-ut (a livelock on this trace, see ROADMAP) must finish them all,
+// clean under the checker.
+func TestKVExhaustionDoesNotStall(t *testing.T) {
+	items := workload.Poisson(stats.NewRNG(11), workload.Azure, 2, 10*time.Second)
+	for _, name := range []string{"sarathi", "gllm", "gllm-no-wt", "gllm-ck", "vllm-ve", "td-pipe", "orca", "batch-level"} {
+		s, err := sched.ByName(name, 2048, core.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := NewCollector(Options{})
+		res, err := engine.RunPipeline(engine.Config{
+			Model:     model.Qwen25_32B,
+			GPU:       gpu.L20,
+			Topo:      network.IntraNode(4, network.PCIe),
+			MemUtil:   0.315,
+			Scheduler: s,
+			Runtime:   engine.VLLMRuntime,
+			Observer:  col.Observer,
+		}, items)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if res.Report.Requests != len(items) || col.Cycles() == 0 {
+			t.Errorf("%s: %d/%d finished over %d audited cycles", name, res.Report.Requests, len(items), col.Cycles())
+		}
+		t.Logf("%s: %d preemptions", name, res.Preemptions)
+	}
+}
 
 // TestSweepAllCombosClean drives the full scheduler × engine cross under
 // randomized bursty load: zero violations expected everywhere.

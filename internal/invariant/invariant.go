@@ -88,10 +88,14 @@ type Checker struct {
 	violations []Violation
 	dropped    int
 
-	lastNow  time.Duration
-	havePre  bool
-	preBound int
-	preQueue []*request.Request
+	lastNow     time.Duration
+	havePre     bool
+	preBound    int
+	preQueue    []*request.Request
+	prePreempts []int // request.Preemptions of each preQueue entry
+	// preFull: nothing decoding, nothing in flight and every KV block held
+	// when the scheduler was called (a stalled pool, DESIGN.md §8).
+	preFull bool
 
 	reqs     map[int64]*reqTrack
 	external map[kvcache.SeqID]bool
@@ -230,6 +234,12 @@ func (c *Checker) BeforeSchedule(now time.Duration) {
 		c.preBound = c.bounded.BatchTokenBound(c.pool.CoreState())
 	}
 	c.preQueue = append(c.preQueue[:0], c.pool.PrefillQueue()...)
+	c.prePreempts = c.prePreempts[:0]
+	c.preFull = c.pool.RunningDecode() == 0 && c.pool.KV.FreeBlocks() == 0
+	for _, r := range c.preQueue {
+		c.prePreempts = append(c.prePreempts, r.Preemptions)
+		c.preFull = c.preFull && r.InFlightChunks() == 0
+	}
 	c.havePre = true
 }
 
@@ -309,10 +319,14 @@ func (c *Checker) AfterSchedule(b *sched.Batch, now time.Duration) {
 // chunk while an earlier, still-eligible request went unserved. Requests
 // preempted during this very Schedule call are prepended to the live queue
 // and so never appear in the snapshot — exactly right, since they were not
-// schedulable when admission order was fixed.
+// schedulable when admission order was fixed. Two stall-rule exemptions
+// (DESIGN.md §8): a queued request evicted during the call (a stalled
+// continuation that gave its blocks back so the requests behind it could
+// move) is not eligible, and neither is one holding no KV when the call found
+// the pool stalled with every block held (it had nothing to start on).
 func (c *Checker) checkFIFO(b *sched.Batch, served map[int64]bool, now time.Duration) {
 	blocked := int64(-1)
-	for _, r := range c.preQueue {
+	for i, r := range c.preQueue {
 		if chunkServed(b, r) {
 			if blocked >= 0 {
 				c.violate(InvPrefillFIFO, now, "%v served while earlier eligible request %d went unserved", r, blocked)
@@ -320,7 +334,10 @@ func (c *Checker) checkFIFO(b *sched.Batch, served map[int64]bool, now time.Dura
 			}
 			continue
 		}
-		if blocked >= 0 {
+		if blocked >= 0 || r.Preemptions != c.prePreempts[i] {
+			continue
+		}
+		if c.preFull && c.pool.KV.TokensOf(kvcache.SeqID(r.ID)) == 0 {
 			continue
 		}
 		if st := r.State(); st != request.StateWaiting && st != request.StatePrefilling {

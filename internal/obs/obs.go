@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"gllm/internal/ring"
 )
 
 // Kind classifies what a span's interval was spent on.
@@ -95,9 +97,7 @@ const DefaultCapacity = 1 << 16
 type Recorder struct {
 	mu     sync.Mutex
 	stages int
-	ring   []Span
-	next   int    // next ring slot to write
-	total  uint64 // spans ever recorded (total - retained = dropped)
+	ring   ring.Buffer[Span]
 
 	busy     []time.Duration // per-stage cumulative KindExec time
 	transfer []time.Duration // per-stage cumulative outgoing KindXfer time
@@ -118,7 +118,7 @@ func NewRecorder(stages, capacity int) *Recorder {
 	}
 	return &Recorder{
 		stages:   stages,
-		ring:     make([]Span, capacity),
+		ring:     ring.New[Span](capacity),
 		busy:     make([]time.Duration, stages),
 		transfer: make([]time.Duration, stages),
 	}
@@ -149,19 +149,14 @@ func (r *Recorder) Record(stage int, kind Kind, seq, tokens int, start, end time
 		panic(fmt.Sprintf("obs: stage %d out of %d", stage, r.stages))
 	}
 	r.mu.Lock()
-	r.ring[r.next] = Span{
+	r.ring.Push(Span{
 		Start:  start,
 		End:    end,
 		Seq:    int32(seq),
 		Tokens: int32(tokens),
 		Stage:  int16(stage),
 		Kind:   kind,
-	}
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-	}
-	r.total++
+	})
 	switch kind {
 	case KindExec:
 		r.busy[stage] += end - start
@@ -187,7 +182,7 @@ func (r *Recorder) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.ring.Total()
 }
 
 // Dropped returns how many spans the ring overwrote (Total − retained).
@@ -197,14 +192,7 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped()
-}
-
-func (r *Recorder) dropped() uint64 {
-	if r.total <= uint64(len(r.ring)) {
-		return 0
-	}
-	return r.total - uint64(len(r.ring))
+	return r.ring.Dropped()
 }
 
 // Spans returns a copy of the retained spans in recording order (oldest
@@ -215,12 +203,7 @@ func (r *Recorder) Spans() []Span {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total < uint64(len(r.ring)) {
-		return append([]Span(nil), r.ring[:r.next]...)
-	}
-	out := make([]Span, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	return append(out, r.ring[:r.next]...)
+	return r.ring.Snapshot()
 }
 
 // StageStat is one pipeline stage's occupancy accounting over a window.
@@ -280,8 +263,8 @@ func (r *Recorder) account(start, end time.Duration) Accounting {
 		Start:    start,
 		End:      end,
 		Window:   end - start,
-		Spans:    r.total,
-		Dropped:  r.dropped(),
+		Spans:    r.ring.Total(),
+		Dropped:  r.ring.Dropped(),
 		PrepTime: r.prep,
 		Stages:   make([]StageStat, r.stages),
 	}

@@ -98,6 +98,38 @@ func TestRingWraparoundKeepsExactTotals(t *testing.T) {
 	}
 }
 
+// TestRecordersFullAtCapacity fills both span recorders exactly to their
+// ring capacity: every span is retained and none is dropped. (ReqRecorder
+// once returned no spans at all in this state.)
+func TestRecordersFullAtCapacity(t *testing.T) {
+	const capacity = 4
+	origin := time.Now()
+	for _, tc := range []struct {
+		name string
+		// fill records capacity spans and reports what the recorder kept.
+		fill func() (retained int, dropped uint64)
+	}{
+		{"Recorder", func() (int, uint64) {
+			r := NewRecorder(1, capacity)
+			for i := range capacity {
+				r.Record(0, KindExec, i, 1, 0, time.Second)
+			}
+			return len(r.Spans()), r.Dropped()
+		}},
+		{"ReqRecorder", func() (int, uint64) {
+			r := NewReqRecorder(capacity)
+			for i := range capacity {
+				r.Record(TraceID(i+1), SpanQueue, SideReplica, "", 0, origin, origin)
+			}
+			return len(r.Spans()), r.Dropped()
+		}},
+	} {
+		if retained, dropped := tc.fill(); retained != capacity || dropped != 0 {
+			t.Errorf("%s: %d spans retained, %d dropped; want %d and 0", tc.name, retained, dropped, capacity)
+		}
+	}
+}
+
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder(4, 1024)
 	var wg sync.WaitGroup

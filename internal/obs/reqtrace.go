@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"gllm/internal/ring"
 )
 
 // Request-scoped distributed tracing. The cluster frontend mints one
@@ -144,10 +146,8 @@ func (s ReqSpan) Dur() time.Duration { return s.End - s.Start }
 type ReqRecorder struct {
 	origin time.Time
 
-	mu    sync.Mutex
-	ring  []ReqSpan
-	next  int
-	total uint64
+	mu   sync.Mutex
+	ring ring.Buffer[ReqSpan]
 }
 
 // DefaultReqCapacity is the ring size used when NewReqRecorder is given
@@ -161,7 +161,7 @@ func NewReqRecorder(capacity int) *ReqRecorder {
 	}
 	return &ReqRecorder{
 		origin: time.Now(),
-		ring:   make([]ReqSpan, capacity),
+		ring:   ring.New[ReqSpan](capacity),
 	}
 }
 
@@ -192,7 +192,7 @@ func (r *ReqRecorder) Record(trace TraceID, name, side, detail string, attempt i
 		e = s
 	}
 	r.mu.Lock()
-	r.ring[r.next] = ReqSpan{
+	r.ring.Push(ReqSpan{
 		Trace:   trace,
 		Name:    name,
 		Side:    side,
@@ -200,12 +200,7 @@ func (r *ReqRecorder) Record(trace TraceID, name, side, detail string, attempt i
 		Attempt: int32(attempt),
 		Start:   s,
 		End:     e,
-	}
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-	}
-	r.total++
+	})
 	r.mu.Unlock()
 }
 
@@ -216,7 +211,7 @@ func (r *ReqRecorder) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.ring.Total()
 }
 
 // Dropped returns how many spans the ring overwrote.
@@ -226,10 +221,7 @@ func (r *ReqRecorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total <= uint64(len(r.ring)) {
-		return 0
-	}
-	return r.total - uint64(len(r.ring))
+	return r.ring.Dropped()
 }
 
 // Spans returns a copy of the retained spans in recording order.
@@ -239,12 +231,7 @@ func (r *ReqRecorder) Spans() []ReqSpan {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total <= uint64(len(r.ring)) {
-		return append([]ReqSpan(nil), r.ring[:r.next]...)
-	}
-	out := make([]ReqSpan, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	return append(out, r.ring[:r.next]...)
+	return r.ring.Snapshot()
 }
 
 // ReqExport is one process's recorded request spans plus its wall-clock

@@ -9,6 +9,8 @@ import (
 	"gllm/internal/model"
 	"gllm/internal/network"
 	"gllm/internal/sched"
+	"gllm/internal/stats"
+	"gllm/internal/workload"
 )
 
 // TestPressureAndKVGauges exercises the lightweight routing view and the
@@ -85,6 +87,49 @@ func TestMatchPrefixReportsResidency(t *testing.T) {
 	}
 	if rt.Close(); rt.MatchPrefix(group, prompt) != 0 {
 		t.Fatal("MatchPrefix on a stopped runtime must report 0")
+	}
+}
+
+// TestKVExhaustionDoesNotStallLive submits, all at once, a seeded Azure
+// trace whose every request fits the 602-block KV cache but whose long
+// prompts fill it with partial prefills. Without the pool's stall rule the
+// throttle finished 7 and then sat forever with nothing in flight, 12
+// requests resident and health "ok" (the watchdog watches only in-flight
+// work). internal/invariant's TestKVExhaustionDoesNotStall is the same
+// trace on the simulator.
+func TestKVExhaustionDoesNotStallLive(t *testing.T) {
+	rt, err := Start(Config{
+		Model:     model.Qwen25_32B,
+		GPU:       gpu.L20,
+		Topo:      network.IntraNode(4, network.PCIe),
+		MemUtil:   0.315,
+		Scheduler: sched.NewDefaultThrottle(),
+		Async:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	items := workload.Poisson(stats.NewRNG(11), workload.Azure, 2, 10*time.Second)
+	handles := make([]*Handle, len(items))
+	for i, it := range items {
+		if handles[i], err = rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: it.PromptLen, MaxTokens: it.OutputLen}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, h := range handles {
+		for h.Next(ctx) != nil {
+		}
+	}
+	if st := rt.Stats(); ctx.Err() != nil {
+		t.Fatalf("stalled with %d in flight, %d resident, KV free %.3f", st.InFlight, st.Resident, st.KVFreeRate)
+	}
+	for i, h := range handles {
+		if r := h.FinishReason(); r != FinishLength {
+			t.Fatalf("request %d finished %q, want %q", i, r, FinishLength)
+		}
 	}
 }
 

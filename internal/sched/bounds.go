@@ -32,15 +32,17 @@ func (s *Sarathi) PrefillFIFO() bool { return true }
 // is bounded by the decode population, since each sequence contributes one
 // token).
 func (t *Throttle) BatchTokenBound(st core.State) int {
-	prefill := t.Params.PrefillBudget(st, t.Variant)
-	if prefill < 0 {
-		prefill = 0
-	}
 	decode := st.RunningDecode
 	if t.CtxWeight == 0 {
 		if db := t.Params.DecodeBudget(st); db < decode {
 			decode = db
 		}
+	}
+	prefill := t.Params.PrefillBudget(st, t.Variant)
+	if prefill <= 0 {
+		// Either the batch is decodes only, or nothing decodes and the
+		// stalled-pool fallback runs eq. 1 alone.
+		return max(decode, t.Params.PrefillBudgetWT(st.WaitingPrefillTokens))
 	}
 	return prefill + decode
 }

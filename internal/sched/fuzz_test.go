@@ -14,12 +14,21 @@ import (
 	"gllm/internal/sched"
 )
 
+// fuzzPolicies are every sched.ByName policy plus the cost-aware throttle:
+// every caller of the pool's prefill and decode walks.
+var fuzzPolicies = []string{
+	"gllm", "gllm-no-wt", "gllm-no-ut", "gllm-cost",
+	"sarathi", "gllm-ck", "vllm-ve", "td-pipe", "orca", "batch-level",
+}
+
 // FuzzThrottleSchedule decodes a pool configuration and a request trace
-// from raw bytes and drives them through Throttle.Schedule under the full
-// invariant checker, with a pipeline-depth-bounded FIFO of in-flight
+// from raw bytes and drives them through every policy's Schedule under the
+// full invariant checker, with a pipeline-depth-bounded FIFO of in-flight
 // batches (exactly the pipeline engine's injection discipline). Any
 // violation — budget overrun, token gap/overlap, KV drift, FIFO inversion,
-// starvation — fails the run.
+// starvation — fails the run, and so does a stall: an empty batch with
+// nothing in flight while requests stay resident, which an engine would
+// never schedule past.
 func FuzzThrottleSchedule(f *testing.F) {
 	f.Add([]byte("\x02\x10\x40\x04" + "\x20\x04\x30\x02\x10\x08"))
 	f.Add([]byte("\x01\x08\x08\x01" + "\x7f\x01\x7f\x01\x7f\x01\x7f\x01"))
@@ -43,66 +52,78 @@ func FuzzThrottleSchedule(f *testing.F) {
 		}
 		params.IterT = 1 + int(data[3])%8
 
-		kv := kvcache.New(int64(kvBlocks*blockSize), blockSize)
-		pool := sched.NewPool(kv, depth)
-		s := sched.NewThrottle(params, core.VariantFull)
-		// Default StarveRounds: fuzzed configs legitimately build deep queues
-		// (a 64-token KV serving 58-token requests drains one at a time), so
-		// a tight liveness bound would flag fair FIFO waits. Starvation
-		// proper is covered by the invariant harness's sized workloads.
-		chk := invariant.New(pool, s, invariant.Options{})
-
-		// Remaining byte pairs become requests, capped so each fits the KV.
-		maxReq := kvBlocks * blockSize
-		var arrivals []*request.Request
-		id := int64(0)
-		for i := 4; i+1 < len(data) && id < 64; i += 2 {
+		// Remaining byte pairs become requests, capped so each fits the KV
+		// beside the pool's one-block admission watermark — whole-prompt
+		// policies admit a prompt only in one piece.
+		type spec struct{ prompt, out int }
+		maxReq := (kvBlocks - 1) * blockSize
+		var specs []spec
+		for i := 4; i+1 < len(data) && len(specs) < 64; i += 2 {
 			prompt := 1 + int(data[i])%96
 			out := 1 + int(data[i+1])%24
 			if prompt+out > maxReq {
 				prompt = maxReq - out
-				if prompt < 1 {
-					continue
-				}
 			}
-			arrivals = append(arrivals, request.New(id, 0, prompt, out))
-			id++
+			specs = append(specs, spec{prompt, out})
 		}
-		if len(arrivals) == 0 {
+		if len(specs) == 0 {
 			return
 		}
 
-		var inflight []*sched.Batch
-		now := time.Duration(0)
-		next := 0
-		for step := 0; step < 2000; step++ {
-			if next < len(arrivals) && step%2 == 0 {
-				pool.Add(arrivals[next])
-				next++
+		for _, name := range fuzzPolicies {
+			var s sched.Scheduler
+			if name == "gllm-cost" {
+				s = sched.NewCostAwareThrottle(params, invariant.HarnessModel())
+			} else {
+				var err error
+				if s, err = sched.ByName(name, params.MaxP, params); err != nil {
+					t.Fatal(err)
+				}
 			}
-			chk.BeforeSchedule(now)
-			b := s.Schedule(pool, now)
-			chk.AfterSchedule(b, now)
-			if !b.Empty() {
-				inflight = append(inflight, b)
+			pool := sched.NewPool(kvcache.New(int64(kvBlocks*blockSize), blockSize), depth)
+			// Default StarveRounds: fuzzed configs legitimately build deep
+			// queues (a 64-token KV serving 56-token requests drains one at
+			// a time), so a tight liveness bound would flag fair FIFO waits.
+			// Starvation proper is covered by the invariant harness's sized
+			// workloads.
+			chk := invariant.New(pool, s, invariant.Options{})
+
+			var inflight []*sched.Batch
+			now := time.Duration(0)
+			next := 0
+			for step := 0; step < 2000; step++ {
+				if next < len(specs) && step%2 == 0 {
+					pool.Add(request.New(int64(next), 0, specs[next].prompt, specs[next].out))
+					next++
+				}
+				chk.BeforeSchedule(now)
+				b := s.Schedule(pool, now)
+				chk.AfterSchedule(b, now)
+				if b.Empty() && len(inflight) == 0 && !pool.Idle() {
+					t.Fatalf("%s step %d: empty batch with nothing in flight and %d+%d requests resident",
+						name, step, pool.PrefillQueueLen(), pool.RunningDecode())
+				}
+				if !b.Empty() {
+					inflight = append(inflight, b)
+				}
+				// Retire the oldest batch when the pipeline is full or idle.
+				if len(inflight) > 0 && (b.Empty() || len(inflight) >= depth) {
+					oldest := inflight[0]
+					inflight = inflight[1:]
+					now += time.Millisecond
+					finished := pool.Complete(oldest, now)
+					chk.AfterComplete(oldest, finished, now)
+				}
+				if err := chk.Err(); err != nil {
+					t.Fatalf("%s step %d: %v", name, step, err)
+				}
+				if next >= len(specs) && pool.Idle() && len(inflight) == 0 {
+					break
+				}
 			}
-			// Retire the oldest batch when the pipeline is full or idle.
-			if len(inflight) > 0 && (b.Empty() || len(inflight) >= depth) {
-				oldest := inflight[0]
-				inflight = inflight[1:]
-				now += time.Millisecond
-				finished := pool.Complete(oldest, now)
-				chk.AfterComplete(oldest, finished, now)
+			if err := chk.Final(now); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			if err := chk.Err(); err != nil {
-				t.Fatalf("step %d: %v", step, err)
-			}
-			if next >= len(arrivals) && pool.Idle() && len(inflight) == 0 {
-				break
-			}
-		}
-		if err := chk.Final(now); err != nil {
-			t.Fatal(err)
 		}
 	})
 }

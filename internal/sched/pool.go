@@ -7,6 +7,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 
 // batchEpoch issues globally-unique stamps for request.SchedMark, the
 // allocation-free replacement for the per-call batch-membership maps the
-// batch builders used to make. Globally monotone (one counter across every
+// batch walks used to make. Globally monotone (one counter across every
 // pool) so a request migrating between pools — disaggregation adopts
 // decoding requests from other replicas — can never carry a stale mark that
 // collides with another pool's current epoch. The partitioning schedulers
@@ -65,7 +66,7 @@ type Pool struct {
 	watermark   int
 	preemptions int
 
-	// queueScratch is the reusable snapshot buffer the batch builders copy
+	// queueScratch is the reusable snapshot buffer the batch walks copy
 	// the queue they are walking into just before a preemption mutates it
 	// in place; valid only within one build call. Capacity is retained so
 	// steady-state scheduling never allocates.
@@ -211,12 +212,39 @@ func (p *Pool) maxPrefillAllocatableFor(id kvcache.SeqID) int {
 	return slack + free*bs
 }
 
-// buildPrefill assembles prefill chunks FIFO up to budget tokens, skipping
+// inFlightSeqsEstimate approximates sequences already running in other
+// micro-batches (busy decodes plus requests with chunks in flight).
+func (p *Pool) inFlightSeqsEstimate() int {
+	n := 0
+	for _, r := range p.decoding {
+		if r.DecodeBusy() {
+			n++
+		}
+	}
+	for _, r := range p.prefillQ {
+		if r.InFlightChunks() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// stalled reports the one state in which no KV block frees on its own:
+// nothing decodes, no chunk or decode step is in flight, and b, the batch
+// being built, is still empty. No retirement is coming to change the pool,
+// so an empty batch returned here is one its engine never schedules past.
+func (p *Pool) stalled(b *Batch) bool {
+	return len(p.decoding) == 0 && b.Empty() && p.inFlightSeqsEstimate() == 0
+}
+
+// buildPrefill is the one prefill walk. It assembles chunks FIFO up to
+// budget tokens over the requests allow accepts (nil accepts all), skipping
 // requests with an in-flight chunk (sequential chunk dependency) and
-// shrinking the final chunk to what the KV cache can hold. KV slots are
-// allocated here, before execution, exactly as the paper's Figure 6
-// describes.
-func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
+// shrinking the final chunk to what the KV cache can hold; with whole set it
+// admits only prompts that fit the budget and the cache entire (the
+// pre-Sarathi policies). KV slots are allocated here, before execution,
+// exactly as the paper's Figure 6 describes.
+func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration, allow func(*request.Request) bool, whole bool) {
 	// Batch membership via epoch-stamped scratch marks: requests whose
 	// SchedMark equals this build's epoch already carry a chunk in b.
 	epoch := batchEpoch.Add(1)
@@ -242,6 +270,11 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 				continue
 			}
 		}
+		// The filter sees only requests that could take a chunk, so Orca's
+		// counting filter spends its admission slots on exactly those.
+		if allow != nil && !allow(r) {
+			continue
+		}
 		if r.State() != request.StateWaiting && r.State() != request.StatePrefilling {
 			continue // evicted-and-rescheduled edge cases
 		}
@@ -259,6 +292,9 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 		}
 		chunk := r.RemainingPrefill()
 		if chunk > budget {
+			if whole {
+				continue
+			}
 			chunk = budget
 		}
 		fit := p.maxPrefillAllocatableFor(id)
@@ -278,7 +314,26 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 				fit = p.maxPrefillAllocatableFor(id)
 			}
 		}
+		if fit == 0 && p.stalled(b) {
+			// No block frees on its own from here, so a request that cannot
+			// move must not hold the walk up. A blocked continuation gives
+			// its blocks back and restarts later. A fresh admission may take
+			// the watermark's blocks, which keep running requests moving
+			// while none is running, and yields when there are none. Either
+			// way the walk goes on to the older holders behind, which can
+			// evict younger ones.
+			if r.State() == request.StatePrefilling {
+				p.evict(r)
+				continue
+			}
+			if fit = p.KV.FreeBlocks() * p.KV.BlockSize(); fit == 0 {
+				continue
+			}
+		}
 		if chunk > fit {
+			if whole {
+				continue
+			}
 			chunk = fit
 		}
 		if chunk <= 0 {
@@ -299,71 +354,57 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration) {
 	}
 }
 
-// decodeWalk iterates the decoding set for one build call, reserving one KV
-// slot per scheduled sequence. The common case — the token fits, nobody is
-// preempted — walks p.decoding itself and reaches each sequence through the
-// request's handle (r.KVSeq, set by the first append after every prefill);
-// only when a reservation has to preempt (which removes entries from
-// p.decoding in place) does the walk switch to a snapshot, taken before the
-// first mutation and therefore identical to what it was iterating.
-type decodeWalk struct {
-	p       *Pool
-	list    []*request.Request
-	snapped bool
-}
-
-// reserve makes room for one more token of r, preempting younger KV holders
-// as needed. It reports whether r can decode this iteration.
-func (w *decodeWalk) reserve(r *request.Request) bool {
-	if w.p.KV.TryAppend(&r.KVSeq, kvSeq(r), 1) {
-		return true
-	}
-	if !w.snapped {
-		w.p.queueScratch = append(w.p.queueScratch[:0], w.list...)
-		w.list, w.snapped = w.p.queueScratch, true
-	}
-	return w.p.ensureDecodeSlot(r)
-}
-
-// buildDecode schedules up to maxSeqs available (non-busy) decoding
-// sequences in FIFO order, allocating one KV slot each. Allocation failures
-// trigger preemption-by-recompute of the lowest-priority (latest) non-busy
-// sequence; if no victim exists the sequence preempts itself.
-func (p *Pool) buildDecode(b *Batch, maxSeqs int) {
-	p.buildDecodeFiltered(b, maxSeqs, nil)
-}
-
-// buildDecodeWeighted schedules available decoding sequences in FIFO order
-// until their accumulated weight reaches target (cost-aware balancing: the
-// weight function prices a sequence's decode step, e.g. in
-// token-equivalents including its attention context). Semantics otherwise
-// match buildDecode, including preemption on KV exhaustion.
-func (p *Pool) buildDecodeWeighted(b *Batch, target float64, weight func(*request.Request) float64) {
-	if target <= 0 {
+// buildDecode is the one decode walk. It schedules available (non-busy)
+// decoding sequences that allow accepts (nil accepts all) in FIFO order,
+// reserving one KV slot each, until limit is reached: limit counts
+// sequences, or, when cost is set, the summed cost of the scheduled ones
+// (cost-aware balancing prices a decode step in token-equivalents, its
+// attention context included). A reservation that does not fit preempts
+// younger KV holders; if none exists the sequence preempts itself.
+//
+// The common case — the token fits, nobody is preempted — walks p.decoding
+// itself and reaches each sequence through the request's handle (r.KVSeq,
+// set by the first append after every prefill); only when a reservation has
+// to preempt (which removes entries from p.decoding in place) does the walk
+// switch to a snapshot, taken before the first mutation and therefore
+// identical to what it was iterating.
+func (p *Pool) buildDecode(b *Batch, limit float64, cost func(*request.Request) float64, allow func(*request.Request) bool) {
+	if limit <= 0 {
 		return
 	}
-	w := decodeWalk{p: p, list: p.decoding}
-	acc := 0.0
-	for i := 0; i < len(w.list); i++ {
-		r := w.list[i]
-		if acc >= target {
-			return
-		}
-		if r.State() != request.StateDecoding || r.DecodeBusy() {
+	maxSeqs, spent := math.MaxInt, 0.0
+	if cost == nil {
+		maxSeqs = int(limit)
+	}
+	list, snapped := p.decoding, false
+	for i, n := 0, 0; i < len(list) && n < maxSeqs; i++ {
+		r := list[i]
+		if r.State() != request.StateDecoding || r.DecodeBusy() || allow != nil && !allow(r) {
 			continue
 		}
-		if !w.reserve(r) {
-			continue
+		if !p.KV.TryAppend(&r.KVSeq, kvSeq(r), 1) {
+			if !snapped {
+				p.queueScratch = append(p.queueScratch[:0], list...)
+				list, snapped = p.queueScratch, true
+			}
+			if !p.ensureDecodeSlot(r) {
+				continue // r preempted itself
+			}
 		}
 		r.ScheduleDecode()
 		b.Decodes = append(b.Decodes, r)
-		acc += weight(r)
+		n++
+		if cost != nil {
+			if spent += cost(r); spent >= limit {
+				return
+			}
+		}
 	}
 }
 
-// ensureDecodeSlot is the slow path of decodeWalk.reserve: the cache cannot
-// take one more token of r, so younger KV holders are preempted until it
-// can — or r itself is, when it is the youngest.
+// ensureDecodeSlot is buildDecode's slow path: the cache cannot take one
+// more token of r, so younger KV holders are preempted until it can — or r
+// itself is, when it is the youngest.
 func (p *Pool) ensureDecodeSlot(r *request.Request) bool {
 	id := kvSeq(r)
 	for !p.KV.TryAppend(&r.KVSeq, id, 1) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gllm/internal/core"
 	"gllm/internal/request"
 )
 
@@ -48,6 +49,36 @@ func TestPrefixCacheSkipsSharedPrefill(t *testing.T) {
 	p.Complete(b2, 3*time.Second)
 	if err := p.KV.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEverySchedulerHonoursPrefixCache: every policy builds on the pool's
+// one prefill walk, so a conversation's follow-up turn attaches the cached
+// prefix under each of them — whole-prompt and partitioning policies
+// included.
+func TestEverySchedulerHonoursPrefixCache(t *testing.T) {
+	for _, name := range policyNames {
+		s, err := ByName(name, 2048, core.DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newPool(t, 1<<16, 4)
+		p.EnablePrefixCache = true
+		now := time.Duration(0)
+		for turn, r := range []*request.Request{prefixReq(1, 100, 5, 7, 100), prefixReq(2, 150, 5, 7, 100)} {
+			p.Add(r)
+			for !p.Idle() {
+				b := s.Schedule(p, now)
+				if b.Empty() {
+					t.Fatalf("%s: turn %d stuck with nothing in flight", name, turn+1)
+				}
+				now += time.Millisecond
+				p.Complete(b, now)
+			}
+		}
+		if hits, toks := p.KV.PrefixHits(); hits != 1 || toks != 96 {
+			t.Errorf("%s: follow-up turn hit %d times for %d tokens, want once for 96", name, hits, toks)
+		}
 	}
 }
 

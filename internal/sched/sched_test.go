@@ -350,9 +350,12 @@ func TestBatchShapeAggregation(t *testing.T) {
 	}
 }
 
+// policyNames are the nine names ByName knows.
+var policyNames = []string{"sarathi", "gllm", "gllm-no-wt", "gllm-no-ut", "gllm-ck", "vllm-ve", "td-pipe", "orca", "batch-level"}
+
 func TestByName(t *testing.T) {
 	params := core.DefaultParams()
-	for _, name := range []string{"sarathi", "gllm", "gllm-no-wt", "gllm-no-ut", "gllm-ck", "vllm-ve", "td-pipe", "orca", "batch-level"} {
+	for _, name := range policyNames {
 		s, err := ByName(name, 2048, params)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

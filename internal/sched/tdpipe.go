@@ -63,23 +63,30 @@ func (t *TDPipe) Schedule(p *Pool, now time.Duration) *Batch {
 	// Homogeneous decode batches still pipeline: spread the population
 	// evenly over the micro-batch slots (otherwise one giant batch leaves
 	// the other stages idle).
-	decodeShare := (rd + t.MinDecode - 1) / t.MinDecode
+	decodeShare := float64((rd + t.MinDecode - 1) / t.MinDecode)
 	b := p.GetBatch()
 	if t.inDecodePhase {
-		p.buildDecode(b, decodeShare)
+		p.buildDecode(b, decodeShare, nil, nil)
 		if b.Empty() && rd == 0 {
 			// Phase boundary race: nothing decodable; fall through to
 			// prefill so the pipeline never idles with work waiting.
-			p.buildPrefill(b, t.Budget, now)
+			p.buildPrefill(b, t.Budget, now, nil, false)
+			return b
 		}
-		return b
+	} else {
+		p.buildPrefill(b, t.Budget, now, nil, false)
+		if b.Empty() && rd > 0 {
+			// Nothing to prefill this instant (e.g. chunks in flight): avoid
+			// a bubble rather than idle — schedule decodes, as TD-Pipe's
+			// unit switching does at phase boundaries.
+			p.buildDecode(b, decodeShare, nil, nil)
+		}
 	}
-	p.buildPrefill(b, t.Budget, now)
-	if b.Empty() && rd > 0 {
-		// Nothing to prefill this instant (e.g. chunks in flight): avoid a
-		// bubble rather than idle — schedule decodes, as TD-Pipe's unit
-		// switching does at phase boundaries.
-		p.buildDecode(b, decodeShare)
+	if rd > 0 && p.stalled(b) {
+		// The decode walk had to preempt every decoder and nothing is in
+		// flight: what they freed goes to prefill now, or nothing ever
+		// schedules again.
+		p.buildPrefill(b, t.Budget, now, nil, false)
 	}
 	return b
 }

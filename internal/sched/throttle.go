@@ -78,12 +78,19 @@ func (t *Throttle) Schedule(p *Pool, now time.Duration) *Batch {
 		for _, r := range p.Decoding() {
 			total += t.decodeWeight(r)
 		}
-		p.buildDecodeWeighted(b, total/float64(p.Depth), t.decodeWeight)
+		p.buildDecode(b, total/float64(p.Depth), t.decodeWeight, nil)
 	} else {
-		p.buildDecode(b, t.Params.DecodeBudget(st))
+		p.buildDecode(b, float64(t.Params.DecodeBudget(st)), nil, nil)
 	}
-	if budget := t.Params.PrefillBudget(st, t.Variant); budget > 0 {
-		p.buildPrefill(b, budget, now)
+	budget := t.Params.PrefillBudget(st, t.Variant)
+	if budget == 0 && st.WaitingPrefillTokens > 0 && p.stalled(b) {
+		// The KV gate suspends prefill to protect running decodes. With
+		// none running and nothing in flight it protects nothing and would
+		// hold the pool still forever, so prefill falls back to eq. 1.
+		budget = t.Params.PrefillBudgetWT(st.WaitingPrefillTokens)
+	}
+	if budget > 0 {
+		p.buildPrefill(b, budget, now, nil, false)
 	}
 	return b
 }

@@ -60,9 +60,9 @@ func (v *VirtualEngines) Schedule(p *Pool, now time.Duration) *Batch {
 		stamp := v.stamp(e)
 		mine := func(r *request.Request) bool { return r.SchedStamp == stamp }
 		b := p.GetBatch()
-		p.buildDecodeFiltered(b, v.Budget, mine)
+		p.buildDecode(b, float64(v.Budget), nil, mine)
 		if rest := v.Budget - b.DecodeTokens(); rest > 0 {
-			p.buildPrefillFiltered(b, rest, now, mine, false)
+			p.buildPrefill(b, rest, now, mine, false)
 		}
 		if !b.Empty() {
 			v.next = (e + 1) % v.Engines
