@@ -37,7 +37,8 @@ fmt-check:
 # Ten seconds of each fuzz target (target:package). -run='^$$' skips the
 # regular tests so only the fuzz engine runs; the seeds run in tier1.
 FUZZ_TARGETS = FuzzKVAllocFree:./internal/kvcache FuzzThrottleSchedule:./internal/sched \
-	FuzzParseExposition:./internal/metrics FuzzChunkReader:./internal/server
+	FuzzParseExposition:./internal/metrics FuzzChunkReader:./internal/server \
+	FuzzChromeRoundTrip:./internal/obs
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

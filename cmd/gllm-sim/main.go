@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -51,7 +52,6 @@ type simOptions struct {
 	sloTPOT     time.Duration
 	enableCPP   bool
 	prefixCache bool
-	costAware   bool
 	convs       bool
 	checkInv    bool
 	traceOut    string
@@ -83,7 +83,6 @@ func main() {
 	flag.DurationVar(&o.sloTPOT, "slo-tpot", 0, "TPOT limit for -slo-ttft")
 	flag.BoolVar(&o.enableCPP, "enable-cpp", false, "pipeline a request's prompt chunks across micro-batches")
 	flag.BoolVar(&o.prefixCache, "enable-prefix-cache", false, "reuse KV across requests sharing a prefix group")
-	flag.BoolVar(&o.costAware, "cost-aware", false, "attention-aware decode balancing (gLLM scheduler only)")
 	flag.BoolVar(&o.convs, "conversations", false, "synthesize multi-turn conversations instead of independent requests")
 	flag.BoolVar(&o.checkInv, "check-invariants", false, "audit every scheduling cycle against the invariant catalogue (see internal/invariant)")
 	flag.StringVar(&o.traceOut, "trace-out", "", "write the obs span recorder as Chrome trace-event JSON (per-stage exec/xfer/prep lanes) and print per-stage bubble accounting")
@@ -112,12 +111,6 @@ func run(o simOptions) error {
 	s, err := sched.ByName(o.schedName, o.budget, o.params)
 	if err != nil {
 		return err
-	}
-	if o.costAware {
-		if _, ok := s.(*sched.Throttle); !ok {
-			return fmt.Errorf("-cost-aware requires a gLLM scheduler, got %q", o.schedName)
-		}
-		s = sched.NewCostAwareThrottle(o.params, m)
 	}
 	if o.runtimeName == "" {
 		if o.schedName == "sarathi" {
@@ -231,16 +224,29 @@ func run(o simOptions) error {
 		fmt.Print(acc.String())
 	}
 	if o.itersCSV != "" {
-		f, err := os.Create(o.itersCSV)
-		if err != nil {
+		if err := writeItersCSV(o.itersCSV, res.Iterations); err != nil {
 			return err
 		}
-		fmt.Fprintln(f, "seconds,prefill,decode")
-		for _, it := range res.Iterations {
-			fmt.Fprintf(f, "%.6f,%d,%d\n", it.Time.Seconds(), it.Prefill, it.Decode)
-		}
-		f.Close()
 		fmt.Printf("iteration CSV: %s (%d rows)\n", o.itersCSV, len(res.Iterations))
 	}
 	return nil
+}
+
+// writeItersCSV writes one row per injected micro-batch. A bufio.Writer
+// keeps the first write error, so checking Flush and Close checks them all.
+func writeItersCSV(path string, iters []engine.IterRecord) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	fmt.Fprintln(w, "seconds,prefill,decode")
+	for _, it := range iters {
+		fmt.Fprintf(w, "%.6f,%d,%d\n", it.Time.Seconds(), it.Prefill, it.Decode)
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

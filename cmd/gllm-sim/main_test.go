@@ -110,7 +110,7 @@ func TestRunTokenParallel(t *testing.T) {
 func TestRunFeatureToggles(t *testing.T) {
 	err := run(opts(func(o *simOptions) {
 		o.window = 8 * time.Second
-		o.enableCPP, o.prefixCache, o.costAware, o.convs = true, true, true, true
+		o.enableCPP, o.prefixCache, o.convs = true, true, true
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -139,16 +139,19 @@ func TestRunTraceReplay(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	cases := map[string]func(*simOptions){
-		"bad model":             func(o *simOptions) { o.modelName = "GPT-9" },
-		"bad gpu":               func(o *simOptions) { o.gpuName = "H900" },
-		"bad sched":             func(o *simOptions) { o.schedName = "fcfs" },
-		"bad runtime":           func(o *simOptions) { o.runtimeName = "rust" },
-		"bad dataset":           func(o *simOptions) { o.datasetName = "pile" },
-		"bad parallelism":       func(o *simOptions) { o.parallelism = "dp" },
-		"retired alias":         func(o *simOptions) { o.parallelism = "tokenpar" },
-		"cost-aware on sarathi": func(o *simOptions) { o.schedName, o.costAware = "sarathi", true },
-		"missing trace file":    func(o *simOptions) { o.tracePath = "/nonexistent.json" },
-		"memory util above 1":   func(o *simOptions) { o.memUtil = 2 },
+		"bad model":           func(o *simOptions) { o.modelName = "GPT-9" },
+		"bad gpu":             func(o *simOptions) { o.gpuName = "H900" },
+		"bad sched":           func(o *simOptions) { o.schedName = "fcfs" },
+		"bad runtime":         func(o *simOptions) { o.runtimeName = "rust" },
+		"bad dataset":         func(o *simOptions) { o.datasetName = "pile" },
+		"bad parallelism":     func(o *simOptions) { o.parallelism = "dp" },
+		"retired alias":       func(o *simOptions) { o.parallelism = "tokenpar" },
+		"missing trace file":  func(o *simOptions) { o.tracePath = "/nonexistent.json" },
+		"memory util above 1": func(o *simOptions) { o.memUtil = 2 },
+	}
+	// Every write to a full device fails, which must fail the run.
+	if _, err := os.Stat("/dev/full"); err == nil {
+		cases["iters-csv unwritable"] = func(o *simOptions) { o.itersCSV = "/dev/full" }
 	}
 	for name, mutate := range cases {
 		if err := run(opts(func(o *simOptions) { mutate(o); o.window = time.Second })); err == nil {

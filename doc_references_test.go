@@ -1,0 +1,262 @@
+package gllm_test
+
+import (
+	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// checkedDocs are the docs whose code spans must name things that exist.
+// ROADMAP.md and CHANGES.md name planned and deleted symbols by design;
+// benchmark/README.md describes the frozen benchmark and is exempt until
+// ROADMAP item 8 thaws it.
+var checkedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+var (
+	// qualifiedRef is pkg.Name (pkg.Type.Method, …) not inside a path or
+	// another dotted name; the package is resolved against the tree.
+	qualifiedRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])([a-z][a-z0-9]*)((?:\.[A-Za-z_][A-Za-z0-9_]*)+)`)
+	// snakeCase is a benchmark metric's name after its layer prefix
+	// (sched.schedule_ns): Go names are mixedCaps, so it is not a symbol.
+	snakeCase = regexp.MustCompile(`^[a-z0-9]+(?:_[a-z0-9]+)+$`)
+	testRef   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*\*?`)
+	makeRef   = regexp.MustCompile(`\bmake +([a-z][a-z0-9-]*)`)
+	// makeTarget is a rule line of the Makefile.
+	makeTarget = regexp.MustCompile(`^([a-z][a-z0-9-]*):`)
+)
+
+// TestDocReferences keeps the docs from naming what the tree no longer has
+// (ROADMAP item 12(a)). In every code span of checkedDocs:
+//   - a pkg.Name whose pkg is a package under internal/ must name a func,
+//     method, type, var, const or struct field of that package (further
+//     dotted names must be declared somewhere in the tree);
+//   - a Test*, Fuzz* or Benchmark* name must be a test function in the tree
+//     (a trailing * matches by prefix);
+//   - make X must name a Makefile target.
+//
+// Like TestNoOrphanExports the scan is by name (go/parser, no type
+// checking).
+func TestDocReferences(t *testing.T) {
+	pkgNames := map[string]map[string]bool{} // package → names it declares
+	allNames := map[string]bool{}
+	var tests []string
+	fset := token.NewFileSet()
+	for _, root := range []string{".", "internal", "cmd", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if root == "." && path != "." {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			var names map[string]bool
+			if root == "internal" {
+				pkg := strings.TrimSuffix(f.Name.Name, "_test")
+				if pkgNames[pkg] == nil {
+					pkgNames[pkg] = map[string]bool{}
+				}
+				names = pkgNames[pkg]
+			}
+			declare := func(id *ast.Ident) {
+				allNames[id.Name] = true
+				if names != nil {
+					names[id.Name] = true
+				}
+			}
+			declareFields := func(fields *ast.FieldList) {
+				for _, fld := range fields.List {
+					for _, id := range fld.Names {
+						declare(id)
+					}
+					if len(fld.Names) == 0 { // embedded: the type's name is the field's
+						if id, ok := fld.Type.(*ast.Ident); ok {
+							declare(id)
+						} else if sel, ok := fld.Type.(*ast.SelectorExpr); ok {
+							declare(sel.Sel)
+						}
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					declare(n.Name)
+					if n.Recv == nil && strings.HasSuffix(path, "_test.go") && testRef.MatchString(n.Name.Name) {
+						tests = append(tests, n.Name.Name)
+					}
+				case *ast.TypeSpec:
+					declare(n.Name)
+				case *ast.ValueSpec:
+					for _, id := range n.Names {
+						declare(id)
+					}
+				case *ast.StructType:
+					declareFields(n.Fields)
+				case *ast.InterfaceType:
+					declareFields(n.Methods)
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(pkgNames["sched"]) == 0 || len(tests) == 0 {
+		t.Fatal("found no packages or tests; the scan is looking in the wrong place")
+	}
+	targets := makeTargets(t)
+
+	checked := 0
+	for _, doc := range checkedDocs {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpans(string(raw)) {
+			where := doc + ":" + strconv.Itoa(span.line)
+			for _, m := range qualifiedRef.FindAllStringSubmatch(span.text, -1) {
+				names, ok := pkgNames[m[1]]
+				if !ok {
+					continue
+				}
+				parts := strings.Split(m[2][1:], ".")
+				if snakeCase.MatchString(parts[0]) {
+					continue
+				}
+				checked++
+				if !names[parts[0]] {
+					t.Errorf("%s: `%s.%s` names nothing in package %s", where, m[1], parts[0], m[1])
+					continue
+				}
+				for _, p := range parts[1:] {
+					if !allNames[p] {
+						t.Errorf("%s: `%s%s`: %s is declared nowhere in the tree", where, m[1], m[2], p)
+					}
+				}
+			}
+			for _, ref := range testRef.FindAllString(span.text, -1) {
+				checked++
+				if !namesTest(tests, ref) {
+					t.Errorf("%s: `%s` names no test function", where, ref)
+				}
+			}
+			for _, m := range makeRef.FindAllStringSubmatch(span.text, -1) {
+				checked++
+				if !targets[m[1]] {
+					t.Errorf("%s: `make %s` is no Makefile target", where, m[1])
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("checked no reference; the span scan is broken")
+	}
+	t.Logf("%d references checked in %s", checked, strings.Join(checkedDocs, ", "))
+}
+
+// namesTest reports whether ref names one of tests; a trailing * matches
+// any test with that prefix.
+func namesTest(tests []string, ref string) bool {
+	prefix, isPrefix := strings.CutSuffix(ref, "*")
+	for _, name := range tests {
+		if name == ref || isPrefix && strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// makeTargets returns the Makefile's rule names.
+func makeTargets(t *testing.T) map[string]bool {
+	f, err := os.Open("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	targets := map[string]bool{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if m := makeTarget.FindStringSubmatch(sc.Text()); m != nil {
+			targets[m[1]] = true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !targets["check"] {
+		t.Fatal("Makefile has no check target; the target scan is broken")
+	}
+	return targets
+}
+
+type codeSpan struct {
+	text string
+	line int // 1-based line of the opening backtick
+}
+
+// codeSpans returns the inline code spans of a Markdown document: text
+// between two runs of the same number of backticks, possibly across line
+// breaks. Fenced code blocks are skipped whole.
+func codeSpans(doc string) []codeSpan {
+	lines := strings.Split(doc, "\n")
+	fenced := false
+	for i, l := range lines {
+		if strings.HasPrefix(strings.TrimSpace(l), "```") {
+			fenced = !fenced
+			lines[i] = ""
+		} else if fenced {
+			lines[i] = ""
+		}
+	}
+	text := strings.Join(lines, "\n")
+	var spans []codeSpan
+	for i := 0; i < len(text); {
+		if text[i] != '`' {
+			i++
+			continue
+		}
+		n := 1
+		for i+n < len(text) && text[i+n] == '`' {
+			n++
+		}
+		open := i
+		i += n
+		for j := i; j < len(text); {
+			if text[j] != '`' {
+				j++
+				continue
+			}
+			m := 1
+			for j+m < len(text) && text[j+m] == '`' {
+				m++
+			}
+			if m == n {
+				spans = append(spans, codeSpan{text[i:j], 1 + strings.Count(text[:open], "\n")})
+				i = j + m
+				break
+			}
+			j += m
+		}
+	}
+	return spans
+}

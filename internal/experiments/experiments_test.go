@@ -3,8 +3,10 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"gllm/internal/model"
+	"gllm/internal/stats"
 	"gllm/internal/workload"
 )
 
@@ -113,6 +115,27 @@ func TestFig12CrossNodeTPCollapses(t *testing.T) {
 	if gl.E2E >= sg.E2E {
 		t.Fatalf("gllm E2E %.2f >= sglang %.2f cross-node", gl.E2E, sg.E2E)
 	}
+}
+
+// TestMixtralGLLMBeatsVLLM is the mixture-of-experts model's end-to-end
+// witness (EXPERIMENTS.md "Extension results"): served on 4×L20, gLLM's
+// mean E2EL is at least 1.2× lower than the vLLM-like baseline's.
+func TestMixtralGLLMBeatsVLLM(t *testing.T) {
+	cluster := IntraNodeL20(model.Mixtral8x7B)
+	items := workload.Poisson(stats.NewRNG(23), workload.ShareGPT, 4, 8*time.Second)
+	vllm, err := SysVLLM.Run(cluster, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gllm, err := SysGLLM.Run(cluster, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, g := vllm.Report.E2E.Mean, gllm.Report.E2E.Mean
+	if g <= 0 || v < 1.2*g {
+		t.Fatalf("Mixtral mean E2EL: vllm %.3f s, gllm %.3f s, want gllm ≥ 1.2× lower", v, g)
+	}
+	t.Logf("Mixtral mean E2EL: vllm %.3f s, gllm %.3f s (%.2f×)", v, g, v/g)
 }
 
 func TestFig11DistributionRatios(t *testing.T) {

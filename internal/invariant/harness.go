@@ -49,9 +49,8 @@ func HarnessGPU() gpu.Spec {
 type Combo struct {
 	// Engine is "pipeline", "tensor", "disagg" or "tokenpar".
 	Engine string
-	// Scheduler is a sched.ByName policy, or "gllm-cost" for the cost-aware
-	// throttle. Ignored when Make is set (and by the disaggregated engine,
-	// which fixes Sarathi per replica).
+	// Scheduler is a sched.ByName policy. Ignored when Make is set (and by
+	// the disaggregated engine, which fixes Sarathi per replica).
 	Scheduler string
 	// Make overrides Scheduler with a custom factory — the mutation
 	// self-tests inject broken scheduler doubles here. A fresh scheduler is
@@ -74,9 +73,6 @@ func (c Combo) String() string {
 func (c Combo) scheduler() (sched.Scheduler, error) {
 	if c.Make != nil {
 		return c.Make(), nil
-	}
-	if c.Scheduler == "gllm-cost" {
-		return sched.NewCostAwareThrottle(core.DefaultParams(), HarnessModel()), nil
 	}
 	return sched.ByName(c.Scheduler, 512, core.DefaultParams())
 }
@@ -135,8 +131,7 @@ type HarnessConfig struct {
 	Requests int
 	// Engines to cross (default pipeline, tensor, disagg, tokenpar).
 	Engines []string
-	// Schedulers to cross (default: every sched.ByName policy plus the
-	// cost-aware throttle).
+	// Schedulers to cross (default: every sched.ByName policy).
 	Schedulers []string
 	// MaxPrompt / MaxOutput cap synthesized request sizes (defaults 96/48 —
 	// small enough to fit every engine's toy KV, large enough to force
@@ -158,7 +153,7 @@ func (hc *HarnessConfig) defaults() {
 	}
 	if len(hc.Schedulers) == 0 {
 		hc.Schedulers = []string{
-			"gllm", "gllm-no-wt", "gllm-no-ut", "gllm-cost",
+			"gllm", "gllm-no-wt", "gllm-no-ut",
 			"sarathi", "vllm-ve", "td-pipe", "orca", "batch-level",
 		}
 	}

@@ -98,7 +98,7 @@ func TestAbortPanicsOnInFlightWork(t *testing.T) {
 	p2.buildPrefill(b2, 32, 0, nil, false)
 	p2.Complete(b2, time.Millisecond)
 	b3 := &Batch{}
-	p2.buildDecode(b3, 1, nil, nil) // decode step in flight
+	p2.buildDecode(b3, 1, nil) // decode step in flight
 	if len(b3.Decodes) != 1 {
 		t.Fatalf("decodes = %d", len(b3.Decodes))
 	}

@@ -28,16 +28,10 @@ func (s *Sarathi) BatchTokenBound(core.State) int { return s.Budget }
 func (s *Sarathi) PrefillFIFO() bool { return true }
 
 // BatchTokenBound implements TokenBounded: prefill follows eq. 3 for the
-// configured variant; decode follows eq. 4 (or, under cost-aware balancing,
-// is bounded by the decode population, since each sequence contributes one
-// token).
+// configured variant; decode follows eq. 4, and never exceeds the decode
+// population, since each sequence contributes one token.
 func (t *Throttle) BatchTokenBound(st core.State) int {
-	decode := st.RunningDecode
-	if t.CtxWeight == 0 {
-		if db := t.Params.DecodeBudget(st); db < decode {
-			decode = db
-		}
-	}
+	decode := min(st.RunningDecode, t.Params.DecodeBudget(st))
 	prefill := t.Params.PrefillBudget(st, t.Variant)
 	if prefill <= 0 {
 		// Either the batch is decodes only, or nothing decodes and the

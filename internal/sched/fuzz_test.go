@@ -14,10 +14,10 @@ import (
 	"gllm/internal/sched"
 )
 
-// fuzzPolicies are every sched.ByName policy plus the cost-aware throttle:
-// every caller of the pool's prefill and decode walks.
+// fuzzPolicies are every sched.ByName policy: every caller of the pool's
+// prefill and decode walks.
 var fuzzPolicies = []string{
-	"gllm", "gllm-no-wt", "gllm-no-ut", "gllm-cost",
+	"gllm", "gllm-no-wt", "gllm-no-ut",
 	"sarathi", "gllm-ck", "vllm-ve", "td-pipe", "orca", "batch-level",
 }
 
@@ -71,14 +71,9 @@ func FuzzThrottleSchedule(f *testing.F) {
 		}
 
 		for _, name := range fuzzPolicies {
-			var s sched.Scheduler
-			if name == "gllm-cost" {
-				s = sched.NewCostAwareThrottle(params, invariant.HarnessModel())
-			} else {
-				var err error
-				if s, err = sched.ByName(name, params.MaxP, params); err != nil {
-					t.Fatal(err)
-				}
+			s, err := sched.ByName(name, params.MaxP, params)
+			if err != nil {
+				t.Fatal(err)
 			}
 			pool := sched.NewPool(kvcache.New(int64(kvBlocks*blockSize), blockSize), depth)
 			// Default StarveRounds: fuzzed configs legitimately build deep

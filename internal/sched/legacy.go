@@ -40,7 +40,7 @@ func (o *Orca) Name() string { return "orca" }
 // admissions up to MaxSeqs.
 func (o *Orca) Schedule(p *Pool, now time.Duration) *Batch {
 	b := p.GetBatch()
-	p.buildDecode(b, float64(o.MaxSeqs), nil, nil)
+	p.buildDecode(b, o.MaxSeqs, nil)
 	if slots := o.MaxSeqs - len(b.Decodes) - p.inFlightSeqsEstimate(); slots > 0 {
 		// Whole prompts only; an effectively unlimited token budget — the
 		// seq cap is the constraint, exactly Orca's design. Admission slots
@@ -104,7 +104,7 @@ func (s *BatchLevel) Schedule(p *Pool, now time.Duration) *Batch {
 	}
 	inCohort := func(r *request.Request) bool { return r.SchedStamp == s.stamp }
 	b := p.GetBatch()
-	p.buildDecode(b, float64(s.MaxSeqs), nil, inCohort)
+	p.buildDecode(b, s.MaxSeqs, inCohort)
 	p.buildPrefill(b, 1<<30, now, inCohort, true)
 	return b
 }

@@ -7,7 +7,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -356,11 +355,9 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration, allow func(
 
 // buildDecode is the one decode walk. It schedules available (non-busy)
 // decoding sequences that allow accepts (nil accepts all) in FIFO order,
-// reserving one KV slot each, until limit is reached: limit counts
-// sequences, or, when cost is set, the summed cost of the scheduled ones
-// (cost-aware balancing prices a decode step in token-equivalents, its
-// attention context included). A reservation that does not fit preempts
-// younger KV holders; if none exists the sequence preempts itself.
+// reserving one KV slot each, until limit sequences are scheduled. A
+// reservation that does not fit preempts younger KV holders; if none exists
+// the sequence preempts itself.
 //
 // The common case — the token fits, nobody is preempted — walks p.decoding
 // itself and reaches each sequence through the request's handle (r.KVSeq,
@@ -368,16 +365,9 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration, allow func(
 // to preempt (which removes entries from p.decoding in place) does the walk
 // switch to a snapshot, taken before the first mutation and therefore
 // identical to what it was iterating.
-func (p *Pool) buildDecode(b *Batch, limit float64, cost func(*request.Request) float64, allow func(*request.Request) bool) {
-	if limit <= 0 {
-		return
-	}
-	maxSeqs, spent := math.MaxInt, 0.0
-	if cost == nil {
-		maxSeqs = int(limit)
-	}
+func (p *Pool) buildDecode(b *Batch, limit int, allow func(*request.Request) bool) {
 	list, snapped := p.decoding, false
-	for i, n := 0, 0; i < len(list) && n < maxSeqs; i++ {
+	for i, n := 0, 0; i < len(list) && n < limit; i++ {
 		r := list[i]
 		if r.State() != request.StateDecoding || r.DecodeBusy() || allow != nil && !allow(r) {
 			continue
@@ -394,11 +384,6 @@ func (p *Pool) buildDecode(b *Batch, limit float64, cost func(*request.Request) 
 		r.ScheduleDecode()
 		b.Decodes = append(b.Decodes, r)
 		n++
-		if cost != nil {
-			if spent += cost(r); spent >= limit {
-				return
-			}
-		}
 	}
 }
 

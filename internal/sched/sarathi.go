@@ -34,7 +34,7 @@ func (s *Sarathi) Name() string { return "sarathi" }
 // the leftover budget.
 func (s *Sarathi) Schedule(p *Pool, now time.Duration) *Batch {
 	b := p.GetBatch()
-	p.buildDecode(b, float64(s.Budget), nil, nil)
+	p.buildDecode(b, s.Budget, nil)
 	if rest := s.Budget - b.DecodeTokens(); rest > 0 {
 		p.buildPrefill(b, rest, now, nil, false)
 	}

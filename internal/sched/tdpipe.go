@@ -63,10 +63,10 @@ func (t *TDPipe) Schedule(p *Pool, now time.Duration) *Batch {
 	// Homogeneous decode batches still pipeline: spread the population
 	// evenly over the micro-batch slots (otherwise one giant batch leaves
 	// the other stages idle).
-	decodeShare := float64((rd + t.MinDecode - 1) / t.MinDecode)
+	decodeShare := (rd + t.MinDecode - 1) / t.MinDecode
 	b := p.GetBatch()
 	if t.inDecodePhase {
-		p.buildDecode(b, decodeShare, nil, nil)
+		p.buildDecode(b, decodeShare, nil)
 		if b.Empty() && rd == 0 {
 			// Phase boundary race: nothing decodable; fall through to
 			// prefill so the pipeline never idles with work waiting.
@@ -79,7 +79,7 @@ func (t *TDPipe) Schedule(p *Pool, now time.Duration) *Batch {
 			// Nothing to prefill this instant (e.g. chunks in flight): avoid
 			// a bubble rather than idle — schedule decodes, as TD-Pipe's
 			// unit switching does at phase boundaries.
-			p.buildDecode(b, decodeShare, nil, nil)
+			p.buildDecode(b, decodeShare, nil)
 		}
 	}
 	if rd > 0 && p.stalled(b) {

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"gllm/internal/core"
-	"gllm/internal/model"
-	"gllm/internal/request"
 )
 
 // Throttle is the gLLM Token Throttling scheduler (§3.1–§3.2): prefill and
@@ -16,15 +14,6 @@ import (
 type Throttle struct {
 	Params  core.Params
 	Variant core.Variant
-
-	// CtxWeight enables attention-aware cost estimation — the paper's §6
-	// first future-work item ("incorporate the context length of each
-	// sequence to enable more accurate estimation of forward pass time").
-	// A decode step over context L is priced at 1 + CtxWeight·L
-	// token-equivalents and the decode budget balances equivalents instead
-	// of raw token counts. Zero (the default) reproduces the paper's
-	// time ∝ tokens assumption.
-	CtxWeight float64
 }
 
 // NewThrottle returns the gLLM scheduler with the given hyperparameters and
@@ -50,38 +39,13 @@ func (t *Throttle) Name() string {
 	return "gllm-" + t.Variant.String()
 }
 
-// NewCostAwareThrottle returns the gLLM scheduler with attention-aware
-// decode balancing calibrated for the model: the context weight is the
-// ratio of per-context-token attention FLOPs (4·heads·headDim) to
-// per-token projection FLOPs (2·active params).
-func NewCostAwareThrottle(params core.Params, m model.Config) *Throttle {
-	t := NewThrottle(params, core.VariantFull)
-	t.CtxWeight = 2 * float64(m.NumHeads) * float64(m.HeadDim) /
-		float64(m.ActiveParamsPerTokenPerLayer())
-	return t
-}
-
-// decodeWeight prices one decode step of r in token-equivalents.
-func (t *Throttle) decodeWeight(r *request.Request) float64 {
-	return 1 + t.CtxWeight*float64(r.ContextLen())
-}
-
-// Schedule implements Scheduler. Decode tokens are spread evenly over the
-// pipeline depth (eq. 4) — by raw count, or by estimated cost when
-// CtxWeight is set; prefill tokens follow eq. 3 under the configured
-// ablation variant. The two are merged into one micro-batch.
+// Schedule implements Scheduler. Decode sequences are spread evenly over
+// the pipeline depth (eq. 4); prefill tokens follow eq. 3 under the
+// configured ablation variant. The two are merged into one micro-batch.
 func (t *Throttle) Schedule(p *Pool, now time.Duration) *Batch {
 	st := p.CoreState()
 	b := p.GetBatch()
-	if t.CtxWeight > 0 {
-		total := 0.0
-		for _, r := range p.Decoding() {
-			total += t.decodeWeight(r)
-		}
-		p.buildDecode(b, total/float64(p.Depth), t.decodeWeight, nil)
-	} else {
-		p.buildDecode(b, float64(t.Params.DecodeBudget(st)), nil, nil)
-	}
+	p.buildDecode(b, t.Params.DecodeBudget(st), nil)
 	budget := t.Params.PrefillBudget(st, t.Variant)
 	if budget == 0 && st.WaitingPrefillTokens > 0 && p.stalled(b) {
 		// The KV gate suspends prefill to protect running decodes. With

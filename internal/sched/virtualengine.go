@@ -60,7 +60,7 @@ func (v *VirtualEngines) Schedule(p *Pool, now time.Duration) *Batch {
 		stamp := v.stamp(e)
 		mine := func(r *request.Request) bool { return r.SchedStamp == stamp }
 		b := p.GetBatch()
-		p.buildDecode(b, float64(v.Budget), nil, mine)
+		p.buildDecode(b, v.Budget, mine)
 		if rest := v.Budget - b.DecodeTokens(); rest > 0 {
 			p.buildPrefill(b, rest, now, mine, false)
 		}
