@@ -24,6 +24,9 @@ var (
 	// qualifiedRef is pkg.Name (pkg.Type.Method, …) not inside a path or
 	// another dotted name; the package is resolved against the tree.
 	qualifiedRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])([a-z][a-z0-9]*)((?:\.[A-Za-z_][A-Za-z0-9_]*)+)`)
+	// typeRef is an unqualified Type.Member (Handle.Next, Pool.Complete),
+	// not inside a path or another dotted name.
+	typeRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)`)
 	// snakeCase is a benchmark metric's name after its layer prefix
 	// (sched.schedule_ns): Go names are mixedCaps, so it is not a symbol.
 	snakeCase = regexp.MustCompile(`^[a-z0-9]+(?:_[a-z0-9]+)+$`)
@@ -36,8 +39,12 @@ var (
 // TestDocReferences keeps the docs from naming what the tree no longer has
 // (ROADMAP item 12(a)). In every code span of checkedDocs:
 //   - a pkg.Name whose pkg is a package under internal/ must name a func,
-//     method, type, var, const or struct field of that package (further
-//     dotted names must be declared somewhere in the tree);
+//     method, type, var, const or struct field of that package; when Name
+//     is a type, the next dotted name must be one of its members, and any
+//     further ones must be declared somewhere in the tree;
+//   - a Type.Member whose Type is a type declared in the tree must name a
+//     method, struct field or interface method of a type of that name, or
+//     of a type it embeds;
 //   - a Test*, Fuzz* or Benchmark* name must be a test function in the tree
 //     (a trailing * matches by prefix);
 //   - make X must name a Makefile target.
@@ -47,6 +54,8 @@ var (
 func TestDocReferences(t *testing.T) {
 	pkgNames := map[string]map[string]bool{} // package → names it declares
 	allNames := map[string]bool{}
+	members := map[string]map[string]bool{} // type name → its methods and fields
+	embeds := map[string][]string{}         // type name → the types it embeds
 	var tests []string
 	fset := token.NewFileSet()
 	for _, root := range []string{".", "internal", "cmd", "benchmark"} {
@@ -81,16 +90,29 @@ func TestDocReferences(t *testing.T) {
 					names[id.Name] = true
 				}
 			}
-			declareFields := func(fields *ast.FieldList) {
+			member := func(typ, name string) {
+				if members[typ] == nil {
+					members[typ] = map[string]bool{}
+				}
+				members[typ][name] = true
+			}
+			// declareFields declares a struct's fields or an interface's
+			// methods; owner, when set, is the type they are members of.
+			declareFields := func(owner string, fields *ast.FieldList) {
 				for _, fld := range fields.List {
 					for _, id := range fld.Names {
 						declare(id)
+						if owner != "" {
+							member(owner, id.Name)
+						}
 					}
 					if len(fld.Names) == 0 { // embedded: the type's name is the field's
-						if id, ok := fld.Type.(*ast.Ident); ok {
+						if id := typeName(fld.Type); id != nil {
 							declare(id)
-						} else if sel, ok := fld.Type.(*ast.SelectorExpr); ok {
-							declare(sel.Sel)
+							if owner != "" {
+								member(owner, id.Name)
+								embeds[owner] = append(embeds[owner], id.Name)
+							}
 						}
 					}
 				}
@@ -99,19 +121,33 @@ func TestDocReferences(t *testing.T) {
 				switch n := n.(type) {
 				case *ast.FuncDecl:
 					declare(n.Name)
+					if n.Recv != nil {
+						if id := typeName(n.Recv.List[0].Type); id != nil {
+							member(id.Name, n.Name.Name)
+						}
+					}
 					if n.Recv == nil && strings.HasSuffix(path, "_test.go") && testRef.MatchString(n.Name.Name) {
 						tests = append(tests, n.Name.Name)
 					}
 				case *ast.TypeSpec:
 					declare(n.Name)
+					if members[n.Name.Name] == nil {
+						members[n.Name.Name] = map[string]bool{}
+					}
+					switch t := n.Type.(type) {
+					case *ast.StructType:
+						declareFields(n.Name.Name, t.Fields)
+					case *ast.InterfaceType:
+						declareFields(n.Name.Name, t.Methods)
+					}
 				case *ast.ValueSpec:
 					for _, id := range n.Names {
 						declare(id)
 					}
 				case *ast.StructType:
-					declareFields(n.Fields)
+					declareFields("", n.Fields)
 				case *ast.InterfaceType:
-					declareFields(n.Methods)
+					declareFields("", n.Methods)
 				}
 				return true
 			})
@@ -125,6 +161,21 @@ func TestDocReferences(t *testing.T) {
 		t.Fatal("found no packages or tests; the scan is looking in the wrong place")
 	}
 	targets := makeTargets(t)
+	// hasMember reports whether a type named typ, or one it embeds, has a
+	// method or field called name.
+	var hasMember func(typ, name string, seen map[string]bool) bool
+	hasMember = func(typ, name string, seen map[string]bool) bool {
+		if members[typ][name] {
+			return true
+		}
+		seen[typ] = true
+		for _, e := range embeds[typ] {
+			if !seen[e] && hasMember(e, name, seen) {
+				return true
+			}
+		}
+		return false
+	}
 
 	checked := 0
 	for _, doc := range checkedDocs {
@@ -148,10 +199,26 @@ func TestDocReferences(t *testing.T) {
 					t.Errorf("%s: `%s.%s` names nothing in package %s", where, m[1], parts[0], m[1])
 					continue
 				}
-				for _, p := range parts[1:] {
+				rest := parts[1:]
+				if _, isType := members[parts[0]]; isType && len(rest) > 0 {
+					if !hasMember(parts[0], rest[0], map[string]bool{}) {
+						t.Errorf("%s: `%s%s`: type %s has no member %s", where, m[1], m[2], parts[0], rest[0])
+					}
+					rest = rest[1:]
+				}
+				for _, p := range rest {
 					if !allNames[p] {
 						t.Errorf("%s: `%s%s`: %s is declared nowhere in the tree", where, m[1], m[2], p)
 					}
+				}
+			}
+			for _, m := range typeRef.FindAllStringSubmatch(span.text, -1) {
+				if _, isType := members[m[1]]; !isType {
+					continue
+				}
+				checked++
+				if !hasMember(m[1], m[2], map[string]bool{}) {
+					t.Errorf("%s: `%s.%s`: type %s has no member %s", where, m[1], m[2], m[1], m[2])
 				}
 			}
 			for _, ref := range testRef.FindAllString(span.text, -1) {
@@ -172,6 +239,24 @@ func TestDocReferences(t *testing.T) {
 		t.Fatal("checked no reference; the span scan is broken")
 	}
 	t.Logf("%d references checked in %s", checked, strings.Join(checkedDocs, ", "))
+}
+
+// typeName returns the name of the type a receiver or embedded field
+// expression refers to: T, *T, pkg.T, T[P] and their pointers.
+func typeName(x ast.Expr) *ast.Ident {
+	switch x := x.(type) {
+	case *ast.Ident:
+		return x
+	case *ast.StarExpr:
+		return typeName(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel
+	case *ast.IndexExpr:
+		return typeName(x.X)
+	case *ast.IndexListExpr:
+		return typeName(x.X)
+	}
+	return nil
 }
 
 // namesTest reports whether ref names one of tests; a trailing * matches

@@ -139,15 +139,19 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 		}
 		r.eng.After(r.cfg.UtilSampleEvery, r.sampleUtil)
 	}
-	in := r.loops[0]
-	for i, it := range items {
-		id := int64(i)
-		r.eng.At(it.Arrival, func() {
-			req := request.New(id, it.Arrival, it.PromptLen, it.OutputLen)
-			req.PrefixGroup, req.SharedPrefixLen = it.PrefixGroup, it.SharedPrefixLen
-			in.pool.Add(req)
-			in.fill()
-		})
+	// Arrivals run in item order — the items are sorted and equal
+	// timestamps run in insertion order — so one callback serves them all.
+	in, next := r.loops[0], 0
+	arrive := func() {
+		it := items[next]
+		req := request.New(int64(next), it.Arrival, it.PromptLen, it.OutputLen)
+		req.PrefixGroup, req.SharedPrefixLen = it.PrefixGroup, it.SharedPrefixLen
+		next++
+		in.pool.Add(req)
+		in.fill()
+	}
+	for _, it := range items {
+		r.eng.At(it.Arrival, arrive)
 	}
 
 	r.eng.Run()
@@ -222,14 +226,16 @@ func (r *run) stageBusy(dst []time.Duration) []time.Duration {
 }
 
 // sampleUtil records each rank's busy fraction over the last window and
-// re-arms itself while requests remain.
+// re-arms itself while requests remain and the run can still finish them:
+// an aborted run, or one with nothing else pending (a deadlock), would
+// otherwise advance the clock forever.
 func (r *run) sampleUtil() {
 	busy := r.stageBusy(nil)
 	for i, b := range busy {
 		r.util[i].Record(r.eng.Now(), float64(b-r.lastBusy[i])/float64(r.cfg.UtilSampleEvery))
 	}
 	r.lastBusy = busy
-	if r.finished < r.total {
+	if r.finished < r.total && r.aborted == nil && r.eng.Pending() > 0 {
 		r.eng.After(r.cfg.UtilSampleEvery, r.sampleUtil)
 	}
 }

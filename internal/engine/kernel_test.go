@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,11 +50,11 @@ func TestResultDoesNotPinRun(t *testing.T) {
 // under every policy and on both strategies. The arithmetic of the bound:
 // the batch and its slices are recycled through Pool.PutBatch (0), the
 // slot's callbacks were bound by its first batch (0), sim.Resource starts
-// and queues jobs in place (0), the event heap has reached its size (0),
-// the per-token KV append lands in a page table that 1 030 prompt tokens
-// grew to 128 blocks of capacity, enough for 1 018 more (0), and the one
-// thing an iteration does append to for good, the run's IterRecord log, is
-// pre-sized here (its growth is on ROADMAP item 6's ledger). At the parent
+// and queues jobs in place (0), both of the clock's queues have reached
+// their size (0), the per-token KV append lands in a page table that 1 030
+// prompt tokens grew to 128 blocks of capacity, enough for 1 018 more (0),
+// and the one thing an iteration does append to for good, the run's
+// IterRecord log, is pre-sized here (its growth is on ROADMAP item 6's ledger). At the parent
 // of the change that added this test the same 256 iterations cost 4 544
 // allocations on the pipeline (a batch and its slices, three closures per
 // stage, one per prep) and 2 048 on the token-parallel group.
@@ -103,6 +105,65 @@ func TestSteadyStateIterationAllocationFree(t *testing.T) {
 					t.Errorf("%s/%s/%s: %.0f allocations per %d steady-state iterations, want 0", engine, name, rt.Name, avg, measured)
 				}
 			}
+		}
+	}
+}
+
+var errPlanted = errors.New("planted observer failure")
+
+// failAfterThree fails its run once three non-empty batches were scheduled.
+type failAfterThree struct{ batches int }
+
+func (o *failAfterThree) BeforeSchedule(time.Duration) {}
+func (o *failAfterThree) AfterSchedule(b *sched.Batch, _ time.Duration) {
+	if !b.Empty() {
+		o.batches++
+	}
+}
+func (o *failAfterThree) AfterComplete(*sched.Batch, []*request.Request, time.Duration) {}
+func (o *failAfterThree) Final(time.Duration) error                                     { return nil }
+func (o *failAfterThree) Err() error {
+	if o.batches >= 3 {
+		return errPlanted
+	}
+	return nil
+}
+
+// neverSchedules admits requests and never runs one: a scheduling deadlock.
+type neverSchedules struct{}
+
+func (neverSchedules) Name() string                                         { return "never" }
+func (neverSchedules) Schedule(p *sched.Pool, _ time.Duration) *sched.Batch { return p.GetBatch() }
+
+// A run that cannot finish its requests must return its error, not let the
+// utilisation sampler advance the clock forever: after an observer aborts
+// it, and when nothing but the sampler is left pending.
+func TestSampledRunReturnsItsError(t *testing.T) {
+	observed := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
+	observed.Observer = func(*sched.Pool, sched.Scheduler) BatchObserver { return &failAfterThree{} }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want func(error) bool
+	}{
+		{"observer", observed, func(err error) bool { return errors.Is(err, errPlanted) }},
+		{"deadlock", testConfig(neverSchedules{}, GLLMRuntime), func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "deadlock")
+		}},
+	} {
+		tc.cfg.UtilSampleEvery = 500 * time.Millisecond
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunPipeline(tc.cfg, shortTrace(1, 2, 5*time.Second))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !tc.want(err) {
+				t.Errorf("%s: err = %v", tc.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the run has not returned after 10s", tc.name)
 		}
 	}
 }

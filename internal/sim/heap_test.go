@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -110,5 +111,66 @@ func TestEngineReset(t *testing.T) {
 	}
 	if e.Now() != time.Second || e.Executed() != 50 {
 		t.Fatalf("post-reset run: now=%v executed=%d", e.Now(), e.Executed())
+	}
+
+	// Reset must drop the closures of both queues: three in time order in
+	// the sorted run, two out of order in the heap, one of which runs first.
+	freed := make(chan struct{}, 5)
+	for _, at := range []time.Duration{2, 3, 4, 1, 2} {
+		payload := new([64]byte)
+		runtime.SetFinalizer(payload, func(*[64]byte) { freed <- struct{}{} })
+		e.At(e.Now()+at*time.Second, func() { payload[0]++ })
+	}
+	e.Step()
+	if e.sorted.len() != 3 || e.events.len() != 1 {
+		t.Fatalf("pending split sorted=%d heap=%d, want 3 and 1", e.sorted.len(), e.events.len())
+	}
+	e.Reset()
+	if e.Pending() != 0 {
+		t.Fatalf("%d events pending after Reset", e.Pending())
+	}
+	for got := 0; got < 5; {
+		runtime.GC() // finalizers run on their own goroutine after a cycle
+		select {
+		case <-freed:
+			got++
+		case <-time.After(2 * time.Second):
+			t.Fatalf("only %d of 5 dropped events' captures were collected", got)
+		}
+	}
+	runtime.KeepAlive(e)
+}
+
+// The clock at steady state — events re-arming in time order behind one
+// another, so the sorted run never drains, beside a few out-of-order ones in
+// the heap — allocates nothing, and the sorted run's array stays bounded
+// instead of growing by one event per step.
+func TestEngineSteadyStateAllocationFree(t *testing.T) {
+	const chains = 8
+	e := New()
+	var rearm [chains]func()
+	for i := range rearm {
+		rearm[i] = func() {
+			e.After(chains*time.Microsecond, rearm[i])
+			if i == 0 { // out of order: ahead of every pending chain
+				e.After(time.Nanosecond, func() {})
+			}
+		}
+		e.At(time.Duration(i)*time.Microsecond, rearm[i])
+	}
+	steps := func() {
+		for range 10_000 {
+			e.Step()
+		}
+	}
+	steps()
+	if avg := testing.AllocsPerRun(10, steps); avg != 0 {
+		t.Fatalf("%.1f allocations per 10 000 steps, want 0", avg)
+	}
+	if c := cap(e.sorted.a); c > 4*chains {
+		t.Fatalf("sorted run capacity %d for %d pending events", c, chains)
+	}
+	if e.events.len() > 1 {
+		t.Fatalf("heap holds %d events, want at most 1", e.events.len())
 	}
 }
