@@ -38,7 +38,8 @@ fmt-check:
 # regular tests so only the fuzz engine runs; the seeds run in tier1.
 FUZZ_TARGETS = FuzzKVAllocFree:./internal/kvcache FuzzThrottleSchedule:./internal/sched \
 	FuzzParseExposition:./internal/metrics FuzzChunkReader:./internal/server \
-	FuzzChromeRoundTrip:./internal/obs FuzzEngineOrder:./internal/sim
+	FuzzChromeRoundTrip:./internal/obs FuzzParseTraceparent:./internal/obs \
+	FuzzEngineOrder:./internal/sim
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -127,7 +127,7 @@ func run(o benchOptions) error {
 		if err != nil {
 			return err
 		}
-		if err := writeHistCSV(f, res.Collector.Records()); err != nil {
+		if err := writeHistCSV(f, res.Collector.Scrape()); err != nil {
 			f.Close()
 			return err
 		}
@@ -150,58 +150,27 @@ func run(o benchOptions) error {
 	return nil
 }
 
-// writeHistCSV dumps Prometheus-shaped latency histograms as CSV: one row
-// per cumulative bucket (kind "le:<bound>", "le:+Inf"), plus "sum" and
-// "count" rows per metric, using the same bucket layout the server's
+// writeHistCSV dumps the scrape's Prometheus-shaped latency histograms as
+// CSV: one row per cumulative bucket (kind "le:<bound>", "le:+Inf"), plus
+// "sum" and "count" rows per metric, in the bucket layout the server's
 // /metrics endpoint exposes.
-func writeHistCSV(w io.Writer, records []metrics.Record) error {
-	observe := func(sel func(metrics.Record) (time.Duration, bool)) []float64 {
-		var vals []float64
-		for _, r := range records {
-			if d, ok := sel(r); ok {
-				vals = append(vals, d.Seconds())
-			}
-		}
-		return vals
-	}
-	completedOnly := func(get func(metrics.Record) time.Duration) func(metrics.Record) (time.Duration, bool) {
-		return func(r metrics.Record) (time.Duration, bool) { return get(r), r.Completed() }
-	}
-	hists := []struct {
+func writeHistCSV(w io.Writer, sc metrics.Scrape) error {
+	var b strings.Builder
+	b.WriteString("metric,kind,value\n")
+	for _, h := range []struct {
 		name string
-		vals []float64
-	}{
-		{"ttft_seconds", observe(completedOnly(func(r metrics.Record) time.Duration { return r.TTFT }))},
-		{"tpot_seconds", observe(completedOnly(func(r metrics.Record) time.Duration { return r.TPOT }))},
-		{"e2el_seconds", observe(completedOnly(func(r metrics.Record) time.Duration { return r.E2E }))},
-		{"queue_delay_seconds", observe(func(r metrics.Record) (time.Duration, bool) { return r.Queue, true })},
+		snap metrics.HistSnapshot
+	}{{"ttft_seconds", sc.TTFT}, {"tpot_seconds", sc.TPOT}, {"e2el_seconds", sc.E2E}, {"queue_delay_seconds", sc.Queue}} {
+		cum := h.snap.Cumulative()
+		for i, bound := range h.snap.Bounds {
+			fmt.Fprintf(&b, "%s,le:%g,%d\n", h.name, bound, cum[i])
+		}
+		fmt.Fprintf(&b, "%s,le:+Inf,%d\n", h.name, h.snap.Count)
+		fmt.Fprintf(&b, "%s,sum,%g\n", h.name, h.snap.Sum)
+		fmt.Fprintf(&b, "%s,count,%d\n", h.name, h.snap.Count)
 	}
-	if _, err := fmt.Fprintln(w, "metric,kind,value"); err != nil {
-		return err
-	}
-	bounds := metrics.DefaultLatencyBuckets
-	for _, h := range hists {
-		counts := metrics.CumulativeCounts(h.vals, bounds)
-		for i, b := range bounds {
-			if _, err := fmt.Fprintf(w, "%s,le:%g,%d\n", h.name, b, counts[i]); err != nil {
-				return err
-			}
-		}
-		sum := 0.0
-		for _, v := range h.vals {
-			sum += v
-		}
-		if _, err := fmt.Fprintf(w, "%s,le:+Inf,%d\n", h.name, counts[len(bounds)]); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s,sum,%g\n", h.name, sum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s,count,%d\n", h.name, len(h.vals)); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // parseGoodput parses the paper's "ttft:1000 tpot:250" millisecond syntax.

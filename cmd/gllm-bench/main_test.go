@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -29,59 +28,108 @@ func TestParseGoodput(t *testing.T) {
 	}
 }
 
+// The CSV is the client collector's scrape, byte for byte what the earlier
+// re-bucketing of its records wrote for the same three requests.
 func TestWriteHistCSV(t *testing.T) {
-	records := []metrics.Record{
+	var c metrics.Collector
+	for _, rec := range []metrics.Record{
 		{TTFT: 30 * time.Millisecond, TPOT: 5 * time.Millisecond,
 			E2E: 400 * time.Millisecond, Queue: 2 * time.Millisecond, FinishReason: "length"},
 		{TTFT: 120 * time.Millisecond, TPOT: 20 * time.Millisecond,
 			E2E: 900 * time.Millisecond, Queue: 8 * time.Millisecond, FinishReason: "length"},
 		// Aborted: excluded from latency histograms, counted in queue delay.
 		{TTFT: 10 * time.Millisecond, Queue: time.Millisecond, FinishReason: "cancelled"},
+	} {
+		c.Add(rec)
 	}
 	var sb strings.Builder
-	if err := writeHistCSV(&sb, records); err != nil {
+	if err := writeHistCSV(&sb, c.Scrape()); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if lines[0] != "metric,kind,value" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	counts := map[string]string{}
-	perMetric := map[string][]int{}
-	for _, line := range lines[1:] {
-		parts := strings.Split(line, ",")
-		if len(parts) != 3 {
-			t.Fatalf("bad row %q", line)
-		}
-		if parts[1] == "count" {
-			counts[parts[0]] = parts[2]
-		}
-		if strings.HasPrefix(parts[1], "le:") {
-			n, err := strconv.Atoi(parts[2])
-			if err != nil {
-				t.Fatalf("bucket value %q: %v", parts[2], err)
-			}
-			perMetric[parts[0]] = append(perMetric[parts[0]], n)
-		}
-	}
-	if counts["ttft_seconds"] != "2" || counts["queue_delay_seconds"] != "3" {
-		t.Fatalf("counts = %v", counts)
-	}
-	wantBuckets := len(metrics.DefaultLatencyBuckets) + 1
-	for metric, buckets := range perMetric {
-		if len(buckets) != wantBuckets {
-			t.Fatalf("%s: %d buckets, want %d", metric, len(buckets), wantBuckets)
-		}
-		for i := 1; i < len(buckets); i++ {
-			if buckets[i] < buckets[i-1] {
-				t.Fatalf("%s: buckets not cumulative: %v", metric, buckets)
-			}
-		}
-	}
-	if got := perMetric["ttft_seconds"][wantBuckets-1]; got != 2 {
-		t.Fatalf("ttft +Inf bucket = %d", got)
+	if got := sb.String(); got != wantHistCSV {
+		t.Fatalf("histogram CSV:\n%s\nwant:\n%s", got, wantHistCSV)
 	}
 }
+
+// wantHistCSV is writeHistCSV's output for TestWriteHistCSV's records.
+const wantHistCSV = `metric,kind,value
+ttft_seconds,le:0.001,0
+ttft_seconds,le:0.0025,0
+ttft_seconds,le:0.005,0
+ttft_seconds,le:0.01,0
+ttft_seconds,le:0.025,0
+ttft_seconds,le:0.05,1
+ttft_seconds,le:0.1,1
+ttft_seconds,le:0.25,2
+ttft_seconds,le:0.5,2
+ttft_seconds,le:1,2
+ttft_seconds,le:2.5,2
+ttft_seconds,le:5,2
+ttft_seconds,le:10,2
+ttft_seconds,le:30,2
+ttft_seconds,le:60,2
+ttft_seconds,le:120,2
+ttft_seconds,le:+Inf,2
+ttft_seconds,sum,0.15
+ttft_seconds,count,2
+tpot_seconds,le:0.001,0
+tpot_seconds,le:0.0025,0
+tpot_seconds,le:0.005,1
+tpot_seconds,le:0.01,1
+tpot_seconds,le:0.025,2
+tpot_seconds,le:0.05,2
+tpot_seconds,le:0.1,2
+tpot_seconds,le:0.25,2
+tpot_seconds,le:0.5,2
+tpot_seconds,le:1,2
+tpot_seconds,le:2.5,2
+tpot_seconds,le:5,2
+tpot_seconds,le:10,2
+tpot_seconds,le:30,2
+tpot_seconds,le:60,2
+tpot_seconds,le:120,2
+tpot_seconds,le:+Inf,2
+tpot_seconds,sum,0.025
+tpot_seconds,count,2
+e2el_seconds,le:0.001,0
+e2el_seconds,le:0.0025,0
+e2el_seconds,le:0.005,0
+e2el_seconds,le:0.01,0
+e2el_seconds,le:0.025,0
+e2el_seconds,le:0.05,0
+e2el_seconds,le:0.1,0
+e2el_seconds,le:0.25,0
+e2el_seconds,le:0.5,1
+e2el_seconds,le:1,2
+e2el_seconds,le:2.5,2
+e2el_seconds,le:5,2
+e2el_seconds,le:10,2
+e2el_seconds,le:30,2
+e2el_seconds,le:60,2
+e2el_seconds,le:120,2
+e2el_seconds,le:+Inf,2
+e2el_seconds,sum,1.3
+e2el_seconds,count,2
+queue_delay_seconds,le:0.001,1
+queue_delay_seconds,le:0.0025,2
+queue_delay_seconds,le:0.005,2
+queue_delay_seconds,le:0.01,3
+queue_delay_seconds,le:0.025,3
+queue_delay_seconds,le:0.05,3
+queue_delay_seconds,le:0.1,3
+queue_delay_seconds,le:0.25,3
+queue_delay_seconds,le:0.5,3
+queue_delay_seconds,le:1,3
+queue_delay_seconds,le:2.5,3
+queue_delay_seconds,le:5,3
+queue_delay_seconds,le:10,3
+queue_delay_seconds,le:30,3
+queue_delay_seconds,le:60,3
+queue_delay_seconds,le:120,3
+queue_delay_seconds,le:+Inf,3
+queue_delay_seconds,sum,0.011
+queue_delay_seconds,count,3
+`
 
 func TestParseGoodputErrors(t *testing.T) {
 	for _, spec := range []string{

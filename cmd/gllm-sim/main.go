@@ -170,6 +170,10 @@ func run(o simOptions) error {
 		col = invariant.NewCollector(invariant.Options{})
 		cfg.Observer = col.Observer
 	}
+	var log engine.BatchLog
+	if o.itersCSV != "" {
+		cfg.Observer = log.Observer(cfg.Observer)
+	}
 	var rec *obs.Recorder
 	if o.traceOut != "" {
 		stages := topo.GPUs()
@@ -224,25 +228,25 @@ func run(o simOptions) error {
 		fmt.Print(acc.String())
 	}
 	if o.itersCSV != "" {
-		if err := writeItersCSV(o.itersCSV, res.Iterations); err != nil {
+		if err := writeItersCSV(o.itersCSV, log.Batches); err != nil {
 			return err
 		}
-		fmt.Printf("iteration CSV: %s (%d rows)\n", o.itersCSV, len(res.Iterations))
+		fmt.Printf("iteration CSV: %s (%d rows)\n", o.itersCSV, len(log.Batches))
 	}
 	return nil
 }
 
 // writeItersCSV writes one row per injected micro-batch. A bufio.Writer
 // keeps the first write error, so checking Flush and Close checks them all.
-func writeItersCSV(path string, iters []engine.IterRecord) error {
+func writeItersCSV(path string, batches []engine.ScheduledBatch) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	w := bufio.NewWriter(f)
 	fmt.Fprintln(w, "seconds,prefill,decode")
-	for _, it := range iters {
-		fmt.Fprintf(w, "%.6f,%d,%d\n", it.Time.Seconds(), it.Prefill, it.Decode)
+	for _, b := range batches {
+		fmt.Fprintf(w, "%.6f,%d,%d\n", b.Time.Seconds(), b.Prefill, b.Decode)
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()

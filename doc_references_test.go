@@ -32,6 +32,8 @@ var (
 	snakeCase = regexp.MustCompile(`^[a-z0-9]+(?:_[a-z0-9]+)+$`)
 	testRef   = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*\*?`)
 	makeRef   = regexp.MustCompile(`\bmake +([a-z][a-z0-9-]*)`)
+	// flagWord is a command-line word naming a flag: -name, --name, -name=v.
+	flagWord = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)(?:=.*)?$`)
 	// makeTarget is a rule line of the Makefile.
 	makeTarget = regexp.MustCompile(`^([a-z][a-z0-9-]*):`)
 )
@@ -47,7 +49,9 @@ var (
 //     of a type it embeds;
 //   - a Test*, Fuzz* or Benchmark* name must be a test function in the tree
 //     (a trailing * matches by prefix);
-//   - make X must name a Makefile target.
+//   - make X must name a Makefile target;
+//   - a -flag word after a binary's name (gllm-sim, ./cmd/gllm-sim) must be
+//     a flag that binary's main.go registers, until a shell separator.
 //
 // Like TestNoOrphanExports the scan is by name (go/parser, no type
 // checking).
@@ -161,6 +165,7 @@ func TestDocReferences(t *testing.T) {
 		t.Fatal("found no packages or tests; the scan is looking in the wrong place")
 	}
 	targets := makeTargets(t)
+	flags := binFlags(t)
 	// hasMember reports whether a type named typ, or one it embeds, has a
 	// method or field called name.
 	var hasMember func(typ, name string, seen map[string]bool) bool
@@ -233,6 +238,22 @@ func TestDocReferences(t *testing.T) {
 					t.Errorf("%s: `make %s` is no Makefile target", where, m[1])
 				}
 			}
+			bin := ""
+			for _, w := range strings.Fields(span.text) {
+				if _, ok := flags[w[strings.LastIndex(w, "/")+1:]]; ok {
+					bin = w[strings.LastIndex(w, "/")+1:]
+					continue
+				}
+				switch m := flagWord.FindStringSubmatch(w); {
+				case w == "|" || w == "&&" || w == "||" || w == ";" || w == "&":
+					bin = ""
+				case bin != "" && m != nil:
+					checked++
+					if !flags[bin][m[1]] {
+						t.Errorf("%s: `%s -%s`: %s registers no flag -%s", where, bin, m[1], bin, m[1])
+					}
+				}
+			}
 		}
 	}
 	if checked == 0 {
@@ -269,6 +290,56 @@ func namesTest(tests []string, ref string) bool {
 		}
 	}
 	return false
+}
+
+// binFlags returns, for each binary under cmd/, the flags its main.go
+// registers: the name argument of every flag.XVar (the second) and every
+// other flag.X (the first) call, plus the flag package's own -h and -help.
+func binFlags(t *testing.T) map[string]map[string]bool {
+	mains, err := filepath.Glob("cmd/gllm-*/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := map[string]map[string]bool{}
+	for _, path := range mains {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags := map[string]bool{"h": true, "help": true}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			arg := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if arg < len(call.Args) {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, err := strconv.Unquote(lit.Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					flags[name] = true
+				}
+			}
+			return true
+		})
+		bins[filepath.Base(filepath.Dir(path))] = flags
+	}
+	if !bins["gllm-sim"]["check-invariants"] || !bins["gllm-experiments"]["run"] {
+		t.Fatal("found no flag registrations; the flag scan is broken")
+	}
+	return bins
 }
 
 // makeTargets returns the Makefile's rule names.

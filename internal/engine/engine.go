@@ -26,7 +26,6 @@ import (
 	"gllm/internal/obs"
 	"gllm/internal/request"
 	"gllm/internal/sched"
-	"gllm/internal/stats"
 )
 
 // BatchObserver receives the engine's scheduling-loop callbacks, one
@@ -65,6 +64,69 @@ func unmarkExternal(obs BatchObserver, id kvcache.SeqID) {
 		so.UnmarkExternal(id)
 	}
 }
+
+// ScheduledBatch is one non-empty batch as Schedule returned it.
+type ScheduledBatch struct {
+	Time    time.Duration
+	Prefill int
+	Decode  int
+}
+
+// BatchLog records every non-empty batch a run schedules, in scheduling
+// order across all of its pools: Figures 1 and 4's per-iteration series. A
+// run without one keeps nothing per batch.
+type BatchLog struct {
+	Batches []ScheduledBatch
+}
+
+// Observer returns a Config.Observer that logs into l ahead of the observer
+// next builds for the same pool (next may be nil, or build nil).
+func (l *BatchLog) Observer(next func(*sched.Pool, sched.Scheduler) BatchObserver) func(*sched.Pool, sched.Scheduler) BatchObserver {
+	return func(p *sched.Pool, s sched.Scheduler) BatchObserver {
+		var o BatchObserver = noObserver{}
+		if next != nil {
+			if n := next(p, s); n != nil {
+				o = n
+			}
+		}
+		return batchLogger{o, l}
+	}
+}
+
+// Tokens returns each logged batch's total token count.
+func (l *BatchLog) Tokens() []float64 {
+	out := make([]float64, len(l.Batches))
+	for i, b := range l.Batches {
+		out[i] = float64(b.Prefill + b.Decode)
+	}
+	return out
+}
+
+// batchLogger is one pool's BatchLog hook in front of the pool's own
+// observer, which sees every call.
+type batchLogger struct {
+	BatchObserver
+	log *BatchLog
+}
+
+func (o batchLogger) AfterSchedule(b *sched.Batch, now time.Duration) {
+	if !b.Empty() {
+		o.log.Batches = append(o.log.Batches, ScheduledBatch{Time: now, Prefill: b.PrefillTokens(), Decode: b.DecodeTokens()})
+	}
+	o.BatchObserver.AfterSchedule(b, now)
+}
+
+func (o batchLogger) MarkExternal(id kvcache.SeqID)   { markExternal(o.BatchObserver, id) }
+func (o batchLogger) UnmarkExternal(id kvcache.SeqID) { unmarkExternal(o.BatchObserver, id) }
+
+// noObserver is what a batchLogger hands on to when its pool has no observer.
+type noObserver struct{}
+
+func (noObserver) BeforeSchedule(time.Duration)                                  {}
+func (noObserver) AfterSchedule(*sched.Batch, time.Duration)                     {}
+func (noObserver) AfterComplete(*sched.Batch, []*request.Request, time.Duration) {}
+func (noObserver) Final(time.Duration) error                                     { return nil }
+func (noObserver) Err() error                                                    { return nil }
 
 // RuntimeModel prices the control-plane (CPU) work of a serving runtime:
 // input preparation, metadata handling and sampling around each
@@ -162,10 +224,6 @@ type Config struct {
 	// obs.Recorder.WriteChrome). Its stage count must cover the topology's
 	// GPUs. A nil recorder costs nothing on the micro-batch path.
 	Spans *obs.Recorder
-
-	// UtilSampleEvery, when positive, samples per-stage utilization on that
-	// period (Figure 4's time series), one series per Result.StageBusy entry.
-	UtilSampleEvery time.Duration
 }
 
 const (
@@ -201,13 +259,6 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// IterRecord captures one scheduled micro-batch (Figure 1/4 data).
-type IterRecord struct {
-	Time    time.Duration
-	Prefill int
-	Decode  int
-}
-
 // Result is the outcome of one simulated serving run.
 type Result struct {
 	SchedulerName string
@@ -215,12 +266,8 @@ type Result struct {
 	Requests      int
 	Report        metrics.Report
 	Collector     *metrics.Collector
-	Iterations    []IterRecord
-	// StageUtil holds one utilization time series per stage when sampling
-	// was enabled.
-	StageUtil   []*stats.TimeSeries
-	Preemptions int
-	Injections  int
+	Preemptions   int
+	Injections    int
 	// Makespan is the virtual time of the last request completion.
 	Makespan time.Duration
 	// BubbleFraction is the stage idle fraction over the makespan.
@@ -238,31 +285,4 @@ type Result struct {
 	// TknpCommBytes counts the token-parallel engine's query-scatter and
 	// attention-gather traffic over the group link (zero elsewhere).
 	TknpCommBytes int64
-}
-
-// TokensPerIteration returns the per-iteration total batched token counts.
-func (r *Result) TokensPerIteration() []float64 {
-	out := make([]float64, len(r.Iterations))
-	for i, it := range r.Iterations {
-		out[i] = float64(it.Prefill + it.Decode)
-	}
-	return out
-}
-
-// PrefillPerIteration returns per-iteration prefill token counts.
-func (r *Result) PrefillPerIteration() []float64 {
-	out := make([]float64, len(r.Iterations))
-	for i, it := range r.Iterations {
-		out[i] = float64(it.Prefill)
-	}
-	return out
-}
-
-// DecodePerIteration returns per-iteration decode token counts.
-func (r *Result) DecodePerIteration() []float64 {
-	out := make([]float64, len(r.Iterations))
-	for i, it := range r.Iterations {
-		out[i] = float64(it.Decode)
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -87,16 +88,16 @@ func TestSarathiTokenVolatilityExceedsGLLM(t *testing.T) {
 	// more than gLLM's balanced schedule under the same workload.
 	items := shortTrace(42, 4, 20*time.Second)
 
-	sar, err := RunPipeline(testConfig(sched.NewSarathi(2048), VLLMRuntime), items)
-	if err != nil {
-		t.Fatal(err)
+	tokenStd := func(cfg Config) float64 {
+		var log BatchLog
+		cfg.Observer = log.Observer(nil)
+		if _, err := RunPipeline(cfg, items); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Summarize(log.Tokens()).Std
 	}
-	gl, err := RunPipeline(testConfig(sched.NewDefaultThrottle(), GLLMRuntime), items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sarStd := stats.Summarize(sar.TokensPerIteration()).Std
-	glStd := stats.Summarize(gl.TokensPerIteration()).Std
+	sarStd := tokenStd(testConfig(sched.NewSarathi(2048), VLLMRuntime))
+	glStd := tokenStd(testConfig(sched.NewDefaultThrottle(), GLLMRuntime))
 	if glStd >= sarStd {
 		t.Fatalf("gLLM token std %.1f >= Sarathi %.1f — balancing broken", glStd, sarStd)
 	}
@@ -140,25 +141,38 @@ func TestAsyncRuntimeBeatsCoupledRuntime(t *testing.T) {
 	}
 }
 
+// Figure 4's utilisation series, read from the exec spans: every window is
+// a busy fraction, and the windows add back up to each stage's StageBusy.
 func TestUtilizationSampling(t *testing.T) {
+	const every = 500 * time.Millisecond
 	cfg := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
-	cfg.UtilSampleEvery = 500 * time.Millisecond
+	rec := obs.NewRecorder(cfg.Topo.GPUs(), 0)
+	cfg.Spans = rec
 	items := shortTrace(3, 2, 10*time.Second)
 	res, err := RunPipeline(cfg, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.StageUtil) != 4 {
-		t.Fatalf("stage util series = %d", len(res.StageUtil))
+	if rec.Dropped() != 0 {
+		t.Fatalf("span ring dropped %d spans", rec.Dropped())
 	}
-	for i, ts := range res.StageUtil {
-		if len(ts.Points) == 0 {
-			t.Fatalf("stage %d has no samples", i)
+	util := obs.Utilization(rec.Spans(), rec.Stages(), every, res.Makespan)
+	if len(util) != 4 {
+		t.Fatalf("stage util series = %d", len(util))
+	}
+	for i, ts := range util {
+		if want := int((res.Makespan + every - 1) / every); len(ts.Points) != want {
+			t.Fatalf("stage %d has %d samples, want %d", i, len(ts.Points), want)
 		}
+		busy := 0.0
 		for _, p := range ts.Points {
 			if p.V < 0 || p.V > 1.000001 {
 				t.Fatalf("stage %d utilization %v out of [0,1]", i, p.V)
 			}
+			busy += p.V * every.Seconds()
+		}
+		if math.Abs(busy-res.StageBusy[i].Seconds()) > 1e-6 {
+			t.Fatalf("stage %d: windows add up to %.9fs busy, StageBusy %v", i, busy, res.StageBusy[i])
 		}
 	}
 }
@@ -238,21 +252,25 @@ func TestPipelineErrorPaths(t *testing.T) {
 
 func TestIterationRecordsMatchInjections(t *testing.T) {
 	items := shortTrace(5, 2, 10*time.Second)
-	res, err := RunPipeline(testConfig(sched.NewDefaultThrottle(), GLLMRuntime), items)
+	cfg := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
+	var log BatchLog
+	cfg.Observer = log.Observer(nil)
+	res, err := RunPipeline(cfg, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Iterations) != res.Injections {
-		t.Fatalf("iterations %d != injections %d", len(res.Iterations), res.Injections)
+	if len(log.Batches) != res.Injections {
+		t.Fatalf("logged batches %d != injections %d", len(log.Batches), res.Injections)
 	}
-	for _, it := range res.Iterations {
-		if it.Prefill < 0 || it.Decode < 0 || it.Prefill+it.Decode == 0 {
-			t.Fatalf("bad iteration record %+v", it)
+	for i, b := range log.Batches {
+		if b.Prefill < 0 || b.Decode < 0 || b.Prefill+b.Decode == 0 {
+			t.Fatalf("bad batch record %+v", b)
+		}
+		if i > 0 && b.Time < log.Batches[i-1].Time {
+			t.Fatalf("batch %d at %v precedes batch %d at %v", i, b.Time, i-1, log.Batches[i-1].Time)
 		}
 	}
-	if len(res.PrefillPerIteration()) != len(res.Iterations) ||
-		len(res.DecodePerIteration()) != len(res.Iterations) ||
-		len(res.TokensPerIteration()) != len(res.Iterations) {
+	if len(log.Tokens()) != len(log.Batches) {
 		t.Fatal("series lengths inconsistent")
 	}
 }
@@ -284,26 +302,26 @@ func TestPrefixCacheEngineIntegration(t *testing.T) {
 	if len(items) == 0 {
 		t.Skip("no conversations generated")
 	}
-	base := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
-	off, err := RunPipeline(base, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
-	cached.EnablePrefixCache = true
-	on, err := RunPipeline(cached, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sumPrefill := func(r *Result) int {
-		n := 0
-		for _, it := range r.Iterations {
-			n += it.Prefill
+	// run returns the result and the prefill tokens its batches carried.
+	run := func(prefixCache bool) (*Result, int) {
+		cfg := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
+		cfg.EnablePrefixCache = prefixCache
+		var log BatchLog
+		cfg.Observer = log.Observer(nil)
+		res, err := RunPipeline(cfg, items)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n
+		n := 0
+		for _, b := range log.Batches {
+			n += b.Prefill
+		}
+		return res, n
 	}
-	if sumPrefill(on) >= sumPrefill(off) {
-		t.Fatalf("prefix cache did not reduce prefill: %d vs %d", sumPrefill(on), sumPrefill(off))
+	off, offPrefill := run(false)
+	on, onPrefill := run(true)
+	if onPrefill >= offPrefill {
+		t.Fatalf("prefix cache did not reduce prefill: %d vs %d", onPrefill, offPrefill)
 	}
 	if on.Report.TTFT.Mean >= off.Report.TTFT.Mean {
 		t.Fatalf("prefix cache TTFT %.3fs >= baseline %.3fs", on.Report.TTFT.Mean, off.Report.TTFT.Mean)

@@ -17,13 +17,14 @@ import (
 )
 
 // The golden cells pin everything a run can be observed to do — the Result
-// field by field, the utilisation samples and the ordered span stream —
-// across the four engines, both prep paths (async residual and coupled
-// driver CPU), the three disaggregation ratios, KV pressure, and CPP +
-// prefix cache. The digests were captured on the four hand-written engine
-// loops that preceded the shared kernel (kernel.go); the file uses only API
-// that exists on both sides, so it can be dropped onto that commit and
-// passes unchanged. A refactor of the engines must not move any of them.
+// field by field, every scheduled batch, the utilisation samples and the
+// ordered span stream — across the four engines, both prep paths (async
+// residual and coupled driver CPU), the three disaggregation ratios, KV
+// pressure, and CPP + prefix cache. The digests were captured on the four
+// hand-written engine loops that preceded the shared kernel (kernel.go),
+// when the kernel itself kept the batch list and sampled utilisation; the
+// batch log and obs.Utilization reproduce both to the byte. A refactor of
+// the engines must not move any of them.
 // The seven per-policy kv-pressure cells came later, captured before the
 // pool's five batch builders became one prefill and one decode walk; only
 // vllm-ve's moved then, because its walk began evicting younger KV holders
@@ -64,13 +65,24 @@ var goldenDigests = map[string]string{
 	"pipeline/util-sampling":               "f67cb42111290995570329b563d09f9683cb64fadaa48664529c9dd30c76f66f",
 }
 
-// goldenCell is one pinned run. spanStages sizes the span recorder.
+// goldenCell is one pinned run. spanStages sizes the span recorder;
+// utilEvery, when set, adds the recorder's utilisation series on that period.
 type goldenCell struct {
 	name       string
 	disagg     bool
 	spanStages int
-	run        func(rec *obs.Recorder) (*Result, error)
+	utilEvery  time.Duration
+	run        func(p *goldenProbe) (*Result, error)
 }
+
+// goldenProbe is what every cell installs in its Config: the span recorder
+// and the batch log.
+type goldenProbe struct {
+	rec *obs.Recorder
+	log BatchLog
+}
+
+func (p *goldenProbe) install(c *Config) { c.Spans, c.Observer = p.rec, p.log.Observer(nil) }
 
 func goldenCells() []goldenCell {
 	base := shortTrace(1, 3, 8*time.Second)
@@ -89,43 +101,44 @@ func goldenCells() []goldenCell {
 	for _, s := range scheds {
 		for _, rt := range []RuntimeModel{GLLMRuntime, VLLMRuntime} {
 			label := s.name + "/" + rt.Name
-			cfg := func(rec *obs.Recorder) Config {
+			cfg := func(p *goldenProbe) Config {
 				c := testConfig(s.mk(), rt)
-				c.Spans = rec
+				p.install(&c)
 				return c
 			}
 			cells = append(cells,
-				goldenCell{name: "pipeline/" + label, spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
-					return RunPipeline(cfg(rec), base)
+				goldenCell{name: "pipeline/" + label, spanStages: 4, run: func(p *goldenProbe) (*Result, error) {
+					return RunPipeline(cfg(p), base)
 				}},
-				goldenCell{name: "tensor/" + label, spanStages: 1, run: func(rec *obs.Recorder) (*Result, error) {
-					return RunTensor(cfg(rec), base)
+				goldenCell{name: "tensor/" + label, spanStages: 1, run: func(p *goldenProbe) (*Result, error) {
+					return RunTensor(cfg(p), base)
 				}},
-				goldenCell{name: "tokenpar/" + label, spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
-					return RunTokenParallel(TokenParallelConfig{Config: cfg(rec), RootTP: 2}, base)
+				goldenCell{name: "tokenpar/" + label, spanStages: 4, run: func(p *goldenProbe) (*Result, error) {
+					return RunTokenParallel(TokenParallelConfig{Config: cfg(p), RootTP: 2}, base)
 				}},
 				// The disaggregated engine ignores cfg.Scheduler and charges
 				// no prep: these four cells differ only in RuntimeName.
-				goldenCell{name: "disagg-2p2d/" + label, disagg: true, spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
-					return RunDisaggregated(DisaggConfig{Config: cfg(rec), PrefillGPUs: 2}, base)
+				goldenCell{name: "disagg-2p2d/" + label, disagg: true, spanStages: 4, run: func(p *goldenProbe) (*Result, error) {
+					return RunDisaggregated(DisaggConfig{Config: cfg(p), PrefillGPUs: 2}, base)
 				}},
 			)
 		}
 	}
-	for _, p := range []int{1, 3} {
+	for _, prefill := range []int{1, 3} {
 		cells = append(cells, goldenCell{
-			name: fmt.Sprintf("disagg-%dp%dd/nil-scheduler", p, 4-p), disagg: true, spanStages: 4,
-			run: func(rec *obs.Recorder) (*Result, error) {
+			name: fmt.Sprintf("disagg-%dp%dd/nil-scheduler", prefill, 4-prefill), disagg: true, spanStages: 4,
+			run: func(p *goldenProbe) (*Result, error) {
 				c := testConfig(nil, GLLMRuntime)
-				c.Spans = rec
-				return RunDisaggregated(DisaggConfig{Config: c, PrefillGPUs: p}, base)
+				p.install(&c)
+				return RunDisaggregated(DisaggConfig{Config: c, PrefillGPUs: prefill}, base)
 			},
 		})
 	}
 	kvPressure := func(name string, mk func() sched.Scheduler) goldenCell {
-		return goldenCell{name: name, spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
+		return goldenCell{name: name, spanStages: 4, run: func(p *goldenProbe) (*Result, error) {
 			c := testConfig(mk(), VLLMRuntime)
-			c.Model, c.MemUtil, c.Spans = model.Qwen25_32B, 0.315, rec
+			c.Model, c.MemUtil = model.Qwen25_32B, 0.315
+			p.install(&c)
 			res, err := RunPipeline(c, pressure)
 			if err == nil && res.Preemptions == 0 {
 				err = fmt.Errorf("setup failed: no preemptions under derated memory")
@@ -146,49 +159,55 @@ func goldenCells() []goldenCell {
 		}))
 	}
 	cells = append(cells,
-		goldenCell{name: "pipeline/conversations+cpp+prefix", spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
+		goldenCell{name: "pipeline/conversations+cpp+prefix", spanStages: 4, run: func(p *goldenProbe) (*Result, error) {
 			c := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
-			c.EnableCPP, c.EnablePrefixCache, c.Spans = true, true, rec
+			c.EnableCPP, c.EnablePrefixCache = true, true
+			p.install(&c)
 			return RunPipeline(c, convs)
 		}},
-		goldenCell{name: "tokenpar/conversations+cpp+prefix", spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
+		goldenCell{name: "tokenpar/conversations+cpp+prefix", spanStages: 4, run: func(p *goldenProbe) (*Result, error) {
 			c := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
-			c.EnableCPP, c.EnablePrefixCache, c.Spans = true, true, rec
+			c.EnableCPP, c.EnablePrefixCache = true, true
+			p.install(&c)
 			return RunTokenParallel(TokenParallelConfig{Config: c, RootTP: 1}, convs)
 		}},
 		// The disaggregated engine builds its pools without CPP or prefix
 		// cache whatever the Config says.
-		goldenCell{name: "disagg-2p2d/conversations+cpp+prefix", disagg: true, spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
+		goldenCell{name: "disagg-2p2d/conversations+cpp+prefix", disagg: true, spanStages: 4, run: func(p *goldenProbe) (*Result, error) {
 			c := testConfig(nil, GLLMRuntime)
-			c.EnableCPP, c.EnablePrefixCache, c.Spans = true, true, rec
+			c.EnableCPP, c.EnablePrefixCache = true, true
+			p.install(&c)
 			return RunDisaggregated(DisaggConfig{Config: c, PrefillGPUs: 2}, convs)
 		}},
-		goldenCell{name: "pipeline/util-sampling", spanStages: 4, run: func(rec *obs.Recorder) (*Result, error) {
+		goldenCell{name: "pipeline/util-sampling", spanStages: 4, utilEvery: 500 * time.Millisecond, run: func(p *goldenProbe) (*Result, error) {
 			c := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
-			c.UtilSampleEvery, c.Spans = 500*time.Millisecond, rec
+			p.install(&c)
 			return RunPipeline(c, base)
 		}},
 	)
 	return cells
 }
 
-// digestResult hashes every field of the run's outcome. Floats go in by
-// their bit patterns or through %v, which prints the shortest decimal that
-// round-trips, so a one-ulp drift changes the digest.
-func digestResult(res *Result, rec *obs.Recorder, disagg bool) string {
+// digestResult hashes every field of the run's outcome, its batch log, the
+// utilisation series and the span stream. Floats go in by their bit patterns
+// or through %v, which prints the shortest decimal that round-trips, so a
+// one-ulp drift changes the digest.
+func digestResult(res *Result, p *goldenProbe, c goldenCell) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%s|%d|%+v|", res.SchedulerName, res.RuntimeName, res.Requests, res.Report)
 	fmt.Fprintf(h, "%d|%d|%d|%v|%x|", res.Makespan, res.Preemptions, res.Injections,
 		res.StageBusy, math.Float64bits(res.BubbleFraction))
 	fmt.Fprintf(h, "%d|%d|%d|%d|", res.KVTransfers, res.KVTransferBytes, res.TknpCommBytes, res.KVCapacityTokens)
 	fmt.Fprintf(h, "%x|", math.Float64bits(res.Collector.SLOAttainment(2*time.Second, 100*time.Millisecond)))
-	if !disagg {
-		fmt.Fprintf(h, "%v|", res.Iterations)
+	if !c.disagg {
+		fmt.Fprintf(h, "%v|", p.log.Batches)
 	}
-	for _, ts := range res.StageUtil {
-		fmt.Fprintf(h, "%s:%v|", ts.Name, ts.Points)
+	if c.utilEvery > 0 {
+		for _, ts := range obs.Utilization(p.rec.Spans(), p.rec.Stages(), c.utilEvery, res.Makespan) {
+			fmt.Fprintf(h, "%s:%v|", ts.Name, ts.Points)
+		}
 	}
-	fmt.Fprintf(h, "%d:%v", rec.Dropped(), rec.Spans())
+	fmt.Fprintf(h, "%d:%v", p.rec.Dropped(), p.rec.Spans())
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -198,16 +217,16 @@ func TestGoldenEngineDigests(t *testing.T) {
 		t.Errorf("%d cells, %d committed digests", len(cells), len(goldenDigests))
 	}
 	for _, c := range cells {
-		rec := obs.NewRecorder(c.spanStages, 0)
-		res, err := c.run(rec)
+		p := &goldenProbe{rec: obs.NewRecorder(c.spanStages, 0)}
+		res, err := c.run(p)
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if rec.Dropped() != 0 {
-			t.Errorf("%s: span ring dropped %d spans; shorten the trace", c.name, rec.Dropped())
+		if p.rec.Dropped() != 0 {
+			t.Errorf("%s: span ring dropped %d spans; shorten the trace", c.name, p.rec.Dropped())
 		}
-		if got := digestResult(res, rec, c.disagg); got != goldenDigests[c.name] {
+		if got := digestResult(res, p, c); got != goldenDigests[c.name] {
 			t.Errorf("digest moved; table line is now\n\t%q: %q,", c.name, got)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"gllm/internal/request"
 	"gllm/internal/sched"
 	"gllm/internal/sim"
-	"gllm/internal/stats"
 	"gllm/internal/workload"
 )
 
@@ -67,10 +66,7 @@ type run struct {
 
 	// col is allocated apart from the run: the Result hands it out, and a
 	// kept Result must not pin pools, KV managers and the event heap.
-	col        *metrics.Collector
-	iterations []IterRecord
-	util       []*stats.TimeSeries
-	lastBusy   []time.Duration
+	col *metrics.Collector
 
 	total      int
 	finished   int
@@ -132,13 +128,6 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 		return nil, err
 	}
 	r.total = len(items)
-	if r.cfg.UtilSampleEvery > 0 {
-		r.lastBusy = r.stageBusy(nil)
-		for i := range r.lastBusy {
-			r.util = append(r.util, stats.NewTimeSeries(fmt.Sprintf("stage%d-util", i)))
-		}
-		r.eng.After(r.cfg.UtilSampleEvery, r.sampleUtil)
-	}
 	// Arrivals run in item order — the items are sorted and equal
 	// timestamps run in insertion order — so one callback serves them all.
 	in, next := r.loops[0], 0
@@ -176,8 +165,6 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 		Requests:         r.total,
 		Report:           r.col.Report(makespan),
 		Collector:        r.col,
-		Iterations:       r.iterations,
-		StageUtil:        r.util,
 		Injections:       r.injections,
 		Makespan:         makespan,
 		StageBusy:        r.stageBusy(nil),
@@ -225,21 +212,6 @@ func (r *run) stageBusy(dst []time.Duration) []time.Duration {
 	return dst
 }
 
-// sampleUtil records each rank's busy fraction over the last window and
-// re-arms itself while requests remain and the run can still finish them:
-// an aborted run, or one with nothing else pending (a deadlock), would
-// otherwise advance the clock forever.
-func (r *run) sampleUtil() {
-	busy := r.stageBusy(nil)
-	for i, b := range busy {
-		r.util[i].Record(r.eng.Now(), float64(b-r.lastBusy[i])/float64(r.cfg.UtilSampleEvery))
-	}
-	r.lastBusy = busy
-	if r.finished < r.total && r.aborted == nil && r.eng.Pending() > 0 {
-		r.eng.After(r.cfg.UtilSampleEvery, r.sampleUtil)
-	}
-}
-
 // fill schedules fresh batches into the loop's free slots.
 func (l *loop) fill() {
 	r := l.run
@@ -270,7 +242,6 @@ func (l *loop) fill() {
 		l.free = l.free[:len(l.free)-1]
 		r.injections++
 		mb.batch, mb.shape, mb.seq = b, b.Shape(), r.injections
-		r.iterations = append(r.iterations, IterRecord{Time: now, Prefill: mb.shape.PrefillTokens, Decode: mb.shape.DecodeTokens})
 		// A coupled runtime queues its prep on the one driver CPU; a
 		// decoupled one delays only this batch by its residual.
 		mb.prep = r.cfg.Runtime.PrepTime(len(b.Chunks)+len(b.Decodes), mb.shape.Tokens())

@@ -3,12 +3,12 @@ package engine
 import (
 	"errors"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"gllm/internal/core"
+	"gllm/internal/obs"
 	"gllm/internal/request"
 	"gllm/internal/sched"
 	"gllm/internal/sim"
@@ -51,10 +51,9 @@ func TestResultDoesNotPinRun(t *testing.T) {
 // the batch and its slices are recycled through Pool.PutBatch (0), the
 // slot's callbacks were bound by its first batch (0), sim.Resource starts
 // and queues jobs in place (0), both of the clock's queues have reached
-// their size (0), the per-token KV append lands in a page table that 1 030
-// prompt tokens grew to 128 blocks of capacity, enough for 1 018 more (0),
-// and the one thing an iteration does append to for good, the run's
-// IterRecord log, is pre-sized here (its growth is on ROADMAP item 6's ledger). At the parent
+// their size (0), and the per-token KV append lands in a page table that
+// 1 030 prompt tokens grew to 128 blocks of capacity, enough for 1 018 more
+// (0); the run keeps no per-batch log of its own. At the parent
 // of the change that added this test the same 256 iterations cost 4 544
 // allocations on the pipeline (a batch and its slices, three closures per
 // stage, one per prep) and 2 048 on the token-parallel group.
@@ -100,7 +99,6 @@ func TestSteadyStateIterationAllocationFree(t *testing.T) {
 					iterate(1)
 				}
 				iterate(warm)
-				r.iterations = slices.Grow(r.iterations, 4*measured)
 				if avg := testing.AllocsPerRun(2, func() { iterate(measured) }); avg != 0 {
 					t.Errorf("%s/%s/%s: %.0f allocations per %d steady-state iterations, want 0", engine, name, rt.Name, avg, measured)
 				}
@@ -135,12 +133,14 @@ type neverSchedules struct{}
 func (neverSchedules) Name() string                                         { return "never" }
 func (neverSchedules) Schedule(p *sched.Pool, _ time.Duration) *sched.Batch { return p.GetBatch() }
 
-// A run that cannot finish its requests must return its error, not let the
-// utilisation sampler advance the clock forever: after an observer aborts
-// it, and when nothing but the sampler is left pending.
+// A run that cannot finish its requests must return its error at once, with
+// Figure 4's probes installed — a batch log in front of the failing
+// observer, and a span recorder: after an observer aborts it, and when
+// nothing is left pending (a scheduling deadlock).
 func TestSampledRunReturnsItsError(t *testing.T) {
 	observed := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
-	observed.Observer = func(*sched.Pool, sched.Scheduler) BatchObserver { return &failAfterThree{} }
+	var log BatchLog
+	observed.Observer = log.Observer(func(*sched.Pool, sched.Scheduler) BatchObserver { return &failAfterThree{} })
 	for _, tc := range []struct {
 		name string
 		cfg  Config
@@ -151,7 +151,7 @@ func TestSampledRunReturnsItsError(t *testing.T) {
 			return err != nil && strings.Contains(err.Error(), "deadlock")
 		}},
 	} {
-		tc.cfg.UtilSampleEvery = 500 * time.Millisecond
+		tc.cfg.Spans = obs.NewRecorder(tc.cfg.Topo.GPUs(), 0)
 		done := make(chan error, 1)
 		go func() {
 			_, err := RunPipeline(tc.cfg, shortTrace(1, 2, 5*time.Second))

@@ -109,13 +109,15 @@ func TestTokenParallelModelTooBig(t *testing.T) {
 func TestTokenParallelCommBytesExact(t *testing.T) {
 	items := shortTrace(5, 1, 6*time.Second)
 	cfg := tknpConfig(network.IntraNode(4, network.PCIe), 2)
+	var log BatchLog
+	cfg.Observer = log.Observer(nil)
 	res, err := RunTokenParallel(cfg, items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tokens int64
-	for _, it := range res.Iterations {
-		tokens += int64(it.Prefill + it.Decode)
+	for _, b := range log.Batches {
+		tokens += int64(b.Prefill + b.Decode)
 	}
 	m := cfg.Model
 	perTokenPerLayer := 2*m.ActivationBytesPerToken() + m.KVBytesPerTokenPerLayer()

@@ -56,6 +56,8 @@ func SchedulingEvolution(sc Scale, rate float64, ds workload.Dataset) (*Evolutio
 			// Same runtime for all: isolate the scheduling policy.
 			Runtime: engine.GLLMRuntime,
 		}
+		var log engine.BatchLog
+		cfg.Observer = log.Observer(nil)
 		res, err := engine.RunPipeline(cfg, items)
 		if err != nil {
 			return nil, fmt.Errorf("experiments evolution: %s: %w", pol.name, err)
@@ -66,7 +68,7 @@ func SchedulingEvolution(sc Scale, rate float64, ds workload.Dataset) (*Evolutio
 			TPOT:       res.Report.TPOT.Mean,
 			E2E:        res.Report.E2E.Mean,
 			Throughput: res.Report.TokenThroughput,
-			TokenCV:    stats.Summarize(res.TokensPerIteration()).CV(),
+			TokenCV:    stats.Summarize(log.Tokens()).CV(),
 			Bubble:     res.BubbleFraction,
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"gllm/internal/engine"
 	"gllm/internal/model"
 	"gllm/internal/stats"
 	"gllm/internal/workload"
@@ -13,10 +14,8 @@ import (
 // volatility statistics (Figure 1 compares Sarathi-Serve against a balanced
 // schedule with token budget 2048).
 type Fig1Series struct {
-	System  string
-	Prefill []float64
-	Decode  []float64
-	Total   []float64
+	System string
+	Total  []float64
 	// Volatility metrics over the total batched token counts.
 	Mean float64
 	Std  float64
@@ -40,20 +39,20 @@ func Fig1TokenVolatility(sc Scale, rate float64) (*Fig1Result, error) {
 
 	series, err := RunGrid(context.Background(), []System{SysVLLM, SysGLLM}, sc.Workers,
 		func(_ context.Context, sys System) (Fig1Series, error) {
-			res, err := sys.Run(cluster, items)
-			if err != nil {
+			var log engine.BatchLog
+			cfg := sys.config(cluster)
+			cfg.Observer = log.Observer(nil)
+			if _, err := engine.RunPipeline(cfg, items); err != nil {
 				return Fig1Series{}, fmt.Errorf("experiments fig1: %s: %w", sys.Name, err)
 			}
-			total := res.TokensPerIteration()
+			total := log.Tokens()
 			sum := stats.Summarize(total)
 			return Fig1Series{
-				System:  sys.Name,
-				Prefill: res.PrefillPerIteration(),
-				Decode:  res.DecodePerIteration(),
-				Total:   total,
-				Mean:    sum.Mean,
-				Std:     sum.Std,
-				CV:      sum.CV(),
+				System: sys.Name,
+				Total:  total,
+				Mean:   sum.Mean,
+				Std:    sum.Std,
+				CV:     sum.CV(),
 			}, nil
 		})
 	if err != nil {

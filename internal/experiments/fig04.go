@@ -7,6 +7,7 @@ import (
 
 	"gllm/internal/engine"
 	"gllm/internal/model"
+	"gllm/internal/obs"
 	"gllm/internal/stats"
 	"gllm/internal/workload"
 )
@@ -48,21 +49,27 @@ func Fig4Utilization(sc Scale, rate float64, sys System) (*Fig4Result, error) {
 	items := sc.trace(workload.ShareGPT, rate)
 
 	// A one-cell grid: Figure 4 is a single run, but routing it through
-	// RunGrid keeps every experiment on the same execution path.
+	// RunGrid keeps every experiment on the same execution path. The batch
+	// log gives the token series, the span recorder the utilisation.
+	var log engine.BatchLog
+	rec := obs.NewRecorder(cluster.Topo.GPUs(), 0)
 	runs, err := RunGrid(context.Background(), []System{sys}, sc.Workers,
 		func(_ context.Context, s System) (*engine.Result, error) {
 			cfg := s.config(cluster)
-			cfg.UtilSampleEvery = 250 * time.Millisecond
+			cfg.Observer, cfg.Spans = log.Observer(nil), rec
 			return engine.RunPipeline(cfg, items)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("experiments fig4: %w", err)
 	}
+	if n := rec.Dropped(); n > 0 {
+		return nil, fmt.Errorf("experiments fig4: the span recorder dropped %d of %d spans", n, rec.Total())
+	}
 	res := runs[0]
 
 	out := &Fig4Result{
 		System:         sys.Name,
-		StageUtil:      res.StageUtil,
+		StageUtil:      obs.Utilization(rec.Spans(), rec.Stages(), 250*time.Millisecond, res.Makespan),
 		BubbleFraction: res.BubbleFraction,
 		StageBusy:      res.StageBusy,
 		Tokens:         stats.NewTimeSeries("batched-tokens"),
@@ -75,17 +82,17 @@ func Fig4Utilization(sc Scale, rate float64, sys System) (*Fig4Result, error) {
 		out.StageBubble = append(out.StageBubble, bubble)
 	}
 	var phaseSplit time.Duration
-	for _, it := range res.Iterations {
-		out.Tokens.Record(it.Time, float64(it.Prefill+it.Decode))
-		if it.Prefill > 0 && it.Time > phaseSplit {
-			phaseSplit = it.Time
+	for _, b := range log.Batches {
+		out.Tokens.Record(b.Time, float64(b.Prefill+b.Decode))
+		if b.Prefill > 0 && b.Time > phaseSplit {
+			phaseSplit = b.Time
 		}
 	}
 	out.PhaseSplit = phaseSplit
 	out.TokenCV = out.Tokens.Summary().CV()
 
 	var all, p1, p2 []float64
-	for _, ts := range res.StageUtil {
+	for _, ts := range out.StageUtil {
 		for _, p := range ts.Points {
 			all = append(all, p.V)
 			if p.T <= phaseSplit {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -60,24 +59,4 @@ func WriteHeader(w io.Writer, name, help, typ string) {
 // WriteSample emits one sample line.
 func WriteSample(w io.Writer, name string, labels []Label, value float64) {
 	fmt.Fprintf(w, "%s%s %s\n", name, formatLabels(labels), formatValue(value))
-}
-
-// CumulativeCounts bins the observations into cumulative bucket counts for
-// the given upper bounds (which must be sorted ascending). The returned
-// slice has one extra entry: the +Inf bucket == len(observations).
-func CumulativeCounts(observations []float64, bounds []float64) []uint64 {
-	if !sort.Float64sAreSorted(bounds) {
-		panic("metrics: histogram bounds not sorted")
-	}
-	counts := make([]uint64, len(bounds)+1)
-	for _, v := range observations {
-		i := sort.SearchFloat64s(bounds, v) // first bound >= v (le semantics)
-		counts[i]++
-	}
-	var running uint64
-	for i := range counts {
-		running += counts[i]
-		counts[i] = running
-	}
-	return counts
 }

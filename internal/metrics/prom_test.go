@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -122,17 +123,20 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 }
 
+// The scrape tests' oracle, and a Hist agreeing with it.
 func TestCumulativeCounts(t *testing.T) {
 	obs := []float64{0.5, 1.5, 2.5, 2.5, 100}
-	counts := CumulativeCounts(obs, []float64{1, 2, 3})
+	counts := cumulativeCounts(obs, []float64{1, 2, 3})
 	want := []uint64{1, 2, 4, 5}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts = %v, want %v", counts, want)
-		}
+	h := NewHist([]float64{1, 2, 3})
+	for _, v := range obs {
+		h.Observe(v)
+	}
+	if !reflect.DeepEqual(counts, want) || !reflect.DeepEqual(h.Snapshot().Cumulative(), want) {
+		t.Fatalf("counts = %v, Hist %v, want %v", counts, h.Snapshot().Cumulative(), want)
 	}
 	// Boundary values land in their own bucket (le semantics).
-	counts = CumulativeCounts([]float64{1}, []float64{1, 2})
+	counts = cumulativeCounts([]float64{1}, []float64{1, 2})
 	if counts[0] != 1 {
 		t.Fatalf("le boundary: %v", counts)
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -28,6 +29,21 @@ func fillCollector(c *Collector, n int) {
 		}
 		c.Add(rec)
 	}
+}
+
+// cumulativeCounts is the rebuild the incremental histograms replaced, kept
+// as their oracle: it bins the observations into cumulative bucket counts
+// for the given ascending upper bounds, plus a final +Inf bucket ==
+// len(observations).
+func cumulativeCounts(observations []float64, bounds []float64) []uint64 {
+	counts := make([]uint64, len(bounds)+1)
+	for _, v := range observations {
+		counts[sort.SearchFloat64s(bounds, v)]++ // first bound >= v (le semantics)
+	}
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	return counts
 }
 
 // TestScrapeMatchesRecordRebuild pins the incremental scrape state to
@@ -73,7 +89,7 @@ func TestScrapeMatchesRecordRebuild(t *testing.T) {
 	}
 	check := func(name string, snap HistSnapshot, obs []float64) {
 		t.Helper()
-		want := CumulativeCounts(obs, DefaultLatencyBuckets)
+		want := cumulativeCounts(obs, DefaultLatencyBuckets)
 		got := snap.Cumulative()
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d buckets, want %d", name, len(got), len(want))

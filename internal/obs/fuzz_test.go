@@ -74,3 +74,29 @@ func FuzzChromeRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseTraceparent feeds ParseTraceparent arbitrary headers. It must
+// never panic; a rejected header gives ID 0, and an accepted one a non-zero
+// ID whose Traceparent and String forms both parse back to it.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, c := range traceparentCases {
+		f.Add(c.header)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		id, ok := ParseTraceparent(h)
+		if !ok {
+			if id != 0 {
+				t.Fatalf("%q rejected with ID %v", h, id)
+			}
+			return
+		}
+		if id == 0 {
+			t.Fatalf("%q accepted as the zero ID", h)
+		}
+		for _, form := range []string{id.Traceparent(), id.String()} {
+			if back, ok := ParseTraceparent(form); !ok || back != id {
+				t.Fatalf("%q parsed as %v, but its form %q parses as %v, %v", h, id, form, back, ok)
+			}
+		}
+	})
+}

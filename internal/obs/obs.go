@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"gllm/internal/ring"
+	"gllm/internal/stats"
 )
 
 // Kind classifies what a span's interval was spent on.
@@ -299,6 +300,36 @@ func AccountSpans(spans []Span, stages int, window time.Duration) Accounting {
 		return rec.AccountOver(window)
 	}
 	return rec.Account()
+}
+
+// Utilization returns one "stage<s>-util" series per stage: point k, for k
+// = 1 … ⌈end/p⌉ and stamped k·p, is the time stage s's exec spans overlap
+// ((k−1)p, kp], divided by p. The spans must be a whole run's — a recorder
+// that dropped some would give a silently lower series.
+func Utilization(spans []Span, stages int, p, end time.Duration) []*stats.TimeSeries {
+	windows := int((end + p - 1) / p)
+	busy := make([][]time.Duration, stages)
+	for s := range busy {
+		busy[s] = make([]time.Duration, windows)
+	}
+	for _, sp := range spans {
+		if sp.Kind != KindExec {
+			continue
+		}
+		// Window k covers (k·p, (k+1)·p].
+		for k := int(sp.Start / p); k < windows && time.Duration(k)*p < sp.End; k++ {
+			lo, hi := max(sp.Start, time.Duration(k)*p), min(sp.End, time.Duration(k+1)*p)
+			busy[sp.Stage][k] += hi - lo
+		}
+	}
+	out := make([]*stats.TimeSeries, stages)
+	for s, ws := range busy {
+		out[s] = stats.NewTimeSeries(fmt.Sprintf("stage%d-util", s))
+		for k, b := range ws {
+			out[s].Record(time.Duration(k+1)*p, float64(b)/float64(p))
+		}
+	}
+	return out
 }
 
 // String renders the accounting as a compact per-stage table.

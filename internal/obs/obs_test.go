@@ -70,6 +70,30 @@ func TestAccountUsesSpanExtent(t *testing.T) {
 	}
 }
 
+// Utilization splits exec spans across the windows they straddle, ignores
+// transfers and prep, and stamps window k at k·p for k up to ⌈end/p⌉.
+func TestUtilizationWindows(t *testing.T) {
+	r := NewRecorder(2, 16)
+	r.Record(0, KindExec, 1, 100, 0, time.Second)
+	r.Record(0, KindXfer, 1, 100, time.Second, 1500*time.Millisecond)
+	r.Record(1, KindExec, 1, 100, 1500*time.Millisecond, 2500*time.Millisecond)
+	r.Record(0, KindExec, 2, 50, 3*time.Second, 4*time.Second)
+	r.Record(PrepStage, KindPrep, 2, 50, 2500*time.Millisecond, 2600*time.Millisecond)
+	got := Utilization(r.Spans(), r.Stages(), time.Second, 3500*time.Millisecond)
+	want := []string{
+		"stage0-util:[{1s 1} {2s 0} {3s 0} {4s 1}]",
+		"stage1-util:[{1s 0} {2s 0.5} {3s 0.5} {4s 0}]",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d series, want %d", len(got), len(want))
+	}
+	for s, ts := range got {
+		if line := fmt.Sprintf("%s:%v", ts.Name, ts.Points); line != want[s] {
+			t.Errorf("series %d = %s, want %s", s, line, want[s])
+		}
+	}
+}
+
 func TestRingWraparoundKeepsExactTotals(t *testing.T) {
 	r := NewRecorder(1, 8)
 	for i := 0; i < 100; i++ {

@@ -22,26 +22,31 @@ func TestTraceIDRoundTrip(t *testing.T) {
 	}
 }
 
+// traceparentCases is TestParseTraceparentLenient's table and
+// FuzzParseTraceparent's seeds: a header and the ID it parses to, 0 for a
+// rejected one.
+var traceparentCases = []struct {
+	header string
+	want   TraceID
+}{
+	{"", 0},
+	{"garbage", 0},
+	{"00-0000000000000000000000000000000000000000000000000-01", 0}, // wrong shape
+	{"00-00000000000000000000000000000000-0000000000000000-01", 0}, // all-zero trace
+	{"zz-00000000000000000123456789abcdef-0123456789abcdef-01", 0}, // bad version
+	{"00-0000000000000000012345678Gabcdef-0123456789abcdef-01", 0}, // bad hex
+	{"00-ffffffffffffffff0123456789abcdef-0123456789abcdef-01", 0}, // foreign 128-bit
+	{"0000000000000000", 0}, // zero bare ID
+	{"012345678&abcdef", 0}, // bad bare hex
+	{"0123456789abcdef", 0x0123456789abcdef},
+	{"00-00000000000000000123456789abcdef-0123456789abcdef-01", 0x0123456789abcdef},
+}
+
 func TestParseTraceparentLenient(t *testing.T) {
-	bad := []string{
-		"",
-		"garbage",
-		"00-0000000000000000000000000000000000000000000000000-01", // wrong shape
-		"00-00000000000000000000000000000000-0000000000000000-01", // all-zero trace
-		"zz-00000000000000000123456789abcdef-0123456789abcdef-01", // bad version
-		"00-0000000000000000012345678Gabcdef-0123456789abcdef-01", // bad hex
-		"00-ffffffffffffffff0123456789abcdef-0123456789abcdef-01", // foreign 128-bit
-		"0000000000000000", // zero bare ID
-		"012345678&abcdef", // bad bare hex
-	}
-	for _, h := range bad {
-		if id, ok := ParseTraceparent(h); ok {
-			t.Errorf("ParseTraceparent(%q) accepted as %v, want reject", h, id)
+	for _, c := range traceparentCases {
+		if id, ok := ParseTraceparent(c.header); id != c.want || ok != (c.want != 0) {
+			t.Errorf("ParseTraceparent(%q) = %v, %v; want %v", c.header, id, ok, c.want)
 		}
-	}
-	id, ok := ParseTraceparent("0123456789abcdef")
-	if !ok || id != 0x0123456789abcdef {
-		t.Fatalf("bare 16-hex form: got %v, %v", id, ok)
 	}
 }
 

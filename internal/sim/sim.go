@@ -160,9 +160,6 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Executed returns the total number of events run so far.
 func (e *Engine) Executed() uint64 { return e.ran }
 
-// Pending returns the number of events scheduled and not yet run.
-func (e *Engine) Pending() int { return e.sorted.len() + e.events.len() }
-
 // Reset rewinds the engine to the zero state — clock at zero, no pending
 // events, counters cleared — while keeping both queues' allocated capacity,
 // so benchmarks and pooled simulations can reuse one Engine across runs
