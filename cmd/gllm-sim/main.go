@@ -167,7 +167,7 @@ func run(o simOptions) error {
 	}
 	var col *invariant.Collector
 	if o.checkInv {
-		col = invariant.NewCollector(invariant.Options{})
+		col = invariant.NewCollector()
 		cfg.Observer = col.Observer
 	}
 	var log engine.BatchLog

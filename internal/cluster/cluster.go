@@ -191,19 +191,18 @@ type Router struct {
 	replicas []*Replica
 	retired  []*Replica // drained/removed: kept for audits & monotone metrics
 
-	retries429 atomic.Int64 // rejected attempts that were retried
-	gaveUp     atomic.Int64 // submissions that exhausted the retry budget
-	drains     atomic.Int64 // Drain calls (replica lifecycle events)
-	replaces   atomic.Int64 // Replace calls
+	gaveUp   atomic.Int64 // submissions that exhausted the retry budget
+	drains   atomic.Int64 // Drain calls (replica lifecycle events)
+	replaces atomic.Int64 // Replace calls
 
 	reqSpans *obs.ReqRecorder
 
 	// Router-level observability, off the token hot path (touched once per
-	// routing attempt): per-reason retry counters, per-replica pick
-	// counters, and a histogram of actual backoff sleeps.
+	// retried attempt): per-reason retry counters and a histogram of actual
+	// backoff sleeps. Accepted submissions are counted once, on the
+	// replica (Replica.Routed).
 	omu     sync.Mutex
 	retries map[string]int64 // retried attempts by reason (queue_full, …)
-	picks   map[string]int64 // accepted submissions by replica ID
 	backoff *metrics.Hist    // backoff sleep durations, seconds
 }
 
@@ -228,7 +227,6 @@ func New(cfg Config) *Router {
 		jitter:   stats.NewRNG(cfg.Seed ^ 0x726f75746572), // "router"
 		reqSpans: cfg.ReqSpans,
 		retries:  make(map[string]int64),
-		picks:    make(map[string]int64),
 		backoff:  metrics.NewHist(metrics.DefaultLatencyBuckets),
 	}
 }
@@ -371,8 +369,17 @@ func (c *Router) Close() error {
 	return first
 }
 
-// Retries429 counts rejected submission attempts that were retried.
-func (c *Router) Retries429() int64 { return c.retries429.Load() }
+// Retries429 counts rejected submission attempts that were retried: the
+// sum of the per-reason retry counters.
+func (c *Router) Retries429() int64 {
+	c.omu.Lock()
+	defer c.omu.Unlock()
+	var n int64
+	for _, v := range c.retries {
+		n += v
+	}
+	return n
+}
 
 // GaveUp counts submissions that exhausted the retry budget.
 func (c *Router) GaveUp() int64 { return c.gaveUp.Load() }
@@ -445,13 +452,6 @@ func (c *Router) noteRetry(reason string) {
 	c.omu.Unlock()
 }
 
-// notePick counts one accepted submission on a replica.
-func (c *Router) notePick(id string) {
-	c.omu.Lock()
-	c.picks[id]++
-	c.omu.Unlock()
-}
-
 // recordSpan records one router-side request span (no-op when the router
 // has no recorder or the request is untraced). Spans use wall-clock time
 // (c.reqSpans.Now), not the injected retry Clock: they are merged against
@@ -486,7 +486,6 @@ func (c *Router) Submit(ctx context.Context, req Request) (*runtime.Handle, *Rep
 			c.recordSpan(req.Trace, obs.SpanPick, rep.ID, attempt, pickStart, c.reqSpans.Now(req.Trace))
 			if err == nil {
 				rep.routed.Add(1)
-				c.notePick(rep.ID)
 				return h, rep, nil
 			}
 			if !retryable(err) {
@@ -507,7 +506,6 @@ func (c *Router) Submit(ctx context.Context, req Request) (*runtime.Handle, *Rep
 		if c.clock.Now().Add(delay).Sub(start) > c.retry.Budget {
 			break // the sleep would blow the budget: give up now
 		}
-		c.retries429.Add(1)
 		reason := retryReason(lastErr)
 		c.noteRetry(reason)
 		c.backoff.Observe(delay.Seconds())
@@ -607,12 +605,12 @@ type RouterStats struct {
 	Probes     map[string]ProbeState `json:"probes,omitempty"`
 }
 
-// RouterStats snapshots the router-level counters. Probe states are
-// gathered from replicas whose engines expose one (remote transports).
+// RouterStats snapshots the router-level counters. Picks sums Routed over
+// the active and retired replicas of each ID, omitting zeros. Probe states
+// are gathered from replicas whose engines expose one (remote transports).
 func (c *Router) RouterStats() RouterStats {
 	st := RouterStats{
 		Policy:   c.policy.Name(),
-		Retries:  c.retries429.Load(),
 		GaveUp:   c.gaveUp.Load(),
 		Drains:   c.drains.Load(),
 		Replaces: c.replaces.Load(),
@@ -624,12 +622,13 @@ func (c *Router) RouterStats() RouterStats {
 	c.omu.Lock()
 	for k, v := range c.retries {
 		st.ByReason[k] = v
-	}
-	for k, v := range c.picks {
-		st.Picks[k] = v
+		st.Retries += v
 	}
 	c.omu.Unlock()
 	for _, rep := range append(c.Replicas(), c.Retired()...) {
+		if n := rep.Routed(); n > 0 {
+			st.Picks[rep.ID] += n
+		}
 		if ps, ok := rep.ProbeState(); ok {
 			if st.Probes == nil {
 				st.Probes = make(map[string]ProbeState)

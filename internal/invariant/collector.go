@@ -11,26 +11,22 @@ import (
 // results. Its Observer method matches engine.Config.Observer, so enabling
 // full invariant checking on any engine is one assignment:
 //
-//	col := invariant.NewCollector(invariant.Options{})
+//	col := invariant.NewCollector()
 //	cfg.Observer = col.Observer
 //
 // The mutex only guards checker registration: experiment grids build many
 // engines concurrently, but each checker is driven by a single event loop.
 type Collector struct {
-	opts Options
-
 	mu       sync.Mutex
 	checkers []*Checker
 }
 
-// NewCollector builds a collector; every checker it creates shares opts.
-func NewCollector(opts Options) *Collector {
-	return &Collector{opts: opts}
-}
+// NewCollector builds an empty collector.
+func NewCollector() *Collector { return &Collector{} }
 
 // Observer builds a checker for the pool and registers it.
 func (c *Collector) Observer(p *sched.Pool, s sched.Scheduler) engine.BatchObserver {
-	chk := New(p, s, c.opts)
+	chk := New(p, s)
 	c.mu.Lock()
 	c.checkers = append(c.checkers, chk)
 	c.mu.Unlock()

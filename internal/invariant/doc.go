@@ -63,8 +63,7 @@
 // preserve first-come first-served fairness while rebalancing token counts.
 //
 // no-starvation — No resident request goes entirely unserved for more than
-// Options.StarveRounds consecutive non-empty batches (FIFO schedulers
-// only; Orca-style cohort policies starve by design and are exempt).
+// 10 000 consecutive non-empty batches (FIFO schedulers only; Orca-style cohort policies starve by design and are exempt).
 //
 // waiting-prefill — The pool's #WP (sched.Pool.WaitingPrefillTokens, an
 // incrementally maintained counter) equals the sum of RemainingPrefill

@@ -81,7 +81,7 @@ func (c Combo) scheduler() (sched.Scheduler, error) {
 // checking and returns the audited cycle count plus the first violation (or
 // other engine failure). Panics from the model layer are converted to
 // errors so the shrinker can probe candidate traces aggressively.
-func RunCombo(c Combo, items []workload.Item, opts Options) (cycles int64, err error) {
+func RunCombo(c Combo, items []workload.Item) (cycles int64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -91,7 +91,7 @@ func RunCombo(c Combo, items []workload.Item, opts Options) (cycles int64, err e
 	if err != nil {
 		return 0, err
 	}
-	col := NewCollector(opts)
+	col := NewCollector()
 	cfg := engine.Config{
 		Model:             HarnessModel(),
 		GPU:               HarnessGPU(),
@@ -141,7 +141,6 @@ type HarnessConfig struct {
 
 	CPP         bool
 	PrefixCache bool
-	Options     Options
 }
 
 func (hc *HarnessConfig) defaults() {
@@ -214,7 +213,7 @@ func Run(hc HarnessConfig) Report {
 			}
 			combo := Combo{Engine: eng, Scheduler: sn, CPP: hc.CPP, PrefixCache: hc.PrefixCache}
 			items := Workload(rng.Split(), hc.Requests, hc.MaxPrompt, hc.MaxOutput)
-			cycles, err := RunCombo(combo, items, hc.Options)
+			cycles, err := RunCombo(combo, items)
 			rep.Combos++
 			rep.Cycles += cycles
 			if err != nil {
@@ -222,7 +221,7 @@ func Run(hc HarnessConfig) Report {
 					Combo: combo,
 					Err:   err,
 					Reproducer: Shrink(items, func(cand []workload.Item) bool {
-						_, e := RunCombo(combo, cand, hc.Options)
+						_, e := RunCombo(combo, cand)
 						return sameFailure(err, e)
 					}),
 				})

@@ -28,7 +28,7 @@ func TestKVExhaustionDoesNotStall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := NewCollector(Options{})
+		col := NewCollector()
 		res, err := engine.RunPipeline(engine.Config{
 			Model:     model.Qwen25_32B,
 			GPU:       gpu.L20,
@@ -87,7 +87,7 @@ func TestTenThousandRequestAcceptance(t *testing.T) {
 	for i, name := range []string{"gllm", "sarathi"} {
 		items := Workload(stats.NewRNG(uint64(100+i)), n, 96, 48)
 		combo := Combo{Engine: "pipeline", Scheduler: name}
-		cycles, err := RunCombo(combo, items, Options{})
+		cycles, err := RunCombo(combo, items)
 		if err != nil {
 			t.Fatalf("%v over %d requests: %v", combo, n, err)
 		}

@@ -37,25 +37,14 @@ func (v Violation) Error() string {
 	return fmt.Sprintf("invariant %s violated at %v: %s", v.Invariant, v.Time, v.Detail)
 }
 
-// Options tunes a Checker.
-type Options struct {
-	// StarveRounds bounds how many consecutive non-empty batches a resident
+const (
+	// starveRounds bounds how many consecutive non-empty batches a resident
 	// request may be passed over entirely before no-starvation fires. Only
-	// enforced for schedulers declaring sched.FIFOPrefill. 0 selects the
-	// default (10000); negative disables the check.
-	StarveRounds int
-	// MaxViolations caps recorded violations per checker (default 16).
-	MaxViolations int
-}
-
-func (o *Options) defaults() {
-	if o.StarveRounds == 0 {
-		o.StarveRounds = 10000
-	}
-	if o.MaxViolations == 0 {
-		o.MaxViolations = 16
-	}
-}
+	// enforced for schedulers declaring sched.FIFOPrefill.
+	starveRounds = 10000
+	// maxViolations caps recorded violations per checker.
+	maxViolations = 16
+)
 
 // reqTrack is the checker's shadow model of one request's accounting.
 type reqTrack struct {
@@ -80,7 +69,6 @@ type reqTrack struct {
 // Err returns the first one.
 type Checker struct {
 	pool    *sched.Pool
-	opts    Options
 	bounded sched.TokenBounded
 	fifo    bool
 
@@ -104,11 +92,9 @@ type Checker struct {
 // New builds a checker for the pool as driven by scheduler s. The scheduler
 // is only inspected for its optional sched.TokenBounded and
 // sched.FIFOPrefill declarations; the pool is the audited object.
-func New(pool *sched.Pool, s sched.Scheduler, opts Options) *Checker {
-	opts.defaults()
+func New(pool *sched.Pool, s sched.Scheduler) *Checker {
 	c := &Checker{
 		pool:     pool,
-		opts:     opts,
 		reqs:     make(map[int64]*reqTrack),
 		external: make(map[kvcache.SeqID]bool),
 	}
@@ -138,7 +124,7 @@ func (c *Checker) Violations() []Violation {
 func (c *Checker) Cycles() int64 { return c.cycles }
 
 func (c *Checker) violate(name string, now time.Duration, format string, args ...any) {
-	if len(c.violations) >= c.opts.MaxViolations {
+	if len(c.violations) >= maxViolations {
 		c.dropped++
 		return
 	}
@@ -307,7 +293,7 @@ func (c *Checker) AfterSchedule(b *sched.Batch, now time.Duration) {
 	if c.fifo && c.havePre {
 		c.checkFIFO(b, served, now)
 	}
-	if c.fifo && c.opts.StarveRounds > 0 && !b.Empty() {
+	if c.fifo && !b.Empty() {
 		c.checkStarvation(served, now)
 	}
 	c.checkKV(now)
@@ -376,7 +362,7 @@ func (c *Checker) checkStarvation(served map[int64]bool, now time.Duration) {
 			return
 		}
 		tr.starve++
-		if tr.starve > c.opts.StarveRounds {
+		if tr.starve > starveRounds {
 			c.violate(InvNoStarvation, now, "%v made no progress for %d consecutive batches", r, tr.starve)
 			tr.starve = 0
 		}

@@ -28,7 +28,7 @@ func step(p *sched.Pool, s sched.Scheduler, c *Checker, now time.Duration) *sche
 
 func TestCheckerCleanLifecycle(t *testing.T) {
 	p, s := newTestPool(1 << 12)
-	c := New(p, s, Options{})
+	c := New(p, s)
 	p.Add(request.New(0, 0, 300, 3)) // two chunks under the 256 budget
 	p.Add(request.New(1, 0, 40, 2))
 	now := time.Duration(0)
@@ -49,7 +49,7 @@ func TestCheckerCleanLifecycle(t *testing.T) {
 
 func TestCheckerFlagsBackwardTime(t *testing.T) {
 	p, s := newTestPool(1 << 12)
-	c := New(p, s, Options{})
+	c := New(p, s)
 	c.BeforeSchedule(5 * time.Millisecond)
 	c.AfterSchedule(&sched.Batch{}, 5*time.Millisecond)
 	c.BeforeSchedule(2 * time.Millisecond)
@@ -64,7 +64,7 @@ func TestCheckerFlagsBackwardTime(t *testing.T) {
 
 func TestCheckerFlagsDuplicateDecodeInBatch(t *testing.T) {
 	p, s := newTestPool(1 << 12)
-	c := New(p, s, Options{})
+	c := New(p, s)
 	r := request.New(0, 0, 10, 5)
 	p.Add(r)
 	step(p, s, c, 0) // prefill completes, r enters decode
@@ -90,7 +90,7 @@ func TestCheckerFlagsDuplicateDecodeInBatch(t *testing.T) {
 
 func TestCheckerFlagsOrphanSequenceAtFinal(t *testing.T) {
 	p, s := newTestPool(1 << 12)
-	c := New(p, s, Options{})
+	c := New(p, s)
 	if err := p.KV.Allocate(kvcache.SeqID(99), 8); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCheckerFlagsOrphanSequenceAtFinal(t *testing.T) {
 		t.Fatalf("flagged %s, want %s", v.Invariant, InvKVLeak)
 	}
 	// MarkExternal exempts it.
-	c2 := New(p, s, Options{})
+	c2 := New(p, s)
 	c2.MarkExternal(kvcache.SeqID(99))
 	if err := c2.Final(0); err != nil {
 		t.Fatalf("marked-external sequence flagged: %v", err)
@@ -121,11 +121,11 @@ func TestViolationError(t *testing.T) {
 
 func TestMaxViolationsCap(t *testing.T) {
 	p, s := newTestPool(1 << 12)
-	c := New(p, s, Options{MaxViolations: 2})
-	for i := 0; i < 5; i++ {
+	c := New(p, s)
+	for i := 0; i < maxViolations+5; i++ {
 		c.violate(InvMonotonicTime, 0, "n=%d", i)
 	}
-	if got := len(c.Violations()); got != 2 {
-		t.Fatalf("recorded %d violations, want cap 2", got)
+	if got := len(c.Violations()); got != maxViolations {
+		t.Fatalf("recorded %d violations, want cap %d", got, maxViolations)
 	}
 }

@@ -142,7 +142,7 @@ func detectOnEveryLoop(t *testing.T, seed uint64, invariant string, mk func() sc
 	items := Workload(stats.NewRNG(seed), 120, 96, 48)
 	for _, eng := range []string{"pipeline", "tensor", "tokenpar"} {
 		t.Run(eng, func(t *testing.T) {
-			_, err := RunCombo(Combo{Engine: eng, Make: mk}, items, Options{})
+			_, err := RunCombo(Combo{Engine: eng, Make: mk}, items)
 			wantViolation(t, err, invariant)
 		})
 	}
@@ -192,14 +192,14 @@ func TestMutationForgottenWaitingPrefillDetected(t *testing.T) {
 func TestShrinkMinimizesMutantTrace(t *testing.T) {
 	combo := Combo{Engine: "pipeline", Make: func() sched.Scheduler { return fifoBreaker{} }}
 	items := Workload(stats.NewRNG(13), 120, 96, 48)
-	_, orig := RunCombo(combo, items, Options{})
+	_, orig := RunCombo(combo, items)
 	wantViolation(t, orig, InvPrefillFIFO)
 
 	min := Shrink(items, func(cand []workload.Item) bool {
-		_, err := RunCombo(combo, cand, Options{})
+		_, err := RunCombo(combo, cand)
 		return sameFailure(orig, err)
 	})
-	if _, err := RunCombo(combo, min, Options{}); err == nil {
+	if _, err := RunCombo(combo, min); err == nil {
 		t.Fatalf("shrunken trace of %d requests no longer reproduces", len(min))
 	}
 	if len(min) >= len(items) {

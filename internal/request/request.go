@@ -96,8 +96,8 @@ type Request struct {
 	emitted int
 
 	// Owner is the serving driver's per-request state (the runtime hangs
-	// its submission here so token delivery reaches it without a map lookup
-	// per token). Opaque to the schedulers and engines, which never touch
+	// the request's Handle here, so token delivery reaches it without a map
+	// lookup per token). Opaque to the schedulers and engines, which never touch
 	// it; nil outside a live runtime and after the request terminates.
 	Owner any
 

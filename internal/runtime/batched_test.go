@@ -422,13 +422,54 @@ func TestBatchedTerminatesExactlyOnceUnderLoad(t *testing.T) {
 	}
 }
 
+// TestSubmitAllocsPerRequest is the per-request half of the allocation
+// guard: one submit and drain with a background context allocates the
+// request and its in-flight chunk list, and the handle with its two
+// channels. A new per-request allocation on the submit path fails it.
+func TestSubmitAllocsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; guard runs in normal builds")
+	}
+	rt, err := Start(Config{
+		Model:           model.Qwen25_14B,
+		GPU:             gpu.L20,
+		Topo:            network.IntraNode(2, network.PCIe),
+		Scheduler:       sched.NewDefaultThrottle(),
+		Async:           true,
+		TimeScale:       0,
+		WatchdogTimeout: -1, // no ticker goroutine mid-measurement
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ctx := context.Background()
+	run := func() {
+		h, err := rt.SubmitBatchedSpec(ctx, SubmitSpec{PromptLen: 8, MaxTokens: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h.Next(ctx) != nil {
+		}
+	}
+	for range 64 {
+		run() // warm the slab, batch and metrics state
+	}
+	const want = 5
+	got := testing.AllocsPerRun(500, run)
+	t.Logf("allocs/request = %.2f", got)
+	if got > want {
+		t.Fatalf("submit + drain allocates %.2f objects per request, want %d", got, want)
+	}
+}
+
 // TestSteadyStateAllocsPerToken is the regression guard for the zero-alloc
 // serving path (wired into `make check`): once the pools are warm, driving a
 // request through submit → schedule → micro-batch → slab delivery must not
 // allocate per token. AllocsPerRun cannot observe the driver/worker
 // goroutines, so the guard reads process-wide Mallocs around a measured
-// stream with GC parked. Per-request setup (the submission, the request,
-// the handle) is real but amortizes to well under one allocation per token
+// stream with GC parked. Per-request setup (the request and its handle,
+// TestSubmitAllocsPerRequest) is real but amortizes to well under one allocation per token
 // at any realistic output length; the bound enforces exactly that.
 func TestSteadyStateAllocsPerToken(t *testing.T) {
 	if raceEnabled {

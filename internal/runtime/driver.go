@@ -19,21 +19,22 @@ import (
 // fill/retire protocol (internal/engine/kernel.go) on goroutines and wall
 // time; DESIGN.md §10 maps one onto the other.
 //
-// It is also the single authority over request termination: every admitted
-// submission leaves through finish exactly once (normal completion,
-// cancellation, timeout, or shutdown), which releases its admission
-// accounting and ends its stream. Cancellation is cooperative — requests
-// with work in an executing micro-batch are parked in pendingCancels and
-// aborted at the next batch boundary, so a freed KV sequence is never
-// referenced by in-flight compute.
+// Its state is the pool plus the slots: the pool's two queues are the table
+// of resident requests, each reaching its Handle through request.Owner.
+//
+// It is also the single authority over request termination: every accepted
+// handle leaves through finish exactly once (normal completion,
+// cancellation, timeout, or shutdown), which counts the outcome, releases
+// its admission accounting and ends its stream. Cancellation is cooperative
+// — a request with work in an executing micro-batch keeps running until
+// that batch retires, and retire aborts it there, so a freed KV sequence is
+// never referenced by in-flight compute.
 type driver struct {
-	rt             *Runtime
-	pool           *sched.Pool
-	prep           engine.RuntimeModel // prices the control-plane CPU work
-	subs           map[int64]*submission
-	pendingCancels map[int64]*submission
-	free           []*microBatch // the slots (one per stage) with no batch in flight
-	seq            int           // injection ordinal, for span labels and the prep watermark
+	rt   *Runtime
+	pool *sched.Pool
+	prep engine.RuntimeModel // prices the control-plane CPU work
+	free []*microBatch       // the slots (one per stage) with no batch in flight
+	seq  int                 // injection ordinal, for span labels and the prep watermark
 
 	// stopCh and killCh are the runtime's until their close is observed,
 	// then nil so the select stops receiving from them.
@@ -51,13 +52,11 @@ const gaugePublishEvery = 64
 func newDriver(rt *Runtime) *driver {
 	depth := len(rt.workers)
 	d := &driver{
-		rt:             rt,
-		pool:           sched.NewPool(kvcache.New(rt.kvCapacity, kvBlockSize), depth),
-		prep:           engine.VLLMRuntime,
-		subs:           make(map[int64]*submission),
-		pendingCancels: make(map[int64]*submission),
-		stopCh:         rt.stopCh,
-		killCh:         rt.killCh,
+		rt:     rt,
+		pool:   sched.NewPool(kvcache.New(rt.kvCapacity, kvBlockSize), depth),
+		prep:   engine.VLLMRuntime,
+		stopCh: rt.stopCh,
+		killCh: rt.killCh,
 	}
 	if rt.cfg.Async {
 		d.prep = engine.GLLMRuntime
@@ -83,11 +82,11 @@ func (d *driver) run() {
 			d.publishGauges()
 		}
 		select {
-		case sub := <-rt.submitCh:
-			d.admit(sub)
+		case h := <-rt.submitCh:
+			d.admit(h)
 			d.fill(time.Since(rt.start))
-		case sub := <-rt.cancelCh:
-			d.cancel(sub)
+		case h := <-rt.cancelCh:
+			d.cancel(h.req)
 			d.fill(time.Since(rt.start)) // an abort releases KV, which may unblock scheduling
 		case q := <-rt.queryCh:
 			q.reply <- d.pool.KV.MatchPrefix(q.group, q.maxTokens)
@@ -109,6 +108,9 @@ func (d *driver) run() {
 
 // inFlight is the number of micro-batches inside the pipeline.
 func (d *driver) inFlight() int { return len(d.rt.workers) - len(d.free) }
+
+// resident is the number of admitted, unfinished requests: the pool's.
+func (d *driver) resident() int { return d.pool.PrefillQueueLen() + d.pool.RunningDecode() }
 
 // drained reports whether a stopping driver may exit: nothing in flight
 // and, on a graceful drain, nothing left that the scheduler can place.
@@ -137,7 +139,7 @@ func (d *driver) fence(level slog.Level, msg string) {
 	d.rt.subMu.Lock()
 	d.rt.stopping = true
 	d.rt.subMu.Unlock()
-	d.rt.logEvent(level, msg, "resident", len(d.subs), "in_flight", d.inFlight())
+	d.rt.logEvent(level, msg, "resident", d.resident(), "in_flight", d.inFlight())
 }
 
 // sweep admits every submission queued behind the fence. After a kill
@@ -146,8 +148,8 @@ func (d *driver) sweep() {
 	rt := d.rt
 	for {
 		select {
-		case sub := <-rt.submitCh:
-			d.admit(sub)
+		case h := <-rt.submitCh:
+			d.admit(h)
 		default:
 			return
 		}
@@ -157,53 +159,58 @@ func (d *driver) sweep() {
 // exit terminates every outstanding handle and stops the pipeline.
 // Preconditions: the frontend is fenced and nothing is in flight, so every
 // resident request is quiescent; a graceful drain has already swept the
-// queue empty, so the sweep here only ever aborts.
+// queue empty, so the sweep here only ever aborts. The aborts walk a copy
+// of the pool's queues, which each one shrinks.
 func (d *driver) exit() {
 	rt := d.rt
 	d.sweep()
-	for _, sub := range d.subs {
+	left := append(append([]*request.Request(nil), d.pool.PrefillQueue()...), d.pool.Decoding()...)
+	for _, r := range left {
+		h := r.Owner.(*Handle)
 		reason := FinishShutdown
-		if rp := sub.abortReason.Load(); rp != nil {
+		if rp := h.abortReason.Load(); rp != nil {
 			reason = *rp
 		}
-		d.abort(sub, reason)
+		d.abort(h, reason)
 	}
 	close(rt.workers[0].workCh)
 	d.publishGauges()
+	finished, cancelled := rt.outcomes()
 	rt.logEvent(slog.LevelInfo, "runtime stopped",
-		"finished", rt.finished.Load(), "cancelled", rt.cancelled.Load(),
-		"iterations", rt.iterations.Load())
+		"finished", finished, "cancelled", cancelled, "iterations", rt.iterations.Load())
 }
 
 // admit accepts a submission arriving from the frontend queue.
-func (d *driver) admit(sub *submission) {
+func (d *driver) admit(h *Handle) {
 	if d.killed {
-		d.abort(sub, FinishShutdown)
+		d.abort(h, FinishShutdown)
 		return
 	}
-	if rp := sub.abortReason.Load(); rp != nil {
+	if rp := h.abortReason.Load(); rp != nil {
 		// Cancelled while still queued: never enters the pool.
-		d.abort(sub, *rp)
+		d.abort(h, *rp)
 		return
 	}
-	d.subs[sub.req.ID] = sub
-	sub.req.Owner = sub
-	d.rt.resident.Store(int64(len(d.subs)))
-	d.pool.Add(sub.req)
+	h.req.Owner = h
+	d.pool.Add(h.req)
+	d.rt.resident.Store(int64(d.resident()))
 	d.rt.logEvent(slog.LevelDebug, "request admitted",
-		"id", sub.req.ID, "prompt", sub.req.PromptLen, "max_tokens", sub.req.OutputLen)
+		"id", h.req.ID, "prompt", h.req.PromptLen, "max_tokens", h.req.OutputLen)
 }
 
-// cancel processes a cancellation notice from the frontend.
-func (d *driver) cancel(sub *submission) {
-	if sub.req.Owner == nil {
+// cancel aborts a resident request whose abort was requested, once it is
+// quiescent. The driver calls it on a cancellation notice and for every
+// member of a retired batch: only a retire makes a busy request quiescent,
+// so a cancel that found its request in flight is served by the retire of
+// the last batch holding it.
+func (d *driver) cancel(r *request.Request) {
+	h, _ := r.Owner.(*Handle)
+	if h == nil {
 		// Not yet admitted (admit checks the flag) or already terminal.
 		return
 	}
-	if quiescent(sub.req) {
-		d.abort(sub, *sub.abortReason.Load())
-	} else {
-		d.pendingCancels[sub.req.ID] = sub
+	if rp := h.abortReason.Load(); rp != nil && quiescent(r) {
+		d.abort(h, *rp)
 	}
 }
 
@@ -259,38 +266,33 @@ func (d *driver) fill(now time.Duration) {
 }
 
 // retire commits a batch that left the last stage: tokens are committed
-// and streamed, the slot freed, quiescent cancels reaped and the slots
-// refilled. now is the event's one reading of the runtime clock.
+// and streamed, the batch's cancelled members aborted, the slot freed and
+// the slots refilled. now is the event's one reading of the runtime clock.
 func (d *driver) retire(mb *microBatch, now time.Duration) {
 	rt := d.rt
-	fin := len(d.pool.Complete(mb.batch, now))
+	d.pool.Complete(mb.batch, now)
 	// Each request's emitted watermark marks where this batch's tokens
 	// start; a request appears at most once per batch (chunks and decodes
 	// are disjoint phases).
 	for _, c := range mb.batch.Chunks {
 		d.emit(c.Req)
+		d.cancel(c.Req)
 	}
 	for _, r := range mb.batch.Decodes {
 		d.emit(r)
+		d.cancel(r)
 	}
 	// The batch is dead once retired: recycle it and free its slot.
 	d.pool.PutBatch(mb.batch)
 	mb.batch = nil
 	d.free = append(d.free, mb)
 	rt.beat(now)
-	// Cancel-requested requests this batch was holding are quiescent now.
-	for _, sub := range d.pendingCancels {
-		if quiescent(sub.req) {
-			d.abort(sub, *sub.abortReason.Load())
-		}
-	}
 	if d.inFlight() == 0 {
-		// Publish before the counter stores below: a reader that observes
-		// the drained counters then sees exact gauges too (its Stats lock
+		// Publish before the counter store below: a reader that observes
+		// the drained counter then sees exact gauges too (its Stats lock
 		// acquire orders after this publish).
 		d.publishGauges()
 	}
-	rt.finished.Add(int64(fin))
 	rt.inFlight.Store(int64(d.inFlight()))
 	d.fill(now)
 }
@@ -300,8 +302,8 @@ func (d *driver) retire(mb *microBatch, now time.Duration) {
 // emit is idempotent within a batch. Never blocks the driver: one slab
 // append and one wakeup per request per retired batch.
 func (d *driver) emit(r *request.Request) {
-	sub, _ := r.Owner.(*submission)
-	if sub == nil {
+	h, _ := r.Owner.(*Handle)
+	if h == nil {
 		return // already terminated
 	}
 	gen := r.Generated()
@@ -310,8 +312,8 @@ func (d *driver) emit(r *request.Request) {
 	if pre == gen && !fin {
 		return
 	}
-	sub.dmu.Lock()
-	s := sub.slab()
+	h.dmu.Lock()
+	s := h.slab()
 	for i := pre; i < gen; i++ {
 		tok := TokenValue(r.ID, i)
 		ev := TokenEvent{
@@ -326,11 +328,11 @@ func (d *driver) emit(r *request.Request) {
 		}
 		s.evs = append(s.evs, ev)
 	}
-	sub.dmu.Unlock()
-	sub.notifyDelivery()
+	h.dmu.Unlock()
+	h.notifyDelivery()
 	r.MarkEmitted(gen)
 	if fin {
-		d.finish(sub, FinishLength)
+		d.finish(h, FinishLength)
 	}
 }
 
@@ -338,41 +340,42 @@ func (d *driver) emit(r *request.Request) {
 // admit) leaves the pool, releasing its KV blocks — the caller guarantees
 // it is quiescent — then one synthetic, empty-Text terminal event carries
 // the reason, then finalization.
-func (d *driver) abort(sub *submission, reason FinishReason) {
-	if sub.req.Owner != nil {
-		d.pool.Abort(sub.req)
+func (d *driver) abort(h *Handle, reason FinishReason) {
+	if h.req.Owner != nil {
+		d.pool.Abort(h.req)
 	}
-	sub.deliver(TokenEvent{
-		ReqID:    sub.req.ID,
-		Index:    sub.req.Generated(),
+	h.deliver(TokenEvent{
+		ReqID:    h.req.ID,
+		Index:    h.req.Generated(),
 		Finished: true,
 		Reason:   reason,
 	})
-	d.finish(sub, reason)
+	d.finish(h, reason)
 }
 
-// finish finalizes a submission: exactly once per request, after its last
-// event was delivered. Ending the stream comes last — a consumer that sees
-// it end must already find the request in Metrics() and the counters.
-func (d *driver) finish(sub *submission, reason FinishReason) {
+// finish finalizes a request: exactly once per request, after its last
+// event was delivered. The collector counts the outcome before the stream
+// ends, which comes last — a consumer that sees it end already finds the
+// request in Metrics() and in Stats' Finished/Cancelled.
+func (d *driver) finish(h *Handle, reason FinishReason) {
 	rt := d.rt
-	d.recordReqSpans(sub.req, reason)
-	sub.req.Owner = nil
-	delete(d.subs, sub.req.ID)
-	delete(d.pendingCancels, sub.req.ID)
+	if h.stopWatch != nil {
+		h.stopWatch()
+	}
+	d.recordReqSpans(h.req, reason)
+	h.req.Owner = nil
 	if reason == FinishLength {
-		rt.collector.Add(metrics.Observe(sub.req))
+		rt.collector.Add(metrics.Observe(h.req))
 	} else {
-		rt.cancelled.Add(1)
 		// Record the abort with its real terminal reason so it never
 		// pollutes completion latency stats.
-		rt.collector.Add(metrics.ObserveAborted(sub.req, string(reason)))
+		rt.collector.Add(metrics.ObserveAborted(h.req, string(reason)))
 		rt.logEvent(slog.LevelInfo, "request aborted",
-			"id", sub.req.ID, "reason", string(reason), "generated", sub.req.Generated())
+			"id", h.req.ID, "reason", string(reason), "generated", h.req.Generated())
 	}
-	rt.resident.Store(int64(len(d.subs)))
-	rt.admittedKV.Add(-sub.kvDemand)
-	sub.terminate(reason)
+	rt.resident.Store(int64(d.resident()))
+	rt.admittedKV.Add(-h.kvDemand)
+	h.terminate(reason)
 }
 
 // recordReqSpans converts a traced request's lifecycle timestamps into
@@ -412,18 +415,16 @@ func (d *driver) recordReqSpans(req *request.Request, reason FinishReason) {
 // — not per event: taking rt.mu on every one dominated driver bookkeeping.
 func (d *driver) publishGauges() {
 	kv := d.pool.KV
-	hits, hitTokens := kv.PrefixHits()
-	g := poolGauges{
-		waitingPrefill:  d.pool.WaitingPrefillTokens(),
-		runningDecode:   d.pool.RunningDecode(),
-		kvFreeRate:      kv.FreeRate(),
-		preemptions:     d.pool.Preemptions(),
-		kvTotalBlocks:   kv.TotalBlocks(),
-		kvFreeBlocks:    kv.FreeBlocks(),
-		kvCachedBlocks:  kv.CachedBlocks(),
-		prefixHits:      hits,
-		prefixHitTokens: hitTokens,
+	g := Snapshot{
+		WaitingPrefill: d.pool.WaitingPrefillTokens(),
+		RunningDecode:  d.pool.RunningDecode(),
+		KVFreeRate:     kv.FreeRate(),
+		Preemptions:    d.pool.Preemptions(),
+		KVTotalBlocks:  kv.TotalBlocks(),
+		KVFreeBlocks:   kv.FreeBlocks(),
+		KVCachedBlocks: kv.CachedBlocks(),
 	}
+	g.PrefixHits, g.PrefixHitTokens = kv.PrefixHits()
 	d.rt.mu.Lock()
 	d.rt.gauges = g
 	d.rt.mu.Unlock()

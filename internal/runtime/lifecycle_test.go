@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -447,6 +448,77 @@ func TestGracefulShutdownServesRacingSubmissions(t *testing.T) {
 		}
 		cancel()
 		wg.Wait()
+	}
+}
+
+// A consumer that sees Next return nil already finds the request in the
+// counters and in Metrics(): the driver counts an outcome before it ends the
+// stream, so Stats().Finished is exact the moment a stream ends.
+func TestFinishedCountedBeforeStreamEnds(t *testing.T) {
+	rt := startRuntime(t, nil)
+	const n = 2000
+	for i := 1; i <= n; i++ {
+		h, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: 16, MaxTokens: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainBatched(t, h)
+		if got := rt.Stats().Finished; got != i {
+			t.Fatalf("stream %d ended with Stats().Finished = %d", i, got)
+		}
+		if got := rt.Metrics().Count(); got != i {
+			t.Fatalf("stream %d ended with Metrics().Count() = %d", i, got)
+		}
+	}
+}
+
+// A cancellable submission context costs no goroutine: the abort is
+// registered on the context, not watched by a goroutine per request. The
+// context still aborts every request, held in flight or queued behind it.
+func TestCancellableSubmitSpawnsNoGoroutine(t *testing.T) {
+	release := make(chan struct{})
+	unstall := sync.OnceFunc(func() { close(release) })
+	defer unstall() // before startRuntime's Close, which waits for the batch
+	rt := startRuntime(t, func(cfg *Config) {
+		cfg.WatchdogTimeout = -1
+		cfg.StageFault = func(stage, seq int) time.Duration {
+			if stage == 0 && seq == 1 {
+				<-release
+			}
+			return 0
+		}
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := goruntime.NumGoroutine()
+	handles := make([]*Handle, 64)
+	for i := range handles {
+		h, err := rt.SubmitBatchedSpec(ctx, SubmitSpec{PromptLen: 16, MaxTokens: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = h
+	}
+	if added := goruntime.NumGoroutine() - before; added != 0 {
+		t.Fatalf("%d cancellable submissions added %d goroutines, want 0", len(handles), added)
+	}
+	cancel()
+	// Release the held batch only once every abort is requested, so none of
+	// its requests can finish first.
+	waitFor(t, "every cancellation to register", func() bool {
+		for _, h := range handles {
+			if h.abortReason.Load() == nil {
+				return false
+			}
+		}
+		return true
+	})
+	unstall()
+	for i, h := range handles {
+		drainBatched(t, h)
+		if reason := h.FinishReason(); reason != FinishCancelled {
+			t.Fatalf("request %d finished %q, want %q", i, reason, FinishCancelled)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import "sync"
 // concurrently with the consumer's Handle.Next/Cancel; Deliver must not be
 // called concurrently with itself.
 type ProxyFeeder struct {
-	sub       *submission
+	h         *Handle
 	closeOnce sync.Once
 }
 
@@ -22,9 +22,9 @@ type ProxyFeeder struct {
 // abort reason; the feeder side is then expected to terminate the stream
 // and Close the handle.
 func NewProxyHandle(id int64, onCancel func(FinishReason)) (*Handle, *ProxyFeeder) {
-	sub := newSubmission(nil, 0)
-	sub.onCancel = onCancel
-	return &Handle{ID: id, sub: sub}, &ProxyFeeder{sub: sub}
+	h := &Handle{ID: id, onCancel: onCancel,
+		done: make(chan struct{}), notify: make(chan struct{}, 1)}
+	return h, &ProxyFeeder{h: h}
 }
 
 // Deliver appends events for the consumer's next Handle.Next call. It
@@ -32,7 +32,7 @@ func NewProxyHandle(id int64, onCancel func(FinishReason)) (*Handle, *ProxyFeede
 // driver's emit path) and is a no-op after Close.
 func (f *ProxyFeeder) Deliver(evs ...TokenEvent) {
 	if len(evs) > 0 {
-		f.sub.deliver(evs...)
+		f.h.deliver(evs...)
 	}
 }
 
@@ -40,7 +40,7 @@ func (f *ProxyFeeder) Deliver(evs ...TokenEvent) {
 // drainable, then Handle.Next returns nil and Handle.FinishReason reports
 // the reason. Idempotent — the first reason wins.
 func (f *ProxyFeeder) Close(reason FinishReason) {
-	f.closeOnce.Do(func() { f.sub.terminate(reason) })
+	f.closeOnce.Do(func() { f.h.terminate(reason) })
 }
 
 // Abort terminates a stream early exactly like the driver does: one

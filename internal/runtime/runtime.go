@@ -182,7 +182,9 @@ type TokenEvent struct {
 	Reason FinishReason
 }
 
-// Handle tracks one submitted request.
+// Handle is one submitted request: the consumer drains it with Next, and
+// the feeding side (the driver, through request.Owner, or a ProxyFeeder)
+// appends to it.
 type Handle struct {
 	ID int64
 	// Events is set only on handles returned by the Submit shim: every
@@ -190,8 +192,30 @@ type Handle struct {
 	// terminal one. Every other handle delivers through Next.
 	Events <-chan TokenEvent
 
-	rt  *Runtime
-	sub *submission
+	rt       *Runtime // nil on a proxy handle
+	req      *request.Request
+	done     chan struct{}
+	kvDemand int64
+	// reason is written before done closes; readers must wait on done
+	// first (FinishReason does).
+	reason FinishReason
+	// abortReason is the externally requested abort reason (CAS winner
+	// sends the handle to cancelCh exactly once).
+	abortReason atomic.Pointer[FinishReason]
+	// onCancel, set only on proxy handles (NewProxyHandle), receives the
+	// abort reason in place of the driver's cancelCh path.
+	onCancel func(FinishReason)
+	// stopWatch unregisters the submitter context's abort hook; nil when
+	// the context can never be cancelled.
+	stopWatch func() bool
+
+	// Slab delivery: the feeding side appends to pending under dmu — a
+	// short critical section, so it never blocks on a slow consumer — and
+	// pokes notify (capacity 1, non-blocking) once per delivery.
+	dmu     sync.Mutex
+	pending *eventSlab
+	dclosed bool
+	notify  chan struct{}
 	// cur is the slab most recently returned by Next; recycled on the
 	// following Next call.
 	cur *eventSlab
@@ -199,7 +223,7 @@ type Handle struct {
 
 // Done returns a channel closed when the request reaches a terminal state
 // (all tokens emitted, or aborted).
-func (h *Handle) Done() <-chan struct{} { return h.sub.done }
+func (h *Handle) Done() <-chan struct{} { return h.done }
 
 // Cancel requests a cooperative abort: the driver removes the request at
 // the next micro-batch boundary and releases its KV. Safe to call from any
@@ -208,18 +232,18 @@ func (h *Handle) Done() <-chan struct{} { return h.sub.done }
 // onCancel hook instead.
 func (h *Handle) Cancel() {
 	if h.rt == nil {
-		h.sub.proxyCancel(FinishCancelled)
+		h.proxyCancel(FinishCancelled)
 		return
 	}
-	h.rt.requestCancel(h.sub, FinishCancelled)
+	h.rt.requestCancel(h, FinishCancelled)
 }
 
 // FinishReason reports how the request terminated. It returns "" until the
 // request is terminal (Done fired, which happens before the stream ends).
 func (h *Handle) FinishReason() FinishReason {
 	select {
-	case <-h.sub.done:
-		return h.sub.reason
+	case <-h.done:
+		return h.reason
 	default:
 		return ""
 	}
@@ -235,10 +259,15 @@ func (h *Handle) FinishReason() FinishReason {
 // concurrently with itself, and panics on a Submit-shim handle, whose pump
 // goroutine is already the stream's one consumer.
 func (h *Handle) Next(ctx context.Context) []TokenEvent {
-	sub := h.sub
 	if h.Events != nil {
 		panic("runtime: Handle.Next on a Submit handle; range over Events instead")
 	}
+	return h.next(ctx)
+}
+
+// next is Next without the shim check: the Submit shim's pump drains
+// through it.
+func (h *Handle) next(ctx context.Context) []TokenEvent {
 	if h.cur != nil {
 		h.cur.evs = h.cur.evs[:0]
 		slabPool.Put(h.cur)
@@ -249,11 +278,11 @@ func (h *Handle) Next(ctx context.Context) []TokenEvent {
 		cancelled = ctx.Done()
 	}
 	for {
-		sub.dmu.Lock()
-		s := sub.pending
-		sub.pending = nil
-		closed := sub.dclosed
-		sub.dmu.Unlock()
+		h.dmu.Lock()
+		s := h.pending
+		h.pending = nil
+		closed := h.dclosed
+		h.dmu.Unlock()
 		if s != nil && len(s.evs) > 0 {
 			h.cur = s
 			return s.evs
@@ -265,7 +294,7 @@ func (h *Handle) Next(ctx context.Context) []TokenEvent {
 			return nil
 		}
 		select {
-		case <-sub.notify:
+		case <-h.notify:
 		case <-cancelled:
 			return nil
 		}
@@ -379,8 +408,8 @@ type Runtime struct {
 	kvCapacity  int64
 	admitLimit  int64 // 0 = KV-headroom admission disabled
 
-	submitCh chan *submission
-	cancelCh chan *submission
+	submitCh chan *Handle
+	cancelCh chan *Handle
 	queryCh  chan kvQuery
 	doneCh   chan *microBatch
 	stopCh   chan struct{}
@@ -397,6 +426,8 @@ type Runtime struct {
 
 	workers []*worker
 
+	// collector counts every terminated request by reason: the one source
+	// of Snapshot.Finished and Snapshot.Cancelled.
 	collector metrics.Live
 
 	// Scalar progress counters are atomics written inline by the driver
@@ -406,12 +437,12 @@ type Runtime struct {
 	// iteration, which used to put a mutex write on the hot path.
 	iterations atomic.Int64
 	inFlight   atomic.Int64
-	finished   atomic.Int64
-	cancelled  atomic.Int64
 	resident   atomic.Int64
 
+	// gauges holds the Snapshot fields derived from driver-owned pool
+	// state, as last published by the driver; Stats fills in the rest.
 	mu     sync.Mutex
-	gauges poolGauges
+	gauges Snapshot
 
 	admittedKV atomic.Int64 // projected KV tokens of admitted, unfinished requests
 	rejected   atomic.Int64
@@ -420,20 +451,6 @@ type Runtime struct {
 
 	nextID atomic.Int64
 	start  time.Time
-}
-
-// poolGauges are the Snapshot fields derived by walking driver-owned pool
-// state; the driver publishes them under rt.mu at block/idle boundaries.
-type poolGauges struct {
-	waitingPrefill  int
-	runningDecode   int
-	kvFreeRate      float64
-	preemptions     int
-	kvTotalBlocks   int
-	kvFreeBlocks    int
-	kvCachedBlocks  int
-	prefixHits      int
-	prefixHitTokens int64
 }
 
 // kvQuery asks the driver a question about its (driver-owned) KV cache;
@@ -452,77 +469,48 @@ type eventSlab struct{ evs []TokenEvent }
 
 var slabPool = sync.Pool{New: func() any { return &eventSlab{evs: make([]TokenEvent, 0, 64)} }}
 
-type submission struct {
-	req      *request.Request
-	done     chan struct{}
-	kvDemand int64
-	// reason is written before done closes; readers must wait on done
-	// first (Handle.FinishReason does).
-	reason FinishReason
-	// abortReason is the externally requested abort reason (CAS winner
-	// sends the submission to cancelCh exactly once).
-	abortReason atomic.Pointer[FinishReason]
-	// onCancel, set only on proxy handles (NewProxyHandle), receives the
-	// abort reason in place of the driver's cancelCh path.
-	onCancel func(FinishReason)
-
-	// Slab delivery: the feeding side (the driver, or a ProxyFeeder)
-	// appends to pending under dmu — a short critical section, so it never
-	// blocks on a slow consumer — and pokes notify (capacity 1,
-	// non-blocking) once per delivery.
-	dmu     sync.Mutex
-	pending *eventSlab
-	dclosed bool
-	notify  chan struct{}
-}
-
-func newSubmission(req *request.Request, kvDemand int64) *submission {
-	return &submission{req: req, kvDemand: kvDemand,
-		done: make(chan struct{}), notify: make(chan struct{}, 1)}
-}
-
 // slab returns the slab the next events are appended to, taking one from
 // the pool when the consumer has swapped the last one out. The caller
 // holds dmu.
-func (sub *submission) slab() *eventSlab {
-	if sub.pending == nil {
-		sub.pending = slabPool.Get().(*eventSlab)
+func (h *Handle) slab() *eventSlab {
+	if h.pending == nil {
+		h.pending = slabPool.Get().(*eventSlab)
 	}
-	return sub.pending
+	return h.pending
 }
 
-// deliver appends events for the consumer's next Handle.Next call and
-// wakes it. It never blocks on the consumer (slabs grow as needed) and is
-// a no-op once the stream is terminated.
-func (sub *submission) deliver(evs ...TokenEvent) {
-	sub.dmu.Lock()
-	if sub.dclosed {
-		sub.dmu.Unlock()
+// deliver appends events for the consumer's next Next call and wakes it.
+// It never blocks on the consumer (slabs grow as needed) and is a no-op
+// once the stream is terminated.
+func (h *Handle) deliver(evs ...TokenEvent) {
+	h.dmu.Lock()
+	if h.dclosed {
+		h.dmu.Unlock()
 		return
 	}
-	s := sub.slab()
+	s := h.slab()
 	s.evs = append(s.evs, evs...)
-	sub.dmu.Unlock()
-	sub.notifyDelivery()
+	h.dmu.Unlock()
+	h.notifyDelivery()
 }
 
 // terminate ends the stream with its reason; the feeding side calls it
 // exactly once, after the last event. Done closes before the stream does,
 // so FinishReason is valid as soon as a consumer sees Next return nil.
-func (sub *submission) terminate(reason FinishReason) {
-	sub.reason = reason
-	close(sub.done)
-	sub.dmu.Lock()
-	sub.dclosed = true
-	sub.dmu.Unlock()
-	sub.notifyDelivery()
+func (h *Handle) terminate(reason FinishReason) {
+	h.reason = reason
+	close(h.done)
+	h.dmu.Lock()
+	h.dclosed = true
+	h.dmu.Unlock()
+	h.notifyDelivery()
 }
 
-// notifyDelivery wakes a Handle.Next waiter; never blocks (capacity-1
-// channel: a pending token already guarantees a wakeup).
-func (sub *submission) notifyDelivery() {
+// notifyDelivery wakes a Next waiter; never blocks (capacity-1 channel: a
+// pending token already guarantees a wakeup).
+func (h *Handle) notifyDelivery() {
 	select {
-	case sub.notify <- struct{}{}:
+	case h.notify <- struct{}{}:
 	default:
 	}
 }
@@ -581,8 +569,8 @@ func Start(cfg Config) (*Runtime, error) {
 		cost:        cost,
 		stageLayers: stageLayers,
 		kvCapacity:  kvCap,
-		submitCh:    make(chan *submission, cfg.QueueDepth),
-		cancelCh:    make(chan *submission, cfg.QueueDepth),
+		submitCh:    make(chan *Handle, cfg.QueueDepth),
+		cancelCh:    make(chan *Handle, cfg.QueueDepth),
 		queryCh:     make(chan kvQuery),
 		doneCh:      make(chan *microBatch, depth+1),
 		stopCh:      make(chan struct{}),
@@ -593,7 +581,7 @@ func Start(cfg Config) (*Runtime, error) {
 	if cfg.AdmitKVFactor > 0 {
 		rt.admitLimit = int64(cfg.AdmitKVFactor * float64(kvCap))
 	}
-	rt.gauges = poolGauges{kvFreeRate: 1} // empty cache until the driver's first pass
+	rt.gauges.KVFreeRate = 1 // empty cache until the driver's first pass
 	rt.workers = make([]*worker, depth)
 	for i := range rt.workers {
 		rt.workers[i] = newWorker(rt, i)
@@ -700,30 +688,33 @@ func (rt *Runtime) SubmitBatchedSpec(ctx context.Context, spec SubmitSpec) (*Han
 	req.PrefixGroup = spec.PrefixGroup
 	req.SharedPrefixLen = spec.SharedPrefixLen
 	req.Trace = spec.Trace
-	sub := newSubmission(req, demand)
+	h := &Handle{ID: id, rt: rt, req: req, kvDemand: demand,
+		done: make(chan struct{}), notify: make(chan struct{}, 1)}
+	if ctx.Done() != nil {
+		// Registered before the handle reaches the driver, whose finish
+		// unregisters it. A hook that fires first finds the request
+		// unadmitted, and admit aborts it.
+		h.stopWatch = context.AfterFunc(ctx, func() {
+			reason := FinishCancelled
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				reason = FinishTimeout
+			}
+			rt.requestCancel(h, reason)
+		})
+	}
 	select {
-	case rt.submitCh <- sub:
+	case rt.submitCh <- h:
 	default:
+		if h.stopWatch != nil {
+			h.stopWatch()
+		}
 		rt.admittedKV.Add(-demand)
 		rt.rejected.Add(1)
 		rt.logEvent(slog.LevelWarn, "submission rejected",
 			"reason", "queue_full", "id", id, "depth", cap(rt.submitCh))
 		return nil, fmt.Errorf("%w: submit queue saturated (depth %d)", ErrQueueFull, cap(rt.submitCh))
 	}
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				reason := FinishCancelled
-				if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-					reason = FinishTimeout
-				}
-				rt.requestCancel(sub, reason)
-			case <-sub.done:
-			}
-		}()
-	}
-	return &Handle{ID: id, rt: rt, sub: sub}, nil
+	return h, nil
 }
 
 // Submit is SubmitBatchedSpec behind a per-token channel, kept because the
@@ -739,67 +730,57 @@ func (rt *Runtime) Submit(promptLen, maxTokens int) (*Handle, error) {
 		return nil, err
 	}
 	events := make(chan TokenEvent, maxTokens)
+	h.Events = events
 	go func() {
 		defer close(events)
-		for evs := h.Next(ctx); evs != nil; evs = h.Next(ctx) {
+		for evs := h.next(ctx); evs != nil; evs = h.next(ctx) {
 			for _, ev := range evs {
 				events <- ev
 			}
 		}
 	}()
-	return &Handle{ID: h.ID, Events: events, rt: rt, sub: h.sub}, nil
+	return h, nil
 }
 
 // proxyCancel records the abort reason (first writer wins) and invokes the
 // proxy handle's onCancel hook exactly once. Safe from any goroutine.
-func (sub *submission) proxyCancel(reason FinishReason) {
-	if !sub.abortReason.CompareAndSwap(nil, &reason) {
+func (h *Handle) proxyCancel(reason FinishReason) {
+	if !h.abortReason.CompareAndSwap(nil, &reason) {
 		return
 	}
-	if sub.onCancel != nil {
-		sub.onCancel(reason)
+	if h.onCancel != nil {
+		h.onCancel(reason)
 	}
 }
 
 // requestCancel records the abort reason (first writer wins) and notifies
 // the driver exactly once. Safe from any goroutine; no-op once terminal.
-func (rt *Runtime) requestCancel(sub *submission, reason FinishReason) {
-	if !sub.abortReason.CompareAndSwap(nil, &reason) {
+func (rt *Runtime) requestCancel(h *Handle, reason FinishReason) {
+	if !h.abortReason.CompareAndSwap(nil, &reason) {
 		return
 	}
 	select {
-	case rt.cancelCh <- sub:
-	case <-sub.done:
+	case rt.cancelCh <- h:
+	case <-h.done:
 	case <-rt.stopped:
 	}
 }
 
-// Stats returns a snapshot of runtime counters and health. Counters are
-// read from the driver's atomics (always current); the pool-derived gauges
-// (WaitingPrefill, RunningDecode, KVFreeRate, Preemptions) reflect the
-// driver's most recent publish — exact whenever the pipeline is idle or the
-// driver is blocked waiting for work, and at most a few micro-batches stale
-// under sustained load.
+// Stats returns a snapshot of runtime counters and health. Finished and
+// Cancelled come from the collector, which counts a request before its
+// stream ends; the other counters are the driver's atomics (always
+// current); the pool-derived gauges (WaitingPrefill, RunningDecode, the KV
+// and prefix fields, Preemptions) reflect the driver's most recent publish
+// — exact whenever the pipeline is idle or the driver is blocked waiting
+// for work, and at most a few micro-batches stale under sustained load.
 func (rt *Runtime) Stats() Snapshot {
 	rt.mu.Lock()
-	g := rt.gauges
+	s := rt.gauges
 	rt.mu.Unlock()
-	s := Snapshot{
-		Iterations:      int(rt.iterations.Load()),
-		InFlight:        int(rt.inFlight.Load()),
-		WaitingPrefill:  g.waitingPrefill,
-		RunningDecode:   g.runningDecode,
-		KVFreeRate:      g.kvFreeRate,
-		Finished:        int(rt.finished.Load()),
-		Preemptions:     g.preemptions,
-		Resident:        int(rt.resident.Load()),
-		Cancelled:       int(rt.cancelled.Load()),
-		KVTotalBlocks:   g.kvTotalBlocks,
-		KVFreeBlocks:    g.kvFreeBlocks,
-		KVCachedBlocks:  g.kvCachedBlocks,
-		PrefixHits:      g.prefixHits,
-		PrefixHitTokens: g.prefixHitTokens,
-	}
+	s.Finished, s.Cancelled = rt.outcomes()
+	s.Iterations = int(rt.iterations.Load())
+	s.InFlight = int(rt.inFlight.Load())
+	s.Resident = int(rt.resident.Load())
 	s.Rejected = rt.rejected.Load()
 	s.Uptime = time.Since(rt.start)
 	s.StageBusySeconds = make([]float64, len(rt.workers))
@@ -813,6 +794,19 @@ func (rt *Runtime) Stats() Snapshot {
 	}
 	s.Health = rt.health()
 	return s
+}
+
+// outcomes splits the collector's terminated requests into completed
+// generations and aborts, from one read.
+func (rt *Runtime) outcomes() (finished, cancelled int) {
+	for reason, n := range rt.collector.ByReason() {
+		if reason == string(FinishLength) {
+			finished = n
+		} else {
+			cancelled += n
+		}
+	}
+	return finished, cancelled
 }
 
 // health classifies the runtime's current serving state.
@@ -835,7 +829,7 @@ func (rt *Runtime) health() string {
 // few micro-batches behind under sustained load).
 func (rt *Runtime) Pressure() Pressure {
 	rt.mu.Lock()
-	free := rt.gauges.kvFreeRate
+	free := rt.gauges.KVFreeRate
 	rt.mu.Unlock()
 	return Pressure{
 		KVFree:   free,
