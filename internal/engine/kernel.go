@@ -48,6 +48,7 @@ type microBatch struct {
 	// The strategy's: where the batch is on the hardware and what the clock
 	// calls when it leaves there.
 	stage   int
+	unit    time.Duration // the chain's price of shape, per layer it holds
 	dur     time.Duration
 	ran     func() // the stage (or whole iteration) finished
 	arrived func() // the activations reached the next stage

@@ -3,9 +3,12 @@ package engine
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"gllm/internal/gpu"
+	"gllm/internal/network"
 	"gllm/internal/obs"
 	"gllm/internal/sched"
 )
@@ -57,6 +60,57 @@ func TestPipelineSpansReconstructBubbleAccounting(t *testing.T) {
 	}
 	if diff := math.Abs(acc.BubbleRate - res.BubbleFraction); diff > 0.01 {
 		t.Fatalf("bubble rate: trace %v vs engine %v", acc.BubbleRate, res.BubbleFraction)
+	}
+}
+
+// shapeLog records the shape of every batch the loop injects, so a span's
+// injection ordinal Seq indexes shapes[Seq-1].
+type shapeLog struct {
+	noObserver
+	shapes []gpu.BatchShape
+}
+
+func (l *shapeLog) AfterSchedule(b *sched.Batch, _ time.Duration) {
+	if !b.Empty() {
+		l.shapes = append(l.shapes, b.Shape())
+	}
+}
+
+// A chain prices a batch once and charges stage i layers[i] times that
+// price. Every golden cell splits its layers evenly, so this PP-5 run, where
+// 48 layers split 10,10,10,9,9, is what pins the per-stage multiplier.
+func TestUnevenStageSplitPricing(t *testing.T) {
+	cfg := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
+	cfg.Topo = network.IntraNode(5, network.PCIe)
+	layers := cfg.Model.StageLayers(5)
+	if !slices.Equal(layers, []int{10, 10, 10, 9, 9}) {
+		t.Fatalf("StageLayers(5) = %v", layers)
+	}
+	log := &shapeLog{}
+	cfg.Observer = func(*sched.Pool, sched.Scheduler) BatchObserver { return log }
+	rec := obs.NewRecorder(5, 0)
+	cfg.Spans = rec
+	res, err := RunPipeline(cfg, shortTrace(7, 2, 10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Dropped() != 0 {
+		t.Fatalf("ring dropped %d spans", rec.Dropped())
+	}
+	cost := gpu.NewCostModel(cfg.Model, cfg.GPU)
+	execs := 0
+	for _, s := range rec.Spans() {
+		if s.Kind != obs.KindExec {
+			continue
+		}
+		want := time.Duration(layers[s.Stage]) * cost.LayerTime(log.shapes[s.Seq-1])
+		if s.Dur() != want {
+			t.Fatalf("batch %d on stage %d lasts %v, want %d layers × LayerTime = %v", s.Seq, s.Stage, s.Dur(), layers[s.Stage], want)
+		}
+		execs++
+	}
+	if execs != 5*res.Injections || res.Injections == 0 {
+		t.Fatalf("%d exec spans for %d injections over 5 stages", execs, res.Injections)
 	}
 }
 

@@ -35,20 +35,21 @@ func RunPipeline(cfg Config, items []workload.Item) (*Result, error) {
 // with an activation transfer over each hop, so up to len(stages)
 // micro-batches overlap. first is the topology index of stage 0 (a
 // disaggregated decode replica sits after the prefill GPUs); spans and hops
-// use global indices. price is what stage i charges for a batch shape.
+// use global indices. A batch is priced once; stage i charges layers[i]
+// times that price, StageTime's product without re-pricing at every stage.
 type chain struct {
 	stages []*sim.Resource
 	first  int
-	price  func(shape gpu.BatchShape, i int) time.Duration
+	layers []int
+	price  func(shape gpu.BatchShape) time.Duration
 }
 
 // newChain builds one stage per GPU, stage i holding layers[i] of the model.
 func newChain(r *run, name string, first int, layers []int) *chain {
-	c := &chain{first: first, stages: make([]*sim.Resource, len(layers))}
+	c := &chain{first: first, stages: make([]*sim.Resource, len(layers)), layers: layers, price: r.cost.LayerTime}
 	for i := range c.stages {
 		c.stages[i] = sim.NewResource(r.eng, fmt.Sprintf("%s%d", name, i))
 	}
-	c.price = func(shape gpu.BatchShape, i int) time.Duration { return r.cost.StageTime(shape, layers[i]) }
 	return c
 }
 
@@ -57,12 +58,13 @@ func (c *chain) execute(mb *microBatch) {
 		mb.ran = func() { c.ran(mb) }
 		mb.arrived = func() { c.enter(mb.stage+1, mb) }
 	}
+	mb.unit = c.price(mb.shape)
 	c.enter(0, mb)
 }
 
 // enter enqueues the batch on stage i.
 func (c *chain) enter(i int, mb *microBatch) {
-	mb.stage, mb.dur = i, c.price(mb.shape, i)
+	mb.stage, mb.dur = i, time.Duration(c.layers[i])*mb.unit
 	c.stages[i].Submit(mb.dur, mb.ran)
 }
 

@@ -25,10 +25,11 @@ func RunTensor(cfg Config, items []workload.Item) (*Result, error) {
 			cfg.Model.Name, tp, cfg.GPU.Name, kvCap, ErrModelDoesNotFit)
 	}
 	// All GPUs act as one fused device running one whole-model iteration at a
-	// time: a chain of a single stage, priced per iteration.
+	// time: a chain of a single stage charging its price once, per iteration.
 	r.addLoop(kvCap, 1, cfg.Scheduler, &chain{
 		stages: []*sim.Resource{sim.NewResource(r.eng, "tp-device")},
-		price: func(shape gpu.BatchShape, _ int) time.Duration {
+		layers: []int{1},
+		price: func(shape gpu.BatchShape) time.Duration {
 			return tensorIterationTime(&r.cost, cfg.Topo, shape)
 		},
 	})

@@ -38,7 +38,7 @@ func TestAbortMidPrefillFreesKV(t *testing.T) {
 	// Schedule and complete a partial chunk so the request is mid-prefill
 	// with KV resident and nothing in flight.
 	b := &Batch{}
-	p.buildPrefill(b, 96, 0, nil, false)
+	p.buildPrefill(b, p.prefillQ, 96, 0, nil, false)
 	if len(b.Chunks) != 1 || b.Chunks[0].Tokens != 96 {
 		t.Fatalf("chunks = %+v", b.Chunks)
 	}
@@ -65,7 +65,7 @@ func TestAbortDecodingFreesKV(t *testing.T) {
 	r := request.New(1, 0, 64, 50)
 	p.Add(r)
 	b := &Batch{}
-	p.buildPrefill(b, 64, 0, nil, false)
+	p.buildPrefill(b, p.prefillQ, 64, 0, nil, false)
 	p.Complete(b, time.Millisecond)
 	if r.State() != request.StateDecoding {
 		t.Fatalf("state = %s", r.State())
@@ -81,7 +81,7 @@ func TestAbortPanicsOnInFlightWork(t *testing.T) {
 	r := request.New(1, 0, 64, 50)
 	p.Add(r)
 	b := &Batch{}
-	p.buildPrefill(b, 64, 0, nil, false) // chunk in flight, not completed
+	p.buildPrefill(b, p.prefillQ, 64, 0, nil, false) // chunk in flight, not completed
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -95,7 +95,7 @@ func TestAbortPanicsOnInFlightWork(t *testing.T) {
 	d := request.New(2, 0, 32, 50)
 	p2.Add(d)
 	b2 := &Batch{}
-	p2.buildPrefill(b2, 32, 0, nil, false)
+	p2.buildPrefill(b2, p2.prefillQ, 32, 0, nil, false)
 	p2.Complete(b2, time.Millisecond)
 	b3 := &Batch{}
 	p2.buildDecode(b3, 1, nil) // decode step in flight

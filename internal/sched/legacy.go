@@ -50,7 +50,7 @@ func (o *Orca) Schedule(p *Pool, now time.Duration) *Batch {
 		// exactly the first `slots` of them — a slot is consumed even when
 		// the whole prompt then fails to fit.
 		remaining := slots
-		p.buildPrefill(b, 1<<30, now, func(*request.Request) bool {
+		p.buildPrefill(b, p.prefillQ, 1<<30, now, func(*request.Request) bool {
 			if remaining <= 0 {
 				return false
 			}
@@ -70,9 +70,8 @@ type BatchLevel struct {
 	// MaxSeqs is the cohort size.
 	MaxSeqs int
 
-	// cohort holds the admitted requests that have not finished; each
-	// carries stamp in its SchedStamp, which is what the walks' filter
-	// compares.
+	// cohort holds the admitted requests that have not left the pool; each
+	// carries stamp in its SchedStamp.
 	cohort []*request.Request
 	stamp  uint64
 }
@@ -88,10 +87,14 @@ func NewBatchLevel(maxSeqs int) *BatchLevel {
 // Name implements Scheduler.
 func (s *BatchLevel) Name() string { return "batch-level" }
 
-// Schedule implements Scheduler.
+// Schedule implements Scheduler. Neither walk filters on the cohort, by two
+// invariants: every decoder is a member (a new cohort forms only once the
+// old one has fully left the pool), and the members not yet decoding are a
+// prefix of p.prefillQ (the cohort is the queue's head when it forms,
+// arrivals append at the back, and only members hold KV, so only members
+// are preempted back to the front).
 func (s *BatchLevel) Schedule(p *Pool, now time.Duration) *Batch {
-	// Drop finished cohort members; admit a fresh cohort only when empty.
-	s.cohort = slices.DeleteFunc(s.cohort, (*request.Request).Finished)
+	s.cohort = slices.DeleteFunc(s.cohort, leftPool)
 	if len(s.cohort) == 0 {
 		s.stamp = batchEpoch.Add(1)
 		for _, r := range p.prefillQ {
@@ -102,9 +105,16 @@ func (s *BatchLevel) Schedule(p *Pool, now time.Duration) *Batch {
 			s.cohort = append(s.cohort, r)
 		}
 	}
-	inCohort := func(r *request.Request) bool { return r.SchedStamp == s.stamp }
 	b := p.GetBatch()
-	p.buildDecode(b, s.MaxSeqs, inCohort)
-	p.buildPrefill(b, 1<<30, now, inCohort, true)
+	p.buildDecode(b, s.MaxSeqs, nil)
+	// After the decode walk: its preemptions re-queue members at the front.
+	n := 0
+	for n < len(p.prefillQ) && p.prefillQ[n].SchedStamp == s.stamp {
+		n++
+	}
+	p.buildPrefill(b, p.prefillQ[:n], 1<<30, now, nil, true)
 	return b
 }
+
+// leftPool reports whether a cohort member finished or was aborted.
+func leftPool(r *request.Request) bool { return r.Finished() || r.Aborted() }

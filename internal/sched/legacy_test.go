@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -95,6 +96,52 @@ func TestBatchLevelCohortSemantics(t *testing.T) {
 	b := s.Schedule(p, now)
 	if len(b.Chunks) != 1 || b.Chunks[0].Req != r3 {
 		t.Fatalf("next cohort = %+v", b.Chunks)
+	}
+}
+
+// kvPressureTrial is a batch-level cohort whose decodes outgrow the KV cache,
+// so decode reservations preempt members back to the queue's front.
+var kvPressureTrial = trial{depth: 2, kvBlocks: 10, maxP: 64, iterT: 1,
+	specs: [][2]int{{9, 24}, {9, 24}, {9, 24}, {9, 24}, {9, 24}, {9, 24}, {9, 24}, {9, 24}}}
+
+// TestBatchLevelCohortInvariants pins the two invariants BatchLevel.Schedule
+// walks by, after every batch, under KV pressure and random aborts: every
+// decoder is a cohort member, and the members still waiting or prefilling
+// are a prefix of the prefill queue.
+func TestBatchLevelCohortInvariants(t *testing.T) {
+	trials := []trial{kvPressureTrial}
+	for seed := range uint64(100) {
+		trials = append(trials, randomTrial(seed))
+	}
+	for i, tr := range trials {
+		s := NewBatchLevel(8)
+		check := func(p *Pool, _ *Batch) {
+			for _, r := range p.decoding {
+				if r.SchedStamp != s.stamp {
+					t.Fatalf("trial %d: decoder %v is not a cohort member", i, r)
+				}
+			}
+			head := 0
+			for head < len(p.prefillQ) && p.prefillQ[head].SchedStamp == s.stamp {
+				head++
+			}
+			for _, r := range p.prefillQ[head:] {
+				if r.SchedStamp == s.stamp {
+					t.Fatalf("trial %d: member %v queued behind non-member %v", i, r, p.prefillQ[head])
+				}
+			}
+		}
+		p, err := tr.run(s, nil, check)
+		if err != nil {
+			t.Fatalf("trial %d: %v", i, err)
+		}
+		if i == 0 && p.Preemptions() == 0 {
+			t.Fatal("the KV-pressure trial preempted nothing")
+		}
+		s = NewBatchLevel(8)
+		if _, err := tr.run(s, rand.New(rand.NewPCG(uint64(i), 1)), check); err != nil {
+			t.Fatalf("trial %d with aborts: %v", i, err)
+		}
 	}
 }
 

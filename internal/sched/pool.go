@@ -237,13 +237,14 @@ func (p *Pool) stalled(b *Batch) bool {
 }
 
 // buildPrefill is the one prefill walk. It assembles chunks FIFO up to
-// budget tokens over the requests allow accepts (nil accepts all), skipping
-// requests with an in-flight chunk (sequential chunk dependency) and
-// shrinking the final chunk to what the KV cache can hold; with whole set it
-// admits only prompts that fit the budget and the cache entire (the
-// pre-Sarathi policies). KV slots are allocated here, before execution,
-// exactly as the paper's Figure 6 describes.
-func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration, allow func(*request.Request) bool, whole bool) {
+// budget tokens over the requests of queue — p.prefillQ or a prefix of it —
+// that allow accepts (nil accepts all), skipping requests with an in-flight
+// chunk (sequential chunk dependency) and shrinking the final chunk to what
+// the KV cache can hold; with whole set it admits only prompts that fit the
+// budget and the cache entire (the pre-Sarathi policies). KV slots are
+// allocated here, before execution, exactly as the paper's Figure 6
+// describes.
+func (p *Pool) buildPrefill(b *Batch, queue []*request.Request, budget int, now time.Duration, allow func(*request.Request) bool, whole bool) {
 	// Batch membership via epoch-stamped scratch marks: requests whose
 	// SchedMark equals this build's epoch already carry a chunk in b.
 	epoch := batchEpoch.Add(1)
@@ -253,7 +254,7 @@ func (p *Pool) buildPrefill(b *Batch, budget int, now time.Duration, allow func(
 	// Preempting a decoding victim (below) shifts p.prefillQ in place; the
 	// walk continues over a copy taken just before the first such shift, so
 	// it sees the admission order this call started with.
-	queue, snapped := p.prefillQ, false
+	snapped := false
 	for i := 0; i < len(queue); i++ {
 		r := queue[i]
 		if budget <= 0 {

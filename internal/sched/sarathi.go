@@ -36,7 +36,7 @@ func (s *Sarathi) Schedule(p *Pool, now time.Duration) *Batch {
 	b := p.GetBatch()
 	p.buildDecode(b, s.Budget, nil)
 	if rest := s.Budget - b.DecodeTokens(); rest > 0 {
-		p.buildPrefill(b, rest, now, nil, false)
+		p.buildPrefill(b, p.prefillQ, rest, now, nil, false)
 	}
 	return b
 }

@@ -70,11 +70,11 @@ func (t *TDPipe) Schedule(p *Pool, now time.Duration) *Batch {
 		if b.Empty() && rd == 0 {
 			// Phase boundary race: nothing decodable; fall through to
 			// prefill so the pipeline never idles with work waiting.
-			p.buildPrefill(b, t.Budget, now, nil, false)
+			p.buildPrefill(b, p.prefillQ, t.Budget, now, nil, false)
 			return b
 		}
 	} else {
-		p.buildPrefill(b, t.Budget, now, nil, false)
+		p.buildPrefill(b, p.prefillQ, t.Budget, now, nil, false)
 		if b.Empty() && rd > 0 {
 			// Nothing to prefill this instant (e.g. chunks in flight): avoid
 			// a bubble rather than idle — schedule decodes, as TD-Pipe's
@@ -86,7 +86,7 @@ func (t *TDPipe) Schedule(p *Pool, now time.Duration) *Batch {
 		// The decode walk had to preempt every decoder and nothing is in
 		// flight: what they freed goes to prefill now, or nothing ever
 		// schedules again.
-		p.buildPrefill(b, t.Budget, now, nil, false)
+		p.buildPrefill(b, p.prefillQ, t.Budget, now, nil, false)
 	}
 	return b
 }

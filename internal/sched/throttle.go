@@ -54,7 +54,7 @@ func (t *Throttle) Schedule(p *Pool, now time.Duration) *Batch {
 		budget = t.Params.PrefillBudgetWT(st.WaitingPrefillTokens)
 	}
 	if budget > 0 {
-		p.buildPrefill(b, budget, now, nil, false)
+		p.buildPrefill(b, p.prefillQ, budget, now, nil, false)
 	}
 	return b
 }

@@ -62,7 +62,7 @@ func (v *VirtualEngines) Schedule(p *Pool, now time.Duration) *Batch {
 		b := p.GetBatch()
 		p.buildDecode(b, v.Budget, mine)
 		if rest := v.Budget - b.DecodeTokens(); rest > 0 {
-			p.buildPrefill(b, rest, now, mine, false)
+			p.buildPrefill(b, p.prefillQ, rest, now, mine, false)
 		}
 		if !b.Empty() {
 			v.next = (e + 1) % v.Engines

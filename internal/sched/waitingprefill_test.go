@@ -131,7 +131,7 @@ func TestPreemptKeepsPrefillWalkOrder(t *testing.T) {
 	}
 	before := append([]*request.Request(nil), p.PrefillQueue()...)
 	nb := p.GetBatch()
-	p.buildPrefill(nb, 64, 3*time.Millisecond, nil, false)
+	p.buildPrefill(nb, p.prefillQ, 64, 3*time.Millisecond, nil, false)
 	if young.State() != request.StateWaiting || p.Preemptions() != 1 {
 		t.Fatalf("young not preempted: %v, %d preemptions", young, p.Preemptions())
 	}
