@@ -22,16 +22,27 @@ type twin struct {
 	// reuse and struct recycling each goes as stale as a Handle can, and
 	// append must still land where the oracle's by-ID Allocate does.
 	handles map[SeqID]*Handle
+	// runs is the last leading run the manager's hook reported per group;
+	// it must always equal MatchPrefix over the whole cache.
+	runs map[int64]int
 }
 
 func newTwin(t testing.TB, capacityTokens int64, blockSize int, groups ...int64) *twin {
-	return &twin{
+	w := &twin{
 		t:       t,
 		m:       New(capacityTokens, blockSize),
 		o:       newOracle(capacityTokens, blockSize),
 		groups:  groups,
 		handles: make(map[SeqID]*Handle),
+		runs:    make(map[int64]int),
 	}
+	w.m.OnPrefixRun(func(group int64, tokens int) {
+		if tokens == w.runs[group] {
+			t.Fatalf("run hook repeated group %d's run of %d tokens", group, tokens)
+		}
+		w.runs[group] = tokens
+	})
+	return w
 }
 
 // canAllocate compares the two sides' BlocksNeeded and CanAllocate and
@@ -154,6 +165,9 @@ func (w *twin) check(label string) {
 	}
 	whole := int(w.m.CapacityTokens())
 	for _, g := range w.groups {
+		if got, want := w.runs[g], w.m.MatchPrefix(g, 1<<20); got != want {
+			w.t.Fatalf("%s: run hook last reported %d tokens for group %d, MatchPrefix %d", label, got, g, want)
+		}
 		for _, max := range []int{whole, whole / 3} {
 			if got, want := w.m.MatchPrefix(g, max), w.o.MatchPrefix(g, max); got != want {
 				w.t.Fatalf("%s: MatchPrefix(%d,%d) = %d, oracle %d", label, g, max, got, want)

@@ -13,7 +13,8 @@ import (
 // second sizes it; half the growth goes through TryAppend and a per-SeqID
 // Handle that is never cleared. After every op both implementations must
 // Verify and agree on every page table, TokensOf, FreeBlocks, CachedBlocks,
-// Evictions, PrefixHits and MatchPrefix of every group (twin.check), and
+// Evictions, PrefixHits and MatchPrefix of every group (twin.check), the
+// run hook's last report for each group must equal its MatchPrefix, and
 // CanAllocate's verdict must agree with Allocate's (or TryAppend's) outcome.
 func FuzzKVAllocFree(f *testing.F) {
 	f.Add([]byte("A2B3A5C1D4"))                 // two seqs allocated, queried, grown

@@ -77,6 +77,8 @@ type Manager struct {
 	// eviction order is unchanged (always the smallest evictable id).
 	evictHeap   []int
 	inEvictHeap []bool
+
+	onRun func(group int64, tokens int) // see OnPrefixRun
 }
 
 // New builds a manager holding capacityTokens token slots grouped into

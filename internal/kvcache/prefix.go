@@ -17,8 +17,9 @@ import "fmt"
 // Structures: each group has one chain — blocks[idx] is the block cached
 // for (group, idx), or noBlock where that index was never registered or
 // has been evicted — and cachedAt is the dense reverse index from block id
-// to the (group, idx) it backs. Matching and attaching a prefix is one map
-// lookup plus a slice scan; eviction and release are array writes.
+// to the (group, idx) it backs. A chain keeps the length of its leading
+// cached run, so matching a prefix is one map lookup; eviction and release
+// are array writes.
 
 // noBlock marks a chain index that holds no cached block.
 const noBlock = -1
@@ -27,6 +28,16 @@ const noBlock = -1
 type chain struct {
 	blocks []int // idx -> block id, or noBlock
 	live   int   // entries that are not noBlock
+	run    int   // leading entries that are not noBlock
+}
+
+// leadingRun counts the chain's leading cached entries, resuming the scan
+// at from, below which every entry is known to be cached.
+func (c *chain) leadingRun(from int) int {
+	for from < len(c.blocks) && c.blocks[from] != noBlock {
+		from++
+	}
+	return from
 }
 
 // blockKey is the (group, idx) a cached block backs; group 0 (never a
@@ -110,22 +121,29 @@ func (m *Manager) matchBlocks(group int64, maxTokens int) (*chain, int) {
 	if c == nil {
 		return nil, 0
 	}
-	n := maxTokens / m.blockSize
-	if n > len(c.blocks) {
-		n = len(c.blocks)
-	}
-	for idx := 0; idx < n; idx++ {
-		if c.blocks[idx] == noBlock {
-			return c, idx
+	return c, min(c.run, maxTokens/m.blockSize)
+}
+
+// OnPrefixRun installs f to be told, synchronously, every time a group's
+// leading cached run changes: f(group, tokens) with the new length in
+// tokens (0 once nothing leading is cached). Nil, the default, reports
+// nothing.
+func (m *Manager) OnPrefixRun(f func(group int64, tokens int)) { m.onRun = f }
+
+// setRun records a chain's new leading run and reports it when it moved.
+func (m *Manager) setRun(group int64, c *chain, run int) {
+	if run != c.run {
+		c.run = run
+		if m.onRun != nil {
+			m.onRun(group, run*m.blockSize)
 		}
 	}
-	return c, n
 }
 
 // MatchPrefix returns how many leading tokens of a prompt in the given
 // group are resident in the cache: the longest run of consecutive cached
 // blocks (group, 0..k-1), capped at maxTokens rounded down to whole blocks.
-// A pure read.
+// One lookup; a pure read.
 func (m *Manager) MatchPrefix(group int64, maxTokens int) int {
 	_, n := m.matchBlocks(group, maxTokens)
 	return n * m.blockSize
@@ -228,6 +246,7 @@ func (m *Manager) RegisterPrefix(id SeqID, group int64, upTo int) {
 			s.registered = idx + 1
 		}
 	}
+	m.setRun(group, c, c.leadingRun(c.run))
 	if c.live == 0 {
 		delete(m.chains, group) // nothing registered: leave no empty chain
 	}
@@ -255,6 +274,7 @@ func (m *Manager) evictOne() bool {
 		}
 		c := m.chains[key.group]
 		c.blocks[key.idx] = noBlock
+		m.setRun(key.group, c, min(c.run, key.idx))
 		if c.live--; c.live == 0 {
 			delete(m.chains, key.group)
 		}
@@ -275,7 +295,8 @@ func (m *Manager) Evictions() int { return m.evictions }
 // checkPrefixInvariants audits the prefix structures against each other and
 // adds the cache's own reference to expectedRefs: every chain entry agrees
 // with the reverse index, the cached counter equals the non-hole entries,
-// no empty chain lingers, and the evict heap covers every evictable block.
+// each chain's run is its leading count of them, no empty chain lingers,
+// and the evict heap covers every evictable block.
 func (m *Manager) checkPrefixInvariants(expectedRefs []int) error {
 	if m.refs == nil {
 		if m.cached != 0 || m.cacheOnly != 0 {
@@ -298,6 +319,9 @@ func (m *Manager) checkPrefixInvariants(expectedRefs []int) error {
 		}
 		if live != c.live || live == 0 {
 			return fmt.Errorf("kvcache: chain %d counts %d live entries, holds %d", group, c.live, live)
+		}
+		if run := c.leadingRun(0); c.run != run {
+			return fmt.Errorf("kvcache: chain %d records a leading run of %d, first hole at %d", group, c.run, run)
 		}
 		entries += live
 	}

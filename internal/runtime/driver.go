@@ -51,9 +51,11 @@ const gaugePublishEvery = 64
 
 func newDriver(rt *Runtime) *driver {
 	depth := len(rt.workers)
+	kv := kvcache.New(rt.kvCapacity, kvBlockSize)
+	kv.OnPrefixRun(rt.prefixRuns.set)
 	d := &driver{
 		rt:     rt,
-		pool:   sched.NewPool(kvcache.New(rt.kvCapacity, kvBlockSize), depth),
+		pool:   sched.NewPool(kv, depth),
 		prep:   engine.VLLMRuntime,
 		stopCh: rt.stopCh,
 		killCh: rt.killCh,
@@ -69,8 +71,9 @@ func newDriver(rt *Runtime) *driver {
 	return d
 }
 
-// run is the driver goroutine: one select over the six event sources until
-// a stop or kill has drained the pipeline.
+// run is the driver goroutine: one select over the five event sources
+// (admit, cancel, retire, stop, kill — each changes state) until a stop or
+// kill has drained the pipeline.
 func (d *driver) run() {
 	rt := d.rt
 	defer close(rt.stopped)
@@ -88,8 +91,6 @@ func (d *driver) run() {
 		case h := <-rt.cancelCh:
 			d.cancel(h.req)
 			d.fill(time.Since(rt.start)) // an abort releases KV, which may unblock scheduling
-		case q := <-rt.queryCh:
-			q.reply <- d.pool.KV.MatchPrefix(q.group, q.maxTokens)
 		case mb := <-rt.doneCh:
 			d.retire(mb, time.Since(rt.start))
 		case <-d.stopCh:
@@ -175,6 +176,7 @@ func (d *driver) exit() {
 	}
 	close(rt.workers[0].workCh)
 	d.publishGauges()
+	rt.exited.Store(true)
 	finished, cancelled := rt.outcomes()
 	rt.logEvent(slog.LevelInfo, "runtime stopped",
 		"finished", finished, "cancelled", cancelled, "iterations", rt.iterations.Load())

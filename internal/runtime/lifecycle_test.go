@@ -536,10 +536,10 @@ func (c *countingScheduler) Schedule(p *sched.Pool, now time.Duration) *sched.Ba
 }
 
 // The driver schedules after a submit, a cancel or a retire — never after a
-// MatchPrefix query or a stop signal. A lone request is held mid-decode by a
-// stalled batch; queries and a Shutdown arriving meanwhile must leave the
-// scheduler's call count where it was until that batch retires.
-func TestQueryAndStopDoNotSchedule(t *testing.T) {
+// stop signal. A lone request is held mid-decode by a stalled batch; a
+// Shutdown arriving meanwhile must leave the scheduler's call count where
+// it was until that batch retires.
+func TestStopDoesNotSchedule(t *testing.T) {
 	held, release := make(chan struct{}), make(chan struct{})
 	unstall := sync.OnceFunc(func() { close(release) })
 	defer unstall() // before startRuntime's Close, which waits for the batch
@@ -563,13 +563,14 @@ func TestQueryAndStopDoNotSchedule(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("third micro-batch never reached stage 0")
 	}
-	// A query is answered only from the driver's select, so one round trip
-	// is a barrier: the fill that injected the stalled batch has returned.
-	const group = int64(7)
-	rt.MatchPrefix(group, 64)
-	before := cs.calls.Load()
-	for range 32 {
-		rt.MatchPrefix(group, 64)
+	// The barrier: each of the three fills that injected a batch ends on
+	// one more Schedule call, which finds the lone request busy and returns
+	// an empty batch. Once the count reaches six the third fill has
+	// returned and the driver is parked in its select.
+	const before = 6
+	waitFor(t, "the third fill to return", func() bool { return cs.calls.Load() >= before })
+	if got := cs.calls.Load(); got != before {
+		t.Fatalf("Schedule ran %d times up to the stalled batch, want %d", got, before)
 	}
 	stopped := make(chan error, 1)
 	go func() {
@@ -582,9 +583,8 @@ func TestQueryAndStopDoNotSchedule(t *testing.T) {
 		defer rt.subMu.RUnlock()
 		return rt.stopping
 	})
-	rt.MatchPrefix(group, 64)
 	if got := cs.calls.Load(); got != before {
-		t.Fatalf("Schedule ran %d times across 33 queries and a stop with the batch still in flight", got-before)
+		t.Fatalf("Schedule ran %d times across a stop with the batch still in flight", got-before)
 	}
 	unstall()
 	if err := <-stopped; err != nil {

@@ -410,7 +410,6 @@ type Runtime struct {
 
 	submitCh chan *Handle
 	cancelCh chan *Handle
-	queryCh  chan kvQuery
 	doneCh   chan *microBatch
 	stopCh   chan struct{}
 	killCh   chan struct{}
@@ -449,16 +448,52 @@ type Runtime struct {
 	degraded   atomic.Bool
 	lastBeat   atomic.Int64 // driver's last scheduling progress, ns since start (monotonic)
 
+	// prefixRuns is the KV cache's residency as the driver last changed it.
+	// exited is set once the driver has terminated every handle: health
+	// reads "stopped" and MatchPrefix 0 from then on.
+	prefixRuns residency
+	exited     atomic.Bool
+
 	nextID atomic.Int64
 	start  time.Time
 }
 
-// kvQuery asks the driver a question about its (driver-owned) KV cache;
-// the reply channel must be buffered so the driver never blocks answering.
-type kvQuery struct {
-	group     int64
-	maxTokens int
-	reply     chan int
+// residency maps a prefix group to its leading resident tokens, holding an
+// entry only while that is non-zero, so it is bounded by the cache, not by
+// the traffic. The driver writes it from the KV manager's run hook, at the
+// moment a run changes; any goroutine reads it without waiting on the
+// driver. Sharded so concurrent readers do not share one lock word.
+type residency [16]residencyShard
+
+type residencyShard struct {
+	mu   sync.RWMutex
+	runs map[int64]int
+}
+
+// shard spreads groups, often consecutive ids, over the 16 shards.
+func (t *residency) shard(group int64) *residencyShard {
+	return &t[uint64(group)*0x9E3779B97F4A7C15>>60]
+}
+
+func (t *residency) set(group int64, tokens int) {
+	s := t.shard(group)
+	s.mu.Lock()
+	if tokens == 0 {
+		delete(s.runs, group)
+	} else {
+		if s.runs == nil {
+			s.runs = make(map[int64]int)
+		}
+		s.runs[group] = tokens
+	}
+	s.mu.Unlock()
+}
+
+func (t *residency) get(group int64) int {
+	s := t.shard(group)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.runs[group]
 }
 
 // eventSlab is a reusable batch of token events: the driver appends a
@@ -571,7 +606,6 @@ func Start(cfg Config) (*Runtime, error) {
 		kvCapacity:  kvCap,
 		submitCh:    make(chan *Handle, cfg.QueueDepth),
 		cancelCh:    make(chan *Handle, cfg.QueueDepth),
-		queryCh:     make(chan kvQuery),
 		doneCh:      make(chan *microBatch, depth+1),
 		stopCh:      make(chan struct{}),
 		killCh:      make(chan struct{}),
@@ -621,21 +655,16 @@ type SubmitSpec struct {
 
 // MatchPrefix reports how many leading tokens of a prompt in the given
 // prefix group are resident in this runtime's KV cache (whole blocks,
-// capped at maxTokens). The driver answers the query between scheduling
-// events, so the result is exact at the moment of the answer; a stopped
-// runtime reports 0. Safe for concurrent use — this is how a cluster
-// router decides whether a replica still holds a conversation's context.
+// capped at maxTokens). It reads the residency the driver publishes as the
+// cache changes, so it never waits on the driver and the answer is never
+// older than the call; a stopped runtime reports 0. Safe for concurrent use
+// — this is how a cluster router decides whether a replica still holds a
+// conversation's context.
 func (rt *Runtime) MatchPrefix(group int64, maxTokens int) int {
-	if group == 0 || maxTokens <= 0 {
+	if maxTokens <= 0 || rt.exited.Load() {
 		return 0
 	}
-	q := kvQuery{group: group, maxTokens: maxTokens, reply: make(chan int, 1)}
-	select {
-	case rt.queryCh <- q:
-		return <-q.reply
-	case <-rt.stopped:
-		return 0
-	}
+	return min(rt.prefixRuns.get(group), maxTokens-maxTokens%kvBlockSize)
 }
 
 // SubmitBatchedSpec enqueues a request and returns a handle streaming its
@@ -812,7 +841,7 @@ func (rt *Runtime) outcomes() (finished, cancelled int) {
 // health classifies the runtime's current serving state.
 func (rt *Runtime) health() string {
 	switch {
-	case rt.isStopped():
+	case rt.exited.Load():
 		return HealthStopped
 	case rt.isDraining():
 		return HealthDraining
@@ -836,15 +865,6 @@ func (rt *Runtime) Pressure() Pressure {
 		Resident: int(rt.resident.Load()),
 		QueueLen: len(rt.submitCh),
 		Health:   rt.health(),
-	}
-}
-
-func (rt *Runtime) isStopped() bool {
-	select {
-	case <-rt.stopped:
-		return true
-	default:
-		return false
 	}
 }
 
