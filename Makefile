@@ -26,20 +26,27 @@ race:
 bench-selftest:
 	$(GO) test -C benchmark .
 
-# fmt-check fails when any file needs gofmt, or when the newest CHANGES.md
+# fmt-check fails when any file needs gofmt, when the newest CHANGES.md
 # entry (the last line starting "PR <n>" through the end of the file) is
-# more than a reader can scan: 6144 bytes. Older entries are exempt.
+# more than a reader can scan: 6144 bytes (older entries are exempt), or
+# when README.md + DESIGN.md + EXPERIMENTS.md together outgrow DOCS_BYTES.
+# DOCS_BYTES only goes down: a change that shrinks the docs lowers it.
+DOCS_BYTES = 117715
+
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	@n=$$(LC_ALL=C awk '/^PR [0-9]+/ {n = 0} {n += length($$0) + 1} END {print n}' CHANGES.md); \
 	if [ "$$n" -gt 6144 ]; then echo "CHANGES.md: newest entry is $$n bytes, budget 6144"; exit 1; fi
+	@n=$$(cat README.md DESIGN.md EXPERIMENTS.md | wc -c); \
+	if [ "$$n" -gt $(DOCS_BYTES) ]; then echo "docs: README+DESIGN+EXPERIMENTS are $$n bytes, budget $(DOCS_BYTES)"; exit 1; fi
 
 # Ten seconds of each fuzz target (target:package). -run='^$$' skips the
 # regular tests so only the fuzz engine runs; the seeds run in tier1.
 FUZZ_TARGETS = FuzzKVAllocFree:./internal/kvcache FuzzThrottleSchedule:./internal/sched \
 	FuzzParseExposition:./internal/metrics FuzzChunkReader:./internal/server \
 	FuzzChromeRoundTrip:./internal/obs FuzzParseTraceparent:./internal/obs \
-	FuzzEngineOrder:./internal/sim
+	FuzzEngineOrder:./internal/sim FuzzCompletionRequest:./internal/server \
+	FuzzChromeRequestsRoundTrip:./internal/obs
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

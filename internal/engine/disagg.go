@@ -55,17 +55,12 @@ func RunDisaggregated(cfg DisaggConfig, items []workload.Item) (*Result, error) 
 		return nil, fmt.Errorf("engine: disaggregation needs 1..%d prefill GPUs, got %d", total-1, cfg.PrefillGPUs)
 	}
 	depthP, depthD := cfg.PrefillGPUs, total-cfg.PrefillGPUs
-	if depthP > cfg.Model.NumLayers || depthD > cfg.Model.NumLayers {
-		return nil, fmt.Errorf("engine: replica depth exceeds %d layers", cfg.Model.NumLayers)
-	}
 
 	d := &disagg{boundary: cfg.PrefillGPUs - 1}
 	replica := func(name string, first, depth, budget int) (*loop, error) {
-		layers := cfg.Model.StageLayers(depth)
-		kvCap := r.cost.KVCapacityTokensPP(layers, cfg.MemUtil)
-		if kvCap < kvBlockSize {
-			return nil, fmt.Errorf("engine: %s on %d x %s (%s replica): %w",
-				cfg.Model.Name, depth, cfg.GPU.Name, name, ErrModelDoesNotFit)
+		layers, kvCap, err := cfg.stages(&r.cost, depth, ", "+name+" replica")
+		if err != nil {
+			return nil, err
 		}
 		return r.addLoop(kvCap, depth, sched.NewSarathi(budget), newChain(r, name+"-stage", first, layers)), nil
 	}
@@ -91,7 +86,7 @@ func (d *disagg) migrate(b *sched.Batch) {
 			continue
 		}
 		id := kvcache.SeqID(req.ID)
-		d.prefill.pool.ReleaseDecoding(req)
+		d.prefill.Pool.ReleaseDecoding(req)
 		// The released sequence's blocks stay resident on the prefill side
 		// until the transfer lands.
 		markExternal(d.prefill.obs, id)
@@ -102,7 +97,7 @@ func (d *disagg) migrate(b *sched.Batch) {
 		r.kvTransfers++
 		r.kvTransferBytes += kvBytes
 		r.eng.After(xfer, func() {
-			d.prefill.pool.KV.Free(id)
+			d.prefill.Pool.KV.Free(id)
 			unmarkExternal(d.prefill.obs, id)
 			d.staging = append(d.staging, req)
 			r.refill(d.prefill)
@@ -115,8 +110,8 @@ func (d *disagg) migrate(b *sched.Batch) {
 func (d *disagg) drainStaging() {
 	kept := d.staging[:0]
 	for _, req := range d.staging {
-		if d.decode.pool.KV.TryAllocate(kvcache.SeqID(req.ID), req.ContextLen()) {
-			d.decode.pool.AdoptDecoding(req)
+		if d.decode.Pool.KV.TryAllocate(kvcache.SeqID(req.ID), req.ContextLen()) {
+			d.decode.Pool.AdoptDecoding(req)
 		} else {
 			kept = append(kept, req)
 		}

@@ -227,8 +227,8 @@ type Config struct {
 }
 
 const (
-	// kvBlockSize is tokens per KV block (vLLM's default).
-	kvBlockSize = 16
+	// KVBlockSize is tokens per KV block (vLLM's default), on both loops.
+	KVBlockSize = 16
 	// maxVirtualTime aborts a run that simulates longer than this: a guard
 	// against scheduling deadlocks and livelocks.
 	maxVirtualTime = 4 * time.Hour

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"gllm/internal/gpu"
@@ -45,24 +46,30 @@ func TestRunTensorModelDoesNotFit(t *testing.T) {
 
 func TestOversizedRequestIsCapacityError(t *testing.T) {
 	// The model fits, but one request exceeds the whole KV capacity: same
-	// capacity class, same sentinel, on every engine.
+	// capacity class, same sentinel, on every engine — also when its lengths
+	// sum past math.MaxInt, which once wrapped negative and passed.
 	cfg := tinyCfg(model.Qwen25_14B, 4)
-	huge := []workload.Item{{PromptLen: 1 << 24, OutputLen: 8}}
-	for _, tc := range []struct {
-		engine string
-		run    func() (*Result, error)
-	}{
-		{"pipeline", func() (*Result, error) { return RunPipeline(cfg, huge) }},
-		{"tensor", func() (*Result, error) { return RunTensor(cfg, huge) }},
-		{"tokenpar", func() (*Result, error) { return RunTokenParallel(TokenParallelConfig{Config: cfg, RootTP: 2}, huge) }},
-		{"disagg", func() (*Result, error) { return RunDisaggregated(DisaggConfig{Config: cfg, PrefillGPUs: 2}, huge) }},
+	for _, huge := range [][]workload.Item{
+		{{PromptLen: 1 << 24, OutputLen: 8}},
+		{{PromptLen: math.MaxInt, OutputLen: 1}},
+		{{PromptLen: 8, OutputLen: math.MaxInt}},
 	} {
-		_, err := tc.run()
-		if err == nil {
-			t.Fatalf("%s: oversized request accepted", tc.engine)
-		}
-		if !errors.Is(err, ErrModelDoesNotFit) {
-			t.Fatalf("%s: error not ErrModelDoesNotFit: %v", tc.engine, err)
+		for _, tc := range []struct {
+			engine string
+			run    func() (*Result, error)
+		}{
+			{"pipeline", func() (*Result, error) { return RunPipeline(cfg, huge) }},
+			{"tensor", func() (*Result, error) { return RunTensor(cfg, huge) }},
+			{"tokenpar", func() (*Result, error) { return RunTokenParallel(TokenParallelConfig{Config: cfg, RootTP: 2}, huge) }},
+			{"disagg", func() (*Result, error) { return RunDisaggregated(DisaggConfig{Config: cfg, PrefillGPUs: 2}, huge) }},
+		} {
+			_, err := tc.run()
+			if err == nil {
+				t.Fatalf("%s: oversized request %+v accepted", tc.engine, huge[0])
+			}
+			if !errors.Is(err, ErrModelDoesNotFit) {
+				t.Fatalf("%s: %+v: error not ErrModelDoesNotFit: %v", tc.engine, huge[0], err)
+			}
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gllm/internal/gpu"
-	"gllm/internal/kvcache"
 	"gllm/internal/metrics"
 	"gllm/internal/obs"
 	"gllm/internal/request"
@@ -80,44 +79,39 @@ type run struct {
 	tknpCommBytes   int64
 }
 
-// loop drives one scheduler pool with a fixed number of micro-batch slots.
+// loop drives one scheduler pool's Step under virtual time.
 type loop struct {
-	run   *run
-	pool  *sched.Pool
-	sched sched.Scheduler
-	obs   BatchObserver
-	exec  strategy
-	free  []*microBatch // the slots with no batch in flight
-	// migrate, when set, sees each retired batch after its slot is freed
-	// and before AfterComplete (disaggregated prefill → decode hand-off).
+	*Step[*microBatch]
+	run  *run
+	exec strategy
+	// migrate, when set, sees each retired batch after its finished
+	// requests are collected and before AfterComplete (disaggregated
+	// prefill → decode hand-off).
 	migrate func(b *sched.Batch)
 }
 
-// newRun applies cfg's defaults, validates it and starts a run's clock.
+// newRun prepares cfg and starts a run's clock.
 func newRun(cfg *Config) (*run, error) {
-	cfg.applyDefaults()
-	if err := cfg.validate(); err != nil {
+	cost, err := cfg.prepare()
+	if err != nil {
 		return nil, err
 	}
 	eng := sim.New()
-	return &run{cfg: *cfg, eng: eng, cost: gpu.NewCostModel(cfg.Model, cfg.GPU),
+	return &run{cfg: *cfg, eng: eng, cost: cost,
 		driverCPU: sim.NewResource(eng, "driver-cpu"), col: new(metrics.Collector)}, nil
 }
 
 // addLoop adds a scheduler pool over kvCap tokens of KV cache whose batches,
 // at most slots at a time, run on exec.
 func (r *run) addLoop(kvCap int64, slots int, s sched.Scheduler, exec strategy) *loop {
-	l := &loop{run: r, pool: sched.NewPool(kvcache.New(kvCap, kvBlockSize), slots), sched: s, exec: exec}
-	for range slots {
+	l := &loop{run: r, exec: exec}
+	mbs := make([]*microBatch, slots)
+	for i := range mbs {
 		mb := &microBatch{loop: l}
 		mb.prepped = func() { l.prepped(mb) }
-		l.free = append(l.free, mb)
+		mbs[i] = mb
 	}
-	l.pool.EnablePrefixCache = r.cfg.EnablePrefixCache
-	l.pool.AllowPipelinedChunks = r.cfg.EnableCPP
-	if r.cfg.Observer != nil {
-		l.obs = r.cfg.Observer(l.pool, s)
-	}
+	l.Step = NewStep(&r.cfg, kvCap, s, mbs, l.retired)
 	r.loops = append(r.loops, l)
 	return l
 }
@@ -137,7 +131,7 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 		req := request.New(int64(next), it.Arrival, it.PromptLen, it.OutputLen)
 		req.PrefixGroup, req.SharedPrefixLen = it.PrefixGroup, it.SharedPrefixLen
 		next++
-		in.pool.Add(req)
+		in.Pool.Add(req)
 		in.fill()
 	}
 	for _, it := range items {
@@ -152,10 +146,8 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 		return nil, fmt.Errorf("engine: only %d/%d requests finished (scheduling deadlock?)", r.finished, r.total)
 	}
 	for _, l := range r.loops {
-		if l.obs != nil {
-			if err := l.obs.Final(r.eng.Now()); err != nil {
-				return nil, err
-			}
+		if err := l.Final(r.eng.Now()); err != nil {
+			return nil, err
 		}
 	}
 
@@ -175,7 +167,7 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 		TknpCommBytes:    r.tknpCommBytes,
 	}
 	for _, l := range r.loops {
-		res.Preemptions += l.pool.Preemptions()
+		res.Preemptions += l.Pool.Preemptions()
 	}
 	if makespan > 0 {
 		var busy time.Duration
@@ -194,10 +186,11 @@ func (r *run) validateWorkload(items []workload.Item) error {
 	if err := workload.Validate(items); err != nil {
 		return err
 	}
-	first := r.loops[0].pool.KV.CapacityTokens()
-	last := r.loops[len(r.loops)-1].pool.KV.CapacityTokens()
+	first := r.loops[0].Pool.KV.CapacityTokens()
+	last := r.loops[len(r.loops)-1].Pool.KV.CapacityTokens()
 	for i, it := range items {
-		if int64(it.PromptLen+1) > first || int64(it.PromptLen+it.OutputLen) > last {
+		// Each length is compared before they are added, so no sum wraps.
+		if int64(it.PromptLen) >= first || int64(it.PromptLen) > last || int64(it.OutputLen) > last-int64(it.PromptLen) {
 			return fmt.Errorf("engine: request %d (prompt %d, output %d) exceeds the KV capacity of %d tokens (%d where it prefills): %w",
 				i, it.PromptLen, it.OutputLen, last, first, ErrModelDoesNotFit)
 		}
@@ -224,23 +217,11 @@ func (l *loop) fill() {
 		r.aborted = fmt.Errorf("engine: exceeded %v of simulated time (deadlock, livelock or overload)", maxVirtualTime)
 		return
 	}
-	for len(l.free) > 0 {
-		if l.obs != nil {
-			l.obs.BeforeSchedule(now)
-		}
-		b := l.sched.Schedule(l.pool, now)
-		if l.obs != nil {
-			l.obs.AfterSchedule(b, now)
-			if r.aborted = l.obs.Err(); r.aborted != nil {
-				return
-			}
-		}
-		if b.Empty() {
-			l.pool.PutBatch(b)
+	for {
+		mb, b, err := l.Schedule(now)
+		if r.aborted = err; err != nil || b == nil {
 			return
 		}
-		mb := l.free[len(l.free)-1]
-		l.free = l.free[:len(l.free)-1]
 		r.injections++
 		mb.batch, mb.shape, mb.seq = b, b.Shape(), r.injections
 		// A coupled runtime queues its prep on the one driver CPU; a
@@ -269,34 +250,33 @@ func (l *loop) prepped(mb *microBatch) {
 	l.exec.execute(mb)
 }
 
-// retire commits a batch that left the hardware: tokens are committed,
-// finished requests observed, the slot freed, the batch handed back to the
-// pool once the hooks have seen it, and the loops refilled.
+// retire commits a batch that left the hardware through the Step, then
+// refills the loops.
 func (l *loop) retire(mb *microBatch) {
 	r := l.run
 	if r.aborted != nil {
 		return
 	}
-	now, b := r.eng.Now(), mb.batch
-	finished := l.pool.Complete(b, now)
+	b := mb.batch
+	mb.batch = nil
+	if r.aborted = l.Retire(mb, b, r.eng.Now()); r.aborted != nil {
+		return
+	}
+	r.refill(l)
+}
+
+// retired is the kernel's per-member work on a completed batch: finished
+// requests are collected, then the migrate hook sees the batch.
+func (l *loop) retired(b *sched.Batch, finished []*request.Request) {
+	r := l.run
 	for _, f := range finished {
 		r.col.Add(metrics.Observe(f))
 		r.finished++
-		r.lastFinish = now
+		r.lastFinish = r.eng.Now()
 	}
-	l.free = append(l.free, mb)
 	if l.migrate != nil {
 		l.migrate(b)
 	}
-	if l.obs != nil {
-		l.obs.AfterComplete(b, finished, now)
-		if r.aborted = l.obs.Err(); r.aborted != nil {
-			return
-		}
-	}
-	mb.batch = nil
-	l.pool.PutBatch(b)
-	r.refill(l)
 }
 
 // refill fills l's free slots, then every other loop's: what one pool

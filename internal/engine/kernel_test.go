@@ -85,7 +85,7 @@ func TestSteadyStateIterationAllocationFree(t *testing.T) {
 				l := r.addLoop(r.cost.KVCapacityTokensPP(layers, cfg.MemUtil), slots, s, build(r, layers))
 				r.total = residents
 				for i := 0; i < residents; i++ {
-					l.pool.Add(request.New(int64(i), 0, prompt, 1<<20))
+					l.Pool.Add(request.New(int64(i), 0, prompt, 1<<20))
 				}
 				iterate := func(n int) {
 					for target := r.injections + n; r.injections < target; {
@@ -95,7 +95,7 @@ func TestSteadyStateIterationAllocationFree(t *testing.T) {
 					}
 				}
 				l.fill()
-				for l.pool.PrefillQueueLen() > 0 {
+				for l.Pool.PrefillQueueLen() > 0 {
 					iterate(1)
 				}
 				iterate(warm)

@@ -18,14 +18,9 @@ func RunPipeline(cfg Config, items []workload.Item) (*Result, error) {
 		return nil, err
 	}
 	depth := cfg.Topo.GPUs()
-	if depth > cfg.Model.NumLayers {
-		return nil, fmt.Errorf("engine: pipeline depth %d exceeds %d layers", depth, cfg.Model.NumLayers)
-	}
-	stageLayers := cfg.Model.StageLayers(depth)
-	kvCap := r.cost.KVCapacityTokensPP(stageLayers, cfg.MemUtil)
-	if kvCap < kvBlockSize {
-		return nil, fmt.Errorf("engine: %s on %d x %s (KV capacity %d tokens): %w",
-			cfg.Model.Name, depth, cfg.GPU.Name, kvCap, ErrModelDoesNotFit)
+	stageLayers, kvCap, err := cfg.stages(&r.cost, depth, "")
+	if err != nil {
+		return nil, err
 	}
 	r.addLoop(kvCap, depth, cfg.Scheduler, newChain(r, "stage", 0, stageLayers))
 	return r.serve(items, cfg.Scheduler.Name(), kvCap)

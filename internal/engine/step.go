@@ -1,0 +1,125 @@
+package engine
+
+import (
+	"fmt"
+	"time"
+
+	"gllm/internal/gpu"
+	"gllm/internal/kvcache"
+	"gllm/internal/request"
+	"gllm/internal/sched"
+)
+
+// What the two pipeline loops share — the kernel's loop in virtual time,
+// runtime's driver on goroutines and wall time: one deployment plan and one
+// iteration step (DESIGN.md §9).
+
+// prepare applies cfg's defaults, validates it and builds its cost model:
+// the head of every deployment plan, simulated (newRun) or live
+// (PlanPipeline).
+func (cfg *Config) prepare() (gpu.CostModel, error) {
+	cfg.applyDefaults()
+	if err := cfg.validate(); err != nil {
+		return gpu.CostModel{}, err
+	}
+	return gpu.NewCostModel(cfg.Model, cfg.GPU), nil
+}
+
+// PlanPipeline prepares cfg and plans one stage per GPU in cfg.Topo, as
+// RunPipeline does: the cost model, each stage's layers and their KV
+// capacity in tokens.
+func PlanPipeline(cfg *Config) (cost gpu.CostModel, stageLayers []int, kvCap int64, err error) {
+	if cost, err = cfg.prepare(); err != nil {
+		return
+	}
+	stageLayers, kvCap, err = cfg.stages(&cost, cfg.Topo.GPUs(), "")
+	return
+}
+
+// stages splits cfg.Model over depth stages and sizes the KV cache the
+// weights leave them; where names the replica in a capacity error.
+func (cfg *Config) stages(cost *gpu.CostModel, depth int, where string) ([]int, int64, error) {
+	if depth > cfg.Model.NumLayers {
+		return nil, 0, fmt.Errorf("engine: pipeline depth %d exceeds %d layers", depth, cfg.Model.NumLayers)
+	}
+	layers := cfg.Model.StageLayers(depth)
+	kvCap := cost.KVCapacityTokensPP(layers, cfg.MemUtil)
+	if kvCap < KVBlockSize {
+		return nil, 0, fmt.Errorf("engine: %s on %d x %s%s (KV capacity %d tokens): %w",
+			cfg.Model.Name, depth, cfg.GPU.Name, where, kvCap, ErrModelDoesNotFit)
+	}
+	return layers, kvCap, nil
+}
+
+// Step is one scheduler pool's fill/retire protocol over micro-batch slots
+// S: the pool, its scheduler, the observer cfg.Observer built for it and
+// the slots with no batch in flight. A nil observer costs a nil check.
+type Step[S any] struct {
+	Pool    *sched.Pool
+	sched   sched.Scheduler
+	obs     BatchObserver
+	free    []S
+	retired func(b *sched.Batch, finished []*request.Request) // the caller's per-member work
+}
+
+// NewStep builds a pool over kvCap tokens of KV cache, len(slots) deep,
+// with cfg's prefix-cache and CPP flags and observer, scheduled by s.
+func NewStep[S any](cfg *Config, kvCap int64, s sched.Scheduler, slots []S,
+	retired func(b *sched.Batch, finished []*request.Request)) *Step[S] {
+	st := &Step[S]{Pool: sched.NewPool(kvcache.New(kvCap, KVBlockSize), len(slots)), sched: s, free: slots, retired: retired}
+	st.Pool.EnablePrefixCache = cfg.EnablePrefixCache
+	st.Pool.AllowPipelinedChunks = cfg.EnableCPP
+	if cfg.Observer != nil {
+		st.obs = cfg.Observer(st.Pool, s)
+	}
+	return st
+}
+
+// Free is the number of slots with no batch in flight.
+func (st *Step[S]) Free() int { return len(st.free) }
+
+// Schedule fills a free slot under BeforeSchedule and AfterSchedule. The
+// batch is nil when no slot is free or it came back empty (recycled); err
+// is the observer's first violation.
+func (st *Step[S]) Schedule(now time.Duration) (slot S, b *sched.Batch, err error) {
+	if len(st.free) == 0 {
+		return slot, nil, nil
+	}
+	if st.obs != nil {
+		st.obs.BeforeSchedule(now)
+	}
+	b = st.sched.Schedule(st.Pool, now)
+	if st.obs != nil {
+		st.obs.AfterSchedule(b, now)
+		err = st.obs.Err()
+	}
+	if b.Empty() {
+		st.Pool.PutBatch(b)
+		return slot, nil, err
+	}
+	slot = st.free[len(st.free)-1]
+	st.free = st.free[:len(st.free)-1]
+	return slot, b, err
+}
+
+// Retire commits b, which left the hardware on slot: Pool.Complete, the
+// per-member work, AfterComplete, then b is recycled and the slot freed.
+func (st *Step[S]) Retire(slot S, b *sched.Batch, now time.Duration) (err error) {
+	finished := st.Pool.Complete(b, now)
+	st.retired(b, finished)
+	if st.obs != nil {
+		st.obs.AfterComplete(b, finished, now)
+		err = st.obs.Err()
+	}
+	st.Pool.PutBatch(b)
+	st.free = append(st.free, slot)
+	return err
+}
+
+// Final closes the observer's audit once the pool has run dry.
+func (st *Step[S]) Final(now time.Duration) error {
+	if st.obs == nil {
+		return nil
+	}
+	return st.obs.Final(now)
+}

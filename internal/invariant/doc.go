@@ -1,12 +1,14 @@
 // Package invariant is the deterministic invariant-checking harness for the
-// scheduler core: a pluggable auditor (Checker) that hooks into every
-// engine's scheduling loop via engine.Config.Observer, a property harness
-// (Run) that drives seeded randomized workloads through every scheduler ×
-// engine combination, and a trace shrinker (Shrink) that reduces failures
-// to minimal reproducers. Its own test suite proves the detector works by
-// mutation: intentionally broken scheduler doubles (over-budget batches,
-// leaked KV blocks, reordered FIFO admission, an eviction that forgets the
-// #WP counter) must each be flagged.
+// scheduler core: a pluggable auditor (Checker) that hooks into a pool's
+// engine.Step — every simulated engine's loop via engine.Config.Observer,
+// and the live runtime's driver in that package's tests. Its test suite
+// adds a property harness (Run) that drives seeded randomized workloads
+// through every scheduler × engine combination, a trace shrinker (Shrink)
+// that reduces failures to minimal reproducers, and proves the detector
+// works by mutation: the broken schedulers of package mutant (over-budget
+// batches, leaked KV blocks, reordered FIFO admission, an eviction that
+// forgets the #WP counter) must each be flagged, on the simulator here and
+// on the live runtime there.
 //
 // # Invariant catalogue
 //
@@ -51,8 +53,10 @@
 // tables consistent with token counts, refcounts consistent with the free
 // list) and used blocks stay within [0, TotalBlocks].
 //
-// kv-leak — A finished request holds zero KV tokens, and at end of run no
-// orphan sequence remains resident.
+// kv-leak — A finished request holds zero KV tokens, and so does one
+// aborted while quiescent — the live runtime's cancellation, which the
+// simulator never produces. At end of run no orphan sequence remains
+// resident.
 //
 // prefill-fifo — For schedulers promising FCFS admission
 // (sched.FIFOPrefill), no request receives a prefill chunk while an

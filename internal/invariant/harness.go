@@ -14,10 +14,11 @@ import (
 	"gllm/internal/workload"
 )
 
-// The property harness runs a deliberately tiny deployment: a toy model on
-// a 1 MiB GPU gives a KV cache of a few thousand tokens, so randomized
-// workloads exercise KV exhaustion, preemption and recompute paths within
-// milliseconds of virtual time instead of hours.
+// The property harness and the live runtime's checked tests run a
+// deliberately tiny deployment: a toy model on a 1 MiB GPU gives a KV cache
+// of a few thousand tokens, so randomized workloads exercise KV exhaustion,
+// preemption and recompute paths within milliseconds of virtual time
+// instead of hours.
 
 // HarnessModel is the toy model the harness deploys.
 func HarnessModel() model.Config {

@@ -60,6 +60,7 @@ type reqTrack struct {
 	decodes   int // decode completions observed
 	kvOffset  int // +1 when decode KV holds the full context (resume/adopt)
 	starve    int
+	seen      int64 // the sync that last found it in the pool
 }
 
 // Checker audits one scheduler pool against the invariant catalogue. It
@@ -86,6 +87,7 @@ type Checker struct {
 	preFull bool
 
 	reqs     map[int64]*reqTrack
+	syncs    int64
 	external map[kvcache.SeqID]bool
 }
 
@@ -198,13 +200,29 @@ func (c *Checker) track(r *request.Request, now time.Duration) *reqTrack {
 	return tr
 }
 
-// sync registers newly resident requests and absorbs preemptions.
+// sync registers newly resident requests, absorbs preemptions and drops
+// the shadow state of requests that left the pool without finishing: one
+// released for migration to another replica, or one aborted while
+// quiescent (a live cancellation, between hooks or inside a retire), which
+// must have given back every KV block.
 func (c *Checker) sync(now time.Duration) {
+	c.syncs++
 	for _, r := range c.pool.PrefillQueue() {
-		c.track(r, now)
+		c.track(r, now).seen = c.syncs
 	}
 	for _, r := range c.pool.Decoding() {
-		c.track(r, now)
+		c.track(r, now).seen = c.syncs
+	}
+	for id, tr := range c.reqs {
+		if tr.seen == c.syncs {
+			continue
+		}
+		if tr.r.State() == request.StateAborted {
+			if got := c.pool.KV.TokensOf(kvcache.SeqID(id)); got != 0 {
+				c.violate(InvKVLeak, now, "%v aborted but still holds %d KV tokens", tr.r, got)
+			}
+		}
+		delete(c.reqs, id)
 	}
 }
 
@@ -532,27 +550,6 @@ func (c *Checker) AfterComplete(b *sched.Batch, finished []*request.Request, now
 	c.sync(now)
 	c.checkKV(now)
 	c.checkWaitingPrefill(now)
-	c.prune()
-}
-
-// prune drops shadow state for requests that left the pool without
-// finishing (released for migration to another replica).
-func (c *Checker) prune() {
-	if len(c.reqs) == 0 {
-		return
-	}
-	present := make(map[int64]bool, len(c.reqs))
-	for _, r := range c.pool.PrefillQueue() {
-		present[r.ID] = true
-	}
-	for _, r := range c.pool.Decoding() {
-		present[r.ID] = true
-	}
-	for id := range c.reqs {
-		if !present[id] {
-			delete(c.reqs, id)
-		}
-	}
 }
 
 // MarkExternal implements engine.SeqObserver: the sequence's KV blocks

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Merged request-trace export. Each traced request renders as ONE lane
@@ -28,25 +30,34 @@ type mergedReqSpan struct {
 	abs time.Duration // start offset from the merged base
 }
 
+// maxMergedNs bounds the merged clock (6.5 days): float-microsecond ts and
+// ts+dur round back to the exact nanosecond only below about 2^50 ns.
+const maxMergedNs = 1 << 49
+
+// maxOffsetNs bounds the origin shifts and span offsets the writer adds, so
+// no sum wraps (73 years: no recorder's clock is that far off).
+const maxOffsetNs = 1 << 61
+
 // WriteChromeRequests merges per-process request-span exports into one
 // Chrome trace-event JSON document. Spans of the same trace ID share a
-// lane regardless of which export (process) recorded them.
+// lane regardless of which export (process) recorded them. The merged
+// clock's zero is the earliest span's start, so spans keep their exact
+// nanoseconds however long their recorders have been up; a span ending
+// more than maxMergedNs after that zero, or offset beyond maxOffsetNs (a
+// clock days or decades off), is left out. It refuses an export holding a
+// span whose fields would not read back.
 func WriteChromeRequests(w io.Writer, exports ...ReqExport) error {
-	var base int64
-	haveBase := false
+	origin := int64(math.MaxInt64)
 	for _, ex := range exports {
-		if len(ex.Spans) == 0 {
-			continue
-		}
-		if !haveBase || ex.OriginUnixNano < base {
-			base = ex.OriginUnixNano
-			haveBase = true
+		if len(ex.Spans) > 0 {
+			origin = min(origin, ex.OriginUnixNano)
 		}
 	}
 
 	var spans []mergedReqSpan
+	zero := time.Duration(math.MaxInt64)
 	for ei, ex := range exports {
-		shift := time.Duration(ex.OriginUnixNano - base)
+		shift := uint64(ex.OriginUnixNano) - uint64(origin) // exact: origin is the minimum
 		for si, es := range ex.Spans {
 			trace, ok := ParseTraceID(es.Trace)
 			if !ok {
@@ -55,7 +66,15 @@ func WriteChromeRequests(w io.Writer, exports ...ReqExport) error {
 			if es.EndNs < es.StartNs {
 				return fmt.Errorf("obs: export %d span %d: end before start", ei, si)
 			}
-			spans = append(spans, mergedReqSpan{
+			if es.Name == "" || es.Side != SideRouter && es.Side != SideReplica || es.Attempt != int(int32(es.Attempt)) ||
+				!utf8.ValidString(es.Name) || !utf8.ValidString(es.Detail) {
+				return fmt.Errorf("obs: export %d span %d: name %q, side %q, attempt %d or detail %q would not read back",
+					ei, si, es.Name, es.Side, es.Attempt, es.Detail)
+			}
+			if shift > maxOffsetNs || es.StartNs < -maxOffsetNs || es.EndNs > maxOffsetNs {
+				continue
+			}
+			s := mergedReqSpan{
 				ReqSpan: ReqSpan{
 					Trace:   trace,
 					Name:    es.Name,
@@ -65,10 +84,20 @@ func WriteChromeRequests(w io.Writer, exports ...ReqExport) error {
 					Start:   time.Duration(es.StartNs),
 					End:     time.Duration(es.EndNs),
 				},
-				abs: shift + time.Duration(es.StartNs),
-			})
+				abs: time.Duration(int64(shift) + es.StartNs),
+			}
+			zero = min(zero, s.abs)
+			spans = append(spans, s)
 		}
 	}
+	kept := spans[:0]
+	for _, s := range spans {
+		if s.abs-zero <= maxMergedNs-(s.End-s.Start) {
+			s.abs -= zero
+			kept = append(kept, s)
+		}
+	}
+	spans = kept
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].abs < spans[j].abs })
 
 	// One lane per trace, ordered by first span start.

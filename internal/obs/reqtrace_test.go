@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -259,10 +260,13 @@ func TestReadChromeRequestsExactNanosecondRoundTrip(t *testing.T) {
 	// stream spans share their end nanosecond, but ts+dur for each takes
 	// a different float path, and a truncating decode lands the root's
 	// end 1ns below the stream's — the live-cluster failure.
+	// Another request's span at the origin puts the merged clock's zero
+	// there, so this request's spans travel at these offsets.
 	const rootStart, streamStart, rootEnd = 3_535_757_459, 3_537_489_932, 3_539_110_790
 	ex := ReqExport{
 		OriginUnixNano: 1_786_167_139_000_000_123,
 		Spans: []ReqSpanExport{
+			{Trace: TraceID(1).String(), Name: SpanRequest, Side: SideRouter, StartNs: 0, EndNs: 1},
 			{Trace: trace.String(), Name: SpanRequest, Side: SideRouter, StartNs: rootStart, EndNs: rootEnd},
 			{Trace: trace.String(), Name: SpanAdmit, Side: SideRouter, StartNs: rootStart, EndNs: rootStart + 22_200},
 			{Trace: trace.String(), Name: SpanStream, Side: SideRouter, StartNs: streamStart, EndNs: rootEnd},
@@ -290,5 +294,37 @@ func TestReadChromeRequestsExactNanosecondRoundTrip(t *testing.T) {
 	}
 	if err := dec.Validate(0); err != nil {
 		t.Fatalf("Validate with zero skew: %v", err)
+	}
+}
+
+// A router up for a week merges with a replica up for a minute to the
+// exact nanosecond: the merged clock starts at the earliest span, not at
+// the older origin, so uptime alone never pushes spans out of range.
+func TestWriteChromeRequestsLongUptime(t *testing.T) {
+	trace := TraceID(0x5eed)
+	week, minute := int64(7*24*time.Hour), int64(time.Minute)
+	router := ReqExport{OriginUnixNano: 1_786_167_139_000_000_123, Spans: []ReqSpanExport{
+		{Trace: trace.String(), Name: SpanRequest, Side: SideRouter, StartNs: week + 123_456_789, EndNs: week + 223_456_790},
+	}}
+	replica := ReqExport{OriginUnixNano: router.OriginUnixNano + week - minute, Spans: []ReqSpanExport{
+		{Trace: trace.String(), Name: SpanDecode, Side: SideReplica, StartNs: minute + 150_000_001, EndNs: minute + 200_000_003},
+	}}
+	var buf bytes.Buffer
+	if err := WriteChromeRequests(&buf, router, replica); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := ReadChromeRequests(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []ReqSpan{
+		{Trace: trace, Name: SpanRequest, Side: SideRouter, Start: 0, End: 100_000_001},
+		{Trace: trace, Name: SpanDecode, Side: SideReplica, Start: 26_543_212, End: 76_543_214},
+	}
+	if !slices.Equal(dec.Spans, want) {
+		t.Fatalf("decoded %+v, want %+v", dec.Spans, want)
+	}
+	if err := dec.Validate(0); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gllm/internal/engine"
-	"gllm/internal/kvcache"
 	"gllm/internal/metrics"
 	"gllm/internal/obs"
 	"gllm/internal/request"
@@ -16,8 +15,8 @@ import (
 // cache and the scheduler, admits requests from the frontend, injects
 // micro-batches into stage 0, and retires batches arriving from the last
 // stage — emitting token events to the submitters. It is engine.loop's
-// fill/retire protocol (internal/engine/kernel.go) on goroutines and wall
-// time; DESIGN.md §10 maps one onto the other.
+// fill/retire protocol on goroutines and wall time: both run the same
+// engine.Step (DESIGN.md §10 says where its hooks fire here).
 //
 // Its state is the pool plus the slots: the pool's two queues are the table
 // of resident requests, each reaching its Handle through request.Owner.
@@ -30,11 +29,10 @@ import (
 // that batch retires, and retire aborts it there, so a freed KV sequence is
 // never referenced by in-flight compute.
 type driver struct {
-	rt   *Runtime
-	pool *sched.Pool
-	prep engine.RuntimeModel // prices the control-plane CPU work
-	free []*microBatch       // the slots (one per stage) with no batch in flight
-	seq  int                 // injection ordinal, for span labels and the prep watermark
+	*engine.Step[*microBatch] // the pool and the slots, one per stage
+	rt                        *Runtime
+	prep                      engine.RuntimeModel // prices the control-plane CPU work
+	seq                       int                 // injection ordinal, for span labels and the prep watermark
 
 	// stopCh and killCh are the runtime's until their close is observed,
 	// then nil so the select stops receiving from them.
@@ -49,13 +47,9 @@ type driver struct {
 // behind.
 const gaugePublishEvery = 64
 
-func newDriver(rt *Runtime) *driver {
-	depth := len(rt.workers)
-	kv := kvcache.New(rt.kvCapacity, kvBlockSize)
-	kv.OnPrefixRun(rt.prefixRuns.set)
+func newDriver(rt *Runtime, plan *engine.Config) *driver {
 	d := &driver{
 		rt:     rt,
-		pool:   sched.NewPool(kv, depth),
 		prep:   engine.VLLMRuntime,
 		stopCh: rt.stopCh,
 		killCh: rt.killCh,
@@ -63,11 +57,12 @@ func newDriver(rt *Runtime) *driver {
 	if rt.cfg.Async {
 		d.prep = engine.GLLMRuntime
 	}
-	d.pool.EnablePrefixCache = rt.cfg.EnablePrefixCache
-	d.pool.AllowPipelinedChunks = rt.cfg.EnableCPP
-	for range depth {
-		d.free = append(d.free, new(microBatch))
+	slots := make([]*microBatch, len(rt.workers))
+	for i := range slots {
+		slots[i] = new(microBatch)
 	}
+	d.Step = engine.NewStep(plan, rt.kvCapacity, plan.Scheduler, slots, d.retired)
+	d.Pool.KV.OnPrefixRun(rt.prefixRuns.set)
 	return d
 }
 
@@ -87,12 +82,12 @@ func (d *driver) run() {
 		select {
 		case h := <-rt.submitCh:
 			d.admit(h)
-			d.fill(time.Since(rt.start))
+			d.fill(rt.clock())
 		case h := <-rt.cancelCh:
 			d.cancel(h.req)
-			d.fill(time.Since(rt.start)) // an abort releases KV, which may unblock scheduling
+			d.fill(rt.clock()) // an abort releases KV, which may unblock scheduling
 		case mb := <-rt.doneCh:
-			d.retire(mb, time.Since(rt.start))
+			d.retire(mb, rt.clock())
 		case <-d.stopCh:
 			d.stopCh, d.draining = nil, true
 			d.fence(slog.LevelInfo, "drain started")
@@ -108,10 +103,10 @@ func (d *driver) run() {
 }
 
 // inFlight is the number of micro-batches inside the pipeline.
-func (d *driver) inFlight() int { return len(d.rt.workers) - len(d.free) }
+func (d *driver) inFlight() int { return len(d.rt.workers) - d.Free() }
 
 // resident is the number of admitted, unfinished requests: the pool's.
-func (d *driver) resident() int { return d.pool.PrefillQueueLen() + d.pool.RunningDecode() }
+func (d *driver) resident() int { return d.Pool.PrefillQueueLen() + d.Pool.RunningDecode() }
 
 // drained reports whether a stopping driver may exit: nothing in flight
 // and, on a graceful drain, nothing left that the scheduler can place.
@@ -125,7 +120,7 @@ func (d *driver) drained() bool {
 		// idle pipeline it never will (its decisions depend only on pool
 		// state), so the remainder is aborted rather than stalled.
 		d.sweep()
-		d.fill(time.Since(d.rt.start))
+		d.fill(d.rt.clock())
 	}
 	return d.inFlight() == 0
 }
@@ -157,15 +152,15 @@ func (d *driver) sweep() {
 	}
 }
 
-// exit terminates every outstanding handle and stops the pipeline.
-// Preconditions: the frontend is fenced and nothing is in flight, so every
-// resident request is quiescent; a graceful drain has already swept the
-// queue empty, so the sweep here only ever aborts. The aborts walk a copy
-// of the pool's queues, which each one shrinks.
+// exit terminates every outstanding handle, closes the observer's audit
+// and stops the pipeline. Preconditions: the frontend is fenced and nothing
+// is in flight, so every resident request is quiescent; a graceful drain
+// has already swept the queue empty, so the sweep here only ever aborts.
+// The aborts walk a copy of the pool's queues, which each one shrinks.
 func (d *driver) exit() {
 	rt := d.rt
 	d.sweep()
-	left := append(append([]*request.Request(nil), d.pool.PrefillQueue()...), d.pool.Decoding()...)
+	left := append(append([]*request.Request(nil), d.Pool.PrefillQueue()...), d.Pool.Decoding()...)
 	for _, r := range left {
 		h := r.Owner.(*Handle)
 		reason := FinishShutdown
@@ -173,6 +168,9 @@ func (d *driver) exit() {
 			reason = *rp
 		}
 		d.abort(h, reason)
+	}
+	if err := d.Final(rt.clock()); err != nil {
+		rt.logEvent(slog.LevelError, "observer violation", "err", err)
 	}
 	close(rt.workers[0].workCh)
 	d.publishGauges()
@@ -194,7 +192,7 @@ func (d *driver) admit(h *Handle) {
 		return
 	}
 	h.req.Owner = h
-	d.pool.Add(h.req)
+	d.Pool.Add(h.req)
 	d.rt.resident.Store(int64(d.resident()))
 	d.rt.logEvent(slog.LevelDebug, "request admitted",
 		"id", h.req.ID, "prompt", h.req.PromptLen, "max_tokens", h.req.OutputLen)
@@ -228,17 +226,12 @@ func quiescent(r *request.Request) bool {
 // an emulated prep sleep. A killed driver schedules nothing more.
 func (d *driver) fill(now time.Duration) {
 	rt := d.rt
-	if d.killed {
-		return
-	}
-	for len(d.free) > 0 {
-		b := rt.cfg.Scheduler.Schedule(d.pool, now)
-		if b.Empty() {
-			d.pool.PutBatch(b)
+	for !d.killed {
+		mb, b, err := d.Schedule(now)
+		d.check(err)
+		if b == nil {
 			return
 		}
-		mb := d.free[len(d.free)-1]
-		d.free = d.free[:len(d.free)-1]
 		d.seq++
 		mb.seq, mb.batch, mb.shape = d.seq, b, b.Shape()
 		rt.iterations.Add(1)
@@ -259,7 +252,7 @@ func (d *driver) fill(now time.Duration) {
 		if rt.emulates() {
 			prep := d.prep.PrepTime(len(b.Chunks)+len(b.Decodes), b.Tokens())
 			if rt.sleepScaled(prep) > 0 {
-				now = time.Since(rt.start)
+				now = rt.clock()
 			}
 		}
 		rt.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), prepStart, now)
@@ -267,27 +260,24 @@ func (d *driver) fill(now time.Duration) {
 	}
 }
 
-// retire commits a batch that left the last stage: tokens are committed
-// and streamed, the batch's cancelled members aborted, the slot freed and
-// the slots refilled. now is the event's one reading of the runtime clock.
+// check stops a driver whose observer reports a violation the way the
+// kernel stops a run: as a kill, so nothing more is scheduled and every
+// handle terminates once the pipeline drains.
+func (d *driver) check(err error) {
+	if err != nil && !d.killed {
+		d.killed = true
+		d.fence(slog.LevelError, "observer violation: "+err.Error())
+	}
+}
+
+// retire commits a batch that left the last stage through the Step, frees
+// its slot and refills the slots. now is the event's one reading of the
+// runtime clock.
 func (d *driver) retire(mb *microBatch, now time.Duration) {
 	rt := d.rt
-	d.pool.Complete(mb.batch, now)
-	// Each request's emitted watermark marks where this batch's tokens
-	// start; a request appears at most once per batch (chunks and decodes
-	// are disjoint phases).
-	for _, c := range mb.batch.Chunks {
-		d.emit(c.Req)
-		d.cancel(c.Req)
-	}
-	for _, r := range mb.batch.Decodes {
-		d.emit(r)
-		d.cancel(r)
-	}
-	// The batch is dead once retired: recycle it and free its slot.
-	d.pool.PutBatch(mb.batch)
+	b := mb.batch
 	mb.batch = nil
-	d.free = append(d.free, mb)
+	d.check(d.Retire(mb, b, now))
 	rt.beat(now)
 	if d.inFlight() == 0 {
 		// Publish before the counter store below: a reader that observes
@@ -297,6 +287,21 @@ func (d *driver) retire(mb *microBatch, now time.Duration) {
 	}
 	rt.inFlight.Store(int64(d.inFlight()))
 	d.fill(now)
+}
+
+// retired is the driver's per-member work on a completed batch: tokens
+// are streamed and cancelled members aborted. Each request's emitted
+// watermark marks where this batch's tokens start; a request appears at
+// most once per batch (chunks and decodes are disjoint phases).
+func (d *driver) retired(b *sched.Batch, _ []*request.Request) {
+	for _, c := range b.Chunks {
+		d.emit(c.Req)
+		d.cancel(c.Req)
+	}
+	for _, r := range b.Decodes {
+		d.emit(r)
+		d.cancel(r)
+	}
 }
 
 // emit streams the tokens a request gained since its last delivery
@@ -344,7 +349,7 @@ func (d *driver) emit(r *request.Request) {
 // the reason, then finalization.
 func (d *driver) abort(h *Handle, reason FinishReason) {
 	if h.req.Owner != nil {
-		d.pool.Abort(h.req)
+		d.Pool.Abort(h.req)
 	}
 	h.deliver(TokenEvent{
 		ReqID:    h.req.ID,
@@ -391,7 +396,7 @@ func (d *driver) recordReqSpans(req *request.Request, reason FinishReason) {
 	}
 	end := req.Finish
 	if end == 0 {
-		end = time.Since(start)
+		end = d.rt.clock()
 	}
 	at := func(off time.Duration) time.Time { return start.Add(off) }
 	qEnd := req.FirstSchedule
@@ -416,12 +421,12 @@ func (d *driver) recordReqSpans(req *request.Request, reason FinishReason) {
 // pipeline drains, and every gaugePublishEvery events under sustained load
 // — not per event: taking rt.mu on every one dominated driver bookkeeping.
 func (d *driver) publishGauges() {
-	kv := d.pool.KV
+	kv := d.Pool.KV
 	g := Snapshot{
-		WaitingPrefill: d.pool.WaitingPrefillTokens(),
-		RunningDecode:  d.pool.RunningDecode(),
+		WaitingPrefill: d.Pool.WaitingPrefillTokens(),
+		RunningDecode:  d.Pool.RunningDecode(),
 		KVFreeRate:     kv.FreeRate(),
-		Preemptions:    d.pool.Preemptions(),
+		Preemptions:    d.Pool.Preemptions(),
 		KVTotalBlocks:  kv.TotalBlocks(),
 		KVFreeBlocks:   kv.FreeBlocks(),
 		KVCachedBlocks: kv.CachedBlocks(),

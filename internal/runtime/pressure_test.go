@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gllm/internal/engine"
 	"gllm/internal/gpu"
 	"gllm/internal/model"
 	"gllm/internal/network"
@@ -180,7 +181,7 @@ func TestPrefixResidencyConsistentUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				if got := rt.MatchPrefix(int64(1+(r+i)%convs), 1<<20); got%kvBlockSize != 0 {
+				if got := rt.MatchPrefix(int64(1+(r+i)%convs), 1<<20); got%engine.KVBlockSize != 0 {
 					t.Errorf("MatchPrefix = %d, not whole blocks", got)
 					return
 				}

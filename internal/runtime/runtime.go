@@ -125,12 +125,14 @@ type Config struct {
 	// Logger, when non-nil, receives structured lifecycle logs
 	// (admit/reject/abort/drain/degrade). Nil disables logging.
 	Logger *slog.Logger
+
+	// observe builds the driver pool's engine.BatchObserver, as
+	// engine.Config.Observer does for a simulated pool. Only this package's
+	// tests set it: the invariant checker on the live path.
+	observe func(*sched.Pool, sched.Scheduler) engine.BatchObserver
 }
 
 func (c *Config) applyDefaults() {
-	if c.MemUtil == 0 {
-		c.MemUtil = 0.9
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 1024
 	}
@@ -559,9 +561,6 @@ type microBatch struct {
 	shape gpu.BatchShape
 }
 
-// kvBlockSize is tokens per KV block.
-const kvBlockSize = 16
-
 // ErrStopped is returned by SubmitBatchedSpec after Shutdown or Close.
 var ErrStopped = errors.New("runtime: stopped")
 
@@ -575,29 +574,14 @@ var ErrQueueFull = errors.New("runtime: queue full")
 // and returns a serving runtime.
 func Start(cfg Config) (*Runtime, error) {
 	cfg.applyDefaults()
-	if err := cfg.Model.Validate(); err != nil {
+	plan := engine.Config{Model: cfg.Model, GPU: cfg.GPU, Topo: cfg.Topo, MemUtil: cfg.MemUtil,
+		Scheduler: cfg.Scheduler, EnablePrefixCache: cfg.EnablePrefixCache, EnableCPP: cfg.EnableCPP,
+		Observer: cfg.observe}
+	cost, stageLayers, kvCap, err := engine.PlanPipeline(&plan)
+	if err != nil {
 		return nil, err
 	}
-	if err := cfg.GPU.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Scheduler == nil {
-		return nil, fmt.Errorf("runtime: nil scheduler")
-	}
-	depth := cfg.Topo.GPUs()
-	if depth < 1 || depth > cfg.Model.NumLayers {
-		return nil, fmt.Errorf("runtime: invalid pipeline depth %d", depth)
-	}
-	if cfg.MemUtil <= 0 || cfg.MemUtil > 1 {
-		return nil, fmt.Errorf("runtime: MemUtil %g out of (0,1]", cfg.MemUtil)
-	}
-	cost := gpu.NewCostModel(cfg.Model, cfg.GPU)
-	stageLayers := cfg.Model.StageLayers(depth)
-	kvCap := cost.KVCapacityTokensPP(stageLayers, cfg.MemUtil)
-	if kvCap < kvBlockSize {
-		return nil, fmt.Errorf("runtime: %s on %d x %s (KV capacity %d tokens): %w",
-			cfg.Model.Name, depth, cfg.GPU.Name, kvCap, engine.ErrModelDoesNotFit)
-	}
+	depth := len(stageLayers)
 
 	rt := &Runtime{
 		cfg:         cfg,
@@ -624,7 +608,7 @@ func Start(cfg Config) (*Runtime, error) {
 	for i, w := range rt.workers {
 		w.start(i+1 < depth)
 	}
-	go newDriver(rt).run()
+	go newDriver(rt, &plan).run()
 	if cfg.WatchdogTimeout > 0 {
 		go rt.watchdogLoop()
 	}
@@ -664,7 +648,7 @@ func (rt *Runtime) MatchPrefix(group int64, maxTokens int) int {
 	if maxTokens <= 0 || rt.exited.Load() {
 		return 0
 	}
-	return min(rt.prefixRuns.get(group), maxTokens-maxTokens%kvBlockSize)
+	return min(rt.prefixRuns.get(group), maxTokens-maxTokens%engine.KVBlockSize)
 }
 
 // SubmitBatchedSpec enqueues a request and returns a handle streaming its
@@ -680,8 +664,10 @@ func (rt *Runtime) SubmitBatchedSpec(ctx context.Context, spec SubmitSpec) (*Han
 	if spec.SharedPrefixLen < 0 || spec.SharedPrefixLen > promptLen {
 		return nil, fmt.Errorf("runtime: shared prefix %d out of prompt %d", spec.SharedPrefixLen, promptLen)
 	}
-	if int64(promptLen+maxTokens) > rt.kvCapacity {
-		return nil, fmt.Errorf("runtime: request needs %d KV tokens, capacity %d", promptLen+maxTokens, rt.kvCapacity)
+	// Each length is compared before they are added: a sum that wraps
+	// would pass, and turn admission control off with a negative demand.
+	if int64(promptLen) > rt.kvCapacity || int64(maxTokens) > rt.kvCapacity-int64(promptLen) {
+		return nil, fmt.Errorf("runtime: request needs %d+%d KV tokens, capacity %d", promptLen, maxTokens, rt.kvCapacity)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -713,7 +699,7 @@ func (rt *Runtime) SubmitBatchedSpec(ctx context.Context, spec SubmitSpec) (*Han
 
 	id := rt.nextID.Add(1) - 1
 
-	req := request.New(id, time.Since(rt.start), promptLen, maxTokens)
+	req := request.New(id, rt.clock(), promptLen, maxTokens)
 	req.PrefixGroup = spec.PrefixGroup
 	req.SharedPrefixLen = spec.SharedPrefixLen
 	req.Trace = spec.Trace
@@ -811,7 +797,7 @@ func (rt *Runtime) Stats() Snapshot {
 	s.InFlight = int(rt.inFlight.Load())
 	s.Resident = int(rt.resident.Load())
 	s.Rejected = rt.rejected.Load()
-	s.Uptime = time.Since(rt.start)
+	s.Uptime = rt.clock()
 	s.StageBusySeconds = make([]float64, len(rt.workers))
 	var busy float64
 	for i, w := range rt.workers {
@@ -936,7 +922,7 @@ func (rt *Runtime) watchdogLoop() {
 			return
 		case <-t.C:
 			inFlight := int(rt.inFlight.Load())
-			stalled := time.Since(rt.start) - time.Duration(rt.lastBeat.Load())
+			stalled := rt.clock() - time.Duration(rt.lastBeat.Load())
 			cur := inFlight > 0 && stalled > timeout
 			if prev := rt.degraded.Swap(cur); prev != cur {
 				if cur {
@@ -958,13 +944,17 @@ func (rt *Runtime) beat(now time.Duration) { rt.lastBeat.Store(int64(now)) }
 // nothing needs pricing.
 func (rt *Runtime) emulates() bool { return rt.cfg.TimeScale > 0 }
 
+// clock reads the runtime clock: wall time since start, on the monotonic
+// clock. The driver, the frontend and the watchdog read it only here.
+func (rt *Runtime) clock() time.Duration { return time.Since(rt.start) }
+
 // spanClock reads the runtime clock for a span bound, and only when there
 // is a span recorder to receive it.
 func (rt *Runtime) spanClock() time.Duration {
 	if rt.cfg.Spans == nil {
 		return 0
 	}
-	return time.Since(rt.start)
+	return rt.clock()
 }
 
 // sleepScaled emulates occupancy of modeled duration d and returns the wall

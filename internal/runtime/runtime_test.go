@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"math"
 	goruntime "runtime"
 	"sync"
 	"testing"
@@ -160,6 +161,16 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := rt.Submit(100_000_000, 5); err == nil {
 		t.Fatal("oversized prompt accepted")
+	}
+	// Lengths whose sum wraps: accepting one made the admitted KV demand
+	// negative, and the next submission crashed the driver.
+	for _, l := range [][2]int{{math.MaxInt, 1}, {1, math.MaxInt}, {math.MaxInt / 2, math.MaxInt/2 + 2}} {
+		if _, err := rt.Submit(l[0], l[1]); err == nil {
+			t.Fatalf("lengths %d+%d accepted", l[0], l[1])
+		}
+	}
+	if got := rt.admittedKV.Load(); got != 0 {
+		t.Fatalf("admitted KV demand %d after refusals, want 0", got)
 	}
 }
 

@@ -3,12 +3,58 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"testing/iotest"
 
+	"gllm/internal/invariant"
+	"gllm/internal/network"
 	"gllm/internal/runtime"
+	"gllm/internal/sched"
 )
+
+// FuzzCompletionRequest feeds arbitrary bodies through the /v1/completions
+// handler over one small runtime (the invariant harness's toy deployment,
+// a 3 520-token KV cache, so no accepted body generates for long). No body
+// may panic the handler or the driver, every status is one the API
+// documents, and once a response is written the runtime is still healthy
+// with nothing resident. The committed corpus holds the lengths whose sum
+// wrapped past math.MaxInt and took the driver down, zero and negative
+// lengths and a shared prefix longer than its prompt; the body one byte
+// over the 1 MiB cap is added here rather than committed.
+func FuzzCompletionRequest(f *testing.F) {
+	f.Add([]byte(`{"prompt":"the quick brown fox","max_tokens":5,"stream":true}`))
+	f.Add([]byte(`{"prompt":"` + strings.Repeat("a", maxBodyBytes-12) + `"}`)) // 1 MiB + 1 bytes
+	rt, err := runtime.Start(runtime.Config{
+		Model:     invariant.HarnessModel(),
+		GPU:       invariant.HarnessGPU(),
+		Topo:      network.IntraNode(4, network.PCIe),
+		MemUtil:   0.5,
+		Scheduler: sched.NewDefaultThrottle(),
+		Async:     true,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { rt.Close() })
+	s := New(rt, "toy")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/completions", bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d for %q", w.Code, body)
+		}
+		if st := rt.Stats(); st.Health != runtime.HealthOK || st.Resident != 0 {
+			t.Fatalf("after %q (status %d): health %s, %d resident", body, w.Code, st.Health, st.Resident)
+		}
+	})
+}
 
 // FuzzChunkReader: ChunkReader faces the network twice — the benchmark
 // client and the remote-replica transport both feed it a server's response
