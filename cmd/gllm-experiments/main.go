@@ -22,6 +22,7 @@ import (
 
 	"gllm/internal/experiments"
 	"gllm/internal/model"
+	"gllm/internal/stats"
 	"gllm/internal/workload"
 )
 
@@ -173,8 +174,13 @@ var steps = []struct {
 			return err
 		}
 		fmt.Print(res.String())
-		return e.writeCSV("fig11_input_hist.csv",
-			"sharegpt:\n"+res.ShareGPT.InputHist.Render(40)+"azure:\n"+res.Azure.InputHist.Render(40))
+		render := func(sg, az *stats.Histogram) string {
+			return "sharegpt:\n" + sg.Render(40) + "azure:\n" + az.Render(40)
+		}
+		if err := e.writeCSV("fig11_input_hist.csv", render(res.ShareGPT.InputHist, res.Azure.InputHist)); err != nil {
+			return err
+		}
+		return e.writeCSV("fig11_output_hist.csv", render(res.ShareGPT.OutputHist, res.Azure.OutputHist))
 	}},
 	{"fig12", func(e env) error {
 		for _, m := range []model.Config{model.Qwen25_14B, model.Qwen25_32B, model.Llama31_100B} {

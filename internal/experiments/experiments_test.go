@@ -149,8 +149,10 @@ func TestFig11DistributionRatios(t *testing.T) {
 	if res.OutputRatio < 1.3 || res.OutputRatio > 2.0 {
 		t.Fatalf("output ratio = %.2f, want ~1.66", res.OutputRatio)
 	}
-	if res.ShareGPT.InputHist.Total() != 30000 {
-		t.Fatal("histogram sample count wrong")
+	for _, d := range []Fig11Dataset{res.ShareGPT, res.Azure} {
+		if d.InputHist.Total() != 30000 || d.OutputHist.Total() != 30000 {
+			t.Fatalf("%s histogram totals %d/%d, want 30000", d.Name, d.InputHist.Total(), d.OutputHist.Total())
+		}
 	}
 	if res.String() == "" {
 		t.Fatal("empty render")

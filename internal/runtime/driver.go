@@ -14,9 +14,11 @@ import (
 // driver is the driver worker (§3.3): it owns the request pool, the KV
 // cache and the scheduler, admits requests from the frontend, injects
 // micro-batches into stage 0, and retires batches arriving from the last
-// stage — emitting token events to the submitters. It is engine.loop's
-// fill/retire protocol on goroutines and wall time: both run the same
-// engine.Step (DESIGN.md §10 says where its hooks fire here).
+// stage — emitting token events to the submitters. Its whole pipeline seam
+// is one send into stage 0's workCh, one receive from doneCh and one close
+// at exit. It is engine.loop's fill/retire protocol on goroutines and wall
+// time: both run the same engine.Step (DESIGN.md §10 says where its hooks
+// fire here).
 //
 // Its state is the pool plus the slots: the pool's two queues are the table
 // of resident requests, each reaching its Handle through request.Owner.
@@ -32,7 +34,6 @@ type driver struct {
 	*engine.Step[*microBatch] // the pool and the slots, one per stage
 	rt                        *Runtime
 	prep                      engine.RuntimeModel // prices the control-plane CPU work
-	seq                       int                 // injection ordinal, for span labels and the prep watermark
 
 	// stopCh and killCh are the runtime's until their close is observed,
 	// then nil so the select stops receiving from them.
@@ -232,24 +233,14 @@ func (d *driver) fill(now time.Duration) {
 		if b == nil {
 			return
 		}
-		d.seq++
-		mb.seq, mb.batch, mb.shape = d.seq, b, b.Shape()
-		rt.iterations.Add(1)
+		mb.seq, mb.batch, mb.shape = int(rt.iterations.Add(1)), b, b.Shape()
 		rt.inFlight.Store(int64(d.inFlight()))
 		rt.beat(now)
 		prepStart := now
-		if rt.cfg.Async {
-			// Dual-phase: metadata first, to every stage, so workers prepare
-			// inputs while earlier batches still compute; only the Token
-			// Throttling residual stays on the driver. The coupled runtime
-			// pays its whole input preparation here, on the critical path.
-			// No stage parks on metaCh, so these sends wake nothing: each
-			// stage drains them the next time it is awake.
-			for _, w := range rt.workers {
-				w.metaCh <- mb
-			}
-		}
 		if rt.emulates() {
+			// The coupled runtime pays its whole input preparation here, on
+			// the critical path; the async one only its Token Throttling
+			// residual (§3.4), as the kernel's fill charges them.
 			prep := d.prep.PrepTime(len(b.Chunks)+len(b.Decodes), b.Tokens())
 			if rt.sleepScaled(prep) > 0 {
 				now = rt.clock()

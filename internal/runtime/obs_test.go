@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"gllm/internal/engine"
 	"gllm/internal/gpu"
 	"gllm/internal/model"
 	"gllm/internal/network"
@@ -169,5 +170,61 @@ func TestAbortedRequestsExcludedFromLatencyStats(t *testing.T) {
 	by := rt.Metrics().ByReason()
 	if by["cancelled"] != 1 || by["length"] != 1 {
 		t.Fatalf("ByReason = %v", by)
+	}
+}
+
+// Async and coupled runtimes differ on the live path only in the driver's
+// prep charge, so each mode's prep spans must be at least its own model's
+// price. A timer never fires early, so only lower bounds are asserted.
+func TestLivePrepChargesRuntimeModel(t *testing.T) {
+	const scale = 0.1
+	for _, tc := range []struct {
+		async bool
+		floor func(tokens int) time.Duration
+	}{
+		{false, func(tokens int) time.Duration {
+			m := engine.VLLMRuntime
+			return m.PrepBase + m.PrepPerSeq + time.Duration(tokens)*m.PrepPerToken
+		}},
+		{true, func(int) time.Duration { return engine.GLLMRuntime.AsyncResidual }},
+	} {
+		rec := obs.NewRecorder(4, 0)
+		rt, err := Start(Config{
+			Model:     model.Qwen25_14B,
+			GPU:       gpu.L20,
+			Topo:      network.IntraNode(4, network.PCIe),
+			Scheduler: sched.NewDefaultThrottle(),
+			Async:     tc.async,
+			TimeScale: scale,
+			Spans:     rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A graceful shutdown serves both requests before it returns.
+		for i := 0; i < 2; i++ {
+			if _, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: 32, MaxTokens: 4}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = rt.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		preps := 0
+		for _, s := range rec.Spans() {
+			if s.Kind != obs.KindPrep {
+				continue
+			}
+			preps++
+			if want := time.Duration(float64(tc.floor(int(s.Tokens))) * scale); s.Dur() < want {
+				t.Errorf("async=%v: prep span of %d tokens lasted %v, want ≥ %v", tc.async, s.Tokens, s.Dur(), want)
+			}
+		}
+		if preps == 0 {
+			t.Errorf("async=%v: no prep spans", tc.async)
+		}
 	}
 }

@@ -11,13 +11,12 @@
 //     channels and never spin-wait; the driver never blocks on emission.
 //  2. Decoupled frontend/backend — submitting is safe from any goroutine
 //     and communicates with the driver only through a channel.
-//  3. Preemptive (dual-phase) metadata scheduling — in async mode the
-//     driver broadcasts a metadata packet to every stage as soon as a
-//     micro-batch is scheduled; each stage worker drains the metadata
-//     whenever it is awake (after forwarding a batch), so inputs are
-//     prepared while later stages compute earlier batches. In sync mode
-//     (the vLLM-like baseline) metadata travels with the activations and
-//     preparation sits on the critical path.
+//  3. Preemptive (dual-phase) metadata scheduling — its effect is priced,
+//     not emulated: the driver charges each batch the prep time of its
+//     engine.RuntimeModel before injecting it, as the simulator's kernel
+//     does. Async mode pays gLLM's Token Throttling residual, sync mode
+//     (the vLLM-like baseline) its whole input preparation on the critical
+//     path. Stage 0's channel is the one way a batch enters the pipeline.
 //
 // GPU compute is emulated: stage execution occupies the worker for the
 // duration given by the same gpu.CostModel the discrete-event engine uses,
@@ -83,8 +82,9 @@ type Config struct {
 	// MemUtil is the KV memory fraction in (0,1] (default 0.9).
 	MemUtil   float64
 	Scheduler sched.Scheduler
-	// Async selects the gLLM dual-phase runtime; false gives the coupled
-	// (vLLM-like) baseline.
+	// Async selects the prep charge of the gLLM dual-phase runtime
+	// (engine.GLLMRuntime); false gives the coupled (vLLM-like) baseline's
+	// (engine.VLLMRuntime), as engine.Config.Runtime does in the simulator.
 	Async bool
 	// EnablePrefixCache turns on cross-request KV reuse for submissions
 	// that declare a prefix group.
@@ -114,8 +114,8 @@ type Config struct {
 	// concurrent use; Close cuts injected stalls short.
 	StageFault func(stage, seq int) time.Duration
 	// Spans, when non-nil, receives per-stage execute/transfer and driver
-	// prep spans (wall-clock, relative to runtime start). Its stage count
-	// must cover the topology's GPUs. Nil costs nothing per micro-batch.
+	// prep spans (wall-clock, relative to runtime start). Start rejects one
+	// with fewer stages than the pipeline. Nil costs nothing per micro-batch.
 	Spans *obs.Recorder
 	// ReqSpans, when non-nil, receives per-request lifecycle spans
 	// (queue/prefill/decode, side "replica") for submissions carrying a
@@ -556,7 +556,7 @@ func (h *Handle) notifyDelivery() {
 // with its frozen cost shape. The driver owns one per pipeline slot and
 // reuses it once its batch has retired.
 type microBatch struct {
-	seq   int
+	seq   int // iteration ordinal (Snapshot.Iterations at injection)
 	batch *sched.Batch
 	shape gpu.BatchShape
 }
@@ -582,6 +582,9 @@ func Start(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	depth := len(stageLayers)
+	if cfg.Spans != nil && cfg.Spans.Stages() < depth {
+		return nil, fmt.Errorf("runtime: span recorder has %d stages, pipeline %d", cfg.Spans.Stages(), depth)
+	}
 
 	rt := &Runtime{
 		cfg:         cfg,

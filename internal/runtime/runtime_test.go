@@ -13,6 +13,7 @@ import (
 	"gllm/internal/gpu"
 	"gllm/internal/model"
 	"gllm/internal/network"
+	"gllm/internal/obs"
 	"gllm/internal/sched"
 )
 
@@ -175,8 +176,9 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // Start rejects every bad deployment with an error — MemUtil arrives from a
-// flag and used to reach a panic in the cost model — and a pure capacity
-// failure carries the engines' sentinel.
+// flag and used to reach a panic in the cost model, a span recorder with
+// fewer stages than the pipeline one in a stage worker — and a pure
+// capacity failure carries the engines' sentinel.
 func TestStartValidation(t *testing.T) {
 	base := Config{
 		Model:     model.Qwen25_14B,
@@ -195,6 +197,7 @@ func TestStartValidation(t *testing.T) {
 		{"deeper than the model", func(c *Config) { c.Topo = network.IntraNode(c.Model.NumLayers+1, network.PCIe) }, nil},
 		{"MemUtil above 1", func(c *Config) { c.MemUtil = 2 }, nil},
 		{"negative MemUtil", func(c *Config) { c.MemUtil = -0.1 }, nil},
+		{"span recorder shallower than the pipeline", func(c *Config) { c.Spans = obs.NewRecorder(2, 0) }, nil},
 		{"oversized model", func(c *Config) {
 			c.Model = model.Llama31_100B
 			c.Topo = network.IntraNode(2, network.PCIe)
@@ -265,30 +268,6 @@ func TestStatsProgress(t *testing.T) {
 	}
 }
 
-func TestAsyncPreparesEarly(t *testing.T) {
-	rt := testRuntime(t, true)
-	var hs []*Handle
-	for i := 0; i < 16; i++ {
-		h, err := rt.Submit(256, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs = append(hs, h)
-	}
-	for _, h := range hs {
-		collect(t, h)
-	}
-	// With a loaded pipeline, downstream stages should have seen metadata
-	// before activations at least some of the time.
-	early := int64(0)
-	for _, w := range rt.workers {
-		early += w.preparedEarly.Load()
-	}
-	if early == 0 {
-		t.Fatal("no batch was ever prepared ahead of activations")
-	}
-}
-
 func TestTokenDeterminism(t *testing.T) {
 	if TokenValue(3, 7) != TokenValue(3, 7) {
 		t.Fatal("TokenValue not deterministic")
@@ -343,9 +322,10 @@ func TestScaledClockRuns(t *testing.T) {
 	}
 }
 
-// An async runtime is the driver plus one goroutine per stage: metadata is
-// prepared by the stage goroutine itself, so a per-stage helper goroutine
-// coming back (four more wake-ups per batch at PP-4) fails here.
+// An async runtime is the driver plus one goroutine per stage: dual-phase
+// transmission is the driver's prep charge, not a plane of its own, so a
+// per-stage helper goroutine (four more wake-ups per batch at PP-4) fails
+// here.
 func TestAsyncGoroutineBudget(t *testing.T) {
 	settled := func() int {
 		n := goruntime.NumGoroutine()

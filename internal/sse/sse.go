@@ -45,11 +45,10 @@ func NewReader(r io.Reader) *Reader {
 // is a copy and remains valid after further calls.
 func (r *Reader) Next() (string, error) {
 	for r.s.Scan() {
+		// bufio.ScanLines strips "\n" and one preceding "\r" (on a final
+		// unterminated line too), so CRLF framing needs no handling here; a
+		// second CR is payload.
 		line := r.s.Bytes()
-		// bufio.ScanLines strips "\n" and a preceding "\r", so CRLF framing
-		// needs no handling here; a stray trailing CR on a final unterminated
-		// line is stripped defensively.
-		line = bytes.TrimSuffix(line, []byte{'\r'})
 		if !bytes.HasPrefix(line, dataPrefix) {
 			continue
 		}
