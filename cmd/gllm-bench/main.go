@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -74,6 +75,9 @@ func loadWorkload(o benchOptions) ([]workload.Item, error) {
 		}
 		defer f.Close()
 		return workload.LoadAzureCSV(f)
+	}
+	if !(o.rate > 0 && o.rate <= math.MaxFloat64) { // NaN fails too
+		return nil, fmt.Errorf("-request-rate %g: want a finite rate above 0", o.rate)
 	}
 	ds, err := workload.ByName(o.datasetName)
 	if err != nil {

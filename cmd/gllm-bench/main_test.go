@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,5 +167,11 @@ func TestLoadWorkloadSplitwisePath(t *testing.T) {
 	}
 	if _, err := loadWorkload(benchOptions{datasetName: "pile", rate: 1, duration: time.Second}); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+	// A NaN or +Inf -request-rate never ends the arrival window.
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		if _, err := loadWorkload(benchOptions{datasetName: "sharegpt", rate: rate, duration: time.Second}); err == nil {
+			t.Errorf("-request-rate %g accepted", rate)
+		}
 	}
 }

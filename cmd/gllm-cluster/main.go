@@ -131,6 +131,11 @@ type clusterOptions struct {
 // replicas share the router's span recorder — same process, same clock,
 // so their replica-side spans merge with the router's for free.
 func replicaFactory(o clusterOptions, spans *obs.ReqRecorder) (func() (cluster.Engine, error), error) {
+	// Written so that NaN fails; an explicit 0 is out of range too, not
+	// the engine's unset default.
+	if !(o.memUtil > 0 && o.memUtil <= 1) {
+		return nil, fmt.Errorf("-gpu-memory-util: MemUtil %g out of (0,1]", o.memUtil)
+	}
 	m, err := model.ByName(o.modelPath)
 	if err != nil {
 		return nil, err

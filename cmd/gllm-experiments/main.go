@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -45,14 +46,18 @@ func main() {
 type env struct {
 	sc        experiments.Scale
 	scaleName string
-	out       string
+	log       io.Writer // the printed report (stdout; results/full_run.log)
+	srcRoot   string    // repository root for Table 1's line count
+	// save stores one artefact under its results/ name; nil (no -out)
+	// discards it.
+	save func(name string, data []byte) error
 }
 
 func (e env) writeCSV(name, content string) error {
-	if e.out == "" {
+	if e.save == nil {
 		return nil
 	}
-	return os.WriteFile(filepath.Join(e.out, name), []byte(content), 0o644)
+	return e.save(name, []byte(content))
 }
 
 // validIDs lists what -run accepts, in table order.
@@ -65,14 +70,30 @@ func validIDs() string {
 }
 
 func mainErr(run, scaleName, out string, parallel int) error {
-	e := env{scaleName: scaleName, out: out}
-	switch scaleName {
+	e := env{scaleName: scaleName, log: os.Stdout, srcRoot: "."}
+	if out != "" {
+		// The directory appears with the first artefact, so a usage error
+		// creates nothing.
+		e.save = func(name string, data []byte) error {
+			if err := os.MkdirAll(out, 0o755); err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(out, name), data, 0o644)
+		}
+	}
+	return e.run(run, parallel)
+}
+
+// run validates the scale and the comma-separated ids, then runs the
+// chosen steps in table order.
+func (e env) run(ids string, parallel int) error {
+	switch e.scaleName {
 	case "quick":
 		e.sc = experiments.QuickScale()
 	case "paper":
 		e.sc = experiments.PaperScale()
 	default:
-		return fmt.Errorf("unknown scale %q", scaleName)
+		return fmt.Errorf("unknown scale %q", e.scaleName)
 	}
 	e.sc.Workers = parallel
 
@@ -81,28 +102,23 @@ func mainErr(run, scaleName, out string, parallel int) error {
 		known[s.id] = true
 	}
 	want := map[string]bool{}
-	for _, id := range strings.Split(run, ",") {
+	for _, id := range strings.Split(ids, ",") {
 		id = strings.TrimSpace(id)
 		if !known[id] {
 			return fmt.Errorf("unknown experiment %q (valid: %s)", id, validIDs())
 		}
 		want[id] = true
 	}
-	if out != "" {
-		if err := os.MkdirAll(out, 0o755); err != nil {
-			return err
-		}
-	}
 	for _, s := range steps {
 		if !want["all"] && !want[s.id] {
 			continue
 		}
 		start := time.Now()
-		fmt.Printf("=== %s ===\n", s.id)
+		fmt.Fprintf(e.log, "=== %s ===\n", s.id)
 		if err := s.fn(e); err != nil {
 			return fmt.Errorf("%s: %w", s.id, err)
 		}
-		fmt.Printf("(%s took %.1fs)\n\n", s.id, time.Since(start).Seconds())
+		fmt.Fprintf(e.log, "(%s took %.1fs)\n\n", s.id, time.Since(start).Seconds())
 	}
 	return nil
 }
@@ -118,7 +134,7 @@ var steps = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(e.log, res.String())
 		var csv strings.Builder
 		csv.WriteString("iter,sarathi_total,gllm_total\n")
 		n := len(res.Sarathi.Total)
@@ -142,7 +158,7 @@ var steps = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(e.log, res.String())
 		return e.writeCSV("fig04_tokens.csv", res.Tokens.CSV())
 	}},
 	{"fig10", func(e env) error {
@@ -156,9 +172,9 @@ var steps = []struct {
 				if err != nil {
 					return err
 				}
-				fmt.Printf("Figure 10 — %s / %s (intra-node 4xL20)\n", m.Name, ds.Name)
+				fmt.Fprintf(e.log, "Figure 10 — %s / %s (intra-node 4xL20)\n", m.Name, ds.Name)
 				for _, sw := range sweeps {
-					fmt.Print(sw.String())
+					fmt.Fprint(e.log, sw.String())
 				}
 				if err := e.writeCSV(fmt.Sprintf("fig10_%s_%s.csv", m.Name, ds.Name),
 					experiments.SweepsCSV(sweeps)); err != nil {
@@ -173,7 +189,7 @@ var steps = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(e.log, res.String())
 		render := func(sg, az *stats.Histogram) string {
 			return "sharegpt:\n" + sg.Render(40) + "azure:\n" + az.Render(40)
 		}
@@ -192,9 +208,9 @@ var steps = []struct {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("Figure 12 — %s / sharegpt (4 nodes, simulated net)\n", m.Name)
+			fmt.Fprintf(e.log, "Figure 12 — %s / sharegpt (4 nodes, simulated net)\n", m.Name)
 			for _, sw := range sweeps {
-				fmt.Print(sw.String())
+				fmt.Fprint(e.log, sw.String())
 			}
 			if err := e.writeCSV(fmt.Sprintf("fig12_%s.csv", m.Name),
 				experiments.SweepsCSV(sweeps)); err != nil {
@@ -208,12 +224,12 @@ var steps = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.RenderScalability(intra, "Figure 13a — intra-node scaling (14B, L20)"))
+		fmt.Fprint(e.log, experiments.RenderScalability(intra, "Figure 13a — intra-node scaling (14B, L20)"))
 		cross, err := experiments.Fig13Cross(e.sc)
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiments.RenderScalability(cross, "Figure 13b — cross-node scaling (14B, A100/node)"))
+		fmt.Fprint(e.log, experiments.RenderScalability(cross, "Figure 13b — cross-node scaling (14B, A100/node)"))
 		return nil
 	}},
 	{"fig14", func(e env) error {
@@ -222,9 +238,9 @@ var steps = []struct {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("Figure 14 — SLO attainment, Llama3.1-100B cross-node A800, %s\n", ds.Name)
+			fmt.Fprintf(e.log, "Figure 14 — SLO attainment, Llama3.1-100B cross-node A800, %s\n", ds.Name)
 			for _, sw := range sweeps {
-				fmt.Print(sw.String())
+				fmt.Fprint(e.log, sw.String())
 			}
 			if err := e.writeCSV(fmt.Sprintf("fig14_%s.csv", ds.Name),
 				experiments.SweepsCSV(sweeps)); err != nil {
@@ -238,7 +254,7 @@ var steps = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(e.log, res.String())
 		return nil
 	}},
 	{"fig16", func(e env) error {
@@ -246,7 +262,7 @@ var steps = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(e.log, res.String())
 		return nil
 	}},
 	{"evolution", func(e env) error {
@@ -254,7 +270,7 @@ var steps = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(e.log, res.String())
 		return nil
 	}},
 	{"disagg", func(e env) error {
@@ -262,7 +278,7 @@ var steps = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(e.log, res.String())
 		return nil
 	}},
 	{"tknp", func(e env) error {
@@ -274,24 +290,24 @@ var steps = []struct {
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
-		if e.out != "" {
+		fmt.Fprint(e.log, res.String())
+		if e.save != nil {
 			blob, err := tknpArtifact(res, e.scaleName)
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(filepath.Join(e.out, "BENCH_tknp_regimes.json"), blob, 0o644); err != nil {
+			if err := e.save("BENCH_tknp_regimes.json", blob); err != nil {
 				return err
 			}
 		}
 		return e.writeCSV("tknp_regimes.csv", res.CSV())
 	}},
 	{"table1", func(e env) error {
-		res, err := experiments.Table1Equivalence(e.sc.Seed, 32, ".")
+		res, err := experiments.Table1Equivalence(e.sc.Seed, 32, e.srcRoot)
 		if err != nil {
 			return err
 		}
-		fmt.Print(res.String())
+		fmt.Fprint(e.log, res.String())
 		return nil
 	}},
 }

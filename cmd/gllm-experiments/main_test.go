@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -54,4 +57,77 @@ func TestMainErrErrors(t *testing.T) {
 	if err := mainErr("fig1", "huge", "", 0); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
+}
+
+// TestPaperRunMatchesResults makes the committed paper run a checked build
+// product: it regenerates every results/ artefact at paper scale in memory
+// and diffs each byte for byte against the committed file. Only the log's
+// timing lines and BENCH_tknp_regimes.json's recorded date and host are
+// exempt. The log includes Table 1's line count, so a change that moves any
+// number, or the size of the code, re-commits the run:
+//
+//	go run ./cmd/gllm-experiments -run all -scale paper -out results/ > results/full_run.log
+func TestPaperRunMatchesResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale run: about 8 s on 2 cores")
+	}
+	var log bytes.Buffer
+	got := map[string][]byte{}
+	e := env{scaleName: "paper", log: &log, srcRoot: filepath.Join("..", ".."),
+		save: func(name string, data []byte) error {
+			got[name] = data
+			return nil
+		}}
+	if err := e.run("all", 0); err != nil {
+		t.Fatal(err)
+	}
+	got["full_run.log"] = log.Bytes()
+
+	timing := regexp.MustCompile(`(?m)^\(\S+ took [0-9.]+s\)$`)
+	machine := regexp.MustCompile(`(?s)"recorded": "[^"]*",\n  "host": \{[^}]*\}`)
+	mask := func(name string, data []byte) []byte {
+		switch name {
+		case "full_run.log":
+			return timing.ReplaceAll(data, []byte("(timing)"))
+		case "BENCH_tknp_regimes.json":
+			return machine.ReplaceAll(data, []byte("(machine)"))
+		}
+		return data
+	}
+	dir := filepath.Join("..", "..", "results")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		if _, ok := got[ent.Name()]; !ok {
+			t.Errorf("results/%s: committed, but the paper run does not write it", ent.Name())
+		}
+	}
+	for name, data := range got {
+		want, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Errorf("results/%s: written by the paper run, not committed: %v", name, err)
+			continue
+		}
+		if w, g := mask(name, want), mask(name, data); !bytes.Equal(w, g) {
+			t.Errorf("results/%s is stale: %s", name, firstDiff(w, g))
+		}
+	}
+}
+
+// firstDiff names the first line where committed and generated differ.
+func firstDiff(committed, generated []byte) string {
+	a, b := strings.Split(string(committed), "\n"), strings.Split(string(generated), "\n")
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	line := func(l []string) string {
+		if i < len(l) {
+			return strconv.Quote(l[i])
+		}
+		return "end of file"
+	}
+	return fmt.Sprintf("line %d reads %s, the run writes %s", i+1, line(a), line(b))
 }

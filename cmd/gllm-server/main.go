@@ -106,6 +106,11 @@ func main() {
 }
 
 func run(o srvOptions) error {
+	// Written so that NaN fails; an explicit 0 is out of range too, not
+	// the engine's unset default.
+	if !(o.memUtil > 0 && o.memUtil <= 1) {
+		return fmt.Errorf("-gpu-memory-util: MemUtil %g out of (0,1]", o.memUtil)
+	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
 	m, err := model.ByName(o.modelPath)

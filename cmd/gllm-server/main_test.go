@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,9 +74,13 @@ func TestWriteTrace(t *testing.T) {
 // A bad -gpu-memory-util is a usage error from run, not a goroutine trace
 // from the cost model.
 func TestRunRejectsMemUtil(t *testing.T) {
-	err := run(srvOptions{modelPath: "Qwen2.5-14B", pp: 2, gpuName: "L20-48GB", memUtil: 2,
-		schedName: "gllm", budget: 2048, params: core.DefaultParams()})
-	if err == nil || !strings.Contains(err.Error(), "MemUtil 2 out of (0,1]") {
-		t.Fatalf("run with -gpu-memory-util 2 = %v, want the range error", err)
+	// NaN used to pass the range check and size a 70 TB cache; an explicit
+	// 0 is out of range, not the runtime's unset default.
+	for _, v := range []float64{2, math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		err := run(srvOptions{modelPath: "Qwen2.5-14B", pp: 2, gpuName: "L20-48GB", memUtil: v,
+			schedName: "gllm", budget: 2048, params: core.DefaultParams()})
+		if want := fmt.Sprintf("MemUtil %g out of (0,1]", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("run with -gpu-memory-util %g = %v, want the range error", v, err)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -94,6 +95,11 @@ func main() {
 }
 
 func run(o simOptions) error {
+	// Written so that NaN fails; an explicit 0 is out of range too, not
+	// the engine's unset default.
+	if !(o.memUtil > 0 && o.memUtil <= 1) {
+		return fmt.Errorf("-gpu-memory-util: MemUtil %g out of (0,1]", o.memUtil)
+	}
 	m, err := model.ByName(o.modelName)
 	if err != nil {
 		return err
@@ -143,6 +149,9 @@ func run(o simOptions) error {
 			return err
 		}
 	} else {
+		if !(o.rate > 0 && o.rate <= math.MaxFloat64) {
+			return fmt.Errorf("-rate %g: want a finite rate above 0", o.rate)
+		}
 		ds, err := workload.ByName(o.datasetName)
 		if err != nil {
 			return err

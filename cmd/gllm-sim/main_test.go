@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -148,6 +150,16 @@ func TestRunErrors(t *testing.T) {
 		"retired alias":       func(o *simOptions) { o.parallelism = "tokenpar" },
 		"missing trace file":  func(o *simOptions) { o.tracePath = "/nonexistent.json" },
 		"memory util above 1": func(o *simOptions) { o.memUtil = 2 },
+	}
+	// Float flags out of range, NaN included (it used to pass every check:
+	// -gpu-memory-util NaN sized a 70 TB cache, -rate NaN never ended the
+	// arrival window). A KV_thresh of 0 is valid.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		cases[fmt.Sprintf("rate %g", v)] = func(o *simOptions) { o.rate = v }
+		cases[fmt.Sprintf("memory util %g", v)] = func(o *simOptions) { o.memUtil = v }
+		if v != 0 {
+			cases[fmt.Sprintf("kvthresh %g", v)] = func(o *simOptions) { o.params.KVThresh = v }
+		}
 	}
 	// Every write to a full device fails, which must fail the run.
 	if _, err := os.Stat("/dev/full"); err == nil {

@@ -52,7 +52,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: MinP = %d, want >= 1", p.MinP)
 	case p.MinP > p.MaxP:
 		return fmt.Errorf("core: MinP %d > MaxP %d", p.MinP, p.MaxP)
-	case p.KVThresh < 0 || p.KVThresh >= 1:
+	case !(p.KVThresh >= 0 && p.KVThresh < 1): // NaN fails too
 		return fmt.Errorf("core: KVThresh = %g, want in [0,1)", p.KVThresh)
 	}
 	return nil
@@ -78,7 +78,7 @@ func (s State) validate() {
 	if s.WaitingPrefillTokens < 0 || s.RunningDecode < 0 {
 		panic(fmt.Sprintf("core: negative state %+v", s))
 	}
-	if s.KVFreeRate < 0 || s.KVFreeRate > 1 {
+	if !(s.KVFreeRate >= 0 && s.KVFreeRate <= 1) {
 		panic(fmt.Sprintf("core: KVFreeRate %g out of [0,1]", s.KVFreeRate))
 	}
 	if s.PipelineDepth < 1 {

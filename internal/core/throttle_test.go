@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -32,6 +33,12 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{IterT: 1, MaxP: 10, MinP: 20},
 		{IterT: 1, MaxP: 10, MinP: 1, KVThresh: -0.1},
 		{IterT: 1, MaxP: 10, MinP: 1, KVThresh: 1.0},
+		// Flag values that no ordered comparison catches (0 is a valid
+		// KV_thresh; the integer fields' 0 rows are above).
+		{IterT: 1, MaxP: 10, MinP: 1, KVThresh: math.NaN()},
+		{IterT: 1, MaxP: 10, MinP: 1, KVThresh: math.Inf(1)},
+		{IterT: 1, MaxP: 10, MinP: 1, KVThresh: math.Inf(-1)},
+		{IterT: 1, MaxP: 10, MinP: 1, KVThresh: -1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -250,7 +250,7 @@ func (c *Config) validate() error {
 	if c.Topo.GPUs() < 1 {
 		return fmt.Errorf("engine: empty topology")
 	}
-	if c.MemUtil <= 0 || c.MemUtil > 1 {
+	if !(c.MemUtil > 0 && c.MemUtil <= 1) { // NaN fails too
 		return fmt.Errorf("engine: MemUtil %g out of (0,1]", c.MemUtil)
 	}
 	if c.Scheduler == nil {

@@ -8,6 +8,7 @@ import (
 	"gllm/internal/gpu"
 	"gllm/internal/model"
 	"gllm/internal/network"
+	"gllm/internal/obs"
 	"gllm/internal/sched"
 	"gllm/internal/workload"
 )
@@ -83,5 +84,40 @@ func TestConfigErrorIsNotCapacityError(t *testing.T) {
 	}
 	if errors.Is(err, ErrModelDoesNotFit) {
 		t.Fatalf("config error mislabeled as capacity error: %v", err)
+	}
+}
+
+// A span recorder with fewer lanes than the strategy records on is a config
+// error before the run starts, not a panic mid-run ("obs: stage 2 out of 2").
+// Each engine needs one lane per rank it records on: the whole PP-4 chain,
+// every TKNP rank, both disaggregated replicas; the TP engine is one fused
+// lane, so any recorder is deep enough for it.
+func TestUndersizedSpanRecorderRejected(t *testing.T) {
+	items := []workload.Item{{PromptLen: 64, OutputLen: 4}}
+	for _, tc := range []struct {
+		engine string
+		lanes  int
+		run    func(Config) (*Result, error)
+	}{
+		{"pipeline", 4, func(c Config) (*Result, error) { return RunPipeline(c, items) }},
+		{"tensor", 1, func(c Config) (*Result, error) { return RunTensor(c, items) }},
+		{"tokenpar", 4, func(c Config) (*Result, error) {
+			return RunTokenParallel(TokenParallelConfig{Config: c, RootTP: 2}, items)
+		}},
+		{"disagg", 4, func(c Config) (*Result, error) {
+			return RunDisaggregated(DisaggConfig{Config: c, PrefillGPUs: 2}, items)
+		}},
+	} {
+		for stages := 1; stages <= tc.lanes; stages++ {
+			cfg := tinyCfg(model.Qwen25_14B, 4)
+			cfg.Spans = obs.NewRecorder(stages, 0)
+			_, err := tc.run(cfg)
+			if stages < tc.lanes && err == nil {
+				t.Errorf("%s: a %d-stage recorder accepted, want %d", tc.engine, stages, tc.lanes)
+			}
+			if stages == tc.lanes && err != nil {
+				t.Errorf("%s: a %d-stage recorder: %v", tc.engine, stages, err)
+			}
+		}
 	}
 }

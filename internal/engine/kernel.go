@@ -28,6 +28,9 @@ type strategy interface {
 	execute(mb *microBatch)
 	// stageBusy appends each rank's cumulative execute time so far.
 	stageBusy(dst []time.Duration) []time.Duration
+	// lanes is one past the highest span lane (Config.Spans stage) that
+	// execute records on.
+	lanes() int
 }
 
 // microBatch is one scheduled batch in flight with its frozen cost shape. A
@@ -121,6 +124,11 @@ func (r *run) addLoop(kvCap int64, slots int, s sched.Scheduler, exec strategy) 
 func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Result, error) {
 	if err := r.validateWorkload(items); err != nil {
 		return nil, err
+	}
+	for _, l := range r.loops {
+		if n := l.exec.lanes(); r.cfg.Spans != nil && r.cfg.Spans.Stages() < n {
+			return nil, fmt.Errorf("engine: span recorder has %d stages, the run records on %d", r.cfg.Spans.Stages(), n)
+		}
 	}
 	r.total = len(items)
 	// Arrivals run in item order — the items are sorted and equal

@@ -79,6 +79,8 @@ func (c *chain) ran(mb *microBatch) {
 	r.eng.After(xfer, mb.arrived)
 }
 
+func (c *chain) lanes() int { return c.first + len(c.stages) }
+
 func (c *chain) stageBusy(dst []time.Duration) []time.Duration {
 	for _, st := range c.stages {
 		dst = append(dst, st.BusyTime())

@@ -127,6 +127,8 @@ func (g *tknpGroup) ran(mb *microBatch) {
 	mb.loop.retire(mb)
 }
 
+func (g *tknpGroup) lanes() int { return g.ranks }
+
 // stageBusy reports one entry per rank: every rank runs attention over its
 // KV partition, the root ranks the projections and MLP on top.
 func (g *tknpGroup) stageBusy(dst []time.Duration) []time.Duration {

@@ -315,7 +315,7 @@ func (cm *CostModel) TokenParallelPeerLayerTime(b BatchShape, groupSize int) tim
 // across stages because page tables are shared (every sequence occupies
 // the same token slots on every stage).
 func (cm *CostModel) KVCapacityTokensPP(stageLayers []int, memUtil float64) int64 {
-	if memUtil <= 0 || memUtil > 1 {
+	if !(memUtil > 0 && memUtil <= 1) {
 		panic(fmt.Sprintf("gpu: memUtil %g out of (0,1]", memUtil))
 	}
 	minTokens := int64(-1)
@@ -348,7 +348,7 @@ func (cm *CostModel) KVCapacityTokensTP(tpDegree int, memUtil float64) int64 {
 	if tpDegree < 1 {
 		panic(fmt.Sprintf("gpu: invalid TP degree %d", tpDegree))
 	}
-	if memUtil <= 0 || memUtil > 1 {
+	if !(memUtil > 0 && memUtil <= 1) {
 		panic(fmt.Sprintf("gpu: memUtil %g out of (0,1]", memUtil))
 	}
 	weights := (int64(cm.Model.NumLayers)*cm.Model.WeightBytesPerLayer() +
@@ -372,7 +372,7 @@ func (cm *CostModel) KVCapacityTokensTKNP(groupSize, rootTP int, memUtil float64
 	if groupSize < 1 || rootTP < 1 || rootTP > groupSize {
 		panic(fmt.Sprintf("gpu: invalid TKNP group %d/root %d", groupSize, rootTP))
 	}
-	if memUtil <= 0 || memUtil > 1 {
+	if !(memUtil > 0 && memUtil <= 1) {
 		panic(fmt.Sprintf("gpu: memUtil %g out of (0,1]", memUtil))
 	}
 	rootWeights := (int64(cm.Model.NumLayers)*cm.Model.WeightBytesPerLayer() +

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,5 +138,54 @@ func TestProxyHandleNextContext(t *testing.T) {
 	}
 	if ctx.Err() == nil {
 		t.Fatal("Next returned nil without ctx expiry")
+	}
+}
+
+// A delivered slab is sized to its delivery: 2048 streams each holding one
+// undelivered token keep well under 1 KiB apiece (handle, channels and
+// slab; a 64-event slab alone was 4 KiB), and a consumer that falls behind
+// still receives every event, in order, from one grown slab.
+func TestPendingSlabSizedToDelivery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; guard runs in normal builds")
+	}
+	const streams, limit = 2048, 1024
+	heap := func() uint64 {
+		var ms goruntime.MemStats
+		low := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			goruntime.GC()
+			goruntime.ReadMemStats(&ms)
+			low = min(low, ms.HeapAlloc)
+		}
+		return low
+	}
+	handles := make([]*Handle, streams)
+	base := heap()
+	for i := range handles {
+		h, f := NewProxyHandle(int64(i), nil)
+		f.Deliver(TokenEvent{ReqID: int64(i), Text: "a "})
+		handles[i] = h
+	}
+	perStream := (float64(heap()) - float64(base)) / streams
+	t.Logf("heap held per stream with one pending token = %.0f B", perStream)
+	if perStream > limit {
+		t.Fatalf("a stream with one pending token holds %.0f B (limit %d)", perStream, limit)
+	}
+	goruntime.KeepAlive(handles)
+
+	h, f := NewProxyHandle(1, nil)
+	const lag = 100
+	for i := 0; i < lag; i++ {
+		f.Deliver(TokenEvent{ReqID: 1, Index: i})
+	}
+	evs := h.Next(context.Background())
+	if len(evs) != lag {
+		t.Fatalf("lagging consumer got %d events, want %d", len(evs), lag)
+	}
+	for i, ev := range evs {
+		if ev.Index != i {
+			t.Fatalf("event %d has index %d", i, ev.Index)
+		}
 	}
 }

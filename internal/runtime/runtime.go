@@ -60,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -501,10 +502,12 @@ func (t *residency) get(group int64) int {
 // eventSlab is a reusable batch of token events: the driver appends a
 // request's new tokens once per retired micro-batch, the consumer swaps the
 // slab out wholesale via Handle.Next. Pooled so steady-state delivery
-// allocates nothing.
+// allocates nothing. A new slab has room for one delivery — a decode step
+// brings one token per request — and grows by append only while its
+// consumer falls behind, so a stream costs what it has in hand.
 type eventSlab struct{ evs []TokenEvent }
 
-var slabPool = sync.Pool{New: func() any { return &eventSlab{evs: make([]TokenEvent, 0, 64)} }}
+var slabPool = sync.Pool{New: func() any { return &eventSlab{evs: make([]TokenEvent, 0, 1)} }}
 
 // slab returns the slab the next events are appended to, taking one from
 // the pool when the consumer has swapped the last one out. The caller
@@ -574,6 +577,13 @@ var ErrQueueFull = errors.New("runtime: queue full")
 // and returns a serving runtime.
 func Start(cfg Config) (*Runtime, error) {
 	cfg.applyDefaults()
+	// Written so that NaN fails: every comparison with NaN is false.
+	if !(cfg.TimeScale >= 0 && cfg.TimeScale <= math.MaxFloat64) {
+		return nil, fmt.Errorf("runtime: TimeScale %g, want finite and >= 0", cfg.TimeScale)
+	}
+	if !(cfg.AdmitKVFactor <= math.MaxFloat64) {
+		return nil, fmt.Errorf("runtime: AdmitKVFactor %g, want finite", cfg.AdmitKVFactor)
+	}
 	plan := engine.Config{Model: cfg.Model, GPU: cfg.GPU, Topo: cfg.Topo, MemUtil: cfg.MemUtil,
 		Scheduler: cfg.Scheduler, EnablePrefixCache: cfg.EnablePrefixCache, EnableCPP: cfg.EnableCPP,
 		Observer: cfg.observe}

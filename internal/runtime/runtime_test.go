@@ -197,6 +197,18 @@ func TestStartValidation(t *testing.T) {
 		{"deeper than the model", func(c *Config) { c.Topo = network.IntraNode(c.Model.NumLayers+1, network.PCIe) }, nil},
 		{"MemUtil above 1", func(c *Config) { c.MemUtil = 2 }, nil},
 		{"negative MemUtil", func(c *Config) { c.MemUtil = -0.1 }, nil},
+		// NaN fails no ordered comparison, so it used to pass every check.
+		// A 0 is each float field's documented default, not an input error.
+		{"NaN MemUtil", func(c *Config) { c.MemUtil = math.NaN() }, nil},
+		{"+Inf MemUtil", func(c *Config) { c.MemUtil = math.Inf(1) }, nil},
+		{"-Inf MemUtil", func(c *Config) { c.MemUtil = math.Inf(-1) }, nil},
+		{"MemUtil -1", func(c *Config) { c.MemUtil = -1 }, nil},
+		{"NaN TimeScale", func(c *Config) { c.TimeScale = math.NaN() }, nil},
+		{"+Inf TimeScale", func(c *Config) { c.TimeScale = math.Inf(1) }, nil},
+		{"-Inf TimeScale", func(c *Config) { c.TimeScale = math.Inf(-1) }, nil},
+		{"TimeScale -1", func(c *Config) { c.TimeScale = -1 }, nil},
+		{"NaN AdmitKVFactor", func(c *Config) { c.AdmitKVFactor = math.NaN() }, nil},
+		{"+Inf AdmitKVFactor", func(c *Config) { c.AdmitKVFactor = math.Inf(1) }, nil},
 		{"span recorder shallower than the pipeline", func(c *Config) { c.Spans = obs.NewRecorder(2, 0) }, nil},
 		{"oversized model", func(c *Config) {
 			c.Model = model.Llama31_100B

@@ -68,6 +68,7 @@ func (t *Throttle) Schedule(p *Pool, now time.Duration) *Batch {
 //	"gllm-no-ut"   — ablation without the KV-utilization term
 //	"gllm-ck"      — gLLM runtime with the coupled Sarathi policy (w/ CK)
 func ByName(name string, budget int, params core.Params) (Scheduler, error) {
+	var variant core.Variant
 	switch name {
 	case "sarathi", "gllm-ck":
 		return NewSarathi(budget), nil
@@ -82,11 +83,17 @@ func ByName(name string, budget int, params core.Params) (Scheduler, error) {
 	case "batch-level":
 		return NewBatchLevel(64), nil
 	case "gllm":
-		return NewThrottle(params, core.VariantFull), nil
+		variant = core.VariantFull
 	case "gllm-no-wt":
-		return NewThrottle(params, core.VariantNoWT), nil
+		variant = core.VariantNoWT
 	case "gllm-no-ut":
-		return NewThrottle(params, core.VariantNoUT), nil
+		variant = core.VariantNoUT
+	default:
+		return nil, fmt.Errorf("sched: unknown scheduler %q", name)
 	}
-	return nil, fmt.Errorf("sched: unknown scheduler %q", name)
+	// Params arrive from flags: a bad one is an error, not NewThrottle's panic.
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	return NewThrottle(params, variant), nil
 }

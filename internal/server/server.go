@@ -391,9 +391,11 @@ var doneChunk = []byte("data: [DONE]\n\n")
 // streamCompletion renders tokens as OpenAI-style server-sent events and
 // reports the stream's finish reason for span recording ("disconnected"
 // when the client goes away mid-stream). The hot loop is allocation-free:
-// each slab of tokens delivered by Handle.Next is encoded into one reused
+// each slab of tokens delivered by Handle.Next is encoded into a pooled
 // buffer by a hand-rolled JSON writer (the chunk shape is fixed) and
-// written with a single flush.
+// written with a single flush. The buffer is borrowed for that one write
+// and returned before the next Handle.Next, so a stream parked waiting for
+// tokens holds none.
 func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, id string, h *runtime.Handle) string {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -407,11 +409,6 @@ func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, id str
 	// One creation timestamp per stream (OpenAI semantics: chunks of a
 	// completion share the response's creation time).
 	created := time.Now().Unix()
-	buf := sseBufPool.Get().(*sseBuf)
-	defer func() {
-		buf.b = buf.b[:0]
-		sseBufPool.Put(buf)
-	}()
 	ctx := r.Context()
 	finish := string(runtime.FinishLength)
 	for {
@@ -428,6 +425,7 @@ func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, id str
 			flusher.Flush()
 			return finish
 		}
+		buf := sseBufPool.Get().(*sseBuf)
 		b := buf.b[:0]
 		for i := range evs {
 			b = s.appendChunk(b, id, created, &evs[i])
@@ -435,8 +433,10 @@ func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, id str
 				finish = string(evs[i].Reason)
 			}
 		}
-		buf.b = b
-		if _, err := w.Write(b); err != nil {
+		_, err := w.Write(b)
+		buf.b = b[:0]
+		sseBufPool.Put(buf)
+		if err != nil {
 			h.Cancel()
 			return finishDisconnected
 		}

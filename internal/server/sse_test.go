@@ -9,6 +9,7 @@ import (
 	goruntime "runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -246,5 +247,96 @@ func TestServeSteadyStateAllocsPerToken(t *testing.T) {
 	if perToken >= 1 {
 		t.Fatalf("HTTP serving path allocates %.3f objects/token (want < 1): "+
 			"a per-token allocation crept back in", perToken)
+	}
+}
+
+// parkingBackend hands out proxy handles that already hold one token, so
+// every stream it serves writes one chunk and then parks in Handle.Next
+// until the test closes its feeder.
+type parkingBackend struct {
+	fakeBackend
+	mu      sync.Mutex
+	feeders []*runtime.ProxyFeeder
+}
+
+func (b *parkingBackend) Submit(_ context.Context, _ SubmitRequest) (*runtime.Handle, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	id := int64(len(b.feeders))
+	h, f := runtime.NewProxyHandle(id, nil)
+	tok := runtime.TokenValue(id, 0)
+	f.Deliver(runtime.TokenEvent{ReqID: id, Token: tok, Text: runtime.TokenText(tok)})
+	b.feeders = append(b.feeders, f)
+	return h, nil
+}
+
+// parkingWriter counts writes and keeps nothing: its header map is fresh
+// garbage on every call, so the heap a parked stream holds is the server's.
+type parkingWriter struct{ writes *atomic.Int64 }
+
+func (w parkingWriter) Header() http.Header { return http.Header{} }
+func (w parkingWriter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return len(p), nil
+}
+func (w parkingWriter) WriteHeader(int) {}
+func (w parkingWriter) Flush()          {}
+
+// TestParkedStreamHeapBytes guards what an open stream costs while it waits
+// for tokens: 2048 streams each receive one token, write it and park in
+// Handle.Next, and the heap they hold between them is read after forced
+// collections. Encode buffers and event slabs are borrowed per delivery, so
+// a parked stream keeps only its request, handle and context; while a
+// stream held a 4 KiB encode buffer for its whole life it read about 4.5 KiB.
+func TestParkedStreamHeapBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; guard runs in normal builds")
+	}
+	const streams, limit = 2048, 1024
+	heap := func() uint64 {
+		var ms goruntime.MemStats
+		low := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			goruntime.GC()
+			goruntime.ReadMemStats(&ms)
+			low = min(low, ms.HeapAlloc)
+		}
+		return low
+	}
+	park := func() float64 {
+		be := &parkingBackend{feeders: make([]*runtime.ProxyFeeder, 0, streams)}
+		srv := NewBackend(be, "guard-model")
+		var writes atomic.Int64
+		var served sync.WaitGroup
+		base := heap()
+		for i := 0; i < streams; i++ {
+			req, err := http.NewRequest(http.MethodPost, "/v1/completions",
+				strings.NewReader(`{"prompt_len":16,"max_tokens":4,"stream":true}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			served.Add(1)
+			go func() {
+				defer served.Done()
+				srv.ServeHTTP(parkingWriter{&writes}, req)
+			}()
+		}
+		for writes.Load() < streams {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // let the last writers reach Next
+		held := heap()
+		for _, f := range be.feeders {
+			f.Close(runtime.FinishLength)
+		}
+		served.Wait()
+		return (float64(held) - float64(base)) / streams
+	}
+	park() // warm the scheduler's and the runtime's per-goroutine caches
+	perStream := park()
+	t.Logf("heap held per parked stream = %.0f B", perStream)
+	if perStream > limit {
+		t.Fatalf("a parked stream holds %.0f B of heap (limit %d): "+
+			"something is kept across Handle.Next", perStream, limit)
 	}
 }

@@ -20,9 +20,10 @@ import (
 // attack or a bug).
 const MaxLineBytes = 1 << 20
 
-// initialBuf is the scanner's starting buffer; it grows on demand up to
-// MaxLineBytes.
-const initialBuf = 64 * 1024
+// initialBuf is the scanner's starting buffer, sized to a few completion
+// chunks (a few hundred bytes each) because every remote stream opens one
+// reader; it grows on demand up to MaxLineBytes.
+const initialBuf = 4 * 1024
 
 var dataPrefix = []byte("data:")
 

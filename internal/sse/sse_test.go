@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -136,5 +137,28 @@ func TestTruncatedFinalLine(t *testing.T) {
 	}
 	if len(got) != 2 || got[1] != `{"half` {
 		t.Fatalf("payloads = %q", got)
+	}
+}
+
+// Every remote stream opens one reader, so the buffer it starts with is a
+// per-stream cost: reading the first chunk must allocate a chunk-sized
+// buffer, not a 64 KiB one. Long lines still grow it (TestScannerCapBoundary).
+func TestReaderAllocatesChunkSizedBuffer(t *testing.T) {
+	const chunk = `data: {"id":"cmpl-1","object":"text_completion","created":1,"model":"m","choices":[{"text":"tok ","index":0}]}` + "\n\n"
+	const limit = 8 << 10
+	var before, after runtime.MemStats
+	low := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		src := strings.NewReader(chunk)
+		runtime.ReadMemStats(&before)
+		if _, err := NewReader(src).Next(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		low = min(low, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("bytes allocated through the first chunk = %d", low)
+	if low > limit {
+		t.Fatalf("a reader allocates %d B before its first chunk (limit %d)", low, limit)
 	}
 }

@@ -76,9 +76,9 @@ func (r *RNG) IntRange(lo, hi int) int {
 }
 
 // Exp returns an exponentially distributed sample with the given rate
-// (mean 1/rate). It panics if rate <= 0.
+// (mean 1/rate). It panics unless rate > 0 (NaN included).
 func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
+	if !(rate > 0) {
 		panic("stats: Exp with non-positive rate")
 	}
 	u := r.Float64()

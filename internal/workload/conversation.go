@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"gllm/internal/stats"
@@ -49,7 +50,7 @@ func DefaultConversationSpec(d Dataset, rate float64, window time.Duration) Conv
 // conversation share a PrefixGroup so prefix caching can reuse their
 // context KV.
 func Conversations(r *stats.RNG, spec ConversationSpec) []Item {
-	if spec.Rate <= 0 || spec.Window <= 0 {
+	if !(spec.Rate > 0 && spec.Rate <= math.MaxFloat64) || spec.Window <= 0 {
 		panic(fmt.Sprintf("workload: Conversations rate %g window %v", spec.Rate, spec.Window))
 	}
 	if spec.MaxTurns < 1 || spec.FollowUpLen < 1 || spec.MaxContext < 1 {

@@ -96,7 +96,7 @@ func clamp(v, lo, hi int) int {
 // with `rate` requests/s over `window` (the paper fixes a 128 s send
 // window), lengths drawn from d. The result is sorted by arrival.
 func Poisson(r *stats.RNG, d Dataset, rate float64, window time.Duration) []Item {
-	if rate <= 0 {
+	if !(rate > 0 && rate <= math.MaxFloat64) { // NaN and +Inf never end the window
 		panic(fmt.Sprintf("workload: Poisson rate %g", rate))
 	}
 	if window <= 0 {
