@@ -46,7 +46,8 @@ FUZZ_TARGETS = FuzzKVAllocFree:./internal/kvcache FuzzThrottleSchedule:./interna
 	FuzzParseExposition:./internal/metrics FuzzChunkReader:./internal/server \
 	FuzzChromeRoundTrip:./internal/obs FuzzParseTraceparent:./internal/obs \
 	FuzzEngineOrder:./internal/sim FuzzCompletionRequest:./internal/server \
-	FuzzChromeRequestsRoundTrip:./internal/obs FuzzSSEReader:./internal/sse
+	FuzzChromeRequestsRoundTrip:./internal/obs FuzzSSEReader:./internal/sse \
+	FuzzDecodeCompletion:./internal/server
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -99,17 +99,24 @@ func main() {
 		"expose net/http/pprof profiling handlers under /debug/pprof/")
 	flag.TextVar(&o.logLevel, "log-level", slog.LevelInfo, "structured log level: debug, info, warn, error")
 	flag.Parse()
-	if err := run(o); err != nil {
+	// First signal: graceful drain; second: abort (see run).
+	sigCh := make(chan os.Signal, 2)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	if err := run(o, sigCh); err != nil {
 		fmt.Fprintln(os.Stderr, "gllm-server:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o srvOptions) error {
+// run serves until the first signal on sigCh, then drains.
+func run(o srvOptions, sigCh <-chan os.Signal) error {
 	// Written so that NaN fails; an explicit 0 is out of range too, not
 	// the engine's unset default.
 	if !(o.memUtil > 0 && o.memUtil <= 1) {
 		return fmt.Errorf("-gpu-memory-util: MemUtil %g out of (0,1]", o.memUtil)
+	}
+	if o.pp < 1 {
+		return fmt.Errorf("-pp %d: want at least 1 stage", o.pp)
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
@@ -174,13 +181,12 @@ func run(o srvOptions) error {
 	addr := fmt.Sprintf(":%d", o.port)
 	httpSrv := &http.Server{Addr: addr, Handler: handler}
 
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	logger.Info("serving",
 		"model", m.Name, "pp", o.pp, "scheduler", s.Name(), "async", !o.syncRuntime,
 		"addr", addr, "kv_capacity_tokens", rt.KVCapacityTokens())
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		_ = rt.Close()
 		return err
 	}
 	// First signal: graceful — drain queued and in-flight generation up to

@@ -72,15 +72,75 @@ func TestWriteTrace(t *testing.T) {
 }
 
 // A bad -gpu-memory-util is a usage error from run, not a goroutine trace
-// from the cost model.
+// from the cost model; and every numeric flag at NaN, ±Inf, -1 and 0 (the
+// integer and duration flags take the values they can hold) either serves
+// until the signal or fails with one line — never a panic or a hang.
 func TestRunRejectsMemUtil(t *testing.T) {
+	base := func(mutate func(*srvOptions)) srvOptions {
+		o := srvOptions{modelPath: "Qwen2.5-14B", pp: 2, gpuName: "L20-48GB", memUtil: 0.9,
+			schedName: "gllm", budget: 2048, params: core.DefaultParams(), stallStage: -1,
+			drainTimeout: time.Second, logLevel: slog.LevelError + 1}
+		mutate(&o)
+		return o
+	}
 	// NaN used to pass the range check and size a 70 TB cache; an explicit
 	// 0 is out of range, not the runtime's unset default.
 	for _, v := range []float64{2, math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
-		err := run(srvOptions{modelPath: "Qwen2.5-14B", pp: 2, gpuName: "L20-48GB", memUtil: v,
-			schedName: "gllm", budget: 2048, params: core.DefaultParams()})
+		err := runWithin(t, fmt.Sprintf("gpu-memory-util %g", v), base(func(o *srvOptions) { o.memUtil = v }))
 		if want := fmt.Sprintf("MemUtil %g out of (0,1]", v); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("run with -gpu-memory-util %g = %v, want the range error", v, err)
 		}
+	}
+	// A pipeline or a token budget below 1 used to panic in the topology
+	// and the scheduler.
+	fail := map[string]func(*srvOptions){}
+	runs := map[string]func(*srvOptions){}
+	for _, v := range []int{-1, 0} {
+		fail[fmt.Sprintf("pp %d", v)] = func(o *srvOptions) { o.pp = v }
+		fail[fmt.Sprintf("token-budget %d", v)] = func(o *srvOptions) { o.schedName, o.budget = "sarathi", v }
+		fail[fmt.Sprintf("iterp %d", v)] = func(o *srvOptions) { o.params.IterT = v }
+		fail[fmt.Sprintf("maxp %d", v)] = func(o *srvOptions) { o.params.MaxP = v }
+		fail[fmt.Sprintf("minp %d", v)] = func(o *srvOptions) { o.params.MinP = v }
+		runs[fmt.Sprintf("port %d", v)] = func(o *srvOptions) { o.port = v }
+		runs[fmt.Sprintf("stall-stage %d", v)] = func(o *srvOptions) { o.stallStage, o.stallDuration = v, time.Millisecond }
+		d := time.Duration(v)
+		runs[fmt.Sprintf("drain-timeout %d", v)] = func(o *srvOptions) { o.drainTimeout = d }
+		runs[fmt.Sprintf("watchdog-timeout %d", v)] = func(o *srvOptions) { o.watchdogTimeout = d }
+		runs[fmt.Sprintf("stall-duration %d", v)] = func(o *srvOptions) { o.stallStage, o.stallDuration = 0, d }
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		runs[fmt.Sprintf("kvthresh %g", v)] = func(o *srvOptions) { o.params.KVThresh = v }
+		runs[fmt.Sprintf("time-scale %g", v)] = func(o *srvOptions) { o.timeScale = v }
+		runs[fmt.Sprintf("admit-kv-factor %g", v)] = func(o *srvOptions) { o.admitKVFactor = v }
+	}
+	for name, mutate := range fail {
+		if err := runWithin(t, name, base(mutate)); err == nil {
+			t.Errorf("%s: no error", name)
+		}
+	}
+	for name, mutate := range runs {
+		runWithin(t, name, base(mutate))
+	}
+}
+
+// runWithin runs the server with its stop signal already sent, so an
+// accepted configuration serves, drains and returns. It returns run's
+// error, which must fit on one line (main prints it as the one line before
+// exit 1), and fails the test if run is still going after a minute.
+func runWithin(t *testing.T, name string, o srvOptions) error {
+	t.Helper()
+	sig := make(chan os.Signal, 1)
+	sig <- os.Interrupt
+	done := make(chan error, 1)
+	go func() { done <- run(o, sig) }()
+	select {
+	case err := <-done:
+		if err != nil && strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error spans lines: %q", name, err)
+		}
+		return err
+	case <-time.After(time.Minute):
+		t.Fatalf("%s: still running after a minute", name)
+		return nil
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,13 +162,59 @@ func TestRunErrors(t *testing.T) {
 			cases[fmt.Sprintf("kvthresh %g", v)] = func(o *simOptions) { o.params.KVThresh = v }
 		}
 	}
+	// Sizes and budgets below 1, an empty window, and a trace too long to
+	// generate (they used to panic in the topology, the scheduler and the
+	// arrival process, or generate for minutes).
+	for _, v := range []int{-1, 0} {
+		cases[fmt.Sprintf("nodes %d", v)] = func(o *simOptions) { o.nodes = v }
+		cases[fmt.Sprintf("gpus-per-node %d", v)] = func(o *simOptions) { o.gpusPerNode = v }
+		cases[fmt.Sprintf("window %d", v)] = func(o *simOptions) { o.window = time.Duration(v) }
+		cases[fmt.Sprintf("iterp %d", v)] = func(o *simOptions) { o.params.IterT = v }
+		cases[fmt.Sprintf("maxp %d", v)] = func(o *simOptions) { o.params.MaxP = v }
+		cases[fmt.Sprintf("minp %d", v)] = func(o *simOptions) { o.params.MinP = v }
+		for _, s := range []string{"sarathi", "gllm-ck", "vllm-ve", "td-pipe"} {
+			cases[fmt.Sprintf("%s token-budget %d", s, v)] = func(o *simOptions) { o.schedName, o.budget = s, v }
+		}
+	}
+	cases["rate 1e308"] = func(o *simOptions) { o.rate = 1e308 }
 	// Every write to a full device fails, which must fail the run.
 	if _, err := os.Stat("/dev/full"); err == nil {
 		cases["iters-csv unwritable"] = func(o *simOptions) { o.itersCSV = "/dev/full" }
 	}
 	for name, mutate := range cases {
-		if err := run(opts(func(o *simOptions) { mutate(o); o.window = time.Second })); err == nil {
+		if err := runWithin(t, name, opts(func(o *simOptions) { o.window = time.Second; mutate(o) })); err == nil {
 			t.Errorf("%s: no error", name)
 		}
+	}
+	// The numeric flags no case above rejects outright either run or fail
+	// with one line at -1 and 0 (NaN and Inf are not integers or durations).
+	runs := map[string]func(*simOptions){}
+	for _, v := range []int{-1, 0} {
+		runs[fmt.Sprintf("root-tp %d", v)] = func(o *simOptions) { o.parallelism, o.schedName, o.rootTP = "tknp", "sarathi", v }
+		runs[fmt.Sprintf("slo-ttft %d", v)] = func(o *simOptions) { o.sloTTFT = time.Duration(v) }
+		runs[fmt.Sprintf("slo-tpot %d", v)] = func(o *simOptions) { o.sloTTFT, o.sloTPOT = time.Second, time.Duration(v) }
+	}
+	runs["seed 0"] = func(o *simOptions) { o.seed = 0 }
+	for name, mutate := range runs {
+		runWithin(t, name, opts(func(o *simOptions) { o.window = time.Second; mutate(o) }))
+	}
+}
+
+// runWithin runs o and returns its error, which must fit on one line (main
+// prints it as the one line before exit 1). It fails the test if the run
+// is still going after a minute: a flag value must never make gllm-sim hang.
+func runWithin(t *testing.T, name string, o simOptions) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- run(o) }()
+	select {
+	case err := <-done:
+		if err != nil && strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error spans lines: %q", name, err)
+		}
+		return err
+	case <-time.After(time.Minute):
+		t.Fatalf("%s: still running after a minute", name)
+		return nil
 	}
 }

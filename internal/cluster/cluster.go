@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,6 +248,7 @@ func (c *Router) Add(id string, eng Engine) (*Replica, error) {
 		}
 	}
 	rep := &Replica{ID: id, eng: eng}
+	// Appending writes only past the length of every snapshot pick holds.
 	c.replicas = append(c.replicas, rep)
 	c.logEvent(slog.LevelInfo, "replica added", "id", id, "replicas", len(c.replicas))
 	return rep, nil
@@ -284,7 +286,8 @@ func (c *Router) retire(id string) {
 	defer c.mu.Unlock()
 	for i, r := range c.replicas {
 		if r.ID == id {
-			c.replicas = append(c.replicas[:i], c.replicas[i+1:]...)
+			// Copy on write: a pick may still be reading the old list.
+			c.replicas = append(c.replicas[:i:i], c.replicas[i+1:]...)
 			c.retired = append(c.retired, r)
 			return
 		}
@@ -384,16 +387,26 @@ func (c *Router) Retries429() int64 {
 // GaveUp counts submissions that exhausted the retry budget.
 func (c *Router) GaveUp() int64 { return c.gaveUp.Load() }
 
-// pick snapshots the routable replicas and asks the policy to choose.
+// pick snapshots the routable replicas and asks the policy to choose. The
+// active list is copy-on-write, so while every replica is routable the
+// policy reads the list itself and a pick allocates nothing; only a pick
+// that must skip a draining or unhealthy replica filters into a copy.
 func (c *Router) pick(req Request) (*Replica, error) {
 	c.mu.RLock()
-	cands := make([]*Replica, 0, len(c.replicas))
-	for _, r := range c.replicas {
-		if r.routable() {
-			cands = append(cands, r)
+	all := c.replicas
+	c.mu.RUnlock()
+	cands := slices.Clip(all)
+	for i, r := range all {
+		if !r.routable() {
+			cands = slices.Clip(all[:i])
+			for _, r := range all[i+1:] {
+				if r.routable() {
+					cands = append(cands, r)
+				}
+			}
+			break
 		}
 	}
-	c.mu.RUnlock()
 	if len(cands) == 0 {
 		return nil, ErrNoReplica
 	}

@@ -14,7 +14,8 @@ import (
 )
 
 // Policy picks the replica for one request. cands is non-empty and
-// ordered by replica registration; Pick returns an index into it.
+// ordered by replica registration; Pick returns an index into it and must
+// not modify it, since it may be the router's own replica list.
 type Policy interface {
 	Name() string
 	Pick(req Request, cands []*Replica) int
@@ -122,9 +123,23 @@ type PrefixAffinity struct {
 	// saturated and the request spills to the fallback choice.
 	spillUsedKV float64
 
+	// The sticky assignment, prefix group -> replica ID, in two
+	// generations: assign takes every placement, and when it holds
+	// assignGen groups it becomes prev and the old prev is cleared for
+	// reuse. A hit in prev moves the group forward.
 	mu     sync.Mutex
-	assign map[int64]string // prefix group -> replica ID
+	assign map[int64]string
+	prev   map[int64]string
 }
+
+// assignGen bounds each generation of PrefixAffinity's assignment, which a
+// trace of ever-new conversations would otherwise grow for as long as the
+// router lives. Forgetting a group costs nothing once no replica holds its
+// prefix — a follow-up then re-places it anyway — and a resident prefix
+// takes at least one 16-token KV block: the 65 536 most recently routed
+// groups the two generations always keep outnumber the blocks of three
+// Qwen2.5-14B replicas on 2×L20 (21 091 each).
+const assignGen = 1 << 16
 
 // NewPrefixAffinity builds a prefix-affinity policy over a fallback
 // (nil = least-KV) with the default 0.9 KV-usage spill threshold.
@@ -136,6 +151,7 @@ func NewPrefixAffinity(fallback Policy) *PrefixAffinity {
 		fallback:    fallback,
 		spillUsedKV: 0.9,
 		assign:      make(map[int64]string),
+		prev:        make(map[int64]string),
 	}
 }
 
@@ -145,10 +161,7 @@ func (p *PrefixAffinity) Pick(req Request, cands []*Replica) int {
 	if req.PrefixGroup == 0 {
 		return p.fallback.Pick(req, cands)
 	}
-	p.mu.Lock()
-	home, ok := p.assign[req.PrefixGroup]
-	p.mu.Unlock()
-	if ok {
+	if home, ok := p.home(req.PrefixGroup); ok {
 		for i, r := range cands {
 			if r.ID != home {
 				continue
@@ -167,7 +180,30 @@ func (p *PrefixAffinity) Pick(req Request, cands []*Replica) int {
 	// group wherever the fallback routes it.
 	idx := p.fallback.Pick(req, cands)
 	p.mu.Lock()
-	p.assign[req.PrefixGroup] = cands[idx].ID
+	p.place(req.PrefixGroup, cands[idx].ID)
 	p.mu.Unlock()
 	return idx
+}
+
+// home returns the replica a group was last placed on.
+func (p *PrefixAffinity) home(group int64) (string, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	id, ok := p.assign[group]
+	if !ok {
+		if id, ok = p.prev[group]; ok {
+			p.place(group, id)
+		}
+	}
+	return id, ok
+}
+
+// place records a group's home in the current generation, rotating the
+// generations first when it is full. p.mu must be held.
+func (p *PrefixAffinity) place(group int64, id string) {
+	if len(p.assign) >= assignGen {
+		clear(p.prev)
+		p.assign, p.prev = p.prev, p.assign
+	}
+	p.assign[group] = id
 }

@@ -147,7 +147,7 @@ func TestPrefixAffinity(t *testing.T) {
 		if got := p.Pick(Request{}, reps); got != 1 {
 			t.Fatalf("Pick = %d, want fallback choice 1", got)
 		}
-		if len(p.assign) != 0 {
+		if len(p.assign)+len(p.prev) != 0 {
 			t.Fatal("ungrouped request must not create an assignment")
 		}
 	})
@@ -159,8 +159,8 @@ func TestPrefixAffinity(t *testing.T) {
 		if first != 1 {
 			t.Fatalf("cold start Pick = %d, want fallback choice 1", first)
 		}
-		if len(p.assign) != 1 {
-			t.Fatalf("assignments = %d, want 1", len(p.assign))
+		if n := len(p.assign) + len(p.prev); n != 1 {
+			t.Fatalf("assignments = %d, want 1", n)
 		}
 		// The prefix is now resident on b; a now has more free KV, but the
 		// follow-up must stick with its home anyway.
@@ -221,6 +221,37 @@ func TestPrefixAffinity(t *testing.T) {
 			t.Fatal("re-homed group must stick to replica c")
 		}
 	})
+}
+
+// TestPrefixAffinityAssignmentBounded: a million distinct groups leave at
+// most two generations of assignGen groups, the newest group still sticks,
+// and a group hit once per generation is never forgotten.
+func TestPrefixAffinityAssignmentBounded(t *testing.T) {
+	engines := []*fakeEngine{newFakeEngine(okPressure()), newFakeEngine(okPressure())}
+	reps := fakeReplicas(engines...)
+	p := NewPrefixAffinity(NewRoundRobin())
+	const groups, kept = 1_000_000, -1
+	engines[0].match[kept] = 16
+	p.Pick(Request{PrefixGroup: kept}, reps) // round robin: home = a, group g goes to g%2
+	for g := int64(1); g <= groups; g++ {
+		p.Pick(Request{PrefixGroup: g}, reps)
+		if g%(assignGen/2) == 0 {
+			if got := p.Pick(Request{PrefixGroup: kept, SharedPrefixLen: 16}, reps); got != 0 {
+				t.Fatalf("after %d groups the kept group moved to %d", g, got)
+			}
+		}
+		if len(p.assign) > assignGen || len(p.prev) > assignGen {
+			t.Fatalf("after %d groups the generations hold %d and %d, bound %d",
+				g, len(p.assign), len(p.prev), assignGen)
+		}
+	}
+	home, ok := p.home(groups)
+	if !ok || home != reps[groups%2].ID {
+		t.Fatalf("newest group's home = %q, %v; want %q", home, ok, reps[groups%2].ID)
+	}
+	if _, ok := p.home(1); ok {
+		t.Fatal("the oldest group outlived two generations")
+	}
 }
 
 // Prefix affinity beats random on KV reuse over live replicas: the same

@@ -194,3 +194,42 @@ func TestReplaceUnknownLeavesReplicaSetUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRouterSubmitAllocsPerRequest: routing a request to an in-process
+// replica and draining its stream allocates no more than submitting to the
+// replica directly. The pick reads the copy-on-write replica list instead
+// of filtering it into a fresh candidate slice, which cost one allocation
+// per pick.
+func TestRouterSubmitAllocsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; guard runs in normal builds")
+	}
+	rt := startReplica(t, func(cfg *runtime.Config) { cfg.WatchdogTimeout = -1 })
+	c := New(Config{})
+	if _, err := c.Add("r0", rt); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	spec := Request{PromptLen: 8, MaxTokens: 4}
+	drain := func(h *runtime.Handle, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h.Next(ctx) != nil {
+		}
+	}
+	direct := func() { drain(rt.SubmitBatchedSpec(ctx, spec)) }
+	routed := func() {
+		h, _, err := c.Submit(ctx, spec)
+		drain(h, err)
+	}
+	for range 256 {
+		direct() // warm the replica; measured ids box to the heap
+		routed()
+	}
+	own, viaRouter := testing.AllocsPerRun(500, direct), testing.AllocsPerRun(500, routed)
+	t.Logf("allocs/request: direct %.2f, routed %.2f", own, viaRouter)
+	if viaRouter > own {
+		t.Fatalf("routing adds %.2f allocations per request", viaRouter-own)
+	}
+}

@@ -452,8 +452,8 @@ func TestSubmitAllocsPerRequest(t *testing.T) {
 		for h.Next(ctx) != nil {
 		}
 	}
-	for range 64 {
-		run() // warm the slab, batch and metrics state
+	for range 256 {
+		run() // warm the slab, batch and metrics state; measured ids box to the heap
 	}
 	const want = 5
 	got := testing.AllocsPerRun(500, run)

@@ -195,8 +195,11 @@ func (d *driver) admit(h *Handle) {
 	h.req.Owner = h
 	d.Pool.Add(h.req)
 	d.rt.resident.Store(int64(d.resident()))
-	d.rt.logEvent(slog.LevelDebug, "request admitted",
-		"id", h.req.ID, "prompt", h.req.PromptLen, "max_tokens", h.req.OutputLen)
+	if d.rt.cfg.Logger != nil {
+		// Guarded: boxing the arguments allocates even when nothing logs.
+		d.rt.logEvent(slog.LevelDebug, "request admitted",
+			"id", h.req.ID, "prompt", h.req.PromptLen, "max_tokens", h.req.OutputLen)
+	}
 }
 
 // cancel aborts a resident request whose abort was requested, once it is

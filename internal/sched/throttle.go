@@ -70,6 +70,14 @@ func (t *Throttle) Schedule(p *Pool, now time.Duration) *Batch {
 func ByName(name string, budget int, params core.Params) (Scheduler, error) {
 	var variant core.Variant
 	switch name {
+	case "sarathi", "gllm-ck", "vllm-ve", "td-pipe":
+		// The budget arrives from a flag: a bad one is an error, not the
+		// constructor's panic.
+		if budget < 1 {
+			return nil, fmt.Errorf("sched: %s token budget %d, want >= 1", name, budget)
+		}
+	}
+	switch name {
 	case "sarathi", "gllm-ck":
 		return NewSarathi(budget), nil
 	case "vllm-ve":

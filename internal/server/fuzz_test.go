@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -56,6 +59,66 @@ func FuzzCompletionRequest(f *testing.F) {
 	})
 }
 
+// FuzzDecodeCompletion diffs decodeCompletion against the decoder of
+// record, json.NewDecoder(http.MaxBytesReader(w, body, maxBodyBytes)).Decode:
+// for every body, delivered whole, a byte at a time, in halves, with its
+// last bytes and EOF in one read, and ending in a read error instead of
+// EOF, it must decode an equal request or fail with the same status and
+// response body. The seeds are the bodies the benchmark client and the
+// remote-replica transport send, and one of each kind the canonical scanner
+// must leave to encoding/json: escapes, keys it would fold (ſ and the
+// Kelvin sign fold to s and k) or not know, null, a duplicate key, numbers
+// that are not decimal integers of the field's size, bytes after the
+// closing brace, a body longer than the head, and one byte over the cap.
+func FuzzDecodeCompletion(f *testing.F) {
+	for _, seed := range []string{
+		`{"prompt_len":64,"max_tokens":13,"stream":true,"prefix_group":5,"shared_prefix_len":32}`,
+		`{"model":"Qwen2.5-14B","prompt":"","prompt_len":64,"max_tokens":8,"stream":true,"prefix_group":3,"shared_prefix_len":16}`,
+		` {"model":"m", "prompt":"héllo wörld", "max_tokens":-0, "stream":false} `,
+		`{"prompt":"line\nbreak"}`, "{\"prompt\":\"bad \xff byte\"}",
+		`{"ſtream":true}`, `{"max_to\u212aens":5}`, "{\"max_to\u212aens\":5}", `{"Max_Tokens":5}`, `{"n":1}`,
+		`{"max_tokens":null}`, `{"max_tokens":1,"max_tokens":2}`, `{"stream":tru}`,
+		`{"max_tokens":1e2}`, `{"max_tokens":1.0}`, `{"max_tokens":01}`,
+		`{"max_tokens":9223372036854775808}`, `{"prefix_group":-9223372036854775808}`,
+		`{"max_tokens":"4"}`, `{"stream":1}`, `{"max_tokens":3} trailing`, `{"max_tokens":3`, ``, `[]`,
+		`{"prompt":"` + strings.Repeat("a", 2*headBytes) + `"}`,
+		`{"prompt":"` + strings.Repeat("a", maxBodyBytes-12) + `"}`, // 1 MiB + 1 bytes
+	} {
+		f.Add([]byte(seed))
+	}
+	errRead := errors.New("connection reset")
+	deliveries := map[string]func([]byte) io.Reader{
+		"whole":   func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"bytes":   func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
+		"halves":  func(b []byte) io.Reader { return iotest.HalfReader(bytes.NewReader(b)) },
+		"dataEOF": func(b []byte) io.Reader { return iotest.DataErrReader(bytes.NewReader(b)) },
+		"reset":   func(b []byte) io.Reader { return io.MultiReader(bytes.NewReader(b), iotest.ErrReader(errRead)) },
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for name, deliver := range deliveries {
+			refW := httptest.NewRecorder()
+			var want CompletionRequest
+			refErr := json.NewDecoder(http.MaxBytesReader(refW, io.NopCloser(deliver(body)), maxBodyBytes)).Decode(&want)
+			gotW := httptest.NewRecorder()
+			var got CompletionRequest
+			err := decodeCompletion(gotW, deliver(body), &got)
+			switch {
+			case (err == nil) != (refErr == nil):
+				t.Fatalf("%s %q: error %v, encoding/json %v", name, body, err, refErr)
+			case err == nil && got != want:
+				t.Fatalf("%s %q: decoded %+v, encoding/json %+v", name, body, got, want)
+			case err != nil:
+				writeBodyError(gotW, err)
+				writeBodyError(refW, refErr)
+				if gotW.Code != refW.Code || gotW.Body.String() != refW.Body.String() {
+					t.Fatalf("%s %q: answered %d %q, encoding/json %d %q", name, body,
+						gotW.Code, gotW.Body, refW.Code, refW.Body)
+				}
+			}
+		}
+	})
+}
+
 // FuzzChunkReader: ChunkReader faces the network twice — the benchmark
 // client and the remote-replica transport both feed it a server's response
 // body. Any byte stream must decode without a panic, to at most one event
@@ -88,7 +151,7 @@ func FuzzChunkReader(f *testing.F) {
 				wantFinish = string([]rune(reason))
 			}
 		}
-		got := readChunks(NewChunkReader(bytes.NewReader(s.appendChunk(nil, "cmpl-1", 1, &ev))))
+		got := readChunks(NewChunkReader(bytes.NewReader(s.appendChunk(nil, 1, 1, &ev))))
 		want := []string{fmt.Sprintf("%q/%q", string([]rune(text)), wantFinish), "EOF"}
 		if !slices.Equal(got, want) {
 			t.Fatalf("appendChunk(%q, %v, %q) read back as %q, want %q", text, finished, reason, got, want)

@@ -158,6 +158,10 @@ type CompletionRequest struct {
 // models served, plus the few hundred bytes of JSON around it.
 const maxBodyBytes = 1 << 20
 
+// traceKey is obs.TraceHeader in canonical form: Header.Get canonicalizes
+// its key, and allocates to do it unless the key already is.
+var traceKey = http.CanonicalHeaderKey(obs.TraceHeader)
+
 // CompletionChunk is the subset of a streamed completion chunk (as
 // appendChunk encodes it) that stream consumers inspect: the token text —
 // empty on the synthetic abort terminator — and the finish reason.
@@ -243,20 +247,25 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	_ = json.NewEncoder(w).Encode(e)
 }
 
+// writeBodyError answers a /v1/completions body that did not decode.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid JSON: %v", err))
+}
+
 func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req CompletionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid JSON: %v", err))
+	if err := decodeCompletion(w, r.Body, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if req.MaxTokens <= 0 {
@@ -275,7 +284,7 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	// (the cluster router propagating its trace to this replica); a
 	// missing or malformed header never rejects — when tracing is on we
 	// mint a fresh ID instead.
-	trace, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader))
+	trace, _ := obs.ParseTraceparent(r.Header.Get(traceKey))
 	if trace == 0 && s.reqSpans != nil {
 		trace = obs.NewTraceID()
 	}
@@ -316,12 +325,11 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 	}
 	streamStart := s.reqSpans.Now(trace)
 	s.recordSpan(trace, obs.SpanAdmit, "", submitStart, streamStart)
-	id := fmt.Sprintf("cmpl-%d", h.ID)
 	var finish string
 	if req.Stream {
-		finish = s.streamCompletion(w, r, id, h)
+		finish = s.streamCompletion(w, r, h)
 	} else {
-		finish = s.bufferedCompletion(w, r, id, promptLen, h)
+		finish = s.bufferedCompletion(w, r, promptLen, h)
 	}
 	end := s.reqSpans.Now(trace)
 	s.recordSpan(trace, obs.SpanStream, finish, streamStart, end)
@@ -331,7 +339,7 @@ func (s *Server) handleCompletions(w http.ResponseWriter, r *http.Request) {
 // bufferedCompletion drains the handle into one JSON response (the
 // non-streaming API shape) and reports the finish reason for span
 // recording ("disconnected" if the client went away mid-generation).
-func (s *Server) bufferedCompletion(w http.ResponseWriter, r *http.Request, id string, promptLen int, h *runtime.Handle) string {
+func (s *Server) bufferedCompletion(w http.ResponseWriter, r *http.Request, promptLen int, h *runtime.Handle) string {
 	var text strings.Builder
 	count := 0
 	finish := string(runtime.FinishLength)
@@ -360,7 +368,7 @@ func (s *Server) bufferedCompletion(w http.ResponseWriter, r *http.Request, id s
 		}
 	}
 	resp := completionResponse{
-		ID:      id,
+		ID:      "cmpl-" + strconv.FormatInt(h.ID, 10),
 		Object:  "text_completion",
 		Created: time.Now().Unix(),
 		Model:   s.modelName,
@@ -388,6 +396,14 @@ var sseBufPool = sync.Pool{New: func() any { return &sseBuf{b: make([]byte, 0, 4
 
 var doneChunk = []byte("data: [DONE]\n\n")
 
+// The SSE response headers, shared by every stream: assigning a prebuilt
+// value slice costs no allocation, where Header.Set builds one per call.
+// Header.Add appends past their capacity, so no writer changes them.
+var (
+	sseContentType  = []string{"text/event-stream"}
+	sseCacheControl = []string{"no-cache"}
+)
+
 // streamCompletion renders tokens as OpenAI-style server-sent events and
 // reports the stream's finish reason for span recording ("disconnected"
 // when the client goes away mid-stream). The hot loop is allocation-free:
@@ -396,14 +412,15 @@ var doneChunk = []byte("data: [DONE]\n\n")
 // written with a single flush. The buffer is borrowed for that one write
 // and returned before the next Handle.Next, so a stream parked waiting for
 // tokens holds none.
-func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, id string, h *runtime.Handle) string {
+func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, h *runtime.Handle) string {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return "unsupported"
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
+	hdr := w.Header()
+	hdr["Content-Type"] = sseContentType
+	hdr["Cache-Control"] = sseCacheControl
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 	// One creation timestamp per stream (OpenAI semantics: chunks of a
@@ -428,7 +445,7 @@ func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, id str
 		buf := sseBufPool.Get().(*sseBuf)
 		b := buf.b[:0]
 		for i := range evs {
-			b = s.appendChunk(b, id, created, &evs[i])
+			b = s.appendChunk(b, h.ID, created, &evs[i])
 			if evs[i].Finished && evs[i].Reason != "" {
 				finish = string(evs[i].Reason)
 			}
@@ -444,13 +461,14 @@ func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, id str
 	}
 }
 
-// appendChunk encodes one token event as an SSE completion chunk,
+// appendChunk encodes one token event of completion id as an SSE chunk,
 // byte-identical to what encoding/json produced for completionResponse
-// (field order, HTML escaping, omitted empty finish_reason and usage).
-func (s *Server) appendChunk(b []byte, id string, created int64, ev *runtime.TokenEvent) []byte {
-	b = append(b, `data: {"id":`...)
-	b = appendJSONString(b, id)
-	b = append(b, `,"object":"text_completion","created":`...)
+// (field order, HTML escaping, omitted empty finish_reason and usage). The
+// id "cmpl-<id>" needs no escaping.
+func (s *Server) appendChunk(b []byte, id, created int64, ev *runtime.TokenEvent) []byte {
+	b = append(b, `data: {"id":"cmpl-`...)
+	b = strconv.AppendInt(b, id, 10)
+	b = append(b, `","object":"text_completion","created":`...)
 	b = strconv.AppendInt(b, created, 10)
 	b = append(b, `,"model":`...)
 	b = append(b, s.modelJSON...)

@@ -88,7 +88,7 @@ func TestAppendChunkMatchesEncoder(t *testing.T) {
 		}
 		want.WriteString("\n")
 
-		got := s.appendChunk(nil, "cmpl-7", created, &ev)
+		got := s.appendChunk(nil, 7, created, &ev)
 		if !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("chunk for %+v\n got %q\nwant %q", ev, got, want.Bytes())
 		}
@@ -338,5 +338,51 @@ func TestParkedStreamHeapBytes(t *testing.T) {
 	if perStream > limit {
 		t.Fatalf("a parked stream holds %.0f B of heap (limit %d): "+
 			"something is kept across Handle.Next", perStream, limit)
+	}
+}
+
+// resetBody is a request body the allocation guard rewinds between runs.
+type resetBody struct{ bytes.Reader }
+
+func (*resetBody) Close() error { return nil }
+
+// TestServeAllocsPerRequest guards what one request costs the serving path
+// beyond what it keeps: a 4-token prefix-group stream through ServeHTTP,
+// with the request and the writer reused, allocates only what the runtime
+// keeps for it: the handle, its request, their two channels and the
+// request's chunk list (TestSubmitAllocsPerRequest). The body decode, the
+// SSE headers, the trace-header lookup, the completion id and the driver's
+// admit add none; through a json.Decoder, Header.Set and a formatted id the
+// path read 18.
+func TestServeAllocsPerRequest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; guard runs in normal builds")
+	}
+	rt := newTestRuntime(t)
+	srv := New(rt, "guard-model")
+	var delivered atomic.Int64
+	w := &countingWriter{tokens: &delivered}
+	body := &resetBody{}
+	req, err := http.NewRequest(http.MethodPost, "/v1/completions", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := []byte(`{"prompt_len":64,"max_tokens":4,"stream":true,"prefix_group":7,"shared_prefix_len":32}`)
+	run := func() {
+		body.Reset(raw)
+		before := delivered.Load()
+		srv.ServeHTTP(w, req)
+		if got := delivered.Load() - before; got != 4 {
+			t.Fatalf("delivered %d tokens, want 4", got)
+		}
+	}
+	for range 256 {
+		run() // warm the slab, batch and metrics state; measured ids box to the heap
+	}
+	const want = 5
+	got := testing.AllocsPerRun(500, run)
+	t.Logf("allocs/request = %.2f", got)
+	if got > want {
+		t.Fatalf("one 4-token stream allocates %.2f objects, want <= %d", got, want)
 	}
 }
