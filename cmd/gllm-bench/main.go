@@ -79,6 +79,9 @@ func loadWorkload(o benchOptions) ([]workload.Item, error) {
 	if !(o.rate > 0 && o.rate <= math.MaxFloat64) { // NaN fails too
 		return nil, fmt.Errorf("-request-rate %g: want a finite rate above 0", o.rate)
 	}
+	if o.duration <= 0 {
+		return nil, fmt.Errorf("-duration %v: want a send window above 0", o.duration)
+	}
 	ds, err := workload.ByName(o.datasetName)
 	if err != nil {
 		return nil, err
@@ -97,6 +100,14 @@ func run(o benchOptions) error {
 		mode = client.PromptAuto
 	default:
 		return fmt.Errorf("unknown -prompt-mode %q (synthetic, real, auto)", o.promptMode)
+	}
+	// The SLO spec is checked before the run, so a typo costs nothing.
+	var ttft, tpot time.Duration
+	if o.goodput != "" {
+		var err error
+		if ttft, tpot, err = parseGoodput(o.goodput); err != nil {
+			return err
+		}
 	}
 	items, err := loadWorkload(o)
 	if err != nil {
@@ -141,10 +152,6 @@ func run(o benchOptions) error {
 		fmt.Printf("  histograms: %s\n", o.histOut)
 	}
 	if o.goodput != "" {
-		ttft, tpot, err := parseGoodput(o.goodput)
-		if err != nil {
-			return err
-		}
 		att := res.Collector.SLOAttainment(ttft, tpot)
 		fmt.Printf("  goodput (ttft<=%v tpot<=%v): %.1f%%\n", ttft, tpot, att*100)
 	}

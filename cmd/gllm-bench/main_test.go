@@ -2,9 +2,14 @@ package main
 
 import (
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,6 +150,34 @@ func TestParseGoodputErrors(t *testing.T) {
 			t.Errorf("%q parsed", spec)
 		}
 	}
+	// run checks the spec, and the send window, before it sends anything.
+	var sent atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { sent.Add(1) }))
+	defer srv.Close()
+	u, err := url.Parse(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	port, err := strconv.Atoi(u.Port())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := benchOptions{host: u.Hostname(), port: port, modelName: "m", datasetName: "sharegpt",
+		rate: 50, duration: time.Second, seed: 1, parallel: 1, promptMode: "synthetic"}
+	for name, mutate := range map[string]func(*benchOptions){
+		"goodput typo": func(o *benchOptions) { o.goodput = "ttft:2000 tpto:100" },
+		"duration 0":   func(o *benchOptions) { o.duration = 0 },
+		"duration -1s": func(o *benchOptions) { o.duration = -time.Second },
+	} {
+		o := base
+		mutate(&o)
+		if err := run(o); err == nil {
+			t.Errorf("%s: run succeeded", name)
+		}
+		if n := sent.Load(); n != 0 {
+			t.Fatalf("%s: %d requests sent before the error", name, n)
+		}
+	}
 }
 
 // -splitwise-path replays a recorded Azure CSV in place of the synthesized
@@ -167,6 +200,12 @@ func TestLoadWorkloadSplitwisePath(t *testing.T) {
 	}
 	if _, err := loadWorkload(benchOptions{datasetName: "pile", rate: 1, duration: time.Second}); err == nil {
 		t.Fatal("unknown dataset accepted")
+	}
+	// A window of 0 or less used to panic in the Poisson synthesis.
+	for _, d := range []time.Duration{0, -time.Second} {
+		if _, err := loadWorkload(benchOptions{datasetName: "sharegpt", rate: 1, duration: d}); err == nil {
+			t.Errorf("-duration %v accepted", d)
+		}
 	}
 	// A NaN or +Inf -request-rate never ends the arrival window.
 	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {

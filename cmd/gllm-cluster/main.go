@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -167,9 +168,28 @@ func replicaFactory(o clusterOptions, spans *obs.ReqRecorder) (func() (cluster.E
 	}, nil
 }
 
+// checkOptions rejects the flag values that would panic in the topology,
+// serve every request a 429, or wrap no cause in the router's error.
+func checkOptions(o clusterOptions) error {
+	switch {
+	case o.pp < 1:
+		return fmt.Errorf("-pp %d: want at least 1 stage", o.pp)
+	case o.replicas < 0:
+		return fmt.Errorf("-replicas %d: want 0 or more", o.replicas)
+	case o.replicas == 0 && len(o.remotes) == 0:
+		return errors.New("-replicas 0 and no -replica: nothing to route to")
+	case o.retry.MaxAttempts < 0:
+		return fmt.Errorf("-retry-attempts %d: want 0 (the default) or more", o.retry.MaxAttempts)
+	}
+	return nil
+}
+
 // buildCluster assembles the router, its initial replicas (in-process
 // r0…rN-1, then remote0…) and the HTTP frontend over them.
 func buildCluster(o clusterOptions, logger *slog.Logger) (*cluster.Router, *cluster.Frontend, error) {
+	if err := checkOptions(o); err != nil {
+		return nil, nil, err
+	}
 	pol, err := cluster.ByName(o.policy, o.seed)
 	if err != nil {
 		return nil, nil, err

@@ -104,7 +104,8 @@ var ErrNoReplica = fmt.Errorf("cluster: no routable replica: %w", runtime.ErrQue
 
 // RetryPolicy bounds the router's retry-on-429 behavior.
 type RetryPolicy struct {
-	// MaxAttempts is the total number of submission attempts (default 4).
+	// MaxAttempts is the total number of submission attempts (default 4,
+	// which a value below 1 also gets).
 	MaxAttempts int
 	// BaseDelay seeds the exponential backoff: attempt i waits
 	// BaseDelay<<i before re-picking (default 5ms).
@@ -123,7 +124,7 @@ type RetryPolicy struct {
 }
 
 func (rp *RetryPolicy) applyDefaults() {
-	if rp.MaxAttempts == 0 {
+	if rp.MaxAttempts < 1 {
 		rp.MaxAttempts = 4
 	}
 	if rp.BaseDelay == 0 {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,5 +185,26 @@ func TestSubmitNoRoutableReplica(t *testing.T) {
 	}
 	if bad.submits != 0 {
 		t.Fatalf("degraded replica received %d submissions", bad.submits)
+	}
+}
+
+// A MaxAttempts below 1 still makes attempts, so the terminal error always
+// wraps a real cause; with none made it read "gave up after 0 attempts …
+// %!w(<nil>)".
+func TestSubmitNegativeMaxAttempts(t *testing.T) {
+	eng := newFakeEngine(okPressure())
+	eng.rejectFirst = 100
+	retry := RetryPolicy{MaxAttempts: -3, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond,
+		Budget: time.Hour}
+	r, _ := newTestRouter(t, retry, eng)
+	_, _, err := r.Submit(context.Background(), Request{PromptLen: 8, MaxTokens: 4})
+	if !errors.Is(err, runtime.ErrQueueFull) {
+		t.Fatalf("err = %v, want one wrapping ErrQueueFull", err)
+	}
+	if strings.Contains(err.Error(), "%!") {
+		t.Fatalf("err %q wraps a nil error", err)
+	}
+	if eng.submits == 0 {
+		t.Fatal("no attempt made")
 	}
 }

@@ -275,8 +275,8 @@ func TestTable1OutputEquivalence(t *testing.T) {
 	if !res.OutputsMatch {
 		t.Fatalf("outputs diverged: %016x vs %016x", res.DigestGLLM, res.DigestSarathi)
 	}
-	if res.LinesOfCode <= 0 {
-		t.Fatalf("LoC = %d", res.LinesOfCode)
+	if res.LinesOfCode <= 0 || res.coreLines <= 0 || res.coreLines >= res.LinesOfCode {
+		t.Fatalf("LoC = %d, core %d", res.LinesOfCode, res.coreLines)
 	}
 	if res.PaperLoC["vLLM"] != 226874 {
 		t.Fatal("paper LoC row wrong")

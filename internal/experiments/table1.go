@@ -3,8 +3,10 @@ package experiments
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,7 +40,15 @@ type Table1Result struct {
 	// DigestGLLM / DigestSarathi are FNV-1a digests over all output tokens.
 	DigestGLLM    uint64
 	DigestSarathi uint64
+
+	// coreLines is the part of LinesOfCode under coreDirs.
+	coreLines int
 }
+
+// coreDirs are the internal/ directories of the core and its substrate — the
+// scheduler, KV cache, engines, runtime and cost model — that Table 1 sets
+// against the paper's 3 874 lines.
+var coreDirs = []string{"core", "sched", "kvcache", "request", "engine", "sim", "runtime", "gpu", "network", "model"}
 
 // Table1Equivalence serves n requests through two live runtimes — one
 // scheduled by gLLM Token Throttling, one by Sarathi-Serve — and compares
@@ -133,6 +143,14 @@ func Table1Equivalence(seed uint64, n int, srcRoot string) (*Table1Result, error
 			return nil, fmt.Errorf("experiments table1: loc: %w", err)
 		}
 		res.LinesOfCode = loc
+		for _, dir := range coreDirs {
+			// A root that is not the repository's has no core to count.
+			n, err := CountGoLines(filepath.Join(srcRoot, "internal", dir), false)
+			if err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return nil, fmt.Errorf("experiments table1: loc: %w", err)
+			}
+			res.coreLines += n
+		}
 	}
 	return res, nil
 }
@@ -145,9 +163,9 @@ func (r *Table1Result) String() string {
 	}
 	return fmt.Sprintf(
 		"Table 1 — size and output quality\n"+
-			"  paper LoC: gLLM %d, SGLang %d, vLLM %d; this reproduction: %d\n"+
+			"  paper LoC: gLLM %d, SGLang %d, vLLM %d; this reproduction: %d, core %d\n"+
 			"  output equivalence over %d requests: %s (gllm %016x vs sarathi %016x)\n",
-		r.PaperLoC["gLLM"], r.PaperLoC["SGLang"], r.PaperLoC["vLLM"], r.LinesOfCode,
+		r.PaperLoC["gLLM"], r.PaperLoC["SGLang"], r.PaperLoC["vLLM"], r.LinesOfCode, r.coreLines,
 		r.Requests, match, r.DigestGLLM, r.DigestSarathi)
 }
 

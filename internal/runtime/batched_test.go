@@ -277,6 +277,82 @@ func TestBatchedContextCancel(t *testing.T) {
 	<-h.Done()
 }
 
+// nonComparableCtx is a context whose dynamic type cannot be compared, so
+// Next must compare Done channels, never contexts.
+type nonComparableCtx struct {
+	context.Context
+	_ []int
+}
+
+// A consumer parked in Next returns nil within a second of its context's
+// cancellation — under the submit context through the abort hook's wake,
+// under any other context through its own Done — and the request ends
+// cancelled. The lone request is held in a stalled first batch, so the
+// consumer has nothing to read until the cancel.
+func TestNextWakesOnSubmitCancel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ctxs func(context.Context) (submit, next context.Context)
+	}{
+		{"submit context", func(c context.Context) (context.Context, context.Context) { return c, c }},
+		{"foreign context", func(c context.Context) (context.Context, context.Context) {
+			return context.Background(), c
+		}},
+		{"non-comparable context", func(c context.Context) (context.Context, context.Context) {
+			nc := nonComparableCtx{Context: c}
+			return nc, nc
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			unstall := sync.OnceFunc(func() { close(release) })
+			defer unstall() // before startRuntime's Close, which waits for the batch
+			rt := startRuntime(t, func(cfg *Config) {
+				cfg.WatchdogTimeout = -1
+				cfg.StageFault = func(stage, seq int) time.Duration {
+					if stage == 0 && seq == 1 {
+						<-release
+					}
+					return 0
+				}
+			})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			submitCtx, nextCtx := tc.ctxs(ctx)
+			h, err := rt.SubmitBatchedSpec(submitCtx, SubmitSpec{PromptLen: 16, MaxTokens: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan []TokenEvent, 1)
+			go func() { got <- h.Next(nextCtx) }()
+			waitFor(t, "the consumer to park", func() bool {
+				h.dmu.Lock()
+				defer h.dmu.Unlock()
+				return h.waiting
+			})
+			cancel()
+			select {
+			case evs := <-got:
+				if evs != nil {
+					t.Fatalf("Next returned %+v after cancel, want nil", evs)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Next still parked 1 s after cancel")
+			}
+			h.Cancel() // what a frontend does when its client goes away
+			unstall()
+			select {
+			case <-h.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatal("request not terminated after cancel")
+			}
+			if r := h.FinishReason(); r != FinishCancelled {
+				t.Fatalf("FinishReason = %q, want %q", r, FinishCancelled)
+			}
+		})
+	}
+}
+
 // Graceful drain completes queued batched work (streams end with "length"),
 // mirroring the per-token drain guarantee.
 func TestBatchedShutdownDrains(t *testing.T) {

@@ -301,7 +301,8 @@ func (d *driver) retired(b *sched.Batch, _ []*request.Request) {
 // emit streams the tokens a request gained since its last delivery
 // (indices Emitted..Generated-1); the watermark lives on the request, so
 // emit is idempotent within a batch. Never blocks the driver: one slab
-// append and one wakeup per request per retired batch.
+// append per request per retired batch, and a wakeup only for a consumer
+// parked in Next.
 func (d *driver) emit(r *request.Request) {
 	h, _ := r.Owner.(*Handle)
 	if h == nil {
@@ -329,8 +330,7 @@ func (d *driver) emit(r *request.Request) {
 		}
 		s.evs = append(s.evs, ev)
 	}
-	h.dmu.Unlock()
-	h.notifyDelivery()
+	h.release()
 	r.MarkEmitted(gen)
 	if fin {
 		d.finish(h, FinishLength)

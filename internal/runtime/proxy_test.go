@@ -189,3 +189,76 @@ func TestPendingSlabSizedToDelivery(t *testing.T) {
 		}
 	}
 }
+
+// A feeder wakes the consumer only while it is parked in Next: deliveries
+// to a consumer that is busy elsewhere leave no token in notify, so its next
+// park waits for a real delivery instead of making an empty lap. A parked
+// consumer takes the one token its wake sends.
+func TestNoStaleWake(t *testing.T) {
+	h, f := NewProxyHandle(3, nil)
+	f.Deliver(TokenEvent{ReqID: 3, Index: 0, Text: "a "})
+	f.Deliver(TokenEvent{ReqID: 3, Index: 1, Text: "b "})
+	if evs := h.Next(context.Background()); len(evs) != 2 {
+		t.Fatalf("one Next drained %d events, want 2", len(evs))
+	}
+	if n := len(h.notify); n != 0 {
+		t.Fatalf("notify holds %d stale wakes after the drain", n)
+	}
+
+	got := make(chan int, 1)
+	go func() { got <- len(h.Next(context.Background())) }()
+	for parked := false; !parked; {
+		time.Sleep(time.Millisecond)
+		h.dmu.Lock()
+		parked = h.waiting
+		h.dmu.Unlock()
+	}
+	f.Deliver(TokenEvent{ReqID: 3, Index: 2, Text: "c "})
+	if n := <-got; n != 1 {
+		t.Fatalf("woken Next returned %d events, want 1", n)
+	}
+	if n := len(h.notify); n != 0 {
+		t.Fatalf("notify holds %d wakes after a parked consumer took its own", n)
+	}
+}
+
+// A one-event spare is refilled delivery after delivery without the pool:
+// a Next under a done context hands the consumer's slab back as the spare
+// and returns at once. A slab grown past spareEvents by a lagging consumer
+// is not kept, and a closed stream keeps none.
+func TestSpareSlabRefilled(t *testing.T) {
+	h, f := NewProxyHandle(5, nil)
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	first := &eventSlab{evs: make([]TokenEvent, 0, 1)}
+	h.spare = first
+	for i := 0; i < 16; i++ {
+		f.Deliver(TokenEvent{ReqID: 5, Index: i})
+		evs := h.Next(context.Background())
+		if len(evs) != 1 || evs[0].Index != i {
+			t.Fatalf("delivery %d read back as %+v", i, evs)
+		}
+		if h.cur != first {
+			t.Fatalf("delivery %d went into another slab than the spare", i)
+		}
+		if h.Next(done) != nil || h.spare != first {
+			t.Fatalf("after delivery %d the slab is not the spare again", i)
+		}
+	}
+	f.Deliver(make([]TokenEvent, spareEvents+1)...)
+	if evs := h.Next(context.Background()); len(evs) != spareEvents+1 {
+		t.Fatalf("lagging delivery read back %d events, want %d", len(evs), spareEvents+1)
+	}
+	h.Next(done)
+	if h.spare != nil {
+		t.Fatalf("kept a spare of %d events, want the grown slab pooled", cap(h.spare.evs))
+	}
+	h.spare = &eventSlab{evs: make([]TokenEvent, 0, 1)}
+	f.Close(FinishLength)
+	if h.Next(context.Background()) != nil {
+		t.Fatal("stream not terminated")
+	}
+	if h.spare != nil || h.cur != nil {
+		t.Fatal("a closed stream still holds a slab")
+	}
+}

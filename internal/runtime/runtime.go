@@ -209,19 +209,27 @@ type Handle struct {
 	// abort reason in place of the driver's cancelCh path.
 	onCancel func(FinishReason)
 	// stopWatch unregisters the submitter context's abort hook; nil when
-	// the context can never be cancelled.
+	// the context can never be cancelled. watched is that context's Done
+	// channel: the hook wakes a consumer parked in Next, so Next under it
+	// needs no second channel to wait on.
 	stopWatch func() bool
+	watched   <-chan struct{}
 
 	// Slab delivery: the feeding side appends to pending under dmu — a
 	// short critical section, so it never blocks on a slow consumer — and
-	// pokes notify (capacity 1, non-blocking) once per delivery.
+	// sends on notify only when waiting says the consumer is parked in
+	// Next. Clearing the flag under dmu makes that send the one token per
+	// park, so notify never holds a stale wake.
 	dmu     sync.Mutex
 	pending *eventSlab
 	dclosed bool
+	waiting bool
 	notify  chan struct{}
-	// cur is the slab most recently returned by Next; recycled on the
-	// following Next call.
-	cur *eventSlab
+	// cur is the slab most recently returned by Next; the following Next
+	// call makes it spare, the slab slab() refills before it takes one from
+	// the pool.
+	cur   *eventSlab
+	spare *eventSlab
 }
 
 // Done returns a channel closed when the request reaches a terminal state
@@ -269,39 +277,86 @@ func (h *Handle) Next(ctx context.Context) []TokenEvent {
 }
 
 // next is Next without the shim check: the Submit shim's pump drains
-// through it.
+// through it. It parks only after setting waiting under dmu. Under the
+// submit context, or none, it then waits on notify alone: the context's
+// hook runs after Done closes, so either the check of Done sees it closed
+// or the hook finds the flag set and wakes it.
 func (h *Handle) next(ctx context.Context) []TokenEvent {
-	if h.cur != nil {
-		h.cur.evs = h.cur.evs[:0]
-		slabPool.Put(h.cur)
-		h.cur = nil
-	}
 	var cancelled <-chan struct{}
 	if ctx != nil {
 		cancelled = ctx.Done()
 	}
+	h.dmu.Lock()
+	if h.cur != nil {
+		h.recycle(h.cur)
+		h.cur = nil
+	}
 	for {
-		h.dmu.Lock()
 		s := h.pending
 		h.pending = nil
-		closed := h.dclosed
-		h.dmu.Unlock()
 		if s != nil && len(s.evs) > 0 {
 			h.cur = s
+			h.dmu.Unlock()
 			return s.evs
 		}
 		if s != nil {
-			slabPool.Put(s) // delivered empty: recycle immediately
+			h.recycle(s) // delivered empty
 		}
-		if closed {
+		if h.dclosed {
+			h.dmu.Unlock()
 			return nil
 		}
-		select {
-		case <-h.notify:
-		case <-cancelled:
-			return nil
+		h.waiting = true
+		h.dmu.Unlock()
+		if cancelled == nil || cancelled == h.watched {
+			select {
+			case <-cancelled:
+				h.unpark()
+				return nil
+			default:
+			}
+			<-h.notify
+		} else {
+			select {
+			case <-h.notify:
+			case <-cancelled:
+				h.unpark()
+				return nil
+			}
 		}
+		h.dmu.Lock()
 	}
+}
+
+// unpark withdraws a consumer that stops waiting without a wake. A cleared
+// flag means a feeder took the park and is sending its token: it is
+// received here, so the next park starts from an empty notify.
+func (h *Handle) unpark() {
+	h.dmu.Lock()
+	parked := h.waiting
+	h.waiting = false
+	h.dmu.Unlock()
+	if !parked {
+		<-h.notify
+	}
+}
+
+// spareEvents caps the slab an open stream keeps as its spare, at 8 KiB.
+// Under load tokens pile up while a consumer waits for a CPU, so slabs grow
+// to tens of events: on long_prompt a one-event cap kept 0.04 % of them, 32
+// events half, 128 all but 0.1 %. The pool hands out grown slabs anyway.
+const spareEvents = 128
+
+// recycle hands back a slab the consumer is done with: it becomes the spare
+// of an open stream that has none, unless it grew past spareEvents, and goes
+// to the pool otherwise. The caller holds dmu.
+func (h *Handle) recycle(s *eventSlab) {
+	s.evs = s.evs[:0]
+	if cap(s.evs) <= spareEvents && h.spare == nil && !h.dclosed {
+		h.spare = s
+		return
+	}
+	slabPool.Put(s)
 }
 
 // Snapshot is a point-in-time view of runtime state.
@@ -509,19 +564,22 @@ type eventSlab struct{ evs []TokenEvent }
 
 var slabPool = sync.Pool{New: func() any { return &eventSlab{evs: make([]TokenEvent, 0, 1)} }}
 
-// slab returns the slab the next events are appended to, taking one from
-// the pool when the consumer has swapped the last one out. The caller
-// holds dmu.
+// slab returns the slab the next events are appended to: the pending one,
+// else the handle's spare, else one from the pool. The caller holds dmu.
 func (h *Handle) slab() *eventSlab {
 	if h.pending == nil {
-		h.pending = slabPool.Get().(*eventSlab)
+		if h.spare != nil {
+			h.pending, h.spare = h.spare, nil
+		} else {
+			h.pending = slabPool.Get().(*eventSlab)
+		}
 	}
 	return h.pending
 }
 
-// deliver appends events for the consumer's next Next call and wakes it.
-// It never blocks on the consumer (slabs grow as needed) and is a no-op
-// once the stream is terminated.
+// deliver appends events for the consumer's next Next call and wakes it if
+// it is parked. It never blocks on the consumer (slabs grow as needed) and
+// is a no-op once the stream is terminated.
 func (h *Handle) deliver(evs ...TokenEvent) {
 	h.dmu.Lock()
 	if h.dclosed {
@@ -530,8 +588,7 @@ func (h *Handle) deliver(evs ...TokenEvent) {
 	}
 	s := h.slab()
 	s.evs = append(s.evs, evs...)
-	h.dmu.Unlock()
-	h.notifyDelivery()
+	h.release()
 }
 
 // terminate ends the stream with its reason; the feeding side calls it
@@ -542,16 +599,22 @@ func (h *Handle) terminate(reason FinishReason) {
 	close(h.done)
 	h.dmu.Lock()
 	h.dclosed = true
-	h.dmu.Unlock()
-	h.notifyDelivery()
+	if h.spare != nil {
+		slabPool.Put(h.spare)
+		h.spare = nil
+	}
+	h.release()
 }
 
-// notifyDelivery wakes a Next waiter; never blocks (capacity-1 channel: a
-// pending token already guarantees a wakeup).
-func (h *Handle) notifyDelivery() {
-	select {
-	case h.notify <- struct{}{}:
-	default:
+// release unlocks dmu and, when the consumer is parked, sends its one wake.
+// The caller holds dmu. The send never blocks: notify is empty whenever the
+// flag is set (next and unpark each receive the token a park was sent).
+func (h *Handle) release() {
+	parked := h.waiting
+	h.waiting = false
+	h.dmu.Unlock()
+	if parked {
+		h.notify <- struct{}{}
 	}
 }
 
@@ -722,7 +785,12 @@ func (rt *Runtime) SubmitBatchedSpec(ctx context.Context, spec SubmitSpec) (*Han
 		// Registered before the handle reaches the driver, whose finish
 		// unregisters it. A hook that fires first finds the request
 		// unadmitted, and admit aborts it.
+		h.watched = ctx.Done()
 		h.stopWatch = context.AfterFunc(ctx, func() {
+			// Wake a consumer parked in Next to see ctx done, before the
+			// cancel, which can wait on a busy driver.
+			h.dmu.Lock()
+			h.release()
 			reason := FinishCancelled
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				reason = FinishTimeout

@@ -424,8 +424,11 @@ func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, h *run
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 	// One creation timestamp per stream (OpenAI semantics: chunks of a
-	// completion share the response's creation time).
-	created := time.Now().Unix()
+	// completion share the response's creation time), so every chunk starts
+	// with the same head, rendered once. The array holds a model name of
+	// about 120 bytes; a longer one moves the head to the heap, once.
+	var headBuf [256]byte
+	head := s.appendChunkHead(headBuf[:0], h.ID, time.Now().Unix())
 	ctx := r.Context()
 	finish := string(runtime.FinishLength)
 	for {
@@ -445,7 +448,7 @@ func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, h *run
 		buf := sseBufPool.Get().(*sseBuf)
 		b := buf.b[:0]
 		for i := range evs {
-			b = s.appendChunk(b, h.ID, created, &evs[i])
+			b = appendChunkTail(append(b, head...), &evs[i])
 			if evs[i].Finished && evs[i].Reason != "" {
 				finish = string(evs[i].Reason)
 			}
@@ -463,16 +466,27 @@ func (s *Server) streamCompletion(w http.ResponseWriter, r *http.Request, h *run
 
 // appendChunk encodes one token event of completion id as an SSE chunk,
 // byte-identical to what encoding/json produced for completionResponse
-// (field order, HTML escaping, omitted empty finish_reason and usage). The
-// id "cmpl-<id>" needs no escaping.
+// (field order, HTML escaping, omitted empty finish_reason and usage): the
+// stream's constant head, then the event's tail.
 func (s *Server) appendChunk(b []byte, id, created int64, ev *runtime.TokenEvent) []byte {
+	return appendChunkTail(s.appendChunkHead(b, id, created), ev)
+}
+
+// appendChunkHead appends the part of a chunk every event of a stream
+// shares, up to the token text. The id "cmpl-<id>" needs no escaping.
+func (s *Server) appendChunkHead(b []byte, id, created int64) []byte {
 	b = append(b, `data: {"id":"cmpl-`...)
 	b = strconv.AppendInt(b, id, 10)
 	b = append(b, `","object":"text_completion","created":`...)
 	b = strconv.AppendInt(b, created, 10)
 	b = append(b, `,"model":`...)
 	b = append(b, s.modelJSON...)
-	b = append(b, `,"choices":[{"text":`...)
+	return append(b, `,"choices":[{"text":`...)
+}
+
+// appendChunkTail appends the part of a chunk that is the event's own: its
+// text and, on the terminal event, its finish reason.
+func appendChunkTail(b []byte, ev *runtime.TokenEvent) []byte {
 	b = appendJSONString(b, ev.Text)
 	b = append(b, `,"index":0`...)
 	if ev.Finished {

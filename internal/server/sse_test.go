@@ -285,8 +285,8 @@ func (w parkingWriter) Flush()          {}
 // TestParkedStreamHeapBytes guards what an open stream costs while it waits
 // for tokens: 2048 streams each receive one token, write it and park in
 // Handle.Next, and the heap they hold between them is read after forced
-// collections. Encode buffers and event slabs are borrowed per delivery, so
-// a parked stream keeps only its request, handle and context; while a
+// collections. Encode buffers are borrowed per delivery, so a parked stream
+// keeps only its request, handle, context and one spare event slab; while a
 // stream held a 4 KiB encode buffer for its whole life it read about 4.5 KiB.
 func TestParkedStreamHeapBytes(t *testing.T) {
 	if raceEnabled {
