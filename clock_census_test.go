@@ -17,7 +17,7 @@ import (
 // them behind an injectable clock, and a reading nothing uses is a cost on
 // a hot path (readings the live runtime threw away at TimeScale 0 were
 // 13 % of decode_stream's CPU). Lower it when a change removes sites.
-const clockCallSites = 31
+const clockCallSites = 29
 
 // clockFuncs are the package time functions that read or wait on the wall
 // clock (time.After and time.AfterFunc by prefix).

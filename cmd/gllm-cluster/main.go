@@ -56,7 +56,7 @@ func main() {
 		memUtil   = flag.Float64("gpu-memory-util", 0.9, "GPU memory utilization")
 		schedName = flag.String("sched", "gllm", "scheduler: gllm, sarathi, gllm-no-wt, gllm-no-ut, gllm-ck")
 		budget    = flag.Int("token-budget", 2048, "Sarathi token budget")
-		timeScale = flag.Float64("time-scale", 0, "emulated GPU time scale (0 = no sleeping)")
+		timeScale = flag.Float64("time-scale", 0, "emulated GPU time scale (0 = no emulated time)")
 		prefix    = flag.Bool("enable-prefix-cache", true, "reuse KV across requests sharing a prefix group")
 
 		retryAttempts = flag.Int("retry-attempts", 4, "submission attempts before giving up (429 → retry)")

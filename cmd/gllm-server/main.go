@@ -77,7 +77,7 @@ func main() {
 	flag.IntVar(&o.params.MaxP, "maxp", 2048, "gLLM #MaxP")
 	flag.IntVar(&o.params.MinP, "minp", 32, "gLLM #MinP")
 	flag.Float64Var(&o.params.KVThresh, "kvthresh", 0.05, "gLLM KV_thresh")
-	flag.Float64Var(&o.timeScale, "time-scale", 0, "emulated GPU time scale (0 = no sleeping, 1 = modeled real time)")
+	flag.Float64Var(&o.timeScale, "time-scale", 0, "emulated GPU time scale (0 = no emulated time, 1 = modeled real time)")
 	flag.BoolVar(&o.syncRuntime, "sync-runtime", false, "use the coupled (vLLM-like) runtime instead of async")
 	flag.BoolVar(&o.enableCPP, "enable-cpp", false, "pipeline prompt chunks across micro-batches")
 	flag.BoolVar(&o.prefixCache, "enable-prefix-cache", false, "reuse KV across requests sharing a prefix group")

@@ -14,7 +14,7 @@
 //	internal/sched       iteration-level schedulers (Sarathi baseline, gLLM)
 //	internal/engine      virtual-time engines: pipeline-, tensor-, token-
 //	                     parallel (TKNP) and disaggregated prefill/decode
-//	internal/runtime     concurrent async runtime (driver + stage workers)
+//	internal/runtime     concurrent async runtime (driver + clock goroutine)
 //	internal/server      OpenAI-compatible REST frontend
 //	internal/client      open-loop benchmark client
 //	internal/experiments per-figure/table reproduction drivers

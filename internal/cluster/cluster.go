@@ -3,8 +3,8 @@
 // replicas architecture the serving system needs before it can face
 // "millions of users".
 //
-// Each replica is a full runtime.Runtime — its own driver, pipeline
-// workers, KV cache, admission control, and health surface. The router:
+// Each replica is a full runtime.Runtime — its own driver, priced
+// pipeline, KV cache, admission control, and health surface. The router:
 //
 //   - routes every submission through a pluggable Policy (random,
 //     round-robin, least-KV-pressure, prefix-affinity — see policy.go),

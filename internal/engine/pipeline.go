@@ -73,8 +73,7 @@ func (c *chain) ran(mb *microBatch) {
 		mb.loop.retire(mb)
 		return
 	}
-	actBytes := int64(tokens) * r.cfg.Model.ActivationBytesPerToken()
-	xfer := r.cfg.Topo.Hop(hop).TransferTime(actBytes)
+	xfer := r.cfg.HopTime(hop, tokens)
 	r.cfg.Spans.Record(hop, obs.KindXfer, mb.seq, tokens, now, now+xfer)
 	r.eng.After(xfer, mb.arrived)
 }

@@ -36,6 +36,12 @@ func PlanPipeline(cfg *Config) (cost gpu.CostModel, stageLayers []int, kvCap int
 	return
 }
 
+// HopTime prices a batch of tokens' activations over topology hop i, from
+// stage i to stage i+1: the chain's transfer and the live pipeline's.
+func (cfg *Config) HopTime(i, tokens int) time.Duration {
+	return cfg.Topo.Hop(i).TransferTime(int64(tokens) * cfg.Model.ActivationBytesPerToken())
+}
+
 // stages splits cfg.Model over depth stages and sizes the KV cache the
 // weights leave them; where names the replica in a capacity error.
 func (cfg *Config) stages(cost *gpu.CostModel, depth int, where string) ([]int, int64, error) {

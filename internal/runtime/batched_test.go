@@ -287,7 +287,7 @@ type nonComparableCtx struct {
 // A consumer parked in Next returns nil within a second of its context's
 // cancellation — under the submit context through the abort hook's wake,
 // under any other context through its own Done — and the request ends
-// cancelled. The lone request is held in a stalled first batch, so the
+// cancelled. The lone request is held in a first batch stalled 2 s, so the
 // consumer has nothing to read until the cancel.
 func TestNextWakesOnSubmitCancel(t *testing.T) {
 	for _, tc := range []struct {
@@ -304,14 +304,12 @@ func TestNextWakesOnSubmitCancel(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			release := make(chan struct{})
-			unstall := sync.OnceFunc(func() { close(release) })
-			defer unstall() // before startRuntime's Close, which waits for the batch
+			t.Parallel()
 			rt := startRuntime(t, func(cfg *Config) {
 				cfg.WatchdogTimeout = -1
 				cfg.StageFault = func(stage, seq int) time.Duration {
 					if stage == 0 && seq == 1 {
-						<-release
+						return 2 * time.Second
 					}
 					return 0
 				}
@@ -340,7 +338,6 @@ func TestNextWakesOnSubmitCancel(t *testing.T) {
 				t.Fatal("Next still parked 1 s after cancel")
 			}
 			h.Cancel() // what a frontend does when its client goes away
-			unstall()
 			select {
 			case <-h.Done():
 			case <-time.After(10 * time.Second):

@@ -12,13 +12,14 @@ import (
 )
 
 // driver is the driver worker (§3.3): it owns the request pool, the KV
-// cache and the scheduler, admits requests from the frontend, injects
-// micro-batches into stage 0, and retires batches arriving from the last
-// stage — emitting token events to the submitters. Its whole pipeline seam
-// is one send into stage 0's workCh, one receive from doneCh and one close
-// at exit. It is engine.loop's fill/retire protocol on goroutines and wall
-// time: both run the same engine.Step (DESIGN.md §10 says where its hooks
-// fire here).
+// cache and the scheduler, admits requests from the frontend, prices each
+// micro-batch's prep, stage and hop windows as it injects it, and retires
+// batches the clock goroutine hands back when their last window ends —
+// emitting token events to the submitters. Its whole pipeline seam is one
+// send on pipeCh, one receive from doneCh and one close of pipeCh at exit.
+// It is engine.loop's fill/retire protocol on goroutines and wall time:
+// both run the same engine.Step and price a batch alike (DESIGN.md §10 says
+// where its hooks fire here).
 //
 // Its state is the pool plus the slots: the pool's two queues are the table
 // of resident requests, each reaching its Handle through request.Owner.
@@ -33,7 +34,14 @@ import (
 type driver struct {
 	*engine.Step[*microBatch] // the pool and the slots, one per stage
 	rt                        *Runtime
+	plan                      *engine.Config
 	prep                      engine.RuntimeModel // prices the control-plane CPU work
+
+	// The pipeline's state on the runtime clock: when each stage is free
+	// of the batches injected so far, and when a coupled runtime's driver
+	// CPU is free of their prep.
+	stageFree []time.Duration
+	cpuFree   time.Duration
 
 	// stopCh and killCh are the runtime's until their close is observed,
 	// then nil so the select stops receiving from them.
@@ -50,15 +58,17 @@ const gaugePublishEvery = 64
 
 func newDriver(rt *Runtime, plan *engine.Config) *driver {
 	d := &driver{
-		rt:     rt,
-		prep:   engine.VLLMRuntime,
-		stopCh: rt.stopCh,
-		killCh: rt.killCh,
+		rt:        rt,
+		plan:      plan,
+		prep:      engine.VLLMRuntime,
+		stageFree: make([]time.Duration, len(rt.stageLayers)),
+		stopCh:    rt.stopCh,
+		killCh:    rt.killCh,
 	}
 	if rt.cfg.Async {
 		d.prep = engine.GLLMRuntime
 	}
-	slots := make([]*microBatch, len(rt.workers))
+	slots := make([]*microBatch, len(d.stageFree))
 	for i := range slots {
 		slots[i] = new(microBatch)
 	}
@@ -104,7 +114,7 @@ func (d *driver) run() {
 }
 
 // inFlight is the number of micro-batches inside the pipeline.
-func (d *driver) inFlight() int { return len(d.rt.workers) - d.Free() }
+func (d *driver) inFlight() int { return len(d.stageFree) - d.Free() }
 
 // resident is the number of admitted, unfinished requests: the pool's.
 func (d *driver) resident() int { return d.Pool.PrefillQueueLen() + d.Pool.RunningDecode() }
@@ -173,7 +183,7 @@ func (d *driver) exit() {
 	if err := d.Final(rt.clock()); err != nil {
 		rt.logEvent(slog.LevelError, "observer violation", "err", err)
 	}
-	close(rt.workers[0].workCh)
+	close(rt.pipeCh)
 	d.publishGauges()
 	rt.exited.Store(true)
 	finished, cancelled := rt.outcomes()
@@ -224,10 +234,10 @@ func quiescent(r *request.Request) bool {
 	return r.InFlightChunks() == 0 && !r.DecodeBusy()
 }
 
-// fill schedules fresh batches into the free slots: schedule → prep →
-// inject. now is the event's one reading of the runtime clock; it feeds
-// Schedule, the heartbeat and the prep span, and is read again only after
-// an emulated prep sleep. A killed driver schedules nothing more.
+// fill schedules fresh batches into the free slots: schedule → price →
+// hand to the clock goroutine. now is the event's one reading of the
+// runtime clock; it feeds Schedule, the heartbeat and the batch's windows.
+// A killed driver schedules nothing more.
 func (d *driver) fill(now time.Duration) {
 	rt := d.rt
 	for !d.killed {
@@ -239,18 +249,52 @@ func (d *driver) fill(now time.Duration) {
 		mb.seq, mb.batch, mb.shape = int(rt.iterations.Add(1)), b, b.Shape()
 		rt.inFlight.Store(int64(d.inFlight()))
 		rt.beat(now)
-		prepStart := now
-		if rt.emulates() {
-			// The coupled runtime pays its whole input preparation here, on
-			// the critical path; the async one only its Token Throttling
-			// residual (§3.4), as the kernel's fill charges them.
-			prep := d.prep.PrepTime(len(b.Chunks)+len(b.Decodes), b.Tokens())
-			if rt.sleepScaled(prep) > 0 {
-				now = rt.clock()
-			}
+		d.price(mb, now)
+		rt.pipeCh <- mb
+	}
+}
+
+// price computes the windows of mb, injected at now, as the kernel's fill
+// and chain do: its prep, then on each stage an execute window that opens
+// once the stage is free and the activations have arrived (pushed back by
+// an injected StageFault), then the hop to the next stage. The coupled
+// runtime queues its whole input preparation on the one driver CPU; the
+// async one delays only this batch by its Token Throttling residual
+// (§3.4). The spans are these windows; mb.retireAt is the last one's end.
+func (d *driver) price(mb *microBatch, now time.Duration) {
+	rt := d.rt
+	b, tokens, priced := mb.batch, mb.shape.Tokens(), rt.emulates()
+	var prep time.Duration
+	if priced { // else mb.unit stays 0: TimeScale never changes
+		prep = rt.scale(d.prep.PrepTime(len(b.Chunks)+len(b.Decodes), tokens))
+		mb.unit = rt.cost.LayerTime(mb.shape)
+	}
+	start := now
+	if d.prep.Coupled {
+		start = max(start, d.cpuFree)
+		d.cpuFree = start + prep
+	}
+	at := start + prep
+	rt.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, tokens, start, at)
+	for s := range d.stageFree {
+		start = max(at, d.stageFree[s])
+		if fault := rt.cfg.StageFault; fault != nil {
+			start += max(fault(s, mb.seq), 0)
 		}
-		rt.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), prepStart, now)
-		rt.workers[0].workCh <- mb
+		at = start + rt.execTime(mb, s)
+		d.stageFree[s] = at
+		rt.cfg.Spans.Record(s, obs.KindExec, mb.seq, tokens, start, at)
+		if s+1 < len(d.stageFree) {
+			end := at
+			if priced {
+				at += rt.scale(d.plan.HopTime(s, tokens))
+			}
+			rt.cfg.Spans.Record(s, obs.KindXfer, mb.seq, tokens, end, at)
+		}
+	}
+	mb.retireAt = 0
+	if at > now {
+		mb.retireAt = at
 	}
 }
 
@@ -271,6 +315,11 @@ func (d *driver) retire(mb *microBatch, now time.Duration) {
 	rt := d.rt
 	b := mb.batch
 	mb.batch = nil
+	if mb.unit > 0 {
+		for s := range rt.stageBusy {
+			rt.stageBusy[s].Add(int64(rt.execTime(mb, s)))
+		}
+	}
 	d.check(d.Retire(mb, b, now))
 	rt.beat(now)
 	if d.inFlight() == 0 {

@@ -61,8 +61,8 @@ func checkedRuntime(t *testing.T, s sched.Scheduler, mutate func(*Config)) (*Run
 	}
 	t.Cleanup(func() {
 		rt.Close()
-		// Stage workers outlive Close briefly; a later test that counts
-		// goroutines must not see them exit.
+		// The clock goroutine outlives Close briefly; a later test that
+		// counts goroutines must not see it exit.
 		waitFor(t, "the runtime's goroutines to exit", func() bool { return goruntime.NumGoroutine() <= base })
 	})
 	return rt, col, watch

@@ -475,15 +475,14 @@ func TestFinishedCountedBeforeStreamEnds(t *testing.T) {
 // A cancellable submission context costs no goroutine: the abort is
 // registered on the context, not watched by a goroutine per request. The
 // context still aborts every request, held in flight or queued behind it.
+// The first batch is stalled 2 s at stage 0, so every batch injected behind
+// it queues there too and no request can finish before its cancel.
 func TestCancellableSubmitSpawnsNoGoroutine(t *testing.T) {
-	release := make(chan struct{})
-	unstall := sync.OnceFunc(func() { close(release) })
-	defer unstall() // before startRuntime's Close, which waits for the batch
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.WatchdogTimeout = -1
 		cfg.StageFault = func(stage, seq int) time.Duration {
 			if stage == 0 && seq == 1 {
-				<-release
+				return 2 * time.Second
 			}
 			return 0
 		}
@@ -503,17 +502,6 @@ func TestCancellableSubmitSpawnsNoGoroutine(t *testing.T) {
 		t.Fatalf("%d cancellable submissions added %d goroutines, want 0", len(handles), added)
 	}
 	cancel()
-	// Release the held batch only once every abort is requested, so none of
-	// its requests can finish first.
-	waitFor(t, "every cancellation to register", func() bool {
-		for _, h := range handles {
-			if h.abortReason.Load() == nil {
-				return false
-			}
-		}
-		return true
-	})
-	unstall()
 	for i, h := range handles {
 		drainBatched(t, h)
 		if reason := h.FinishReason(); reason != FinishCancelled {
@@ -536,20 +524,18 @@ func (c *countingScheduler) Schedule(p *sched.Pool, now time.Duration) *sched.Ba
 }
 
 // The driver schedules after a submit, a cancel or a retire — never after a
-// stop signal. A lone request is held mid-decode by a stalled batch; a
+// stop signal. A lone request is held mid-decode by a batch stalled 2 s; a
 // Shutdown arriving meanwhile must leave the scheduler's call count where
 // it was until that batch retires.
 func TestStopDoesNotSchedule(t *testing.T) {
-	held, release := make(chan struct{}), make(chan struct{})
-	unstall := sync.OnceFunc(func() { close(release) })
-	defer unstall() // before startRuntime's Close, which waits for the batch
+	held := make(chan struct{})
 	cs := &countingScheduler{Scheduler: sched.NewDefaultThrottle()}
 	rt := startRuntime(t, func(cfg *Config) {
 		cfg.Scheduler = cs
 		cfg.StageFault = func(stage, seq int) time.Duration {
 			if stage == 0 && seq == 3 { // prefill, one decode, then this one
 				close(held)
-				<-release
+				return 2 * time.Second
 			}
 			return 0
 		}
@@ -561,7 +547,7 @@ func TestStopDoesNotSchedule(t *testing.T) {
 	select {
 	case <-held:
 	case <-time.After(10 * time.Second):
-		t.Fatal("third micro-batch never reached stage 0")
+		t.Fatal("third micro-batch was never injected")
 	}
 	// The barrier: each of the three fills that injected a batch ends on
 	// one more Schedule call, which finds the lone request busy and returns
@@ -586,7 +572,6 @@ func TestStopDoesNotSchedule(t *testing.T) {
 	if got := cs.calls.Load(); got != before {
 		t.Fatalf("Schedule ran %d times across a stop with the batch still in flight", got-before)
 	}
-	unstall()
 	if err := <-stopped; err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"gllm/internal/model"
 	"gllm/internal/network"
 	"gllm/internal/obs"
+	"gllm/internal/request"
 	"gllm/internal/sched"
 )
 
@@ -173,58 +174,131 @@ func TestAbortedRequestsExcludedFromLatencyStats(t *testing.T) {
 	}
 }
 
+// batchLog is an observer that keeps each scheduled batch's shape and
+// sequence count, indexed by its injection ordinal minus one.
+type batchLog struct {
+	shapes []gpu.BatchShape
+	seqs   []int
+}
+
+func (l *batchLog) BeforeSchedule(time.Duration) {}
+func (l *batchLog) AfterSchedule(b *sched.Batch, _ time.Duration) {
+	if !b.Empty() {
+		l.shapes = append(l.shapes, b.Shape())
+		l.seqs = append(l.seqs, len(b.Chunks)+len(b.Decodes))
+	}
+}
+func (l *batchLog) AfterComplete(*sched.Batch, []*request.Request, time.Duration) {}
+func (l *batchLog) Final(time.Duration) error                                     { return nil }
+func (l *batchLog) Err() error                                                    { return nil }
+
+// pricedRun serves three requests to the end on a PP-4 runtime at the given
+// TimeScale and returns its spans, the batches it scheduled and the runtime.
+func pricedRun(t *testing.T, async bool, scale float64) ([]obs.Span, *batchLog, *Runtime) {
+	t.Helper()
+	rec, log := obs.NewRecorder(4, 0), new(batchLog)
+	rt, err := Start(Config{
+		Model:     model.Qwen25_14B,
+		GPU:       gpu.L20,
+		Topo:      network.IntraNode(4, network.PCIe),
+		Scheduler: sched.NewDefaultThrottle(),
+		Async:     async,
+		TimeScale: scale,
+		Spans:     rec,
+		observe:   func(*sched.Pool, sched.Scheduler) engine.BatchObserver { return log },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A graceful shutdown serves every request before it returns, and the
+	// driver's exit orders its writes to log before this goroutine's reads.
+	for i := 0; i < 3; i++ {
+		if _, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: 32 << i, MaxTokens: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Spans(), log, rt
+}
+
 // Async and coupled runtimes differ on the live path only in the driver's
-// prep charge, so each mode's prep spans must be at least its own model's
-// price. A timer never fires early, so only lower bounds are asserted.
+// prep charge, so each mode's prep spans must be exactly its own model's
+// price, scaled: the spans are the windows the driver computed.
 func TestLivePrepChargesRuntimeModel(t *testing.T) {
 	const scale = 0.1
 	for _, tc := range []struct {
 		async bool
-		floor func(tokens int) time.Duration
-	}{
-		{false, func(tokens int) time.Duration {
-			m := engine.VLLMRuntime
-			return m.PrepBase + m.PrepPerSeq + time.Duration(tokens)*m.PrepPerToken
-		}},
-		{true, func(int) time.Duration { return engine.GLLMRuntime.AsyncResidual }},
-	} {
-		rec := obs.NewRecorder(4, 0)
-		rt, err := Start(Config{
-			Model:     model.Qwen25_14B,
-			GPU:       gpu.L20,
-			Topo:      network.IntraNode(4, network.PCIe),
-			Scheduler: sched.NewDefaultThrottle(),
-			Async:     tc.async,
-			TimeScale: scale,
-			Spans:     rec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A graceful shutdown serves both requests before it returns.
-		for i := 0; i < 2; i++ {
-			if _, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: 32, MaxTokens: 4}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err = rt.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
+		model engine.RuntimeModel
+	}{{false, engine.VLLMRuntime}, {true, engine.GLLMRuntime}} {
+		spans, log, _ := pricedRun(t, tc.async, scale)
 		preps := 0
-		for _, s := range rec.Spans() {
+		for _, s := range spans {
 			if s.Kind != obs.KindPrep {
 				continue
 			}
 			preps++
-			if want := time.Duration(float64(tc.floor(int(s.Tokens))) * scale); s.Dur() < want {
-				t.Errorf("async=%v: prep span of %d tokens lasted %v, want ≥ %v", tc.async, s.Tokens, s.Dur(), want)
+			price := tc.model.PrepTime(log.seqs[s.Seq-1], int(s.Tokens))
+			if want := time.Duration(float64(price) * scale); s.Dur() != want {
+				t.Errorf("async=%v: prep span of batch %d lasted %v, want %v", tc.async, s.Seq, s.Dur(), want)
 			}
 		}
 		if preps == 0 {
 			t.Errorf("async=%v: no prep spans", tc.async)
+		}
+	}
+}
+
+// Every stage window is the batch's scaled price to the nanosecond and
+// opens at the later of the stage's previous end and the batch's arrival:
+// the end of its prep at stage 0, of the hop into it after that. A span
+// that includes timer slack, or a stage that starts a batch late, fails.
+func TestLivePipelineWindowsArePriced(t *testing.T) {
+	const scale = 0.01
+	scaled := func(d time.Duration) time.Duration { return time.Duration(float64(d) * scale) }
+	for _, async := range []bool{true, false} {
+		spans, log, rt := pricedRun(t, async, scale)
+		plan := engine.Config{Model: rt.cfg.Model, Topo: rt.cfg.Topo}
+		type key struct {
+			kind       obs.Kind
+			stage, seq int
+		}
+		at := map[key]obs.Span{}
+		for _, s := range spans {
+			at[key{s.Kind, int(s.Stage), int(s.Seq)}] = s
+		}
+		if len(log.shapes) == 0 {
+			t.Fatalf("async=%v: nothing scheduled", async)
+		}
+		prevEnd := make([]time.Duration, len(rt.stageLayers))
+		for i, shape := range log.shapes {
+			seq, tokens := i+1, shape.Tokens()
+			arrival := at[key{obs.KindPrep, obs.PrepStage, seq}].End
+			for s, layers := range rt.stageLayers {
+				exec, ok := at[key{obs.KindExec, s, seq}]
+				if !ok {
+					t.Fatalf("async=%v: batch %d has no exec span on stage %d", async, seq, s)
+				}
+				if want := scaled(time.Duration(layers) * rt.cost.LayerTime(shape)); exec.Dur() != want {
+					t.Errorf("async=%v: batch %d stage %d executed %v, want %v", async, seq, s, exec.Dur(), want)
+				}
+				if want := max(prevEnd[s], arrival); exec.Start != want {
+					t.Errorf("async=%v: batch %d stage %d opened at %v, want %v", async, seq, s, exec.Start, want)
+				}
+				prevEnd[s] = exec.End
+				if s+1 == len(rt.stageLayers) {
+					break
+				}
+				xfer := at[key{obs.KindXfer, s, seq}]
+				if want := scaled(plan.HopTime(s, tokens)); xfer.Start != exec.End || xfer.Dur() != want {
+					t.Errorf("async=%v: batch %d hop %d spans [%v, %v], want %v from %v",
+						async, seq, s, xfer.Start, xfer.End, want, exec.End)
+				}
+				arrival = xfer.End
+			}
 		}
 	}
 }

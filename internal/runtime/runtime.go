@@ -1,27 +1,31 @@
 // Package runtime implements the gLLM asynchronous serving runtime (§3.3)
 // as a real concurrent system: a driver goroutine that owns scheduling and
-// the KV cache, one worker goroutine per pipeline stage, and a decoupled
-// frontend (SubmitBatchedSpec returns immediately; tokens stream back as
-// pooled per-micro-batch event slabs drained with Handle.Next, the
-// zero-alloc steady-state path every frontend uses).
+// the KV cache, one clock goroutine that hands each batch back at its
+// priced deadline, and a decoupled frontend (SubmitBatchedSpec returns
+// immediately; tokens stream back as pooled per-micro-batch event slabs
+// drained with Handle.Next, the zero-alloc steady-state path every frontend
+// uses).
 //
 // The paper's three design principles map directly onto Go concurrency:
 //
-//  1. Non-blocking pipeline operations — workers receive work over
-//     channels and never spin-wait; the driver never blocks on emission.
+//  1. Non-blocking pipeline operations — the driver prices a batch's
+//     stage windows when it injects it and never sleeps, spin-waits or
+//     blocks on emission; it waits only in its one select.
 //  2. Decoupled frontend/backend — submitting is safe from any goroutine
 //     and communicates with the driver only through a channel.
 //  3. Preemptive (dual-phase) metadata scheduling — its effect is priced,
-//     not emulated: the driver charges each batch the prep time of its
-//     engine.RuntimeModel before injecting it, as the simulator's kernel
-//     does. Async mode pays gLLM's Token Throttling residual, sync mode
-//     (the vLLM-like baseline) its whole input preparation on the critical
-//     path. Stage 0's channel is the one way a batch enters the pipeline.
+//     not emulated: every batch's windows open with the prep time of the
+//     driver's engine.RuntimeModel, as in the simulator's kernel. Async
+//     mode pays gLLM's Token Throttling residual, delaying only its own
+//     batch; sync mode (the vLLM-like baseline) its whole input
+//     preparation, queued on the one driver CPU.
 //
-// GPU compute is emulated: stage execution occupies the worker for the
-// duration given by the same gpu.CostModel the discrete-event engine uses,
-// scaled by Config.TimeScale (0 disables sleeping entirely, useful for
-// tests and for the fastest-possible serving of synthetic tokens).
+// GPU compute is emulated by price: at injection the driver computes each
+// stage's execute window and each hop's transfer from the cost model the
+// discrete-event engine's pipeline uses, scaled by Config.TimeScale, and
+// one clock goroutine hands the batch back when its last window ends (0
+// prices nothing, so a batch comes back at once: useful for tests and for
+// the fastest-possible serving of synthetic tokens).
 //
 // # Request lifecycle, shutdown, and backpressure
 //
@@ -40,7 +44,7 @@
 // are refused with ErrStopped, but queued AND in-flight work keeps being
 // scheduled until it completes; when ctx expires the remainder is aborted
 // (FinishShutdown) with properly ended streams. Close aborts immediately,
-// cutting emulated GPU sleeps short. Both are idempotent and safe to call
+// cutting priced deadlines short. Both are idempotent and safe to call
 // concurrently.
 //
 // Admission control bounds the work the runtime will buffer: when the
@@ -92,8 +96,8 @@ type Config struct {
 	EnablePrefixCache bool
 	// EnableCPP turns on chunked pipeline parallelism for long prompts.
 	EnableCPP bool
-	// TimeScale converts modeled GPU time into wall-clock sleeps
-	// (e.g. 0.001 = 1000x faster than modeled). Zero disables sleeping.
+	// TimeScale converts modeled GPU and driver time into wall-clock
+	// windows (e.g. 0.001 = 1000x faster than modeled). Zero prices nothing.
 	TimeScale float64
 	// QueueDepth bounds the submit channel (default 1024). A full queue
 	// rejects submissions with ErrQueueFull.
@@ -108,11 +112,13 @@ type Config struct {
 	// flight but none has retired for this long (wall clock). Default 30s;
 	// negative disables the watchdog.
 	WatchdogTimeout time.Duration
-	// StageFault, when non-nil, is consulted by every stage worker before
-	// computing a micro-batch: a positive duration stalls that stage for
-	// that wall-clock time. Fault injection for testing the watchdog,
-	// degraded health, and shutdown-under-fault paths. Must be safe for
-	// concurrent use; Close cuts injected stalls short.
+	// StageFault, when non-nil, is consulted by the driver once per stage
+	// of every micro-batch it injects: a positive duration pushes that
+	// stage's window start back by that wall-clock time, so the stage stalls
+	// and later batches queue behind it. Fault injection for testing the
+	// watchdog, degraded health, and shutdown-under-fault paths. It runs on
+	// the driver, so it must return and must not block; Close cuts the
+	// stalled deadline short.
 	StageFault func(stage, seq int) time.Duration
 	// Spans, when non-nil, receives per-stage execute/transfer and driver
 	// prep spans (wall-clock, relative to runtime start). Start rejects one
@@ -380,8 +386,8 @@ type Snapshot struct {
 	Health string
 	// Uptime is the wall-clock time since the runtime started.
 	Uptime time.Duration
-	// StageBusySeconds is each stage worker's cumulative execute time
-	// (emulated compute occupancy, as slept; zero when TimeScale is 0).
+	// StageBusySeconds is each stage's cumulative priced execute time,
+	// added when a batch retires (zero when TimeScale is 0).
 	StageBusySeconds []float64
 	// BubbleRate is the aggregate pipeline bubble rate over the uptime:
 	// 1 − Σ_s busy_s / (stages × uptime), the paper's §3 quantity.
@@ -481,7 +487,12 @@ type Runtime struct {
 	subMu    sync.RWMutex
 	stopping bool
 
-	workers []*worker
+	// pipeCh carries each injected batch to the clock goroutine, which
+	// sends it back on doneCh at its deadline; each holds every batch in
+	// flight, so no send blocks. stageBusy is each stage's priced execute
+	// time of retired batches, in nanoseconds.
+	pipeCh    chan *microBatch
+	stageBusy []atomic.Int64
 
 	// collector counts every terminated request by reason: the one source
 	// of Snapshot.Finished and Snapshot.Cancelled.
@@ -619,12 +630,16 @@ func (h *Handle) release() {
 }
 
 // microBatch is the unit passed through the pipeline: one scheduled batch
-// with its frozen cost shape. The driver owns one per pipeline slot and
-// reuses it once its batch has retired.
+// with its frozen cost shape and its price. The driver owns one per
+// pipeline slot and reuses it once its batch has retired.
 type microBatch struct {
 	seq   int // iteration ordinal (Snapshot.Iterations at injection)
 	batch *sched.Batch
 	shape gpu.BatchShape
+	unit  time.Duration // modelled time of one layer; 0 when nothing is priced
+	// retireAt is when the last stage's window ends, on the runtime clock;
+	// 0 when the batch's windows are empty and it is due at once.
+	retireAt time.Duration
 }
 
 // ErrStopped is returned by SubmitBatchedSpec after Shutdown or Close.
@@ -636,8 +651,8 @@ var ErrStopped = errors.New("runtime: stopped")
 // shed load or retry later (the HTTP frontend maps it to 429 + Retry-After).
 var ErrQueueFull = errors.New("runtime: queue full")
 
-// Start validates the configuration, spawns the driver and stage workers,
-// and returns a serving runtime.
+// Start validates the configuration, spawns the driver and the clock
+// goroutine, and returns a serving runtime.
 func Start(cfg Config) (*Runtime, error) {
 	cfg.applyDefaults()
 	// Written so that NaN fails: every comparison with NaN is false.
@@ -666,7 +681,9 @@ func Start(cfg Config) (*Runtime, error) {
 		kvCapacity:  kvCap,
 		submitCh:    make(chan *Handle, cfg.QueueDepth),
 		cancelCh:    make(chan *Handle, cfg.QueueDepth),
+		pipeCh:      make(chan *microBatch, depth),
 		doneCh:      make(chan *microBatch, depth+1),
+		stageBusy:   make([]atomic.Int64, depth),
 		stopCh:      make(chan struct{}),
 		killCh:      make(chan struct{}),
 		stopped:     make(chan struct{}),
@@ -676,14 +693,7 @@ func Start(cfg Config) (*Runtime, error) {
 		rt.admitLimit = int64(cfg.AdmitKVFactor * float64(kvCap))
 	}
 	rt.gauges.KVFreeRate = 1 // empty cache until the driver's first pass
-	rt.workers = make([]*worker, depth)
-	for i := range rt.workers {
-		rt.workers[i] = newWorker(rt, i)
-	}
-	// Wire activation channels stage i -> i+1; the last feeds doneCh.
-	for i, w := range rt.workers {
-		w.start(i+1 < depth)
-	}
+	go rt.pipeline()
 	go newDriver(rt, &plan).run()
 	if cfg.WatchdogTimeout > 0 {
 		go rt.watchdogLoop()
@@ -879,14 +889,14 @@ func (rt *Runtime) Stats() Snapshot {
 	s.Resident = int(rt.resident.Load())
 	s.Rejected = rt.rejected.Load()
 	s.Uptime = rt.clock()
-	s.StageBusySeconds = make([]float64, len(rt.workers))
+	s.StageBusySeconds = make([]float64, len(rt.stageBusy))
 	var busy float64
-	for i, w := range rt.workers {
-		s.StageBusySeconds[i] = time.Duration(w.busyNanos.Load()).Seconds()
+	for i := range rt.stageBusy {
+		s.StageBusySeconds[i] = time.Duration(rt.stageBusy[i].Load()).Seconds()
 		busy += s.StageBusySeconds[i]
 	}
 	if s.Uptime > 0 {
-		s.BubbleRate = 1 - busy/(s.Uptime.Seconds()*float64(len(rt.workers)))
+		s.BubbleRate = 1 - busy/(s.Uptime.Seconds()*float64(len(rt.stageBusy)))
 	}
 	s.Health = rt.health()
 	return s
@@ -977,7 +987,7 @@ func (rt *Runtime) Shutdown(ctx context.Context) error {
 }
 
 // Close stops the runtime immediately: in-flight micro-batches retire with
-// their emulated sleeps cut short, and every outstanding request is aborted
+// their deadlines cut short, and every outstanding request is aborted
 // with FinishShutdown. Idempotent and safe for concurrent use.
 func (rt *Runtime) Close() error {
 	rt.stopOnce.Do(func() { close(rt.stopCh) })
@@ -1021,44 +1031,46 @@ func (rt *Runtime) watchdogLoop() {
 // driver's reading of the runtime clock for the current event.
 func (rt *Runtime) beat(now time.Duration) { rt.lastBeat.Store(int64(now)) }
 
-// emulates reports whether modeled time is slept at all; when it is not,
+// emulates reports whether modeled time is priced at all; when it is not,
 // nothing needs pricing.
 func (rt *Runtime) emulates() bool { return rt.cfg.TimeScale > 0 }
 
+// scale converts modeled time into wall time.
+func (rt *Runtime) scale(d time.Duration) time.Duration {
+	return time.Duration(float64(d) * rt.cfg.TimeScale)
+}
+
+// execTime is mb's priced execute window on stage s.
+func (rt *Runtime) execTime(mb *microBatch, s int) time.Duration {
+	return rt.scale(time.Duration(rt.stageLayers[s]) * mb.unit)
+}
+
 // clock reads the runtime clock: wall time since start, on the monotonic
-// clock. The driver, the frontend and the watchdog read it only here.
+// clock. The driver, the frontend, the watchdog and the clock goroutine
+// read it only here.
 func (rt *Runtime) clock() time.Duration { return time.Since(rt.start) }
 
-// spanClock reads the runtime clock for a span bound, and only when there
-// is a span recorder to receive it.
-func (rt *Runtime) spanClock() time.Duration {
-	if rt.cfg.Spans == nil {
-		return 0
+// pipeline is the clock goroutine: it hands each batch back to the driver
+// on doneCh at its retireAt, in injection order, which is retire order
+// since every stage serves batches first come first served. It reads the
+// clock only for a batch with a deadline and waits on one reused timer;
+// once Close is called it waits for nothing. It exits when the driver
+// closes pipeCh.
+func (rt *Runtime) pipeline() {
+	wait := time.NewTimer(time.Hour)
+	wait.Stop()
+	for mb := range rt.pipeCh {
+		if mb.retireAt > 0 {
+			if d := mb.retireAt - rt.clock(); d > 0 {
+				// A timer the kill case abandons may fire later; its stale
+				// tick can only cut short a wait that killCh cuts anyway.
+				wait.Reset(d)
+				select {
+				case <-wait.C:
+				case <-rt.killCh:
+				}
+			}
+		}
+		rt.doneCh <- mb
 	}
-	return rt.clock()
-}
-
-// sleepScaled emulates occupancy of modeled duration d and returns the wall
-// time actually slept.
-func (rt *Runtime) sleepScaled(d time.Duration) time.Duration {
-	if !rt.emulates() || d <= 0 {
-		return 0
-	}
-	return rt.sleepWall(time.Duration(float64(d) * rt.cfg.TimeScale))
-}
-
-// sleepWall sleeps for wall-clock duration d, cut short by Close, and
-// returns the wall time actually slept.
-func (rt *Runtime) sleepWall(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	start := time.Now()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-rt.killCh:
-	}
-	return time.Since(start)
 }
