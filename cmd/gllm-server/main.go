@@ -10,7 +10,7 @@
 //
 // Observability:
 //
-//	gllm-server -trace-out spans.json    # Chrome trace of stage timelines on exit
+//	gllm-server -trace-out spans.json    # Chrome trace of stage and request lanes on exit
 //	gllm-server -pprof                   # /debug/pprof/ profiling endpoints
 //	gllm-server -log-level debug         # structured lifecycle logs on stderr
 package main
@@ -94,7 +94,7 @@ func main() {
 		"fault injection: wall-clock stall per micro-batch at -stall-stage")
 
 	flag.StringVar(&o.traceOut, "trace-out", "",
-		"write per-stage exec/xfer/prep spans as Chrome trace-event JSON on shutdown")
+		"write per-stage exec/xfer/prep spans and per-request lifecycle spans, on one clock, as Chrome trace-event JSON on shutdown")
 	flag.BoolVar(&o.pprofOn, "pprof", false,
 		"expose net/http/pprof profiling handlers under /debug/pprof/")
 	flag.TextVar(&o.logLevel, "log-level", slog.LevelInfo, "structured log level: debug, info, warn, error")
@@ -207,19 +207,24 @@ func run(o srvOptions, sigCh <-chan os.Signal) error {
 		return err
 	}
 	if rec != nil {
-		return writeTrace(o.traceOut, rec, rt, logger)
+		return writeTrace(o.traceOut, rec, reqSpans, rt, logger)
 	}
 	return nil
 }
 
-// writeTrace dumps the span recorder once the runtime has drained.
-func writeTrace(path string, rec *obs.Recorder, rt *runtime.Runtime, logger *slog.Logger) error {
-	acc, err := rec.WriteChromeFile(path, rt.Stats().Uptime)
-	if err != nil {
+// writeTrace dumps both lane families once the runtime has drained: the
+// stage spans on the runtime's clock, and the request spans placed on it
+// by the monotonic time from the request recorder's origin to the
+// runtime's start, so a request's queue span ends on the nanosecond its
+// first batch's prep starts.
+func writeTrace(path string, rec *obs.Recorder, reqSpans *obs.ReqRecorder, rt *runtime.Runtime, logger *slog.Logger) error {
+	ex := reqSpans.Export()
+	if err := obs.WriteChromeFile(path, rec, reqSpans.UnixNano(rt.Start()), ex); err != nil {
 		return err
 	}
+	acc := rec.AccountOver(rt.Stats().Uptime)
 	logger.Info("trace written",
-		"path", path, "spans", acc.Spans, "dropped", acc.Dropped,
+		"path", path, "spans", acc.Spans, "dropped", acc.Dropped, "request_spans", len(ex.Spans),
 		"bubble_rate", fmt.Sprintf("%.3f", acc.BubbleRate))
 	return nil
 }

@@ -51,7 +51,7 @@ func TestWriteTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spans.json")
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&logBuf, nil))
-	if err := writeTrace(path, rec, rt, logger); err != nil {
+	if err := writeTrace(path, rec, nil, rt, logger); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -68,6 +68,81 @@ func TestWriteTrace(t *testing.T) {
 	}
 	if !bytes.Contains(logBuf.Bytes(), []byte("trace written")) {
 		t.Fatalf("log missing trace written line: %s", logBuf.String())
+	}
+}
+
+// The file -trace-out writes puts both lane families on one clock, to the
+// nanosecond: a request's first schedule and its first batch's prep start
+// are the same driver reading, so each traced request's replica queue span
+// ends exactly where some prep span starts. A shift between the recorders
+// taken from their Unix readings, not their monotonic ones, misses by a few
+// nanoseconds now and then.
+func TestWriteTraceSharesOneClock(t *testing.T) {
+	rec, rr := obs.NewRecorder(4, 0), obs.NewReqRecorder(0)
+	rt, err := runtime.Start(runtime.Config{
+		Model:     model.Qwen25_14B,
+		GPU:       gpu.L20,
+		Topo:      network.IntraNode(4, network.PCIe),
+		Scheduler: sched.NewDefaultThrottle(),
+		Async:     true,
+		TimeScale: 0.01,
+		Spans:     rec,
+		ReqSpans:  rr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	const traced = 3
+	var hs []*runtime.Handle
+	for i := range traced {
+		h, err := rt.SubmitBatchedSpec(ctx, runtime.SubmitSpec{PromptLen: 64 << i, MaxTokens: 4, Trace: obs.TraceID(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	for _, h := range hs {
+		for h.Next(ctx) != nil {
+		}
+		<-h.Done()
+	}
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "spans.json")
+	if err := writeTrace(path, rec, rr, rt, slog.New(slog.DiscardHandler)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec, err := obs.ReadChrome(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepStarts := map[time.Duration]bool{}
+	for _, s := range dec.Spans {
+		if s.Kind == obs.KindPrep {
+			prepStarts[s.Start] = true
+		}
+	}
+	queues := 0
+	for _, s := range dec.Requests {
+		if s.Name != obs.SpanQueue {
+			continue
+		}
+		queues++
+		if !prepStarts[s.End] {
+			t.Errorf("trace %s: queue span ends at %dns, where no prep span starts", s.Trace, int64(s.End))
+		}
+	}
+	if queues != traced {
+		t.Fatalf("%d queue spans, want %d", queues, traced)
 	}
 }
 

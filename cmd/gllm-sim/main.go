@@ -245,10 +245,10 @@ func run(o simOptions) error {
 	}
 
 	if rec != nil {
-		acc, err := rec.WriteChromeFile(o.traceOut, res.Makespan)
-		if err != nil {
+		if err := obs.WriteChromeFile(o.traceOut, rec, 0); err != nil {
 			return err
 		}
+		acc := rec.AccountOver(res.Makespan)
 		fmt.Printf("trace-out: %s (%d spans, %d dropped)\n", o.traceOut, acc.Spans, acc.Dropped)
 		fmt.Print(acc.String())
 	}

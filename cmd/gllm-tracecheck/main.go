@@ -1,19 +1,19 @@
-// Command gllm-tracecheck validates a Chrome trace-event JSON file produced
-// by gllm-sim/gllm-server -trace-out and prints its bubble accounting. It
-// exits nonzero if the file is not a well-formed span trace, which makes it
-// usable as a round-trip smoke check in CI:
+// Command gllm-tracecheck validates a Chrome trace-event JSON file and
+// prints what it holds. It exits nonzero if the file is not a well-formed
+// trace, which makes it usable as a round-trip smoke check in CI:
 //
 //	gllm-sim -rate 2 -window 5s -trace-out spans.json
 //	gllm-tracecheck -stages 4 spans.json
 //
-// With -requests it instead validates a merged request trace produced by
-// gllm-cluster -trace-out (written on exit) or saved from a running
-// cluster's /cluster/trace: per-request lanes holding router- and
-// replica-side lifecycle spans, checked for lane integrity, series overlap,
-// and router-root enclosure (up to -skew of cross-process clock drift):
+// A file holds stage lanes (gllm-sim -trace-out), request lanes
+// (gllm-cluster -trace-out, or a running cluster's /cluster/trace) or both
+// (gllm-server -trace-out). Stage lanes print their bubble accounting;
+// request lanes — router- and replica-side lifecycle spans, one lane per
+// traced request — are checked for series overlap and router-root
+// enclosure (up to -skew of cross-process clock drift) and summarized:
 //
 //	curl -s localhost:8000/cluster/trace > req.json
-//	gllm-tracecheck -requests req.json
+//	gllm-tracecheck req.json
 package main
 
 import (
@@ -28,26 +28,21 @@ import (
 
 func main() {
 	var (
-		stages   = flag.Int("stages", 0, "expected pipeline stage count (0 = accept any)")
-		requests = flag.Bool("requests", false, "validate a merged request trace (gllm-cluster -trace-out) instead of a stage trace")
-		skew     = flag.Duration("skew", 50*time.Millisecond, "cross-process clock tolerance for -requests validation")
+		stages = flag.Int("stages", 0, "expected pipeline stage count (0 = accept any)")
+		skew   = flag.Duration("skew", 50*time.Millisecond, "cross-process clock tolerance for request lanes")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: gllm-tracecheck [-stages N | -requests [-skew D]] trace.json")
+		fmt.Fprintln(os.Stderr, "usage: gllm-tracecheck [-stages N] [-skew D] trace.json")
 		os.Exit(2)
 	}
-	run := runStages
-	if *requests {
-		run = func(path string, _ int, out io.Writer) error { return runRequests(path, *skew, out) }
-	}
-	if err := run(flag.Arg(0), *stages, os.Stdout); err != nil {
+	if err := run(flag.Arg(0), *stages, *skew, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "gllm-tracecheck:", err)
 		os.Exit(1)
 	}
 }
 
-func runStages(path string, stages int, out io.Writer) error {
+func run(path string, stages int, skew time.Duration, out io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -60,28 +55,17 @@ func runStages(path string, stages int, out io.Writer) error {
 	if stages > 0 && dec.Stages != stages {
 		return fmt.Errorf("%s: decoded %d stages, expected %d", path, dec.Stages, stages)
 	}
-	// Account over the span extent: the trace file carries no makespan, so
-	// the window is the earliest start to the latest end.
-	acc := dec.Account(0)
-	fmt.Fprintf(out, "%s: %d spans across %d stages\n", path, len(dec.Spans), dec.Stages)
-	fmt.Fprint(out, acc.String())
-	return nil
-}
-
-func runRequests(path string, skew time.Duration, out io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	dec, err := obs.ReadChromeRequests(f)
-	if err != nil {
-		return err
-	}
 	if err := dec.Validate(skew); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "%s: ", path)
-	fmt.Fprint(out, dec.Summary())
+	if len(dec.Spans) > 0 {
+		// Account over the span extent: the trace file carries no makespan,
+		// so the window is the earliest start to the latest end.
+		fmt.Fprintf(out, "%s: %d spans across %d stages\n", path, len(dec.Spans), dec.Stages)
+		fmt.Fprint(out, dec.Account(0).String())
+	}
+	if len(dec.Requests) > 0 {
+		fmt.Fprintf(out, "%s: %s", path, dec.Summary())
+	}
 	return nil
 }

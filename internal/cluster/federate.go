@@ -15,6 +15,7 @@ package cluster
 
 import (
 	"context"
+	"log/slog"
 	"sort"
 	"strconv"
 
@@ -116,7 +117,8 @@ type TraceExporter interface {
 
 // TraceExports collects span exports from every replica engine (active
 // and retired) that serves one. Unreachable or empty replicas are
-// skipped — a merged trace degrades per replica, never wholesale.
+// skipped, and so is (logged) an export holding a span the trace writer
+// would refuse — a merged trace degrades per replica, never wholesale.
 func (c *Router) TraceExports(ctx context.Context) []obs.ReqExport {
 	var out []obs.ReqExport
 	for _, rep := range append(c.Replicas(), c.Retired()...) {
@@ -126,6 +128,10 @@ func (c *Router) TraceExports(ctx context.Context) []obs.ReqExport {
 		}
 		exp, err := te.TraceExport(ctx)
 		if err != nil || len(exp.Spans) == 0 {
+			continue
+		}
+		if err := exp.Check(); err != nil {
+			c.logEvent(slog.LevelWarn, "trace export refused", "replica", rep.ID, "err", err)
 			continue
 		}
 		out = append(out, exp)

@@ -7,14 +7,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -151,7 +149,7 @@ func (f *Frontend) traceExports(ctx context.Context) []obs.ReqExport {
 // spans, clock-aligned) for ad-hoc inspection without -trace-out.
 func (f *Frontend) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := obs.WriteChromeRequests(w, f.traceExports(r.Context())...); err != nil && f.logger != nil {
+	if err := obs.WriteChrome(w, nil, 0, f.traceExports(r.Context())...); err != nil && f.logger != nil {
 		f.logger.Warn("trace export", "err", err)
 	}
 }
@@ -161,11 +159,7 @@ func (f *Frontend) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (f *Frontend) WriteMergedTrace(path string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	var buf bytes.Buffer
-	if err := obs.WriteChromeRequests(&buf, f.traceExports(ctx)...); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o666) // os.Create's mode: the umask decides
+	return obs.WriteChromeFile(path, nil, 0, f.traceExports(ctx)...)
 }
 
 // adminError answers a failed drain or replace: 404 when the id names no

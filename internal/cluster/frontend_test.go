@@ -248,7 +248,7 @@ func TestFrontendCompletionCarriesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := obs.ReadChromeRequests(resp.Body)
+	decoded, err := obs.ReadChrome(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatalf("/cluster/trace does not decode: %v", err)

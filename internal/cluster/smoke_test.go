@@ -422,7 +422,7 @@ func TestTraceSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := obs.ReadChromeRequests(f)
+	decoded, err := obs.ReadChrome(f)
 	f.Close()
 	if err != nil {
 		t.Fatalf("merged trace does not decode: %v", err)

@@ -1,7 +1,15 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -117,5 +125,68 @@ func TestUntracedRequestRecordsNoSpans(t *testing.T) {
 	}
 	if n := rr.Total(); n != 0 {
 		t.Fatalf("untraced submit recorded %d spans", n)
+	}
+}
+
+// tracingEngine is a fakeEngine serving a fixed /tracespans export.
+type tracingEngine struct {
+	*fakeEngine
+	export obs.ReqExport
+}
+
+func (e tracingEngine) TraceExport(context.Context) (obs.ReqExport, error) { return e.export, nil }
+
+// A replica whose export holds a span the trace writer refuses drops out
+// of the merged trace alone: /cluster/trace and the -trace-out file still
+// carry the good replica's spans, and the bad one's refusal is logged.
+func TestMergedTraceDropsOnlyTheRefusedReplica(t *testing.T) {
+	span := obs.ReqSpan{Trace: 7, Name: obs.SpanQueue, Side: obs.SideReplica, Start: 10_000, End: 20_000}
+	bad := span
+	bad.Trace, bad.Side = 8, "nowhere"
+	var logs bytes.Buffer
+	r := New(Config{Policy: NewRoundRobin(), Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	for id, ex := range map[string]obs.ReqExport{
+		"good": {OriginUnixNano: 1_786_167_139_000_000_123, Spans: []obs.ReqSpan{span}},
+		"bad":  {OriginUnixNano: 1_786_167_139_000_000_123, Spans: []obs.ReqSpan{span, bad}},
+	} {
+		if _, err := r.Add(id, tracingEngine{newFakeEngine(okPressure()), ex}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fe := NewFrontend(r, nil, time.Second, nil, nil, "m")
+	t.Cleanup(fe.Close)
+	ts := httptest.NewServer(fe)
+	t.Cleanup(ts.Close)
+
+	resp, err := http.Get(ts.URL + "/cluster/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromHTTP, err := obs.ReadChrome(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/cluster/trace does not decode: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "req.json")
+	if err := fe.WriteMergedTrace(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := obs.ReadChrome(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("-trace-out file does not decode: %v", err)
+	}
+	span.Start, span.End = 0, 10_000 // the merged clock starts at the earliest span
+	for name, dec := range map[string]*obs.DecodedTrace{"/cluster/trace": fromHTTP, "file": fromFile} {
+		if !slices.Equal(dec.Requests, []obs.ReqSpan{span}) {
+			t.Errorf("%s carries %+v, want the good replica's %+v", name, dec.Requests, span)
+		}
+	}
+	if !strings.Contains(logs.String(), "trace export refused") || !strings.Contains(logs.String(), "replica=bad") {
+		t.Fatalf("refusal not logged:\n%s", logs.String())
 	}
 }

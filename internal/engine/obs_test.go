@@ -35,7 +35,7 @@ func TestPipelineSpansReconstructBubbleAccounting(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := rec.WriteChrome(&buf); err != nil {
+	if err := obs.WriteChrome(&buf, rec, 0); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := obs.ReadChrome(&buf)

@@ -3,8 +3,9 @@
 // execute/transfer/prepare intervals from both the virtual-time engines
 // (internal/engine) and the live concurrent runtime (internal/runtime),
 // first-class pipeline-bubble accounting (the quantity the gLLM paper's
-// Token Throttling minimizes, §3), and Chrome trace-event JSON export
-// loadable in chrome://tracing or Perfetto.
+// Token Throttling minimizes, §3), request-lifecycle tracing (reqtrace.go),
+// and one Chrome trace-event JSON codec for both (chrome.go), loadable in
+// chrome://tracing or Perfetto.
 //
 // Overhead discipline: producers guard every call site with a nil check (a
 // nil *Recorder is also safe to call), so a run without tracing pays zero

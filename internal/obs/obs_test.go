@@ -210,7 +210,7 @@ func TestChromeRoundTrip(t *testing.T) {
 	r.Record(PrepStage, KindPrep, 2, 64, 5*time.Millisecond, 6*time.Millisecond)
 
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, r, 0); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := ReadChrome(bytes.NewReader(buf.Bytes()))
@@ -248,7 +248,7 @@ func TestReadChromeExactNanosecondRoundTrip(t *testing.T) {
 		r.Record(i%2, KindExec, i, 1, start, start+777)
 	}
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, r, 0); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := ReadChrome(&buf)
@@ -270,7 +270,7 @@ func TestReadChromeObjectFormat(t *testing.T) {
 	r := NewRecorder(1, 4)
 	r.Record(0, KindExec, 1, 8, 0, time.Millisecond)
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChrome(&buf, r, 0); err != nil {
 		t.Fatal(err)
 	}
 	wrapped := fmt.Sprintf(`{"traceEvents": %s}`, strings.TrimSpace(buf.String()))
@@ -293,6 +293,17 @@ func TestReadChromeRejectsMalformed(t *testing.T) {
 		"unknown kind": `[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":0,"args":{"kind":"gpu","stage":0,"seq":1,"tokens":1}}]`,
 		"tid mismatch": `[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":7,"args":{"kind":"exec","stage":0,"seq":1,"tokens":1}}]`,
 		"float seq":    `[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":0,"args":{"kind":"exec","stage":0,"seq":1.5,"tokens":1}}]`,
+		// Each value below used to be cut to its field's width or wrap: the
+		// first stage sized a 2^50-stage recorder (makeslice panic), the
+		// second read back as stage 4464, the seq as 1 and the ts as a
+		// negative start.
+		"stage past int16": `[{"name":"exec mb0","ph":"X","ts":0,"dur":1,"pid":0,"tid":5,"args":{"kind":"exec","stage":1125899906842629,"seq":0,"tokens":1}}]`,
+		"stage wraps":      `[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":4464,"args":{"kind":"exec","stage":70000,"seq":1,"tokens":1}}]`,
+		"stage on a link":  `[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":1000,"args":{"kind":"exec","stage":1000,"seq":1,"tokens":1}}]`,
+		"seq past int32":   `[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":0,"args":{"kind":"exec","stage":0,"seq":4294967297,"tokens":1}}]`,
+		"tokens negative":  `[{"name":"x","ph":"X","ts":0,"dur":1,"pid":0,"tid":0,"args":{"kind":"exec","stage":0,"seq":1,"tokens":-2147483649}}]`,
+		"ts past range":    `[{"name":"x","ph":"X","ts":1e300,"dur":1,"pid":0,"tid":0,"args":{"kind":"exec","stage":0,"seq":1,"tokens":1}}]`,
+		"end past range":   `[{"name":"x","ph":"X","ts":0,"dur":6e11,"pid":0,"tid":0,"args":{"kind":"exec","stage":0,"seq":1,"tokens":1}}]`,
 	}
 	for name, payload := range cases {
 		if _, err := ReadChrome(strings.NewReader(payload)); err == nil {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"gllm/internal/ring"
 )
@@ -16,7 +17,7 @@ import (
 // records its lifecycle spans (admit, pick/backoff attempts, connect,
 // queue, prefill, decode, stream delivery) into a ReqRecorder, and the
 // per-process recordings merge into a single Chrome trace where both
-// sides of one request share a lane (see reqchrome.go).
+// sides of one request share a lane (see chrome.go).
 //
 // The same overhead discipline as Recorder applies: a nil *ReqRecorder
 // is safe to call and records nothing, so untraced deployments pay only
@@ -38,6 +39,20 @@ func NewTraceID() TraceID {
 // String renders the ID as 16 lowercase hex digits.
 func (t TraceID) String() string {
 	return fmt.Sprintf("%016x", uint64(t))
+}
+
+// MarshalText renders String's form, so a TraceID is a JSON string.
+func (t TraceID) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
+// UnmarshalText parses ParseTraceID's form; zero or malformed input is an
+// error.
+func (t *TraceID) UnmarshalText(b []byte) error {
+	id, ok := ParseTraceID(string(b))
+	if !ok {
+		return fmt.Errorf("obs: bad trace ID %q", b)
+	}
+	*t = id
+	return nil
 }
 
 // ParseTraceID parses the 16-hex-digit form. Zero or malformed input
@@ -122,16 +137,17 @@ const (
 	SpanStream  = "stream"  // token delivery to the client
 )
 
-// ReqSpan is one recorded request-lifecycle interval. Start/End are
-// offsets from the recorder's wall-clock origin (see ReqRecorder).
+// ReqSpan is one recorded request-lifecycle interval, and its JSON wire
+// form in a ReqExport. Start/End are offsets from the recorder's
+// wall-clock origin (see ReqRecorder).
 type ReqSpan struct {
-	Trace   TraceID
-	Name    string
-	Side    string // SideRouter or SideReplica
-	Detail  string // replica ID, retry reason, finish reason, …
-	Attempt int32  // routing attempt ordinal (pick/backoff spans)
-	Start   time.Duration
-	End     time.Duration
+	Trace   TraceID       `json:"trace"`
+	Name    string        `json:"name"`
+	Side    string        `json:"side"`             // SideRouter or SideReplica
+	Detail  string        `json:"detail,omitempty"` // replica ID, retry reason, finish reason, …
+	Attempt int32         `json:"attempt,omitempty"`
+	Start   time.Duration `json:"start_ns"`
+	End     time.Duration `json:"end_ns"`
 }
 
 // Dur returns the span's length.
@@ -141,7 +157,7 @@ func (s ReqSpan) Dur() time.Duration { return s.End - s.Start }
 // It anchors a wall-clock origin at creation: spans are stored as
 // monotonic offsets from that origin (so intra-process ordering is
 // exact), while the origin's Unix time lets per-process recordings from
-// the same host be merged onto one clock (Export / WriteChromeRequests).
+// the same host be merged onto one clock (Export / WriteChrome).
 // All methods are safe for concurrent use and on a nil receiver.
 type ReqRecorder struct {
 	origin time.Time
@@ -234,46 +250,48 @@ func (r *ReqRecorder) Spans() []ReqSpan {
 	return r.ring.Snapshot()
 }
 
-// ReqExport is one process's recorded request spans plus its wall-clock
-// anchor — the unit shipped over /tracespans and merged by
-// WriteChromeRequests. Span offsets are relative to OriginUnixNano.
-type ReqExport struct {
-	OriginUnixNano int64           `json:"origin_unix_nano"`
-	Spans          []ReqSpanExport `json:"spans"`
-}
-
-// ReqSpanExport is the JSON wire form of one ReqSpan.
-type ReqSpanExport struct {
-	Trace   string `json:"trace"`
-	Name    string `json:"name"`
-	Side    string `json:"side"`
-	Detail  string `json:"detail,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	StartNs int64  `json:"start_ns"`
-	EndNs   int64  `json:"end_ns"`
-}
-
-// Export snapshots the retained spans in wire form. A nil recorder
-// exports an empty (but valid) ReqExport.
-func (r *ReqRecorder) Export() ReqExport {
+// UnixNano places t on the clock of r's exports: r's origin in Unix
+// nanoseconds plus the monotonic time from it to t, so t lands on the
+// nanosecond that r's spans of the same instant do. (t.UnixNano would read
+// a second wall clock, nanoseconds off.)
+func (r *ReqRecorder) UnixNano(t time.Time) int64 {
 	if r == nil {
-		return ReqExport{Spans: []ReqSpanExport{}}
+		return t.UnixNano()
 	}
-	spans := r.Spans()
-	out := ReqExport{
-		OriginUnixNano: r.origin.UnixNano(),
-		Spans:          make([]ReqSpanExport, len(spans)),
+	return r.origin.UnixNano() + int64(t.Sub(r.origin))
+}
+
+// ReqExport is one process's recorded request spans plus its wall-clock
+// anchor — the unit shipped over /tracespans and merged by WriteChrome.
+// Span offsets are relative to OriginUnixNano.
+type ReqExport struct {
+	OriginUnixNano int64     `json:"origin_unix_nano"`
+	Spans          []ReqSpan `json:"spans"`
+}
+
+// Export snapshots the retained spans. A nil recorder exports an empty
+// (but valid) ReqExport.
+func (r *ReqRecorder) Export() ReqExport {
+	ex := ReqExport{Spans: r.Spans()}
+	if ex.Spans == nil {
+		ex.Spans = []ReqSpan{} // "spans": [], not null
 	}
-	for i, s := range spans {
-		out.Spans[i] = ReqSpanExport{
-			Trace:   s.Trace.String(),
-			Name:    s.Name,
-			Side:    s.Side,
-			Detail:  s.Detail,
-			Attempt: int(s.Attempt),
-			StartNs: int64(s.Start),
-			EndNs:   int64(s.End),
+	if r != nil {
+		ex.OriginUnixNano = r.origin.UnixNano()
+	}
+	return ex
+}
+
+// Check reports the first span of ex that would not read back from a
+// Chrome trace: a zero trace ID, an end before its start, an empty name,
+// an unknown side, or a name or detail that is not UTF-8.
+func (ex ReqExport) Check() error {
+	for i, s := range ex.Spans {
+		if s.Trace == 0 || s.End < s.Start || s.Name == "" || s.Side != SideRouter && s.Side != SideReplica ||
+			!utf8.ValidString(s.Name) || !utf8.ValidString(s.Detail) {
+			return fmt.Errorf("span %d (trace %v, name %q, side %q, detail %q, [%v, %v]) would not read back",
+				i, s.Trace, s.Name, s.Side, s.Detail, s.Start, s.End)
 		}
 	}
-	return out
+	return nil
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
@@ -129,10 +130,10 @@ func TestWriteReadChromeRequestsRoundTrip(t *testing.T) {
 	rex, pex := buildExports(t, trace)
 
 	var buf bytes.Buffer
-	if err := WriteChromeRequests(&buf, rex, pex); err != nil {
+	if err := WriteChrome(&buf, nil, 0, rex, pex); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ReadChromeRequests(&buf)
+	dec, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +169,10 @@ func TestValidateCatchesSeriesOverlap(t *testing.T) {
 	rr.Record(trace, SpanPick, SideRouter, "b", 1, o.Add(5*time.Millisecond), o.Add(20*time.Millisecond))
 
 	var buf bytes.Buffer
-	if err := WriteChromeRequests(&buf, rr.Export()); err != nil {
+	if err := WriteChrome(&buf, nil, 0, rr.Export()); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ReadChromeRequests(&buf)
+	dec, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +190,10 @@ func TestValidateCatchesEscapedReplicaSpan(t *testing.T) {
 		o.Add(40*time.Millisecond), o.Add(80*time.Millisecond))
 
 	var buf bytes.Buffer
-	if err := WriteChromeRequests(&buf, rr.Export()); err != nil {
+	if err := WriteChrome(&buf, nil, 0, rr.Export()); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ReadChromeRequests(&buf)
+	dec, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +213,10 @@ func TestValidateRequiresSingleRouterRoot(t *testing.T) {
 	rr.Record(trace, SpanPick, SideRouter, "a", 0, o, o.Add(time.Millisecond))
 
 	var buf bytes.Buffer
-	if err := WriteChromeRequests(&buf, rr.Export()); err != nil {
+	if err := WriteChrome(&buf, nil, 0, rr.Export()); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ReadChromeRequests(&buf)
+	dec, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,9 +233,52 @@ func TestReadChromeRequestsRejectsSharedLane(t *testing.T) {
 	 {"name":"router request","ph":"X","ts":20,"dur":10,"pid":0,"tid":3000,
 	  "args":{"trace":"0000000000000002","name":"request","side":"router","attempt":0}}
 	]`
-	if _, err := ReadChromeRequests(strings.NewReader(doc)); err == nil ||
+	if _, err := ReadChrome(strings.NewReader(doc)); err == nil ||
 		!strings.Contains(err.Error(), "shared by traces") {
-		t.Fatalf("ReadChromeRequests = %v, want shared-lane error", err)
+		t.Fatalf("ReadChrome = %v, want shared-lane error", err)
+	}
+}
+
+// A request lane holds int32 attempts and exact times, like a stage lane.
+func TestReadChromeRejectsMalformedRequestSpans(t *testing.T) {
+	const head = `[{"name":"router pick","ph":"X","pid":0,"tid":3000,`
+	for name, payload := range map[string]string{
+		"attempt past int32": head + `"ts":0,"dur":1,"args":{"trace":"0000000000000001","name":"pick","side":"router","attempt":4294967297}}]`,
+		"ts past range":      head + `"ts":1e300,"dur":1,"args":{"trace":"0000000000000001","name":"pick","side":"router","attempt":0}}]`,
+	} {
+		if _, err := ReadChrome(strings.NewReader(payload)); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// ReqSpan is its own /tracespans wire form: the JSON below is what the
+// separate wire struct it replaced wrote, byte for byte, and it decodes
+// back to the same spans. A zero or malformed trace ID does not decode.
+func TestReqExportWireForm(t *testing.T) {
+	ex := ReqExport{OriginUnixNano: 1_786_167_139_000_000_123, Spans: []ReqSpan{
+		{Trace: 0xea7c2e460bae75d5, Name: SpanPick, Side: SideRouter, Detail: "r1", Attempt: 2, Start: 3_535_757_459, End: 3_539_110_790},
+		{Trace: 1, Name: SpanQueue, Side: SideReplica, Start: -5, End: 0},
+	}}
+	const wire = `{"origin_unix_nano":1786167139000000123,"spans":[` +
+		`{"trace":"ea7c2e460bae75d5","name":"pick","side":"router","detail":"r1","attempt":2,"start_ns":3535757459,"end_ns":3539110790},` +
+		`{"trace":"0000000000000001","name":"queue","side":"replica","start_ns":-5,"end_ns":0}]}`
+	for _, c := range []struct {
+		ex   ReqExport
+		want string
+	}{{ex, wire}, {(*ReqRecorder)(nil).Export(), `{"origin_unix_nano":0,"spans":[]}`}} {
+		if got, err := json.Marshal(c.ex); err != nil || string(got) != c.want {
+			t.Fatalf("wire form %s, %v; want %s", got, err, c.want)
+		}
+	}
+	var back ReqExport
+	if err := json.Unmarshal([]byte(wire), &back); err != nil || !slices.Equal(back.Spans, ex.Spans) {
+		t.Fatalf("decoded %+v, %v; want %+v", back, err, ex)
+	}
+	for _, id := range []string{"0000000000000000", "ea7c2e460bae75d", "xa7c2e460bae75d5"} {
+		if err := json.Unmarshal([]byte(`{"spans":[{"trace":"`+id+`"}]}`), &back); err == nil {
+			t.Errorf("trace ID %q decoded", id)
+		}
 	}
 }
 
@@ -265,31 +309,31 @@ func TestReadChromeRequestsExactNanosecondRoundTrip(t *testing.T) {
 	const rootStart, streamStart, rootEnd = 3_535_757_459, 3_537_489_932, 3_539_110_790
 	ex := ReqExport{
 		OriginUnixNano: 1_786_167_139_000_000_123,
-		Spans: []ReqSpanExport{
-			{Trace: TraceID(1).String(), Name: SpanRequest, Side: SideRouter, StartNs: 0, EndNs: 1},
-			{Trace: trace.String(), Name: SpanRequest, Side: SideRouter, StartNs: rootStart, EndNs: rootEnd},
-			{Trace: trace.String(), Name: SpanAdmit, Side: SideRouter, StartNs: rootStart, EndNs: rootStart + 22_200},
-			{Trace: trace.String(), Name: SpanStream, Side: SideRouter, StartNs: streamStart, EndNs: rootEnd},
+		Spans: []ReqSpan{
+			{Trace: 1, Name: SpanRequest, Side: SideRouter, Start: 0, End: 1},
+			{Trace: trace, Name: SpanRequest, Side: SideRouter, Start: rootStart, End: rootEnd},
+			{Trace: trace, Name: SpanAdmit, Side: SideRouter, Start: rootStart, End: rootStart + 22_200},
+			{Trace: trace, Name: SpanStream, Side: SideRouter, Start: streamStart, End: rootEnd},
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeRequests(&buf, ex); err != nil {
+	if err := WriteChrome(&buf, nil, 0, ex); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ReadChromeRequests(&buf)
+	dec, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range dec.ByID[trace] {
-		var want ReqSpanExport
+		var want ReqSpan
 		for _, w := range ex.Spans {
 			if w.Name == s.Name {
 				want = w
 			}
 		}
-		if int64(s.Start) != want.StartNs || int64(s.End) != want.EndNs {
+		if s.Start != want.Start || s.End != want.End {
 			t.Fatalf("%s span decoded as [%d, %d]ns, want exact [%d, %d]ns",
-				s.Name, int64(s.Start), int64(s.End), want.StartNs, want.EndNs)
+				s.Name, int64(s.Start), int64(s.End), int64(want.Start), int64(want.End))
 		}
 	}
 	if err := dec.Validate(0); err != nil {
@@ -302,18 +346,18 @@ func TestReadChromeRequestsExactNanosecondRoundTrip(t *testing.T) {
 // the older origin, so uptime alone never pushes spans out of range.
 func TestWriteChromeRequestsLongUptime(t *testing.T) {
 	trace := TraceID(0x5eed)
-	week, minute := int64(7*24*time.Hour), int64(time.Minute)
-	router := ReqExport{OriginUnixNano: 1_786_167_139_000_000_123, Spans: []ReqSpanExport{
-		{Trace: trace.String(), Name: SpanRequest, Side: SideRouter, StartNs: week + 123_456_789, EndNs: week + 223_456_790},
+	week, minute := 7*24*time.Hour, time.Minute
+	router := ReqExport{OriginUnixNano: 1_786_167_139_000_000_123, Spans: []ReqSpan{
+		{Trace: trace, Name: SpanRequest, Side: SideRouter, Start: week + 123_456_789, End: week + 223_456_790},
 	}}
-	replica := ReqExport{OriginUnixNano: router.OriginUnixNano + week - minute, Spans: []ReqSpanExport{
-		{Trace: trace.String(), Name: SpanDecode, Side: SideReplica, StartNs: minute + 150_000_001, EndNs: minute + 200_000_003},
+	replica := ReqExport{OriginUnixNano: router.OriginUnixNano + int64(week-minute), Spans: []ReqSpan{
+		{Trace: trace, Name: SpanDecode, Side: SideReplica, Start: minute + 150_000_001, End: minute + 200_000_003},
 	}}
 	var buf bytes.Buffer
-	if err := WriteChromeRequests(&buf, router, replica); err != nil {
+	if err := WriteChrome(&buf, nil, 0, router, replica); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := ReadChromeRequests(&buf)
+	dec, err := ReadChrome(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,8 +365,8 @@ func TestWriteChromeRequestsLongUptime(t *testing.T) {
 		{Trace: trace, Name: SpanRequest, Side: SideRouter, Start: 0, End: 100_000_001},
 		{Trace: trace, Name: SpanDecode, Side: SideReplica, Start: 26_543_212, End: 76_543_214},
 	}
-	if !slices.Equal(dec.Spans, want) {
-		t.Fatalf("decoded %+v, want %+v", dec.Spans, want)
+	if !slices.Equal(dec.Requests, want) {
+		t.Fatalf("decoded %+v, want %+v", dec.Requests, want)
 	}
 	if err := dec.Validate(0); err != nil {
 		t.Fatal(err)

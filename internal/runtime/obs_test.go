@@ -83,7 +83,7 @@ func TestRuntimeRecordsSpans(t *testing.T) {
 
 	// The exported trace must decode cleanly.
 	var buf bytes.Buffer
-	if err := rec.WriteChrome(&buf); err != nil {
+	if err := obs.WriteChrome(&buf, rec, 0); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := obs.ReadChrome(&buf)

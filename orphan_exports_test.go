@@ -18,6 +18,7 @@ var viaInterface = map[string]bool{
 	"String": true, "Error": true, "ServeHTTP": true, "Flush": true,
 	"Write": true, "Set": true, "Len": true, "Less": true, "Swap": true,
 	"Push": true, "Pop": true, "MarshalJSON": true, "UnmarshalJSON": true,
+	"MarshalText": true, "UnmarshalText": true,
 }
 
 // TestNoOrphanExports keeps ROADMAP item 7(b) finished: an exported func or
