@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -76,11 +75,8 @@ func loadWorkload(o benchOptions) ([]workload.Item, error) {
 		defer f.Close()
 		return workload.LoadAzureCSV(f)
 	}
-	if !(o.rate > 0 && o.rate <= math.MaxFloat64) { // NaN fails too
-		return nil, fmt.Errorf("-request-rate %g: want a finite rate above 0", o.rate)
-	}
-	if o.duration <= 0 {
-		return nil, fmt.Errorf("-duration %v: want a send window above 0", o.duration)
+	if err := workload.CheckRate(o.rate, o.duration); err != nil {
+		return nil, fmt.Errorf("-request-rate %g -duration %v: %w", o.rate, o.duration, err)
 	}
 	ds, err := workload.ByName(o.datasetName)
 	if err != nil {

@@ -150,7 +150,8 @@ func TestParseGoodputErrors(t *testing.T) {
 			t.Errorf("%q parsed", spec)
 		}
 	}
-	// run checks the spec, and the send window, before it sends anything.
+	// run checks the spec, the rate and the send window before it sends
+	// anything.
 	var sent atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { sent.Add(1) }))
 	defer srv.Close()
@@ -168,6 +169,9 @@ func TestParseGoodputErrors(t *testing.T) {
 		"goodput typo": func(o *benchOptions) { o.goodput = "ttft:2000 tpto:100" },
 		"duration 0":   func(o *benchOptions) { o.duration = 0 },
 		"duration -1s": func(o *benchOptions) { o.duration = -time.Second },
+		// Too long to synthesize: this one used to build the trace until
+		// it ran out of memory.
+		"request-rate 1e12": func(o *benchOptions) { o.rate = 1e12 },
 	} {
 		o := base
 		mutate(&o)

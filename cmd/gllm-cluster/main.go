@@ -180,6 +180,10 @@ func checkOptions(o clusterOptions) error {
 		return errors.New("-replicas 0 and no -replica: nothing to route to")
 	case o.retry.MaxAttempts < 0:
 		return fmt.Errorf("-retry-attempts %d: want 0 (the default) or more", o.retry.MaxAttempts)
+	case o.probeInterval < 0:
+		return fmt.Errorf("-probe-interval %v: want 0 (the default) or more", o.probeInterval)
+	case o.probeFailures < 0:
+		return fmt.Errorf("-probe-failures %d: want 0 (the default) or more", o.probeFailures)
 	}
 	return nil
 }

@@ -18,10 +18,11 @@ func TestBuildClusterRejectsBadPolicy(t *testing.T) {
 	}
 }
 
-// A flag value that used to panic (-pp 0), serve nothing but 429s
-// (-replicas 0 alone) or answer with a nil-wrapping 400 (-retry-attempts
-// -3) fails run before it listens, with the one line main prints before it
-// exits 1.
+// A flag value that used to panic (-pp 0, -probe-interval -1s), serve
+// nothing but 429s (-replicas 0 alone), answer with a nil-wrapping 400
+// (-retry-attempts -3) or mark a replica down without counting the trip
+// (-probe-failures -1) fails run before it listens, with the one line main
+// prints before it exits 1.
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -34,6 +35,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"replicas 0", func(o *clusterOptions) { o.replicas = 0 }, "-replicas 0"},
 		{"retry-attempts -3", func(o *clusterOptions) { o.retry.MaxAttempts = -3 }, "-retry-attempts -3"},
 		{"gpu-memory-util 2", func(o *clusterOptions) { o.memUtil = 2 }, "MemUtil 2 out of (0,1]"},
+		{"probe-interval -1s", func(o *clusterOptions) {
+			o.replicas, o.remotes, o.probeInterval = 0, []string{"http://127.0.0.1:1"}, -time.Second
+		}, "-probe-interval -1s"},
+		{"probe-failures -1", func(o *clusterOptions) {
+			o.replicas, o.remotes, o.probeFailures = 0, []string{"http://127.0.0.1:1"}, -1
+		}, "-probe-failures -1"},
 	} {
 		o := clusterOptions{port: 0, replicas: 1, policy: "prefix", modelPath: "Qwen2.5-14B",
 			pp: 2, gpuName: "L20-48GB", memUtil: 0.9, schedName: "gllm", budget: 2048,

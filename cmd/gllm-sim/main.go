@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"time"
 
@@ -94,12 +93,6 @@ func main() {
 	}
 }
 
-// maxTraceRequests caps the expected length, rate × window, of a
-// synthesized trace. Generating it is the run's first step, and a ShareGPT
-// trace of this length takes 0.4 s and 200 MB to build on one core of a
-// 2-core x86 VM, before the run simulates a single request of it.
-const maxTraceRequests = 1 << 20
-
 func run(o simOptions) error {
 	// Written so that NaN fails; an explicit 0 is out of range too, not
 	// the engine's unset default.
@@ -158,15 +151,8 @@ func run(o simOptions) error {
 			return err
 		}
 	} else {
-		if !(o.rate > 0 && o.rate <= math.MaxFloat64) {
-			return fmt.Errorf("-rate %g: want a finite rate above 0", o.rate)
-		}
-		if o.window <= 0 {
-			return fmt.Errorf("-window %v: want a window above 0", o.window)
-		}
-		if n := o.rate * o.window.Seconds(); n > maxTraceRequests {
-			return fmt.Errorf("-rate %g over -window %v: %.3g expected requests, limit %d",
-				o.rate, o.window, n, maxTraceRequests)
+		if err := workload.CheckRate(o.rate, o.window); err != nil {
+			return fmt.Errorf("-rate %g -window %v: %w", o.rate, o.window, err)
 		}
 		ds, err := workload.ByName(o.datasetName)
 		if err != nil {

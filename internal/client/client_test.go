@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -189,6 +190,32 @@ func TestAbortedStreamIsError(t *testing.T) {
 	}
 }
 
+// inFlightWriter counts its request out of flight when the handler writes
+// the terminal [DONE] event, ahead of the flush that shows it to the
+// client: the client frees its slot on reading [DONE], before the handler
+// returns, so a count dropped on return would overlap the next request's.
+type inFlightWriter struct {
+	http.ResponseWriter
+	cur  *atomic.Int64
+	left bool
+}
+
+func (w *inFlightWriter) leave() {
+	if !w.left {
+		w.left = true
+		w.cur.Add(-1)
+	}
+}
+
+func (w *inFlightWriter) Write(b []byte) (int, error) {
+	if bytes.HasPrefix(b, []byte("data: [DONE]")) {
+		w.leave()
+	}
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *inFlightWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
 func TestMaxInFlightCapsConcurrency(t *testing.T) {
 	rt, err := runtime.Start(runtime.Config{
 		Model:     model.Qwen25_14B,
@@ -204,14 +231,15 @@ func TestMaxInFlightCapsConcurrency(t *testing.T) {
 	h := server.New(rt, "Qwen2.5-14B")
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c := cur.Add(1)
-		defer cur.Add(-1)
+		iw := &inFlightWriter{ResponseWriter: w, cur: &cur}
+		defer iw.leave()
 		for {
 			p := peak.Load()
 			if c <= p || peak.CompareAndSwap(p, c) {
 				break
 			}
 		}
-		h.ServeHTTP(w, r)
+		h.ServeHTTP(iw, r)
 	}))
 	t.Cleanup(func() {
 		ts.Close()

@@ -134,6 +134,12 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("cluster: bad remote BaseURL %q", cfg.BaseURL)
 	}
+	// A negative period would panic the prober's ticker, and a negative
+	// threshold would mark the replica down without ever counting a trip.
+	if cfg.ProbeInterval < 0 || cfg.FailureThreshold < 0 {
+		return nil, fmt.Errorf("cluster: remote %s: negative probe interval %v or failure threshold %d",
+			cfg.BaseURL, cfg.ProbeInterval, cfg.FailureThreshold)
+	}
 	cfg.applyDefaults()
 	httpc := cfg.HTTPClient
 	if httpc == nil {

@@ -118,6 +118,21 @@ func newRemote(t *testing.T, cfg RemoteConfig) *Remote {
 	return rem
 }
 
+// A negative probe period or failure threshold is refused before any probe
+// runs: the first would panic the prober's ticker, the second would mark
+// the replica down on its first failure without ever counting a trip.
+func TestNewRemoteRejectsNegativeProbeSettings(t *testing.T) {
+	for _, cfg := range []RemoteConfig{
+		{BaseURL: "http://127.0.0.1:1", ProbeInterval: -time.Second},
+		{BaseURL: "http://127.0.0.1:1", FailureThreshold: -1},
+	} {
+		if rem, err := NewRemote(cfg); err == nil {
+			rem.Close()
+			t.Errorf("NewRemote(%+v) = nil error, want one", cfg)
+		}
+	}
+}
+
 // A Remote fronting a live gllm-server serves a full stream through the
 // proxy handle: every token arrives, the finish reason survives the wire,
 // and the probing, stats, and prefix-match surfaces all round-trip.

@@ -46,7 +46,7 @@ func RunDisaggregated(cfg DisaggConfig, items []workload.Item) (*Result, error) 
 	cfg.Scheduler = sched.NewSarathi(2048) // satisfies validate; never scheduled
 	cfg.Runtime = RuntimeModel{Name: cfg.Runtime.Name}
 	cfg.EnablePrefixCache, cfg.EnableCPP = false, false
-	r, err := newRun(&cfg.Config)
+	r, err := newRun(&cfg.Config, cfg.Topo.GPUs())
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func RunDisaggregated(cfg DisaggConfig, items []workload.Item) (*Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		return r.addLoop(kvCap, depth, sched.NewSarathi(budget), newChain(r, name+"-stage", first, layers)), nil
+		return r.addLoop(kvCap, depth, sched.NewSarathi(budget), newChain(r, first, layers)), nil
 	}
 	if d.prefill, err = replica("prefill", 0, depthP, 2048); err != nil {
 		return nil, err

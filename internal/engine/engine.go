@@ -10,8 +10,8 @@
 // the GPU roofline cost model and the network link model, and differ only
 // in how a scheduled micro-batch maps onto hardware time: kernel.go owns
 // the one iteration loop, and each engine file supplies the strategy that
-// prices a batch shape onto sim.Resources and records its spans (DESIGN.md
-// §9).
+// prices a batch shape, books it on its devices' free-at times and records
+// its spans (DESIGN.md §9).
 package engine
 
 import (

@@ -30,6 +30,9 @@ import (
 // vllm-ve's moved then, because its walk began evicting younger KV holders
 // for a blocked continuation (196 → 174 preemptions, DESIGN.md §8).
 //
+// The orca overtaking cell came later still, captured on the FIFO job
+// queues that stood in for the stages before they became free-at times.
+//
 // On a mismatch the failure prints the table line to paste; only do that
 // for a change that is meant to alter what the engines simulate.
 var goldenDigests = map[string]string{
@@ -63,6 +66,7 @@ var goldenDigests = map[string]string{
 	"tokenpar/conversations+cpp+prefix":    "147375df6f036ec66bcece3530cb74b64b8aa2339893f5c85cdf9c583b6985d3",
 	"disagg-2p2d/conversations+cpp+prefix": "359d22db725ae05333c4a1a8931e975364ebad2e3c790931e880c57b318e21d2",
 	"pipeline/util-sampling":               "f67cb42111290995570329b563d09f9683cb64fadaa48664529c9dd30c76f66f",
+	"pipeline/orca/overtaking":             "35634690e83e0877e52e8ffbd53a4958cc74fb953a620c9e97a66faec3aa6c78",
 }
 
 // goldenCell is one pinned run. spanStages sizes the span recorder;
@@ -184,8 +188,49 @@ func goldenCells() []goldenCell {
 			p.install(&c)
 			return RunPipeline(c, base)
 		}},
+		// The kernel books stage s+1 when a batch's activations arrive, so a
+		// small batch whose transfer is quicker can enter it ahead of an
+		// earlier whole-prompt batch; the live driver books every stage at
+		// injection and keeps injection order (DESIGN.md §9). Orca on this
+		// trace is a cell where that happens.
+		goldenCell{name: "pipeline/orca/overtaking", spanStages: 4, run: func(p *goldenProbe) (*Result, error) {
+			s, err := sched.ByName("orca", 2048, core.DefaultParams())
+			if err != nil {
+				return nil, err
+			}
+			c := testConfig(s, GLLMRuntime)
+			p.install(&c)
+			res, err := RunPipeline(c, workload.Poisson(stats.NewRNG(1), workload.Azure, 2, 32*time.Second))
+			if err == nil && !overtakes(p.rec.Spans(), 1) {
+				err = fmt.Errorf("setup failed: no batch entered stage 1 ahead of an earlier one")
+			}
+			return res, err
+		}},
 	)
 	return cells
+}
+
+// overtakes reports whether some exec span on stage starts before the exec
+// span there of a batch injected earlier.
+func overtakes(spans []obs.Span, stage int) bool {
+	starts := make(map[int32]time.Duration)
+	for _, s := range spans {
+		if int(s.Stage) == stage && s.Kind == obs.KindExec {
+			starts[s.Seq] = s.Start
+		}
+	}
+	latest := time.Duration(-1)
+	for seq := int32(1); seq <= int32(len(starts)); seq++ {
+		start, ok := starts[seq]
+		if !ok {
+			continue
+		}
+		if start < latest {
+			return true
+		}
+		latest = start
+	}
+	return false
 }
 
 // digestResult hashes every field of the run's outcome, its batch log, the

@@ -14,23 +14,20 @@ import (
 )
 
 // The iteration kernel: every engine is one run (clock, arrivals, abort
-// guards, collector, Result) driving one loop per scheduler pool, and
-// contributes only a strategy. Event order is the contract: sim.Engine
-// breaks timestamp ties by insertion sequence, so the order in which fill,
-// retire, refill and the strategies issue At/After/Submit decides every
-// later scheduling decision (DESIGN.md §9; pinned by golden_test.go).
+// guards, collector, Result, the devices' free-at times and busy totals)
+// driving one loop per scheduler pool, and contributes only a strategy.
+// Event order is the contract: sim.Engine breaks timestamp ties by
+// insertion sequence, so the order in which fill, retire, refill and the
+// strategies issue At/After decides every later scheduling decision
+// (DESIGN.md §9; pinned by golden_test.go).
 
 // strategy is an engine's half of the kernel: how a scheduled micro-batch
 // occupies hardware time.
 type strategy interface {
-	// execute prices mb's frozen shape onto sim.Resources, records its spans,
-	// and calls mb.loop.retire(mb) when the batch leaves the hardware.
+	// execute prices mb's frozen shape, books it on its devices and their
+	// run.busy lanes, records its spans, and calls mb.loop.retire(mb) when
+	// the batch leaves the hardware.
 	execute(mb *microBatch)
-	// stageBusy appends each rank's cumulative execute time so far.
-	stageBusy(dst []time.Duration) []time.Duration
-	// lanes is one past the highest span lane (Config.Spans stage) that
-	// execute records on.
-	lanes() int
 }
 
 // microBatch is one scheduled batch in flight with its frozen cost shape. A
@@ -58,11 +55,16 @@ type microBatch struct {
 
 // run is the live state of one simulation.
 type run struct {
-	cfg       Config
-	eng       *sim.Engine
-	cost      gpu.CostModel
-	driverCPU *sim.Resource // serializes a coupled runtime's prep
-	loops     []*loop
+	cfg  Config
+	eng  *sim.Engine
+	cost gpu.CostModel
+	// cpuFree is when the one driver CPU, which serializes a coupled
+	// runtime's prep, is next free.
+	cpuFree time.Duration
+	// busy is each span lane's (Config.Spans stage's) execute time booked
+	// so far, one entry per GPU rank the strategies book on: StageBusy.
+	busy  []time.Duration
+	loops []*loop
 	// admit, when set, runs ahead of every refill (the disaggregated engine
 	// adopts landed KV migrations into its decode pool there).
 	admit func()
@@ -93,15 +95,14 @@ type loop struct {
 	migrate func(b *sched.Batch)
 }
 
-// newRun prepares cfg and starts a run's clock.
-func newRun(cfg *Config) (*run, error) {
+// newRun prepares cfg and starts a run's clock over lanes busy lanes.
+func newRun(cfg *Config, lanes int) (*run, error) {
 	cost, err := cfg.prepare()
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New()
-	return &run{cfg: *cfg, eng: eng, cost: cost,
-		driverCPU: sim.NewResource(eng, "driver-cpu"), col: new(metrics.Collector)}, nil
+	return &run{cfg: *cfg, eng: sim.New(), cost: cost,
+		busy: make([]time.Duration, lanes), col: new(metrics.Collector)}, nil
 }
 
 // addLoop adds a scheduler pool over kvCap tokens of KV cache whose batches,
@@ -125,10 +126,8 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 	if err := r.validateWorkload(items); err != nil {
 		return nil, err
 	}
-	for _, l := range r.loops {
-		if n := l.exec.lanes(); r.cfg.Spans != nil && r.cfg.Spans.Stages() < n {
-			return nil, fmt.Errorf("engine: span recorder has %d stages, the run records on %d", r.cfg.Spans.Stages(), n)
-		}
+	if r.cfg.Spans != nil && r.cfg.Spans.Stages() < len(r.busy) {
+		return nil, fmt.Errorf("engine: span recorder has %d stages, the run records on %d", r.cfg.Spans.Stages(), len(r.busy))
 	}
 	r.total = len(items)
 	// Arrivals run in item order — the items are sorted and equal
@@ -168,7 +167,7 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 		Collector:        r.col,
 		Injections:       r.injections,
 		Makespan:         makespan,
-		StageBusy:        r.stageBusy(nil),
+		StageBusy:        r.busy,
 		KVCapacityTokens: kvCap,
 		KVTransfers:      r.kvTransfers,
 		KVTransferBytes:  r.kvTransferBytes,
@@ -206,14 +205,6 @@ func (r *run) validateWorkload(items []workload.Item) error {
 	return nil
 }
 
-// stageBusy appends every loop's per-rank execute time, in loop order.
-func (r *run) stageBusy(dst []time.Duration) []time.Duration {
-	for _, l := range r.loops {
-		dst = l.exec.stageBusy(dst)
-	}
-	return dst
-}
-
 // fill schedules fresh batches into the loop's free slots.
 func (l *loop) fill() {
 	r := l.run
@@ -232,12 +223,13 @@ func (l *loop) fill() {
 		}
 		r.injections++
 		mb.batch, mb.shape, mb.seq = b, b.Shape(), r.injections
-		// A coupled runtime queues its prep on the one driver CPU; a
-		// decoupled one delays only this batch by its residual.
+		// A coupled runtime's prep starts when the one driver CPU is free;
+		// a decoupled one delays only this batch by its residual.
 		mb.prep = r.cfg.Runtime.PrepTime(len(b.Chunks)+len(b.Decodes), mb.shape.Tokens())
 		switch {
 		case r.cfg.Runtime.Coupled:
-			r.driverCPU.Submit(mb.prep, mb.prepped)
+			r.cpuFree = max(now, r.cpuFree) + mb.prep
+			r.eng.At(r.cpuFree, mb.prepped)
 		case mb.prep > 0:
 			r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), now, now+mb.prep)
 			r.eng.After(mb.prep, mb.prepped)
@@ -248,8 +240,8 @@ func (l *loop) fill() {
 }
 
 // prepped runs when mb's prep charge has elapsed: a coupled runtime's span
-// is known only now (the driver CPU may have queued it), a decoupled one's
-// was recorded at injection.
+// is recorded now, as the charge ends, a decoupled one's was recorded at
+// injection; the span stream's order is pinned by the golden digests.
 func (l *loop) prepped(mb *microBatch) {
 	if r := l.run; r.cfg.Runtime.Coupled {
 		end := r.eng.Now()

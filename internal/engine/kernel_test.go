@@ -11,7 +11,6 @@ import (
 	"gllm/internal/obs"
 	"gllm/internal/request"
 	"gllm/internal/sched"
-	"gllm/internal/sim"
 )
 
 // A kept Result must not keep its run alive: the collector it hands out is
@@ -49,8 +48,8 @@ func TestResultDoesNotPinRun(t *testing.T) {
 // Schedule, prep, every stage and hop, Complete, retire — allocates nothing,
 // under every policy and on both strategies. The arithmetic of the bound:
 // the batch and its slices are recycled through Pool.PutBatch (0), the
-// slot's callbacks were bound by its first batch (0), sim.Resource starts
-// and queues jobs in place (0), both of the clock's queues have reached
+// slot's callbacks were bound by its first batch (0), a stage or the driver
+// CPU is booked by moving its free-at time (0), both of the clock's queues have reached
 // their size (0), and the per-token KV append lands in a page table that
 // 1 030 prompt tokens grew to 128 blocks of capacity, enough for 1 018 more
 // (0); the run keeps no per-batch log of its own. At the parent
@@ -60,10 +59,8 @@ func TestResultDoesNotPinRun(t *testing.T) {
 func TestSteadyStateIterationAllocationFree(t *testing.T) {
 	const residents, prompt, warm, measured = 32, 1030, 64, 256
 	strategies := map[string]func(r *run, layers []int) strategy{
-		"pipeline": func(r *run, layers []int) strategy { return newChain(r, "stage", 0, layers) },
-		"tokenpar": func(r *run, _ []int) strategy {
-			return &tknpGroup{ranks: 4, rootTP: 2, group: sim.NewResource(r.eng, "tknp-group")}
-		},
+		"pipeline": func(r *run, layers []int) strategy { return newChain(r, 0, layers) },
+		"tokenpar": func(*run, []int) strategy { return &tknpGroup{ranks: 4, rootTP: 2} },
 	}
 	for _, name := range []string{"sarathi", "vllm-ve", "td-pipe", "orca", "batch-level", "gllm", "gllm-no-wt", "gllm-no-ut"} {
 		for engine, build := range strategies {
@@ -73,7 +70,7 @@ func TestSteadyStateIterationAllocationFree(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := testConfig(s, rt)
-				r, err := newRun(&cfg)
+				r, err := newRun(&cfg, 4)
 				if err != nil {
 					t.Fatal(err)
 				}

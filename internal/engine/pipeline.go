@@ -1,51 +1,46 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"gllm/internal/gpu"
 	"gllm/internal/obs"
-	"gllm/internal/sim"
 	"gllm/internal/workload"
 )
 
 // RunPipeline simulates serving the trace on a pipeline-parallel deployment
 // (one stage per GPU in cfg.Topo) and returns the aggregated result.
 func RunPipeline(cfg Config, items []workload.Item) (*Result, error) {
-	r, err := newRun(&cfg)
+	depth := cfg.Topo.GPUs()
+	r, err := newRun(&cfg, depth)
 	if err != nil {
 		return nil, err
 	}
-	depth := cfg.Topo.GPUs()
 	stageLayers, kvCap, err := cfg.stages(&r.cost, depth, "")
 	if err != nil {
 		return nil, err
 	}
-	r.addLoop(kvCap, depth, cfg.Scheduler, newChain(r, "stage", 0, stageLayers))
+	r.addLoop(kvCap, depth, cfg.Scheduler, newChain(r, 0, stageLayers))
 	return r.serve(items, cfg.Scheduler.Name(), kvCap)
 }
 
 // chain is the pipeline strategy: a row of exclusive stages, visited in order
-// with an activation transfer over each hop, so up to len(stages)
+// with an activation transfer over each hop, so up to len(layers)
 // micro-batches overlap. first is the topology index of stage 0 (a
-// disaggregated decode replica sits after the prefill GPUs); spans and hops
-// use global indices. A batch is priced once; stage i charges layers[i]
-// times that price, StageTime's product without re-pricing at every stage.
+// disaggregated decode replica sits after the prefill GPUs); spans, hops
+// and busy lanes use global indices. A batch is priced once; stage i
+// charges layers[i] times that price, StageTime's product without
+// re-pricing at every stage.
 type chain struct {
-	stages []*sim.Resource
+	free   []time.Duration // when each stage is next free
 	first  int
 	layers []int
 	price  func(shape gpu.BatchShape) time.Duration
 }
 
 // newChain builds one stage per GPU, stage i holding layers[i] of the model.
-func newChain(r *run, name string, first int, layers []int) *chain {
-	c := &chain{first: first, stages: make([]*sim.Resource, len(layers)), layers: layers, price: r.cost.LayerTime}
-	for i := range c.stages {
-		c.stages[i] = sim.NewResource(r.eng, fmt.Sprintf("%s%d", name, i))
-	}
-	return c
+func newChain(r *run, first int, layers []int) *chain {
+	return &chain{first: first, free: make([]time.Duration, len(layers)), layers: layers, price: r.cost.LayerTime}
 }
 
 func (c *chain) execute(mb *microBatch) {
@@ -57,10 +52,15 @@ func (c *chain) execute(mb *microBatch) {
 	c.enter(0, mb)
 }
 
-// enter enqueues the batch on stage i.
+// enter books the batch on stage i at the event where its activations
+// arrive: it starts at the later of now and when the stage is free, which
+// applied in arrival order is a FIFO server's start time.
 func (c *chain) enter(i int, mb *microBatch) {
+	r := mb.loop.run
 	mb.stage, mb.dur = i, time.Duration(c.layers[i])*mb.unit
-	c.stages[i].Submit(mb.dur, mb.ran)
+	c.free[i] = max(r.eng.Now(), c.free[i]) + mb.dur
+	r.busy[c.first+i] += mb.dur
+	r.eng.At(c.free[i], mb.ran)
 }
 
 // ran runs when the batch leaves its stage: it forwards the activations or,
@@ -69,20 +69,11 @@ func (c *chain) ran(mb *microBatch) {
 	r := mb.loop.run
 	now, hop, tokens := r.eng.Now(), c.first+mb.stage, mb.shape.Tokens()
 	r.cfg.Spans.Record(hop, obs.KindExec, mb.seq, tokens, now-mb.dur, now)
-	if mb.stage+1 == len(c.stages) {
+	if mb.stage+1 == len(c.layers) {
 		mb.loop.retire(mb)
 		return
 	}
 	xfer := r.cfg.HopTime(hop, tokens)
 	r.cfg.Spans.Record(hop, obs.KindXfer, mb.seq, tokens, now, now+xfer)
 	r.eng.After(xfer, mb.arrived)
-}
-
-func (c *chain) lanes() int { return c.first + len(c.stages) }
-
-func (c *chain) stageBusy(dst []time.Duration) []time.Duration {
-	for _, st := range c.stages {
-		dst = append(dst, st.BusyTime())
-	}
-	return dst
 }

@@ -6,7 +6,6 @@ import (
 
 	"gllm/internal/gpu"
 	"gllm/internal/network"
-	"gllm/internal/sim"
 	"gllm/internal/workload"
 )
 
@@ -14,7 +13,7 @@ import (
 // spanning all GPUs in cfg.Topo (the SGLang-like baseline). The scheduler
 // sees a pipeline depth of 1: there is exactly one in-flight batch.
 func RunTensor(cfg Config, items []workload.Item) (*Result, error) {
-	r, err := newRun(&cfg)
+	r, err := newRun(&cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +26,7 @@ func RunTensor(cfg Config, items []workload.Item) (*Result, error) {
 	// All GPUs act as one fused device running one whole-model iteration at a
 	// time: a chain of a single stage charging its price once, per iteration.
 	r.addLoop(kvCap, 1, cfg.Scheduler, &chain{
-		stages: []*sim.Resource{sim.NewResource(r.eng, "tp-device")},
+		free:   make([]time.Duration, 1),
 		layers: []int{1},
 		price: func(shape gpu.BatchShape) time.Duration {
 			return tensorIterationTime(&r.cost, cfg.Topo, shape)

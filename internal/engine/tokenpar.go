@@ -7,7 +7,6 @@ import (
 	"gllm/internal/gpu"
 	"gllm/internal/network"
 	"gllm/internal/obs"
-	"gllm/internal/sim"
 	"gllm/internal/workload"
 )
 
@@ -76,7 +75,7 @@ func tokenParallelIterationTime(cost *gpu.CostModel, topo network.Topology, root
 // deployment spanning all GPUs in cfg.Topo. The scheduler sees a pipeline
 // depth of 1: one in-flight batch over the whole model per iteration.
 func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, error) {
-	r, err := newRun(&cfg.Config)
+	r, err := newRun(&cfg.Config, cfg.Topo.GPUs())
 	if err != nil {
 		return nil, err
 	}
@@ -92,19 +91,17 @@ func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, 
 		return nil, fmt.Errorf("engine: %s on %d x %s under TKNP (root TP %d, KV capacity %d tokens): %w",
 			cfg.Model.Name, n, cfg.GPU.Name, cfg.RootTP, kvCap, ErrModelDoesNotFit)
 	}
-	r.addLoop(kvCap, 1, cfg.Scheduler, &tknpGroup{ranks: n, rootTP: cfg.RootTP, group: sim.NewResource(r.eng, "tknp-group")})
+	r.addLoop(kvCap, 1, cfg.Scheduler, &tknpGroup{ranks: n, rootTP: cfg.RootTP})
 	return r.serve(items, cfg.Scheduler.Name(), kvCap)
 }
 
 // tknpGroup is the token-parallel strategy. Like the tensor engine it runs
-// one whole-model iteration at a time on one fused resource; rank busy time
-// is booked from the iteration's price breakdown as it ends.
+// one whole-model iteration at a time over the whole group, which with one
+// slot never waits for itself; rank busy time is booked from the
+// iteration's price breakdown as it ends.
 type tknpGroup struct {
 	ranks, rootTP int
-	group         *sim.Resource
-	iter          tknpIterCost  // the iteration in flight (the loop has one slot)
-	rootBusy      time.Duration // per-root-rank exec time (projections + MLP)
-	peerBusy      time.Duration // per-rank attention exec time
+	iter          tknpIterCost // the iteration in flight (the loop has one slot)
 }
 
 func (g *tknpGroup) execute(mb *microBatch) {
@@ -113,33 +110,23 @@ func (g *tknpGroup) execute(mb *microBatch) {
 	}
 	r := mb.loop.run
 	g.iter = tokenParallelIterationTime(&r.cost, r.cfg.Topo, g.rootTP, mb.shape)
-	g.group.Submit(g.iter.total, mb.ran)
+	r.eng.After(g.iter.total, mb.ran)
 }
 
 // ran books the finished iteration, then retires its batch — which may
-// execute the next one and overwrite g.iter.
+// execute the next one and overwrite g.iter. Every rank runs attention over
+// its KV partition, the root ranks the projections and MLP on top.
 func (g *tknpGroup) ran(mb *microBatch) {
 	r := mb.loop.run
 	g.recordSpans(r.cfg.Spans, mb.seq, mb.shape.Tokens(), r.eng.Now(), g.iter)
-	g.rootBusy += g.iter.root
-	g.peerBusy += g.iter.peer
+	for s := range g.ranks {
+		r.busy[s] += g.iter.peer
+		if s < g.rootTP {
+			r.busy[s] += g.iter.root
+		}
+	}
 	r.tknpCommBytes += g.iter.bytes
 	mb.loop.retire(mb)
-}
-
-func (g *tknpGroup) lanes() int { return g.ranks }
-
-// stageBusy reports one entry per rank: every rank runs attention over its
-// KV partition, the root ranks the projections and MLP on top.
-func (g *tknpGroup) stageBusy(dst []time.Duration) []time.Duration {
-	for s := 0; s < g.ranks; s++ {
-		busy := g.peerBusy
-		if s < g.rootTP {
-			busy += g.rootBusy
-		}
-		dst = append(dst, busy)
-	}
-	return dst
 }
 
 // recordSpans emits the iteration's spans: root exec on the weight-holding

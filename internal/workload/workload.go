@@ -8,6 +8,7 @@ package workload
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -90,6 +91,30 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
+}
+
+// maxTraceRequests caps the expected length, rate × window, of a
+// synthesized trace. Generating it is a run's first step, and a ShareGPT
+// trace of this length takes 0.4 s and 200 MB to build on one core of a
+// 2-core x86 VM, before anything is served or simulated.
+const maxTraceRequests = 1 << 20
+
+// CheckRate reports why Poisson or Conversations should not synthesize a
+// trace at rate requests/s over window: the rate is not finite and above 0
+// (NaN and +Inf never end the window), the window is not above 0, or the
+// expected length rate × window exceeds maxTraceRequests. The error names
+// no flag; a command prefixes its own.
+func CheckRate(rate float64, window time.Duration) error {
+	switch {
+	case !(rate > 0 && rate <= math.MaxFloat64):
+		return errors.New("want a finite rate above 0")
+	case window <= 0:
+		return errors.New("want a window above 0")
+	}
+	if n := rate * window.Seconds(); n > maxTraceRequests {
+		return fmt.Errorf("%.3g expected requests, limit %d", n, maxTraceRequests)
+	}
+	return nil
 }
 
 // Poisson generates an open-loop trace: arrivals follow a Poisson process
