@@ -169,7 +169,8 @@ func replicaFactory(o clusterOptions, spans *obs.ReqRecorder) (func() (cluster.E
 }
 
 // checkOptions rejects the flag values that would panic in the topology,
-// serve every request a 429, or wrap no cause in the router's error.
+// serve every request a 429, wrap no cause in the router's error, or leave
+// every drain incomplete.
 func checkOptions(o clusterOptions) error {
 	switch {
 	case o.pp < 1:
@@ -184,6 +185,8 @@ func checkOptions(o clusterOptions) error {
 		return fmt.Errorf("-probe-interval %v: want 0 (the default) or more", o.probeInterval)
 	case o.probeFailures < 0:
 		return fmt.Errorf("-probe-failures %d: want 0 (the default) or more", o.probeFailures)
+	case o.drainTimeout < 0:
+		return fmt.Errorf("-drain-timeout %v: want 0 (abort at once) or more", o.drainTimeout)
 	}
 	return nil
 }

@@ -41,6 +41,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"probe-failures -1", func(o *clusterOptions) {
 			o.replicas, o.remotes, o.probeFailures = 0, []string{"http://127.0.0.1:1"}, -1
 		}, "-probe-failures -1"},
+		{"drain-timeout -1s", func(o *clusterOptions) { o.drainTimeout = -time.Second }, "-drain-timeout -1s"},
 	} {
 		o := clusterOptions{port: 0, replicas: 1, policy: "prefix", modelPath: "Qwen2.5-14B",
 			pp: 2, gpuName: "L20-48GB", memUtil: 0.9, schedName: "gllm", budget: 2048,

@@ -313,14 +313,13 @@ var steps = []struct {
 }
 
 // tknpArtifact wraps the TKNP regime sweep in the repo's BENCH_*.json
-// shape: what ran, where, when, and how to regenerate it.
+// shape: what ran and how to regenerate it. It records no date or host:
+// the numbers are virtual time, so they do not depend on the machine.
 func tknpArtifact(res *experiments.TknpResult, scaleName string) ([]byte, error) {
 	return json.MarshalIndent(struct {
 		Benchmark   string                  `json:"benchmark"`
 		Description string                  `json:"description"`
 		Scale       string                  `json:"scale"`
-		Recorded    string                  `json:"recorded"`
-		Host        map[string]any          `json:"host"`
 		Result      *experiments.TknpResult `json:"result"`
 	}{
 		Benchmark: "TknpRegimes",
@@ -331,13 +330,7 @@ func tknpArtifact(res *experiments.TknpResult, scaleName string) ([]byte, error)
 			"cell (regression-tested); TP over-shards the model's 8 KV heads past degree 8 " +
 			"and pays 2(n-1) ring-step latencies per layer, PP streams all weights serially " +
 			"per output token. Regenerate with: make bench-tknp",
-		Scale:    scaleName,
-		Recorded: time.Now().Format("2006-01-02"),
-		Host: map[string]any{
-			"cores":      runtime.NumCPU(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-			"go":         runtime.Version(),
-		},
+		Scale:  scaleName,
 		Result: res,
 	}, "", "  ")
 }

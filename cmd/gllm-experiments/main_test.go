@@ -62,9 +62,8 @@ func TestMainErrErrors(t *testing.T) {
 // TestPaperRunMatchesResults makes the committed paper run a checked build
 // product: it regenerates every results/ artefact at paper scale in memory
 // and diffs each byte for byte against the committed file. Only the log's
-// timing lines and BENCH_tknp_regimes.json's recorded date and host are
-// exempt. The log includes Table 1's line count, so a change that moves any
-// number, or the size of the code, re-commits the run:
+// timing lines are exempt. The log includes Table 1's line count, so a
+// change that moves any number, or the size of the code, re-commits the run:
 //
 //	go run ./cmd/gllm-experiments -run all -scale paper -out results/ > results/full_run.log
 func TestPaperRunMatchesResults(t *testing.T) {
@@ -84,13 +83,9 @@ func TestPaperRunMatchesResults(t *testing.T) {
 	got["full_run.log"] = log.Bytes()
 
 	timing := regexp.MustCompile(`(?m)^\(\S+ took [0-9.]+s\)$`)
-	machine := regexp.MustCompile(`(?s)"recorded": "[^"]*",\n  "host": \{[^}]*\}`)
 	mask := func(name string, data []byte) []byte {
-		switch name {
-		case "full_run.log":
+		if name == "full_run.log" {
 			return timing.ReplaceAll(data, []byte("(timing)"))
-		case "BENCH_tknp_regimes.json":
-			return machine.ReplaceAll(data, []byte("(machine)"))
 		}
 		return data
 	}

@@ -118,6 +118,9 @@ func run(o srvOptions, sigCh <-chan os.Signal) error {
 	if o.pp < 1 {
 		return fmt.Errorf("-pp %d: want at least 1 stage", o.pp)
 	}
+	if o.drainTimeout < 0 {
+		return fmt.Errorf("-drain-timeout %v: want 0 (abort at once) or more", o.drainTimeout)
+	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
 	m, err := model.ByName(o.modelPath)

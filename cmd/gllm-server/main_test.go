@@ -179,10 +179,13 @@ func TestRunRejectsMemUtil(t *testing.T) {
 		runs[fmt.Sprintf("port %d", v)] = func(o *srvOptions) { o.port = v }
 		runs[fmt.Sprintf("stall-stage %d", v)] = func(o *srvOptions) { o.stallStage, o.stallDuration = v, time.Millisecond }
 		d := time.Duration(v)
-		runs[fmt.Sprintf("drain-timeout %d", v)] = func(o *srvOptions) { o.drainTimeout = d }
 		runs[fmt.Sprintf("watchdog-timeout %d", v)] = func(o *srvOptions) { o.watchdogTimeout = d }
 		runs[fmt.Sprintf("stall-duration %d", v)] = func(o *srvOptions) { o.stallStage, o.stallDuration = 0, d }
 	}
+	// A negative drain window used to be accepted and then log "drain
+	// incomplete" on every shutdown; 0 keeps meaning "abort at once".
+	fail["drain-timeout -1"] = func(o *srvOptions) { o.drainTimeout = -1 }
+	runs["drain-timeout 0"] = func(o *srvOptions) { o.drainTimeout = 0 }
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
 		runs[fmt.Sprintf("kvthresh %g", v)] = func(o *srvOptions) { o.params.KVThresh = v }
 		runs[fmt.Sprintf("time-scale %g", v)] = func(o *srvOptions) { o.timeScale = v }

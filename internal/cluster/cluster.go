@@ -61,7 +61,7 @@ type Request = runtime.SubmitSpec
 
 // Replica wraps one engine with routing state and counters.
 type Replica struct {
-	// ID names the replica in admin surfaces and affinity assignments.
+	// ID names the replica in admin surfaces.
 	ID string
 
 	eng      Engine

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 
+	"gllm/internal/engine"
 	"gllm/internal/runtime"
 	"gllm/internal/stats"
 )
@@ -110,36 +111,19 @@ func better(a, b runtime.Pressure) bool {
 	return a.QueueLen < b.QueueLen
 }
 
-// PrefixAffinity routes conversation follow-ups to the replica already
-// holding their prefix blocks: a sticky group→replica assignment,
-// validated against the replica's actual KV residency (MatchPrefix) and
-// its saturation. Cold starts — first turns, requests without a group,
-// or follow-ups whose cached prefix was evicted — fall through to the
-// fallback policy (least-KV by default), which also picks the new home
-// when the sticky replica is saturated or gone (drained/replaced).
+// PrefixAffinity routes conversation follow-ups to the replica holding
+// the longest resident run of their shared prefix, read from each
+// candidate's KV residency (MatchPrefix) at pick time, so the policy keeps
+// no record of where a group went. The scan stops at the first candidate
+// holding the whole block-rounded prefix; ties go to the lowest index.
+// Everything else — no group, no shared prefix, no holder, or a saturated
+// holder — goes to the fallback policy (least-KV by default).
 type PrefixAffinity struct {
 	fallback Policy
-	// spillUsedKV: above this KV usage the sticky replica is considered
-	// saturated and the request spills to the fallback choice.
+	// spillUsedKV: above this KV usage the holder is considered saturated
+	// and the request spills to the fallback choice.
 	spillUsedKV float64
-
-	// The sticky assignment, prefix group -> replica ID, in two
-	// generations: assign takes every placement, and when it holds
-	// assignGen groups it becomes prev and the old prev is cleared for
-	// reuse. A hit in prev moves the group forward.
-	mu     sync.Mutex
-	assign map[int64]string
-	prev   map[int64]string
 }
-
-// assignGen bounds each generation of PrefixAffinity's assignment, which a
-// trace of ever-new conversations would otherwise grow for as long as the
-// router lives. Forgetting a group costs nothing once no replica holds its
-// prefix — a follow-up then re-places it anyway — and a resident prefix
-// takes at least one 16-token KV block: the 65 536 most recently routed
-// groups the two generations always keep outnumber the blocks of three
-// Qwen2.5-14B replicas on 2×L20 (21 091 each).
-const assignGen = 1 << 16
 
 // NewPrefixAffinity builds a prefix-affinity policy over a fallback
 // (nil = least-KV) with the default 0.9 KV-usage spill threshold.
@@ -147,63 +131,26 @@ func NewPrefixAffinity(fallback Policy) *PrefixAffinity {
 	if fallback == nil {
 		fallback = NewLeastKV()
 	}
-	return &PrefixAffinity{
-		fallback:    fallback,
-		spillUsedKV: 0.9,
-		assign:      make(map[int64]string),
-		prev:        make(map[int64]string),
-	}
+	return &PrefixAffinity{fallback: fallback, spillUsedKV: 0.9}
 }
 
 func (p *PrefixAffinity) Name() string { return "prefix" }
 
 func (p *PrefixAffinity) Pick(req Request, cands []*Replica) int {
-	if req.PrefixGroup == 0 {
-		return p.fallback.Pick(req, cands)
-	}
-	if home, ok := p.home(req.PrefixGroup); ok {
+	if req.PrefixGroup != 0 && req.SharedPrefixLen > 0 {
+		full := req.SharedPrefixLen - req.SharedPrefixLen%engine.KVBlockSize
+		best, run := -1, 0
 		for i, r := range cands {
-			if r.ID != home {
-				continue
+			if m := r.eng.MatchPrefix(req.PrefixGroup, req.SharedPrefixLen); m > run {
+				best, run = i, m
+				if m >= full {
+					break
+				}
 			}
-			if 1-r.Pressure().KVFree > p.spillUsedKV {
-				break // sticky replica saturated: spill
-			}
-			if req.SharedPrefixLen > 0 &&
-				r.eng.MatchPrefix(req.PrefixGroup, req.SharedPrefixLen) == 0 {
-				break // prefix evicted: any replica is as good, re-place
-			}
-			return i
+		}
+		if best >= 0 && 1-cands[best].Pressure().KVFree <= p.spillUsedKV {
+			return best
 		}
 	}
-	// Cold start, saturated home, or home gone: place (or re-place) the
-	// group wherever the fallback routes it.
-	idx := p.fallback.Pick(req, cands)
-	p.mu.Lock()
-	p.place(req.PrefixGroup, cands[idx].ID)
-	p.mu.Unlock()
-	return idx
-}
-
-// home returns the replica a group was last placed on.
-func (p *PrefixAffinity) home(group int64) (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	id, ok := p.assign[group]
-	if !ok {
-		if id, ok = p.prev[group]; ok {
-			p.place(group, id)
-		}
-	}
-	return id, ok
-}
-
-// place records a group's home in the current generation, rotating the
-// generations first when it is full. p.mu must be held.
-func (p *PrefixAffinity) place(group int64, id string) {
-	if len(p.assign) >= assignGen {
-		clear(p.prev)
-		p.assign, p.prev = p.prev, p.assign
-	}
-	p.assign[group] = id
+	return p.fallback.Pick(req, cands)
 }

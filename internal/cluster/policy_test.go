@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -147,9 +148,6 @@ func TestPrefixAffinity(t *testing.T) {
 		if got := p.Pick(Request{}, reps); got != 1 {
 			t.Fatalf("Pick = %d, want fallback choice 1", got)
 		}
-		if len(p.assign)+len(p.prev) != 0 {
-			t.Fatal("ungrouped request must not create an assignment")
-		}
 	})
 
 	t.Run("cold start assigns, follow-ups stick", func(t *testing.T) {
@@ -158,9 +156,6 @@ func TestPrefixAffinity(t *testing.T) {
 		first := p.Pick(Request{PrefixGroup: 42}, reps)
 		if first != 1 {
 			t.Fatalf("cold start Pick = %d, want fallback choice 1", first)
-		}
-		if n := len(p.assign) + len(p.prev); n != 1 {
-			t.Fatalf("assignments = %d, want 1", n)
 		}
 		// The prefix is now resident on b; a now has more free KV, but the
 		// follow-up must stick with its home anyway.
@@ -214,44 +209,73 @@ func TestPrefixAffinity(t *testing.T) {
 		if got != 1 { // index 1 of survivors == c (KVFree 0.7 > a's 0.5)
 			t.Fatalf("orphaned group Pick = %d, want 1 (replica c)", got)
 		}
-		// New home recorded: sticks to c even after a frees up.
+		// c now holds the group: follow-ups go there even after a frees up.
 		engines[2].match[5] = 8
 		engines[0].setPressure(runtime.Pressure{KVFree: 0.99, Health: runtime.HealthOK})
 		if got := p.Pick(Request{PrefixGroup: 5, SharedPrefixLen: 8}, survivors); got != 1 {
 			t.Fatal("re-homed group must stick to replica c")
 		}
 	})
-}
 
-// TestPrefixAffinityAssignmentBounded: a million distinct groups leave at
-// most two generations of assignGen groups, the newest group still sticks,
-// and a group hit once per generation is never forgotten.
-func TestPrefixAffinityAssignmentBounded(t *testing.T) {
-	engines := []*fakeEngine{newFakeEngine(okPressure()), newFakeEngine(okPressure())}
-	reps := fakeReplicas(engines...)
-	p := NewPrefixAffinity(NewRoundRobin())
-	const groups, kept = 1_000_000, -1
-	engines[0].match[kept] = 16
-	p.Pick(Request{PrefixGroup: kept}, reps) // round robin: home = a, group g goes to g%2
-	for g := int64(1); g <= groups; g++ {
-		p.Pick(Request{PrefixGroup: g}, reps)
-		if g%(assignGen/2) == 0 {
-			if got := p.Pick(Request{PrefixGroup: kept, SharedPrefixLen: 16}, reps); got != 0 {
-				t.Fatalf("after %d groups the kept group moved to %d", g, got)
+	t.Run("the longest resident run wins", func(t *testing.T) {
+		engines, reps := mk()
+		p := NewPrefixAffinity(nil)
+		p.Pick(Request{PrefixGroup: 11}, reps) // first turn lands on b
+		engines[1].match[11] = 16
+		engines[2].match[11] = 64
+		if got := p.Pick(Request{PrefixGroup: 11, SharedPrefixLen: 64}, reps); got != 2 {
+			t.Fatalf("Pick = %d, want 2 (replica c holds 64 tokens, b 16)", got)
+		}
+	})
+
+	t.Run("a fresh policy finds a warm replica", func(t *testing.T) {
+		// A router restarted over warm replicas: nothing was routed through
+		// this policy, yet c's cache holds the group.
+		engines, reps := mk()
+		engines[2].match[13] = 32
+		if got := NewPrefixAffinity(nil).Pick(Request{PrefixGroup: 13, SharedPrefixLen: 32}, reps); got != 2 {
+			t.Fatalf("Pick = %d, want warm replica 2", got)
+		}
+	})
+
+	t.Run("the scan stops at the first full holder", func(t *testing.T) {
+		engines, reps := mk()
+		p := NewPrefixAffinity(nil)
+		calls := func() []int {
+			out := make([]int, len(engines))
+			for i, e := range engines {
+				e.mu.Lock()
+				out[i] = e.matchCalls
+				e.matchCalls = 0
+				e.mu.Unlock()
 			}
+			return out
 		}
-		if len(p.assign) > assignGen || len(p.prev) > assignGen {
-			t.Fatalf("after %d groups the generations hold %d and %d, bound %d",
-				g, len(p.assign), len(p.prev), assignGen)
+		if got := p.Pick(Request{PrefixGroup: 17}, reps); got != 1 {
+			t.Fatalf("first turn Pick = %d, want fallback choice 1", got)
 		}
-	}
-	home, ok := p.home(groups)
-	if !ok || home != reps[groups%2].ID {
-		t.Fatalf("newest group's home = %q, %v; want %q", home, ok, reps[groups%2].ID)
-	}
-	if _, ok := p.home(1); ok {
-		t.Fatal("the oldest group outlived two generations")
-	}
+		if c := calls(); !slices.Equal(c, []int{0, 0, 0}) {
+			t.Fatalf("a request without a shared prefix asked %v, want none", c)
+		}
+		// a and b both hold the whole block-rounded prefix (70 rounds to
+		// 64): a, the lowest index, wins and b is never asked.
+		engines[0].match[17] = 64
+		engines[1].match[17] = 64
+		if got := p.Pick(Request{PrefixGroup: 17, SharedPrefixLen: 70}, reps); got != 0 {
+			t.Fatalf("follow-up Pick = %d, want first full holder 0", got)
+		}
+		if c := calls(); !slices.Equal(c, []int{1, 0, 0}) {
+			t.Fatalf("follow-up asked %v, want [1 0 0]", c)
+		}
+		// A partial holder keeps the scan going.
+		engines[0].match[17] = 16
+		if got := p.Pick(Request{PrefixGroup: 17, SharedPrefixLen: 70}, reps); got != 1 {
+			t.Fatalf("follow-up Pick = %d, want full holder 1", got)
+		}
+		if c := calls(); !slices.Equal(c, []int{1, 1, 0}) {
+			t.Fatalf("follow-up asked %v, want [1 1 0]", c)
+		}
+	})
 }
 
 // Prefix affinity beats random on KV reuse over live replicas: the same

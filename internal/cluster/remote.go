@@ -57,8 +57,9 @@ type RemoteConfig struct {
 	ConnectTimeout time.Duration
 	// ProbeInterval is the health-probe polling period (default 250ms).
 	ProbeInterval time.Duration
-	// FailureThreshold is how many consecutive probe/submit failures flip
-	// the replica to HealthUnreachable (default 3). One success recovers it.
+	// FailureThreshold is how many consecutive probe, submit or
+	// /matchprefix failures flip the replica to HealthUnreachable
+	// (default 3). One successful probe recovers it.
 	FailureThreshold int
 	// HTTPClient overrides the default client (tests inject listeners).
 	// It must not set a global Timeout — that would kill long streams.
@@ -112,7 +113,7 @@ type Remote struct {
 
 	pmu      sync.Mutex
 	pressure runtime.Pressure // cached by the prober; zero until first success
-	failures int              // consecutive probe/submit failures
+	failures int              // consecutive probe/submit/matchprefix failures
 	probeSt  ProbeState       // transition history (observability surface)
 
 	inflight sync.WaitGroup // submissions from admission to the end of their pump
@@ -250,9 +251,9 @@ func (r *Remote) ProbeState() ProbeState {
 	return r.probeSt
 }
 
-// noteFailure records one failed probe or submit attempt. At the threshold
-// the cached pressure flips to HealthUnreachable, taking the replica out of
-// rotation until a probe succeeds again.
+// noteFailure records one failed probe, submit or /matchprefix attempt. At
+// the threshold the cached pressure flips to HealthUnreachable, taking the
+// replica out of rotation until a probe succeeds again.
 func (r *Remote) noteFailure(err error) {
 	r.pmu.Lock()
 	r.failures++
@@ -563,13 +564,17 @@ func (r *Remote) Stats() runtime.Snapshot {
 
 // MatchPrefix asks the remote server how many leading tokens of the group
 // are resident in its KV cache (GET /matchprefix) — the prefix-affinity
-// routing signal. Unreachable or erroring replicas report 0 (no affinity).
+// routing signal. Unreachable or erroring replicas report 0 (no affinity),
+// and the failure counts toward FailureThreshold like a failed probe, so a
+// dead replica leaves rotation instead of costing every follow-up a
+// ConnectTimeout.
 func (r *Remote) MatchPrefix(group int64, maxTokens int) int {
 	var out struct {
 		Match int `json:"match"`
 	}
 	path := fmt.Sprintf("/matchprefix?group=%d&max_tokens=%d", group, maxTokens)
-	if r.get(context.Background(), path, jsonInto(&out)) != nil {
+	if err := r.get(context.Background(), path, jsonInto(&out)); err != nil {
+		r.noteFailure(err)
 		return 0
 	}
 	return out.Match

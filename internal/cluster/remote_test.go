@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,6 +224,133 @@ func TestRemoteRouterMixedReplicasAudit(t *testing.T) {
 	reps := append(router.Replicas(), router.Retired()...)
 	if err := audit.Verify(streams+streams/2, reps); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Prefix routing over a Remote reads residency over the wire: every
+// follow-up lands on the replica whose runtime holds its group, the audit
+// balances, and a follow-up costs at most one GET /matchprefix — the
+// remote is the first candidate, so it is asked once and the scan either
+// stops there or moves on to the in-process replica.
+func TestRemotePrefixAffinityFollowsResidency(t *testing.T) {
+	remoteRT := startReplica(t, nil)
+	var matchGets atomic.Int64
+	api := server.New(remoteRT, "m")
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/matchprefix" {
+			matchGets.Add(1)
+		}
+		api.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	local := startReplica(t, nil)
+
+	router := New(Config{Policy: NewPrefixAffinity(nil)})
+	for _, rep := range []struct {
+		id  string
+		eng Engine
+	}{{"remote", newRemote(t, fastProbe(srv.URL))}, {"local", local}} {
+		if _, err := router.Add(rep.id, rep.eng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// holder names the replica whose runtime holds the longest run of the
+	// group's prefix, as the policy's scan would find it.
+	holder := func(group int64, shared int) string {
+		r, l := remoteRT.MatchPrefix(group, shared), local.MatchPrefix(group, shared)
+		switch {
+		case r == 0 && l == 0:
+			return ""
+		case r >= l:
+			return "remote"
+		}
+		return "local"
+	}
+
+	// Turns run round by round across the groups, each after the previous
+	// one finished. Odd groups open on the in-process replica behind the
+	// router's back, as before a router restart; even groups open through
+	// the router, whose least-KV fallback breaks the tie toward the remote.
+	const groups, turns = 8, 4
+	var (
+		audit     Audit
+		shared    [groups + 1]int
+		followUps = map[string]int64{}
+	)
+	for turn := 0; turn < turns; turn++ {
+		for g := int64(1); g <= groups; g++ {
+			req := Request{PromptLen: shared[g] + 40, MaxTokens: 8, PrefixGroup: g, SharedPrefixLen: shared[g]}
+			shared[g] = req.PromptLen + req.MaxTokens
+			var h *runtime.Handle
+			if turn == 0 && g%2 == 1 {
+				var err error
+				if h, err = local.SubmitBatchedSpec(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				want := holder(g, req.SharedPrefixLen)
+				if turn > 0 && want == "" {
+					t.Fatalf("group %d turn %d: no replica holds its %d-token prefix", g, turn, req.SharedPrefixLen)
+				}
+				var (
+					rep *Replica
+					err error
+				)
+				if h, rep, err = router.Submit(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
+				if turn > 0 {
+					followUps[rep.ID]++
+					if rep.ID != want {
+						t.Errorf("group %d turn %d landed on %s, its prefix is on %s", g, turn, rep.ID, want)
+					}
+				}
+			}
+			tokens, reason := drainHandle(t, h, 10*time.Second)
+			audit.StreamDone(h.ID, tokens, req.MaxTokens, reason)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := router.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := audit.Verify(groups*turns, append(router.Replicas(), router.Retired()...)); err != nil {
+		t.Fatal(err)
+	}
+	if followUps["remote"] == 0 || followUps["local"] == 0 {
+		t.Fatalf("follow-ups per replica %v: both must hold groups", followUps)
+	}
+	n, gets := followUps["remote"]+followUps["local"], matchGets.Load()
+	t.Logf("%d follow-ups, %d GET /matchprefix", n, gets)
+	if gets > n {
+		t.Fatalf("%d GET /matchprefix for %d follow-ups, want at most one each", gets, n)
+	}
+}
+
+// A failed GET /matchprefix counts toward FailureThreshold, as a failed
+// probe or connect does: with the prober idle, FailureThreshold follow-up
+// scans take a dead remote out of rotation instead of each one waiting on
+// it.
+func TestRemoteMatchPrefixFailuresTrip(t *testing.T) {
+	stub := newStubRemote(0)
+	cfg := fastProbe(stub.URL)
+	cfg.ProbeInterval = time.Hour
+	rem := newRemote(t, cfg)
+	if got := rem.MatchPrefix(1, 64); got != 7 {
+		t.Fatalf("MatchPrefix = %d, want the stub's 7", got)
+	}
+	stub.Close()
+	for i := 0; i < cfg.FailureThreshold; i++ {
+		if got := rem.Pressure().Health; got != runtime.HealthOK {
+			t.Fatalf("health after %d failed GETs = %q, want ok", i, got)
+		}
+		if got := rem.MatchPrefix(1, 64); got != 0 {
+			t.Fatalf("MatchPrefix on a dead remote = %d, want 0", got)
+		}
+	}
+	if got := rem.Pressure().Health; got != HealthUnreachable {
+		t.Fatalf("health after %d failed GETs = %q, want %s", cfg.FailureThreshold, got, HealthUnreachable)
 	}
 }
 

@@ -615,8 +615,8 @@ func (s *Server) handlePressure(w http.ResponseWriter, _ *http.Request) {
 
 // handleMatchPrefix answers how many leading tokens of ?group=G (up to
 // ?max_tokens=N) are resident in the backend's KV cache — the signal a
-// prefix-affinity router uses to re-place a conversation whose home
-// replica evicted its context.
+// prefix-affinity router reads to find the replica holding a
+// conversation's context.
 func (s *Server) handleMatchPrefix(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	group, err := strconv.ParseInt(q.Get("group"), 10, 64)
