@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,56 +21,56 @@ import (
 
 // The golden cells pin everything a run can be observed to do — the Result
 // field by field, every scheduled batch, the utilisation samples and the
-// ordered span stream — across the four engines, both prep paths (async
-// residual and coupled driver CPU), the three disaggregation ratios, KV
-// pressure, and CPP + prefix cache. The digests were captured on the four
-// hand-written engine loops that preceded the shared kernel (kernel.go),
-// when the kernel itself kept the batch list and sampled utilisation; the
-// batch log and obs.Utilization reproduce both to the byte. A refactor of
-// the engines must not move any of them.
-// The seven per-policy kv-pressure cells came later, captured before the
-// pool's five batch builders became one prefill and one decode walk; only
-// vllm-ve's moved then, because its walk began evicting younger KV holders
-// for a blocked continuation (196 → 174 preemptions, DESIGN.md §8).
+// spans, sorted, so the order a strategy records its windows in is free —
+// across the four engines, both prep paths (async residual and coupled
+// driver CPU), the three disaggregation ratios, KV pressure under every
+// policy, CPP + prefix cache and a cell where a batch overtakes an earlier
+// one on stage 1. The digests were re-captured under the sorted span
+// stream on the kernel whose stages were free-at times and whose windows
+// were recorded as they ended; that kernel reproduced, to the byte, the
+// four hand-written engine loops and the FIFO stage queues before it. A
+// refactor of the engines must not move any of them.
 //
-// The orca overtaking cell came later still, captured on the FIFO job
-// queues that stood in for the stages before they became free-at times.
-//
-// On a mismatch the failure prints the table line to paste; only do that
-// for a change that is meant to alter what the engines simulate.
-var goldenDigests = map[string]string{
-	"pipeline/gllm/gllm":                   "4eba4cde3b4d934472806df50daa8cffb0799468ec89474e911a0e2d51f6f5e6",
-	"tensor/gllm/gllm":                     "38dd6d690ed57f8dd49346b528eb921ad1a974a7e784422452af075ed5272fce",
-	"tokenpar/gllm/gllm":                   "31db96a537add08ff843c4d2396b69a7247a6c9e723f6b8402224c8ed25092ea",
-	"disagg-2p2d/gllm/gllm":                "7b6166fa809f55a2b0c47d62007a573f44f2c9e1696edb844774e59831a14f2d",
-	"pipeline/gllm/vllm":                   "22941904d33f8fb94706275903ef02a50e2dd794aa7e5442767941d1c3ec1189",
-	"tensor/gllm/vllm":                     "1e56cb4167967c80317829d9fd94c272c46bb52e75fe28a658d34ef1cba1907b",
-	"tokenpar/gllm/vllm":                   "4fbc4d18fe3db81d53256a53cadcb7ffbf18ab0db95ad621c3e024464d7a72ba",
-	"disagg-2p2d/gllm/vllm":                "3a3c3a9f2141ff4bf9678fe2384da0aa1630233a3620c3e57f59290beb005190",
-	"pipeline/sarathi/gllm":                "7ed9b14286a293b764f7681b22fb8f89c9be36e4e86a3e8fce57c39e3057ebe9",
-	"tensor/sarathi/gllm":                  "a56e3e11525a9881985b82260e20e1562326f62d875348d6c1f9938ff87ee7d1",
-	"tokenpar/sarathi/gllm":                "71f48c67a2192eea42025d632c727b3fdbe96311583ef4445e097b2e12afa2be",
-	"disagg-2p2d/sarathi/gllm":             "7b6166fa809f55a2b0c47d62007a573f44f2c9e1696edb844774e59831a14f2d",
-	"pipeline/sarathi/vllm":                "b8f8f0395a46fded80bbcc4e8bda29c0f3810c2f2a35bd5b33110ef4f629b1aa",
-	"tensor/sarathi/vllm":                  "0dc3dee02ecfba7d48099306b9459d48979326b84a04501dd3e1836c35fdd32d",
-	"tokenpar/sarathi/vllm":                "b6b89e43bf945a8b1cd9c3b4a89600fb24b7e29527f2b3f2de3de05ab7cf7806",
-	"disagg-2p2d/sarathi/vllm":             "3a3c3a9f2141ff4bf9678fe2384da0aa1630233a3620c3e57f59290beb005190",
-	"disagg-1p3d/nil-scheduler":            "cd2ec24d2c1833cbe0de81da3d1f1eff81d369872d5245104e6d3eb0989c9475",
-	"disagg-3p1d/nil-scheduler":            "86ed2b357e12704a0b968827b6eb37140bb82bd203ba0702d3dac3f1eb3809dd",
-	"pipeline/kv-pressure":                 "b286f8179c25a26cde91c2160c28e04dd6d97c4de81f44fd8c7ca045fbc964c8",
-	"pipeline/gllm-ck/kv-pressure":         "b286f8179c25a26cde91c2160c28e04dd6d97c4de81f44fd8c7ca045fbc964c8",
-	"pipeline/vllm-ve/kv-pressure":         "3ea7e97d2b27dd5dd4caeaaaf206a97c092735d978dc5622f866e230717fd4d7",
-	"pipeline/td-pipe/kv-pressure":         "498bbd11c66803ddb281dc96da2bd26c0faa39363a1d9db79c3197cf61cec49a",
-	"pipeline/orca/kv-pressure":            "b951cdc042b6919dee0bcb780c95598a5ccc363568a8b1874fc604f4b86df329",
-	"pipeline/batch-level/kv-pressure":     "d34c497d92f5265e489c207c66babc8ee26507d7396031d4bf654abbf14febb5",
-	"pipeline/gllm-no-wt/kv-pressure":      "6ca8c771106b83149f377c16c8da8809cf00fb58af7036888ce1f474384d907a",
-	"pipeline/gllm-no-ut/kv-pressure":      "37c7a70d7c2b0741fcb48ece2ec0809dd92bbfd7ae5c7152aed5a0a242064845",
-	"pipeline/conversations+cpp+prefix":    "84ead69176bc8911244c180efa69a956e69836a5d4cd021b1298524a0aa2b8df",
-	"tokenpar/conversations+cpp+prefix":    "147375df6f036ec66bcece3530cb74b64b8aa2339893f5c85cdf9c583b6985d3",
-	"disagg-2p2d/conversations+cpp+prefix": "359d22db725ae05333c4a1a8931e975364ebad2e3c790931e880c57b318e21d2",
-	"pipeline/util-sampling":               "f67cb42111290995570329b563d09f9683cb64fadaa48664529c9dd30c76f66f",
-	"pipeline/orca/overtaking":             "35634690e83e0877e52e8ffbd53a4958cc74fb953a620c9e97a66faec3aa6c78",
+// Beside each digest is its cell's headline, captured with it. On a
+// mismatch the failure names the headline fields that moved, from what to
+// what, then prints the table line to paste; only paste it for a change
+// that is meant to alter what the engines simulate.
+var goldens = map[string]golden{
+	"pipeline/gllm/gllm":                   {"571aa2fe357d15ca2ab3165c75fad596d93ac9de26bbdf94d4d1f46cb80361a0", "requests=21 makespan=54.837095647s injections=3623 preemptions=0 ttft_p50=0.134183918s tpot_p50=0.038083225s"},
+	"tensor/gllm/gllm":                     {"e9b2919c0edaa89a6039155d19f9315adeaf14621937e36118b2117b16e24476", "requests=21 makespan=24.724776106s injections=1480 preemptions=0 ttft_p50=0.088795465s tpot_p50=0.017120361s"},
+	"tokenpar/gllm/gllm":                   {"29fe47ae422e7f4e8e42343534b2ea7ece9b3ee3b3131b23e98f5f8a2bc8c1c7", "requests=21 makespan=35.455773826s injections=1467 preemptions=0 ttft_p50=0.174479353s tpot_p50=0.024849614s"},
+	"disagg-2p2d/gllm/gllm":                {"c343084264c17ad7e330ef53cfccbafe8e917937ae9cca087006cf3cdb46d959", "requests=21 makespan=54.570685073s injections=2405 preemptions=0 ttft_p50=0.051642528s tpot_p50=0.037682166s"},
+	"pipeline/gllm/vllm":                   {"8d3eaa56ace078a144fc44038f49452e71a316ae24e07a33302eed4b1c016012", "requests=21 makespan=57.724821559s injections=3603 preemptions=0 ttft_p50=0.144856442s tpot_p50=0.040150052s"},
+	"tensor/gllm/vllm":                     {"a03f6bf88f553e4e1a38b6c5afb65511940a1f8ea3c13792d2dc8eb80878ea5d", "requests=21 makespan=27.757491018s injections=1475 preemptions=0 ttft_p50=0.095110841s tpot_p50=0.019524549s"},
+	"tokenpar/gllm/vllm":                   {"47f77d8d634ee2bdf4d30c9a6abeb7b18fd01adba286404e100946759f03d682", "requests=21 makespan=38.503395626s injections=1465 preemptions=0 ttft_p50=0.216178273s tpot_p50=0.027196737s"},
+	"disagg-2p2d/gllm/vllm":                {"0a3d7035ad352cbcf3fcc5272e0a0a8d29ae9792f436d433932c335c40812448", "requests=21 makespan=54.570685073s injections=2405 preemptions=0 ttft_p50=0.051642528s tpot_p50=0.037682166s"},
+	"pipeline/sarathi/gllm":                {"b4a375fd61ba23efa5c0734da232290be3dfe4cf9a570794ce4a6d2c821fe1e4", "requests=21 makespan=55.718704826s injections=3564 preemptions=0 ttft_p50=0.061132526s tpot_p50=0.04078253s"},
+	"tensor/sarathi/gllm":                  {"f1679b763172cb1440ecbee045015a86269cfe93c7d4ea534194a26dd3b04126", "requests=21 makespan=24.846233722s injections=1474 preemptions=0 ttft_p50=0.034673875s tpot_p50=0.01746009s"},
+	"tokenpar/sarathi/gllm":                {"829a60d37b5a2556746c28f95d0369fad6a1b9cfcb6b28ea29f0371bd12857f1", "requests=21 makespan=35.87449477s injections=1461 preemptions=0 ttft_p50=0.066680665s tpot_p50=0.025708253s"},
+	"disagg-2p2d/sarathi/gllm":             {"c343084264c17ad7e330ef53cfccbafe8e917937ae9cca087006cf3cdb46d959", "requests=21 makespan=54.570685073s injections=2405 preemptions=0 ttft_p50=0.051642528s tpot_p50=0.037682166s"},
+	"pipeline/sarathi/vllm":                {"5355dde39a459d03bf5be63e0a1081d62a11e7b789c7648b3223ac9065a38ba6", "requests=21 makespan=58.73037652s injections=2959 preemptions=0 ttft_p50=0.057342815s tpot_p50=0.042962828s"},
+	"tensor/sarathi/vllm":                  {"f14188bac287fe2c079fe3023a52efe4faa6dfb8742b8e7b597ebed040735176", "requests=21 makespan=27.863217162s injections=1469 preemptions=0 ttft_p50=0.038442419s tpot_p50=0.019660731s"},
+	"tokenpar/sarathi/vllm":                {"236bf71aa2b1f477f38b3a4b8732138ce4a0fe3f18ae1b606db243a1c12b111a", "requests=21 makespan=38.912137018s injections=1459 preemptions=0 ttft_p50=0.074664697s tpot_p50=0.027954109s"},
+	"disagg-2p2d/sarathi/vllm":             {"0a3d7035ad352cbcf3fcc5272e0a0a8d29ae9792f436d433932c335c40812448", "requests=21 makespan=54.570685073s injections=2405 preemptions=0 ttft_p50=0.051642528s tpot_p50=0.037682166s"},
+	"disagg-1p3d/nil-scheduler":            {"2fdccf84457438095c4a1280b19a59c562377c65870dba56600b402e15798057", "requests=21 makespan=54.619213968s injections=3104 preemptions=0 ttft_p50=0.05157096s tpot_p50=0.037745643s"},
+	"disagg-3p1d/nil-scheduler":            {"6423224a1179ac693ccec1762de9627055e513366dd533e12b034a7887e5bbd9", "requests=21 makespan=54.76499249s injections=1471 preemptions=0 ttft_p50=0.051714096s tpot_p50=0.038035494s"},
+	"pipeline/kv-pressure":                 {"3ac2bf42d1a7bcc23025dbcee8e281d08c22ad35fc88942fab60b3f54be26baf", "requests=50 makespan=3m6.901432589s injections=3451 preemptions=163 ttft_p50=17.057377728s tpot_p50=0.218180866s"},
+	"pipeline/gllm-ck/kv-pressure":         {"3ac2bf42d1a7bcc23025dbcee8e281d08c22ad35fc88942fab60b3f54be26baf", "requests=50 makespan=3m6.901432589s injections=3451 preemptions=163 ttft_p50=17.057377728s tpot_p50=0.218180866s"},
+	"pipeline/vllm-ve/kv-pressure":         {"38d27bbb6a381744d99c7c09eb00b2884521ce26ce730eef1df3c1159f159711", "requests=50 makespan=2m55.358871556s injections=3642 preemptions=174 ttft_p50=10.5783239365s tpot_p50=0.2217163525s"},
+	"pipeline/td-pipe/kv-pressure":         {"c0bc31a9045bde0732fc6e0b2375f8d1cdc06df77b98be353fe807379029c808", "requests=50 makespan=3m8.310016237s injections=5472 preemptions=2 ttft_p50=53.911971383s tpot_p50=0.0932579365s"},
+	"pipeline/orca/kv-pressure":            {"afaa635ac6a521e6d9efe426d41e55958bdf06924c95f298f7b145d4c670a88e", "requests=50 makespan=2m28.173945861s injections=1620 preemptions=20 ttft_p50=10.326886824s tpot_p50=0.131994304s"},
+	"pipeline/batch-level/kv-pressure":     {"1d3a9722f079c905119f99d46b993b33ddc9cbfbfd82541c82afda428c432b79", "requests=50 makespan=2m50.538061546s injections=1620 preemptions=26 ttft_p50=38.751121839s tpot_p50=0.1281615245s"},
+	"pipeline/gllm-no-wt/kv-pressure":      {"a3457e83b397201637ac82affeb801cdd2f532405720fba7b4a30126d3f10912", "requests=50 makespan=2m21.289725163s injections=3922 preemptions=5 ttft_p50=15.854232054499999s tpot_p50=0.0949715065s"},
+	"pipeline/gllm-no-ut/kv-pressure":      {"e7fc2ca779e0d56efbf6a4b816dbde05927d402f74f2d2d70117612cdf88cbe0", "requests=50 makespan=2m49.915125485s injections=3772 preemptions=174 ttft_p50=17.2209737445s tpot_p50=0.179993439s"},
+	"pipeline/conversations+cpp+prefix":    {"495a0fea388510372301a08f2f564ce57b5e127613a7e89cbad17f21179f0ab5", "requests=29 makespan=1m34.544271933s injections=5943 preemptions=0 ttft_p50=0.106671102s tpot_p50=0.038484906s"},
+	"tokenpar/conversations+cpp+prefix":    {"20095020cb603d7d70310197313e7b272b76bf61610965a77a654a8ecc170829", "requests=29 makespan=1m38.637199386s injections=2435 preemptions=0 ttft_p50=0.279108403s tpot_p50=0.041608071s"},
+	"disagg-2p2d/conversations+cpp+prefix": {"02c90513971e5438e5424d46d1614a0b13d9e101a3784ecd7bf0bc6448ae0967", "requests=29 makespan=1m34.988593273s injections=3919 preemptions=0 ttft_p50=0.26807268s tpot_p50=0.038298013s"},
+	"pipeline/util-sampling":               {"079c51ed7c653318ac22181540cb1e8fa932a0b9a2834921e0af865276e0ed8c", "requests=21 makespan=54.837095647s injections=3623 preemptions=0 ttft_p50=0.134183918s tpot_p50=0.038083225s"},
+	"pipeline/orca/overtaking":             {"c350ea3287d006e5b22fdea404d07d1f4b49a7c26f6fac64fae3d97f95e24923", "requests=59 makespan=1m47.522015354s injections=2925 preemptions=0 ttft_p50=14.248171862s tpot_p50=0.075075214s"},
 }
+
+// golden is a cell's committed digest and headline.
+type golden struct{ digest, headline string }
 
 // goldenCell is one pinned run. spanStages sizes the span recorder;
 // utilEvery, when set, adds the recorder's utilisation series on that period.
@@ -234,10 +237,16 @@ func overtakes(spans []obs.Span, stage int) bool {
 }
 
 // digestResult hashes every field of the run's outcome, its batch log, the
-// utilisation series and the span stream. Floats go in by their bit patterns
-// or through %v, which prints the shortest decimal that round-trips, so a
-// one-ulp drift changes the digest.
+// utilisation series and the spans sorted by (stage, kind, start, seq, end,
+// tokens). Floats go in by their bit patterns or through %v, which prints
+// the shortest decimal that round-trips, so a one-ulp drift changes the
+// digest.
 func digestResult(res *Result, p *goldenProbe, c goldenCell) string {
+	spans := p.rec.Spans()
+	slices.SortFunc(spans, func(a, b obs.Span) int {
+		return cmp.Or(cmp.Compare(a.Stage, b.Stage), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Start, b.Start),
+			cmp.Compare(a.Seq, b.Seq), cmp.Compare(a.End, b.End), cmp.Compare(a.Tokens, b.Tokens))
+	})
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|%s|%d|%+v|", res.SchedulerName, res.RuntimeName, res.Requests, res.Report)
 	fmt.Fprintf(h, "%d|%d|%d|%v|%x|", res.Makespan, res.Preemptions, res.Injections,
@@ -248,18 +257,44 @@ func digestResult(res *Result, p *goldenProbe, c goldenCell) string {
 		fmt.Fprintf(h, "%v|", p.log.Batches)
 	}
 	if c.utilEvery > 0 {
-		for _, ts := range obs.Utilization(p.rec.Spans(), p.rec.Stages(), c.utilEvery, res.Makespan) {
+		for _, ts := range obs.Utilization(spans, p.rec.Stages(), c.utilEvery, res.Makespan) {
 			fmt.Fprintf(h, "%s:%v|", ts.Name, ts.Points)
 		}
 	}
-	fmt.Fprintf(h, "%d:%v", p.rec.Dropped(), p.rec.Spans())
+	fmt.Fprintf(h, "%d:%v", p.rec.Dropped(), spans)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// headline is the line of a cell's outcome a reader checks first.
+func headline(res *Result) string {
+	return fmt.Sprintf("requests=%d makespan=%v injections=%d preemptions=%d ttft_p50=%vs tpot_p50=%vs",
+		res.Requests, res.Makespan, res.Injections, res.Preemptions, res.Report.TTFT.P50, res.Report.TPOT.P50)
+}
+
+// moved lists the headline fields that differ between want and got.
+func moved(want, got string) string {
+	w, g := strings.Fields(want), strings.Fields(got)
+	if len(w) != len(g) {
+		return fmt.Sprintf("headline %q -> %q", want, got)
+	}
+	var out []string
+	for i := range w {
+		if w[i] != g[i] {
+			name, from, _ := strings.Cut(w[i], "=")
+			_, to, _ := strings.Cut(g[i], "=")
+			out = append(out, fmt.Sprintf("%s %s -> %s", name, from, to))
+		}
+	}
+	if out == nil {
+		return "no headline field moved"
+	}
+	return strings.Join(out, ", ")
 }
 
 func TestGoldenEngineDigests(t *testing.T) {
 	cells := goldenCells()
-	if len(cells) != len(goldenDigests) {
-		t.Errorf("%d cells, %d committed digests", len(cells), len(goldenDigests))
+	if len(cells) != len(goldens) {
+		t.Errorf("%d cells, %d committed digests", len(cells), len(goldens))
 	}
 	for _, c := range cells {
 		p := &goldenProbe{rec: obs.NewRecorder(c.spanStages, 0)}
@@ -271,8 +306,10 @@ func TestGoldenEngineDigests(t *testing.T) {
 		if p.rec.Dropped() != 0 {
 			t.Errorf("%s: span ring dropped %d spans; shorten the trace", c.name, p.rec.Dropped())
 		}
-		if got := digestResult(res, p, c); got != goldenDigests[c.name] {
-			t.Errorf("digest moved; table line is now\n\t%q: %q,", c.name, got)
+		want := goldens[c.name]
+		if got := (golden{digestResult(res, p, c), headline(res)}); got != want {
+			t.Errorf("%s: digest moved (%s); table line is now\n\t%q: {%q, %q},",
+				c.name, moved(want.headline, got.headline), c.name, got.digest, got.headline)
 		}
 	}
 }
