@@ -160,6 +160,19 @@ func (rm RuntimeModel) PrepTime(seqs, tokens int) time.Duration {
 	return rm.AsyncResidual
 }
 
+// BookPrep books a batch's prep charge, injected at now, and returns when
+// it starts. A coupled runtime queues it on the one driver CPU, which is
+// next free at *cpuFree and then held until start+prep; a decoupled one
+// delays only this batch, from now.
+func (rm RuntimeModel) BookPrep(cpuFree *time.Duration, now, prep time.Duration) (start time.Duration) {
+	if !rm.Coupled {
+		return now
+	}
+	start = max(now, *cpuFree)
+	*cpuFree = start + prep
+	return start
+}
+
 // Built-in runtime models, calibrated against the paper's measurements.
 var (
 	// VLLMRuntime models vLLM's pipeline runtime: activation transmission

@@ -16,41 +16,42 @@ import (
 // The iteration kernel: every engine is one run (clock, arrivals, abort
 // guards, collector, Result, the devices' free-at times and busy totals)
 // driving one loop per scheduler pool, and contributes only a strategy.
-// Event order is the contract: sim.Engine breaks timestamp ties by
-// insertion sequence, so the order in which fill, retire, refill and the
-// strategies issue At/After decides every later scheduling decision
-// (DESIGN.md §9; pinned by golden_test.go).
+// A window is booked, recorded and followed by the event it leads to in
+// one place, as the live driver prices a batch. Event order is the
+// contract: sim.Engine breaks timestamp ties by insertion sequence, so the
+// order in which fill, retire, refill and the strategies issue At/After
+// decides every later scheduling decision (DESIGN.md §9; pinned by
+// golden_test.go).
 
 // strategy is an engine's half of the kernel: how a scheduled micro-batch
 // occupies hardware time.
 type strategy interface {
 	// execute prices mb's frozen shape, books it on its devices and their
-	// run.busy lanes, records its spans, and calls mb.loop.retire(mb) when
-	// the batch leaves the hardware.
+	// run.busy lanes, records its spans, and issues mb.ran for when the
+	// batch leaves the hardware.
 	execute(mb *microBatch)
 }
 
 // microBatch is one scheduled batch in flight with its frozen cost shape. A
 // loop owns one per slot and reuses it once its batch has retired, so an
 // injection allocates no carrier — and no closure: every callback the clock
-// is handed for the slot is bound once (prepped by addLoop, the rest by the
-// strategy on first execute) and reads its arguments from the fields below.
+// is handed for the slot is bound once (prepped and ran by addLoop, arrived
+// by the chain on first execute) and reads its arguments from the fields
+// below.
 type microBatch struct {
 	loop  *loop
 	batch *sched.Batch // the loop's from Schedule until retire hands it back
 	shape gpu.BatchShape
 	seq   int // injection ordinal across the run, for span labels
 
-	prep    time.Duration // this injection's prep charge
-	prepped func()        // the prep charge has elapsed: record it, execute
+	prepped func() // the prep charge has elapsed: execute
+	ran     func() // the batch left the hardware: retire
 
-	// The strategy's: where the batch is on the hardware and what the clock
-	// calls when it leaves there.
+	// The chain's: the stage the batch last entered, its price per layer
+	// and what the clock calls when its activations reach the next stage.
 	stage   int
-	unit    time.Duration // the chain's price of shape, per layer it holds
-	dur     time.Duration
-	ran     func() // the stage (or whole iteration) finished
-	arrived func() // the activations reached the next stage
+	unit    time.Duration
+	arrived func()
 }
 
 // run is the live state of one simulation.
@@ -59,7 +60,7 @@ type run struct {
 	eng  *sim.Engine
 	cost gpu.CostModel
 	// cpuFree is when the one driver CPU, which serializes a coupled
-	// runtime's prep, is next free.
+	// runtime's prep, is next free (RuntimeModel.BookPrep).
 	cpuFree time.Duration
 	// busy is each span lane's (Config.Spans stage's) execute time booked
 	// so far, one entry per GPU rank the strategies book on: StageBusy.
@@ -112,7 +113,8 @@ func (r *run) addLoop(kvCap int64, slots int, s sched.Scheduler, exec strategy) 
 	mbs := make([]*microBatch, slots)
 	for i := range mbs {
 		mb := &microBatch{loop: l}
-		mb.prepped = func() { l.prepped(mb) }
+		mb.prepped = func() { exec.execute(mb) }
+		mb.ran = func() { l.retire(mb) }
 		mbs[i] = mb
 	}
 	l.Step = NewStep(&r.cfg, kvCap, s, mbs, l.retired)
@@ -223,31 +225,19 @@ func (l *loop) fill() {
 		}
 		r.injections++
 		mb.batch, mb.shape, mb.seq = b, b.Shape(), r.injections
-		// A coupled runtime's prep starts when the one driver CPU is free;
-		// a decoupled one delays only this batch by its residual.
-		mb.prep = r.cfg.Runtime.PrepTime(len(b.Chunks)+len(b.Decodes), mb.shape.Tokens())
-		switch {
-		case r.cfg.Runtime.Coupled:
-			r.cpuFree = max(now, r.cpuFree) + mb.prep
-			r.eng.At(r.cpuFree, mb.prepped)
-		case mb.prep > 0:
-			r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), now, now+mb.prep)
-			r.eng.After(mb.prep, mb.prepped)
-		default:
+		rt, tokens := &r.cfg.Runtime, mb.shape.Tokens()
+		// A decoupled runtime that charges no prep (the disaggregated
+		// engine) executes at once; any other prep is booked and recorded
+		// now, and the batch executes when it has elapsed.
+		prep := rt.PrepTime(len(b.Chunks)+len(b.Decodes), tokens)
+		if prep == 0 && !rt.Coupled {
 			l.exec.execute(mb)
+			continue
 		}
+		start := rt.BookPrep(&r.cpuFree, now, prep)
+		r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, tokens, start, start+prep)
+		r.eng.At(start+prep, mb.prepped)
 	}
-}
-
-// prepped runs when mb's prep charge has elapsed: a coupled runtime's span
-// is recorded now, as the charge ends, a decoupled one's was recorded at
-// injection; the span stream's order is pinned by the golden digests.
-func (l *loop) prepped(mb *microBatch) {
-	if r := l.run; r.cfg.Runtime.Coupled {
-		end := r.eng.Now()
-		r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, mb.shape.Tokens(), end-mb.prep, end)
-	}
-	l.exec.execute(mb)
 }
 
 // retire commits a batch that left the hardware through the Step, then

@@ -164,3 +164,33 @@ func TestSampledRunReturnsItsError(t *testing.T) {
 		}
 	}
 }
+
+// A PP-depth injection costs the clock depth+1 events under either runtime:
+// its prep, one activation arrival per hop and its retire. Each stage entry
+// books the stage, records the windows and issues the next event at once,
+// so no event marks a stage's end (the kernel's events-per-injection proxy
+// for sim_sweep's cost).
+func TestPipelineEventsPerInjection(t *testing.T) {
+	items := shortTrace(1, 3, 8*time.Second)
+	for _, rt := range []RuntimeModel{GLLMRuntime, VLLMRuntime} {
+		cfg := testConfig(sched.NewDefaultThrottle(), rt)
+		depth := cfg.Topo.GPUs()
+		r, err := newRun(&cfg, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layers, kvCap, err := cfg.stages(&r.cost, depth, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.addLoop(kvCap, depth, cfg.Scheduler, newChain(r, 0, layers))
+		if _, err := r.serve(items, cfg.Scheduler.Name(), kvCap); err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(len(items) + r.injections*(depth+1))
+		if got := r.eng.Executed(); got != want {
+			t.Errorf("%s: %d events for %d arrivals and %d injections, want %d (%.3f per injection)",
+				rt.Name, got, len(items), r.injections, want, float64(got-uint64(len(items)))/float64(r.injections))
+		}
+	}
+}

@@ -44,8 +44,7 @@ func newChain(r *run, first int, layers []int) *chain {
 }
 
 func (c *chain) execute(mb *microBatch) {
-	if mb.ran == nil { // the slot's first batch: bind its two callbacks, once
-		mb.ran = func() { c.ran(mb) }
+	if mb.arrived == nil { // the slot's first batch: bind its callback, once
 		mb.arrived = func() { c.enter(mb.stage+1, mb) }
 	}
 	mb.unit = c.price(mb.shape)
@@ -54,26 +53,24 @@ func (c *chain) execute(mb *microBatch) {
 
 // enter books the batch on stage i at the event where its activations
 // arrive: it starts at the later of now and when the stage is free, which
-// applied in arrival order is a FIFO server's start time.
+// applied in arrival order is a FIFO server's start time. The stage's exec
+// window and the hop after it are recorded as they are booked, and the
+// next event is issued: the arrival at stage i+1 or, after the last stage,
+// the retire.
 func (c *chain) enter(i int, mb *microBatch) {
 	r := mb.loop.run
-	mb.stage, mb.dur = i, time.Duration(c.layers[i])*mb.unit
-	c.free[i] = max(r.eng.Now(), c.free[i]) + mb.dur
-	r.busy[c.first+i] += mb.dur
-	r.eng.At(c.free[i], mb.ran)
-}
-
-// ran runs when the batch leaves its stage: it forwards the activations or,
-// after the last stage, retires the batch.
-func (c *chain) ran(mb *microBatch) {
-	r := mb.loop.run
-	now, hop, tokens := r.eng.Now(), c.first+mb.stage, mb.shape.Tokens()
-	r.cfg.Spans.Record(hop, obs.KindExec, mb.seq, tokens, now-mb.dur, now)
-	if mb.stage+1 == len(c.layers) {
-		mb.loop.retire(mb)
+	hop, tokens := c.first+i, mb.shape.Tokens()
+	dur := time.Duration(c.layers[i]) * mb.unit
+	start := max(r.eng.Now(), c.free[i])
+	end := start + dur
+	c.free[i], mb.stage = end, i
+	r.busy[hop] += dur
+	r.cfg.Spans.Record(hop, obs.KindExec, mb.seq, tokens, start, end)
+	if i+1 == len(c.layers) {
+		r.eng.At(end, mb.ran)
 		return
 	}
-	xfer := r.cfg.HopTime(hop, tokens)
-	r.cfg.Spans.Record(hop, obs.KindXfer, mb.seq, tokens, now, now+xfer)
-	r.eng.After(xfer, mb.arrived)
+	arrive := end + r.cfg.HopTime(hop, tokens)
+	r.cfg.Spans.Record(hop, obs.KindXfer, mb.seq, tokens, end, arrive)
+	r.eng.At(arrive, mb.arrived)
 }

@@ -97,47 +97,37 @@ func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, 
 
 // tknpGroup is the token-parallel strategy. Like the tensor engine it runs
 // one whole-model iteration at a time over the whole group, which with one
-// slot never waits for itself; rank busy time is booked from the
-// iteration's price breakdown as it ends.
+// slot never waits for itself, so the iteration is booked from now: its
+// spans, each rank's busy time from the price breakdown — every rank runs
+// attention over its KV partition, the root ranks the projections and MLP
+// on top — and the bytes it moves.
 type tknpGroup struct {
 	ranks, rootTP int
-	iter          tknpIterCost // the iteration in flight (the loop has one slot)
 }
 
 func (g *tknpGroup) execute(mb *microBatch) {
-	if mb.ran == nil { // the slot's first batch: bind its callback, once
-		mb.ran = func() { g.ran(mb) }
-	}
 	r := mb.loop.run
-	g.iter = tokenParallelIterationTime(&r.cost, r.cfg.Topo, g.rootTP, mb.shape)
-	r.eng.After(g.iter.total, mb.ran)
-}
-
-// ran books the finished iteration, then retires its batch — which may
-// execute the next one and overwrite g.iter. Every rank runs attention over
-// its KV partition, the root ranks the projections and MLP on top.
-func (g *tknpGroup) ran(mb *microBatch) {
-	r := mb.loop.run
-	g.recordSpans(r.cfg.Spans, mb.seq, mb.shape.Tokens(), r.eng.Now(), g.iter)
+	iter := tokenParallelIterationTime(&r.cost, r.cfg.Topo, g.rootTP, mb.shape)
+	g.recordSpans(r.cfg.Spans, mb.seq, mb.shape.Tokens(), r.eng.Now(), iter)
 	for s := range g.ranks {
-		r.busy[s] += g.iter.peer
+		r.busy[s] += iter.peer
 		if s < g.rootTP {
-			r.busy[s] += g.iter.root
+			r.busy[s] += iter.root
 		}
 	}
-	r.tknpCommBytes += g.iter.bytes
-	mb.loop.retire(mb)
+	r.tknpCommBytes += iter.bytes
+	r.eng.After(iter.total, mb.ran)
 }
 
 // recordSpans emits the iteration's spans: root exec on the weight-holding
 // ranks, one transfer span for the scatter/gather traffic, and a
 // partitioned-attention exec span on every rank. The segments tile the
 // iteration window exactly (total == root + comm + peer).
-func (g *tknpGroup) recordSpans(spans *obs.Recorder, seq, tokens int, end time.Duration, iter tknpIterCost) {
+func (g *tknpGroup) recordSpans(spans *obs.Recorder, seq, tokens int, start time.Duration, iter tknpIterCost) {
 	if spans == nil {
 		return
 	}
-	start := end - iter.total
+	end := start + iter.total
 	rootEnd := start + iter.root
 	commEnd := rootEnd + iter.comm
 	for s := 0; s < g.rootTP; s++ {

@@ -269,11 +269,7 @@ func (d *driver) price(mb *microBatch, now time.Duration) {
 		prep = rt.scale(d.prep.PrepTime(len(b.Chunks)+len(b.Decodes), tokens))
 		mb.unit = rt.cost.LayerTime(mb.shape)
 	}
-	start := now
-	if d.prep.Coupled {
-		start = max(start, d.cpuFree)
-		d.cpuFree = start + prep
-	}
+	start := d.prep.BookPrep(&d.cpuFree, now, prep)
 	at := start + prep
 	rt.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, tokens, start, at)
 	for s := range d.stageFree {
