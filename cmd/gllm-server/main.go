@@ -121,6 +121,9 @@ func run(o srvOptions, sigCh <-chan os.Signal) error {
 	if o.drainTimeout < 0 {
 		return fmt.Errorf("-drain-timeout %v: want 0 (abort at once) or more", o.drainTimeout)
 	}
+	if o.stallStage < -1 || o.stallStage >= o.pp {
+		return fmt.Errorf("-stall-stage %d: want -1 (off) or a stage in [0,%d)", o.stallStage, o.pp)
+	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: o.logLevel}))
 
 	m, err := model.ByName(o.modelPath)

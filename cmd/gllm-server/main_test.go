@@ -186,6 +186,10 @@ func TestRunRejectsMemUtil(t *testing.T) {
 	// incomplete" on every shutdown; 0 keeps meaning "abort at once".
 	fail["drain-timeout -1"] = func(o *srvOptions) { o.drainTimeout = -1 }
 	runs["drain-timeout 0"] = func(o *srvOptions) { o.drainTimeout = 0 }
+	// A stage past the pipeline used to log "fault injection enabled" for
+	// a fault that never fired.
+	fail["stall-stage 2"] = func(o *srvOptions) { o.stallStage, o.stallDuration = 2, time.Millisecond }
+	fail["stall-stage -2"] = func(o *srvOptions) { o.stallStage, o.stallDuration = -2, time.Millisecond }
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
 		runs[fmt.Sprintf("kvthresh %g", v)] = func(o *srvOptions) { o.params.KVThresh = v }
 		runs[fmt.Sprintf("time-scale %g", v)] = func(o *srvOptions) { o.timeScale = v }

@@ -79,8 +79,8 @@ func main() {
 	flag.IntVar(&o.params.MinP, "minp", 32, "gLLM #MinP")
 	flag.Float64Var(&o.params.KVThresh, "kvthresh", 0.05, "gLLM KV_thresh")
 	flag.StringVar(&o.itersCSV, "iters-csv", "", "write per-iteration token counts as CSV")
-	flag.DurationVar(&o.sloTTFT, "slo-ttft", 0, "report SLO attainment with this TTFT limit")
-	flag.DurationVar(&o.sloTPOT, "slo-tpot", 0, "TPOT limit for -slo-ttft")
+	flag.DurationVar(&o.sloTTFT, "slo-ttft", 0, "report SLO attainment with this TTFT limit (set both or neither)")
+	flag.DurationVar(&o.sloTPOT, "slo-tpot", 0, "TPOT limit for -slo-ttft (set both or neither)")
 	flag.BoolVar(&o.enableCPP, "enable-cpp", false, "pipeline a request's prompt chunks across micro-batches")
 	flag.BoolVar(&o.prefixCache, "enable-prefix-cache", false, "reuse KV across requests sharing a prefix group")
 	flag.BoolVar(&o.convs, "conversations", false, "synthesize multi-turn conversations instead of independent requests")
@@ -98,6 +98,10 @@ func run(o simOptions) error {
 	// the engine's unset default.
 	if !(o.memUtil > 0 && o.memUtil <= 1) {
 		return fmt.Errorf("-gpu-memory-util: MemUtil %g out of (0,1]", o.memUtil)
+	}
+	// Both SLO limits or neither: SLOAttainment reads a 0 TPOT as a limit.
+	if o.sloTTFT < 0 || o.sloTPOT < 0 || (o.sloTTFT > 0) != (o.sloTPOT > 0) {
+		return fmt.Errorf("-slo-ttft %v -slo-tpot %v: want both limits positive, or neither", o.sloTTFT, o.sloTPOT)
 	}
 	if o.nodes < 1 || o.gpusPerNode < 1 {
 		return fmt.Errorf("-nodes %d -gpus-per-node %d: want at least 1 of each", o.nodes, o.gpusPerNode)

@@ -151,6 +151,11 @@ func TestRunErrors(t *testing.T) {
 		"retired alias":       func(o *simOptions) { o.parallelism = "tokenpar" },
 		"missing trace file":  func(o *simOptions) { o.tracePath = "/nonexistent.json" },
 		"memory util above 1": func(o *simOptions) { o.memUtil = 2 },
+		// One SLO limit alone used to report 0 %: the other read as 0.
+		"slo-ttft without slo-tpot": func(o *simOptions) { o.sloTTFT = 100 * time.Second },
+		"slo-tpot without slo-ttft": func(o *simOptions) { o.sloTPOT = time.Second },
+		"slo-ttft -1":               func(o *simOptions) { o.sloTTFT, o.sloTPOT = -1, time.Second },
+		"slo-tpot -1":               func(o *simOptions) { o.sloTTFT, o.sloTPOT = time.Second, -1 },
 	}
 	// Float flags out of range, NaN included (it used to pass every check:
 	// -gpu-memory-util NaN sized a 70 TB cache, -rate NaN never ended the
@@ -191,8 +196,6 @@ func TestRunErrors(t *testing.T) {
 	runs := map[string]func(*simOptions){}
 	for _, v := range []int{-1, 0} {
 		runs[fmt.Sprintf("root-tp %d", v)] = func(o *simOptions) { o.parallelism, o.schedName, o.rootTP = "tknp", "sarathi", v }
-		runs[fmt.Sprintf("slo-ttft %d", v)] = func(o *simOptions) { o.sloTTFT = time.Duration(v) }
-		runs[fmt.Sprintf("slo-tpot %d", v)] = func(o *simOptions) { o.sloTTFT, o.sloTPOT = time.Second, time.Duration(v) }
 	}
 	runs["seed 0"] = func(o *simOptions) { o.seed = 0 }
 	for name, mutate := range runs {
