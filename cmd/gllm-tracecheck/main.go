@@ -43,6 +43,12 @@ func main() {
 }
 
 func run(path string, stages int, skew time.Duration, out io.Writer) error {
+	if stages < 0 {
+		return fmt.Errorf("-stages %d: want a stage count, or 0 to accept any", stages)
+	}
+	if skew < 0 {
+		return fmt.Errorf("-skew %v: want a tolerance >= 0", skew)
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err

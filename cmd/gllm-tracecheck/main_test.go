@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -114,6 +115,30 @@ func TestRunRejectsEmptyAndSplitTraces(t *testing.T) {
 		}
 		if err := run(path, 0, 0, os.Stdout); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// A negative flag is rejected before the file is opened: a negative -skew
+// shrank the router root and failed a valid trace, and a negative -stages
+// read as "accept any".
+func TestRunRejectsNegativeFlags(t *testing.T) {
+	ex, _ := requestSample()
+	valid := writeFile(t, nil, 0, ex)
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	for _, c := range []struct {
+		stages int
+		skew   time.Duration
+		want   string
+	}{
+		{-3, 0, "-stages -3"},
+		{0, -2 * time.Millisecond, "-skew -2ms"},
+	} {
+		for _, path := range []string{valid, missing} {
+			err := run(path, c.stages, c.skew, io.Discard)
+			if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+				t.Errorf("run(%s, %d, %v) = %v, want an error naming %s", filepath.Base(path), c.stages, c.skew, err, c.want)
+			}
 		}
 	}
 }

@@ -48,7 +48,8 @@ type driver struct {
 	stopCh, killCh <-chan struct{}
 	draining       bool
 	killed         bool
-	sincePublish   int // events since the gauges were last published
+	sincePublish   int           // events since the gauges were last published
+	now            time.Duration // the driver's last runtime clock reading
 }
 
 // gaugePublishEvery bounds how stale the pool gauges get while the loop
@@ -77,40 +78,118 @@ func newDriver(rt *Runtime, plan *engine.Config) *driver {
 	return d
 }
 
-// run is the driver goroutine: one select over the five event sources
-// (admit, cancel, retire, stop, kill — each changes state) until a stop or
-// kill has drained the pipeline.
+// run is the driver goroutine, poll-then-wait until a stop or kill has
+// drained the pipeline. Only when poll finds nothing ready are the gauges
+// published (so a reader that observes the counters of a quiesced driver
+// also sees exact gauges) and does the driver block in wait.
 func (d *driver) run() {
-	rt := d.rt
-	defer close(rt.stopped)
+	defer close(d.rt.stopped)
+	var due *microBatch
 	for !d.drained() {
-		if len(rt.submitCh) == 0 && len(rt.cancelCh) == 0 && len(rt.doneCh) == 0 {
-			// Nothing pending: refresh the gauges before blocking. Every
-			// reader that observes the counters of a quiesced driver
-			// therefore also sees exact gauges.
-			d.publishGauges()
+		if d.poll(due) {
+			due = nil
+			continue
 		}
-		select {
-		case h := <-rt.submitCh:
-			d.admit(h)
-			d.fill(rt.clock())
-		case h := <-rt.cancelCh:
-			d.cancel(h.req)
-			d.fill(rt.clock()) // an abort releases KV, which may unblock scheduling
-		case mb := <-rt.doneCh:
-			d.retire(mb, rt.clock())
-		case <-d.stopCh:
-			d.stopCh, d.draining = nil, true
-			d.fence(slog.LevelInfo, "drain started")
-		case <-d.killCh:
-			d.killCh, d.killed = nil, true
-			d.fence(slog.LevelWarn, "kill requested")
-		}
-		if d.sincePublish++; d.sincePublish >= gaugePublishEvery {
-			d.publishGauges()
-		}
+		d.publishGauges()
+		due = d.wait()
 	}
 	d.exit()
+}
+
+// poll handles each ready event source once, by one-channel non-blocking
+// receives, and reports whether any was ready: the submissions queued when
+// it starts (only those, so no source starves) and one fill for them, then
+// a cancel, a retirement (due, if wait received one), a stop and a kill.
+func (d *driver) poll(due *microBatch) bool {
+	rt := d.rt
+	n := len(rt.submitCh) // only the driver receives, so n are there
+	for range n {
+		d.admit(<-rt.submitCh)
+		d.count()
+	}
+	if n > 0 {
+		d.fill(d.tick())
+	}
+	found := n > 0
+	select {
+	case h := <-rt.cancelCh:
+		d.cancelled(h)
+		found = d.count()
+	default:
+	}
+	if due == nil {
+		select {
+		case due = <-rt.doneCh:
+		default:
+		}
+	}
+	if due != nil {
+		d.retire(due, d.tick())
+		found = d.count()
+	}
+	select {
+	case <-d.stopCh:
+		d.stopCh, d.draining = nil, true
+		d.fence(slog.LevelInfo, "drain started")
+		found = d.count()
+	default:
+	}
+	select {
+	case <-d.killCh:
+		d.killCh, d.killed = nil, true
+		d.fence(slog.LevelWarn, "kill requested")
+		found = d.count()
+	default:
+	}
+	return found
+}
+
+// wait blocks until an event source is ready and handles a submission or a
+// cancel; a retirement it returns for the next poll. With no slot free and
+// the newest batch's last window ended by the last clock reading, every
+// batch in flight is due and nothing admitted could be scheduled before the
+// next retire, so it waits on doneCh alone; otherwise on all five sources.
+func (d *driver) wait() *microBatch {
+	rt := d.rt
+	if d.Free() == 0 && d.stageFree[len(d.stageFree)-1] <= d.now {
+		return <-rt.doneCh
+	}
+	select {
+	case h := <-rt.submitCh:
+		d.admit(h)
+		d.fill(d.tick())
+		d.count()
+	case h := <-rt.cancelCh:
+		d.cancelled(h)
+		d.count()
+	case mb := <-rt.doneCh:
+		return mb
+	case <-d.stopCh: // a closed signal stays ready: the next poll observes it
+	case <-d.killCh:
+	}
+	return nil
+}
+
+// tick reads the runtime clock once for the event being handled.
+func (d *driver) tick() time.Duration {
+	d.now = d.rt.clock()
+	return d.now
+}
+
+// cancelled serves a cancellation notice: an abort releases KV, which may
+// unblock scheduling.
+func (d *driver) cancelled(h *Handle) {
+	d.cancel(h.req)
+	d.fill(d.tick())
+}
+
+// count counts one handled event, publishes the gauges every
+// gaugePublishEvery of them, and reports true.
+func (d *driver) count() bool {
+	if d.sincePublish++; d.sincePublish >= gaugePublishEvery {
+		d.publishGauges()
+	}
+	return true
 }
 
 // inFlight is the number of micro-batches inside the pipeline.
@@ -131,7 +210,7 @@ func (d *driver) drained() bool {
 		// idle pipeline it never will (its decisions depend only on pool
 		// state), so the remainder is aborted rather than stalled.
 		d.sweep()
-		d.fill(d.rt.clock())
+		d.fill(d.tick())
 	}
 	return d.inFlight() == 0
 }

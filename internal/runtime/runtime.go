@@ -654,24 +654,39 @@ var ErrQueueFull = errors.New("runtime: queue full")
 // Start validates the configuration, spawns the driver and the clock
 // goroutine, and returns a serving runtime.
 func Start(cfg Config) (*Runtime, error) {
+	rt, d, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go rt.pipeline()
+	go d.run()
+	if rt.cfg.WatchdogTimeout > 0 {
+		go rt.watchdogLoop()
+	}
+	return rt, nil
+}
+
+// build validates cfg and returns the runtime and its driver, neither
+// started.
+func build(cfg Config) (*Runtime, *driver, error) {
 	cfg.applyDefaults()
 	// Written so that NaN fails: every comparison with NaN is false.
 	if !(cfg.TimeScale >= 0 && cfg.TimeScale <= math.MaxFloat64) {
-		return nil, fmt.Errorf("runtime: TimeScale %g, want finite and >= 0", cfg.TimeScale)
+		return nil, nil, fmt.Errorf("runtime: TimeScale %g, want finite and >= 0", cfg.TimeScale)
 	}
 	if !(cfg.AdmitKVFactor <= math.MaxFloat64) {
-		return nil, fmt.Errorf("runtime: AdmitKVFactor %g, want finite", cfg.AdmitKVFactor)
+		return nil, nil, fmt.Errorf("runtime: AdmitKVFactor %g, want finite", cfg.AdmitKVFactor)
 	}
 	plan := engine.Config{Model: cfg.Model, GPU: cfg.GPU, Topo: cfg.Topo, MemUtil: cfg.MemUtil,
 		Scheduler: cfg.Scheduler, EnablePrefixCache: cfg.EnablePrefixCache, EnableCPP: cfg.EnableCPP,
 		Observer: cfg.observe}
 	cost, stageLayers, kvCap, err := engine.PlanPipeline(&plan)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	depth := len(stageLayers)
 	if cfg.Spans != nil && cfg.Spans.Stages() < depth {
-		return nil, fmt.Errorf("runtime: span recorder has %d stages, pipeline %d", cfg.Spans.Stages(), depth)
+		return nil, nil, fmt.Errorf("runtime: span recorder has %d stages, pipeline %d", cfg.Spans.Stages(), depth)
 	}
 
 	rt := &Runtime{
@@ -693,12 +708,7 @@ func Start(cfg Config) (*Runtime, error) {
 		rt.admitLimit = int64(cfg.AdmitKVFactor * float64(kvCap))
 	}
 	rt.gauges.KVFreeRate = 1 // empty cache until the driver's first pass
-	go rt.pipeline()
-	go newDriver(rt, &plan).run()
-	if cfg.WatchdogTimeout > 0 {
-		go rt.watchdogLoop()
-	}
-	return rt, nil
+	return rt, newDriver(rt, &plan), nil
 }
 
 // KVCapacityTokens returns the derived KV capacity of the deployment.
