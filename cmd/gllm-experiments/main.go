@@ -70,6 +70,9 @@ func validIDs() string {
 }
 
 func mainErr(run, scaleName, out string, parallel int) error {
+	if parallel < 1 { // not RunGrid's GOMAXPROCS default
+		return fmt.Errorf("-parallel %d: want at least 1", parallel)
+	}
 	e := env{scaleName: scaleName, log: os.Stdout, srcRoot: "."}
 	if out != "" {
 		// The directory appears with the first artefact, so a usage error

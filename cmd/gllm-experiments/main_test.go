@@ -40,7 +40,7 @@ func TestMainErrErrors(t *testing.T) {
 	// not surface hours later as a missing CSV.
 	for _, run := range []string{"fig99", "fig11,fig51", "cluster", ""} {
 		dir := filepath.Join(t.TempDir(), "out")
-		err := mainErr(run, "quick", dir, 0)
+		err := mainErr(run, "quick", dir, 1)
 		if err == nil {
 			t.Fatalf("-run %q accepted", run)
 		}
@@ -54,8 +54,18 @@ func TestMainErrErrors(t *testing.T) {
 			t.Fatalf("-run %q created the output directory before failing", run)
 		}
 	}
-	if err := mainErr("fig1", "huge", "", 0); err == nil {
+	if err := mainErr("fig1", "huge", "", 1); err == nil {
 		t.Fatal("unknown scale accepted")
+	}
+	// A worker count below 1 is a usage error before any step runs.
+	for _, parallel := range []int{0, -2} {
+		dir := filepath.Join(t.TempDir(), "out")
+		if err := mainErr("fig1", "quick", dir, parallel); err == nil || !strings.Contains(err.Error(), "-parallel") {
+			t.Fatalf("-parallel %d: err = %v", parallel, err)
+		}
+		if _, statErr := os.Stat(dir); statErr == nil {
+			t.Fatalf("-parallel %d created the output directory before failing", parallel)
+		}
 	}
 }
 

@@ -103,8 +103,9 @@ func run(o simOptions) error {
 	if o.sloTTFT < 0 || o.sloTPOT < 0 || (o.sloTTFT > 0) != (o.sloTPOT > 0) {
 		return fmt.Errorf("-slo-ttft %v -slo-tpot %v: want both limits positive, or neither", o.sloTTFT, o.sloTPOT)
 	}
-	if o.nodes < 1 || o.gpusPerNode < 1 {
-		return fmt.Errorf("-nodes %d -gpus-per-node %d: want at least 1 of each", o.nodes, o.gpusPerNode)
+	// -root-tp 0 is out of range too, not the engine's unset default.
+	if o.nodes < 1 || o.gpusPerNode < 1 || o.rootTP < 1 {
+		return fmt.Errorf("-nodes %d -gpus-per-node %d -root-tp %d: want at least 1 of each", o.nodes, o.gpusPerNode, o.rootTP)
 	}
 	m, err := model.ByName(o.modelName)
 	if err != nil {

@@ -136,28 +136,22 @@ func (noObserver) Err() error                                                   
 type RuntimeModel struct {
 	Name string
 	// Coupled runtimes serialize PrepTime on the batch critical path
-	// through a single driver CPU (vLLM/SGLang). Decoupled runtimes overlap
-	// preparation with execution and pay only AsyncResidual.
+	// through a single driver CPU (vLLM/SGLang). A decoupled runtime
+	// overlaps preparation with execution: PrepTime delays only its batch.
 	Coupled bool
-	// PrepBase is the fixed CPU cost per micro-batch.
+	// PrepBase is the fixed CPU cost per micro-batch (gLLM: Token Throttling).
 	PrepBase time.Duration
 	// PrepPerSeq is the CPU cost per batched sequence (python-side list and
 	// metadata work scales with sequences).
 	PrepPerSeq time.Duration
 	// PrepPerToken is the CPU cost per batched token.
 	PrepPerToken time.Duration
-	// AsyncResidual is the serialized per-iteration cost of a decoupled
-	// runtime (Token Throttling bookkeeping).
-	AsyncResidual time.Duration
 }
 
-// PrepTime returns the serialized CPU time charged before a batch with the
-// given sequence and token counts starts stage 0.
+// PrepTime returns the CPU time charged before a batch with the given
+// sequence and token counts starts stage 0.
 func (rm RuntimeModel) PrepTime(seqs, tokens int) time.Duration {
-	if rm.Coupled {
-		return rm.PrepBase + time.Duration(seqs)*rm.PrepPerSeq + time.Duration(tokens)*rm.PrepPerToken
-	}
-	return rm.AsyncResidual
+	return rm.PrepBase + time.Duration(seqs)*rm.PrepPerSeq + time.Duration(tokens)*rm.PrepPerToken
 }
 
 // BookPrep books a batch's prep charge, injected at now, and returns when
@@ -198,9 +192,8 @@ var (
 	// metadata/activation transmission overlaps preparation with compute;
 	// only the Token Throttling bookkeeping (measured 0.045 ms) serializes.
 	GLLMRuntime = RuntimeModel{
-		Name:          "gllm",
-		Coupled:       false,
-		AsyncResidual: 45 * time.Microsecond,
+		Name:     "gllm",
+		PrepBase: 45 * time.Microsecond,
 	}
 )
 

@@ -26,26 +26,24 @@ import (
 // strategy is an engine's half of the kernel: how a scheduled micro-batch
 // occupies hardware time.
 type strategy interface {
-	// execute prices mb's frozen shape, books it on its devices and their
-	// run.busy lanes, records its spans, and issues mb.ran for when the
-	// batch leaves the hardware.
-	execute(mb *microBatch)
+	// execute prices mb's frozen shape, books it from ready (when its prep
+	// ends) on its devices and their run.busy lanes, records its spans, and
+	// issues the events that lead to mb.ran, when it leaves the hardware.
+	execute(mb *microBatch, ready time.Duration)
 }
 
 // microBatch is one scheduled batch in flight with its frozen cost shape. A
 // loop owns one per slot and reuses it once its batch has retired, so an
 // injection allocates no carrier — and no closure: every callback the clock
-// is handed for the slot is bound once (prepped and ran by addLoop, arrived
-// by the chain on first execute) and reads its arguments from the fields
-// below.
+// is handed for the slot is bound once (ran by addLoop, arrived by the
+// chain on first execute) and reads its arguments from the fields below.
 type microBatch struct {
 	loop  *loop
 	batch *sched.Batch // the loop's from Schedule until retire hands it back
 	shape gpu.BatchShape
 	seq   int // injection ordinal across the run, for span labels
 
-	prepped func() // the prep charge has elapsed: execute
-	ran     func() // the batch left the hardware: retire
+	ran func() // the batch left the hardware: retire
 
 	// The chain's: the stage the batch last entered, its price per layer
 	// and what the clock calls when its activations reach the next stage.
@@ -113,7 +111,6 @@ func (r *run) addLoop(kvCap int64, slots int, s sched.Scheduler, exec strategy) 
 	mbs := make([]*microBatch, slots)
 	for i := range mbs {
 		mb := &microBatch{loop: l}
-		mb.prepped = func() { exec.execute(mb) }
 		mb.ran = func() { l.retire(mb) }
 		mbs[i] = mb
 	}
@@ -225,18 +222,15 @@ func (l *loop) fill() {
 		}
 		r.injections++
 		mb.batch, mb.shape, mb.seq = b, b.Shape(), r.injections
+		// The prep is booked and recorded now, and the strategy books the
+		// batch from when it ends: no event waits it out.
 		rt, tokens := &r.cfg.Runtime, mb.shape.Tokens()
-		// A decoupled runtime that charges no prep (the disaggregated
-		// engine) executes at once; any other prep is booked and recorded
-		// now, and the batch executes when it has elapsed.
 		prep := rt.PrepTime(len(b.Chunks)+len(b.Decodes), tokens)
-		if prep == 0 && !rt.Coupled {
-			l.exec.execute(mb)
-			continue
-		}
 		start := rt.BookPrep(&r.cpuFree, now, prep)
-		r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, tokens, start, start+prep)
-		r.eng.At(start+prep, mb.prepped)
+		if prep > 0 {
+			r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, tokens, start, start+prep)
+		}
+		l.exec.execute(mb, start+prep)
 	}
 }
 

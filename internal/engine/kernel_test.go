@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gllm/internal/core"
+	"gllm/internal/gpu"
 	"gllm/internal/obs"
 	"gllm/internal/request"
 	"gllm/internal/sched"
@@ -165,32 +166,53 @@ func TestSampledRunReturnsItsError(t *testing.T) {
 	}
 }
 
-// A PP-depth injection costs the clock depth+1 events under either runtime:
-// its prep, one activation arrival per hop and its retire. Each stage entry
-// books the stage, records the windows and issues the next event at once,
-// so no event marks a stage's end (the kernel's events-per-injection proxy
-// for sim_sweep's cost).
+// An injection costs the clock one event per stage under either runtime:
+// on a PP-depth chain one activation arrival per hop and its retire, on the
+// tensor and token-parallel engines the retire alone. The prep is booked at
+// injection and each stage entry books the stage, records the windows and
+// issues the next event at once, so no event marks a prep's or a stage's
+// end (the kernel's events-per-injection proxy for sim_sweep's cost). The
+// loops are built as RunPipeline, RunTensor and RunTokenParallel build them.
 func TestPipelineEventsPerInjection(t *testing.T) {
 	items := shortTrace(1, 3, 8*time.Second)
-	for _, rt := range []RuntimeModel{GLLMRuntime, VLLMRuntime} {
-		cfg := testConfig(sched.NewDefaultThrottle(), rt)
-		depth := cfg.Topo.GPUs()
-		r, err := newRun(&cfg, depth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		layers, kvCap, err := cfg.stages(&r.cost, depth, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.addLoop(kvCap, depth, cfg.Scheduler, newChain(r, 0, layers))
-		if _, err := r.serve(items, cfg.Scheduler.Name(), kvCap); err != nil {
-			t.Fatal(err)
-		}
-		want := uint64(len(items) + r.injections*(depth+1))
-		if got := r.eng.Executed(); got != want {
-			t.Errorf("%s: %d events for %d arrivals and %d injections, want %d (%.3f per injection)",
-				rt.Name, got, len(items), r.injections, want, float64(got-uint64(len(items)))/float64(r.injections))
+	engines := []struct {
+		name  string
+		slots int // = events per injection
+		build func(r *run, cfg *Config) (int64, strategy)
+	}{
+		{"pipeline", 4, func(r *run, cfg *Config) (int64, strategy) {
+			layers, kvCap, err := cfg.stages(&r.cost, 4, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return kvCap, newChain(r, 0, layers)
+		}},
+		{"tensor", 1, func(r *run, cfg *Config) (int64, strategy) {
+			c := newChain(r, 0, []int{1})
+			c.price = func(shape gpu.BatchShape) time.Duration { return tensorIterationTime(&r.cost, cfg.Topo, shape) }
+			return r.cost.KVCapacityTokensTP(4, cfg.MemUtil), c
+		}},
+		{"tokenpar", 1, func(r *run, cfg *Config) (int64, strategy) {
+			return r.cost.KVCapacityTokensTKNP(4, 1, cfg.MemUtil), &tknpGroup{ranks: 4, rootTP: 1}
+		}},
+	}
+	for _, e := range engines {
+		for _, rt := range []RuntimeModel{GLLMRuntime, VLLMRuntime} {
+			cfg := testConfig(sched.NewDefaultThrottle(), rt)
+			r, err := newRun(&cfg, cfg.Topo.GPUs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			kvCap, exec := e.build(r, &cfg)
+			r.addLoop(kvCap, e.slots, cfg.Scheduler, exec)
+			if _, err := r.serve(items, cfg.Scheduler.Name(), kvCap); err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(len(items) + r.injections*e.slots)
+			if got := r.eng.Executed(); got != want {
+				t.Errorf("%s/%s: %d events for %d arrivals and %d injections, want %d (%.3f per injection)",
+					e.name, rt.Name, got, len(items), r.injections, want, float64(got-uint64(len(items)))/float64(r.injections))
+			}
 		}
 	}
 }

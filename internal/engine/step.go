@@ -6,6 +6,7 @@ import (
 
 	"gllm/internal/gpu"
 	"gllm/internal/kvcache"
+	"gllm/internal/obs"
 	"gllm/internal/request"
 	"gllm/internal/sched"
 )
@@ -40,6 +41,42 @@ func PlanPipeline(cfg *Config) (cost gpu.CostModel, stageLayers []int, kvCap int
 // stage i to stage i+1: the chain's transfer and the live pipeline's.
 func (cfg *Config) HopTime(i, tokens int) time.Duration {
 	return cfg.Topo.Hop(i).TransferTime(int64(tokens) * cfg.Model.ActivationBytesPerToken())
+}
+
+// Stages is a row of exclusive pipeline stages on one clock, each a FIFO
+// server in booking order: the chain books a stage when the activations
+// arrive, runtime's driver books every stage at injection.
+type Stages struct {
+	Free  []time.Duration                     // when each stage is next free
+	First int                                 // stage 0's topology index: its span lane and hop
+	Spans *obs.Recorder                       // records the exec and hop windows
+	Hop   func(hop, tokens int) time.Duration // prices an activation transfer; nil: free
+	Fault func(stage, seq int) time.Duration  // live only, when set: a window's extra delay
+}
+
+// Book opens stage i's window for batch seq of tokens, whose activations
+// arrive at at: it starts at the later of at and when the stage is free,
+// pushed back by Fault, and lasts exec. It records the exec span and,
+// before the last stage, the hop span, and returns when the activations
+// reach stage i+1 — after the last stage, when the window ends.
+func (p *Stages) Book(i, seq, tokens int, at, exec time.Duration) time.Duration {
+	start := max(at, p.Free[i])
+	if p.Fault != nil {
+		start += max(p.Fault(i, seq), 0)
+	}
+	end := start + exec
+	p.Free[i] = end
+	lane := p.First + i
+	p.Spans.Record(lane, obs.KindExec, seq, tokens, start, end)
+	if i+1 == len(p.Free) {
+		return end
+	}
+	next := end
+	if p.Hop != nil {
+		next += p.Hop(lane, tokens)
+	}
+	p.Spans.Record(lane, obs.KindXfer, seq, tokens, end, next)
+	return next
 }
 
 // stages splits cfg.Model over depth stages and sizes the KV cache the

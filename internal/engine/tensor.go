@@ -25,13 +25,9 @@ func RunTensor(cfg Config, items []workload.Item) (*Result, error) {
 	}
 	// All GPUs act as one fused device running one whole-model iteration at a
 	// time: a chain of a single stage charging its price once, per iteration.
-	r.addLoop(kvCap, 1, cfg.Scheduler, &chain{
-		free:   make([]time.Duration, 1),
-		layers: []int{1},
-		price: func(shape gpu.BatchShape) time.Duration {
-			return tensorIterationTime(&r.cost, cfg.Topo, shape)
-		},
-	})
+	c := newChain(r, 0, []int{1})
+	c.price = func(shape gpu.BatchShape) time.Duration { return tensorIterationTime(&r.cost, cfg.Topo, shape) }
+	r.addLoop(kvCap, 1, cfg.Scheduler, c)
 	return r.serve(items, cfg.Scheduler.Name(), kvCap)
 }
 

@@ -97,18 +97,18 @@ func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, 
 
 // tknpGroup is the token-parallel strategy. Like the tensor engine it runs
 // one whole-model iteration at a time over the whole group, which with one
-// slot never waits for itself, so the iteration is booked from now: its
-// spans, each rank's busy time from the price breakdown — every rank runs
-// attention over its KV partition, the root ranks the projections and MLP
-// on top — and the bytes it moves.
+// slot never waits for itself, so the iteration is booked from its ready
+// time: its spans, each rank's busy time from the price breakdown — every
+// rank runs attention over its KV partition, the root ranks the
+// projections and MLP on top — and the bytes it moves.
 type tknpGroup struct {
 	ranks, rootTP int
 }
 
-func (g *tknpGroup) execute(mb *microBatch) {
+func (g *tknpGroup) execute(mb *microBatch, ready time.Duration) {
 	r := mb.loop.run
 	iter := tokenParallelIterationTime(&r.cost, r.cfg.Topo, g.rootTP, mb.shape)
-	g.recordSpans(r.cfg.Spans, mb.seq, mb.shape.Tokens(), r.eng.Now(), iter)
+	g.recordSpans(r.cfg.Spans, mb.seq, mb.shape.Tokens(), ready, iter)
 	for s := range g.ranks {
 		r.busy[s] += iter.peer
 		if s < g.rootTP {
@@ -116,7 +116,7 @@ func (g *tknpGroup) execute(mb *microBatch) {
 		}
 	}
 	r.tknpCommBytes += iter.bytes
-	r.eng.After(iter.total, mb.ran)
+	r.eng.At(ready+iter.total, mb.ran)
 }
 
 // recordSpans emits the iteration's spans: root exec on the weight-holding

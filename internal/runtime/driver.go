@@ -34,14 +34,13 @@ import (
 type driver struct {
 	*engine.Step[*microBatch] // the pool and the slots, one per stage
 	rt                        *Runtime
-	plan                      *engine.Config
 	prep                      engine.RuntimeModel // prices the control-plane CPU work
 
 	// The pipeline's state on the runtime clock: when each stage is free
 	// of the batches injected so far, and when a coupled runtime's driver
 	// CPU is free of their prep.
-	stageFree []time.Duration
-	cpuFree   time.Duration
+	stages  engine.Stages
+	cpuFree time.Duration
 
 	// stopCh and killCh are the runtime's until their close is observed,
 	// then nil so the select stops receiving from them.
@@ -58,18 +57,16 @@ type driver struct {
 const gaugePublishEvery = 64
 
 func newDriver(rt *Runtime, plan *engine.Config) *driver {
-	d := &driver{
-		rt:        rt,
-		plan:      plan,
-		prep:      engine.VLLMRuntime,
-		stageFree: make([]time.Duration, len(rt.stageLayers)),
-		stopCh:    rt.stopCh,
-		killCh:    rt.killCh,
+	depth := len(rt.stageLayers)
+	d := &driver{rt: rt, prep: engine.VLLMRuntime, stopCh: rt.stopCh, killCh: rt.killCh}
+	d.stages = engine.Stages{Free: make([]time.Duration, depth), Spans: rt.cfg.Spans, Fault: rt.cfg.StageFault}
+	if rt.emulates() { // else every hop is free: TimeScale never changes
+		d.stages.Hop = func(hop, tokens int) time.Duration { return rt.scale(plan.HopTime(hop, tokens)) }
 	}
 	if rt.cfg.Async {
 		d.prep = engine.GLLMRuntime
 	}
-	slots := make([]*microBatch, len(d.stageFree))
+	slots := make([]*microBatch, depth)
 	for i := range slots {
 		slots[i] = new(microBatch)
 	}
@@ -151,7 +148,7 @@ func (d *driver) poll(due *microBatch) bool {
 // next retire, so it waits on doneCh alone; otherwise on all five sources.
 func (d *driver) wait() *microBatch {
 	rt := d.rt
-	if d.Free() == 0 && d.stageFree[len(d.stageFree)-1] <= d.now {
+	if free := d.stages.Free; d.Free() == 0 && free[len(free)-1] <= d.now {
 		return <-rt.doneCh
 	}
 	select {
@@ -193,7 +190,7 @@ func (d *driver) count() bool {
 }
 
 // inFlight is the number of micro-batches inside the pipeline.
-func (d *driver) inFlight() int { return len(d.stageFree) - d.Free() }
+func (d *driver) inFlight() int { return len(d.stages.Free) - d.Free() }
 
 // resident is the number of admitted, unfinished requests: the pool's.
 func (d *driver) resident() int { return d.Pool.PrefillQueueLen() + d.Pool.RunningDecode() }
@@ -334,38 +331,24 @@ func (d *driver) fill(now time.Duration) {
 }
 
 // price computes the windows of mb, injected at now, as the kernel's fill
-// and chain do: its prep, then on each stage an execute window that opens
-// once the stage is free and the activations have arrived (pushed back by
-// an injected StageFault), then the hop to the next stage. The coupled
-// runtime queues its whole input preparation on the one driver CPU; the
-// async one delays only this batch by its Token Throttling residual
-// (§3.4). The spans are these windows; mb.retireAt is the last one's end.
+// and chain do: its prep, then every stage booked by engine.Stages.Book
+// from when the activations arrive. The coupled runtime queues its whole
+// input preparation on the one driver CPU; the async one delays only this
+// batch by its Token Throttling bookkeeping (§3.4). The spans are these
+// windows; mb.retireAt is the last one's end.
 func (d *driver) price(mb *microBatch, now time.Duration) {
 	rt := d.rt
-	b, tokens, priced := mb.batch, mb.shape.Tokens(), rt.emulates()
+	b, tokens := mb.batch, mb.shape.Tokens()
 	var prep time.Duration
-	if priced { // else mb.unit stays 0: TimeScale never changes
+	if rt.emulates() { // else mb.unit stays 0: TimeScale never changes
 		prep = rt.scale(d.prep.PrepTime(len(b.Chunks)+len(b.Decodes), tokens))
 		mb.unit = rt.cost.LayerTime(mb.shape)
 	}
 	start := d.prep.BookPrep(&d.cpuFree, now, prep)
 	at := start + prep
 	rt.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, tokens, start, at)
-	for s := range d.stageFree {
-		start = max(at, d.stageFree[s])
-		if fault := rt.cfg.StageFault; fault != nil {
-			start += max(fault(s, mb.seq), 0)
-		}
-		at = start + rt.execTime(mb, s)
-		d.stageFree[s] = at
-		rt.cfg.Spans.Record(s, obs.KindExec, mb.seq, tokens, start, at)
-		if s+1 < len(d.stageFree) {
-			end := at
-			if priced {
-				at += rt.scale(d.plan.HopTime(s, tokens))
-			}
-			rt.cfg.Spans.Record(s, obs.KindXfer, mb.seq, tokens, end, at)
-		}
+	for s := range d.stages.Free {
+		at = d.stages.Book(s, mb.seq, tokens, at, rt.execTime(mb, s))
 	}
 	mb.retireAt = 0
 	if at > now {

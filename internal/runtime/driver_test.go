@@ -49,7 +49,7 @@ func TestPollServesQueuedEventsBeforeRetireFill(t *testing.T) {
 		}
 	}
 	var flight []*microBatch
-	for range len(d.stageFree) {
+	for range len(d.stages.Free) {
 		submit()
 		if !d.poll(nil) {
 			t.Fatal("poll found no queued submission")

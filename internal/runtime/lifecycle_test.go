@@ -60,6 +60,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// settled returns the goroutine count once it holds still for 5 ms: a
+// runtime an earlier test closed may still be returning its goroutines.
+func settled() int {
+	n := goruntime.NumGoroutine()
+	for {
+		time.Sleep(5 * time.Millisecond)
+		m := goruntime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+}
+
 // Concurrent Shutdown and Close calls must never panic (the seed runtime
 // had a check-then-close race on stopCh) and must all return.
 func TestConcurrentShutdownAndClose(t *testing.T) {
@@ -489,7 +503,7 @@ func TestCancellableSubmitSpawnsNoGoroutine(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	before := goruntime.NumGoroutine()
+	before := settled()
 	handles := make([]*Handle, 64)
 	for i := range handles {
 		h, err := rt.SubmitBatchedSpec(ctx, SubmitSpec{PromptLen: 16, MaxTokens: 4})

@@ -339,17 +339,6 @@ func TestScaledClockRuns(t *testing.T) {
 // priced windows, so a per-stage goroutine (four more wake-ups per batch at
 // PP-4) fails here.
 func TestAsyncGoroutineBudget(t *testing.T) {
-	settled := func() int {
-		n := goruntime.NumGoroutine()
-		for {
-			time.Sleep(5 * time.Millisecond)
-			m := goruntime.NumGoroutine()
-			if m == n {
-				return n
-			}
-			n = m
-		}
-	}
 	baseline := settled()
 	rt, err := Start(Config{
 		Model:           model.Qwen25_14B,
