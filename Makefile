@@ -31,7 +31,7 @@ bench-selftest:
 # more than a reader can scan: 6144 bytes (older entries are exempt), or
 # when README.md + DESIGN.md + EXPERIMENTS.md together outgrow DOCS_BYTES.
 # DOCS_BYTES only goes down: a change that shrinks the docs lowers it.
-DOCS_BYTES = 117340
+DOCS_BYTES = 117272
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -46,7 +46,8 @@ FUZZ_TARGETS = FuzzKVAllocFree:./internal/kvcache FuzzThrottleSchedule:./interna
 	FuzzParseExposition:./internal/metrics FuzzChunkReader:./internal/server \
 	FuzzChromeRoundTrip:./internal/obs FuzzParseTraceparent:./internal/obs \
 	FuzzEngineOrder:./internal/sim FuzzCompletionRequest:./internal/server \
-	FuzzSSEReader:./internal/sse FuzzDecodeCompletion:./internal/server
+	FuzzSSEReader:./internal/sse FuzzDecodeCompletion:./internal/server \
+	FuzzStagesBook:./internal/engine
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

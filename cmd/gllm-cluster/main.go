@@ -169,8 +169,8 @@ func replicaFactory(o clusterOptions, spans *obs.ReqRecorder) (func() (cluster.E
 }
 
 // checkOptions rejects the flag values that would panic in the topology,
-// serve every request a 429, wrap no cause in the router's error, or leave
-// every drain incomplete.
+// serve every request a 429, wrap no cause in the router's error, bend the
+// retry backoff, or leave every drain incomplete.
 func checkOptions(o clusterOptions) error {
 	switch {
 	case o.pp < 1:
@@ -181,6 +181,12 @@ func checkOptions(o clusterOptions) error {
 		return errors.New("-replicas 0 and no -replica: nothing to route to")
 	case o.retry.MaxAttempts < 0:
 		return fmt.Errorf("-retry-attempts %d: want 0 (the default) or more", o.retry.MaxAttempts)
+	case o.retry.BaseDelay < 0:
+		return fmt.Errorf("-retry-base %v: want 0 (the default) or more", o.retry.BaseDelay)
+	case o.retry.MaxDelay < 0:
+		return fmt.Errorf("-retry-max %v: want 0 (the default) or more", o.retry.MaxDelay)
+	case o.retry.Budget < 0:
+		return fmt.Errorf("-retry-budget %v: want 0 (the default) or more", o.retry.Budget)
 	case o.probeInterval < 0:
 		return fmt.Errorf("-probe-interval %v: want 0 (the default) or more", o.probeInterval)
 	case o.probeFailures < 0:

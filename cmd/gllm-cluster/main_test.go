@@ -34,6 +34,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"replicas -1", func(o *clusterOptions) { o.replicas = -1 }, "-replicas -1"},
 		{"replicas 0", func(o *clusterOptions) { o.replicas = 0 }, "-replicas 0"},
 		{"retry-attempts -3", func(o *clusterOptions) { o.retry.MaxAttempts = -3 }, "-retry-attempts -3"},
+		{"retry-base -1ms", func(o *clusterOptions) { o.retry.BaseDelay = -time.Millisecond }, "-retry-base -1ms"},
+		{"retry-max -1s", func(o *clusterOptions) { o.retry.MaxDelay = -time.Second }, "-retry-max -1s"},
+		{"retry-budget -1s", func(o *clusterOptions) { o.retry.Budget = -time.Second }, "-retry-budget -1s"},
 		{"gpu-memory-util 2", func(o *clusterOptions) { o.memUtil = 2 }, "MemUtil 2 out of (0,1]"},
 		{"probe-interval -1s", func(o *clusterOptions) {
 			o.replicas, o.remotes, o.probeInterval = 0, []string{"http://127.0.0.1:1"}, -time.Second

@@ -538,11 +538,12 @@ func (c *Router) Submit(ctx context.Context, req Request) (*runtime.Handle, *Rep
 
 // Stats aggregates the cluster into one runtime.Snapshot (the shape the
 // HTTP frontend's /stats and /metrics render): counters are summed over
-// active and retired replicas, KV gauges are capacity-weighted, and
+// active and retired replicas, KV gauges are capacity-weighted, the
+// bubble rate is each replica's weighted by its stages × uptime, and
 // Health reports "ok" while at least one replica is routable.
 func (c *Router) Stats() runtime.Snapshot {
 	var agg runtime.Snapshot
-	var busy, stageSeconds float64
+	var bubble, stageSeconds float64
 	routable := 0
 	all := append(c.Replicas(), c.Retired()...)
 	for _, rep := range all {
@@ -564,10 +565,9 @@ func (c *Router) Stats() runtime.Snapshot {
 		if st.Uptime > agg.Uptime {
 			agg.Uptime = st.Uptime
 		}
-		for _, s := range st.StageBusySeconds {
-			busy += s
-			stageSeconds += st.Uptime.Seconds()
-		}
+		w := float64(len(st.StageBusySeconds)) * st.Uptime.Seconds()
+		bubble += st.BubbleRate * w
+		stageSeconds += w
 		if rep.routable() {
 			routable++
 		}
@@ -578,7 +578,7 @@ func (c *Router) Stats() runtime.Snapshot {
 		agg.KVFreeRate = 1
 	}
 	if stageSeconds > 0 {
-		agg.BubbleRate = 1 - busy/stageSeconds
+		agg.BubbleRate = bubble / stageSeconds
 	}
 	switch {
 	case routable > 0:

@@ -95,6 +95,35 @@ func TestStatsAggregation(t *testing.T) {
 	}
 }
 
+// The cluster's bubble rate is each replica's weighted by its stages ×
+// uptime. A replica books a batch's busy time at injection, so mid-run its
+// busy time can exceed stages × uptime; its own rate is taken over its
+// booked end, and the aggregate stays in [0, 1].
+func TestStatsWeightsBubbleRate(t *testing.T) {
+	idle := newFakeEngine(okPressure())
+	// 2 stages busy 2 s each over 4 s of uptime.
+	idle.snap = &runtime.Snapshot{StageBusySeconds: []float64{2, 2}, BubbleRate: 0.5,
+		Uptime: 4 * time.Second, Health: runtime.HealthOK}
+	busy := newFakeEngine(okPressure())
+	// 4 stages booked 4 s each after 2 s of uptime, up to an 8 s end.
+	busy.snap = &runtime.Snapshot{StageBusySeconds: []float64{4, 4, 4, 4}, BubbleRate: 0.5,
+		Uptime: 2 * time.Second, Health: runtime.HealthOK}
+	r := New(Config{})
+	for id, e := range map[string]*fakeEngine{"idle": idle, "busy": busy} {
+		if _, err := r.Add(id, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Weights 2×4 s and 4×2 s.
+	if got, want := r.Stats().BubbleRate, (0.5*8+0.5*8)/16.0; got != want {
+		t.Fatalf("BubbleRate = %v, want %v", got, want)
+	}
+	busy.snap.BubbleRate = 0.25
+	if got, want := r.Stats().BubbleRate, (0.5*8+0.25*8)/16.0; got != want {
+		t.Fatalf("BubbleRate = %v, want %v", got, want)
+	}
+}
+
 func TestStatsHealthTransitions(t *testing.T) {
 	deg := newFakeEngine(runtime.Pressure{KVFree: 1, Health: runtime.HealthDegraded})
 	r := New(Config{})

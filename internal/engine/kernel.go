@@ -27,8 +27,9 @@ import (
 // occupies hardware time.
 type strategy interface {
 	// execute prices mb's frozen shape, books it from ready (when its prep
-	// ends) on its devices and their run.busy lanes, records its spans, and
-	// issues the events that lead to mb.ran, when it leaves the hardware.
+	// ends) on its devices and their run.busy lanes — a chain through
+	// Stages.Book, which keeps them — records its spans, and issues the
+	// events that lead to mb.ran, when it leaves the hardware.
 	execute(mb *microBatch, ready time.Duration)
 }
 
@@ -60,8 +61,7 @@ type run struct {
 	// cpuFree is when the one driver CPU, which serializes a coupled
 	// runtime's prep, is next free (RuntimeModel.BookPrep).
 	cpuFree time.Duration
-	// busy is each span lane's (Config.Spans stage's) execute time booked
-	// so far, one entry per GPU rank the strategies book on: StageBusy.
+	// busy is each GPU rank's (span lane's) booked execute time: StageBusy.
 	busy  []time.Duration
 	loops []*loop
 	// admit, when set, runs ahead of every refill (the disaggregated engine
@@ -175,13 +175,7 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 	for _, l := range r.loops {
 		res.Preemptions += l.Pool.Preemptions()
 	}
-	if makespan > 0 {
-		var busy time.Duration
-		for _, b := range res.StageBusy {
-			busy += b
-		}
-		res.BubbleFraction = 1 - float64(busy)/float64(makespan*time.Duration(len(res.StageBusy)))
-	}
+	res.BubbleFraction = obs.BubbleRate(res.StageBusy, makespan)
 	return res, nil
 }
 

@@ -24,22 +24,22 @@ func RunPipeline(cfg Config, items []workload.Item) (*Result, error) {
 }
 
 // chain is the pipeline strategy: a row of exclusive stages, visited in order
-// with an activation transfer over each hop, so up to len(layers)
+// with an activation transfer over each hop, so up to len(Layers)
 // micro-batches overlap. Stage 0 sits at topology index First (a
 // disaggregated decode replica sits after the prefill GPUs); spans, hops
-// and busy lanes use global indices. A batch is priced once; stage i
-// charges layers[i] times that price, StageTime's product without
-// re-pricing at every stage.
+// and busy lanes use global indices. A batch is priced once, per layer;
+// Stages.Book charges stage i its layers times that price.
 type chain struct {
 	Stages
-	layers []int
-	price  func(shape gpu.BatchShape) time.Duration
+	price func(shape gpu.BatchShape) time.Duration
 }
 
-// newChain builds one stage per GPU, stage i holding layers[i] of the model.
+// newChain builds one stage per GPU, stage i holding layers[i] of the
+// model and booking its busy time on run.busy's lane First+i.
 func newChain(r *run, first int, layers []int) *chain {
-	stages := Stages{Free: make([]time.Duration, len(layers)), First: first, Spans: r.cfg.Spans, Hop: r.cfg.HopTime}
-	return &chain{Stages: stages, layers: layers, price: r.cost.LayerTime}
+	stages := Stages{Free: make([]time.Duration, len(layers)), Layers: layers,
+		Busy: r.busy[first : first+len(layers)], First: first, Spans: r.cfg.Spans, Hop: r.cfg.HopTime}
+	return &chain{Stages: stages, price: r.cost.LayerTime}
 }
 
 func (c *chain) execute(mb *microBatch, ready time.Duration) {
@@ -56,14 +56,11 @@ func (c *chain) execute(mb *microBatch, ready time.Duration) {
 // windows, and the next event is issued: the arrival at stage i+1 or,
 // after the last stage, the retire.
 func (c *chain) enter(i int, mb *microBatch, at time.Duration) {
-	r := mb.loop.run
-	exec := time.Duration(c.layers[i]) * mb.unit
-	next := c.Book(i, mb.seq, mb.shape.Tokens(), at, exec)
-	r.busy[c.First+i] += exec
+	next := c.Book(i, mb.seq, mb.shape.Tokens(), at, mb.unit)
 	mb.stage = i
-	if i+1 == len(c.layers) {
-		r.eng.At(next, mb.ran)
+	if i+1 == len(c.Free) {
+		mb.loop.run.eng.At(next, mb.ran)
 		return
 	}
-	r.eng.At(next, mb.arrived)
+	mb.loop.run.eng.At(next, mb.arrived)
 }

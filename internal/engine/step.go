@@ -47,25 +47,31 @@ func (cfg *Config) HopTime(i, tokens int) time.Duration {
 // server in booking order: the chain books a stage when the activations
 // arrive, runtime's driver books every stage at injection.
 type Stages struct {
-	Free  []time.Duration                     // when each stage is next free
-	First int                                 // stage 0's topology index: its span lane and hop
-	Spans *obs.Recorder                       // records the exec and hop windows
-	Hop   func(hop, tokens int) time.Duration // prices an activation transfer; nil: free
-	Fault func(stage, seq int) time.Duration  // live only, when set: a window's extra delay
+	Free   []time.Duration                     // when each stage is next free
+	Layers []int                               // each stage's share of the model's layers
+	Busy   []time.Duration                     // each stage's booked execute time
+	First  int                                 // stage 0's topology index: its span lane and hop
+	Spans  *obs.Recorder                       // records the exec and hop windows
+	Hop    func(hop, tokens int) time.Duration // prices an activation transfer; nil: free
+	Fault  func(stage, seq int) time.Duration  // live only, when set: a window's extra delay
+	Scale  func(time.Duration) time.Duration   // live only, when set: modelled time to wall time
 }
 
-// Book opens stage i's window for batch seq of tokens, whose activations
-// arrive at at: it starts at the later of at and when the stage is free,
-// pushed back by Fault, and lasts exec. It records the exec span and,
-// before the last stage, the hop span, and returns when the activations
-// reach stage i+1 — after the last stage, when the window ends.
-func (p *Stages) Book(i, seq, tokens int, at, exec time.Duration) time.Duration {
+// Book opens stage i's window for batch seq of tokens, priced unit per
+// layer, whose activations arrive at at: it starts at the later of at and
+// when the stage is free, pushed back by Fault, and lasts Layers[i] × unit,
+// added to Busy[i]. It records the exec span and, before the last stage,
+// the hop span, and returns when the activations reach stage i+1 — after
+// the last stage, when the window ends.
+func (p *Stages) Book(i, seq, tokens int, at, unit time.Duration) time.Duration {
+	exec := p.scale(time.Duration(p.Layers[i]) * unit)
 	start := max(at, p.Free[i])
 	if p.Fault != nil {
 		start += max(p.Fault(i, seq), 0)
 	}
 	end := start + exec
 	p.Free[i] = end
+	p.Busy[i] += exec
 	lane := p.First + i
 	p.Spans.Record(lane, obs.KindExec, seq, tokens, start, end)
 	if i+1 == len(p.Free) {
@@ -73,10 +79,17 @@ func (p *Stages) Book(i, seq, tokens int, at, exec time.Duration) time.Duration 
 	}
 	next := end
 	if p.Hop != nil {
-		next += p.Hop(lane, tokens)
+		next += p.scale(p.Hop(lane, tokens))
 	}
 	p.Spans.Record(lane, obs.KindXfer, seq, tokens, end, next)
 	return next
+}
+
+func (p *Stages) scale(d time.Duration) time.Duration {
+	if p.Scale == nil {
+		return d
+	}
+	return p.Scale(d)
 }
 
 // stages splits cfg.Model over depth stages and sizes the KV cache the

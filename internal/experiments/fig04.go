@@ -74,12 +74,8 @@ func Fig4Utilization(sc Scale, rate float64, sys System) (*Fig4Result, error) {
 		StageBusy:      res.StageBusy,
 		Tokens:         stats.NewTimeSeries("batched-tokens"),
 	}
-	for _, busy := range res.StageBusy {
-		bubble := 0.0
-		if res.Makespan > 0 {
-			bubble = 1 - busy.Seconds()/res.Makespan.Seconds()
-		}
-		out.StageBubble = append(out.StageBubble, bubble)
+	for s := range res.StageBusy {
+		out.StageBubble = append(out.StageBubble, obs.BubbleRate(res.StageBusy[s:s+1], res.Makespan))
 	}
 	var phaseSplit time.Duration
 	for _, b := range log.Batches {

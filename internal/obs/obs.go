@@ -228,9 +228,7 @@ type Accounting struct {
 	Dropped    uint64        // spans lost to ring wraparound
 	PrepTime   time.Duration // cumulative driver prep
 	Stages     []StageStat
-	// BubbleRate is the aggregate bubble rate across stages:
-	// 1 − Σ_s busy_s / (S × Window).
-	BubbleRate float64
+	BubbleRate float64 // the stages' aggregate BubbleRate over Window
 }
 
 // Account summarizes over the recorded extent [first span start, last span
@@ -270,7 +268,6 @@ func (r *Recorder) account(start, end time.Duration) Accounting {
 		PrepTime: r.prep,
 		Stages:   make([]StageStat, r.stages),
 	}
-	var busyTotal time.Duration
 	for s := 0; s < r.stages; s++ {
 		st := StageStat{Stage: s, Busy: r.busy[s], Transfer: r.transfer[s]}
 		if acc.Window > 0 {
@@ -281,12 +278,22 @@ func (r *Recorder) account(start, end time.Duration) Accounting {
 			st.BubbleRate = float64(st.Idle) / float64(acc.Window)
 		}
 		acc.Stages[s] = st
-		busyTotal += st.Busy
 	}
-	if acc.Window > 0 {
-		acc.BubbleRate = 1 - float64(busyTotal)/float64(acc.Window*time.Duration(r.stages))
-	}
+	acc.BubbleRate = BubbleRate(r.busy[:r.stages], acc.Window)
 	return acc
+}
+
+// BubbleRate is the paper's §3 bubble rate over window, stage s busy for
+// busy[s]: 1 − Σ_s busy_s / (len(busy) × window); 0 over no window.
+func BubbleRate(busy []time.Duration, window time.Duration) float64 {
+	if window <= 0 {
+		return 0
+	}
+	var total time.Duration
+	for _, b := range busy {
+		total += b
+	}
+	return 1 - float64(total)/float64(window*time.Duration(len(busy)))
 }
 
 // AccountSpans summarizes a span slice (e.g. a decoded trace) over the

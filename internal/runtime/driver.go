@@ -59,9 +59,10 @@ const gaugePublishEvery = 64
 func newDriver(rt *Runtime, plan *engine.Config) *driver {
 	depth := len(rt.stageLayers)
 	d := &driver{rt: rt, prep: engine.VLLMRuntime, stopCh: rt.stopCh, killCh: rt.killCh}
-	d.stages = engine.Stages{Free: make([]time.Duration, depth), Spans: rt.cfg.Spans, Fault: rt.cfg.StageFault}
+	d.stages = engine.Stages{Free: make([]time.Duration, depth), Layers: rt.stageLayers,
+		Busy: make([]time.Duration, depth), Spans: rt.cfg.Spans, Fault: rt.cfg.StageFault}
 	if rt.emulates() { // else every hop is free: TimeScale never changes
-		d.stages.Hop = func(hop, tokens int) time.Duration { return rt.scale(plan.HopTime(hop, tokens)) }
+		d.stages.Hop, d.stages.Scale = plan.HopTime, rt.scale
 	}
 	if rt.cfg.Async {
 		d.prep = engine.GLLMRuntime
@@ -339,16 +340,16 @@ func (d *driver) fill(now time.Duration) {
 func (d *driver) price(mb *microBatch, now time.Duration) {
 	rt := d.rt
 	b, tokens := mb.batch, mb.shape.Tokens()
-	var prep time.Duration
-	if rt.emulates() { // else mb.unit stays 0: TimeScale never changes
+	var prep, unit time.Duration
+	if rt.emulates() { // else unit stays 0: TimeScale never changes
 		prep = rt.scale(d.prep.PrepTime(len(b.Chunks)+len(b.Decodes), tokens))
-		mb.unit = rt.cost.LayerTime(mb.shape)
+		unit = rt.cost.LayerTime(mb.shape)
 	}
 	start := d.prep.BookPrep(&d.cpuFree, now, prep)
 	at := start + prep
 	rt.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, tokens, start, at)
 	for s := range d.stages.Free {
-		at = d.stages.Book(s, mb.seq, tokens, at, rt.execTime(mb, s))
+		at = d.stages.Book(s, mb.seq, tokens, at, unit)
 	}
 	mb.retireAt = 0
 	if at > now {
@@ -373,11 +374,6 @@ func (d *driver) retire(mb *microBatch, now time.Duration) {
 	rt := d.rt
 	b := mb.batch
 	mb.batch = nil
-	if mb.unit > 0 {
-		for s := range rt.stageBusy {
-			rt.stageBusy[s].Add(int64(rt.execTime(mb, s)))
-		}
-	}
 	d.check(d.Retire(mb, b, now))
 	rt.beat(now)
 	if d.inFlight() == 0 {
@@ -517,7 +513,8 @@ func (d *driver) recordReqSpans(req *request.Request, reason FinishReason) {
 	}
 }
 
-// publishGauges refreshes the pool-derived Snapshot gauges. Called when the
+// publishGauges refreshes the pool-derived Snapshot gauges and the stages'
+// busy time and booked end, copied without allocating. Called when the
 // driver is about to block (so idle-state reads are exact), when the
 // pipeline drains, and every gaugePublishEvery events under sustained load
 // — not per event: taking rt.mu on every one dominated driver bookkeeping.
@@ -535,6 +532,8 @@ func (d *driver) publishGauges() {
 	g.PrefixHits, g.PrefixHitTokens = kv.PrefixHits()
 	d.rt.mu.Lock()
 	d.rt.gauges = g
+	copy(d.rt.busy, d.stages.Busy)
+	d.rt.booked = d.stages.Free[len(d.stages.Free)-1]
 	d.rt.mu.Unlock()
 	d.sincePublish = 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -175,10 +176,12 @@ func TestAbortedRequestsExcludedFromLatencyStats(t *testing.T) {
 }
 
 // batchLog is an observer that keeps each scheduled batch's shape and
-// sequence count, indexed by its injection ordinal minus one.
+// sequence count, indexed by its injection ordinal minus one, and when
+// each batch retired, in retire order.
 type batchLog struct {
-	shapes []gpu.BatchShape
-	seqs   []int
+	shapes  []gpu.BatchShape
+	seqs    []int
+	retired []time.Duration
 }
 
 func (l *batchLog) BeforeSchedule(time.Duration) {}
@@ -188,9 +191,11 @@ func (l *batchLog) AfterSchedule(b *sched.Batch, _ time.Duration) {
 		l.seqs = append(l.seqs, len(b.Chunks)+len(b.Decodes))
 	}
 }
-func (l *batchLog) AfterComplete(*sched.Batch, []*request.Request, time.Duration) {}
-func (l *batchLog) Final(time.Duration) error                                     { return nil }
-func (l *batchLog) Err() error                                                    { return nil }
+func (l *batchLog) AfterComplete(_ *sched.Batch, _ []*request.Request, now time.Duration) {
+	l.retired = append(l.retired, now)
+}
+func (l *batchLog) Final(time.Duration) error { return nil }
+func (l *batchLog) Err() error                { return nil }
 
 // pricedRun serves three requests to the end on a PP-4 runtime at the given
 // TimeScale and returns its spans, the batches it scheduled and the runtime.
@@ -299,6 +304,60 @@ func TestLivePipelineWindowsArePriced(t *testing.T) {
 				}
 				arrival = xfer.End
 			}
+		}
+	}
+}
+
+// A batch's busy time is booked when it is injected: on a scaled runtime
+// every stage shows the first batch, and the bubble rate, taken over the
+// booked end, is in [0, 1), before that batch retires. Once drained, each
+// stage's busy time is its exec spans' to the nanosecond.
+func TestStageBusyBookedAtInjection(t *testing.T) {
+	log := new(batchLog)
+	rt, err := Start(Config{
+		Model:     model.Qwen25_14B,
+		GPU:       gpu.L20,
+		Topo:      network.IntraNode(4, network.PCIe),
+		Scheduler: sched.NewDefaultThrottle(),
+		Async:     true,
+		TimeScale: 1,
+		observe:   func(*sched.Pool, sched.Scheduler) engine.BatchObserver { return log },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := rt.SubmitBatchedSpec(context.Background(), SubmitSpec{PromptLen: 512, MaxTokens: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen Snapshot
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		seen = rt.Stats()
+		if seen.Iterations >= 1 && !slices.Contains(seen.StageBusySeconds, 0) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no stage busy time after the first injection: %+v", seen)
+		}
+	}
+	collectBatched(t, h)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.retired) == 0 || seen.Uptime >= log.retired[0] {
+		t.Fatalf("busy time first read at %v, the first batch retired at %v", seen.Uptime, log.retired)
+	}
+	if !(seen.BubbleRate >= 0 && seen.BubbleRate < 1) {
+		t.Fatalf("bubble rate %v with every stage busy %v s", seen.BubbleRate, seen.StageBusySeconds)
+	}
+
+	spans, _, rt := pricedRun(t, true, 0.01)
+	acc := obs.AccountSpans(spans, 4, 0)
+	for s, busy := range rt.Stats().StageBusySeconds {
+		if want := acc.Stages[s].Busy.Seconds(); busy != want {
+			t.Errorf("stage %d busy %v s after drain, its exec spans %v s", s, busy, want)
 		}
 	}
 }

@@ -387,10 +387,10 @@ type Snapshot struct {
 	// Uptime is the wall-clock time since the runtime started.
 	Uptime time.Duration
 	// StageBusySeconds is each stage's cumulative priced execute time,
-	// added when a batch retires (zero when TimeScale is 0).
+	// booked when a batch is injected (zero when TimeScale is 0).
 	StageBusySeconds []float64
-	// BubbleRate is the aggregate pipeline bubble rate over the uptime:
-	// 1 − Σ_s busy_s / (stages × uptime), the paper's §3 quantity.
+	// BubbleRate is the paper's §3 bubble rate, 1 − Σ_s busy_s / (stages
+	// × window), over the window max(uptime, last booked window's end).
 	BubbleRate float64
 	// KV block accounting (same publish cadence as KVFreeRate). After a
 	// drain, KVFreeBlocks+KVCachedBlocks == KVTotalBlocks must hold — the
@@ -489,10 +489,8 @@ type Runtime struct {
 
 	// pipeCh carries each injected batch to the clock goroutine, which
 	// sends it back on doneCh at its deadline; each holds every batch in
-	// flight, so no send blocks. stageBusy is each stage's priced execute
-	// time of retired batches, in nanoseconds.
-	pipeCh    chan *microBatch
-	stageBusy []atomic.Int64
+	// flight, so no send blocks.
+	pipeCh chan *microBatch
 
 	// collector counts every terminated request by reason: the one source
 	// of Snapshot.Finished and Snapshot.Cancelled.
@@ -507,10 +505,13 @@ type Runtime struct {
 	inFlight   atomic.Int64
 	resident   atomic.Int64
 
-	// gauges holds the Snapshot fields derived from driver-owned pool
-	// state, as last published by the driver; Stats fills in the rest.
+	// gauges (the Snapshot fields derived from the pool), busy (the
+	// stages' Busy) and booked (the end of the last window booked) are the
+	// driver's state as it last published it; Stats fills in the rest.
 	mu     sync.Mutex
 	gauges Snapshot
+	busy   []time.Duration
+	booked time.Duration
 
 	admittedKV atomic.Int64 // projected KV tokens of admitted, unfinished requests
 	rejected   atomic.Int64
@@ -636,7 +637,6 @@ type microBatch struct {
 	seq   int // iteration ordinal (Snapshot.Iterations at injection)
 	batch *sched.Batch
 	shape gpu.BatchShape
-	unit  time.Duration // modelled time of one layer; 0 when nothing is priced
 	// retireAt is when the last stage's window ends, on the runtime clock;
 	// 0 when the batch's windows are empty and it is due at once.
 	retireAt time.Duration
@@ -698,7 +698,7 @@ func build(cfg Config) (*Runtime, *driver, error) {
 		cancelCh:    make(chan *Handle, cfg.QueueDepth),
 		pipeCh:      make(chan *microBatch, depth),
 		doneCh:      make(chan *microBatch, depth+1),
-		stageBusy:   make([]atomic.Int64, depth),
+		busy:        make([]time.Duration, depth),
 		stopCh:      make(chan struct{}),
 		killCh:      make(chan struct{}),
 		stopped:     make(chan struct{}),
@@ -890,24 +890,21 @@ func (rt *Runtime) requestCancel(h *Handle, reason FinishReason) {
 // — exact whenever the pipeline is idle or the driver is blocked waiting
 // for work, and at most a few micro-batches stale under sustained load.
 func (rt *Runtime) Stats() Snapshot {
+	uptime := rt.clock()
 	rt.mu.Lock()
 	s := rt.gauges
+	s.StageBusySeconds = make([]float64, len(rt.busy))
+	for i, b := range rt.busy {
+		s.StageBusySeconds[i] = b.Seconds()
+	}
+	s.BubbleRate = obs.BubbleRate(rt.busy, max(uptime, rt.booked))
 	rt.mu.Unlock()
 	s.Finished, s.Cancelled = rt.outcomes()
 	s.Iterations = int(rt.iterations.Load())
 	s.InFlight = int(rt.inFlight.Load())
 	s.Resident = int(rt.resident.Load())
 	s.Rejected = rt.rejected.Load()
-	s.Uptime = rt.clock()
-	s.StageBusySeconds = make([]float64, len(rt.stageBusy))
-	var busy float64
-	for i := range rt.stageBusy {
-		s.StageBusySeconds[i] = time.Duration(rt.stageBusy[i].Load()).Seconds()
-		busy += s.StageBusySeconds[i]
-	}
-	if s.Uptime > 0 {
-		s.BubbleRate = 1 - busy/(s.Uptime.Seconds()*float64(len(rt.stageBusy)))
-	}
+	s.Uptime = uptime
 	s.Health = rt.health()
 	return s
 }
@@ -1048,11 +1045,6 @@ func (rt *Runtime) emulates() bool { return rt.cfg.TimeScale > 0 }
 // scale converts modeled time into wall time.
 func (rt *Runtime) scale(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * rt.cfg.TimeScale)
-}
-
-// execTime is mb's priced execute window on stage s.
-func (rt *Runtime) execTime(mb *microBatch, s int) time.Duration {
-	return rt.scale(time.Duration(rt.stageLayers[s]) * mb.unit)
 }
 
 // clock reads the runtime clock: wall time since start, on the monotonic
