@@ -67,16 +67,11 @@ type Manager struct {
 	hitTokens int64
 	evictions int
 
-	// evictHeap is a lazy binary min-heap of candidate evictable block
-	// ids: a block is pushed when it becomes cache-only and validated when
-	// popped, so eviction under a saturated cache costs O(log n) per block
-	// instead of rebuilding and sorting the whole evictable set on every
-	// evictOne (which collapsed day-scale prefix-cached serving — every
-	// allocation against a pool-spanning cache paid O(cached·log cached)
-	// per block). inEvictHeap bounds the heap to one entry per block; the
-	// eviction order is unchanged (always the smallest evictable id).
-	evictHeap   []int
-	inEvictHeap []bool
+	// lruPrev/lruNext link the cache-only blocks, and no others, into one
+	// circular list through the sentinel index totalBlocks, in eviction
+	// order (see prefix.go): evictOne takes the head, lruNext[totalBlocks],
+	// in O(1), and AttachPrefix unlinks a block it re-references.
+	lruPrev, lruNext []int32
 
 	onRun func(group int64, tokens int) // see OnPrefixRun
 }
@@ -286,15 +281,22 @@ func (m *Manager) Free(id SeqID) {
 	if m.refs == nil {
 		m.freeList = append(m.freeList, s.blocks...)
 	} else {
+		// The blocks left cache-only form one run, each linked ahead of
+		// the one before it (the tail block is evicted first); the run is
+		// spliced in at the list's most recently used end.
+		end := int32(m.totalBlocks)
+		last, at := m.lruPrev[end], end
 		for _, b := range s.blocks {
 			m.refs[b]--
 			if m.refs[b] == 0 {
 				m.freeList = append(m.freeList, b)
 			} else if m.refs[b] == 1 && m.cachedAt[b].group != 0 {
 				m.cacheOnly++ // only the cache references it now
-				m.pushEvict(b)
+				m.lruNext[b], m.lruPrev[at] = at, int32(b)
+				at = int32(b)
 			}
 		}
+		m.lruNext[last], m.lruPrev[at] = at, last
 	}
 	delete(m.seqs, id)
 	s.owner = nil // a Handle still naming s stops validating

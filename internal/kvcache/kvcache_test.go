@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -281,106 +282,48 @@ func TestFreeRateCountsEvictableCacheAsFree(t *testing.T) {
 	}
 }
 
-// The lazy evict heap must reproduce the full-scan eviction order exactly:
-// always the smallest currently-evictable block id, across interleaved
-// attach (re-reference), free (re-queue), and eviction.
-func TestEvictHeapMatchesAscendingOrder(t *testing.T) {
-	m := New(64*16, 16) // 64 blocks
-	// Three cached single-block groups, then drop the owning sequences.
-	for id := SeqID(1); id <= 3; id++ {
-		if err := m.Allocate(id, 16); err != nil {
-			t.Fatal(err)
-		}
-		m.RegisterPrefix(id, int64(id), 16)
-	}
-	m.Free(1)
-	m.Free(2)
-	m.Free(3) // blocks 0,1,2 evictable (ascending ids by LIFO alloc order)
-
-	// Re-reference group 2's block: it must be skipped, not evicted.
-	if got := m.AttachPrefix(10, 2, 16); got != 16 {
-		t.Fatalf("attach = %d", got)
-	}
-	if !m.evictOne() || !m.evictOne() {
-		t.Fatal("two evictable blocks expected")
-	}
-	if m.evictOne() {
-		t.Fatal("group 2's block is referenced; nothing further to evict")
-	}
-	if m.CachedBlocks() != 1 || m.MatchPrefix(2, 16) != 16 {
-		t.Fatalf("cached = %d, match(2) = %d", m.CachedBlocks(), m.MatchPrefix(2, 16))
-	}
-	// Release group 2 again: it must be re-queued and evictable once more.
-	m.Free(10)
-	if !m.evictOne() {
-		t.Fatal("re-released block must be evictable again")
-	}
-	if m.CachedBlocks() != 0 || m.FreeBlocks() != m.TotalBlocks() {
-		t.Fatalf("cache not empty: %d cached, %d free", m.CachedBlocks(), m.FreeBlocks())
-	}
-	if err := m.Verify(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// evictableBlocks returns cached blocks whose only reference is the cache
-// itself, in ascending block id order — the full scan evictOne's lazy heap
-// replaces.
-func (m *Manager) evictableBlocks() []int {
-	var out []int
-	for b, key := range m.cachedAt {
-		if key.group != 0 && m.refs[b] == 1 {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// Eviction order equivalence under random load: interleave allocs, prefix
-// registration, attaches and frees, and after every operation compare
-// evictOne's choice against the full evictableBlocks scan.
-func TestEvictHeapEquivalenceRandom(t *testing.T) {
+// TestEvictOrderEquivalenceRandom: under random load — allocations of one
+// to four blocks, prefix registration, attaches and frees — every evictOne
+// takes the block the oracle's brute-force scan takes (the one that became
+// cache-only longest ago, one Free's blocks tail first), and the two
+// managers agree on everything else after every step.
+func TestEvictOrderEquivalenceRandom(t *testing.T) {
 	r := stats.NewRNG(42)
-	m := New(32*16, 16)
-	live := map[SeqID]bool{}
+	const bs = 16
+	groups := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	w := newTwin(t, 32*bs, bs, groups...)
+	var live []SeqID
 	next := SeqID(1)
 	for step := 0; step < 2000; step++ {
 		switch r.Intn(4) {
 		case 0: // start a cached conversation turn
-			id := next
-			next++
-			if m.CanAllocate(id, 32) {
-				if err := m.Allocate(id, 32); err != nil {
-					t.Fatal(err)
-				}
-				m.RegisterPrefix(id, int64(1+r.Intn(8)), 32)
-				live[id] = true
+			tokens := bs * r.IntRange(1, 4)
+			if w.allocate(next, tokens) {
+				w.register(next, groups[r.Intn(len(groups))], tokens)
+				live = append(live, next)
 			}
+			next++
 		case 1: // attach to a cached prefix
-			id := next
+			if w.attach(next, groups[r.Intn(len(groups))], 4*bs) > 0 {
+				live = append(live, next)
+			}
 			next++
-			if m.AttachPrefix(id, int64(1+r.Intn(8)), 32) > 0 {
-				live[id] = true
-			}
 		case 2: // finish a random live sequence
-			for id := range live {
-				m.Free(id)
-				delete(live, id)
-				break
+			if len(live) > 0 {
+				i := r.Intn(len(live))
+				w.free(live[i])
+				live = slices.Delete(live, i, i+1)
 			}
-		case 3: // force an eviction and check it picked the minimum
-			want := m.evictableBlocks()
-			got := m.evictOne()
-			if got != (len(want) > 0) {
-				t.Fatalf("step %d: evictOne = %v with %d evictable", step, got, len(want))
+		case 3: // force an eviction: both sides take the same block
+			got, want := w.m.evictOne(), w.o.evictOne()
+			if got != want {
+				t.Fatalf("step %d: evictOne = %v, oracle %v", step, got, want)
 			}
-			if got && m.refs[want[0]] != 0 {
-				t.Fatalf("step %d: evicted wrong block (want %d first)", step, want[0])
+			if n := len(w.m.freeList); got && w.m.freeList[n-1] != w.o.freeList[n-1] {
+				t.Fatalf("step %d: evicted block %d, oracle %d", step, w.m.freeList[n-1], w.o.freeList[n-1])
 			}
 		}
-		if err := m.Verify(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
+		w.check(fmt.Sprintf("step %d", step))
 	}
 }
 

@@ -1,11 +1,13 @@
 package kvcache
 
 // The map-based manager this package shipped before the slot-indexed
-// rebuild, moved here verbatim (only the type names changed) as the
-// differential oracle: TestDifferentialOracle and FuzzKVAllocFree apply
-// every operation to both implementations and demand identical page tables,
-// counters and prefix matches. Do not optimize it — its value is that it is
-// the old code.
+// rebuild, moved here (only the type names changed) as the differential
+// oracle: TestDifferentialOracle and FuzzKVAllocFree apply every operation
+// to both implementations and demand identical page tables, counters and
+// prefix matches. Its one rewrite is the eviction order, kept brute force:
+// every block carries the tick at which it became cache-only (one Free
+// stamps its blocks tail first) and evictOne scans for the oldest. Do not
+// optimize it — its value is that it shares no code with the manager.
 
 import (
 	"fmt"
@@ -34,16 +36,10 @@ type oracleManager struct {
 	hitTokens int64
 	evictions int
 
-	// evictHeap is a lazy binary min-heap of candidate evictable block
-	// ids: a block is pushed when it becomes cache-only and validated when
-	// popped, so eviction under a saturated cache costs O(log n) per block
-	// instead of rebuilding and sorting the whole evictable set on every
-	// evictOne (which collapsed day-scale prefix-cached serving — every
-	// allocation against a pool-spanning cache paid O(cached·log cached)
-	// per block). inEvictHeap bounds the heap to one entry per block; the
-	// eviction order is unchanged (always the smallest evictable id).
-	evictHeap   []int
-	inEvictHeap []bool
+	// stamp is the tick at which each block last became cache-only; the
+	// evictable block with the smallest stamp is evicted first.
+	stamp []int64
+	tick  int64
 }
 
 // newOracle builds a manager holding capacityTokens token slots grouped into
@@ -191,6 +187,7 @@ func (m *oracleManager) Free(id SeqID) {
 	if m.refs == nil {
 		m.freeList = append(m.freeList, blocks...)
 	} else {
+		var cacheOnly []int
 		for _, b := range blocks {
 			m.refs[b]--
 			if m.refs[b] == 0 {
@@ -198,9 +195,12 @@ func (m *oracleManager) Free(id SeqID) {
 			} else if m.refs[b] == 1 {
 				if _, cached := m.cachedKey[b]; cached {
 					m.cacheOnly++ // only the cache references it now
-					m.pushEvict(b)
+					cacheOnly = append(cacheOnly, b)
 				}
 			}
+		}
+		for i := len(cacheOnly) - 1; i >= 0; i-- { // the tail block first
+			m.touch(cacheOnly[i])
 		}
 	}
 	delete(m.tables, id)
@@ -266,16 +266,6 @@ func (m *oracleManager) checkInvariants() error {
 	if got := len(m.evictableBlocks()); got != m.cacheOnly {
 		return fmt.Errorf("kvcache: cacheOnly counter %d, actual evictable %d", m.cacheOnly, got)
 	}
-	// The lazy heap must hold (at least) every currently evictable block,
-	// or evictOne would wrongly report an exhausted cache.
-	for _, b := range m.evictableBlocks() {
-		if !m.inEvictHeap[b] {
-			return fmt.Errorf("kvcache: evictable block %d missing from evict heap", b)
-		}
-	}
-	if len(m.evictHeap) > m.totalBlocks {
-		return fmt.Errorf("kvcache: evict heap %d entries exceeds %d blocks", len(m.evictHeap), m.totalBlocks)
-	}
 	return nil
 }
 
@@ -302,54 +292,13 @@ func (m *oracleManager) initPrefix() {
 	}
 	m.cache = make(map[oraclePrefixKey]int)
 	m.cachedKey = make(map[int]oraclePrefixKey)
-	m.inEvictHeap = make([]bool, m.totalBlocks)
+	m.stamp = make([]int64, m.totalBlocks)
 }
 
-// pushEvict queues a block as an eviction candidate (at most once).
-func (m *oracleManager) pushEvict(b int) {
-	if m.inEvictHeap[b] {
-		return
-	}
-	m.inEvictHeap[b] = true
-	m.evictHeap = append(m.evictHeap, b)
-	// Sift up.
-	h := m.evictHeap
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-// popEvictMin removes and returns the smallest queued candidate id.
-func (m *oracleManager) popEvictMin() int {
-	h := m.evictHeap
-	b := h[0]
-	m.inEvictHeap[b] = false
-	last := len(h) - 1
-	h[0] = h[last]
-	m.evictHeap = h[:last]
-	h = m.evictHeap
-	// Sift down.
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return b
+// touch stamps block b as the most recently cache-only one.
+func (m *oracleManager) touch(b int) {
+	m.tick++
+	m.stamp[b] = m.tick
 }
 
 // MatchPrefix returns how many leading tokens of a prompt in the given
@@ -430,7 +379,7 @@ func (m *oracleManager) RegisterPrefix(id SeqID, group int64, upTo int) {
 		m.refs[b]++
 		if m.refs[b] == 1 {
 			m.cacheOnly++ // defensive: registration of an otherwise-unowned block
-			m.pushEvict(b)
+			m.touch(b)
 		}
 	}
 }
@@ -461,28 +410,25 @@ func (m *oracleManager) evictableBlocks() []int {
 	return out
 }
 
-// evictOne drops the lowest-id cache-only block into the free list;
-// reports success. Candidates come from the lazy heap: entries whose block
-// was re-referenced (or already evicted) since being queued are discarded;
-// such a block is re-queued by the next transition back to cache-only, so
-// the heap always holds a superset of the evictable set and the minimum
-// valid entry is exactly the block the old full-scan picked.
+// evictOne drops the block that became cache-only longest ago into the
+// free list; reports success.
 func (m *oracleManager) evictOne() bool {
-	for len(m.evictHeap) > 0 {
-		b := m.popEvictMin()
-		key, cached := m.cachedKey[b]
-		if !cached || m.refs[b] != 1 {
-			continue // stale candidate: re-referenced or gone
+	victim := -1
+	for _, b := range m.evictableBlocks() {
+		if victim < 0 || m.stamp[b] < m.stamp[victim] {
+			victim = b
 		}
-		delete(m.cache, key)
-		delete(m.cachedKey, b)
-		m.refs[b] = 0
-		m.cacheOnly--
-		m.freeList = append(m.freeList, b)
-		m.evictions++
-		return true
 	}
-	return false
+	if victim < 0 {
+		return false
+	}
+	delete(m.cache, m.cachedKey[victim])
+	delete(m.cachedKey, victim)
+	m.refs[victim] = 0
+	m.cacheOnly--
+	m.freeList = append(m.freeList, victim)
+	m.evictions++
+	return true
 }
 
 // Evictions returns how many cached blocks were reclaimed under pressure.

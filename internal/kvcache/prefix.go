@@ -20,6 +20,12 @@ import "fmt"
 // to the (group, idx) it backs. A chain keeps the length of its leading
 // cached run, so matching a prefix is one map lookup; eviction and release
 // are array writes.
+//
+// Eviction order (vLLM's free-block queue, SGLang's radix-tree LRU): the
+// least recently used cache-only block goes first, and of the blocks one
+// Free leaves cache-only the sequence's tail goes first. A chain then
+// shrinks from its end, so its leading run — what MatchPrefix reports and
+// AttachPrefix reuses — outlives the blocks behind it.
 
 // noBlock marks a chain index that holds no cached block.
 const noBlock = -1
@@ -61,54 +67,24 @@ func (m *Manager) initPrefix() {
 	}
 	m.chains = make(map[int64]*chain)
 	m.cachedAt = make([]blockKey, m.totalBlocks)
-	m.inEvictHeap = make([]bool, m.totalBlocks)
+	m.lruPrev = make([]int32, m.totalBlocks+1)
+	m.lruNext = make([]int32, m.totalBlocks+1)
+	end := int32(m.totalBlocks) // the sentinel: an empty list links to itself
+	m.lruPrev[end], m.lruNext[end] = end, end
 }
 
-// pushEvict queues a block as an eviction candidate (at most once).
-func (m *Manager) pushEvict(b int) {
-	if m.inEvictHeap[b] {
-		return
-	}
-	m.inEvictHeap[b] = true
-	m.evictHeap = append(m.evictHeap, b)
-	// Sift up.
-	h := m.evictHeap
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
+// linkLast puts block b at the LRU list's most recently used end.
+func (m *Manager) linkLast(b int32) {
+	end := int32(m.totalBlocks)
+	last := m.lruPrev[end]
+	m.lruNext[last], m.lruPrev[b] = b, last
+	m.lruNext[b], m.lruPrev[end] = end, b
 }
 
-// popEvictMin removes and returns the smallest queued candidate id.
-func (m *Manager) popEvictMin() int {
-	h := m.evictHeap
-	b := h[0]
-	m.inEvictHeap[b] = false
-	last := len(h) - 1
-	h[0] = h[last]
-	m.evictHeap = h[:last]
-	h = m.evictHeap
-	// Sift down.
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return b
+// unlink takes block b off the LRU list.
+func (m *Manager) unlink(b int32) {
+	p, n := m.lruPrev[b], m.lruNext[b]
+	m.lruNext[p], m.lruPrev[n] = n, p
 }
 
 // matchBlocks returns the group's chain and how many of its leading
@@ -169,6 +145,7 @@ func (m *Manager) AttachPrefix(id SeqID, group int64, maxTokens int) int {
 		m.refs[b]++
 		if m.refs[b] == 2 {
 			m.cacheOnly-- // a sequence references it again
+			m.unlink(int32(b))
 		}
 	}
 	s.blocks = append(s.blocks, c.blocks[:n]...)
@@ -239,7 +216,7 @@ func (m *Manager) RegisterPrefix(id SeqID, group int64, upTo int) {
 			m.refs[b]++
 			if m.refs[b] == 1 {
 				m.cacheOnly++ // defensive: registration of an otherwise-unowned block
-				m.pushEvict(b)
+				m.linkLast(int32(b))
 			}
 		}
 		if contiguous {
@@ -259,34 +236,28 @@ func (m *Manager) CachedBlocks() int { return m.cached }
 // PrefixHits returns (hit count, total tokens served from cache).
 func (m *Manager) PrefixHits() (int, int64) { return m.hits, m.hitTokens }
 
-// evictOne drops the lowest-id cache-only block into the free list;
-// reports success. Candidates come from the lazy heap: entries whose block
-// was re-referenced (or already evicted) since being queued are discarded;
-// such a block is re-queued by the next transition back to cache-only, so
-// the heap always holds a superset of the evictable set and the minimum
-// valid entry is exactly the block a full scan would pick.
+// evictOne drops the least recently used cache-only block, the LRU list's
+// head, into the free list; reports success.
 func (m *Manager) evictOne() bool {
-	for len(m.evictHeap) > 0 {
-		b := m.popEvictMin()
-		key := m.cachedAt[b]
-		if key.group == 0 || m.refs[b] != 1 {
-			continue // stale candidate: re-referenced or gone
-		}
-		c := m.chains[key.group]
-		c.blocks[key.idx] = noBlock
-		m.setRun(key.group, c, min(c.run, key.idx))
-		if c.live--; c.live == 0 {
-			delete(m.chains, key.group)
-		}
-		m.cachedAt[b] = blockKey{}
-		m.cached--
-		m.refs[b] = 0
-		m.cacheOnly--
-		m.freeList = append(m.freeList, b)
-		m.evictions++
-		return true
+	if m.cacheOnly == 0 {
+		return false
 	}
-	return false
+	b := m.lruNext[m.totalBlocks]
+	m.unlink(b)
+	key := m.cachedAt[b]
+	c := m.chains[key.group]
+	c.blocks[key.idx] = noBlock
+	m.setRun(key.group, c, min(c.run, key.idx))
+	if c.live--; c.live == 0 {
+		delete(m.chains, key.group)
+	}
+	m.cachedAt[b] = blockKey{}
+	m.cached--
+	m.refs[b] = 0
+	m.cacheOnly--
+	m.freeList = append(m.freeList, int(b))
+	m.evictions++
+	return true
 }
 
 // Evictions returns how many cached blocks were reclaimed under pressure.
@@ -296,7 +267,8 @@ func (m *Manager) Evictions() int { return m.evictions }
 // adds the cache's own reference to expectedRefs: every chain entry agrees
 // with the reverse index, the cached counter equals the non-hole entries,
 // each chain's run is its leading count of them, no empty chain lingers,
-// and the evict heap covers every evictable block.
+// and the LRU list's links agree both ways and hold exactly the cacheOnly
+// cache-only blocks.
 func (m *Manager) checkPrefixInvariants(expectedRefs []int) error {
 	if m.refs == nil {
 		if m.cached != 0 || m.cacheOnly != 0 {
@@ -325,29 +297,41 @@ func (m *Manager) checkPrefixInvariants(expectedRefs []int) error {
 		}
 		entries += live
 	}
-	indexed, evictable := 0, 0
+	end := m.totalBlocks
+	linked := make([]bool, end)
+	n, prev := 0, end
+	for b := int(m.lruNext[end]); b != end; prev, b = b, int(m.lruNext[b]) {
+		switch {
+		case b < 0 || b > end:
+			return fmt.Errorf("kvcache: LRU list links block %d out of range", b)
+		case int(m.lruPrev[b]) != prev:
+			return fmt.Errorf("kvcache: LRU list links %d -> %d, back link %d", prev, b, m.lruPrev[b])
+		case linked[b]:
+			return fmt.Errorf("kvcache: block %d twice on the LRU list", b)
+		case m.cachedAt[b].group == 0 || m.refs[b] != 1:
+			return fmt.Errorf("kvcache: block %d on the LRU list is not cache-only", b)
+		}
+		linked[b] = true
+		n++
+	}
+	if int(m.lruPrev[end]) != prev {
+		return fmt.Errorf("kvcache: LRU list ends at %d, back link %d", prev, m.lruPrev[end])
+	}
+	if n != m.cacheOnly {
+		return fmt.Errorf("kvcache: cacheOnly counter %d, %d blocks on the LRU list", m.cacheOnly, n)
+	}
+	indexed := 0
 	for b, key := range m.cachedAt {
 		if key.group == 0 {
 			continue
 		}
 		indexed++
-		if m.refs[b] == 1 {
-			evictable++
-			// The lazy heap must hold (at least) every currently evictable
-			// block, or evictOne would wrongly report an exhausted cache.
-			if !m.inEvictHeap[b] {
-				return fmt.Errorf("kvcache: evictable block %d missing from evict heap", b)
-			}
+		if m.refs[b] == 1 && !linked[b] {
+			return fmt.Errorf("kvcache: cache-only block %d missing from the LRU list", b)
 		}
 	}
 	if entries != m.cached || indexed != m.cached {
 		return fmt.Errorf("kvcache: cached counter %d, %d chain entries, %d indexed blocks", m.cached, entries, indexed)
-	}
-	if evictable != m.cacheOnly {
-		return fmt.Errorf("kvcache: cacheOnly counter %d, actual evictable %d", m.cacheOnly, evictable)
-	}
-	if len(m.evictHeap) > m.totalBlocks {
-		return fmt.Errorf("kvcache: evict heap %d entries exceeds %d blocks", len(m.evictHeap), m.totalBlocks)
 	}
 	return nil
 }

@@ -133,6 +133,106 @@ func TestPrefixPartialEviction(t *testing.T) {
 	}
 }
 
+// Under pressure a chain loses its tail first: each eviction shortens the
+// group's leading run by one block, so MatchPrefix keeps the longest prefix
+// the remaining capacity allows.
+func TestEvictionTakesChainTailFirst(t *testing.T) {
+	m := New(8*16, 16)
+	if err := m.Allocate(1, 4*16); err != nil {
+		t.Fatal(err)
+	}
+	m.RegisterPrefix(1, 3, 4*16)
+	m.Free(1) // 4 cache-only blocks + 4 free
+	if err := m.Allocate(2, 4*16); err != nil {
+		t.Fatal(err)
+	}
+	for evicted := 1; evicted <= 4; evicted++ {
+		if err := m.Allocate(2, 16); err != nil {
+			t.Fatal(err)
+		}
+		if m.Evictions() != evicted {
+			t.Fatalf("evictions = %d, want %d", m.Evictions(), evicted)
+		}
+		if got, want := m.MatchPrefix(3, 4*16), (4-evicted)*16; got != want {
+			t.Fatalf("after %d evictions MatchPrefix = %d, want %d", evicted, got, want)
+		}
+		if err := m.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Of two groups released A then B, A is evicted first, whatever their block
+// ids: the least recently used prefix goes.
+func TestEvictionTakesLeastRecentlyFreedGroup(t *testing.T) {
+	const a, b = 1, 2
+	m := New(8*16, 16)
+	// B's sequence gets the low block ids, A's the high ones.
+	for _, s := range []struct {
+		id    SeqID
+		group int64
+	}{{2, b}, {1, a}} {
+		if err := m.Allocate(s.id, 32); err != nil {
+			t.Fatal(err)
+		}
+		m.RegisterPrefix(s.id, s.group, 32)
+	}
+	m.Free(1)                                   // A
+	m.Free(2)                                   // B
+	if err := m.Allocate(3, 6*16); err != nil { // 4 free blocks, then 2 evictions
+		t.Fatal(err)
+	}
+	if m.MatchPrefix(a, 32) != 0 || m.MatchPrefix(b, 32) != 32 {
+		t.Fatalf("MatchPrefix A = %d, B = %d; want A evicted, B whole", m.MatchPrefix(a, 32), m.MatchPrefix(b, 32))
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A block re-attached while cache-only is never the next victim: attached,
+// it is not evictable; released again, it is the most recently used.
+func TestEvictionSkipsReattachedBlock(t *testing.T) {
+	m := New(64*16, 16)
+	// Groups 1..4 cache one block each (ids 0..3), released in that order.
+	for id := SeqID(1); id <= 4; id++ {
+		if err := m.Allocate(id, 16); err != nil {
+			t.Fatal(err)
+		}
+		m.RegisterPrefix(id, int64(id), 16)
+	}
+	for id := SeqID(1); id <= 4; id++ {
+		m.Free(id)
+	}
+	if got := m.AttachPrefix(10, 1, 16); got != 16 { // the oldest
+		t.Fatalf("attach = %d", got)
+	}
+	cached := map[int64]bool{1: true, 2: true, 3: true, 4: true}
+	evict := func(want int64) {
+		t.Helper()
+		if !m.evictOne() {
+			t.Fatalf("nothing evicted, want group %d", want)
+		}
+		delete(cached, want)
+		for g := int64(1); g <= 4; g++ {
+			if got := m.MatchPrefix(g, 16) > 0; got != cached[g] {
+				t.Fatalf("evicting group %d: group %d cached = %v", want, g, got)
+			}
+		}
+		if err := m.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evict(2)
+	m.Free(10) // group 1 is now the most recently used
+	evict(3)
+	evict(4)
+	evict(1)
+	if m.evictOne() || m.CachedBlocks() != 0 || m.FreeBlocks() != m.TotalBlocks() {
+		t.Fatalf("cache not empty: %d cached, %d free", m.CachedBlocks(), m.FreeBlocks())
+	}
+}
+
 func TestAttachPrefixToNonFreshPanics(t *testing.T) {
 	m := New(64*16, 16)
 	if err := m.Allocate(1, 16); err != nil {
