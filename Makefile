@@ -31,7 +31,7 @@ bench-selftest:
 # more than a reader can scan: 6144 bytes (older entries are exempt), or
 # when README.md + DESIGN.md + EXPERIMENTS.md together outgrow DOCS_BYTES.
 # DOCS_BYTES only goes down: a change that shrinks the docs lowers it.
-DOCS_BYTES = 117160
+DOCS_BYTES = 117090
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -228,9 +228,8 @@ func writeTrace(path string, rec *obs.Recorder, reqSpans *obs.ReqRecorder, rt *r
 	if err := obs.WriteChromeFile(path, rec, reqSpans.UnixNano(rt.Start()), ex); err != nil {
 		return err
 	}
-	acc := rec.AccountOver(rt.Stats().Uptime)
 	logger.Info("trace written",
-		"path", path, "spans", acc.Spans, "dropped", acc.Dropped, "request_spans", len(ex.Spans),
-		"bubble_rate", fmt.Sprintf("%.3f", acc.BubbleRate))
+		"path", path, "spans", rec.Total(), "dropped", rec.Dropped(), "request_spans", len(ex.Spans),
+		"bubble_rate", fmt.Sprintf("%.3f", rt.Stats().BubbleRate))
 	return nil
 }

@@ -239,7 +239,8 @@ func run(o simOptions) error {
 		if err := obs.WriteChromeFile(o.traceOut, rec, 0); err != nil {
 			return err
 		}
-		acc := rec.AccountOver(res.Makespan)
+		acc := obs.Account(res.StageBusy, res.StageTransfer, res.PrepTime, res.Makespan)
+		acc.Spans, acc.Dropped = rec.Total(), rec.Dropped()
 		fmt.Printf("trace-out: %s (%d spans, %d dropped)\n", o.traceOut, acc.Spans, acc.Dropped)
 		fmt.Print(acc.String())
 	}

@@ -94,6 +94,7 @@ func (d *disagg) migrate(b *sched.Batch) {
 		xfer := r.cfg.Topo.Hop(d.boundary).TransferTime(kvBytes)
 		now := r.eng.Now()
 		r.cfg.Spans.Record(d.boundary, obs.KindXfer, int(req.ID), req.ContextLen(), now, now+xfer)
+		r.transfer[d.boundary] += xfer
 		r.kvTransfers++
 		r.kvTransferBytes += kvBytes
 		r.eng.After(xfer, func() {

@@ -282,6 +282,12 @@ type Result struct {
 	// numerators of BubbleFraction; one entry per pipeline stage, prefill
 	// stages first for the disaggregated engine).
 	StageBusy []time.Duration
+	// StageTransfer is each stage's cumulative outgoing transfer time (the
+	// activation hops, the disaggregated KV hand-off, the token-parallel
+	// scatter/gather on rank 0) and PrepTime the driver's cumulative input
+	// preparation: with StageBusy, what obs.Account summarizes.
+	StageTransfer []time.Duration
+	PrepTime      time.Duration
 	// KVCapacityTokens is the derived cluster KV capacity.
 	KVCapacityTokens int64
 	// KVTransfers / KVTransferBytes count prefill→decode KV-cache

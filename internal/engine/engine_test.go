@@ -196,7 +196,7 @@ func TestTraceRecording(t *testing.T) {
 	if execSpans == 0 || execSpans != res.Injections*4 {
 		t.Fatalf("exec spans = %d, want %d", execSpans, res.Injections*4)
 	}
-	if bf := rec.AccountOver(res.Makespan).BubbleRate; bf < 0 || bf >= 1 {
+	if bf := obs.AccountSpans(rec.Spans(), rec.Stages(), res.Makespan).BubbleRate; bf < 0 || bf >= 1 {
 		t.Fatalf("trace bubble fraction = %v", bf)
 	}
 }

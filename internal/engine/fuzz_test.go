@@ -14,9 +14,9 @@ import (
 // the hop price, a Fault and a Scale; then each byte triple is one batch:
 // its per-layer price, its tokens and how long after the previous batch
 // its activations arrive. On every stage the windows never overlap and
-// each opens at or after its arrival; Busy[i] is the sum of stage i's exec
-// spans to the nanosecond; and a nil Scale books the same windows as an
-// identity one.
+// each opens at or after its arrival; Busy[i] and Transfer[i] are the sums
+// of stage i's exec and hop spans to the nanosecond; and a nil Scale books
+// the same windows as an identity one.
 func FuzzStagesBook(f *testing.F) {
 	f.Add([]byte{3, 4, 4, 3, 3, 0, 9, 0, 0, 20, 5, 0, 30, 7, 1, 20, 9, 200})
 	f.Add([]byte{4, 10, 10, 9, 9, 1, 40, 3, 12, 255, 255, 0, 1, 1, 0, 255, 2, 3})
@@ -38,7 +38,8 @@ func FuzzStagesBook(f *testing.F) {
 		first, hop, faultMod, factor := next()%3, time.Duration(next())*time.Microsecond, next()%8, next()%64
 		book := func(scale func(time.Duration) time.Duration) (*Stages, []time.Duration, []obs.Span) {
 			p := &Stages{Free: make([]time.Duration, depth), Layers: layers, Busy: make([]time.Duration, depth),
-				First: first, Spans: obs.NewRecorder(first+depth, 2*depth*(len(data)/3+1)), Scale: scale,
+				Transfer: make([]time.Duration, depth), First: first,
+				Spans: obs.NewRecorder(first+depth, 2*depth*(len(data)/3+1)), Scale: scale,
 				Hop: func(lane, tokens int) time.Duration { return time.Duration(lane+1)*hop + time.Duration(tokens) }}
 			if faultMod > 0 {
 				// Negative delays too: Book ignores them.
@@ -63,9 +64,13 @@ func FuzzStagesBook(f *testing.F) {
 		scaled := func(d time.Duration) time.Duration { return time.Duration(float64(d) * float64(factor) / 16) }
 		p, arrivals, spans := book(scaled)
 		var exec []obs.Span
+		hops := make([]time.Duration, depth)
 		for _, sp := range spans {
-			if sp.Kind == obs.KindExec {
+			switch sp.Kind {
+			case obs.KindExec:
 				exec = append(exec, sp)
+			case obs.KindXfer:
+				hops[int(sp.Stage)-first] += sp.Dur()
 			}
 		}
 		if len(exec) != len(arrivals) {
@@ -86,6 +91,9 @@ func FuzzStagesBook(f *testing.F) {
 		}
 		if !slices.Equal(p.Busy, busy) {
 			t.Fatalf("Busy = %v, exec spans sum to %v", p.Busy, busy)
+		}
+		if !slices.Equal(p.Transfer, hops) {
+			t.Fatalf("Transfer = %v, hop spans sum to %v", p.Transfer, hops)
 		}
 		if !slices.Equal(p.Free, free) {
 			t.Fatalf("Free = %v, last exec spans end at %v", p.Free, free)

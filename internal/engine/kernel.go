@@ -27,9 +27,9 @@ import (
 // occupies hardware time.
 type strategy interface {
 	// execute prices mb's frozen shape, books it from ready (when its prep
-	// ends) on its devices and their run.busy lanes — a chain through
-	// Stages.Book, which keeps them — records its spans, and issues the
-	// events that lead to mb.ran, when it leaves the hardware.
+	// ends) on its devices and their run.busy and run.transfer lanes — a
+	// chain through Stages.Book, which keeps them — records its spans, and
+	// issues the events that lead to mb.ran, when it leaves the hardware.
 	execute(mb *microBatch, ready time.Duration)
 }
 
@@ -61,9 +61,12 @@ type run struct {
 	// cpuFree is when the one driver CPU, which serializes a coupled
 	// runtime's prep, is next free (RuntimeModel.BookPrep).
 	cpuFree time.Duration
-	// busy is each GPU rank's (span lane's) booked execute time: StageBusy.
-	busy  []time.Duration
-	loops []*loop
+	// busy and transfer are each GPU rank's (span lane's) booked execute
+	// and outgoing transfer time, prep the driver's: StageBusy,
+	// StageTransfer and PrepTime.
+	busy, transfer []time.Duration
+	prep           time.Duration
+	loops          []*loop
 	// admit, when set, runs ahead of every refill (the disaggregated engine
 	// adopts landed KV migrations into its decode pool there).
 	admit func()
@@ -100,8 +103,8 @@ func newRun(cfg *Config, lanes int) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &run{cfg: *cfg, eng: sim.New(), cost: cost,
-		busy: make([]time.Duration, lanes), col: new(metrics.Collector)}, nil
+	return &run{cfg: *cfg, eng: sim.New(), cost: cost, busy: make([]time.Duration, lanes),
+		transfer: make([]time.Duration, lanes), col: new(metrics.Collector)}, nil
 }
 
 // addLoop adds a scheduler pool over kvCap tokens of KV cache whose batches,
@@ -167,6 +170,8 @@ func (r *run) serve(items []workload.Item, schedName string, kvCap int64) (*Resu
 		Injections:       r.injections,
 		Makespan:         makespan,
 		StageBusy:        r.busy,
+		StageTransfer:    r.transfer,
+		PrepTime:         r.prep,
 		KVCapacityTokens: kvCap,
 		KVTransfers:      r.kvTransfers,
 		KVTransferBytes:  r.kvTransferBytes,
@@ -222,6 +227,7 @@ func (l *loop) fill() {
 		prep := rt.PrepTime(len(b.Chunks)+len(b.Decodes), tokens)
 		start := rt.BookPrep(&r.cpuFree, now, prep)
 		if prep > 0 {
+			r.prep += prep
 			r.cfg.Spans.Record(obs.PrepStage, obs.KindPrep, mb.seq, tokens, start, start+prep)
 		}
 		l.exec.execute(mb, start+prep)

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -125,7 +126,7 @@ func TestPipelineCoupledRuntimePrepSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := rec.AccountOver(res.Makespan)
+	acc := obs.AccountSpans(rec.Spans(), rec.Stages(), res.Makespan)
 	if acc.PrepTime <= 0 {
 		t.Fatal("coupled runtime recorded no prep time")
 	}
@@ -155,7 +156,7 @@ func TestTensorSpans(t *testing.T) {
 	if len(res.StageBusy) != 1 || res.StageBusy[0] <= 0 {
 		t.Fatalf("StageBusy = %v", res.StageBusy)
 	}
-	acc := rec.AccountOver(res.Makespan)
+	acc := obs.AccountSpans(rec.Spans(), rec.Stages(), res.Makespan)
 	if got, want := acc.Stages[0].Busy, res.StageBusy[0]; got != want {
 		t.Fatalf("device busy: spans %v vs engine %v", got, want)
 	}
@@ -177,7 +178,7 @@ func TestDisaggregatedSpans(t *testing.T) {
 	if len(res.StageBusy) != total {
 		t.Fatalf("StageBusy has %d entries, want %d", len(res.StageBusy), total)
 	}
-	acc := rec.AccountOver(res.Makespan)
+	acc := obs.AccountSpans(rec.Spans(), rec.Stages(), res.Makespan)
 	for i, want := range res.StageBusy {
 		if got := acc.Stages[i].Busy; got != want {
 			t.Fatalf("stage %d busy: spans %v vs engine %v", i, got, want)
@@ -186,5 +187,68 @@ func TestDisaggregatedSpans(t *testing.T) {
 	// The KV hand-off rides the boundary link (source stage PrefillGPUs−1).
 	if res.KVTransfers > 0 && acc.Stages[cfg.PrefillGPUs-1].Transfer <= 0 {
 		t.Fatal("no transfer time on the KV hand-off link")
+	}
+}
+
+// The run's ledger is whole-run however small the span ring: a run through
+// an 8-span recorder books the same busy, transfer and prep totals as one
+// through a recorder that keeps every span, and those totals are what the
+// kept spans sum to.
+func TestWrappedRecorderKeepsExactTotals(t *testing.T) {
+	items := shortTrace(8, 2, 10*time.Second)
+	for _, tc := range []struct {
+		name    string
+		coupled bool // a VLLMRuntime run: its prep is never zero
+		run     func(spans *obs.Recorder) (*Result, error)
+	}{
+		{"pipeline-gllm", false, func(spans *obs.Recorder) (*Result, error) {
+			cfg := testConfig(sched.NewDefaultThrottle(), GLLMRuntime)
+			cfg.Spans = spans
+			return RunPipeline(cfg, items)
+		}},
+		{"pipeline-vllm", true, func(spans *obs.Recorder) (*Result, error) {
+			cfg := testConfig(sched.NewSarathi(2048), VLLMRuntime)
+			cfg.Spans = spans
+			return RunPipeline(cfg, items)
+		}},
+		{"disagg", false, func(spans *obs.Recorder) (*Result, error) {
+			cfg := DisaggConfig{Config: testConfig(nil, GLLMRuntime), PrefillGPUs: 2}
+			cfg.Spans = spans
+			return RunDisaggregated(cfg, items)
+		}},
+		{"tknp", false, func(spans *obs.Recorder) (*Result, error) {
+			cfg := tknpConfig(network.IntraNode(4, network.PCIe), 2)
+			cfg.Spans = spans
+			return RunTokenParallel(cfg, items)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wrapped, whole := obs.NewRecorder(4, 8), obs.NewRecorder(4, 0)
+			small, err := tc.run(wrapped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := tc.run(whole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wrapped.Dropped() == 0 || whole.Dropped() != 0 {
+				t.Fatalf("dropped %d of the small ring's spans, %d of the whole one's", wrapped.Dropped(), whole.Dropped())
+			}
+			if !slices.Equal(small.StageBusy, full.StageBusy) || !slices.Equal(small.StageTransfer, full.StageTransfer) ||
+				small.PrepTime != full.PrepTime {
+				t.Fatalf("wrapped run booked busy %v transfer %v prep %v, whole run %v %v %v",
+					small.StageBusy, small.StageTransfer, small.PrepTime, full.StageBusy, full.StageTransfer, full.PrepTime)
+			}
+			spans := obs.AccountSpans(whole.Spans(), whole.Stages(), full.Makespan)
+			booked := obs.Account(full.StageBusy, full.StageTransfer, full.PrepTime, full.Makespan)
+			booked.Spans = spans.Spans
+			if !reflect.DeepEqual(booked, spans) {
+				t.Fatalf("the run's ledger:\n%s\nits spans:\n%s", booked.String(), spans.String())
+			}
+			if tc.coupled && full.PrepTime == 0 {
+				t.Fatal("the coupled runtime booked no prep")
+			}
+		})
 	}
 }

@@ -35,10 +35,11 @@ type chain struct {
 }
 
 // newChain builds one stage per GPU, stage i holding layers[i] of the
-// model and booking its busy time on run.busy's lane First+i.
+// model and booking its busy and hop time on the run's lane First+i.
 func newChain(r *run, first int, layers []int) *chain {
-	stages := Stages{Free: make([]time.Duration, len(layers)), Layers: layers,
-		Busy: r.busy[first : first+len(layers)], First: first, Spans: r.cfg.Spans, Hop: r.cfg.HopTime}
+	lanes := first + len(layers)
+	stages := Stages{Free: make([]time.Duration, len(layers)), Layers: layers, Busy: r.busy[first:lanes],
+		Transfer: r.transfer[first:lanes], First: first, Spans: r.cfg.Spans, Hop: r.cfg.HopTime}
 	return &chain{Stages: stages, price: r.cost.LayerTime}
 }
 

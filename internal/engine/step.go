@@ -47,22 +47,23 @@ func (cfg *Config) HopTime(i, tokens int) time.Duration {
 // server in booking order: the chain books a stage when the activations
 // arrive, runtime's driver books every stage at injection.
 type Stages struct {
-	Free   []time.Duration                     // when each stage is next free
-	Layers []int                               // each stage's share of the model's layers
-	Busy   []time.Duration                     // each stage's booked execute time
-	First  int                                 // stage 0's topology index: its span lane and hop
-	Spans  *obs.Recorder                       // records the exec and hop windows
-	Hop    func(hop, tokens int) time.Duration // prices an activation transfer; nil: free
-	Fault  func(stage, seq int) time.Duration  // live only, when set: a window's extra delay
-	Scale  func(time.Duration) time.Duration   // live only, when set: modelled time to wall time
+	Free     []time.Duration                     // when each stage is next free
+	Layers   []int                               // each stage's share of the model's layers
+	Busy     []time.Duration                     // each stage's booked execute time
+	Transfer []time.Duration                     // each stage's booked outgoing hop time
+	First    int                                 // stage 0's topology index: its span lane and hop
+	Spans    *obs.Recorder                       // records the exec and hop windows
+	Hop      func(hop, tokens int) time.Duration // prices an activation transfer; nil: free
+	Fault    func(stage, seq int) time.Duration  // live only, when set: a window's extra delay
+	Scale    func(time.Duration) time.Duration   // live only, when set: modelled time to wall time
 }
 
 // Book opens stage i's window for batch seq of tokens, priced unit per
 // layer, whose activations arrive at at: it starts at the later of at and
 // when the stage is free, pushed back by Fault, and lasts Layers[i] × unit,
 // added to Busy[i]. It records the exec span and, before the last stage,
-// the hop span, and returns when the activations reach stage i+1 — after
-// the last stage, when the window ends.
+// the hop span, added to Transfer[i], and returns when the activations
+// reach stage i+1 — after the last stage, when the window ends.
 func (p *Stages) Book(i, seq, tokens int, at, unit time.Duration) time.Duration {
 	exec := p.scale(time.Duration(p.Layers[i]) * unit)
 	start := max(at, p.Free[i])
@@ -81,6 +82,7 @@ func (p *Stages) Book(i, seq, tokens int, at, unit time.Duration) time.Duration 
 	if p.Hop != nil {
 		next += p.scale(p.Hop(lane, tokens))
 	}
+	p.Transfer[i] += next - end
 	p.Spans.Record(lane, obs.KindXfer, seq, tokens, end, next)
 	return next
 }

@@ -100,7 +100,7 @@ func RunTokenParallel(cfg TokenParallelConfig, items []workload.Item) (*Result, 
 // slot never waits for itself, so the iteration is booked from its ready
 // time: its spans, each rank's busy time from the price breakdown — every
 // rank runs attention over its KV partition, the root ranks the
-// projections and MLP on top — and the bytes it moves.
+// projections and MLP on top — and the scatter/gather time and bytes.
 type tknpGroup struct {
 	ranks, rootTP int
 }
@@ -115,6 +115,7 @@ func (g *tknpGroup) execute(mb *microBatch, ready time.Duration) {
 			r.busy[s] += iter.root
 		}
 	}
+	r.transfer[0] += iter.comm
 	r.tknpCommBytes += iter.bytes
 	r.eng.At(ready+iter.total, mb.ran)
 }

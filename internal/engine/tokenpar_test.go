@@ -144,7 +144,7 @@ func TestTokenParallelSpansReconstructBusyAccounting(t *testing.T) {
 	if rec.Dropped() != 0 {
 		t.Fatalf("ring dropped %d spans", rec.Dropped())
 	}
-	acc := rec.AccountOver(res.Makespan)
+	acc := obs.AccountSpans(rec.Spans(), rec.Stages(), res.Makespan)
 	for i, want := range res.StageBusy {
 		got := acc.Stages[i].Busy
 		if want == 0 {

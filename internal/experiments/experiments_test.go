@@ -50,12 +50,12 @@ func TestFig4UtilizationShape(t *testing.T) {
 		t.Fatalf("stage series = %d", len(res.StageUtil))
 	}
 	// Per-stage bubble accounting rides along with the aggregate fraction.
-	if len(res.StageBusy) != 4 || len(res.StageBubble) != 4 {
-		t.Fatalf("stage accounting = %d busy, %d bubble", len(res.StageBusy), len(res.StageBubble))
+	if len(res.Bubble.Stages) != 4 {
+		t.Fatalf("stage accounting = %d stages", len(res.Bubble.Stages))
 	}
-	for i, b := range res.StageBubble {
-		if b < 0 || b >= 1 || res.StageBusy[i] <= 0 {
-			t.Fatalf("stage %d: busy=%v bubble=%v", i, res.StageBusy[i], b)
+	for i, st := range res.Bubble.Stages {
+		if st.BubbleRate < 0 || st.BubbleRate >= 1 || st.Busy <= 0 {
+			t.Fatalf("stage %d: busy=%v bubble=%v", i, st.Busy, st.BubbleRate)
 		}
 	}
 	if !strings.Contains(res.String(), "stage0: busy=") {

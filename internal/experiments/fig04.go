@@ -32,14 +32,10 @@ type Fig4Result struct {
 	// Tokens is the per-iteration batched token series with timestamps.
 	Tokens *stats.TimeSeries
 	// TokenCV is the coefficient of variation of batched token counts.
-	TokenCV        float64
-	BubbleFraction float64
-	// StageBusy is each stage's cumulative execute time over the run, and
-	// StageBubble the matching per-stage bubble rate (idle/makespan) — the
-	// paper's §3 per-stage accounting, from the engine's span recorder
-	// ground truth.
-	StageBusy   []time.Duration
-	StageBubble []float64
+	TokenCV float64
+	// Bubble is the paper's §3 accounting over the makespan: each stage's
+	// busy time and bubble rate, and the aggregate bubble fraction.
+	Bubble obs.Accounting
 }
 
 // Fig4Utilization runs the experiment. rate controls the arrival intensity
@@ -68,14 +64,10 @@ func Fig4Utilization(sc Scale, rate float64, sys System) (*Fig4Result, error) {
 	res := runs[0]
 
 	out := &Fig4Result{
-		System:         sys.Name,
-		StageUtil:      obs.Utilization(rec.Spans(), rec.Stages(), 250*time.Millisecond, res.Makespan),
-		BubbleFraction: res.BubbleFraction,
-		StageBusy:      res.StageBusy,
-		Tokens:         stats.NewTimeSeries("batched-tokens"),
-	}
-	for s := range res.StageBusy {
-		out.StageBubble = append(out.StageBubble, obs.BubbleRate(res.StageBusy[s:s+1], res.Makespan))
+		System:    sys.Name,
+		StageUtil: obs.Utilization(rec.Spans(), rec.Stages(), 250*time.Millisecond, res.Makespan),
+		Tokens:    stats.NewTimeSeries("batched-tokens"),
+		Bubble:    obs.Account(res.StageBusy, res.StageTransfer, res.PrepTime, res.Makespan),
 	}
 	var phaseSplit time.Duration
 	for _, b := range log.Batches {
@@ -110,10 +102,10 @@ func (r *Fig4Result) String() string {
 		"Figure 4 — %s GPU utilization (32B, 4 GPUs)\n"+
 			"  mean util=%.2f  phase1(mixed)=%.2f  phase2(decode-only)=%.2f\n"+
 			"  batched-token CV=%.3f  bubble fraction=%.2f  phase split at %.1fs\n",
-		r.System, r.MeanUtil, r.UtilPhase1, r.UtilPhase2, r.TokenCV, r.BubbleFraction,
+		r.System, r.MeanUtil, r.UtilPhase1, r.UtilPhase2, r.TokenCV, r.Bubble.BubbleRate,
 		r.PhaseSplit.Seconds())
-	for i, busy := range r.StageBusy {
-		s += fmt.Sprintf("  stage%d: busy=%.1fs bubble=%.2f\n", i, busy.Seconds(), r.StageBubble[i])
+	for _, st := range r.Bubble.Stages {
+		s += fmt.Sprintf("  stage%d: busy=%.1fs bubble=%.2f\n", st.Stage, st.Busy.Seconds(), st.BubbleRate)
 	}
 	return s
 }

@@ -73,14 +73,6 @@ func (m *Manager) initPrefix() {
 	m.lruPrev[end], m.lruNext[end] = end, end
 }
 
-// linkLast puts block b at the LRU list's most recently used end.
-func (m *Manager) linkLast(b int32) {
-	end := int32(m.totalBlocks)
-	last := m.lruPrev[end]
-	m.lruNext[last], m.lruPrev[b] = b, last
-	m.lruNext[b], m.lruPrev[end] = end, b
-}
-
 // unlink takes block b off the LRU list.
 func (m *Manager) unlink(b int32) {
 	p, n := m.lruPrev[b], m.lruNext[b]
@@ -213,11 +205,7 @@ func (m *Manager) RegisterPrefix(id SeqID, group int64, upTo int) {
 			c.live++
 			m.cached++
 			m.cachedAt[b] = blockKey{group, idx}
-			m.refs[b]++
-			if m.refs[b] == 1 {
-				m.cacheOnly++ // defensive: registration of an otherwise-unowned block
-				m.linkLast(int32(b))
-			}
+			m.refs[b]++ // the sequence's own reference stays: never cache-only here
 		}
 		if contiguous {
 			s.registered = idx + 1

@@ -12,8 +12,8 @@
 // allocations and zero synchronization per micro-batch. An enabled recorder
 // writes into a preallocated ring buffer under a mutex — recording never
 // allocates; when the ring wraps, the oldest spans are dropped (and
-// counted), while the cumulative busy/transfer accounting keeps exact
-// whole-run totals regardless of ring capacity.
+// counted). Whole-run totals are kept by the code that books the windows,
+// and Account builds every per-stage summary from them or from spans.
 package obs
 
 import (
@@ -91,22 +91,16 @@ func (s Span) Dur() time.Duration { return s.End - s.Start }
 // non-positive capacity: 64Ki spans ≈ 2.6 MB, hours of micro-batches.
 const DefaultCapacity = 1 << 16
 
-// Recorder captures spans into a preallocated ring buffer and maintains
-// exact cumulative per-stage occupancy totals. All methods are safe for
-// concurrent use, and all methods are safe on a nil receiver (no-ops /
-// zero values), so producers can thread an optional *Recorder without
-// branching beyond a nil check.
+// Recorder captures spans into a preallocated ring buffer. All methods are
+// safe for concurrent use, and all methods are safe on a nil receiver
+// (no-ops / zero values), so producers can thread an optional *Recorder
+// without branching beyond a nil check. It keeps spans only: whole-run
+// totals are the producer's ledger's (engine.Stages, the engines' Result),
+// since a wrapped ring has lost the oldest spans.
 type Recorder struct {
 	mu     sync.Mutex
 	stages int
 	ring   ring.Buffer[Span]
-
-	busy     []time.Duration // per-stage cumulative KindExec time
-	transfer []time.Duration // per-stage cumulative outgoing KindXfer time
-	prep     time.Duration   // cumulative driver KindPrep time
-	hasSpan  bool
-	first    time.Duration // earliest span start
-	last     time.Duration // latest span end
 }
 
 // NewRecorder creates a recorder for the given pipeline stage count, with a
@@ -118,12 +112,7 @@ func NewRecorder(stages, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{
-		stages:   stages,
-		ring:     ring.New[Span](capacity),
-		busy:     make([]time.Duration, stages),
-		transfer: make([]time.Duration, stages),
-	}
+	return &Recorder{stages: stages, ring: ring.New[Span](capacity)}
 }
 
 // Stages returns the pipeline stage count (0 on a nil recorder).
@@ -150,30 +139,16 @@ func (r *Recorder) Record(stage int, kind Kind, seq, tokens int, start, end time
 	if stage != PrepStage && (stage < 0 || stage >= r.stages) {
 		panic(fmt.Sprintf("obs: stage %d out of %d", stage, r.stages))
 	}
-	r.mu.Lock()
-	r.ring.Push(Span{
+	span := Span{
 		Start:  start,
 		End:    end,
 		Seq:    int32(seq),
 		Tokens: int32(tokens),
 		Stage:  int16(stage),
 		Kind:   kind,
-	})
-	switch kind {
-	case KindExec:
-		r.busy[stage] += end - start
-	case KindXfer:
-		r.transfer[stage] += end - start
-	case KindPrep:
-		r.prep += end - start
 	}
-	if !r.hasSpan || start < r.first {
-		r.first = start
-	}
-	if !r.hasSpan || end > r.last {
-		r.last = end
-	}
-	r.hasSpan = true
+	r.mu.Lock()
+	r.ring.Push(span)
 	r.mu.Unlock()
 }
 
@@ -220,66 +195,30 @@ type StageStat struct {
 	BubbleRate float64
 }
 
-// Accounting summarizes a recorder (or decoded trace) over a window.
+// Accounting summarizes a run's per-stage occupancy over a window.
 type Accounting struct {
-	Start, End time.Duration // accounting window
-	Window     time.Duration // End − Start
-	Spans      uint64        // spans ever recorded
+	Window     time.Duration
+	Spans      uint64        // spans recorded (set by AccountSpans or the caller)
 	Dropped    uint64        // spans lost to ring wraparound
 	PrepTime   time.Duration // cumulative driver prep
 	Stages     []StageStat
 	BubbleRate float64 // the stages' aggregate BubbleRate over Window
 }
 
-// Account summarizes over the recorded extent [first span start, last span
-// end]. The zero Accounting is returned for an empty or nil recorder.
-func (r *Recorder) Account() Accounting {
-	if r == nil {
-		return Accounting{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.hasSpan {
-		return Accounting{}
-	}
-	return r.account(r.first, r.last)
-}
-
-// AccountOver summarizes over the fixed window [0, window] — the engines'
-// makespan-based bubble accounting uses virtual time zero as the origin.
-func (r *Recorder) AccountOver(window time.Duration) Accounting {
-	if r == nil {
-		return Accounting{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.account(0, window)
-}
-
-// account computes the summary from the cumulative counters; callers hold
-// r.mu.
-func (r *Recorder) account(start, end time.Duration) Accounting {
+// Account summarizes stages busy for busy[s] and transferring for
+// transfer[s], and a driver that prepped for prep, over window. Each
+// stage's bubble rate and the aggregate one are BubbleRate's.
+func Account(busy, transfer []time.Duration, prep, window time.Duration) Accounting {
 	acc := Accounting{
-		Start:    start,
-		End:      end,
-		Window:   end - start,
-		Spans:    r.ring.Total(),
-		Dropped:  r.ring.Dropped(),
-		PrepTime: r.prep,
-		Stages:   make([]StageStat, r.stages),
+		Window:     window,
+		PrepTime:   prep,
+		Stages:     make([]StageStat, len(busy)),
+		BubbleRate: BubbleRate(busy, window),
 	}
-	for s := 0; s < r.stages; s++ {
-		st := StageStat{Stage: s, Busy: r.busy[s], Transfer: r.transfer[s]}
-		if acc.Window > 0 {
-			st.Idle = acc.Window - st.Busy
-			if st.Idle < 0 {
-				st.Idle = 0
-			}
-			st.BubbleRate = float64(st.Idle) / float64(acc.Window)
-		}
-		acc.Stages[s] = st
+	for s, b := range busy {
+		acc.Stages[s] = StageStat{Stage: s, Busy: b, Transfer: transfer[s],
+			Idle: max(window-b, 0), BubbleRate: BubbleRate(busy[s:s+1], window)}
 	}
-	acc.BubbleRate = BubbleRate(r.busy[:r.stages], acc.Window)
 	return acc
 }
 
@@ -296,18 +235,33 @@ func BubbleRate(busy []time.Duration, window time.Duration) float64 {
 	return 1 - float64(total)/float64(window*time.Duration(len(busy)))
 }
 
-// AccountSpans summarizes a span slice (e.g. a decoded trace) over the
-// given window; a non-positive window uses the spans' extent. stages must
-// cover every exec span's stage index.
+// AccountSpans sums a span slice (e.g. a decoded trace) per stage and
+// accounts it over the given window; a non-positive window uses the spans'
+// extent, from the first start to the last end. stages must cover every
+// exec and xfer span's stage index.
 func AccountSpans(spans []Span, stages int, window time.Duration) Accounting {
-	rec := NewRecorder(stages, len(spans)+1)
-	for _, s := range spans {
-		rec.Record(int(s.Stage), s.Kind, int(s.Seq), int(s.Tokens), s.Start, s.End)
+	busy, transfer := make([]time.Duration, stages), make([]time.Duration, stages)
+	var prep, first, last time.Duration
+	for i, s := range spans {
+		switch s.Kind {
+		case KindExec:
+			busy[s.Stage] += s.Dur()
+		case KindXfer:
+			transfer[s.Stage] += s.Dur()
+		case KindPrep:
+			prep += s.Dur()
+		}
+		if i == 0 {
+			first, last = s.Start, s.End
+		}
+		first, last = min(first, s.Start), max(last, s.End)
 	}
-	if window > 0 {
-		return rec.AccountOver(window)
+	if window <= 0 {
+		window = last - first
 	}
-	return rec.Account()
+	acc := Account(busy, transfer, prep, window)
+	acc.Spans = uint64(len(spans))
+	return acc
 }
 
 // Utilization returns one "stage<s>-util" series per stage: point k, for k

@@ -16,7 +16,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Stages() != 0 || r.Total() != 0 || r.Dropped() != 0 || r.Spans() != nil {
 		t.Fatal("nil recorder not inert")
 	}
-	if acc := r.Account(); acc.Window != 0 || len(acc.Stages) != 0 {
+	if acc := AccountSpans(r.Spans(), r.Stages(), 0); acc.Window != 0 || len(acc.Stages) != 0 {
 		t.Fatalf("nil accounting = %+v", acc)
 	}
 }
@@ -30,9 +30,9 @@ func TestRecordAndAccount(t *testing.T) {
 	r.Record(0, KindExec, 2, 50, 3*time.Second, 4*time.Second)
 	r.Record(PrepStage, KindPrep, 2, 50, 2500*time.Millisecond, 2600*time.Millisecond)
 
-	acc := r.AccountOver(4 * time.Second)
-	if acc.Window != 4*time.Second {
-		t.Fatalf("window = %v", acc.Window)
+	acc := AccountSpans(r.Spans(), r.Stages(), 4*time.Second)
+	if acc.Window != 4*time.Second || acc.Spans != 5 {
+		t.Fatalf("window = %v over %d spans", acc.Window, acc.Spans)
 	}
 	if got := acc.Stages[0].Busy; got != 2*time.Second {
 		t.Fatalf("stage0 busy = %v", got)
@@ -56,14 +56,21 @@ func TestRecordAndAccount(t *testing.T) {
 	if !strings.Contains(acc.String(), "stage1") {
 		t.Fatalf("accounting string:\n%s", acc.String())
 	}
+	// The ledger a producer keeps gives the same summary, bar the span count.
+	booked := Account([]time.Duration{2 * time.Second, time.Second},
+		[]time.Duration{500 * time.Millisecond, 0}, 100*time.Millisecond, 4*time.Second)
+	booked.Spans = acc.Spans
+	if booked.String() != acc.String() {
+		t.Fatalf("Account:\n%s\nAccountSpans:\n%s", booked.String(), acc.String())
+	}
 }
 
 func TestAccountUsesSpanExtent(t *testing.T) {
 	r := NewRecorder(1, 4)
 	r.Record(0, KindExec, 1, 10, 2*time.Second, 3*time.Second)
-	acc := r.Account()
-	if acc.Start != 2*time.Second || acc.End != 3*time.Second || acc.Window != time.Second {
-		t.Fatalf("extent = [%v, %v]", acc.Start, acc.End)
+	acc := AccountSpans(r.Spans(), r.Stages(), 0)
+	if acc.Window != time.Second {
+		t.Fatalf("extent = %v, want the span's [2s, 3s]", acc.Window)
 	}
 	if acc.BubbleRate != 0 {
 		t.Fatalf("fully busy window has bubble %v", acc.BubbleRate)
@@ -94,7 +101,9 @@ func TestUtilizationWindows(t *testing.T) {
 	}
 }
 
-func TestRingWraparoundKeepsExactTotals(t *testing.T) {
+// A wrapped ring keeps the newest spans and counts the rest; whole-run
+// totals are the producer's (engine's TestWrappedRecorderKeepsExactTotals).
+func TestRingWraparoundKeepsNewestSpans(t *testing.T) {
 	r := NewRecorder(1, 8)
 	for i := 0; i < 100; i++ {
 		start := time.Duration(i) * time.Second
@@ -115,10 +124,6 @@ func TestRingWraparoundKeepsExactTotals(t *testing.T) {
 		if want := int32(92 + i); s.Seq != want {
 			t.Fatalf("span %d seq = %d, want %d", i, s.Seq, want)
 		}
-	}
-	// Cumulative accounting is exact despite the drops.
-	if got := r.AccountOver(100 * time.Second).Stages[0].Busy; got != 100*time.Second {
-		t.Fatalf("busy = %v", got)
 	}
 }
 
@@ -155,7 +160,7 @@ func TestRecordersFullAtCapacity(t *testing.T) {
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(4, 1024)
+	r := NewRecorder(4, 4000) // every span retained
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -172,7 +177,7 @@ func TestRecorderConcurrent(t *testing.T) {
 		t.Fatalf("total = %d", r.Total())
 	}
 	var busy time.Duration
-	for _, st := range r.Account().Stages {
+	for _, st := range AccountSpans(r.Spans(), r.Stages(), 0).Stages {
 		busy += st.Busy
 	}
 	if busy != 4000*time.Millisecond {
@@ -224,7 +229,7 @@ func TestChromeRoundTrip(t *testing.T) {
 		t.Fatalf("decoded spans = %d", len(dec.Spans))
 	}
 	// The decoded accounting must match the recorder's (µs rounding only).
-	want := r.Account()
+	want := AccountSpans(r.Spans(), r.Stages(), 0)
 	got := dec.Account(0)
 	for s := range want.Stages {
 		diff := (want.Stages[s].Busy - got.Stages[s].Busy).Abs()

@@ -60,7 +60,8 @@ func newDriver(rt *Runtime, plan *engine.Config) *driver {
 	depth := len(rt.stageLayers)
 	d := &driver{rt: rt, prep: engine.VLLMRuntime, stopCh: rt.stopCh, killCh: rt.killCh}
 	d.stages = engine.Stages{Free: make([]time.Duration, depth), Layers: rt.stageLayers,
-		Busy: make([]time.Duration, depth), Spans: rt.cfg.Spans, Fault: rt.cfg.StageFault}
+		Busy: make([]time.Duration, depth), Transfer: make([]time.Duration, depth),
+		Spans: rt.cfg.Spans, Fault: rt.cfg.StageFault}
 	if rt.emulates() { // else every hop is free: TimeScale never changes
 		d.stages.Hop, d.stages.Scale = plan.HopTime, rt.scale
 	}
